@@ -19,9 +19,9 @@ tracked trajectory):
   shared-store/incremental-space PR, whose optimisations (memoised
   adjacency hashing, O(1) space accounting) accelerated the *per-point*
   baseline ~1.8x while batch throughput held, shrinking the ratio.
-* sliding, cascade-dominated: >= 1.15x (both paths share the founding/
-  promotion costs that dominate this workload).
-* sliding, steady-window: >= 2.0x (the batch walk advantage).
+* sliding, cascade-dominated: >= 1.35x (both paths share the founding/
+  promotion costs that dominate this workload; >= 1.5x in --smoke).
+* sliding, steady-window: >= 2.2x (the batch walk advantage).
 * pipeline, process executor at ONE worker: >= 1.0x *wall-clock* over
   the serial executor - the parallel-no-slower-than-serial contract of
   the zero-copy shared-memory chunk transport.  Gated in full mode on

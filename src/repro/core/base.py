@@ -486,6 +486,19 @@ class CandidateStore:
     O(1) instead of a full record walk.  ``recount_space_words`` is the
     from-scratch oracle the invariant tests compare against.
 
+    Adjacency index
+    ---------------
+    Every record is registered under each hash value of
+    ``adj(representative)``.  The registrations under one hash form a
+    sequence in registration order; its head is held inline in
+    ``_buckets[h]`` and its tail, only when two or more registrations
+    share ``h``, in ``_overflow[h]`` (never empty).  On the benchmark
+    streams almost every hash has a single registration, so the index
+    allocates no per-hash container.  A probe tests ``_buckets[h]`` and
+    then ``_overflow[h]`` in order - the first match is the one a single
+    ordered list would give - and removing the head promotes
+    ``_overflow[h][0]``.  :meth:`check_index_integrity` is the oracle.
+
     Slot pool (the array-backed hot path)
     -------------------------------------
     Every live record owns an integer *slot* into the store's parallel
@@ -519,6 +532,7 @@ class CandidateStore:
         "_config",
         "_records",
         "_buckets",
+        "_overflow",
         "_accepted_count",
         "_base_words",
         "_member_words",
@@ -531,8 +545,11 @@ class CandidateStore:
     def __init__(self, config: SamplerConfig) -> None:
         self._config = config
         self._records: dict[int, CandidateRecord] = {}
-        # Bucket key: a hash value of some cell of adj(representative).
-        self._buckets: dict[int, list[CandidateRecord]] = {}
+        # Adjacency index, keyed by the hash value of some cell of
+        # adj(representative): the first record registered under a hash
+        # inline, the later ones (in registration order) in _overflow.
+        self._buckets: dict[int, CandidateRecord] = {}
+        self._overflow: dict[int, list[CandidateRecord]] = {}
         self._accepted_count = 0
         self._base_words = 0
         self._member_words = 0
@@ -575,22 +592,44 @@ class CandidateStore:
         return [r for r in self._records.values() if not r.accepted]
 
     def find_nearby(
-        self, vector: Sequence[float], cell_hash: int
+        self, vector: Sequence[float], cell_hash: int, level: int | None = None
     ) -> CandidateRecord | None:
-        """Return the record whose representative is within alpha, if any.
+        """Return the first record whose representative is within alpha.
 
         ``cell_hash`` must be the hash value of ``cell(vector)``.  A
         matching representative ``u`` has ``cell(vector) in adj(u)``, and
         every record is registered under its ``adj`` hash values, so the
-        single bucket of ``cell_hash`` suffices.
+        single bucket of ``cell_hash`` suffices.  ``level`` restricts the
+        match to records carrying that level tag (sliding hierarchies).
         """
-        bucket = self._buckets.get(cell_hash)
-        if not bucket:
+        record = self._buckets.get(cell_hash)
+        if record is None:
             return None
-        alpha = self._config.alpha
-        for record in bucket:
-            if within_distance(record.representative.vector, vector, alpha):
-                return record
+        if (level is None or record.level == level) and within_distance(
+            record.representative.vector, vector, self._config.alpha
+        ):
+            return record
+        return self.find_overflow(vector, cell_hash, level)
+
+    def find_overflow(
+        self, vector: Sequence[float], cell_hash: int, level: int | None = None
+    ) -> CandidateRecord | None:
+        """The miss path of a probe: :meth:`find_nearby` past the inline
+        record, i.e. over the later registrations under ``cell_hash``.
+
+        The hot ingestion loops test the inline ``_buckets`` record
+        themselves and call this only when it does not match.
+        """
+        extra = self._overflow.get(cell_hash)
+        if extra is not None:
+            alpha = self._config.alpha
+            for record in extra:
+                if level is not None and record.level != level:
+                    continue
+                if within_distance(
+                    record.representative.vector, vector, alpha
+                ):
+                    return record
         return None
 
     @staticmethod
@@ -613,17 +652,20 @@ class CandidateStore:
             )
         self._records[key] = record
         buckets = self._buckets
-        buckets_get = buckets.get
-        # No dedup: adj hash values are distinct in practice (distinct
-        # cells, 64-bit hashes), and a collision merely registers the
-        # record twice in one bucket - remove() iterates the same
+        overflow = self._overflow
+        # No dedup: a cell-id collision (CPython hashes -1 and -2 alike,
+        # so cells (x, -1) and (x, -2) share an id) merely registers the
+        # record twice under one hash - remove() iterates the same
         # sequence, so registration stays symmetric either way.
         for value in record.adj_hashes:
-            bucket = buckets_get(value)
-            if bucket is None:
-                buckets[value] = [record]
+            if value not in buckets:
+                buckets[value] = record
             else:
-                bucket.append(record)
+                extra = overflow.get(value)
+                if extra is None:
+                    overflow[value] = [record]
+                else:
+                    extra.append(record)
         if record.accepted:
             self._accepted_count += 1
         words = self.record_words(record)
@@ -648,11 +690,19 @@ class CandidateStore:
         key = record.representative.index
         del self._records[key]
         buckets = self._buckets
+        overflow = self._overflow
         for value in record.adj_hashes:
-            bucket = buckets[value]
-            bucket.remove(record)
-            if not bucket:
+            if value not in overflow:
                 del buckets[value]
+                continue
+            extra = overflow[value]
+            if buckets[value] is record:
+                # Promote the next registration: probe order is unchanged.
+                buckets[value] = extra.pop(0)
+            else:
+                extra.remove(record)
+            if not extra:
+                del overflow[value]
         if record.accepted:
             self._accepted_count -= 1
         slot = record.slot
@@ -721,6 +771,32 @@ class CandidateStore:
             assert slot_record[slot] is None and slot_tb[slot] == -1
             assert slot_words[slot] == 0
         assert len(live_slots) + len(free_set) == len(slot_record) - 1
+
+    def check_index_integrity(self) -> None:
+        """Adjacency-index invariant oracle (test hook, O(registrations)).
+
+        Rebuilds the registration multimap from the live records - in
+        ``_records`` insertion order, each record's ``adj_hashes`` in
+        order - and raises ``AssertionError`` unless, for every hash
+        ``h``, ``(_buckets[h], *_overflow.get(h, ()))`` is exactly that
+        rebuilt sequence, no overflow list is empty and every overflow
+        key also has an inline head.
+        """
+        expected: dict[int, list[CandidateRecord]] = {}
+        for record in self._records.values():
+            for value in record.adj_hashes:
+                expected.setdefault(value, []).append(record)
+        buckets = self._buckets
+        overflow = self._overflow
+        assert buckets.keys() == expected.keys(), "keys != live adj hashes"
+        for value, extra in overflow.items():
+            assert extra, "empty overflow list"
+            assert value in buckets, "overflow key without an inline head"
+        for value, registered in expected.items():
+            actual = [buckets[value], *overflow.get(value, ())]
+            assert len(actual) == len(registered) and all(
+                a is b for a, b in zip(actual, registered)
+            ), "index order != registration order"
 
     def set_accepted(self, record: CandidateRecord, accepted: bool) -> None:
         """Flip a record between the accept and reject sets."""

@@ -288,6 +288,7 @@ class FixedRateSlidingSampler(StreamSampler):
         slot_tb = store._slot_tb
         slot_words = store._slot_words
         buckets_get = store._buckets.get
+        find_overflow = store.find_overflow
         reservoirs = self._reservoirs
         track = self._track_members
         member_rng = self._member_rng
@@ -371,18 +372,15 @@ class FixedRateSlidingSampler(StreamSampler):
                         memo.clear()
                     memo[cell] = cell_hash
 
-            bucket = buckets_get(cell_hash)
-            existing = None
-            if bucket:
-                for record in bucket:
-                    acc = 0.0
-                    for a, b in zip(record.representative.vector, vector):
-                        diff = a - b
-                        acc += diff * diff
-                        if acc > alpha_sq:
-                            break
-                    else:
-                        existing = record
+            # Inline find_nearby: the overflow only on a head miss.
+            existing = buckets_get(cell_hash)
+            if existing is not None:
+                acc = 0.0
+                for a, b in zip(existing.representative.vector, vector):
+                    diff = a - b
+                    acc += diff * diff
+                    if acc > alpha_sq:
+                        existing = find_overflow(vector, cell_hash)
                         break
             if existing is not None:
                 # Inline relink_last: footprint moves only on the (once
@@ -527,10 +525,11 @@ class FixedRateSlidingSampler(StreamSampler):
 
         Heap entries are stored with two linkage flags instead of object
         references: ``linked`` (the referenced record is still the store's
-        record for that representative) and ``cur`` (the entry's last-point
-        is the record's current one).  ``from_state`` uses them to restore
-        the identity relationships the lazy-eviction staleness checks rely
-        on (``store.get(i) is record`` / ``record.last is last_ref``).
+        record for that representative) and ``cur`` (the entry is linked and
+        its last-point is the record's current one).  ``from_state`` uses
+        them to restore the identity relationships the lazy-eviction
+        staleness checks rely on (``store.get(i) is record`` /
+        ``record.last is last_ref``).
 
         The shared :class:`~repro.core.base.SamplerConfig` and window are
         *not* embedded; the owner (hierarchy or caller) restores them once
@@ -544,15 +543,18 @@ class FixedRateSlidingSampler(StreamSampler):
         )
         heap_state = []
         for key, tiebreak, record, last_ref in self._heap:
-            current = store.get(record.representative.index)
+            linked = store.get(record.representative.index) is record
             heap_state.append(
                 {
                     "k": key,
                     "t": tiebreak,
                     "r": record.representative.index,
                     "p": serialize.point_to_state(last_ref),
-                    "linked": current is record,
-                    "cur": record.last is last_ref,
+                    "linked": linked,
+                    # A restored stand-in for an unlinked entry has
+                    # last is last_ref: flagging only linked entries
+                    # keeps re-serialisation byte-identical.
+                    "cur": linked and record.last is last_ref,
                 }
             )
         # Read the tiebreak position without perturbing the sequence: the
@@ -560,10 +562,9 @@ class FixedRateSlidingSampler(StreamSampler):
         # continuation (fingerprints never include the object itself).
         position = next(self._tiebreak)
         self._tiebreak = itertools.count(position)
-        return {
+        state = {
             "rate_denominator": self._rate,
             "track_members": self._track_members,
-            "member_rng": serialize.rng_to_state(self._member_rng),
             "next_tiebreak": position,
             "records": [serialize.record_to_state(r) for r in records],
             "heap": heap_state,
@@ -578,6 +579,11 @@ class FixedRateSlidingSampler(StreamSampler):
                 for key in sorted(self._reservoirs)
             ],
         }
+        # Untracked members never draw from the RNG (and an unseeded one
+        # is OS entropy): omitting it keeps the envelope deterministic.
+        if self._track_members:
+            state["member_rng"] = serialize.rng_to_state(self._member_rng)
+        return state
 
     @classmethod
     def from_state(
@@ -602,7 +608,8 @@ class FixedRateSlidingSampler(StreamSampler):
             window,
             track_members=state["track_members"],
         )
-        sampler._member_rng = serialize.rng_from_state(state["member_rng"])
+        if "member_rng" in state:
+            sampler._member_rng = serialize.rng_from_state(state["member_rng"])
         sampler._tiebreak = itertools.count(state["next_tiebreak"])
         records: dict[int, CandidateRecord] = {}
         for record_state in state["records"]:

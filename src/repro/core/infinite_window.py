@@ -280,6 +280,7 @@ class RobustL0SamplerIW(StreamSampler):
         hash_value = config.hash.value
         store = self._store
         buckets_get = store._buckets.get
+        find_overflow = store.find_overflow
         alpha_sq = config.alpha * config.alpha
         # Inclusive threshold with 1-ulp headroom: boundary points must
         # reach the exact path, never be dropped by the filter.
@@ -385,18 +386,15 @@ class RobustL0SamplerIW(StreamSampler):
                             memo.clear()
                         memo[cell] = cell_hash
 
-                bucket = buckets_get(cell_hash)
-                if bucket:
-                    existing = None
-                    for record in bucket:
-                        acc = 0.0
-                        for a, b in zip(record.representative.vector, vector):
-                            diff = a - b
-                            acc += diff * diff
-                            if acc > alpha_sq:
-                                break
-                        else:
-                            existing = record
+                # Inline find_nearby: the overflow only on a head miss.
+                existing = buckets_get(cell_hash)
+                if existing is not None:
+                    acc = 0.0
+                    for a, b in zip(existing.representative.vector, vector):
+                        diff = a - b
+                        acc += diff * diff
+                        if acc > alpha_sq:
+                            existing = find_overflow(vector, cell_hash)
                             break
                     if existing is not None:
                         existing.count += 1
@@ -698,19 +696,24 @@ class RobustL0SamplerIW(StreamSampler):
         """Serialise to a JSON-compatible dict (protocol checkpoint)."""
         from repro.core import serialize
 
-        return {
+        state = {
             "config": serialize.config_to_state(self._config),
             "rate_denominator": self._rate_denominator,
             "points_seen": self._count,
             "peak_space_words": self._peak_words,
             "track_members": self._track_members,
-            "member_rng": serialize.rng_to_state(self._member_rng),
             "policy": serialize.policy_to_state(self._policy),
             "records": [
                 serialize.record_to_state(record)
                 for record in self._store.records()
             ],
         }
+        # Untracked members never draw from the RNG (and a config-built
+        # sampler's is OS entropy): omitting it keeps the envelope
+        # deterministic.  from_state still reads older envelopes' RNG.
+        if self._track_members:
+            state["member_rng"] = serialize.rng_to_state(self._member_rng)
+        return state
 
     @classmethod
     def _construct_for_restore(
@@ -748,7 +751,8 @@ class RobustL0SamplerIW(StreamSampler):
         sampler._rate_denominator = state["rate_denominator"]
         sampler._count = state["points_seen"]
         sampler._peak_words = state["peak_space_words"]
-        sampler._member_rng = serialize.rng_from_state(state["member_rng"])
+        if "member_rng" in state:
+            sampler._member_rng = serialize.rng_from_state(state["member_rng"])
         for record_state in state["records"]:
             sampler._store.add(serialize.record_from_state(record_state))
         return sampler

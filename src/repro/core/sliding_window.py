@@ -153,18 +153,7 @@ class HierarchyLevel:
         self, vector: Sequence[float], cell_hash: int
     ) -> CandidateRecord | None:
         """Proximity lookup restricted to this level's records."""
-        sampler = self._sampler
-        bucket = sampler._store._buckets.get(cell_hash)
-        if not bucket:
-            return None
-        alpha = sampler._config.alpha
-        index = self._index
-        for record in bucket:
-            if record.level == index and within_distance(
-                record.representative.vector, vector, alpha
-            ):
-                return record
-        return None
+        return self._sampler._store.find_nearby(vector, cell_hash, self._index)
 
     def evict(self, latest: StreamPoint) -> None:
         """Evict expired groups (hierarchy-wide; levels share one heap)."""
@@ -535,6 +524,7 @@ class RobustL0SamplerSW(StreamSampler):
         slot_tb = store._slot_tb
         slot_words = store._slot_words
         buckets_get = store._buckets.get
+        find_overflow = store.find_overflow
         level_records0 = self._level_records[0]
         level_accepted = self._level_accepted
         level_words = self._level_words
@@ -653,21 +643,16 @@ class RobustL0SamplerSW(StreamSampler):
                         memo[cell] = cell_hash
 
                 # Inline find_nearby(p.vector, cell_hash): one probe
-                # covers every level (single-tracking invariant I1).
-                bucket = buckets_get(cell_hash)
-                found = None
-                if bucket:
-                    for record in bucket:
-                        acc = 0.0
-                        for a, b in zip(
-                            record.representative.vector, vector
-                        ):
-                            diff = a - b
-                            acc += diff * diff
-                            if acc > alpha_sq:
-                                break
-                        else:
-                            found = record
+                # covers every level (single-tracking invariant I1).  The
+                # inline head is tested here; the overflow only on a miss.
+                found = buckets_get(cell_hash)
+                if found is not None:
+                    acc = 0.0
+                    for a, b in zip(found.representative.vector, vector):
+                        diff = a - b
+                        acc += diff * diff
+                        if acc > alpha_sq:
+                            found = find_overflow(vector, cell_hash)
                             break
                 if found is not None:
                     # Inline _relink_last: footprint moves only on the
@@ -823,22 +808,32 @@ class RobustL0SamplerSW(StreamSampler):
         ``alpha`` of a promoted representative, the existing record
         absorbs the promoted one's last-point and count.
         """
-        buckets_get = self._store._buckets.get
+        store = self._store
+        buckets_get = store._buckets.get
+        overflow = store._overflow
+        find_overflow = store.find_overflow
         alpha = self._config.alpha
         expiry_key = self._window.expiry_key
         for record in promoted:
-            existing = None
-            bucket = buckets_get(record.cell_hash)
-            if bucket:
-                vector = record.representative.vector
-                for candidate in bucket:
-                    # Promoted-but-not-yet-moved records still carry the
-                    # source level tag, so they can never match here.
-                    if candidate.level == level and within_distance(
-                        candidate.representative.vector, vector, alpha
-                    ):
-                        existing = candidate
-                        break
+            # Inline find_nearby(vector, cell_hash, level).  The head is
+            # usually the promoted record itself: promoted-but-not-yet-
+            # moved records still carry the source level tag, so they
+            # never match, and the overflow is consulted only if it holds
+            # the hash.
+            cell_hash = record.cell_hash
+            vector = record.representative.vector
+            existing = buckets_get(cell_hash)
+            if existing is not None and (
+                existing.level != level
+                or not within_distance(
+                    existing.representative.vector, vector, alpha
+                )
+            ):
+                existing = (
+                    find_overflow(vector, cell_hash, level)
+                    if cell_hash in overflow
+                    else None
+                )
             if existing is not None:
                 if expiry_key(record.last) > expiry_key(existing.last):
                     self._relink_last(existing, record.last)
@@ -973,10 +968,11 @@ class RobustL0SamplerSW(StreamSampler):
 
         Heap entries are stored with two linkage flags instead of object
         references: ``linked`` (the referenced record is still the store's
-        record for that representative) and ``cur`` (the entry's last-point
-        is the record's current one).  ``from_state`` uses them to restore
-        the identity relationships the lazy-eviction staleness checks rely
-        on (``store.get(i) is record`` / ``record.last is last_ref``).
+        record for that representative) and ``cur`` (the entry is linked and
+        its last-point is the record's current one).  ``from_state`` uses
+        them to restore the identity relationships the lazy-eviction
+        staleness checks rely on (``store.get(i) is record`` /
+        ``record.last is last_ref``).
         """
         from repro.core import serialize
 
@@ -986,15 +982,18 @@ class RobustL0SamplerSW(StreamSampler):
         )
         heap_state = []
         for key, tiebreak, record, last_ref in self._heap:
-            current = store.get(record.representative.index)
+            linked = store.get(record.representative.index) is record
             heap_state.append(
                 {
                     "k": key,
                     "t": tiebreak,
                     "r": record.representative.index,
                     "p": serialize.point_to_state(last_ref),
-                    "linked": current is record,
-                    "cur": record.last is last_ref,
+                    "linked": linked,
+                    # A restored stand-in for an unlinked entry has
+                    # last is last_ref: flagging only linked entries
+                    # keeps re-serialisation byte-identical.
+                    "cur": linked and record.last is last_ref,
                 }
             )
         # Read the tiebreak position without perturbing the sequence: the

@@ -78,6 +78,95 @@ class TestSamplerConfig:
         assert config.cell_hash((0, 0)) == config.cell_hash((0, 0))
 
 
+class TestAdjacencyIndex:
+    """The inline-head + overflow layout of CandidateStore's index."""
+
+    def setup_method(self):
+        self.config = SamplerConfig.create(1.0, 2, seed=3)
+        self.store = CandidateStore(self.config)
+
+    def probe(self, vector, level=None):
+        cell_hash = self.config.point_context(vector).cell_hash
+        return self.store.find_nearby(vector, cell_hash, level)
+
+    def test_disjoint_adjacency_owns_no_bucket_container(self):
+        # Records far apart share no adj hash: every registration is an
+        # inline head and no per-hash list exists at all.  (Positive
+        # coordinates: CPython hashes -1 and -2 alike, so the cells
+        # (x, -1) and (x, -2) share an id.)
+        for index in range(20):
+            self.store.add(
+                make_record(self.config, (50.0 + 10.0 * index, 50.0), index)
+            )
+        self.store.check_index_integrity()
+        assert not self.store._overflow
+        assert all(
+            type(head) is CandidateRecord
+            for head in self.store._buckets.values()
+        )
+
+    def test_first_match_follows_registration_order(self):
+        first = make_record(self.config, (5.0, 5.0), 0)
+        second = make_record(self.config, (5.6, 5.6), 1)
+        third = make_record(self.config, (5.2, 5.9), 2)
+        for record in (first, second, third):
+            self.store.add(record)
+            self.store.check_index_integrity()
+        probe = (5.3, 5.3)  # within alpha of all three
+        assert self.store._overflow
+        assert self.probe(probe) is first
+        self.store.remove(first)  # promotes the next registration
+        self.store.check_index_integrity()
+        assert self.probe(probe) is second
+        self.store.remove(third)  # leaves the head in place
+        self.store.check_index_integrity()
+        assert self.probe(probe) is second
+        self.store.remove(second)
+        self.store.check_index_integrity()
+        assert not self.store._buckets and not self.store._overflow
+        assert self.probe(probe) is None
+
+    def test_colliding_adj_hashes_register_twice_and_unwind(self):
+        # Cells (x, -1) and (x, -2) share a cell id, so one record can
+        # carry the same adj hash twice; add/remove must stay symmetric
+        # whichever record heads the shared hashes.
+        first = make_record(self.config, (5.0, -1.0), 0)
+        second = make_record(self.config, (5.1, -1.1), 1)
+        assert len(set(first.adj_hashes)) < len(first.adj_hashes)
+        for order in ((first, second), (second, first)):
+            for record in order:
+                self.store.add(record)
+                self.store.check_index_integrity()
+            assert self.probe((5.05, -1.05)) is order[0]
+            for record in order:
+                self.store.remove(record)
+                self.store.check_index_integrity()
+            assert not self.store._buckets and not self.store._overflow
+
+    def test_level_filter_reaches_the_overflow(self):
+        head = make_record(self.config, (5.0, 5.0), 0)
+        tail = make_record(self.config, (5.1, 5.1), 1)
+        tail.level = 2
+        self.store.add(head)
+        self.store.add(tail)
+        assert self.probe((5.05, 5.05), level=0) is head
+        assert self.probe((5.05, 5.05), level=2) is tail
+        assert self.probe((5.05, 5.05), level=1) is None
+
+    def test_oracle_detects_reordered_registrations(self):
+        first = make_record(self.config, (5.0, 5.0), 0)
+        second = make_record(self.config, (5.1, 5.1), 1)
+        self.store.add(first)
+        self.store.add(second)
+        shared = next(
+            h for h in first.adj_hashes if h in self.store._overflow
+        )
+        self.store._buckets[shared] = second
+        self.store._overflow[shared] = [first]
+        with pytest.raises(AssertionError):
+            self.store.check_index_integrity()
+
+
 class TestCandidateStore:
     def setup_method(self):
         self.config = SamplerConfig.create(1.0, 2, seed=3)

@@ -98,13 +98,15 @@ class TestDocsMatchCode:
             assert f"{table} = {{" in module_text, (table, module)
 
     def test_architecture_documents_hot_path(self):
-        # The slot/generation scheme and the shared-geometry cache
-        # invariant are load-bearing perf architecture: the sections
-        # must exist and name machinery that really exists in the code.
+        # The slot/generation scheme, the adjacency index and the
+        # shared-geometry cache invariant are load-bearing perf
+        # architecture: the sections must exist and name machinery that
+        # really exists in the code.
         text = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text(
             encoding="utf-8"
         )
         assert "slot/generation scheme" in text
+        assert "#### The adjacency index" in text
         assert "## The shared-geometry cache invariant" in text
         base_source = (
             REPO_ROOT / "src" / "repro" / "core" / "base.py"
@@ -114,6 +116,10 @@ class TestDocsMatchCode:
             "_slot_tb",
             "_slot_words",
             "check_slot_integrity",
+            "_buckets",
+            "_overflow",
+            "find_overflow",
+            "check_index_integrity",
         ):
             assert name in text
             assert name in base_source

@@ -368,3 +368,88 @@ class TestBytesEnvelopes:
             summary.process_many(stream)
             restored = loads_summary(dumps_summary(summary))
             assert type(restored) is entry(key).summary_cls, key
+
+
+class TestCanonicalEnvelopes:
+    """Equal states serialise to equal bytes.
+
+    A restored summary re-serialises to the bytes it was restored from
+    and, fed the same points as the original, keeps writing the
+    original's bytes.  Envelopes compared byte-wise (content-addressed
+    stores, dedup, replication checks) rely on this.
+    """
+
+    def test_sliding_heap_entries_of_dropped_records(self):
+        # Split/Merge drops records while their heap entries stay behind;
+        # those entries must not be flagged current.
+        stream = build_stream(768, seed=7, groups=300)
+        sampler = build(
+            "l0-sliding", alpha=1.0, dim=1, seed=5, window_size=512
+        )
+        for start in range(0, 640, 128):
+            sampler.process_many(stream[start : start + 128])
+        data = dumps_summary(sampler)
+        restored = loads_summary(data)
+        assert dumps_summary(restored) == data
+        sampler.process_many(stream[640:])
+        restored.process_many(stream[640:])
+        assert dumps_summary(restored) == dumps_summary(sampler)
+
+    @pytest.mark.parametrize("drop", [False, True], ids=["live", "dropped"])
+    def test_fixed_rate_round_trip_is_byte_exact(self, drop):
+        from repro.core.base import SamplerConfig
+        from repro.core.fixed_rate import FixedRateSlidingSampler
+        from repro.streams.point import StreamPoint
+        from repro.streams.windows import SequenceWindow
+
+        config = SamplerConfig.create(1.0, 1, seed=5)
+        window = SequenceWindow(512)
+        raw = build_stream(768, seed=7, groups=300)
+        stream = [
+            StreamPoint(tuple(vector), index)
+            for index, vector in enumerate(raw)
+        ]
+        sampler = FixedRateSlidingSampler(config, 4, window)
+        for start in range(0, 640, 128):
+            sampler.process_many(stream[start : start + 128])
+        if drop:
+            # An owner dropping a record leaves its heap entry behind.
+            sampler._store.remove(next(sampler.records()))
+
+        def dumps(level):
+            return json.dumps(level.to_state()).encode("utf-8")
+
+        data = dumps(sampler)
+        restored = FixedRateSlidingSampler.from_state(
+            json.loads(data), config=config, window=window
+        )
+        assert dumps(restored) == data
+        sampler.process_many(stream[640:])
+        restored.process_many(stream[640:])
+        assert dumps(restored) == dumps(sampler)
+
+    def test_identical_pipelines_write_identical_bytes(self):
+        # Pipeline shards are built from a shared config with no member
+        # seed; an untracked member RNG must not leak OS entropy.
+        stream = build_stream(300, seed=3, groups=40)
+        envelopes = []
+        for _ in range(2):
+            spec = RESUME_SPECS["batch-pipeline"]
+            with build("batch-pipeline", **spec) as pipe:
+                pipe.process_many(stream)
+                envelopes.append(dumps_summary(pipe))
+        assert envelopes[0] == envelopes[1]
+
+    def test_untracked_member_rng_is_omitted_but_still_read(self):
+        sampler = build("l0-infinite", alpha=1.0, dim=1, seed=5)
+        sampler.process_many(build_stream(120, seed=2))
+        envelope = summary_to_state(sampler)
+        assert "member_rng" not in envelope["state"]
+        # Envelopes written before the omission carry the RNG state.
+        older = json.loads(json.dumps(envelope))
+        older["state"]["member_rng"] = summary_to_state(
+            build("l0-infinite", alpha=1.0, dim=1, seed=5, track_members=True)
+        )["state"]["member_rng"]
+        restored = summary_from_state(older)
+        assert state_fingerprint(restored) == state_fingerprint(sampler)
+        assert summary_to_state(restored) == envelope

@@ -37,12 +37,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import available, build, entry
-from repro.core.base import CandidateStore, SamplerConfig
+from repro.core.base import CandidateRecord, CandidateStore, SamplerConfig
 from repro.core.fixed_rate import FixedRateSlidingSampler
 from repro.core.infinite_window import RobustL0SamplerIW
 from repro.core.sliding_window import RobustL0SamplerSW
 from repro.engine.batching import chunked
 from repro.engine.equivalence import state_fingerprint
+from repro.geometry.distance import within_distance
 from repro.persist import summary_from_state, summary_to_state
 from repro.streams.point import StreamPoint
 from repro.streams.windows import SequenceWindow, TimeWindow
@@ -535,6 +536,10 @@ class TestSlotPoolProperties:
       live store, the pool must pass :meth:`CandidateStore.
       check_slot_integrity` - unique live slots, exact cached words,
       clean free slots, conservation of pool size.
+    * *Index integrity*: after every such operation the adjacency index
+      must pass :meth:`CandidateStore.check_index_integrity` - inline
+      head plus overflow equals the registration multimap rebuilt from
+      the live records, in registration order.
     """
 
     #: Registry keys whose summaries are built on CandidateStore.
@@ -581,11 +586,13 @@ class TestSlotPoolProperties:
         def checked_add(self, record, *args, **kwargs):
             result = original_add(self, record, *args, **kwargs)
             self.check_slot_integrity()
+            self.check_index_integrity()
             return result
 
         def checked_remove(self, record, *args, **kwargs):
             result = original_remove(self, record, *args, **kwargs)
             self.check_slot_integrity()
+            self.check_index_integrity()
             return result
 
         CandidateStore.add = checked_add
@@ -599,6 +606,57 @@ class TestSlotPoolProperties:
             CandidateStore.add = original_add
             CandidateStore.remove = original_remove
 
+    @given(
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 12)),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_index_order_under_overlapping_adjacency(self, ops):
+        # Summaries keep near-duplicates in one record, so their streams
+        # rarely stack three registrations on one hash.  Driving the
+        # store directly with representatives 0.7 apart (alpha 1) makes
+        # deep overflow lists the norm - including around -1/-2, whose
+        # cell ids collide - and checks the first-match contract against
+        # a scan of the live records in registration order.
+        config = SamplerConfig.create(1.0, 1, seed=5)
+        store = CandidateStore(config)
+        live: list[CandidateRecord] = []
+        for index, (add, position) in enumerate(ops):
+            if add or not live:
+                vector = (0.7 * position - 3.0,)
+                point = StreamPoint(vector, index)
+                cell = config.grid.cell_of(vector)
+                record = CandidateRecord(
+                    representative=point,
+                    cell=cell,
+                    cell_hash=config.cell_hash(cell),
+                    adj_hashes=config.adj_hashes(vector),
+                    accepted=True,
+                    last=point,
+                )
+                store.add(record)
+                live.append(record)
+            else:
+                store.remove(live.pop(position % len(live)))
+            store.check_index_integrity()
+            probe = (0.7 * position - 2.8,)
+            cell_hash = config.point_context(probe).cell_hash
+            expected = next(
+                (
+                    record
+                    for record in live
+                    if cell_hash in record.adj_hashes
+                    and within_distance(
+                        record.representative.vector, probe, 1.0
+                    )
+                ),
+                None,
+            )
+            assert store.find_nearby(probe, cell_hash) is expected
+
     @given(bursts=BURSTS, seed=SEEDS, window=st.integers(1, 30))
     @settings(max_examples=15, deadline=None)
     def test_sliding_slot_integrity_per_point_and_queries(
@@ -611,10 +669,13 @@ class TestSlotPoolProperties:
         for point in points:
             sampler.insert(point)
             sampler._store.check_slot_integrity()
+            sampler._store.check_index_integrity()
         sampler.estimate_f0()
         sampler._store.check_slot_integrity()
+        sampler._store.check_index_integrity()
         restored = RobustL0SamplerSW.from_state(
             json.loads(json.dumps(sampler.to_state()))
         )
         restored._store.check_slot_integrity()
+        restored._store.check_index_integrity()
         assert state_fingerprint(restored) == state_fingerprint(sampler)
