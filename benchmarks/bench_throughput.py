@@ -41,20 +41,19 @@ tracked trajectory):
   gate that needs real cores: it is enforced in full mode only when
   ``os.cpu_count()`` covers the worker count (a 1-core box would only
   measure IPC overhead), and the measured trajectory is always recorded.
-* geometry kernels: vectorised vs scalar chunk geometry on the dim-3
-  high-cardinality workload >= 1.3x (>= 1.2x in --smoke).  Both runs
-  take the batched path; the toggle isolates the kernel layer, and for
-  dim > 2 the scalar mode also has no batch ignore filter (the
-  pre-kernel behaviour), so this gate covers the un-gated filter too.
-  The dup-heavy dim-2 and sliding-cascade geometry ratios are recorded
-  ungated (memoisation already made the scalar dim-2 path near-optimal).
-* ``--smoke`` (CI): sliding >= 1.3x on the small duplicate-heavy stream;
-  the pipeline scaling section runs ungated (2 process workers, mostly
+* geometry (dim-3 ignore probe): batch/per-point on the dim-3
+  high-cardinality infinite-window workload >= 2.0x (>= 1.5x in
+  --smoke), fingerprint-checked like every section.  ``insert`` has
+  no ignore probe - it enumerates ``adj(p)`` for every untracked
+  point - so this ratio is what the chunk geometry and its vectorised
+  sampled-cell probe buy on the workload they exist for.
+* ``--smoke`` (CI): sliding >= 1.5x on the small duplicate-heavy stream
+  and dim-3 geometry >= 1.5x; the pipeline scaling section runs ungated (2 process workers, mostly
   an end-to-end executor-equivalence check).
 
 Every run overwrites ``BENCH_sliding.json`` (sliding measurements),
 ``BENCH_pipeline.json`` (pipeline executor scaling) and
-``BENCH_geometry.json`` (geometry kernels) at the repo root; the files
+``BENCH_geometry.json`` (the dim-3 geometry section) at the repo root; the files
 are committed, so the cross-PR trajectory is their git history (CI also
 uploads the freshly measured records as artifacts, including on gate
 failures).
@@ -82,7 +81,7 @@ if __package__ in (None, ""):  # running as a script
 
 from repro.core.infinite_window import RobustL0SamplerIW
 from repro.core.sliding_window import RobustL0SamplerSW
-from repro.engine.batching import chunked, set_vectorized_geometry
+from repro.engine.batching import chunked
 from repro.engine.equivalence import state_fingerprint
 from repro.engine.pipeline import BatchPipeline
 from repro.streams.windows import SequenceWindow
@@ -167,46 +166,6 @@ def make_highdim_stream(
         tuple(rng.uniform(0.0, 3000.0) for _ in range(dim))
         for _ in range(n)
     ]
-
-
-def bench_geometry(points, dim: int, batch_size: int, seed: int, sliding=None):
-    """Scalar vs vectorised chunk geometry on one batched workload.
-
-    Both runs take the *batched* path; the only difference is the
-    :func:`repro.engine.batching.set_vectorized_geometry` toggle, so the
-    ratio isolates what the geometry kernel layer buys (for dim > 2 the
-    scalar mode also has no batch ignore filter - the pre-kernel
-    behaviour, where the conservative neighbourhood was exponential and
-    gated off).  Fingerprints of both runs are compared, which makes the
-    benchmark double as an end-to-end kernel-equivalence check.
-    """
-
-    def build():
-        if sliding is not None:
-            return RobustL0SamplerSW(
-                1.0, dim, SequenceWindow(sliding), seed=seed
-            )
-        return RobustL0SamplerIW(alpha=1.0, dim=dim, seed=seed)
-
-    rates = {}
-    fingerprints = {}
-    for vectorised in (False, True):
-        previous = set_vectorized_geometry(vectorised)
-        try:
-            sampler = build()
-            start = time.perf_counter()
-            for chunk in chunked(points, batch_size):
-                sampler.process_many(chunk)
-            elapsed = time.perf_counter() - start
-        finally:
-            set_vectorized_geometry(previous)
-        rates[vectorised] = _rate(len(points), elapsed)
-        fingerprints[vectorised] = state_fingerprint(sampler)
-    assert fingerprints[True] == fingerprints[False], (
-        "state-equivalence violation between scalar and vectorised "
-        "chunk geometry"
-    )
-    return rates[False], rates[True]
 
 
 def bench_pipeline(points, batch_size: int, seed: int, shards: int):
@@ -398,15 +357,16 @@ def main(argv: list[str] | None = None) -> int:
         "2.2x; kept conservative against CI-runner noise)",
     )
     parser.add_argument(
-        "--min-geometry-speedup", type=float, default=1.3,
-        help="committed floor for the vectorised-vs-scalar chunk "
-        "geometry ratio on the dim-3 high-cardinality workload (the "
-        "batch ignore filter the kernels un-gated); gated in full mode",
+        "--min-geometry-speedup", type=float, default=2.0,
+        help="committed floor for the batch/per-point ratio on the "
+        "dim-3 high-cardinality infinite-window workload (the chunk "
+        "geometry's ignore probe, which insert() does not have); gated "
+        "in full mode (measured 2.6-3.2x)",
     )
     parser.add_argument(
-        "--min-geometry-smoke-speedup", type=float, default=1.2,
-        help="committed floor for the dim-3 geometry ratio in --smoke "
-        "mode (smaller stream, conservative against CI noise)",
+        "--min-geometry-smoke-speedup", type=float, default=1.5,
+        help="committed floor for the dim-3 batch/per-point ratio in "
+        "--smoke mode (smaller stream, conservative against CI noise)",
     )
     parser.add_argument(
         "--geometry-json-out",
@@ -546,30 +506,31 @@ def main(argv: list[str] | None = None) -> int:
             args.min_sliding_steady_speedup,
         )
 
-    # Geometry-kernel section: scalar vs vectorised chunk geometry, both
-    # on the batched path (fingerprint-checked inside bench_geometry).
+    # Geometry section: batch/per-point on the dim-3 high-cardinality
+    # stream (fingerprint-checked inside bench_infinite).  The batch
+    # path's chunk geometry answers most arrivals with its vectorised
+    # ignore probe; insert() enumerates adj(p) for each of them.
     geometry_record: dict = {
         "mode": record["mode"],
-        "points": n,
         "batch_size": args.batch_size,
         "workloads": {},
     }
     highdim_n = 4000 if args.smoke else min(n, 60_000)
     highdim_points = make_highdim_stream(highdim_n, 3, args.seed)
-    scal_hd, vect_hd = bench_geometry(
-        highdim_points, 3, args.batch_size, args.seed
+    per_hd, bat_hd = bench_infinite(
+        highdim_points, args.batch_size, args.seed
     )
-    speedup_hd = vect_hd / scal_hd
+    speedup_hd = bat_hd / per_hd
     print(
-        f"geometry (dim-3 filter)  n={highdim_n}  scalar "
-        f"{scal_hd:11,.0f} pts/s   vectorised {vect_hd:11,.0f} pts/s   "
+        f"geometry (dim-3 filter)  n={highdim_n}  per-point "
+        f"{per_hd:12,.0f} pts/s   batch {bat_hd:12,.0f} pts/s   "
         f"speedup {speedup_hd:5.2f}x"
     )
     geometry_record["workloads"]["highdim_filter"] = {
         "dim": 3,
         "points": highdim_n,
-        "scalar_pts_per_sec": round(scal_hd),
-        "vectorised_pts_per_sec": round(vect_hd),
+        "per_point_pts_per_sec": round(per_hd),
+        "batch_pts_per_sec": round(bat_hd),
         "speedup": round(speedup_hd, 3),
     }
     gate(
@@ -579,38 +540,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.smoke
         else args.min_geometry_speedup,
     )
-
-    scal_g2, vect_g2 = bench_geometry(points, args.dim, args.batch_size, args.seed)
-    print(
-        f"geometry (IW dup-heavy)  n={n}  scalar "
-        f"{scal_g2:11,.0f} pts/s   vectorised {vect_g2:11,.0f} pts/s   "
-        f"speedup {vect_g2 / scal_g2:5.2f}x"
-    )
-    geometry_record["workloads"]["iw_duplicate_heavy"] = {
-        "dim": args.dim,
-        "points": n,
-        "scalar_pts_per_sec": round(scal_g2),
-        "vectorised_pts_per_sec": round(vect_g2),
-        "speedup": round(vect_g2 / scal_g2, 3),
-    }
-
-    if not args.smoke:
-        scal_sw, vect_sw = bench_geometry(
-            points, args.dim, args.batch_size, args.seed, sliding=args.window
-        )
-        print(
-            f"geometry (SW cascade)    n={n}  scalar "
-            f"{scal_sw:11,.0f} pts/s   vectorised {vect_sw:11,.0f} pts/s   "
-            f"speedup {vect_sw / scal_sw:5.2f}x"
-        )
-        geometry_record["workloads"]["sliding_cascade"] = {
-            "dim": args.dim,
-            "window": args.window,
-            "points": n,
-            "scalar_pts_per_sec": round(scal_sw),
-            "vectorised_pts_per_sec": round(vect_sw),
-            "speedup": round(vect_sw / scal_sw, 3),
-        }
 
     pipe_rate, merged_groups = bench_pipeline(
         points, args.batch_size, args.seed, args.shards

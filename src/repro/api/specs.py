@@ -288,9 +288,9 @@ class PipelineSpec(PointSummarySpec):
     transport:
         Chunk transport of the process executor: ``"auto"`` (default)
         ships eligible chunks zero-copy through pooled shared-memory
-        segments when numpy is available and falls back to pickling per
-        chunk, ``"shm"`` requires numpy, ``"pickle"`` forces the legacy
-        queue transport.  Ignored by the in-process executors; never
+        segments and falls back to pickling per chunk, ``"shm"`` is a
+        synonym of ``"auto"``, ``"pickle"`` forces the legacy queue
+        transport.  Ignored by the in-process executors; never
         observable in sampler state.
     work_stealing:
         Whether the process executor may migrate a backlogged shard to

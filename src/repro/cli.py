@@ -255,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument(
         "--transport", choices=["auto", "shm", "pickle"], default="auto",
         help="chunk transport for --executor process: 'auto' ships "
-        "chunks zero-copy through shared memory when numpy is "
-        "available, 'pickle' forces the legacy queue transport "
+        "eligible chunks zero-copy through shared memory ('shm' is a "
+        "synonym), 'pickle' forces the legacy queue transport "
         "(default auto; state-equivalent either way)",
     )
     pipeline.add_argument(

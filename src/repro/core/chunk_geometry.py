@@ -21,10 +21,19 @@ carries **no sampler state** - so it can be computed ahead of ingestion,
 shared by the pipeline with whichever shard the chunk is dealt to
 (:func:`repro.engine.batching.chunk_geometry_for`), or rebuilt
 deterministically inside a worker process.  The values are bit-identical
-to the scalar computations they replace (enforced by
+to the scalar computations of ``insert`` (enforced by
 ``tests/test_geometry_kernels.py``), so batch ingestion through a
 ``ChunkGeometry`` remains ``state_fingerprint``-equivalent to per-point
 ingestion.
+
+Every batched ``process_many`` has exactly one ingestion path per point:
+:func:`prepare_chunk` materialises the chunk and supplies its geometry,
+the loop runs over the prefix the geometry covers, and every point it
+does not cover - a chunk below :data:`MIN_VECTOR_CHUNK`, or the tail
+from the first point the int64 path cannot carry - goes through the
+sampler's own ``insert``, one point at a time.  ``insert`` is the oracle
+the batch paths are checked against, so no loop carries a second,
+inlined scalar cell/hash computation.
 
 This is the leaf home of the engine-facing
 :func:`repro.engine.batching.compute_chunk_geometry` (the core package
@@ -37,18 +46,16 @@ from __future__ import annotations
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from repro.core.base import _CELL_MEMO_LIMIT, SamplerConfig
 from repro.geometry import kernels
 from repro.geometry.grid import Cell
 from repro.streams.point import StreamPoint
 
-if kernels.HAVE_NUMPY:
-    import numpy as np
-else:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
-
-#: Chunks smaller than this stay on the scalar per-point path: the fixed
-#: cost of array construction would exceed what vectorisation saves.
+#: Chunks smaller than this get no geometry and are ingested point by
+#: point through ``insert``: the fixed cost of array construction would
+#: exceed what vectorisation saves.
 MIN_VECTOR_CHUNK = 4
 
 #: Adaptive adjacency vectorisation: after this many scalar adjacency
@@ -63,27 +70,6 @@ _ADJ_EAGER_AFTER = 8
 _ADJ_EAGER_DENSITY = 8
 _ADJ_BLOCK = 192
 _ADJ_MIN_BLOCK = 16
-
-_ENABLED = True
-
-
-def vectorized_geometry_enabled() -> bool:
-    """Whether chunk builders currently produce vectorised geometry."""
-    return _ENABLED and kernels.HAVE_NUMPY
-
-
-def set_vectorized_geometry(enabled: bool) -> bool:
-    """Toggle the vectorised chunk-geometry path; returns the old setting.
-
-    The scalar and vectorised paths are state-equivalent, so this is a
-    performance switch only - the benchmark uses it to measure the
-    scalar baseline, and it doubles as the escape hatch on numpy-less
-    interpreters (where the toggle is effectively always off).
-    """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
 
 
 def _hash_cells_list(
@@ -133,9 +119,9 @@ class ChunkGeometry:
     dim<=2 ignore filter ever need them), and the arrays behind the
     other lazy products are kept private.  ``n`` may be *shorter* than
     the chunk when a point's coordinates cannot be carried in the int64
-    vector path (non-finite, or beyond ``2^62`` cells): consumers use
-    the scalar path from that point on, which reproduces the scalar
-    error semantics exactly.
+    vector path (non-finite, or beyond ``2^62`` cells): consumers feed
+    the points from there on to ``insert``, which reproduces the
+    per-point error semantics exactly.
 
     ``source_vectors``/``pure_coords`` carry the chunk's *coercion*
     result when the builder performed one: ``source_vectors`` is the
@@ -405,8 +391,8 @@ def _geometry_from_array(
         n = total
     else:
         # Truncate at the first point the int64 path cannot carry; the
-        # scalar tail reproduces the exact behaviour (including the
-        # exact exception for non-finite coordinates).
+        # consumer feeds the tail to insert(), which reproduces the exact
+        # behaviour (including the exception for non-finite coordinates).
         n = int(np.argmin(good))
         if n < MIN_VECTOR_CHUNK:
             return None
@@ -436,21 +422,19 @@ def compute_chunk_geometry(
     source_vectors: list[tuple[float, ...]] | None = None,
     pure_coords: bool = False,
 ) -> ChunkGeometry | None:
-    """Build the chunk's :class:`ChunkGeometry`, or ``None`` for scalar.
+    """Build the chunk's :class:`ChunkGeometry`, or ``None``.
 
     ``vectors`` must all have the config's dimension (the materialising
-    callers guarantee it).  Returns ``None`` when vectorisation is
-    disabled, numpy is unavailable, or the chunk is too small to
-    amortise the array setup - the batch loops then run their scalar
-    branch, which is state-equivalent by construction.
+    callers guarantee it).  Returns ``None`` when the chunk is too small
+    to amortise the array setup, or when fewer than
+    :data:`MIN_VECTOR_CHUNK` leading points are vectorisable - the batch
+    loops then feed the whole chunk to ``insert``.
 
     ``source_vectors``/``pure_coords`` are recorded on the geometry for
     :func:`materialize_chunk`'s coercion-reuse fast path (see
     :class:`ChunkGeometry`); builders that coerced the whole chunk
     themselves pass them so downstream materialisation is free.
     """
-    if not _ENABLED or not kernels.HAVE_NUMPY:
-        return None
     total = len(vectors)
     if total < MIN_VECTOR_CHUNK:
         return None
@@ -480,8 +464,8 @@ def geometry_from_array(
     identical to per-point ``tuple(float(x) for x in row)`` - float64
     round-trips exactly) and the geometry is built without re-flattening
     through ``fromiter``.  ``geometry`` is ``None`` on the same terms as
-    :func:`compute_chunk_geometry` (toggle off, chunk below
-    :data:`MIN_VECTOR_CHUNK`, unvectorisable prefix); ``vectors`` always
+    :func:`compute_chunk_geometry` (chunk below :data:`MIN_VECTOR_CHUNK`,
+    unvectorisable prefix); ``vectors`` always
     covers the full chunk.  The returned geometry carries the vectors as
     its coercion source (``pure_coords``), so the consuming sampler's
     materialisation reuses them instead of coercing again.
@@ -496,11 +480,7 @@ def geometry_from_array(
     # through iterator tricks.  Values are identical either way -
     # tolist yields Python floats.
     vectors = list(zip(*array.T.tolist()))
-    if (
-        not _ENABLED
-        or not kernels.HAVE_NUMPY
-        or len(vectors) < MIN_VECTOR_CHUNK
-    ):
+    if len(vectors) < MIN_VECTOR_CHUNK:
         return vectors, None
     geometry = _geometry_from_array(
         config,
@@ -562,11 +542,7 @@ def feed_copies_shared(
         error = exc
     total = len(chunk)
     geometries: list[ChunkGeometry | None] = [None] * len(copies)
-    if (
-        _ENABLED
-        and kernels.HAVE_NUMPY
-        and total >= MIN_VECTOR_CHUNK
-    ):
+    if total >= MIN_VECTOR_CHUNK:
         dim = copies[0].dim
         if all(len(vector) == dim for vector in vectors):
             array = np.fromiter(
@@ -716,3 +692,45 @@ def materialize_chunk(
     except BaseException as exc:  # re-raised by the caller after the prefix
         error = exc
     return materialized, vectors, error, offender
+
+
+def prepare_chunk(
+    config: SamplerConfig,
+    points: Iterable[StreamPoint | Sequence[float]],
+    next_index: int,
+    dim_error: Callable[[int], Exception],
+    *,
+    coerce: bool = True,
+    geometry: ChunkGeometry | None = None,
+) -> tuple[
+    list[StreamPoint],
+    list[tuple[float, ...]],
+    BaseException | None,
+    StreamPoint | None,
+    ChunkGeometry | None,
+    list[int],
+]:
+    """The shared prologue of the batched ``process_many`` overrides.
+
+    Materialises the chunk (:func:`materialize_chunk`), keeps a
+    caller-supplied ``geometry`` only if it is
+    :meth:`~ChunkGeometry.valid_for` this chunk, and otherwise computes
+    one.  Returns ``(points, vectors, error, offender, geometry,
+    cell_hashes)``: the first four are :func:`materialize_chunk`'s,
+    ``cell_hashes`` is the geometry's list (empty without a geometry),
+    so ``len(cell_hashes)`` is the covered prefix.  The caller runs its
+    loop over that prefix and feeds ``points[len(cell_hashes):]`` to
+    ``insert``.
+    """
+    pts, vectors, error, offender = materialize_chunk(
+        points,
+        config.dim,
+        next_index,
+        dim_error,
+        coerce=coerce,
+        geometry=geometry,
+    )
+    if geometry is None or not geometry.valid_for(config, vectors):
+        geometry = compute_chunk_geometry(config, vectors)
+    cell_hashes = geometry.cell_hashes if geometry is not None else []
+    return pts, vectors, error, offender, geometry, cell_hashes

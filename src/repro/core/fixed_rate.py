@@ -27,14 +27,9 @@ from repro.core.base import (
     PointContext,
     SamplerConfig,
     StreamSampler,
-    _CELL_MEMO_LIMIT,
     chunked,
 )
-from repro.core.chunk_geometry import (
-    ChunkGeometry,
-    compute_chunk_geometry,
-    materialize_chunk,
-)
+from repro.core.chunk_geometry import ChunkGeometry, prepare_chunk
 from repro.core.reservoir import WindowReservoir
 from repro.errors import DimensionMismatchError, EmptySampleError, ParameterError
 from repro.streams.point import StreamPoint
@@ -251,7 +246,8 @@ class FixedRateSlidingSampler(StreamSampler):
         chunk (``geometry`` accepts one computed upstream); the loop
         inlines eviction and the bucket probe, replicating :meth:`evict`
         operation-for-operation so the lazy heap - stale entries
-        included - ends up identical to the per-point path's.  A
+        included - ends up identical to the per-point path's.  Points
+        the geometry does not cover go through :meth:`insert`.  A
         mid-chunk dimension error still evicts with the offending point
         before raising, exactly as :meth:`insert` evicts before
         ``point_context()`` can raise.  Points must be
@@ -270,13 +266,6 @@ class FixedRateSlidingSampler(StreamSampler):
 
         config = self._config
         dim = config.dim
-        grid = config.grid
-        side = grid.side
-        offset = grid.offset
-        memo = config.cell_hash_memo
-        memo_get = memo.get
-        cell_id = grid.cell_id
-        hash_value = config.hash.value
         window = self._window
         expiry_key = window.expiry_key
         in_window = window.in_window
@@ -295,40 +284,19 @@ class FixedRateSlidingSampler(StreamSampler):
         tiebreak = self._tiebreak
         rate_mask = self._rate - 1
         alpha_sq = config.alpha * config.alpha
-        if dim == 1:
-            off0 = offset[0]
-            off1 = 0.0
-        elif dim == 2:
-            off0, off1 = offset
-        else:
-            off0 = off1 = 0.0
 
-        pts, vectors, error, offender = materialize_chunk(
+        pts, vectors, error, offender, geom, hashes_list = prepare_chunk(
+            config,
             points,
-            dim,
             0,
             lambda actual: DimensionMismatchError(
                 f"point has {actual} coordinates, grid expects {dim}"
             ),
             coerce=False,
+            geometry=geometry,
         )
-        if geometry is not None and not geometry.valid_for(config, vectors):
-            geometry = None
-        geom = (
-            geometry
-            if geometry is not None
-            else compute_chunk_geometry(config, vectors)
-        )
-        if geom is not None:
-            geom_n = min(geom.n, len(pts))
-            hashes_list = geom.cell_hashes
-            cell_at = geom.cell_at
-        else:
-            geom_n = 0
-            hashes_list = ()
-            cell_at = None
-        processed = 0
-        for i in range(len(pts)):
+        geom_n = len(hashes_list)
+        for i in range(geom_n):
             p = pts[i]
             vector = vectors[i]
             # Inline evict(p) - identical operations, identical heap
@@ -346,31 +314,7 @@ class FixedRateSlidingSampler(StreamSampler):
                     store.remove(record)
                     reservoirs.pop(record.representative.index, None)
 
-            processed += 1
-
-            if i < geom_n:
-                # Cell tuples are built lazily (cell_at) - only
-                # candidate foundings need them.
-                cell = None
-                cell_hash = hashes_list[i]
-            else:
-                if dim == 2:
-                    cell = (
-                        int((vector[0] - off0) // side),
-                        int((vector[1] - off1) // side),
-                    )
-                elif dim == 1:
-                    cell = (int((vector[0] - off0) // side),)
-                else:
-                    cell = tuple(
-                        int((x - o) // side) for x, o in zip(vector, offset)
-                    )
-                cell_hash = memo_get(cell)
-                if cell_hash is None:
-                    cell_hash = hash_value(cell_id(cell))
-                    if len(memo) >= _CELL_MEMO_LIMIT:
-                        memo.clear()
-                    memo[cell] = cell_hash
+            cell_hash = hashes_list[i]
 
             # Inline find_nearby: the overflow only on a head miss.
             existing = buckets_get(cell_hash)
@@ -402,12 +346,7 @@ class FixedRateSlidingSampler(StreamSampler):
                 continue
 
             # First point of a candidate group: same code as insert().
-            if i < geom_n:
-                if cell is None:
-                    cell = cell_at(i)
-                adj_hashes = geom.adj_hashes(i)
-            else:
-                adj_hashes = config.adj_hashes(vector, cell=cell)
+            adj_hashes = geom.adj_hashes(i)
             if cell_hash & rate_mask == 0:
                 accepted = True
             elif any(value & rate_mask == 0 for value in adj_hashes):
@@ -416,7 +355,7 @@ class FixedRateSlidingSampler(StreamSampler):
                 continue
             record = CandidateRecord(
                 representative=p,
-                cell=cell,
+                cell=geom.cell_at(i),
                 cell_hash=cell_hash,
                 adj_hashes=adj_hashes,
                 accepted=accepted,
@@ -428,6 +367,8 @@ class FixedRateSlidingSampler(StreamSampler):
             heappush(heap, (expiry_key(p), entry_tb, record, p))
             if track:
                 self._reservoir_for(record).offer(p, member_rng)
+        for p in pts[geom_n:]:
+            self.insert(p)
         if error is not None:
             if offender is not None:
                 # insert() evicts with the bad point before its geometry
@@ -435,7 +376,7 @@ class FixedRateSlidingSampler(StreamSampler):
                 # expired records survive the failed call.
                 self.evict(offender)
             raise error
-        return processed
+        return len(pts)
 
     # ------------------------------------------------------------------ #
     # bulk-management helpers

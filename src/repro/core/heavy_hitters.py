@@ -26,15 +26,10 @@ from repro.core.base import (
     DEFAULT_BATCH_SIZE,
     SamplerConfig,
     StreamSampler,
-    _CELL_MEMO_LIMIT,
     coerce_point,
     chunked,
 )
-from repro.core.chunk_geometry import (
-    ChunkGeometry,
-    compute_chunk_geometry,
-    materialize_chunk,
-)
+from repro.core.chunk_geometry import ChunkGeometry, prepare_chunk
 from repro.errors import ParameterError
 from repro.streams.point import StreamPoint
 
@@ -234,7 +229,8 @@ class RobustHeavyHitters(StreamSampler):
         hash tuples come from one vectorised
         :class:`~repro.core.chunk_geometry.ChunkGeometry` precompute per
         chunk (``geometry`` accepts one computed upstream by the
-        pipeline); small chunks take the scalar branch.
+        pipeline); points the geometry does not cover go through
+        :meth:`insert`.
         """
         if geometry is None and not isinstance(points, (list, tuple)):
             # A non-materialised iterable is streamed in bounded chunks:
@@ -249,59 +245,27 @@ class RobustHeavyHitters(StreamSampler):
 
         config = self._config
         dim = config.dim
-        grid = config.grid
-        side = grid.side
-        offset = grid.offset
-        memo = config.cell_hash_memo
-        memo_get = memo.get
-        cell_id = grid.cell_id
-        hash_value = config.hash.value
         counters = self._counters
         buckets_get = self._buckets.get
         alpha_sq = config.alpha * config.alpha
         count = self._count
 
-        pts, vectors, error, _offender = materialize_chunk(
+        pts, vectors, error, _offender, geom, hashes_list = prepare_chunk(
+            config,
             points,
-            dim,
             count,
             lambda actual: ParameterError(
                 f"point has dimension {actual}, expected {dim}"
             ),
             geometry=geometry,
         )
-        if geometry is not None and not geometry.valid_for(config, vectors):
-            geometry = None
-        geom = (
-            geometry
-            if geometry is not None
-            else compute_chunk_geometry(config, vectors)
-        )
-        if geom is not None:
-            geom_n = min(geom.n, len(pts))
-            hashes_list = geom.cell_hashes
-        else:
-            geom_n = 0
-            hashes_list = ()
-        processed = 0
+        geom_n = len(hashes_list)
         try:
-            for i in range(len(pts)):
+            for i in range(geom_n):
                 p = pts[i]
                 vector = vectors[i]
                 count += 1
-                processed += 1
-                if i < geom_n:
-                    cell_hash = hashes_list[i]
-                else:
-                    cell = tuple(
-                        int((x - o) // side) for x, o in zip(vector, offset)
-                    )
-                    cell_hash = memo_get(cell)
-                    if cell_hash is None:
-                        cell_hash = hash_value(cell_id(cell))
-                        if len(memo) >= _CELL_MEMO_LIMIT:
-                            memo.clear()
-                        memo[cell] = cell_hash
+                cell_hash = hashes_list[i]
                 found = None
                 for key in buckets_get(cell_hash, ()):
                     counter = counters[key]
@@ -317,16 +281,14 @@ class RobustHeavyHitters(StreamSampler):
                 if found is not None:
                     found.count += 1
                     continue
-                self._admit(
-                    p,
-                    cell_hash,
-                    adj_hashes=geom.adj_hashes(i) if i < geom_n else None,
-                )
+                self._admit(p, cell_hash, adj_hashes=geom.adj_hashes(i))
         finally:
             self._count = count
+        for p in pts[geom_n:]:
+            self.insert(p)
         if error is not None:
             raise error
-        return processed
+        return len(pts)
 
     def heavy_hitters(self, phi: float) -> list[HeavyHitter]:
         """Groups with estimated frequency above ``phi * m``, sorted.

@@ -36,11 +36,7 @@ from repro.core.base import (
     coerce_point,
     chunked,
 )
-from repro.core.chunk_geometry import (
-    ChunkGeometry,
-    compute_chunk_geometry,
-    materialize_chunk,
-)
+from repro.core.chunk_geometry import ChunkGeometry, prepare_chunk
 from repro.errors import EmptySampleError, ParameterError
 from repro.streams.point import StreamPoint
 
@@ -252,10 +248,10 @@ class RobustL0SamplerIW(StreamSampler):
         reduces to the sequential state machine: the bucket probe, the
         distance test and the rate bookkeeping.  New candidate groups
         run the same code the per-point path runs (adjacency hashing,
-        rate halving, peak tracking); chunks too small to vectorise (and
-        points whose coordinates the int64 kernels cannot carry) take
-        the inlined scalar branch, which is the pre-kernel hot path.
-        See :class:`~repro.core.base.StreamSampler` for the equivalence
+        rate halving, peak tracking); points the geometry does not cover
+        (chunks too small to vectorise, the tail from the first point
+        whose coordinates the int64 kernels cannot carry) go through
+        :meth:`insert`.  See :class:`~repro.core.base.StreamSampler` for the equivalence
         contract this method honours.
         """
         if geometry is None and not isinstance(points, (list, tuple)):
@@ -271,13 +267,7 @@ class RobustL0SamplerIW(StreamSampler):
 
         config = self._config
         dim = config.dim
-        grid = config.grid
-        side = grid.side
-        offset = grid.offset
-        memo = config.cell_hash_memo
-        memo_get = memo.get
-        cell_id = grid.cell_id
-        hash_value = config.hash.value
+        side = config.grid.side
         store = self._store
         buckets_get = store._buckets.get
         find_overflow = store.find_overflow
@@ -290,32 +280,17 @@ class RobustL0SamplerIW(StreamSampler):
         policy = self._policy
         count = self._count
 
-        pts, vectors, error, _offender = materialize_chunk(
+        pts, vectors, error, _offender, geom, hashes_list = prepare_chunk(
+            config,
             points,
-            dim,
             count,
             lambda actual: ParameterError(
                 f"point has dimension {actual}, sampler expects {dim}"
             ),
             geometry=geometry,
         )
-        if geometry is not None and not geometry.valid_for(config, vectors):
-            geometry = None
-        geom = (
-            geometry
-            if geometry is not None
-            else compute_chunk_geometry(config, vectors)
-        )
-        if geom is not None:
-            geom_n = min(geom.n, len(pts))
-            hashes_list = geom.cell_hashes
-            cell_at = geom.cell_at
-        else:
-            geom_n = 0
-            hashes_list = ()
-            cell_at = None
+        geom_n = len(hashes_list)
 
-        processed = 0
         pending = 0  # arrivals not yet flushed into the threshold policy
         mask = self._rate_denominator - 1
         if self._sampled_nearby_mask != mask:
@@ -331,9 +306,7 @@ class RobustL0SamplerIW(StreamSampler):
         # per-chunk conservative verdict whose False entries certainly
         # have no sampled cell in adj(p) beyond their own (verdicts stay
         # valid across mid-chunk rate doublings because sampling
-        # decisions nest).  Without chunk geometry (tiny chunks, scalar
-        # mode) high dimensions go straight to the exact path, exactly
-        # as insert() does.
+        # decisions nest).
         use_ignore_filter = dim <= _SMALL_DIM
         ignorable = None
         if geom_n and not use_ignore_filter:
@@ -344,47 +317,17 @@ class RobustL0SamplerIW(StreamSampler):
         # corner filter it is exact in both directions: True entries
         # are certainly ignored, False entries certainly found or join
         # a sampled neighbourhood and skip the corner test entirely.
+        # The corner filter only stands in when the probe returns None
+        # (an adjacency table too large for this configuration).
         low_ignorable = None
-        low_probe_ok = bool(geom_n) and use_ignore_filter
-        if dim == 1:
-            off0 = offset[0]
-            off1 = 0.0
-        elif dim == 2:
-            off0, off1 = offset
-        else:
-            off0 = off1 = 0.0
+        low_fetched = False
         try:
-            for i in range(len(pts)):
+            for i in range(geom_n):
                 p = pts[i]
                 vector = vectors[i]
                 count += 1
-                processed += 1
                 pending += 1
-
-                if i < geom_n:
-                    # Cell tuples are built lazily (cell_at) - only the
-                    # ignore filter and candidate foundings need them.
-                    cell = None
-                    cell_hash = hashes_list[i]
-                else:
-                    if dim == 2:
-                        cell = (
-                            int((vector[0] - off0) // side),
-                            int((vector[1] - off1) // side),
-                        )
-                    elif dim == 1:
-                        cell = (int((vector[0] - off0) // side),)
-                    else:
-                        cell = tuple(
-                            int((x - o) // side)
-                            for x, o in zip(vector, offset)
-                        )
-                    cell_hash = memo_get(cell)
-                    if cell_hash is None:
-                        cell_hash = hash_value(cell_id(cell))
-                        if len(memo) >= _CELL_MEMO_LIMIT:
-                            memo.clear()
-                        memo[cell] = cell_hash
+                cell_hash = hashes_list[i]
 
                 # Inline find_nearby: the overflow only on a head miss.
                 existing = buckets_get(cell_hash)
@@ -418,27 +361,19 @@ class RobustL0SamplerIW(StreamSampler):
                 # of its conservative neighbourhood are few and memoised.
                 # The exact path below stays authoritative for the rest.
                 if use_ignore_filter and cell_hash & mask != 0:
-                    if low_probe_ok and i < geom_n:
-                        if low_ignorable is None:
-                            low_ignorable = geom.low_dim_ignorable(mask)
-                            low_probe_ok = low_ignorable is not None
-                        if low_probe_ok:
-                            if low_ignorable[i]:
-                                # Exact verdict: no sampled cell in
-                                # adj(p), and cell(p) is unsampled -
-                                # insert() would ignore the point.
-                                continue
-                            # A sampled adjacency cell certainly
-                            # exists: skip the corner filter, the
-                            # founding path below decides.
-                            low_verdict = True
-                        else:
-                            low_verdict = False
+                    if not low_fetched:
+                        low_ignorable = geom.low_dim_ignorable(mask)
+                        low_fetched = True
+                    if low_ignorable is not None:
+                        if low_ignorable[i]:
+                            # Exact verdict: no sampled cell in adj(p),
+                            # and cell(p) is unsampled - insert() would
+                            # ignore the point.
+                            continue
+                        # Otherwise a sampled adjacency cell certainly
+                        # exists: the founding path below decides.
                     else:
-                        low_verdict = False
-                    if not low_verdict:
-                        if cell is None:
-                            cell = cell_at(i)
+                        cell = geom.cell_at(i)
                         corners = nearby_get(cell)
                         if corners is None:
                             corners = tuple(
@@ -469,7 +404,6 @@ class RobustL0SamplerIW(StreamSampler):
                             continue  # certainly ignored at current rate
                 elif (
                     ignorable is not None
-                    and i < geom_n
                     and cell_hash & mask != 0
                     and ignorable[i]
                 ):
@@ -480,12 +414,7 @@ class RobustL0SamplerIW(StreamSampler):
                     continue
 
                 # First point of a candidate group: same code as insert().
-                if i < geom_n:
-                    if cell is None:
-                        cell = cell_at(i)
-                    adj_hashes = geom.adj_hashes(i)
-                else:
-                    adj_hashes = config.adj_hashes(vector, cell=cell)
+                adj_hashes = geom.adj_hashes(i)
                 if cell_hash & mask == 0:
                     accepted = True
                 elif any(value & mask == 0 for value in adj_hashes):
@@ -495,7 +424,7 @@ class RobustL0SamplerIW(StreamSampler):
 
                 record = CandidateRecord(
                     representative=p,
-                    cell=cell,
+                    cell=geom.cell_at(i),
                     cell_hash=cell_hash,
                     adj_hashes=adj_hashes,
                     accepted=accepted,
@@ -520,9 +449,11 @@ class RobustL0SamplerIW(StreamSampler):
         finally:
             self._count = count
             policy.observe_many(pending)
+        for p in pts[geom_n:]:
+            self.insert(p)
         if error is not None:
             raise error
-        return processed
+        return len(pts)
 
     # ------------------------------------------------------------------ #
     # queries

@@ -80,16 +80,11 @@ from repro.core.base import (
     CandidateStore,
     SamplerConfig,
     StreamSampler,
-    _CELL_MEMO_LIMIT,
     _ThresholdPolicy,
     coerce_point,
     chunked,
 )
-from repro.core.chunk_geometry import (
-    ChunkGeometry,
-    compute_chunk_geometry,
-    materialize_chunk,
-)
+from repro.core.chunk_geometry import ChunkGeometry, prepare_chunk
 from repro.errors import EmptySampleError, LevelOverflowError, ParameterError
 from repro.geometry.distance import within_distance
 from repro.streams.point import StreamPoint
@@ -488,8 +483,9 @@ class RobustL0SamplerSW(StreamSampler):
         (including the shared lazy heap) is identical to per-point
         ingestion.  Cascades never invalidate the hoisted locals: the
         shared store and heap objects are stable across Split/Merge
-        (promotions retag records in place).  Chunks too small to
-        vectorise take the inlined scalar branch.
+        (promotions retag records in place).  Points the geometry does
+        not cover (chunks too small to vectorise, the tail after an
+        unvectorisable point) go through :meth:`insert`.
         """
         if geometry is None and not isinstance(points, (list, tuple)):
             # A non-materialised iterable is streamed in bounded chunks:
@@ -504,13 +500,6 @@ class RobustL0SamplerSW(StreamSampler):
 
         config = self._config
         dim = config.dim
-        grid = config.grid
-        side = grid.side
-        offset = grid.offset
-        memo = config.cell_hash_memo
-        memo_get = memo.get
-        cell_id = grid.cell_id
-        hash_value = config.hash.value
         window = self._window
         expiry_key = window.expiry_key
         in_window = window.in_window
@@ -544,41 +533,19 @@ class RobustL0SamplerSW(StreamSampler):
             int(window.size) if type(window) is SequenceWindow else None
         )
         pending = 0  # arrivals not yet flushed into the threshold policy
-        processed = 0
-        if dim == 1:
-            off0 = offset[0]
-            off1 = 0.0
-        elif dim == 2:
-            off0, off1 = offset
-        else:
-            off0 = off1 = 0.0
 
-        pts, vectors, error, _offender = materialize_chunk(
+        pts, vectors, error, _offender, geom, hashes_list = prepare_chunk(
+            config,
             points,
-            dim,
             count,
             lambda actual: ParameterError(
                 f"point has dimension {actual}, sampler expects {dim}"
             ),
             geometry=geometry,
         )
-        if geometry is not None and not geometry.valid_for(config, vectors):
-            geometry = None
-        geom = (
-            geometry
-            if geometry is not None
-            else compute_chunk_geometry(config, vectors)
-        )
-        if geom is not None:
-            geom_n = min(geom.n, len(pts))
-            hashes_list = geom.cell_hashes
-            cell_at = geom.cell_at
-        else:
-            geom_n = 0
-            hashes_list = ()
-            cell_at = None
+        geom_n = len(hashes_list)
         try:
-            for i in range(len(pts)):
+            for i in range(geom_n):
                 p = pts[i]
                 vector = vectors[i]
                 point_key = (
@@ -591,7 +558,6 @@ class RobustL0SamplerSW(StreamSampler):
                     )
                 count += 1
                 pending += 1
-                processed += 1
                 latest = p
                 latest_key = point_key
 
@@ -617,30 +583,7 @@ class RobustL0SamplerSW(StreamSampler):
                         heappop(heap)
                         remove(record)
 
-                if i < geom_n:
-                    # Cell tuples are built lazily (cell_at) - only
-                    # candidate foundings need them.
-                    cell = None
-                    cell_hash = hashes_list[i]
-                else:
-                    if dim == 2:
-                        cell = (
-                            int((vector[0] - off0) // side),
-                            int((vector[1] - off1) // side),
-                        )
-                    elif dim == 1:
-                        cell = (int((vector[0] - off0) // side),)
-                    else:
-                        cell = tuple(
-                            int((x - o) // side)
-                            for x, o in zip(vector, offset)
-                        )
-                    cell_hash = memo_get(cell)
-                    if cell_hash is None:
-                        cell_hash = hash_value(cell_id(cell))
-                        if len(memo) >= _CELL_MEMO_LIMIT:
-                            memo.clear()
-                        memo[cell] = cell_hash
+                cell_hash = hashes_list[i]
 
                 # Inline find_nearby(p.vector, cell_hash): one probe
                 # covers every level (single-tracking invariant I1).  The
@@ -690,17 +633,13 @@ class RobustL0SamplerSW(StreamSampler):
                     self._latest = latest
                     policy.observe_many(pending)
                     pending = 0
-                    if i < geom_n:
-                        if cell is None:
-                            cell = cell_at(i)
-                        adj_hashes = geom.adj_hashes(i)
-                    else:
-                        adj_hashes = config.adj_hashes(vector, cell=cell)
+                    # Cell tuples are built lazily - only foundings
+                    # need them.
                     record = CandidateRecord(
                         representative=p,
-                        cell=cell,
+                        cell=geom.cell_at(i),
                         cell_hash=cell_hash,
-                        adj_hashes=adj_hashes,
+                        adj_hashes=geom.adj_hashes(i),
                         accepted=True,
                         last=p,
                         level=0,
@@ -721,9 +660,11 @@ class RobustL0SamplerSW(StreamSampler):
             self._count = count
             self._latest = latest
             policy.observe_many(pending)
+        for p in pts[geom_n:]:
+            self.insert(p)
         if error is not None:
             raise error
-        return processed
+        return len(pts)
 
     # ------------------------------------------------------------------ #
     # Split / Merge (Algorithms 4 and 5)

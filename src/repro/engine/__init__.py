@@ -131,8 +131,6 @@ from repro.engine.batching import (
     chunk_geometry_for,
     chunked,
     compute_chunk_geometry,
-    set_vectorized_geometry,
-    vectorized_geometry_enabled,
 )
 from repro.engine.equivalence import state_fingerprint
 from repro.engine.executors import (
@@ -157,8 +155,6 @@ __all__ = [
     "ChunkGeometry",
     "chunk_geometry_for",
     "compute_chunk_geometry",
-    "set_vectorized_geometry",
-    "vectorized_geometry_enabled",
     "state_fingerprint",
     "EXECUTOR_NAMES",
     "TRANSPORT_NAMES",

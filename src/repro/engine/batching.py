@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.core.base import SamplerConfig, chunked
 from repro.core.chunk_geometry import (
     MIN_VECTOR_CHUNK,
@@ -27,16 +29,8 @@ from repro.core.chunk_geometry import (
     compute_chunk_geometry,
     geometry_from_array,
     materialize_chunk,
-    set_vectorized_geometry,
-    vectorized_geometry_enabled,
 )
-from repro.geometry import kernels
 from repro.streams.point import StreamPoint
-
-if kernels.HAVE_NUMPY:
-    import numpy as np
-else:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
 
 __all__ = [
     "chunked",
@@ -45,8 +39,6 @@ __all__ = [
     "chunk_geometry_for",
     "geometry_from_array",
     "materialize_chunk",
-    "set_vectorized_geometry",
-    "vectorized_geometry_enabled",
 ]
 
 
@@ -58,8 +50,9 @@ def chunk_geometry_for(
 
     Returns ``None`` for chunks the vectorised path cannot serve -
     including any invalid point (wrong dimension, non-numeric
-    coordinate): the shard's own ``process_many`` then takes its scalar
-    branch and reproduces the per-point error semantics exactly.
+    coordinate): the shard's own ``process_many`` then builds what
+    geometry it can itself and feeds the rest to ``insert``, which
+    reproduces the per-point error semantics exactly.
 
     The coerced tuples are cached on the returned geometry
     (``source_vectors``; ``pure_coords`` when no input point was a
@@ -67,12 +60,11 @@ def chunk_geometry_for(
     materialisation reuses this coercion instead of repeating it - the
     chunk is coerced exactly once per pipeline pass.
     """
-    if not vectorized_geometry_enabled() or len(chunk) < MIN_VECTOR_CHUNK:
+    if len(chunk) < MIN_VECTOR_CHUNK:
         return None
     dim = config.dim
     if (
-        kernels.HAVE_NUMPY
-        and isinstance(chunk, np.ndarray)
+        isinstance(chunk, np.ndarray)
         and chunk.ndim == 2
         and chunk.dtype.kind in "fiub"
     ):
@@ -80,10 +72,10 @@ def chunk_geometry_for(
         # one dtype cast (a no-op for float64 input), then the same
         # builder the worker-side transport uses.  Restricted to numeric
         # dtypes, where the cast is element-wise identical to float(x);
-        # object arrays fall through to the scalar loop below so exotic
+        # object arrays fall through to the per-row loop below so exotic
         # elements keep their exact per-point coercion semantics.
         if chunk.shape[1] != dim:
-            # The scalar loop would fail its dimension sweep on every
+            # The per-row loop would fail its dimension sweep on every
             # row; short-circuit to the same verdict.
             return None
         _, geometry = geometry_from_array(

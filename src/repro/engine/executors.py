@@ -110,13 +110,9 @@ from collections import deque
 from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Any, ClassVar, Iterator, Sequence
 
-from repro.errors import ExecutorError, ParameterError
-from repro.geometry import kernels
+import numpy as np
 
-if kernels.HAVE_NUMPY:
-    import numpy as np
-else:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
+from repro.errors import ExecutorError, ParameterError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.distributed.coordinator import DistributedRobustSampler
@@ -125,9 +121,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: :class:`~repro.api.specs.PipelineSpec` and the CLI's ``--executor``.
 EXECUTOR_NAMES = ("serial", "thread", "process", "remote")
 
-#: Chunk transports of the process executor: ``"auto"`` uses the
-#: shared-memory array transport whenever numpy is available, ``"shm"``
-#: requires it, ``"pickle"`` forces the legacy queue transport (the
+#: Chunk transports of the process executor: ``"auto"`` and ``"shm"``
+#: (its older spelling) use the shared-memory array transport for every
+#: eligible chunk, ``"pickle"`` forces the legacy queue transport (the
 #: benchmark's overhead baseline).
 TRANSPORT_NAMES = ("auto", "shm", "pickle")
 
@@ -289,7 +285,7 @@ def _owned_chunk(chunk: Sequence[Any]) -> Sequence[Any]:
     """
     if isinstance(chunk, tuple):
         return chunk
-    if np is not None and isinstance(chunk, np.ndarray):
+    if isinstance(chunk, np.ndarray):
         return np.array(chunk, copy=True)
     return list(chunk)
 
@@ -693,7 +689,7 @@ def _chunk_as_array(chunk: Sequence[Any], dim: int) -> "np.ndarray | None":
     alias ``chunk`` when it already was a contiguous float64 array -
     callers snapshot before queueing.
     """
-    if np is None or len(chunk) == 0:
+    if len(chunk) == 0:
         return None
     if isinstance(chunk, np.ndarray):
         if chunk.ndim != 2 or chunk.shape[1] != dim:
@@ -900,7 +896,7 @@ class ProcessShardExecutor(ShardExecutor):
     transport:
         ``"auto"`` (default) ships eligible chunks as float64 arrays
         through pooled shared-memory segments and falls back to pickle
-        per chunk; ``"shm"`` is the same but errors without numpy;
+        per chunk; ``"shm"`` is a synonym of ``"auto"``;
         ``"pickle"`` forces the legacy transport for every chunk.
     work_stealing:
         Whether idle workers may adopt backlogged shards from busy ones
@@ -929,15 +925,11 @@ class ProcessShardExecutor(ShardExecutor):
                 f"unknown transport {transport!r}; one of: "
                 + ", ".join(TRANSPORT_NAMES)
             )
-        if transport == "shm" and np is None:
-            raise ParameterError(
-                "transport 'shm' requires numpy; use 'auto' or 'pickle'"
-            )
         self._coordinator = coordinator
         self._num_shards = coordinator.num_shards
         self._num_workers = _resolve_workers(num_workers, self._num_shards)
         self._dim = coordinator.config.dim
-        self._use_arrays = transport != "pickle" and np is not None
+        self._use_arrays = transport != "pickle"
         self._work_stealing = bool(work_stealing)
         self._closed = False
         self._token = 0

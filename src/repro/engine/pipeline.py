@@ -45,18 +45,14 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
+import numpy as np
+
 from repro.core.base import DEFAULT_KAPPA0, SamplerConfig
 from repro.core.infinite_window import RobustL0SamplerIW
 from repro.distributed.coordinator import DistributedRobustSampler, ShardSampler
 from repro.engine.batching import chunk_geometry_for, chunked
 from repro.errors import EmptySampleError, ExecutorError, ParameterError
-from repro.geometry.kernels import HAVE_NUMPY
 from repro.streams.point import StreamPoint
-
-if HAVE_NUMPY:
-    import numpy as np
-else:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.specs import PipelineSpec
@@ -383,7 +379,7 @@ class BatchPipeline:
         # generators included - is materialised once here.
         if isinstance(batch, (list, tuple)):
             chunk = batch
-        elif HAVE_NUMPY and isinstance(batch, np.ndarray) and batch.ndim == 2:
+        elif isinstance(batch, np.ndarray) and batch.ndim == 2:
             chunk = batch
         else:
             chunk = list(batch)

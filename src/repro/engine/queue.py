@@ -33,8 +33,7 @@ Chunks are encoded through the PR-6 array coercion path
 as raw little-endian float64 rows (decoded to one contiguous array, so
 the worker rebuilds its geometry in one pass exactly like the
 shared-memory transport), everything else pickles - reproducing the
-scalar error semantics.  A numpy-less decoder falls back to
-``struct.iter_unpack``, which yields the identical float64 tuples.
+per-point error semantics.
 
 Enforced by ``tests/test_remote_executor.py``.
 """
@@ -44,6 +43,8 @@ from __future__ import annotations
 import pickle
 import struct
 from typing import Any, Iterable
+
+import numpy as np
 
 from repro.backends.base import StateBackend
 
@@ -72,27 +73,15 @@ def encode_chunk(chunk: Any, dim: int) -> bytes:
 
 
 def decode_chunk(data: bytes) -> tuple[str, Any]:
-    """``("array", ndarray)`` or ``("pickle", list)`` back from bytes.
-
-    Without numpy the array form decodes to the same float64 tuples via
-    ``struct.iter_unpack`` (reported as ``"pickle"`` so callers take
-    the plain ``process_many`` path).
-    """
+    """``("array", ndarray)`` or ``("pickle", list)`` back from bytes."""
     magic, kind, rows, dim = _ARRAY_HEADER.unpack_from(data)
     if magic != _CHUNK_MAGIC:
         raise ValueError("not a remote-queue chunk payload")
     payload = data[_ARRAY_HEADER.size :]
     if kind == b"P":
         return "pickle", pickle.loads(payload)
-    from repro.geometry import kernels
-
-    if kernels.HAVE_NUMPY:
-        import numpy as np
-
-        array = np.frombuffer(payload, dtype="<f8").reshape(rows, dim)
-        return "array", np.ascontiguousarray(array, dtype=np.float64)
-    unpacked = struct.iter_unpack(f"<{dim}d", payload)
-    return "pickle", [tuple(row) for row in unpacked]
+    array = np.frombuffer(payload, dtype="<f8").reshape(rows, dim)
+    return "array", np.ascontiguousarray(array, dtype=np.float64)
 
 
 class RemoteQueue:

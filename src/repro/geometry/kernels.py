@@ -26,7 +26,10 @@ numpy, **bit-identically** to the scalar implementations they replace:
   membership probe usable at any dimension: ``True`` marks points that
   certainly have no sampled cell in ``adj(p)`` beyond their own cell, so
   the high-dimensional batch ignore filter no longer needs the
-  (exponential in ``dim``) conservative cell neighbourhood.
+  (exponential in ``dim``) conservative cell neighbourhood;
+* :func:`low_dim_ignore_probe` - its *exact* ``dim <= 2`` twin; the
+  infinite-window sampler falls back to the conservative-neighbourhood
+  corner filter only when this probe returns ``None``.
 
 Equality with the scalar path is not best-effort: record state (cells,
 hash tuples) feeds ``state_fingerprint``, so any divergence - even a
@@ -34,28 +37,24 @@ hash tuples) feeds ``state_fingerprint``, so any divergence - even a
 differential suite in ``tests/test_geometry_kernels.py`` checks every
 kernel against its scalar oracle over adversarial cell-boundary points.
 
-numpy is a declared dependency (``setup.py``), but every import is
-guarded so the scalar paths keep working on a stripped-down interpreter:
-callers must check :data:`HAVE_NUMPY` (or use
-:func:`repro.core.chunk_geometry.compute_chunk_geometry`, which does).
+numpy is a hard dependency (``setup.py``).  The kernels serve every
+point a chunk's :class:`~repro.core.chunk_geometry.ChunkGeometry`
+covers; the scalar implementations they mirror live on in the samplers'
+``insert``, which ingests the points no geometry covers and is the
+oracle the batch paths are checked against.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-try:  # pragma: no cover - the environment ships numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
-
-#: True when numpy is importable; every public kernel requires it.
-HAVE_NUMPY = np is not None
+import numpy as np
 
 #: Cell coordinates at or beyond this magnitude cannot be carried in the
 #: int64 vector path (and the float64 they came from has long stopped
-#: being integer-exact anyway); chunk builders fall back to scalar
-#: big-int tuples for such points.
+#: being integer-exact anyway); chunk geometry stops short of the first
+#: such point and the batch paths feed the rest of the chunk to
+#: ``insert``, which computes big-int cell tuples.
 COORD_LIMIT = float(1 << 62)
 
 #: Mersenne prime modulus of CPython's number hashing (``_PyHASH_MODULUS``).
@@ -67,19 +66,18 @@ _M61 = (1 << 61) - 1
 MAX_ADJACENCY_DIM = 4
 _MAX_ADJACENCY_TABLE = 4_000_000
 
-if HAVE_NUMPY:
-    _U64 = np.uint64
-    _MASK64 = _U64(0xFFFFFFFFFFFFFFFF)
-    # splitmix64 finalizer constants (Steele et al., OOPSLA 2014).
-    _GAMMA = _U64(0x9E3779B97F4A7C15)
-    _MIX_B = _U64(0xBF58476D1CE4E5B9)
-    _MIX_C = _U64(0x94D049BB133111EB)
-    _S30, _S27, _S31, _S33 = _U64(30), _U64(27), _U64(31), _U64(33)
-    # CPython tuple-hash constants (xxHash primes, Objects/tupleobject.c).
-    _XXPRIME_1 = _U64(11400714785074694791)
-    _XXPRIME_2 = _U64(14029467366897019727)
-    _XXPRIME_5 = _U64(2870177450012600261)
-    _XXLEN_XOR = _XXPRIME_5 ^ _U64(3527539)
+_U64 = np.uint64
+_MASK64 = _U64(0xFFFFFFFFFFFFFFFF)
+# splitmix64 finalizer constants (Steele et al., OOPSLA 2014).
+_GAMMA = _U64(0x9E3779B97F4A7C15)
+_MIX_B = _U64(0xBF58476D1CE4E5B9)
+_MIX_C = _U64(0x94D049BB133111EB)
+_S30, _S27, _S31, _S33 = _U64(30), _U64(27), _U64(31), _U64(33)
+# CPython tuple-hash constants (xxHash primes, Objects/tupleobject.c).
+_XXPRIME_1 = _U64(11400714785074694791)
+_XXPRIME_2 = _U64(14029467366897019727)
+_XXPRIME_5 = _U64(2870177450012600261)
+_XXLEN_XOR = _XXPRIME_5 ^ _U64(3527539)
 
 
 def splitmix64_chunk(values: "np.ndarray") -> "np.ndarray":

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import math
 import time
 from collections import OrderedDict
 from hashlib import blake2b
@@ -184,28 +185,34 @@ class TenantStore:
         summary twice, silently breaking the per-tenant serial-replay
         invariant.  ``process_many`` validates lazily (it raises *at*
         the bad point, after mutating on the good ones), so the checks
-        it would fail on - float coercion and, for point summaries, the
+        it would fail on - float coercion, finiteness (a NaN or infinite
+        coordinate has no grid cell) and, for point summaries, the
         spec's dimension - run here over the full batch first.
         """
         expected_dim = getattr(self.spec.spec, "dim", None)
         coerced: list[Any] = []
         for position, point in enumerate(points):
             if isinstance(point, StreamPoint):
-                dim = point.dim
+                vector = point.vector
             else:
                 try:
-                    point = tuple(float(x) for x in point)
+                    vector = point = tuple(float(x) for x in point)
                 except (TypeError, ValueError) as error:
                     raise ParameterError(
                         f"batch rejected, nothing ingested - point "
                         f"{position}: {error}"
                     ) from error
-                dim = len(point)
+            dim = len(vector)
             if expected_dim is not None and dim != expected_dim:
                 raise ParameterError(
                     f"batch rejected, nothing ingested - point "
                     f"{position} has dimension {dim}, summary expects "
                     f"{expected_dim}"
+                )
+            if not all(map(math.isfinite, vector)):
+                raise ParameterError(
+                    f"batch rejected, nothing ingested - point "
+                    f"{position} has a non-finite coordinate"
                 )
             coerced.append(point)
         return coerced

@@ -97,6 +97,27 @@ class TestDocsMatchCode:
             )
             assert f"{table} = {{" in module_text, (table, module)
 
+    def test_process_many_recipe_has_one_path_per_point(self):
+        # The recipe must match the real overrides: geometry for the
+        # covered prefix, insert for the small-chunk/tail points, and no
+        # scalar branch or geometry toggle.
+        guide = (REPO_ROOT / "docs" / "ADDING_A_SUMMARY.md").read_text(
+            encoding="utf-8"
+        )
+        start = guide.index("### Consume ChunkGeometry")
+        recipe = guide[start : guide.index("\n## ", start)]
+        assert "prepare_chunk" in recipe
+        assert "for p in pts[geom_n:]:\n        self.insert(p)" in recipe
+        assert "`insert` is the small-chunk/tail path" in recipe
+        # "vectorized_geometry" covers the deleted toggle's setter and
+        # getter alike.
+        for stale in ("vectorized_geometry", "scalar branch"):
+            assert stale not in guide
+        geometry_source = (
+            REPO_ROOT / "src" / "repro" / "core" / "chunk_geometry.py"
+        ).read_text(encoding="utf-8")
+        assert "def prepare_chunk(" in geometry_source
+
     def test_architecture_documents_hot_path(self):
         # The slot/generation scheme, the adjacency index and the
         # shared-geometry cache invariant are load-bearing perf

@@ -10,11 +10,14 @@ samplers, feeds one per-point and the other in batches, and compares
 
 from __future__ import annotations
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.base import SamplerConfig, StreamSampler
+from repro.core.chunk_geometry import compute_chunk_geometry
 from repro.core.f0_infinite import RobustF0EstimatorIW
 from repro.core.f0_sliding import RobustF0EstimatorSW
 from repro.core.fixed_rate import FixedRateSlidingSampler
@@ -121,6 +124,19 @@ class TestInfiniteWindowDifferential:
             sampler.process_many(good + [(1.0, 2.0, 3.0)])
         assert sampler.points_seen == 10  # prefix ingested, counters synced
 
+    def test_corner_filter_fallback_differential(self):
+        # A grid side far below alpha makes the chunk's dense adjacency
+        # table too large for the exact low-dimensional probe; the batch
+        # path then falls back to the conservative-neighbourhood corner
+        # filter, which must be just as invisible in state.
+        points = noisy_stream(10_000, 60, seed=12)
+        config = SamplerConfig.create(1.0, 2, seed=15, grid_side=0.125)
+        assert compute_chunk_geometry(config, points).low_dim_ignorable(1) is None
+        per, bat = assert_differential(
+            lambda: RobustL0SamplerIW(1.0, 2, config=config), points, 10_000
+        )
+        assert per.rate_denominator > 1  # the filter ran under real masks
+
     @pytest.mark.parametrize("dim", [3, 5, 8])
     def test_high_dim_batch_ignore_filter(self, dim):
         # Satellite: the dim > 2 batch ignore filter (the vectorised
@@ -146,23 +162,13 @@ class TestInfiniteWindowDifferential:
             )
         assert per.rate_denominator > 1  # the filter ran under real masks
 
-    def test_scalar_geometry_mode_differential(self):
-        # The vectorised chunk geometry is a performance switch, never a
-        # semantic one: with it disabled the batch path must still match
-        # per-point ingestion (and the vectorised fingerprint).
-        from repro.engine.batching import set_vectorized_geometry
-
+    def test_geometry_path_differential(self):
+        # 64-point chunks are fully covered by their chunk geometry: the
+        # vectorised batch path alone must match per-point ingestion.
         points = noisy_stream(2000, 300, seed=77)
-        previous = set_vectorized_geometry(False)
-        try:
-            per, scalar_bat = assert_differential(
-                lambda: RobustL0SamplerIW(1.0, 2, seed=31), points, 64
-            )
-        finally:
-            set_vectorized_geometry(previous)
-        vector_bat = RobustL0SamplerIW(1.0, 2, seed=31)
-        feed_batches(vector_bat, points, 64)
-        assert state_fingerprint(vector_bat) == state_fingerprint(scalar_bat)
+        assert_differential(
+            lambda: RobustL0SamplerIW(1.0, 2, seed=31), points, 64
+        )
 
 
 class TestFixedRateDifferential:
@@ -260,6 +266,74 @@ class TestSlidingWindowDifferential:
         with pytest.raises(ParameterError):
             sampler.process_many(points + [stale])
         assert sampler.points_seen == 5
+
+
+def _hostile_cases():
+    """(chunk size, bad position) pairs: positions 0, 1, 3, middle, last."""
+    for size in (1, 3, 4, 5, 200):
+        for position in sorted({0, 1, 3, size // 2, size - 1}):
+            if position < size:
+                yield size, position
+
+
+class TestHostileTailDifferential:
+    """A chunk whose geometry stops short (a non-finite value, or a cell
+    at or beyond 2^62) hands the rest of the chunk to ``insert``: batch
+    and per-point ingestion must end in the same state and raise the
+    same exception type, wherever in the chunk the bad value sits."""
+
+    WARMUP = 60
+
+    @staticmethod
+    def _samplers():
+        config = SamplerConfig.create(1.0, 2, seed=61)
+        return {
+            "l0-sliding": lambda: RobustL0SamplerSW(
+                1.0, 2, SequenceWindow(40), seed=61
+            ),
+            "l0-infinite": lambda: RobustL0SamplerIW(1.0, 2, seed=61),
+            "fixed-rate": lambda: FixedRateSlidingSampler(
+                config, 2, SequenceWindow(40)
+            ),
+            "heavy-hitters": lambda: RobustHeavyHitters(
+                1.0, 2, epsilon=0.1, seed=61
+            ),
+        }
+
+    @staticmethod
+    def _outcome(feed):
+        try:
+            feed()
+        except Exception as exc:  # the type is what both paths must share
+            return type(exc)
+        return None
+
+    @pytest.mark.parametrize(
+        "key", ["l0-sliding", "l0-infinite", "fixed-rate", "heavy-hitters"]
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e300, 1e19])
+    @pytest.mark.parametrize("size,position", list(_hostile_cases()))
+    def test_batch_matches_per_point(self, key, bad, size, position):
+        make = self._samplers()[key]
+        vectors = noisy_stream(self.WARMUP + size, 12, seed=size + position)
+        vectors[self.WARMUP + position] = (bad, 0.0)
+        # StreamPoints throughout: the fixed-rate sampler requires them.
+        points = list(as_stream(vectors))
+        warmup, chunk = points[: self.WARMUP], points[self.WARMUP :]
+        per = make()
+        bat = make()
+        for point in warmup:
+            per.insert(point)
+        bat.process_many(warmup)
+
+        def per_point():
+            for point in chunk:
+                per.insert(point)
+
+        per_outcome = self._outcome(per_point)
+        bat_outcome = self._outcome(lambda: bat.process_many(chunk))
+        assert bat_outcome is per_outcome
+        assert state_fingerprint(bat) == state_fingerprint(per)
 
 
 class TestWrapperDifferential:
@@ -521,7 +595,6 @@ class TestArrayChunkFastPath:
         return BatchPipeline(1.0, 2, num_shards=2, seed=21, batch_size=128)
 
     def test_float_array_chunk_matches_list_chunk(self):
-        np = pytest.importorskip("numpy")
         rng = random.Random(17)
         rows = [
             (rng.uniform(0.0, 40.0), rng.uniform(0.0, 40.0))
@@ -536,7 +609,6 @@ class TestArrayChunkFastPath:
         )
 
     def test_integer_array_chunk_matches_float_coercion(self):
-        np = pytest.importorskip("numpy")
         rng = random.Random(23)
         rows = [
             (rng.randrange(0, 50), rng.randrange(0, 50)) for _ in range(200)
@@ -550,7 +622,6 @@ class TestArrayChunkFastPath:
         )
 
     def test_wrong_width_array_raises_like_rows(self):
-        np = pytest.importorskip("numpy")
         bad = np.zeros((32, 3), dtype=np.float64)
         from_array = self._pipeline()
         with pytest.raises(ReproError):

@@ -16,6 +16,7 @@ import os
 import random
 import signal
 
+import numpy as np
 import pytest
 
 from repro.api import PipelineSpec, build
@@ -392,7 +393,6 @@ class TestOwnedChunk:
         assert len(owned) == 2
 
     def test_ndarray_is_deep_copied(self):
-        np = pytest.importorskip("numpy")
         chunk = np.zeros((4, 1))
         owned = _owned_chunk(chunk)
         chunk[0, 0] = 99.0

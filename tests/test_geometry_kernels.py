@@ -16,16 +16,17 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.base import SamplerConfig
 from repro.core.chunk_geometry import (
+    MIN_VECTOR_CHUNK,
     ChunkGeometry,
     compute_chunk_geometry,
     materialize_chunk,
-    set_vectorized_geometry,
 )
 from repro.geometry import kernels
 from repro.geometry.adjacency import (
@@ -36,8 +37,6 @@ from repro.geometry.grid import Grid
 from repro.hashing.kwise import KWiseHash
 from repro.hashing.mix import SplitMix64, splitmix64
 from repro.hashing.sampling import SamplingHash
-
-np = pytest.importorskip("numpy")
 
 MASK64 = (1 << 64) - 1
 
@@ -613,14 +612,11 @@ class TestMaterializeChunk:
             reference.insert(point)
         assert state_fingerprint(streamed) == state_fingerprint(reference)
 
-    def test_toggle_disables_vectorised_path(self):
+    def test_geometry_starts_at_min_vector_chunk(self):
         config = SamplerConfig.create(1.0, 2, seed=1)
         points = boundary_points(config.grid, 50, seed=1)
-        previous = set_vectorized_geometry(False)
-        try:
-            assert compute_chunk_geometry(config, points) is None
-        finally:
-            set_vectorized_geometry(previous)
+        small = points[: MIN_VECTOR_CHUNK - 1]
+        assert compute_chunk_geometry(config, small) is None
         assert isinstance(
             compute_chunk_geometry(config, points), ChunkGeometry
         )

@@ -344,7 +344,7 @@ class TestSlidingTimeWindowProperties:
 
 class TestVectorisedGeometryProperties:
     """The vectorised chunk-geometry path (numpy kernels) must be
-    bit-equivalent to the scalar geometry for any stream and chunking -
+    bit-equivalent to per-point ingestion for any stream and chunking -
     including cell-boundary adversaries, where a 1-ulp divergence in a
     floor division or an adjacency cost would flip a record's state."""
 
@@ -355,32 +355,18 @@ class TestVectorisedGeometryProperties:
         scale=st.sampled_from([1.0, 0.25, 7.0]),
     )
     @settings(max_examples=15, deadline=None)
-    def test_vectorised_matches_scalar_batch_path(
+    def test_vectorised_batch_path_matches_per_point(
         self, bursts, seed, batch_size, scale
     ):
-        from repro.engine.batching import (
-            set_vectorized_geometry,
-            vectorized_geometry_enabled,
-        )
-
         points = [(x * scale,) for (x,) in burst_points(bursts, seed)]
 
         def make():
             return RobustL0SamplerIW(1.0, 1, seed=seed)
 
-        if not vectorized_geometry_enabled():  # pragma: no cover
-            pytest.skip("numpy unavailable")
         vector = make()
         feed_hostile(vector, points, batch_size, 2)
-        previous = set_vectorized_geometry(False)
-        try:
-            scalar = make()
-            feed_hostile(scalar, points, batch_size, 2)
-        finally:
-            set_vectorized_geometry(previous)
         per = make()
         feed_per_point(per, points)
-        assert state_fingerprint(vector) == state_fingerprint(scalar)
         assert state_fingerprint(vector) == state_fingerprint(per)
 
     @given(

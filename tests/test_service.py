@@ -773,6 +773,33 @@ class TestAllOrNothingIngest:
 
         run(scenario())
 
+    @pytest.mark.parametrize("bad", [b"Infinity", b"NaN"])
+    def test_http_non_finite_point_is_400_and_checkpoint_unchanged(
+        self, bad
+    ):
+        """A NaN or infinite coordinate has no grid cell; it used to
+        escape the app as a raw ValueError after the points before it
+        were ingested."""
+
+        async def scenario():
+            app = create_app(
+                service_spec(spec=L0InfiniteSpec(alpha=1.0, dim=2, seed=3))
+            )
+            client = ASGITestClient(app)
+            await client.post_json("/v1/t/ingest", {"points": [[1, 1], [5, 5]]})
+            before = (await client.post("/v1/t/checkpoint")).body
+            resp = await client.request(
+                "POST",
+                "/v1/t/ingest",
+                body=b'{"points": [[50,50],[' + bad + b',0]]}',
+            )
+            assert resp.status == 400
+            error = resp.json()["error"]
+            assert "nothing ingested" in error and "point 1" in error
+            assert (await client.post("/v1/t/checkpoint")).body == before
+
+        run(scenario())
+
     def test_stream_points_pass_through_untouched(self):
         """Pre-tagged StreamPoints keep their index/time tags (the
         coercion layer must not re-wrap them)."""
