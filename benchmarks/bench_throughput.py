@@ -52,11 +52,12 @@ tracked trajectory):
   an end-to-end executor-equivalence check).
 
 Every run overwrites ``BENCH_sliding.json`` (sliding measurements),
-``BENCH_pipeline.json`` (pipeline executor scaling) and
-``BENCH_geometry.json`` (the dim-3 geometry section) at the repo root; the files
-are committed, so the cross-PR trajectory is their git history (CI also
-uploads the freshly measured records as artifacts, including on gate
-failures).
+``BENCH_pipeline.json`` (pipeline executor scaling; sections other
+scripts merged in, such as ``bench_remote.py``'s ``"remote"``, are
+kept) and ``BENCH_geometry.json`` (the dim-3 geometry section) at the
+repo root; the files are committed, so the cross-PR trajectory is
+their git history (CI also uploads the freshly measured records as
+artifacts, including on gate failures).
 
 Not collected by pytest (``bench_`` prefix); run directly::
 
@@ -186,26 +187,38 @@ def bench_pipeline(points, batch_size: int, seed: int, shards: int):
 
 def _transport_record(stats) -> dict | None:
     """The transport-counter block kept per worker count in
-    ``BENCH_pipeline.json`` - chunk counts per transport kind, bytes
-    through shared memory, shard migrations, and the submit-side
-    per-chunk overhead (the number the zero-copy transport exists to
-    keep small)."""
+    ``BENCH_pipeline.json`` - chunk counts per payload kind, bytes
+    through shared memory, and the submit-side per-chunk overhead (the
+    number the zero-copy transport exists to keep small)."""
     if not stats:
         return None
     chunks = stats.get("chunks") or 0
     submit_seconds = stats.get("submit_seconds", 0.0)
     return {
-        "kind": stats.get("transport"),
         "chunks": chunks,
         "shm_chunks": stats.get("shm_chunks", 0),
         "array_chunks": stats.get("array_chunks", 0),
         "pickle_chunks": stats.get("pickle_chunks", 0),
         "shm_bytes": stats.get("shm_bytes", 0),
-        "migrations": stats.get("migrations", 0),
         "submit_us_per_chunk": (
             round(submit_seconds / chunks * 1e6, 1) if chunks else 0.0
         ),
     }
+
+
+def write_pipeline_record(path: Path, record: dict) -> None:
+    """Write ``record`` to ``path``, keeping the sections it lacks.
+
+    Other scripts merge their own sections into the same file
+    (``bench_remote.py`` writes ``"remote"``); rewriting it whole would
+    erase them.  An unreadable existing file is replaced.
+    """
+    try:
+        merged = json.loads(path.read_text())
+    except (OSError, ValueError):
+        merged = {}
+    merged.update(record)
+    path.write_text(json.dumps(merged, indent=2) + "\n")
 
 
 def bench_pipeline_scaling(
@@ -585,7 +598,6 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"pipeline executor=process n={scaling_n} {workers} workers "
             f"{rate:11,.0f} pts/s   speedup {rate / serial_rate:5.2f}x   "
-            f"transport {stats.get('transport', '?')} "
             f"{overhead_us:6.1f} us/chunk submit-side"
         )
     pipeline_record = {
@@ -654,9 +666,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as error:  # read-only checkouts shouldn't fail the run
         print(f"note: could not write {args.json_out}: {error}")
     try:
-        Path(args.pipeline_json_out).write_text(
-            json.dumps(pipeline_record, indent=2) + "\n"
-        )
+        write_pipeline_record(Path(args.pipeline_json_out), pipeline_record)
         print(f"pipeline perf record written to {args.pipeline_json_out}")
     except OSError as error:  # read-only checkouts shouldn't fail the run
         print(f"note: could not write {args.pipeline_json_out}: {error}")

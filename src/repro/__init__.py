@@ -39,8 +39,7 @@ lazy eviction heap across all levels, records tagged with their level,
 space served from incrementally-maintained counters.
 :class:`repro.engine.BatchPipeline` shards any stream over
 spec-constructed shard samplers and runs them on a pluggable executor
-(``serial``, ``thread``, ``process``, or backend-leased ``remote``
-workers - see
+(``serial``, ``process``, or backend-leased ``remote`` workers - see
 :mod:`repro.engine.executors`); finished shard states stream into the
 coordinator's running union merge as workers deliver them.  Executor
 choice, batching and checkpoint/resume are all invisible in summary

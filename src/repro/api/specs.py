@@ -269,33 +269,21 @@ class PipelineSpec(PointSummarySpec):
     executor:
         Where shard ingestion runs (see :mod:`repro.engine.executors`):
         ``"serial"`` (default) ingests chunks synchronously in the
-        calling process, ``"thread"`` fans them out over worker threads,
-        ``"process"`` ships them to worker processes holding shard
-        replicas and folds finished shard states back in as they arrive
-        (streaming merge), ``"remote"`` enqueues chunks into a shared
-        :class:`~repro.backends.base.StateBackend` served by
-        lease-holding workers that may live on other machines
+        calling process, ``"process"`` ships them to worker processes
+        holding shard replicas and folds finished shard states back in
+        as they arrive (streaming merge), ``"remote"`` enqueues chunks
+        into a shared :class:`~repro.backends.base.StateBackend` served
+        by lease-holding workers that may live on other machines
         (``python -m repro.engine.remote_worker``).  Every choice is
         ``state_fingerprint``-equivalent; only wall-clock throughput
         differs.
     num_workers:
-        Worker threads/processes for the parallel executors (capped at
+        Worker processes for the process executor (capped at
         ``num_shards``, the unit of parallelism).  ``None`` means one
         worker per shard - except under the remote executor, where it
         means one *local* worker thread and ``0`` is allowed (every
         worker is an external process someone launches against the
         queue).  Ignored by the serial executor.
-    transport:
-        Chunk transport of the process executor: ``"auto"`` (default)
-        ships eligible chunks zero-copy through pooled shared-memory
-        segments and falls back to pickling per chunk, ``"shm"`` is a
-        synonym of ``"auto"``, ``"pickle"`` forces the legacy queue
-        transport.  Ignored by the in-process executors; never
-        observable in sampler state.
-    work_stealing:
-        Whether the process executor may migrate a backlogged shard to
-        an idle worker (on by default).  Also state-unobservable:
-        per-shard chunk order is preserved across migrations.
     queue_backend / queue_path / queue_url / queue_key / lease_ttl:
         Remote-executor knobs (rejected for every other executor).  The
         backend flavour (``"memory"`` default - in-process only, for
@@ -309,10 +297,8 @@ class PipelineSpec(PointSummarySpec):
 
     num_shards: int = 4
     batch_size: int = DEFAULT_BATCH_SIZE
-    executor: Literal["serial", "thread", "process", "remote"] = "serial"
+    executor: Literal["serial", "process", "remote"] = "serial"
     num_workers: int | None = None
-    transport: Literal["auto", "shm", "pickle"] = "auto"
-    work_stealing: bool = True
     queue_backend: Literal["memory", "file", "redis"] | None = None
     queue_path: str | None = None
     queue_url: str | None = None
@@ -331,17 +317,12 @@ class PipelineSpec(PointSummarySpec):
             raise ParameterError(
                 f"batch_size must be >= 1, got {self.batch_size}"
             )
-        from repro.engine.executors import EXECUTOR_NAMES, TRANSPORT_NAMES
+        from repro.engine.executors import EXECUTOR_NAMES
 
         if self.executor not in EXECUTOR_NAMES:
             raise ParameterError(
                 f"executor must be one of {', '.join(EXECUTOR_NAMES)}, "
                 f"got {self.executor!r}"
-            )
-        if self.transport not in TRANSPORT_NAMES:
-            raise ParameterError(
-                f"transport must be one of {', '.join(TRANSPORT_NAMES)}, "
-                f"got {self.transport!r}"
             )
         minimum_workers = 0 if self.executor == "remote" else 1
         if (

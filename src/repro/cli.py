@@ -8,7 +8,7 @@ library's summaries over it:
 * ``count``    - robust F0 estimate;
 * ``heavy``    - robust heavy hitters;
 * ``pipeline`` - sharded parallel ingestion (``--shards`` shard
-  samplers fed round-robin by a serial/thread/process/remote
+  samplers fed round-robin by a serial/process/remote
   ``--executor`` with ``--workers`` workers), answering a robust F0
   estimate and one distinct sample over the union stream from the
   streaming shard merge;
@@ -85,6 +85,7 @@ from repro.api import (
 )
 from repro.backends import BACKEND_NAMES
 from repro.core.base import DEFAULT_BATCH_SIZE
+from repro.engine.executors import EXECUTOR_NAMES
 from repro.engine.resumable import DEFAULT_CHECKPOINT_EVERY
 from repro.errors import CheckpointError, ReproError
 from repro.persist import dump_summary, load_summary
@@ -214,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard samplers fed round-robin (default 4)",
     )
     pipeline.add_argument(
-        "--executor", choices=["serial", "thread", "process", "remote"],
+        "--executor", choices=list(EXECUTOR_NAMES),
         default="serial",
         help="where shard ingestion runs; every choice is "
         "state-equivalent, 'process' adds wall-clock parallelism, "
@@ -223,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pipeline.add_argument(
         "--workers", type=int, default=None,
-        help="worker threads/processes for --executor thread/process "
+        help="worker processes for --executor process "
         "(default: one per shard); for --executor remote the number of "
         "LOCAL worker threads - pass 0 when every worker is an "
         "external 'worker' command",
@@ -251,19 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--lease-ttl", type=float, default=5.0,
         help="seconds without a worker heartbeat before its shards are "
         "re-adopted (default 5)",
-    )
-    pipeline.add_argument(
-        "--transport", choices=["auto", "shm", "pickle"], default="auto",
-        help="chunk transport for --executor process: 'auto' ships "
-        "eligible chunks zero-copy through shared memory ('shm' is a "
-        "synonym), 'pickle' forces the legacy queue transport "
-        "(default auto; state-equivalent either way)",
-    )
-    pipeline.add_argument(
-        "--no-work-stealing", action="store_true",
-        help="pin each shard to the worker that first adopted it "
-        "instead of migrating backlogged shards to idle workers "
-        "(state-equivalent; only wall-clock throughput differs)",
     )
     pipeline.add_argument(
         "--backend", choices=list(BACKEND_NAMES), default=None,
@@ -494,8 +482,6 @@ def _spec_for(args, *, dim: int, seed: int):
             batch_size=args.batch_size,
             executor=args.executor,
             num_workers=args.workers,
-            transport=args.transport,
-            work_stealing=not args.no_work_stealing,
             queue_backend=args.queue_backend,
             queue_path=args.queue_path,
             queue_url=args.queue_url,

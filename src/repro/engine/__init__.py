@@ -101,11 +101,11 @@ sharing one config) and answers queries from the sketch-sized merge;
 ``tests/test_distributed.py`` checks the merge against a single sampler
 fed the interleaved union stream.  *Where* shard work runs is pluggable
 (:mod:`repro.engine.executors`): the ``serial`` executor ingests chunks
-inline, ``thread`` fans them out over worker threads, ``process``
-ships them to worker processes holding shard replicas - the wall-clock
-scaling path - and ``remote`` enqueues them into a shared
-:class:`~repro.backends.StateBackend` served by lease-holding workers
-on any machine (:mod:`repro.engine.remote_worker`, chaos-tested by
+inline, ``process`` ships them to worker processes holding shard
+replicas - the wall-clock scaling path - and ``remote`` enqueues them
+into a shared :class:`~repro.backends.StateBackend` served by
+lease-holding workers on any machine
+(:mod:`repro.engine.remote_worker`, chaos-tested by
 ``tests/test_remote_executor.py``), with finished shard states folded
 into the coordinator's running union merge as they arrive
 (:meth:`~repro.distributed.coordinator.DistributedRobustSampler.streaming_merge`).
@@ -135,12 +135,10 @@ from repro.engine.batching import (
 from repro.engine.equivalence import state_fingerprint
 from repro.engine.executors import (
     EXECUTOR_NAMES,
-    TRANSPORT_NAMES,
     ProcessShardExecutor,
     RemoteShardExecutor,
     SerialShardExecutor,
     ShardExecutor,
-    ThreadShardExecutor,
     make_executor,
 )
 from repro.engine.pipeline import BatchPipeline
@@ -157,10 +155,8 @@ __all__ = [
     "compute_chunk_geometry",
     "state_fingerprint",
     "EXECUTOR_NAMES",
-    "TRANSPORT_NAMES",
     "ShardExecutor",
     "SerialShardExecutor",
-    "ThreadShardExecutor",
     "ProcessShardExecutor",
     "RemoteShardExecutor",
     "make_executor",

@@ -1,4 +1,4 @@
-"""Pluggable shard executors: serial, thread, process and remote.
+"""Pluggable shard executors: serial, process and remote.
 
 A :class:`~repro.engine.pipeline.BatchPipeline` deals chunks round-robin
 across the shards of a
@@ -10,10 +10,6 @@ keeping the *what* bit-identical:
 * :class:`SerialShardExecutor` - today's behaviour (the default): every
   chunk is ingested synchronously into the coordinator's own shard
   objects.
-* :class:`ThreadShardExecutor` - a pool of worker threads operating on
-  the coordinator's live shards.  Under CPython's GIL this buys no
-  CPU parallelism; it exists so the executor surface is complete and so
-  callers whose streams block on I/O can overlap ingestion with reading.
 * :class:`ProcessShardExecutor` - worker processes holding
   spec-constructed *shard replicas* (rebuilt from the shards' protocol
   states plus the shared :class:`~repro.core.base.SamplerConfig`).
@@ -29,11 +25,12 @@ keeping the *what* bit-identical:
   array (:func:`repro.core.chunk_geometry.geometry_from_array`), so the
   chunk is float-coerced exactly once end to end.  Chunks the array
   transport cannot carry (StreamPoints, exotic element types, failed
-  coercion) fall back to the pickle transport, which reproduces the
-  scalar error semantics exactly.  On :meth:`~ShardExecutor.drain` each
-  worker returns its shards' protocol states **batched in one message**,
-  which the caller folds back into the coordinator as they arrive
-  (streaming merge - see
+  coercion) fall back to pickling, which reproduces the scalar error
+  semantics exactly; an array chunk that finds no free shared-memory
+  slot ships as a pickled array instead.  On
+  :meth:`~ShardExecutor.drain` each worker returns its shards' protocol
+  states **batched in one message**, which the caller folds back into
+  the coordinator as they arrive (streaming merge - see
   :meth:`repro.distributed.coordinator.DistributedRobustSampler.streaming_merge`)
   instead of barriering on the slowest worker.
 * :class:`RemoteShardExecutor` - workers that may live on **other
@@ -49,21 +46,18 @@ keeping the *what* bit-identical:
   ``docs/ARCHITECTURE.md`` §Remote workers.  Chaos-tested by
   ``tests/test_remote_executor.py``.
 
-Scheduling and work stealing
-----------------------------
+Scheduling
+----------
 
 The process executor keeps its backlog at the submitter: each worker has
 at most :data:`_DISPATCH_DEPTH` chunks in flight, the rest queue in
-per-shard FIFOs on the submit side.  Shards are *adopted* lazily - a
-worker receives a shard's protocol state with its first chunk - and may
-*migrate*: when a worker sits idle while another's shard has a backlog,
-the scheduler releases the shard from its owner (the release message
-follows the owner's in-flight chunks FIFO, so it observes all of them),
-receives the flushed replica state, and re-adopts the shard to the idle
-worker together with its queued chunks.  Per-shard sequence numbers are
-carried on every chunk and asserted worker-side, so per-shard FIFO
-order - the executor-equivalence invariant - is machine-checked even
-across migrations, and executor choice stays state-unobservable.
+per-shard FIFOs on the submit side.  Shards are *adopted* lazily - the
+least-loaded worker receives a shard's protocol state with its first
+chunk - and ownership is then fixed for the executor's lifetime.
+Per-shard sequence numbers are carried on every chunk and asserted
+worker-side, so per-shard FIFO order - the executor-equivalence
+invariant - is machine-checked, and executor choice stays
+state-unobservable.
 
 The executor-equivalence contract
 ---------------------------------
@@ -79,9 +73,8 @@ to the serial one for the same dealt chunk sequence:
   ``to_state``/``from_state``, which is fingerprint-exact.
 
 ``tests/test_executors.py`` enforces the contract differentially
-(serial vs thread vs process vs remote, including empty batches,
-single-shard pipelines, mid-stream checkpoint/resume and forced shard
-migrations),
+(serial vs process vs remote, including empty batches, single-shard
+pipelines and mid-stream checkpoint/resume),
 ``tests/test_shm_transport.py`` covers the shared-memory lifecycle
 (no leaked segments after close, worker crash or failure; the matrix
 under a forced spawn context), and
@@ -119,13 +112,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Registry of executor names accepted by
 #: :class:`~repro.api.specs.PipelineSpec` and the CLI's ``--executor``.
-EXECUTOR_NAMES = ("serial", "thread", "process", "remote")
-
-#: Chunk transports of the process executor: ``"auto"`` and ``"shm"``
-#: (its older spelling) use the shared-memory array transport for every
-#: eligible chunk, ``"pickle"`` forces the legacy queue transport (the
-#: benchmark's overhead baseline).
-TRANSPORT_NAMES = ("auto", "shm", "pickle")
+EXECUTOR_NAMES = ("serial", "process", "remote")
 
 #: How long (seconds) a drain waits between liveness checks on worker
 #: processes before concluding one died without reporting.
@@ -140,21 +127,17 @@ _DRAIN_STALL_SECONDS = 30.0
 
 #: Maximum chunks in flight (dispatched, not yet completed) per worker
 #: process.  The rest of the backlog stays in the submitter's per-shard
-#: FIFOs, which is what makes shards migratable: only up to this many
-#: chunks must finish at the old owner before a release takes effect.
+#: FIFOs.  The depth bounds the chunks a worker holds and, with them,
+#: the shared-memory pool: it has ``workers x depth + slack`` slots.
 _DISPATCH_DEPTH = 4
 
-#: Dispatch depth used when there is exactly ONE worker.  Stealing is
-#: impossible there, so a deep pipeline costs nothing in migratability
-#: and lets the submitter pre-dispatch its whole backlog: the worker
-#: then chews through it without a single submitter wake-up (the
-#: control block makes completions message-free), which is what keeps
-#: the 1-worker configuration at parity with serial even on one core.
+#: Dispatch depth used when there is exactly ONE worker.  It still
+#: bounds the pool (``depth + slack`` slots), and a deep pipeline lets
+#: the submitter pre-dispatch its whole backlog: the worker chews
+#: through it without a single submitter wake-up (the control block
+#: makes completions message-free), which is what keeps the 1-worker
+#: configuration at parity with serial even on one core.
 _SINGLE_WORKER_DEPTH = 64
-
-#: Minimum submitter-side backlog (chunks) a shard must have before it
-#: is worth migrating to an idle worker.
-_STEAL_MIN_PENDING = 2
 
 #: Pool slack beyond the worst-case in-flight slot count.
 _POOL_SLACK_SLOTS = 2
@@ -162,6 +145,14 @@ _POOL_SLACK_SLOTS = 2
 #: Smallest shared-memory segment allocated (bytes); segments grow
 #: geometrically and are reused across chunks.
 _MIN_SEGMENT_BYTES = 1 << 16
+
+#: Chunks the remote executor buffers before group-committing them to
+#: the backend in one ``put_many``.
+_REMOTE_FLUSH_CHUNKS = 8
+
+#: Seconds between the remote executor's drain polls of the backend,
+#: also its local worker threads' idle poll interval.
+_REMOTE_POLL_SECONDS = 0.02
 
 
 class ShardExecutor:
@@ -216,9 +207,9 @@ class ShardExecutor:
     def stats(self) -> dict[str, Any]:
         """Transport/scheduling counters (empty for in-process executors).
 
-        The process executor reports chunk counts per transport, bytes
-        shipped through shared memory, shard migrations and the total
-        submit-side transport time - the numbers
+        The process executor reports chunk counts per payload kind,
+        bytes shipped through shared memory and the total submit-side
+        transport time - the numbers
         ``benchmarks/bench_throughput.py`` records per run.
         """
         return {}
@@ -245,19 +236,6 @@ class SerialShardExecutor(ShardExecutor):
     def drain(self) -> Iterator[tuple[int, dict[str, Any] | None]]:
         for shard_id in range(self._coordinator.num_shards):
             yield (shard_id, None)
-
-
-def _owned_shards(worker: int, num_shards: int, num_workers: int) -> list[int]:
-    """Shard ids owned by ``worker`` (fixed ``shard % workers`` striping).
-
-    The thread executor's static mapping: every chunk of a shard goes to
-    the same worker queue, which is what serialises per-shard work and
-    makes the executor state-equivalent to the serial one.  (The process
-    executor assigns shards dynamically instead - see
-    :class:`ProcessShardExecutor` - with the same per-shard FIFO
-    invariant enforced by sequence numbers.)
-    """
-    return list(range(worker, num_shards, num_workers))
 
 
 def _resolve_workers(num_workers: int | None, num_shards: int) -> int:
@@ -288,107 +266,6 @@ def _owned_chunk(chunk: Sequence[Any]) -> Sequence[Any]:
     if isinstance(chunk, np.ndarray):
         return np.array(chunk, copy=True)
     return list(chunk)
-
-
-class ThreadShardExecutor(ShardExecutor):
-    """Worker threads ingesting into the coordinator's live shards.
-
-    Each worker owns a fixed stripe of shards and consumes its queue
-    FIFO, so per-shard chunk order is preserved.  The shards share only
-    their config's pure hash-memo caches, which are safe to touch
-    concurrently under the GIL (every entry is a deterministic function
-    of its key, so racing writers write the same value).
-    """
-
-    name = "thread"
-
-    def __init__(
-        self,
-        coordinator: "DistributedRobustSampler",
-        *,
-        num_workers: int | None = None,
-    ) -> None:
-        self._coordinator = coordinator
-        self._num_workers = _resolve_workers(
-            num_workers, coordinator.num_shards
-        )
-        self._queues: list[queue_module.SimpleQueue] = [
-            queue_module.SimpleQueue() for _ in range(self._num_workers)
-        ]
-        self._failures: list[str | None] = [None] * self._num_workers
-        self._closed = False
-        self._threads = [
-            threading.Thread(
-                target=self._worker_loop,
-                args=(index,),
-                name=f"repro-shard-worker-{index}",
-                daemon=True,
-            )
-            for index in range(self._num_workers)
-        ]
-        for thread in self._threads:
-            thread.start()
-
-    def _worker_loop(self, worker: int) -> None:
-        tasks = self._queues[worker]
-        while True:
-            message = tasks.get()
-            kind = message[0]
-            if kind == "chunk":
-                if self._failures[worker] is not None:
-                    continue  # poisoned: swallow work until drain reports
-                try:
-                    self._coordinator.route_many(
-                        message[2], message[1], geometry=message[3]
-                    )
-                except BaseException:
-                    self._failures[worker] = traceback.format_exc()
-            elif kind == "drain":
-                message[1].put(worker)
-            else:  # "stop"
-                return
-
-    def submit(
-        self, shard_id: int, chunk: Sequence[Any], geometry: Any = None
-    ) -> None:
-        if self._closed:
-            raise ExecutorError("executor is closed")
-        # Snapshot (copy only when the caller's buffer is mutable): the
-        # worker reads the chunk after submit returns, and equivalence
-        # with the synchronous serial executor requires submit-time
-        # contents.  The geometry was built from the submit-time values,
-        # so it stays consistent with the snapshot.
-        self._queues[shard_id % self._num_workers].put(
-            ("chunk", shard_id, _owned_chunk(chunk), geometry)
-        )
-        return None
-
-    def drain(self) -> Iterator[tuple[int, dict[str, Any] | None]]:
-        if self._closed:
-            raise ExecutorError("executor is closed")
-        acks: queue_module.SimpleQueue = queue_module.SimpleQueue()
-        for tasks in self._queues:
-            tasks.put(("drain", acks))
-        for _ in range(self._num_workers):
-            worker = acks.get()
-            failure = self._failures[worker]
-            if failure is not None:
-                raise ExecutorError(
-                    f"shard worker {worker} failed:\n{failure}"
-                )
-            for shard_id in _owned_shards(
-                worker, self._coordinator.num_shards, self._num_workers
-            ):
-                yield (shard_id, None)
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for tasks in self._queues:
-            tasks.put(("stop",))
-        for thread in self._threads:
-            thread.join(timeout=5.0)
 
 
 # --------------------------------------------------------------------- #
@@ -559,7 +436,7 @@ class _ControlBlock:
             deltas.append(done - self._done_seen[worker])
             self._done_seen[worker] = done
             cursor = self._cursors[worker]
-            while self._ring_slots:
+            while True:
                 offset = base + 8 + (cursor % self._ring_slots) * 8
                 value = struct.unpack_from("<q", buf, offset)[0]
                 if value == 0:
@@ -712,22 +589,20 @@ def _transport_worker(
 ):
     """Worker-process loop of the zero-copy transport.
 
-    Owns an evolving set of shard replicas - the scheduler ``adopt``\\ s
-    a shard (shipping its protocol state) before the shard's first
-    chunk and may later ``release`` it (the replica state flows back and
-    the shard migrates to another worker).  Chunk payloads arrive as
-    shared-memory descriptors, pickled arrays or pickled chunks; the
-    array forms rebuild the chunk's geometry in one pass
-    (:func:`repro.core.chunk_geometry.geometry_from_array`) with the
-    coerced vectors cached on it, so the replica's materialisation is
-    free.  Per-shard sequence numbers are asserted on every chunk - the
-    machine check that migrations preserved per-shard FIFO order.
-    Completions and freed slots are published through the
-    :class:`_ControlBlock` (no message, no submitter wake-up).  On
-    ``drain`` the worker ships all owned shards' states batched in one
-    message; failures are sticky and reported there (chunks after a
-    failure are swallowed, but their completions and shared-memory
-    slots are still published so the submitter's pool cannot starve).
+    Owns the shard replicas the scheduler ``adopt``\\ s - shipping each
+    shard's protocol state before the shard's first chunk.  Chunk
+    payloads arrive as shared-memory descriptors, pickled arrays or
+    pickled chunks; the array forms rebuild the chunk's geometry in one
+    pass (:func:`repro.core.chunk_geometry.geometry_from_array`) with
+    the coerced vectors cached on it, so the replica's materialisation
+    is free.  Per-shard sequence numbers are asserted on every chunk -
+    the machine check of per-shard FIFO order.  Completions and freed
+    slots are published through the :class:`_ControlBlock` (no
+    message, no submitter wake-up).  On ``drain`` the worker ships all
+    owned shards' states batched in one message; failures are sticky
+    and reported there (chunks after a failure are swallowed, but their
+    completions and shared-memory slots are still published so the
+    submitter's pool cannot starve).
     """
     from repro.core import serialize
     from repro.core.chunk_geometry import geometry_from_array
@@ -825,17 +700,6 @@ def _transport_worker(
                 next_seq[message[1]] = message[3]
             except BaseException:
                 failure = traceback.format_exc()
-        elif kind == "release":
-            shard_id = message[1]
-            shard = shards.pop(shard_id, None)
-            seq = next_seq.pop(shard_id, 0)
-            state = None
-            if failure is None and shard is not None:
-                try:
-                    state = shard.to_state()
-                except BaseException:
-                    failure = traceback.format_exc()
-            result_queue.put(("released", shard_id, state, seq))
         elif kind == "drain":
             token = message[1]
             if failure is not None:
@@ -891,17 +755,10 @@ class ProcessShardExecutor(ShardExecutor):
     per worker), so the caller can fold early finishers into a running
     merge while stragglers are still ingesting.
 
-    Parameters
-    ----------
-    transport:
-        ``"auto"`` (default) ships eligible chunks as float64 arrays
-        through pooled shared-memory segments and falls back to pickle
-        per chunk; ``"shm"`` is a synonym of ``"auto"``;
-        ``"pickle"`` forces the legacy transport for every chunk.
-    work_stealing:
-        Whether idle workers may adopt backlogged shards from busy ones
-        (on by default).  Stealing migrates the shard's replica state,
-        never reorders its chunks - see the module docstring.
+    Eligible chunks ship as float64 arrays through pooled shared-memory
+    segments.  Two per-chunk fallbacks remain: a pickled float64 array
+    when no pool slot is free, and a pickled chunk for anything
+    :func:`_chunk_as_array` rejects (StreamPoints, ragged rows).
     """
 
     name = "process"
@@ -915,22 +772,13 @@ class ProcessShardExecutor(ShardExecutor):
         coordinator: "DistributedRobustSampler",
         *,
         num_workers: int | None = None,
-        transport: str = "auto",
-        work_stealing: bool = True,
     ) -> None:
         from repro.core import serialize
 
-        if transport not in TRANSPORT_NAMES:
-            raise ParameterError(
-                f"unknown transport {transport!r}; one of: "
-                + ", ".join(TRANSPORT_NAMES)
-            )
         self._coordinator = coordinator
         self._num_shards = coordinator.num_shards
         self._num_workers = _resolve_workers(num_workers, self._num_shards)
         self._dim = coordinator.config.dim
-        self._use_arrays = transport != "pickle"
-        self._work_stealing = bool(work_stealing)
         self._closed = False
         self._token = 0
         self._failure: str | None = None
@@ -938,36 +786,26 @@ class ProcessShardExecutor(ShardExecutor):
         # hold at most _DISPATCH_DEPTH chunks each.
         self._pending: dict[int, deque] = {}
         self._owner: dict[int, int] = {}
-        self._flushed: dict[int, dict[str, Any]] = {}
-        self._migrating: set[int] = set()
-        self._lost: set[int] = set()
         self._seq = [0] * self._num_shards
         self._inflight = [0] * self._num_workers
-        # A single worker cannot be stolen from, so its pipeline may be
-        # deep: the whole backlog pre-dispatches and the worker never
-        # waits on the submitter.
+        # A single worker's pipeline may be deep: the whole backlog
+        # pre-dispatches and the worker never waits on the submitter.
         self._depth = (
             _DISPATCH_DEPTH
             if self._num_workers > 1
             else max(_DISPATCH_DEPTH, _SINGLE_WORKER_DEPTH)
         )
         self._stats: dict[str, Any] = {
-            "transport": "shm" if self._use_arrays else "pickle",
             "chunks": 0,
             "shm_chunks": 0,
             "array_chunks": 0,
             "pickle_chunks": 0,
             "shm_bytes": 0,
-            "migrations": 0,
             "submit_seconds": 0.0,
         }
         pool_slots = self._num_workers * self._depth + _POOL_SLACK_SLOTS
-        self._pool = (
-            _ShmChunkPool(pool_slots) if self._use_arrays else None
-        )
-        self._ctrl = _ControlBlock(
-            self._num_workers, pool_slots if self._use_arrays else 0
-        )
+        self._pool = _ShmChunkPool(pool_slots)
+        self._ctrl = _ControlBlock(self._num_workers, pool_slots)
         context = _mp_context()
         self._result_queue = _Channel(context, writers=self._num_workers)
         self._task_queues = []
@@ -1005,18 +843,17 @@ class ProcessShardExecutor(ShardExecutor):
         # ``geometry`` is intentionally unused (wants_geometry is
         # False); the worker rebuilds it from the transported array.
         payload = None
-        if self._use_arrays:
-            array = _chunk_as_array(chunk, self._dim)
-            if array is not None:
-                if array is chunk or array.base is not None:
-                    # Aliases the caller's mutable buffer: snapshot it
-                    # into a shared-memory slot right now if one is
-                    # free, else fall back to an owned copy.
-                    payload = self._write_shm(array)
-                    if payload is None:
-                        payload = ("array", array.copy())
-                else:
-                    payload = ("array", array)
+        array = _chunk_as_array(chunk, self._dim)
+        if array is not None:
+            if array is chunk or array.base is not None:
+                # Aliases the caller's mutable buffer: snapshot it into
+                # a shared-memory slot right now if one is free, else
+                # fall back to an owned copy.
+                payload = self._write_shm(array)
+                if payload is None:
+                    payload = ("array", array.copy())
+            else:
+                payload = ("array", array)
         if payload is None:
             payload = ("pickle", _owned_chunk(chunk))
             self._stats["pickle_chunks"] += 1
@@ -1051,19 +888,17 @@ class ProcessShardExecutor(ShardExecutor):
     def _adopt(self, shard_id: int) -> int:
         """Assign an unowned shard to the least-loaded worker.
 
-        The shard's replica state ships with the adoption: the flushed
-        state from a migration if one is cached, else the coordinator's
-        shard object (current, because a shard's chunks only ever reach
-        workers after adoption).  The adoption message carries the next
-        expected sequence number, re-arming the worker-side FIFO check.
+        The coordinator's shard state ships with the adoption (current,
+        because a shard's chunks only ever reach workers after
+        adoption, and ownership is fixed from then on).  The adoption
+        message carries the next expected sequence number, arming the
+        worker-side FIFO check.
         """
         worker = min(
             range(self._num_workers),
             key=lambda w: (self._inflight[w], self._owned_count(w), w),
         )
-        state = self._flushed.pop(shard_id, None)
-        if state is None:
-            state = self._coordinator.shard(shard_id).to_state()
+        state = self._coordinator.shard(shard_id).to_state()
         self._task_queues[worker].put(
             ("adopt", shard_id, state, self._pending[shard_id][0][0])
         )
@@ -1073,11 +908,7 @@ class ProcessShardExecutor(ShardExecutor):
     def _pump(self) -> None:
         """Dispatch pending chunks up to each worker's depth limit."""
         for shard_id, backlog in self._pending.items():
-            if (
-                not backlog
-                or shard_id in self._migrating
-                or shard_id in self._lost
-            ):
+            if not backlog:
                 continue
             worker = self._owner.get(shard_id)
             if worker is None:
@@ -1093,55 +924,6 @@ class ProcessShardExecutor(ShardExecutor):
                         self._stats["array_chunks"] += 1
                 tasks.put(("chunk", shard_id, seq, payload))
                 self._inflight[worker] += 1
-        if self._work_stealing:
-            self._maybe_steal()
-
-    def _maybe_steal(self) -> None:
-        """Migrate a backlogged shard away from a saturated worker.
-
-        Triggers only when some worker is starving (nothing in flight,
-        no owned shard with a backlog) while another worker is at its
-        depth limit with a shard backlog of at least
-        :data:`_STEAL_MIN_PENDING` chunks.  The release message joins
-        the owner's FIFO behind its in-flight chunks, the flushed
-        replica state comes back through the result queue, and the next
-        :meth:`_pump` re-adopts the shard - queued chunks, sequence
-        numbers and all - to the idle worker.
-        """
-        busy_backlog = False
-        starving = set(range(self._num_workers))
-        for shard_id, backlog in self._pending.items():
-            if not backlog:
-                continue
-            owner = self._owner.get(shard_id)
-            if owner is not None:
-                starving.discard(owner)
-        for worker in list(starving):
-            if self._inflight[worker] > 0:
-                starving.discard(worker)
-        if not starving:
-            return
-        victim = None
-        for shard_id, backlog in self._pending.items():
-            if (
-                len(backlog) < _STEAL_MIN_PENDING
-                or shard_id in self._migrating
-                or shard_id in self._lost
-            ):
-                continue
-            owner = self._owner.get(shard_id)
-            if owner is None or self._inflight[owner] < self._depth:
-                continue
-            if victim is None or len(backlog) > len(
-                self._pending[victim]
-            ):
-                victim = shard_id
-        if victim is None:
-            return
-        owner = self._owner.pop(victim)
-        self._migrating.add(victim)
-        self._task_queues[owner].put(("release", victim))
-        self._stats["migrations"] += 1
 
     # ------------------------------------------------------------------ #
     # result plumbing
@@ -1150,18 +932,7 @@ class ProcessShardExecutor(ShardExecutor):
     def _handle_async(self, message) -> None:
         """Absorb a worker message that is not a drain-level response."""
         kind = message[0]
-        if kind == "released":
-            shard_id, state = message[1], message[2]
-            self._migrating.discard(shard_id)
-            if state is None:
-                # The owner was already poisoned; its sticky failure
-                # surfaces at the next drain.  The shard's queued work
-                # is lost with it.
-                self._lost.add(shard_id)
-                self._pending.pop(shard_id, None)
-            else:
-                self._flushed[shard_id] = state
-        elif kind == "error":
+        if kind == "error":
             self._failure = message[3]
         elif kind == "states":
             # Stale report from an interrupted drain: its payload still
@@ -1234,18 +1005,11 @@ class ProcessShardExecutor(ShardExecutor):
         if self._failure is not None:
             self._raise_failure()
         # Phase 1: flush the submitter-side backlog.  Dispatch as depth
-        # frees up and absorb migration states; progress is bounded -
-        # a worker that stops acknowledging for _DRAIN_STALL_SECONDS
-        # (or dies) fails the drain instead of hanging it.
+        # frees up; progress is bounded - a worker that stops
+        # acknowledging for _DRAIN_STALL_SECONDS (or dies) fails the
+        # drain instead of hanging it.
         last_progress = time.monotonic()
-        while True:
-            for shard_id in self._lost:
-                # A lost shard's backlog is undeliverable; drop it so
-                # phase 2 can surface the owning worker's traceback
-                # instead of stalling here.
-                self._pending.pop(shard_id, None)
-            if not (any(self._pending.values()) or self._migrating):
-                break
+        while any(self._pending.values()):
             self._pump()
             if self._failure is not None:
                 self._raise_failure()
@@ -1273,7 +1037,6 @@ class ProcessShardExecutor(ShardExecutor):
             tasks.put(("drain", token))
         remaining = self._num_workers
         last_progress = time.monotonic()
-        settled: set[int] = set()
         while remaining:
             try:
                 message = self._result_queue.get(
@@ -1302,27 +1065,14 @@ class ProcessShardExecutor(ShardExecutor):
                     continue  # stale report from an interrupted drain
                 remaining -= 1
                 for shard_id in message[3]:
-                    settled.add(shard_id)
                     yield (shard_id, deferred)
-            elif kind == "error":
+            else:  # "error"
                 self._failure = message[3]
                 self._raise_failure()
-            else:
-                self._handle_async(message)
-                if self._failure is not None:
-                    self._raise_failure()
-        # Phase 3: shards the submitter holds (flushed by a migration
-        # that never re-adopted) and shards no chunk ever reached.  The
-        # flushed cache is NOT cleared: until a re-adoption pops an
-        # entry, it stays the shard's newest state - later drains yield
-        # it again (idempotent) and the caller may defer rebuilding the
-        # coordinator's shard object for as long as this executor
-        # lives.
-        for shard_id, state in self._flushed.items():
-            settled.add(shard_id)
-            yield (shard_id, state)
+        # Phase 3: shards no chunk ever reached - the coordinator's own
+        # shard objects are current.
         for shard_id in range(self._num_shards):
-            if shard_id not in settled and shard_id not in self._owner:
+            if shard_id not in self._owner:
                 yield (shard_id, None)
 
     def stats(self) -> dict[str, Any]:
@@ -1345,8 +1095,7 @@ class ProcessShardExecutor(ShardExecutor):
         self._result_queue.close()
         for tasks in self._task_queues:
             tasks.close()
-        if self._pool is not None:
-            self._pool.close()
+        self._pool.close()
         self._ctrl.close()
 
 
@@ -1402,8 +1151,6 @@ class RemoteShardExecutor(ShardExecutor):
         queue_url: str | None = None,
         queue_key: str | None = None,
         lease_ttl: float = 5.0,
-        poll_interval: float = 0.02,
-        flush_chunks: int = 8,
     ) -> None:
         from repro.backends.base import make_backend
         from repro.core import serialize
@@ -1413,10 +1160,6 @@ class RemoteShardExecutor(ShardExecutor):
         if lease_ttl <= 0:
             raise ParameterError(
                 f"lease_ttl must be > 0, got {lease_ttl}"
-            )
-        if flush_chunks < 1:
-            raise ParameterError(
-                f"flush_chunks must be >= 1, got {flush_chunks}"
             )
         self._coordinator = coordinator
         self._dim = coordinator.config.dim
@@ -1430,8 +1173,6 @@ class RemoteShardExecutor(ShardExecutor):
                 url=queue_url,
             )
             self._owns_backend = True
-        self._poll_interval = poll_interval
-        self._flush_chunks = flush_chunks
         self._queue = RemoteQueue.create(
             self._backend,
             queue_key or "remote-queue",
@@ -1472,7 +1213,7 @@ class RemoteShardExecutor(ShardExecutor):
                 kwargs={
                     "worker_id": f"local-{index}",
                     "lease_ttl": lease_ttl,
-                    "poll_interval": poll_interval,
+                    "poll_interval": _REMOTE_POLL_SECONDS,
                     "stop_event": self._stop_event,
                 },
                 name=f"repro-remote-worker-{index}",
@@ -1506,7 +1247,7 @@ class RemoteShardExecutor(ShardExecutor):
         self._counters[kind] += 1
         self._counters["chunks"] += 1
         self._counters["bytes_out"] += len(payload)
-        if len(self._pending) >= self._flush_chunks:
+        if len(self._pending) >= _REMOTE_FLUSH_CHUNKS:
             self._flush()
         return None
 
@@ -1551,7 +1292,7 @@ class RemoteShardExecutor(ShardExecutor):
                     f"{_DRAIN_STALL_SECONDS:.0f}s (workers dead with no "
                     f"successor?); shards pending: {sorted(pending)}"
                 )
-            time.sleep(self._poll_interval)
+            time.sleep(_REMOTE_POLL_SECONDS)
 
     def stats(self) -> dict[str, Any]:
         return {
@@ -1582,24 +1323,20 @@ def make_executor(
     coordinator: "DistributedRobustSampler",
     *,
     num_workers: int | None = None,
-    transport: str = "auto",
-    work_stealing: bool = True,
     backend: Any = None,
     queue_backend: str | None = None,
     queue_path: str | None = None,
     queue_url: str | None = None,
     queue_key: str | None = None,
     lease_ttl: float = 5.0,
-    poll_interval: float = 0.02,
 ) -> ShardExecutor:
     """Build the executor registered under ``name``.
 
-    ``transport`` and ``work_stealing`` configure the process executor
-    (see :class:`ProcessShardExecutor`); ``backend`` (an instance) or
-    ``queue_backend``/``queue_path``/``queue_url`` plus ``queue_key``,
-    ``lease_ttl`` and ``poll_interval`` configure the remote executor
-    (see :class:`RemoteShardExecutor`).  Each executor ignores the
-    others' knobs.
+    ``num_workers`` sizes the process and remote executors;
+    ``backend`` (an instance) or ``queue_backend``/``queue_path``/
+    ``queue_url`` plus ``queue_key`` and ``lease_ttl`` configure the
+    remote executor (see :class:`RemoteShardExecutor`), which the
+    others ignore.
 
     >>> from repro.distributed.coordinator import DistributedRobustSampler
     >>> coordinator = DistributedRobustSampler(1.0, 1, num_shards=2, seed=1)
@@ -1608,19 +1345,12 @@ def make_executor(
     >>> make_executor("warp", coordinator)
     Traceback (most recent call last):
         ...
-    repro.errors.ParameterError: unknown executor 'warp'; one of: serial, thread, process, remote
+    repro.errors.ParameterError: unknown executor 'warp'; one of: serial, process, remote
     """
     if name == "serial":
         return SerialShardExecutor(coordinator)
-    if name == "thread":
-        return ThreadShardExecutor(coordinator, num_workers=num_workers)
     if name == "process":
-        return ProcessShardExecutor(
-            coordinator,
-            num_workers=num_workers,
-            transport=transport,
-            work_stealing=work_stealing,
-        )
+        return ProcessShardExecutor(coordinator, num_workers=num_workers)
     if name == "remote":
         return RemoteShardExecutor(
             coordinator,
@@ -1631,7 +1361,6 @@ def make_executor(
             queue_url=queue_url,
             queue_key=queue_key,
             lease_ttl=lease_ttl,
-            poll_interval=poll_interval,
         )
     raise ParameterError(
         f"unknown executor {name!r}; one of: " + ", ".join(EXECUTOR_NAMES)

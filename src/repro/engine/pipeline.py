@@ -21,12 +21,13 @@ stopped and resumed with fingerprint-identical results.
 
 *Where* shard work runs is pluggable (``PipelineSpec.executor``, see
 :mod:`repro.engine.executors`): ``"serial"`` ingests chunks inline
-(default), ``"thread"`` fans them out over worker threads, and
-``"process"`` ships them to worker processes holding shard replicas -
-the first wall-clock (not just per-core) throughput win.  Reads
-(:meth:`merge`, :meth:`to_state`, queries) synchronise first; the merge
-path folds finished shard states into the running union sampler as
-each worker delivers them (the coordinator's
+(default), ``"process"`` ships them to worker processes holding shard
+replicas - the first wall-clock (not just per-core) throughput win -
+and ``"remote"`` enqueues them into a shared backend served by
+lease-holding workers.  Reads (:meth:`merge`, :meth:`to_state`,
+queries) synchronise first; the merge path folds finished shard states
+into the running union sampler as each worker delivers them (the
+coordinator's
 :meth:`~repro.distributed.coordinator.DistributedRobustSampler.streaming_merge`)
 instead of barriering on the slowest shard.  Executor choice is never
 observable in state: every executor yields a ``state_fingerprint``
@@ -79,11 +80,12 @@ class BatchPipeline:
         explicit generator - for library callers threading one source
         of randomness through a whole run.
     executor, num_workers:
-        Where shard ingestion runs: ``"serial"`` (default), ``"thread"``
-        or ``"process"`` with ``num_workers`` workers (default: one per
-        shard).  See :mod:`repro.engine.executors`; parallel pipelines
-        should be :meth:`close`\\ d (or used as context managers) to
-        release their workers.
+        Where shard ingestion runs: ``"serial"`` (default), or
+        ``"process"``/``"remote"`` with ``num_workers`` workers
+        (default: one per shard; one local worker for ``"remote"``).
+        See :mod:`repro.engine.executors`; parallel pipelines should be
+        :meth:`close`\\ d (or used as context managers) to release
+        their workers.
     kappa0, expected_stream_length:
         Forwarded to every shard.
 
@@ -249,8 +251,6 @@ class BatchPipeline:
                 self._spec.executor,
                 self._coordinator,
                 num_workers=self._spec.num_workers,
-                transport=self._spec.transport,
-                work_stealing=self._spec.work_stealing,
                 queue_backend=self._spec.queue_backend,
                 queue_path=self._spec.queue_path,
                 queue_url=self._spec.queue_url,
@@ -366,9 +366,8 @@ class BatchPipeline:
             # A previous sync left shard states buffered and the
             # executor that shipped them is gone; rebuild them before a
             # fresh executor snapshots coordinator shards for adoption.
-            # (A live executor needs no rebuild: its workers - and its
-            # own flushed-state cache - hold every state newer than the
-            # coordinator's objects.)
+            # (A live executor needs no rebuild: its workers hold every
+            # state newer than the coordinator's objects.)
             self._materialize()
         shard = self._next_shard
         self._next_shard = (shard + 1) % self._coordinator.num_shards

@@ -44,7 +44,7 @@ class MergeUnsupportedError(ReproError, RuntimeError):
 class ExecutorError(ReproError, RuntimeError):
     """A shard executor's worker failed or became unusable.
 
-    Raised when a thread/process shard worker hit an exception while
+    Raised when a process or remote shard worker hit an exception while
     ingesting a chunk (the original traceback is embedded in the
     message), when a worker process died unexpectedly, or when work is
     submitted to a closed executor.

@@ -329,7 +329,7 @@ class TestPipelineCommand:
         x, y = (float(v) for v in sample_line.split(","))
         assert y == 0.0 and 0.0 <= x <= 200.0
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process", "remote"])
     def test_parallel_executors_match_serial_output(
         self, csv_file, executor
     ):

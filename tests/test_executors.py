@@ -1,4 +1,4 @@
-"""Executor-equivalence matrix: serial vs thread vs process pipelines.
+"""Executor-equivalence matrix: serial vs process vs remote pipelines.
 
 The contract (see :mod:`repro.engine.executors`): *where* shard work
 runs is never observable in pipeline state.  For the same spec and the
@@ -25,11 +25,9 @@ from repro.engine import state_fingerprint
 from repro.engine import executors as executors_module
 from repro.engine.executors import (
     EXECUTOR_NAMES,
-    TRANSPORT_NAMES,
     DeferredStates,
     ProcessShardExecutor,
     _owned_chunk,
-    _owned_shards,
     _resolve_workers,
     resolve_state,
 )
@@ -58,6 +56,15 @@ def make_pipeline(
         num_workers=workers,
     )
     return build("batch-pipeline", spec)
+
+
+def drain_into(coordinator, executor):
+    """Drain ``executor`` and restore every shipped state."""
+    for shard_id, state in executor.drain():
+        if state is not None:
+            coordinator.restore_shard(
+                shard_id, resolve_state(shard_id, state)
+            )
 
 
 class TestExecutorEquivalenceMatrix:
@@ -123,7 +130,7 @@ class TestExecutorEquivalenceMatrix:
         finally:
             resumed.close()
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process", "remote"])
     def test_ingestion_continues_after_close(self, executor):
         stream = group_stream(200, seed=7)
         serial = make_pipeline("serial")
@@ -142,8 +149,8 @@ class TestExecutorEquivalenceMatrix:
 class TestCallerBufferReuse:
     """Regression: asynchronous executors must own their chunks.  A
     caller that reuses (clears/refills) one batch buffer across submits
-    worked with the serial executor but shipped mutated data to thread/
-    process workers before the copy-on-submit fix."""
+    worked with the serial executor but shipped mutated data to
+    parallel workers before the copy-on-submit fix."""
 
     @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
     def test_reused_batch_buffer_is_safe(self, executor):
@@ -164,7 +171,7 @@ class TestCallerBufferReuse:
 
 
 class TestExecutorFailures:
-    @pytest.mark.parametrize("executor", ["thread", "process", "remote"])
+    @pytest.mark.parametrize("executor", ["process", "remote"])
     def test_worker_failure_surfaces_at_sync(self, executor):
         pipeline = make_pipeline(executor)
         pipeline.extend(group_stream(64, seed=1))
@@ -202,42 +209,23 @@ class TestExecutorFailures:
 
 
 class TestTransportMatrix:
-    """Every transport and scheduling mode is state-unobservable."""
+    """Every per-chunk payload kind is state-unobservable."""
 
-    @pytest.mark.parametrize("transport", TRANSPORT_NAMES)
-    @pytest.mark.parametrize(
-        "work_stealing", [True, False], ids=["stealing", "static"]
-    )
-    def test_fingerprint_identical_across_transports(
-        self, transport, work_stealing
-    ):
+    def test_shm_transport_fingerprint_identical_to_serial(self):
         stream = group_stream(300, seed=17)
         serial = make_pipeline("serial")
         serial.extend(stream)
-        spec = PipelineSpec(
-            alpha=1.0,
-            dim=1,
-            seed=13,
-            num_shards=3,
-            batch_size=32,
-            executor="process",
-            num_workers=2,
-            transport=transport,
-            work_stealing=work_stealing,
-        )
-        with build("batch-pipeline", spec) as twin:
+        with make_pipeline("process") as twin:
             twin.extend(stream)
-            stats = twin.executor_stats()
             assert state_fingerprint(twin) == state_fingerprint(serial)
-        if transport == "pickle":
-            # The legacy transport is forced for every chunk.
-            assert stats["pickle_chunks"] == stats["chunks"] > 0
-            assert stats["shm_chunks"] == 0
+            stats = twin.executor_stats()  # after the drain dispatched all
+        assert stats["shm_chunks"] == stats["chunks"] > 0
+        assert stats["pickle_chunks"] == 0
 
     def test_pickle_fallback_for_streampoint_chunks(self):
         # StreamPoints are not sequences, so ``np.asarray`` rejects the
-        # chunk and ``auto`` falls back to the pickle transport for
-        # exactly those chunks - fingerprint-identical either way.
+        # chunk and the executor falls back to pickling exactly those
+        # chunks - fingerprint-identical either way.
         from repro.streams import StreamPoint
 
         raw = group_stream(160, seed=23)
@@ -255,11 +243,7 @@ class TestTransportMatrix:
         try:
             for chunk in chunks:
                 executor.submit(0, chunk)
-            for shard_id, state in executor.drain():
-                if state is not None:
-                    parallel.restore_shard(
-                        shard_id, resolve_state(shard_id, state)
-                    )
+            drain_into(parallel, executor)
             stats = executor.stats()
         finally:
             executor.close()
@@ -267,51 +251,42 @@ class TestTransportMatrix:
         assert stats["shm_chunks"] == 0
         assert state_fingerprint(parallel) == state_fingerprint(serial)
 
-    def test_invalid_transport_rejected(self):
-        with pytest.raises(ParameterError, match="transport"):
-            PipelineSpec(alpha=1.0, dim=1, transport="carrier-pigeon")
+    def test_array_payload_when_no_shm_slot_is_free(self):
+        """With every pool slot held, chunks ship as pickled arrays.
 
-
-class TestWorkStealing:
-    def test_forced_migration_preserves_shard_fifo(self, monkeypatch):
-        """Drive the scheduler into stealing and prove equivalence.
-
-        Depth 1 plus a steal threshold of 1 makes the second submit to
-        a single hot shard migrate it to the idle worker (the hot
-        worker is at its depth limit while the other starves), so the
-        migration path - release, flushed state hand-off, re-adoption
-        with the next sequence number - is exercised deterministically
-        rather than by benchmark-scale luck.
+        Two workers at depth 4 get a 10-slot pool.  Each submitted view
+        aliases the caller's array, so it is written into a slot at
+        submit time.  Stopping shard 0's owner pins the slots of its
+        ten chunks; the mixed tail then finds the pool empty and takes
+        the ``"array"`` payload - fingerprint-identical to serial.
         """
-        monkeypatch.setattr(executors_module, "_DISPATCH_DEPTH", 1)
-        monkeypatch.setattr(executors_module, "_STEAL_MIN_PENDING", 1)
-        chunks = [group_stream(200, seed=seed, groups=8) for seed in range(10)]
+        rows = np.array(group_stream(1200, seed=37), dtype=np.float64)
+        views = [rows[i : i + 40] for i in range(0, len(rows), 40)]
+        shard_ids = [0] * 10 + [i % 2 for i in range(20)]
 
         serial = DistributedRobustSampler(1.0, 1, num_shards=2, seed=5)
-        for chunk in chunks:
-            serial.route_many(chunk, 0)
+        for shard_id, view in zip(shard_ids, views):
+            serial.route_many(view, shard_id)
 
         parallel = DistributedRobustSampler(1.0, 1, num_shards=2, seed=5)
         executor = ProcessShardExecutor(parallel, num_workers=2)
         try:
-            for chunk in chunks:
-                executor.submit(0, chunk)
-            for shard_id, state in executor.drain():
-                if state is not None:
-                    parallel.restore_shard(
-                        shard_id, resolve_state(shard_id, state)
-                    )
-            migrations = executor.stats()["migrations"]
+            executor.submit(0, views[0])
+            pid = executor._workers[executor._owner[0]].pid
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                for shard_id, view in zip(shard_ids[1:], views[1:]):
+                    executor.submit(shard_id, view)
+            finally:
+                os.kill(pid, signal.SIGCONT)
+            drain_into(parallel, executor)
+            stats = executor.stats()
         finally:
             executor.close()
-        assert migrations >= 1
+        assert stats["chunks"] == len(views)
+        assert stats["array_chunks"] > 0
+        assert stats["pickle_chunks"] == 0
         assert state_fingerprint(parallel) == state_fingerprint(serial)
-
-    def test_single_worker_never_migrates(self):
-        with make_pipeline("process", workers=1) as pipeline:
-            pipeline.extend(group_stream(240, seed=9))
-            stats = pipeline.executor_stats()
-        assert stats["migrations"] == 0
 
 
 class TestDrainStallDetection:
@@ -400,16 +375,6 @@ class TestOwnedChunk:
 
 
 class TestWorkerMapping:
-    def test_striping_covers_all_shards_exactly_once(self):
-        for shards in (1, 3, 5, 8):
-            for workers in (1, 2, 3, shards):
-                owned = [
-                    shard
-                    for worker in range(workers)
-                    for shard in _owned_shards(worker, shards, workers)
-                ]
-                assert sorted(owned) == list(range(shards))
-
     def test_workers_capped_at_shards(self):
         assert _resolve_workers(None, 3) == 3
         assert _resolve_workers(8, 3) == 3

@@ -323,6 +323,78 @@ class TestLegacySlidingLayout:
         assert state_fingerprint(again) == state_fingerprint(sampler)
 
 
+class TestLegacyPipelineCheckpoint:
+    """Pipeline checkpoints written before the ``thread`` executor and
+    the process executor's ``transport``/``work_stealing`` options were
+    retired must still restore: the spec loses the two retired fields
+    and ``"thread"`` becomes ``"serial"`` (both ingest in-process, and
+    executor choice is state-unobservable).
+
+    ``tests/data/legacy_pipeline_checkpoint.json`` was generated by the
+    earlier code (run from the repository root)::
+
+        spec = PipelineSpec(alpha=1.0, dim=1, num_shards=3,
+                            batch_size=16, seed=20261017,
+                            executor="thread", num_workers=2,
+                            transport="pickle", work_stealing=False)
+        with BatchPipeline(spec=spec) as pipeline:
+            pipeline.extend(line_stream(200, seed=171717, groups=12)[:120])
+            envelope = summary_to_state(pipeline)
+        print(json.dumps(envelope))
+    """
+
+    CHECKPOINT = (
+        Path(__file__).parent / "data" / "legacy_pipeline_checkpoint.json"
+    )
+    RETIRED = ("transport", "work_stealing")
+
+    @staticmethod
+    def legacy_stream():
+        return line_stream(200, seed=171717, groups=12)
+
+    def restored(self):
+        envelope = json.loads(self.CHECKPOINT.read_text())
+        assert envelope["state"]["spec"]["executor"] == "thread"
+        return summary_from_state(envelope)
+
+    def serial_twin(self, points):
+        pipeline = build(
+            "batch-pipeline", alpha=1.0, dim=1, num_shards=3,
+            batch_size=16, seed=20261017, num_workers=2,
+        )
+        pipeline.extend(points)
+        return pipeline
+
+    def test_legacy_spec_maps_to_serial(self):
+        pipeline = self.restored()
+        assert pipeline.points_seen == 120
+        assert pipeline.spec.executor == "serial"
+        assert pipeline.spec.num_workers == 2
+
+    def test_legacy_restore_matches_serial_and_continues(self):
+        stream = self.legacy_stream()
+        pipeline = self.restored()
+        twin = self.serial_twin(stream[:120])
+        assert state_fingerprint(pipeline) == state_fingerprint(twin)
+        pipeline.extend(stream[120:])
+        twin.extend(stream[120:])
+        assert pipeline.points_seen == 200
+        assert state_fingerprint(pipeline) == state_fingerprint(twin)
+
+    def test_reserialising_drops_retired_fields(self):
+        reserialized = json.loads(
+            json.dumps(summary_to_state(self.restored()))
+        )
+        spec_state = reserialized["state"]["spec"]
+        assert spec_state["executor"] == "serial"
+        for retired in self.RETIRED:
+            assert retired not in spec_state
+        again = summary_from_state(reserialized)
+        assert state_fingerprint(again) == state_fingerprint(
+            self.restored()
+        )
+
+
 class TestBytesEnvelopes:
     """dumps_summary / loads_summary: the filesystem-free envelope twins."""
 

@@ -204,7 +204,7 @@ class TestExecutorEquivalenceProperties:
             ),
         )
 
-    @pytest.mark.parametrize("executor", ["thread", "process", "remote"])
+    @pytest.mark.parametrize("executor", ["process", "remote"])
     @given(
         bursts=BURSTS,
         seed=SEEDS,

@@ -47,6 +47,7 @@ from repro.backends.lease import (
     renew_lease,
 )
 from repro.engine import BatchPipeline, run_resumable, state_fingerprint
+from repro.engine.executors import _REMOTE_FLUSH_CHUNKS
 from repro.engine.queue import RemoteQueue, decode_chunk, encode_chunk
 from repro.engine.remote_worker import run_worker
 from repro.errors import CASConflictError, ExecutorError, ParameterError
@@ -346,12 +347,12 @@ class TestRemoteMatchesSerial:
         with pytest.raises(ParameterError, match="queue_backend"):
             pipeline_spec(queue_backend="warp")
         with pytest.raises(ParameterError, match="remote"):
-            pipeline_spec("thread", queue_key="q")
+            pipeline_spec("process", queue_key="q")
         # num_workers=0 is remote-only (external workers): everyone
         # else still needs at least one.
         assert pipeline_spec(num_workers=0).num_workers == 0
         with pytest.raises(ParameterError, match="num_workers"):
-            pipeline_spec("thread", num_workers=0)
+            pipeline_spec("process", num_workers=0)
 
 
 # --------------------------------------------------------------------- #
@@ -488,7 +489,9 @@ class TestWorkerChaos:
             # critical section - which would wedge the flock for the
             # thief and the submitter alike.
             total_chunks = math.ceil(len(stream) / BATCH)
-            flushed = (total_chunks // 8) * 8  # flush_chunks batches
+            flushed = (
+                total_chunks // _REMOTE_FLUSH_CHUNKS
+            ) * _REMOTE_FLUSH_CHUNKS
             self.wait_for(
                 lambda: self.progress(reader, "chaos-stop") >= flushed
             )

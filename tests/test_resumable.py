@@ -191,23 +191,23 @@ class TestKilledAndResumed:
     def test_parallel_executor_checkpoints_are_synchronised(
         self, backend
     ):
-        """A thread-executor run checkpoints synchronised (drained)
+        """A process-executor run checkpoints synchronised (drained)
         states: killing it and resuming still lands fingerprint-equal
         to an uninterrupted serial run."""
-        threaded = spec(executor="thread", num_workers=2)
+        parallel = spec(executor="process", num_workers=2)
         serial_run = BatchPipeline(spec=spec())
         serial_run.extend(stream())
         serial_run.close()
         with pytest.raises(ExplodingStream.Boom):
             run_resumable(
-                threaded,
+                parallel,
                 ExplodingStream(stream(), BATCH * 9 + 5),
                 backend,
                 "job",
                 checkpoint_every=2,
             )
         resumed = run_resumable(
-            threaded, stream(), backend, "job", checkpoint_every=2
+            parallel, stream(), backend, "job", checkpoint_every=2
         )
         assert state_fingerprint(resumed) == state_fingerprint(serial_run)
 

@@ -939,7 +939,7 @@ class TestPipelineTenants:
             "spec",
             PipelineSpec(
                 alpha=1.0, dim=1, seed=11, num_shards=2, batch_size=8,
-                executor="thread", num_workers=2,
+                executor="process", num_workers=2,
             ),
         )
         overrides.setdefault("lock_shards", 4)

@@ -175,20 +175,18 @@ class TestSpawnContext:
         )
         serial = build("batch-pipeline", spec)
         serial.extend(stream)
-        for transport in ("auto", "pickle"):
-            twin_spec = PipelineSpec(
-                alpha=1.0,
-                dim=1,
-                seed=13,
-                num_shards=3,
-                batch_size=32,
-                executor="process",
-                num_workers=2,
-                transport=transport,
-            )
-            with build("batch-pipeline", twin_spec) as twin:
-                twin.extend(stream)
-                assert state_fingerprint(twin) == state_fingerprint(serial)
+        twin_spec = PipelineSpec(
+            alpha=1.0,
+            dim=1,
+            seed=13,
+            num_shards=3,
+            batch_size=32,
+            executor="process",
+            num_workers=2,
+        )
+        with build("batch-pipeline", twin_spec) as twin:
+            twin.extend(stream)
+            assert state_fingerprint(twin) == state_fingerprint(serial)
 
     def test_direct_drain_resolves_under_spawn(self, monkeypatch):
         monkeypatch.setattr(
