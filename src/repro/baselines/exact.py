@@ -11,9 +11,15 @@ space baseline for the experiments.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from repro.core.base import StreamSampler, coerce_point
+from repro.core.base import (
+    DEFAULT_BATCH_SIZE,
+    StreamSampler,
+    chunked,
+    coerce_point,
+)
+from repro.core.chunk_geometry import validate_chunk
 from repro.errors import EmptySampleError, ParameterError
 from repro.geometry.distance import within_distance
 from repro.geometry.grid import Grid
@@ -91,7 +97,7 @@ class ExactDistinctSampler(StreamSampler):
 
     def insert(self, point: StreamPoint | Sequence[float]) -> None:
         """Store the point as a new representative unless one is nearby."""
-        p = coerce_point(point, self._count)
+        p = coerce_point(point, self._count, self._grid)
         self._count += 1
         cell = self._grid.cell_of(p.vector)
         for neighbour in self._neighbour_cells(cell):
@@ -100,6 +106,22 @@ class ExactDistinctSampler(StreamSampler):
                     return
         self._buckets.setdefault(cell, []).append(p)
         self._representatives.append(p)
+
+    def process_many(
+        self, points: Iterable[StreamPoint | Sequence[float]]
+    ) -> int:
+        """Batched :meth:`insert`, validated whole first: an invalid
+        chunk changes nothing.  A non-materialised iterable is streamed
+        in chunks of :data:`~repro.core.base.DEFAULT_BATCH_SIZE`."""
+        if not isinstance(points, (list, tuple)):
+            return sum(
+                self.process_many(chunk)
+                for chunk in chunked(points, DEFAULT_BATCH_SIZE)
+            )
+        validate_chunk(self._grid, points)
+        for point in points:
+            self.insert(point)
+        return len(points)
 
     def sample(self, rng: random.Random | None = None) -> StreamPoint:
         """Uniformly random group representative."""

@@ -37,10 +37,11 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from repro.errors import ParameterError
+from repro.errors import DimensionMismatchError, ParameterError
 from repro.geometry.adjacency import collect_adjacent
 from repro.geometry.distance import within_distance
 from repro.geometry.grid import Cell, Grid
+from repro.geometry.kernels import COORD_LIMIT
 from repro.hashing.kwise import KWiseHash
 from repro.hashing.sampling import SamplingHash
 from repro.streams.point import StreamPoint
@@ -100,10 +101,20 @@ class StreamSampler:
     :meth:`process_many` (one batch) with a specialised hot path.  The
     batched-ingestion contract, enforced by ``tests/test_engine.py``:
 
-        ``process_many(batch)`` must leave the sampler in a state
-        identical to ``for p in batch: insert(p)`` - same records, same
-        rates, same counters, same RNG states - for every batch size,
-        including singleton and empty batches.
+        ``process_many(batch)`` of a valid batch must leave the sampler
+        in a state identical to ``for p in batch: insert(p)`` - same
+        records, same rates, same counters, same RNG states - for every
+        batch size, including singleton and empty batches.
+
+        An invalid batch (a point that does not coerce to floats, has
+        the wrong dimension, arrives out of window order, or has no
+        grid cell the int64 path can carry) raises
+        :class:`~repro.errors.ParameterError` naming the offending
+        position and leaves the state unchanged, and so does ``insert``
+        of an invalid point.  "Batch" means one materialised
+        ``process_many`` chunk; :meth:`extend` and streamed iterables
+        are all-or-nothing per chunk.  The item sketches, which hash
+        arbitrary items, validate nothing.
 
     Equivalently: batching is an *implementation detail of throughput*,
     never observable in sampler output.  The default ``process_many``
@@ -853,76 +864,71 @@ class CandidateStore:
         return total
 
 
-def feed_copies(copies: Sequence, chunk: Sequence[StreamPoint]) -> None:
-    """Feed a materialised chunk to independent sampler copies.
+def invalid_point(
+    position: int, reason: str, kind: type[ParameterError] = ParameterError
+) -> ParameterError:
+    """The ingestion error for the point at ``position`` of a batch: one
+    message shape (position plus reason) for every validating surface."""
+    return kind(f"batch rejected, nothing ingested - point {position} {reason}")
 
-    Preserves per-point error semantics across copies: per-point
-    ingestion gives every copy the same prefix before an invalid point
-    raises, so if the first copy rejects a point mid-chunk, the other
-    copies receive exactly the prefix it ingested before the error is
-    re-raised.  (The rejection is deterministic per point - dimension or
-    window-order checks - so the other copies accept that prefix.)
+
+def check_vector(grid: Grid, vector: Sequence[float], position: int = 0) -> None:
+    """Raise unless ``vector`` is a point of ``grid``'s space with a cell.
+
+    The scalar cell check: the dimension must match, and every
+    coordinate must be a finite number whose cell index
+    ``(x - offset) // side`` - the floor division of :meth:`Grid.cell_of`
+    and of the vectorised check - stays below
+    :data:`repro.geometry.kernels.COORD_LIMIT` in magnitude.
     """
-    first = copies[0]
-    before = first.points_seen
-    try:
-        first.process_many(chunk)
-    except BaseException:
-        prefix = first.points_seen - before
-        for copy in copies[1:]:
-            copy.process_many(chunk[:prefix])
-        raise
-    for copy in copies[1:]:
-        copy.process_many(chunk)
-
-
-def materialize_and_feed(
-    copies: Sequence, points: Iterable[StreamPoint | Sequence[float]]
-) -> int:
-    """Shared batch path of the multi-copy wrappers (k-sample, F0).
-
-    Raw coordinates are materialised once into :class:`StreamPoint`
-    objects - all copies must agree on arrival indices, exactly as the
-    wrappers' per-point ``insert`` arranges - then every copy ingests
-    the shared chunk through its own specialised path.  Copies are
-    independent, so chunk-at-a-time feeding leaves the same final state
-    as point-interleaved feeding; error semantics also match per-point
-    ingestion: if materialisation rejects a coordinate (non-numeric) or
-    a copy rejects a point (dimension, window order), every copy ends up
-    with exactly the valid prefix before the error propagates.
-
-    Returns the number of points ingested.
-    """
-    index = copies[0].points_seen
-    chunk: list[StreamPoint] = []
-    append = chunk.append
-    try:
-        for point in points:
-            if isinstance(point, StreamPoint):
-                append(point)
-            else:
-                append(StreamPoint(tuple(float(x) for x in point), index))
-            index += 1
-    except BaseException:
-        # Per-point ingestion would have fed the valid prefix to every
-        # copy before hitting the bad coordinate; match that exactly.
-        feed_copies(copies, chunk)
-        raise
-    feed_copies(copies, chunk)
-    return len(chunk)
+    if len(vector) != grid.dim:
+        raise invalid_point(
+            position,
+            f"has dimension {len(vector)}, expected {grid.dim}",
+            DimensionMismatchError,
+        )
+    side = grid.side
+    for x, o in zip(vector, grid.offset):
+        try:
+            cell = (x - o) // side
+        except (TypeError, OverflowError) as error:
+            raise invalid_point(
+                position, f"has a non-float coordinate {x!r}"
+            ) from error
+        if not -COORD_LIMIT < cell < COORD_LIMIT:
+            if math.isfinite(x):
+                raise invalid_point(
+                    position,
+                    f"has coordinate {x!r}, whose grid cell is beyond the "
+                    "int64 range (|index| >= 2^62)",
+                )
+            raise invalid_point(position, f"has a non-finite coordinate {x!r}")
 
 
 def coerce_point(
-    value: StreamPoint | Sequence[float], next_index: int
+    value: StreamPoint | Sequence[float],
+    next_index: int,
+    grid: Grid | None = None,
 ) -> StreamPoint:
     """Accept either a StreamPoint or raw coordinates.
 
     Raw coordinates receive the sampler's running arrival index (and a
-    matching timestamp).
+    matching timestamp).  With ``grid`` the point is also validated
+    (:func:`check_vector`), so an ``insert`` that coerces first rejects
+    a bad point before it touches any state.
     """
     if isinstance(value, StreamPoint):
-        return value
-    return StreamPoint(tuple(map(float, value)), next_index)
+        point = value
+    else:
+        try:
+            point = StreamPoint(tuple(map(float, value)), next_index)
+        except (TypeError, ValueError, OverflowError) as error:
+            raise invalid_point(
+                0, f"is not a sequence of numbers ({error})"
+            ) from error
+    if grid is not None:
+        check_vector(grid, point.vector)
+    return point
 
 
 @dataclass

@@ -26,14 +26,19 @@ to the scalar computations of ``insert`` (enforced by
 ``ChunkGeometry`` remains ``state_fingerprint``-equivalent to per-point
 ingestion.
 
+This module is also the ingestion boundary (:func:`validate_chunk`,
+:func:`prepare_chunk`): a whole chunk is checked before anything
+mutates - float coercion, dimension, window order and a cell the int64
+path can carry - and one :class:`~repro.errors.ParameterError` names
+the first offending position.  A batch is ingested whole or not at all.
+
 Every batched ``process_many`` has exactly one ingestion path per point:
-:func:`prepare_chunk` materialises the chunk and supplies its geometry,
-the loop runs over the prefix the geometry covers, and every point it
-does not cover - a chunk below :data:`MIN_VECTOR_CHUNK`, or the tail
-from the first point the int64 path cannot carry - goes through the
-sampler's own ``insert``, one point at a time.  ``insert`` is the oracle
-the batch paths are checked against, so no loop carries a second,
-inlined scalar cell/hash computation.
+:func:`prepare_chunk` validates the chunk and supplies its geometry, and
+the loop runs over the whole chunk; a chunk below
+:data:`MIN_VECTOR_CHUNK` gets no geometry and goes through the sampler's
+own ``insert``, one point at a time.  ``insert`` is the oracle the batch
+paths are checked against, so no loop carries a second, inlined scalar
+cell/hash computation.
 
 This is the leaf home of the engine-facing
 :func:`repro.engine.batching.compute_chunk_geometry` (the core package
@@ -43,15 +48,23 @@ cannot import the engine without a cycle, exactly like
 
 from __future__ import annotations
 
+import math
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.base import _CELL_MEMO_LIMIT, SamplerConfig
+from repro.core.base import (
+    _CELL_MEMO_LIMIT,
+    SamplerConfig,
+    check_vector,
+    invalid_point,
+)
+from repro.errors import DimensionMismatchError
 from repro.geometry import kernels
-from repro.geometry.grid import Cell
+from repro.geometry.grid import Cell, Grid
 from repro.streams.point import StreamPoint
+from repro.streams.windows import WindowSpec
 
 #: Chunks smaller than this get no geometry and are ingested point by
 #: point through ``insert``: the fixed cost of array construction would
@@ -117,16 +130,13 @@ class ChunkGeometry:
     points (the hot loops index it directly), cell *tuples* are built
     lazily per point (:meth:`cell_at` - only candidate foundings and the
     dim<=2 ignore filter ever need them), and the arrays behind the
-    other lazy products are kept private.  ``n`` may be *shorter* than
-    the chunk when a point's coordinates cannot be carried in the int64
-    vector path (non-finite, or beyond ``2^62`` cells): consumers feed
-    the points from there on to ``insert``, which reproduces the
-    per-point error semantics exactly.
+    other lazy products are kept private.  A geometry always covers its
+    whole chunk (``n`` points): the builders validate every cell first
+    and raise rather than build a partial one.
 
     ``source_vectors``/``pure_coords`` carry the chunk's *coercion*
     result when the builder performed one: ``source_vectors`` is the
-    full chunk's coerced float tuples (covering the whole chunk even
-    when ``n`` was truncated) and ``pure_coords`` is ``True`` only when
+    chunk's coerced float tuples and ``pure_coords`` is ``True`` only when
     every source element was a raw coordinate row (no
     :class:`~repro.streams.point.StreamPoint`, whose arrival metadata a
     reuse would lose).  :func:`materialize_chunk` uses the pair to skip
@@ -201,14 +211,14 @@ class ChunkGeometry:
         Guards the ``process_many(..., geometry=...)`` surface against a
         caller handing a geometry built for a *different* chunk (a stale
         variable, a retry loop reusing the previous precompute): the
-        config must be the same object, the covered prefix must fit, and
-        the covered endpoints must be the very vectors of the chunk.
+        config must be the same object, the lengths must match, and the
+        endpoints must be the very vectors of the chunk.
         Rejection is cheap and safe - the consumer just recomputes.
         (NaN endpoints fail the equality check and force a recompute,
         which is the conservative direction.)
         """
         n = self.n
-        if config is not self.config or n > len(vectors):
+        if config is not self.config or n != len(vectors):
             return False
         own = self._vectors
         if vectors is own:
@@ -369,6 +379,51 @@ class ChunkGeometry:
         return True
 
 
+def _check_vectors(grid: Grid, vectors: Sequence[tuple[float, ...]]) -> None:
+    """The scalar cell check, point by point (:func:`check_vector`)."""
+    for position, vector in enumerate(vectors):
+        check_vector(grid, vector, position)
+
+
+def _valid_cells(
+    grid: Grid, array: "np.ndarray"
+) -> tuple["np.ndarray", "np.ndarray"]:
+    """The vectorised cell check: ``(shifted, cells_f)`` of a valid array.
+
+    Every cell coordinate must be below
+    :data:`~repro.geometry.kernels.COORD_LIMIT` in magnitude (NaN fails
+    the comparison too); the first failing row goes to
+    :func:`~repro.core.base.check_vector`, which raises the scalar
+    path's error for it, so the two checks agree point for point.
+    """
+    shifted = array - np.array(grid.offset, dtype=np.float64)
+    cells_f = kernels.cell_coords_chunk(shifted, grid.side)
+    with np.errstate(invalid="ignore"):
+        good = np.abs(cells_f) < kernels.COORD_LIMIT
+    if not good.all():
+        position = int(np.argmin(good.all(axis=1)))
+        check_vector(grid, tuple(array[position].tolist()), position)
+        raise AssertionError("vector and scalar cell checks disagree")
+    return shifted, cells_f
+
+
+def _chunk_array(grid: Grid, vectors: Sequence[tuple[float, ...]]) -> "np.ndarray":
+    """Dimension-checked vectors as an ``(n, dim)`` float64 array.
+
+    ``fromiter`` over a flattened view beats ``np.array`` on a list of
+    tuples by ~2x.
+    """
+    total, dim = len(vectors), grid.dim
+    try:
+        return np.fromiter(
+            chain.from_iterable(vectors), np.float64, count=total * dim
+        ).reshape(total, dim)
+    except (TypeError, ValueError):
+        # A StreamPoint built around non-numeric values: name it.
+        _check_vectors(grid, vectors)
+        raise
+
+
 def _geometry_from_array(
     config: SamplerConfig,
     vectors: Sequence[tuple[float, ...]],
@@ -376,40 +431,18 @@ def _geometry_from_array(
     *,
     source_vectors: list[tuple[float, ...]] | None = None,
     pure_coords: bool = False,
-) -> ChunkGeometry | None:
-    """Shared builder core over a prebuilt ``(total, dim)`` float array."""
-    grid = config.grid
-    total = len(vectors)
-    shifted = array - np.array(grid.offset, dtype=np.float64)
-    cells_f = kernels.cell_coords_chunk(shifted, grid.side)
-    with np.errstate(invalid="ignore"):
-        good = np.all(
-            np.isfinite(cells_f) & (np.abs(cells_f) < kernels.COORD_LIMIT),
-            axis=1,
-        )
-    if bool(good.all()):
-        n = total
-    else:
-        # Truncate at the first point the int64 path cannot carry; the
-        # consumer feeds the tail to insert(), which reproduces the exact
-        # behaviour (including the exception for non-finite coordinates).
-        n = int(np.argmin(good))
-        if n < MIN_VECTOR_CHUNK:
-            return None
-        shifted = shifted[:n]
-        cells_f = cells_f[:n]
+) -> ChunkGeometry:
+    """Builder core over a prebuilt ``(total, dim)`` float array; checks
+    every cell (:func:`_valid_cells`) before building anything."""
+    shifted, cells_f = _valid_cells(config.grid, array)
     coords = cells_f.astype(np.int64)
-    cell_hashes = _hash_cells_list(config, coords)
     return ChunkGeometry(
         config,
-        # Keep the caller's list object when it is fully covered so the
-        # ``valid_for``/``_reusable_vectors`` identity fast paths can
-        # hit (a full-length slice would copy).
-        vectors if n == total else vectors[:n],
+        vectors,
         shifted,
         cells_f,
         coords,
-        cell_hashes,
+        _hash_cells_list(config, coords),
         source_vectors=source_vectors,
         pure_coords=pure_coords,
     )
@@ -422,58 +455,57 @@ def compute_chunk_geometry(
     source_vectors: list[tuple[float, ...]] | None = None,
     pure_coords: bool = False,
 ) -> ChunkGeometry | None:
-    """Build the chunk's :class:`ChunkGeometry`, or ``None``.
+    """Check the chunk's cells and build its :class:`ChunkGeometry`.
 
     ``vectors`` must all have the config's dimension (the materialising
-    callers guarantee it).  Returns ``None`` when the chunk is too small
-    to amortise the array setup, or when fewer than
-    :data:`MIN_VECTOR_CHUNK` leading points are vectorisable - the batch
-    loops then feed the whole chunk to ``insert``.
+    callers guarantee it).  Raises :class:`~repro.errors.ParameterError`
+    for the first point without a carriable cell.  A chunk below
+    :data:`MIN_VECTOR_CHUNK` is checked point by point and gets no
+    geometry (``None``): the array setup would cost more than it saves.
 
     ``source_vectors``/``pure_coords`` are recorded on the geometry for
     :func:`materialize_chunk`'s coercion-reuse fast path (see
     :class:`ChunkGeometry`); builders that coerced the whole chunk
     themselves pass them so downstream materialisation is free.
     """
-    total = len(vectors)
-    if total < MIN_VECTOR_CHUNK:
+    if len(vectors) < MIN_VECTOR_CHUNK:
+        _check_vectors(config.grid, vectors)
         return None
-    dim = config.dim
-    # fromiter over a flattened view beats np.array on a list of tuples
-    # by ~2x; the callers guarantee rectangular input of width dim.
-    array = np.fromiter(
-        chain.from_iterable(vectors), np.float64, count=total * dim
-    ).reshape(total, dim)
     return _geometry_from_array(
         config,
         vectors,
-        array,
+        _chunk_array(config.grid, vectors),
         source_vectors=source_vectors,
         pure_coords=pure_coords,
     )
 
 
+def _check_shape(array: "np.ndarray", dim: int) -> None:
+    if array.ndim != 2 or array.shape[1] != dim:
+        raise DimensionMismatchError(
+            f"expected a (n, {dim}) array, got shape {array.shape!r}"
+        )
+
+
 def geometry_from_array(
     config: SamplerConfig, array: "np.ndarray"
 ) -> tuple[list[tuple[float, ...]], ChunkGeometry | None]:
-    """Rebuild a chunk's ``(vectors, geometry)`` from its float array.
+    """Check a chunk's float array and rebuild ``(vectors, geometry)``.
 
-    The zero-copy transport's worker-side entry point: the submitter
-    shipped the chunk as a contiguous ``(n, dim)`` float64 array, so the
-    coerced tuples are recovered with one ``tolist`` pass (value-
+    The worker-side entry point of the array transports (process
+    workers reading shared memory, remote workers decoding a backend
+    payload): the array is validated whole - shape, then every cell -
+    so a worker fed an invalid chunk raises before touching its shard.
+    The coerced tuples are recovered with one ``tolist`` pass (value-
     identical to per-point ``tuple(float(x) for x in row)`` - float64
     round-trips exactly) and the geometry is built without re-flattening
-    through ``fromiter``.  ``geometry`` is ``None`` on the same terms as
-    :func:`compute_chunk_geometry` (chunk below :data:`MIN_VECTOR_CHUNK`,
-    unvectorisable prefix); ``vectors`` always
-    covers the full chunk.  The returned geometry carries the vectors as
-    its coercion source (``pure_coords``), so the consuming sampler's
+    through ``fromiter``.  ``geometry`` is ``None`` for a chunk below
+    :data:`MIN_VECTOR_CHUNK`.  The geometry carries the vectors as its
+    coercion source (``pure_coords``), so the consuming sampler's
     materialisation reuses them instead of coercing again.
     """
-    if array.ndim != 2 or array.shape[1] != config.dim:
-        raise ValueError(
-            f"expected a (n, {config.dim}) array, got shape {array.shape!r}"
-        )
+    _check_shape(array, config.dim)
+    array = np.asarray(array, dtype=np.float64)
     # Tuple recovery off the hot path: per-column tolist then one zip
     # builds every row tuple at C speed - faster than the nested
     # tolist + per-row tuple() and than regrouping a flat tolist
@@ -481,15 +513,50 @@ def geometry_from_array(
     # tolist yields Python floats.
     vectors = list(zip(*array.T.tolist()))
     if len(vectors) < MIN_VECTOR_CHUNK:
+        _valid_cells(config.grid, array)
         return vectors, None
     geometry = _geometry_from_array(
-        config,
-        vectors,
-        np.asarray(array, dtype=np.float64),
-        source_vectors=vectors,
-        pure_coords=True,
+        config, vectors, array, source_vectors=vectors, pure_coords=True
     )
     return vectors, geometry
+
+
+def is_numeric_array(chunk) -> bool:
+    """Whether ``chunk`` is a 2-d numpy array of a numeric dtype, whose
+    float64 cast is element-wise identical to ``float(x)``."""
+    return (
+        isinstance(chunk, np.ndarray)
+        and chunk.ndim == 2
+        and chunk.dtype.kind in "fiub"
+    )
+
+
+def validate_chunk(grid: Grid, chunk: Sequence) -> Sequence:
+    """Validate a whole chunk before anything mutates; returns it to ship.
+
+    The ingestion boundary for callers that build no geometry (the
+    pipeline's worker-side executors, the exact baseline): every point
+    must coerce to floats, have ``grid``'s dimension and a cell the int64
+    path can carry - finite coordinates, ``|(x - offset) // side| <
+    2^62``.  The first offending point raises one
+    :class:`~repro.errors.ParameterError` naming its position and
+    reason.  :func:`prepare_chunk` applies the same checks (plus window
+    order) with the cell check run on the geometry's own arrays.
+
+    Returns the chunk as its validated float64 array when it is made of
+    coordinate rows, so a transport ships it without coercing again;
+    numeric arrays and StreamPoint chunks are returned as given.
+    """
+    if is_numeric_array(chunk):
+        _check_shape(chunk, grid.dim)
+        _valid_cells(grid, np.asarray(chunk, dtype=np.float64))
+        return chunk
+    _, vectors, pure = coerce_rows(chunk, grid.dim)
+    if not vectors:
+        return chunk
+    array = _chunk_array(grid, vectors)
+    _valid_cells(grid, array)
+    return array if pure else chunk
 
 
 def feed_copies_shared(
@@ -497,80 +564,33 @@ def feed_copies_shared(
 ) -> int:
     """Shared-geometry batch path of the multi-copy wrappers (k-sample, F0).
 
-    Like :func:`repro.core.base.materialize_and_feed` - raw coordinates
-    are materialised once into :class:`StreamPoint` objects so all
-    copies agree on arrival indices, then every copy ingests the shared
-    chunk - but the chunk's float coercion and its flattened float64
-    array are computed **once** and each copy's
-    :class:`ChunkGeometry` is derived from that one array.  The grid
-    derivation itself (offset shift, cell coordinates, cell hashing) is
-    necessarily per copy - each copy owns an independently seeded
-    :class:`~repro.core.base.SamplerConfig`, so their grids and hashes
-    differ by construction - but the per-copy ``np.fromiter`` flatten
-    and the per-element ``float()`` coercion the copies would otherwise
-    repeat are gone.
-
-    The shared array is only built when the coerced rows are provably
-    rectangular at the wrappers' dimension (a cheap ``len`` sweep): a
-    ragged chunk falls back to per-copy geometry computation, which
-    reproduces the per-copy dimension-error semantics exactly.  Error
-    semantics match :func:`materialize_and_feed`: a coercion failure or
-    a copy-side rejection leaves every copy with exactly the valid
-    prefix before the error propagates.
-
-    Returns the number of points ingested.
+    Raw coordinates are materialised once into :class:`StreamPoint`
+    objects so all copies agree on arrival indices, and the chunk's
+    float coercion and flattened float64 array are computed **once**;
+    each copy derives its :class:`ChunkGeometry` from that array (the
+    grid products are per copy: each copy owns an independently seeded
+    :class:`~repro.core.base.SamplerConfig`).  Building every copy's
+    geometry is the cell check against every copy's grid, so it all
+    happens before the first copy ingests; window order, identical for
+    copies in lockstep, is checked by the first copy before it mutates.
+    An invalid chunk thus leaves every copy unchanged.  Returns the
+    number of points ingested.
     """
-    index = copies[0].points_seen
-    chunk: list[StreamPoint] = []
-    vectors: list[tuple[float, ...]] = []
-    append_point = chunk.append
-    append_vector = vectors.append
-    error: BaseException | None = None
-    try:
-        for point in points:
-            if isinstance(point, StreamPoint):
-                vector = point.vector
-            else:
-                vector = tuple(float(x) for x in point)
-                point = StreamPoint(vector, index)
-            append_point(point)
-            append_vector(vector)
-            index += 1
-    except BaseException as exc:
-        # Per-point ingestion would have fed the valid prefix to every
-        # copy before hitting the bad coordinate; match that exactly.
-        error = exc
-    total = len(chunk)
-    geometries: list[ChunkGeometry | None] = [None] * len(copies)
-    if total >= MIN_VECTOR_CHUNK:
-        dim = copies[0].dim
-        if all(len(vector) == dim for vector in vectors):
-            array = np.fromiter(
-                chain.from_iterable(vectors), np.float64, count=total * dim
-            ).reshape(total, dim)
-            geometries = [
-                _geometry_from_array(copy._config, vectors, array)
-                for copy in copies
-            ]
     first = copies[0]
-    before = first.points_seen
-    try:
-        first.process_many(chunk, geometry=geometries[0])
-    except BaseException:
-        # First copy rejected a point mid-chunk: the rejection is
-        # deterministic per point, so the other copies accept exactly
-        # the prefix it ingested (their full-chunk geometries cannot
-        # serve the shorter prefix and are dropped - valid_for would
-        # reject them anyway).
-        prefix = first.points_seen - before
-        for copy in copies[1:]:
-            copy.process_many(chunk[:prefix])
-        raise
-    for copy, geometry in zip(copies[1:], geometries[1:]):
+    chunk, vectors = materialize_chunk(points, first.dim, first.points_seen)
+    if len(chunk) >= MIN_VECTOR_CHUNK:
+        array = _chunk_array(first._config.grid, vectors)
+        geometries = [
+            _geometry_from_array(copy._config, vectors, array)
+            for copy in copies
+        ]
+    else:
+        geometries = [
+            compute_chunk_geometry(copy._config, vectors) for copy in copies
+        ]
+    for copy, geometry in zip(copies, geometries):
         copy.process_many(chunk, geometry=geometry)
-    if error is not None:
-        raise error
-    return total
+    return len(chunk)
 
 
 def _reusable_vectors(
@@ -613,124 +633,139 @@ def _reusable_vectors(
     return source
 
 
+def coerce_rows(
+    points: Iterable[StreamPoint | Sequence[float]],
+    dim: int,
+    *,
+    coerce: bool = True,
+) -> tuple[list, list[tuple[float, ...]], bool]:
+    """Coerce and dimension-check a chunk: ``(items, vectors, pure)``.
+
+    ``items`` is the chunk as a list, ``vectors`` each item's float
+    tuple (a :class:`StreamPoint`'s own vector) and ``pure`` whether no
+    item was a StreamPoint.  The first item that is not a sequence of
+    numbers, or has the wrong dimension, raises
+    :class:`~repro.errors.ParameterError` (a
+    :class:`~repro.errors.DimensionMismatchError` for the latter) naming
+    its position.  ``coerce=False`` (the fixed-rate contract) accepts
+    StreamPoints only.
+    """
+    items = points if isinstance(points, list) else list(points)
+    vectors: list[tuple[float, ...]] = []
+    append = vectors.append
+    pure = True
+    for position, point in enumerate(items):
+        if isinstance(point, StreamPoint):
+            pure = False
+            vector = point.vector
+        elif not coerce:
+            raise invalid_point(position, "is not a StreamPoint")
+        else:
+            try:
+                vector = tuple(map(float, point))
+            except (TypeError, ValueError, OverflowError) as error:
+                raise invalid_point(
+                    position, f"is not a sequence of numbers ({error})"
+                ) from error
+        if len(vector) != dim:
+            raise invalid_point(
+                position,
+                f"has dimension {len(vector)}, expected {dim}",
+                DimensionMismatchError,
+            )
+        append(vector)
+    return items, vectors, pure
+
+
 def materialize_chunk(
     points: Iterable[StreamPoint | Sequence[float]],
     dim: int,
     next_index: int,
-    dim_error: Callable[[int], Exception],
     *,
     coerce: bool = True,
     geometry: ChunkGeometry | None = None,
-) -> tuple[
-    list[StreamPoint],
-    list[tuple[float, ...]],
-    BaseException | None,
-    StreamPoint | None,
-]:
-    """Materialise a chunk into StreamPoints, stopping at the first bad one.
+    window: WindowSpec | None = None,
+    latest: StreamPoint | None = None,
+) -> tuple[list[StreamPoint], list[tuple[float, ...]]]:
+    """Materialise a chunk into StreamPoints: ``(points, vectors)``.
 
-    Returns ``(points, vectors, error, offender)``.  The valid prefix is
-    complete and dimension-checked; ``error`` is the exception the
-    per-point path would have raised at the first invalid point (a
-    coercion failure, or ``dim_error(actual_dim)`` for a dimension
-    mismatch - ``offender`` then carries the mismatched StreamPoint for
-    callers whose per-point path still evicts with it before raising).
-    The batch paths ingest the prefix first and re-raise ``error``
-    afterwards, which leaves exactly the state per-point ingestion
-    leaves: every point before the failure processed, nothing after it.
+    The row checks of the ingestion boundary: coercion and dimension
+    (:func:`coerce_rows`) and, when ``window`` is given, window order -
+    every point's expiry key at least its predecessor's, the first
+    point's at least ``latest``'s.  The first violation raises
+    :class:`~repro.errors.ParameterError`.
 
     ``geometry`` may pass the chunk's precomputed
     :class:`ChunkGeometry`: when it cached the chunk's own coercion
     (see :func:`_reusable_vectors`) the per-point float coercion is
-    skipped entirely and the StreamPoints are built straight from the
-    cached tuples - a geometry built from coordinate rows guarantees
-    every row coerced and dimension-checked cleanly, so the fast path
-    cannot miss an error the slow path would raise.
-
-    ``coerce=False`` (the fixed-rate contract) requires StreamPoint
-    inputs; raw sequences then fail with the same ``AttributeError`` the
-    per-point path produces.
+    skipped and the StreamPoints are built straight from the cached
+    tuples, which the geometry's builder already checked.
     """
-    if coerce:
-        reused = _reusable_vectors(points, dim, geometry)
-        if reused is not None:
-            return (
-                [
-                    StreamPoint(vector, index)
-                    for index, vector in enumerate(reused, next_index)
-                ],
-                reused,
-                None,
-                None,
-            )
-    materialized: list[StreamPoint] = []
-    vectors: list[tuple[float, ...]] = []
-    error: BaseException | None = None
-    offender: StreamPoint | None = None
-    index = next_index
-    append_point = materialized.append
-    append_vector = vectors.append
-    try:
-        for point in points:
-            if isinstance(point, StreamPoint):
-                vector = point.vector
-                if len(vector) != dim:
-                    error = dim_error(len(vector))
-                    offender = point
-                    break
-            elif coerce:
-                vector = tuple(float(x) for x in point)
-                if len(vector) != dim:
-                    error = dim_error(len(vector))
-                    break
-                point = StreamPoint(vector, index)
-            else:
-                vector = point.vector  # AttributeError, as per-point does
-            append_point(point)
-            append_vector(vector)
-            index += 1
-    except BaseException as exc:  # re-raised by the caller after the prefix
-        error = exc
-    return materialized, vectors, error, offender
+    vectors = _reusable_vectors(points, dim, geometry) if coerce else None
+    pure = True
+    if vectors is None:
+        items, vectors, pure = coerce_rows(points, dim, coerce=coerce)
+    if pure:
+        materialized = [
+            StreamPoint(vector, index)
+            for index, vector in enumerate(vectors, next_index)
+        ]
+    else:
+        materialized = [
+            item if isinstance(item, StreamPoint) else StreamPoint(vector, index)
+            for index, (item, vector) in enumerate(zip(items, vectors), next_index)
+        ]
+    if window is not None:
+        key_of = window.expiry_key
+        previous = key_of(latest) if latest is not None else -math.inf
+        for position, point in enumerate(materialized):
+            key = key_of(point)
+            if key < previous:
+                raise invalid_point(
+                    position,
+                    f"arrives out of window order (expiry key {key} after "
+                    f"{previous})",
+                )
+            previous = key
+    return materialized, vectors
 
 
 def prepare_chunk(
     config: SamplerConfig,
     points: Iterable[StreamPoint | Sequence[float]],
     next_index: int,
-    dim_error: Callable[[int], Exception],
     *,
     coerce: bool = True,
     geometry: ChunkGeometry | None = None,
+    window: WindowSpec | None = None,
+    latest: StreamPoint | None = None,
 ) -> tuple[
     list[StreamPoint],
     list[tuple[float, ...]],
-    BaseException | None,
-    StreamPoint | None,
     ChunkGeometry | None,
     list[int],
 ]:
-    """The shared prologue of the batched ``process_many`` overrides.
+    """The validating prologue of the batched ``process_many`` overrides.
 
-    Materialises the chunk (:func:`materialize_chunk`), keeps a
-    caller-supplied ``geometry`` only if it is
-    :meth:`~ChunkGeometry.valid_for` this chunk, and otherwise computes
-    one.  Returns ``(points, vectors, error, offender, geometry,
-    cell_hashes)``: the first four are :func:`materialize_chunk`'s,
-    ``cell_hashes`` is the geometry's list (empty without a geometry),
-    so ``len(cell_hashes)`` is the covered prefix.  The caller runs its
-    loop over that prefix and feeds ``points[len(cell_hashes):]`` to
-    ``insert``.
+    Checks the whole chunk before the caller mutates anything:
+    :func:`materialize_chunk` (coercion, dimension, window order
+    against ``latest``), then the cells - on a caller-supplied
+    ``geometry`` that is :meth:`~ChunkGeometry.valid_for` this chunk
+    (its builder checked them), else while computing one
+    (:func:`compute_chunk_geometry`).  Returns ``(points, vectors,
+    geometry, cell_hashes)``; ``cell_hashes`` is empty for a chunk below
+    :data:`MIN_VECTOR_CHUNK`, which the caller feeds to ``insert``.
     """
-    pts, vectors, error, offender = materialize_chunk(
+    pts, vectors = materialize_chunk(
         points,
         config.dim,
         next_index,
-        dim_error,
         coerce=coerce,
         geometry=geometry,
+        window=window,
+        latest=latest,
     )
     if geometry is None or not geometry.valid_for(config, vectors):
         geometry = compute_chunk_geometry(config, vectors)
     cell_hashes = geometry.cell_hashes if geometry is not None else []
-    return pts, vectors, error, offender, geometry, cell_hashes
+    return pts, vectors, geometry, cell_hashes

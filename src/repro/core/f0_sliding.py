@@ -100,21 +100,17 @@ class RobustF0EstimatorSW(StreamSampler):
         return self._mode
 
     def insert(self, point: StreamPoint | Sequence[float]) -> None:
-        """Feed one point to every copy."""
-        if not isinstance(point, StreamPoint):
-            point = StreamPoint(
-                tuple(float(x) for x in point), self._copies[0].points_seen
-            )
-        for copy in self._copies:
-            copy.insert(point)
+        """Feed one point to every copy (a one-point :meth:`process_many`:
+        validated against every copy before the first one ingests)."""
+        feed_copies_shared(self._copies, (point,))
 
     def process_many(
         self, points: Iterable[StreamPoint | Sequence[float]]
     ) -> int:
         """Batched :meth:`insert`: materialise once, feed every copy.
 
-        See :func:`~repro.core.chunk_geometry.feed_copies_shared` - the
-        copies stay in lockstep even when a mid-chunk point is invalid,
+        See :func:`~repro.core.chunk_geometry.feed_copies_shared` - an
+        invalid point anywhere in the chunk leaves every copy unchanged,
         the chunk's coercion and float-array flatten are shared, and
         each copy derives its own grid/hash products from the shared
         array (grids/hashes are independent per copy).

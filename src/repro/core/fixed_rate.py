@@ -27,11 +27,12 @@ from repro.core.base import (
     PointContext,
     SamplerConfig,
     StreamSampler,
+    check_vector,
     chunked,
 )
 from repro.core.chunk_geometry import ChunkGeometry, prepare_chunk
 from repro.core.reservoir import WindowReservoir
-from repro.errors import DimensionMismatchError, EmptySampleError, ParameterError
+from repro.errors import EmptySampleError, ParameterError
 from repro.streams.point import StreamPoint
 from repro.streams.windows import WindowSpec
 
@@ -185,12 +186,15 @@ class FixedRateSlidingSampler(StreamSampler):
         updating an existing group or by founding one).  ``ctx`` is the
         point's geometry, possibly enriched with ``adj(p)`` hashes - a
         hierarchy passes it down so the computation happens once per
-        arrival rather than once per level.
+        arrival rather than once per level.  Without ``ctx`` the point is
+        validated (:func:`~repro.core.base.check_vector`) before the
+        eviction sweep, so an invalid point changes nothing.
         """
-        self.evict(point)
         config = self._config
         if ctx is None:
+            check_vector(config.grid, point.vector)
             ctx = config.point_context(point.vector)
+        self.evict(point)
 
         record = self._store.find_nearby(point.vector, ctx.cell_hash)
         if record is not None:
@@ -246,12 +250,12 @@ class FixedRateSlidingSampler(StreamSampler):
         chunk (``geometry`` accepts one computed upstream); the loop
         inlines eviction and the bucket probe, replicating :meth:`evict`
         operation-for-operation so the lazy heap - stale entries
-        included - ends up identical to the per-point path's.  Points
-        the geometry does not cover go through :meth:`insert`.  A
-        mid-chunk dimension error still evicts with the offending point
-        before raising, exactly as :meth:`insert` evicts before
-        ``point_context()`` can raise.  Points must be
-        :class:`StreamPoint` instances, as for :meth:`insert`.
+        included - ends up identical to the per-point path's.  A chunk
+        too small to vectorise goes through :meth:`insert`.  Points must
+        be :class:`StreamPoint` instances, as for :meth:`insert`; an
+        invalid point anywhere in the chunk raises
+        :class:`~repro.errors.ParameterError` before anything mutates
+        (no eviction included).
         """
         if geometry is None and not isinstance(points, (list, tuple)):
             # A non-materialised iterable is streamed in bounded chunks:
@@ -285,15 +289,8 @@ class FixedRateSlidingSampler(StreamSampler):
         rate_mask = self._rate - 1
         alpha_sq = config.alpha * config.alpha
 
-        pts, vectors, error, offender, geom, hashes_list = prepare_chunk(
-            config,
-            points,
-            0,
-            lambda actual: DimensionMismatchError(
-                f"point has {actual} coordinates, grid expects {dim}"
-            ),
-            coerce=False,
-            geometry=geometry,
+        pts, vectors, geom, hashes_list = prepare_chunk(
+            config, points, 0, coerce=False, geometry=geometry
         )
         geom_n = len(hashes_list)
         for i in range(geom_n):
@@ -367,15 +364,9 @@ class FixedRateSlidingSampler(StreamSampler):
             heappush(heap, (expiry_key(p), entry_tb, record, p))
             if track:
                 self._reservoir_for(record).offer(p, member_rng)
-        for p in pts[geom_n:]:
-            self.insert(p)
-        if error is not None:
-            if offender is not None:
-                # insert() evicts with the bad point before its geometry
-                # can raise; replicate that so both paths agree on which
-                # expired records survive the failed call.
-                self.evict(offender)
-            raise error
+        if geom is None:
+            for p in pts:
+                self.insert(p)
         return len(pts)
 
     # ------------------------------------------------------------------ #

@@ -204,11 +204,7 @@ class RobustHeavyHitters(StreamSampler):
 
     def insert(self, point: StreamPoint | Sequence[float]) -> None:
         """Count one arriving point into its group."""
-        p = coerce_point(point, self._count)
-        if p.dim != self._config.dim:
-            raise ParameterError(
-                f"point has dimension {p.dim}, expected {self._config.dim}"
-            )
+        p = coerce_point(point, self._count, self._config.grid)
         self._count += 1
         ctx = self._config.point_context(p.vector)
         counter = self._find(p.vector, ctx.cell_hash)
@@ -229,8 +225,9 @@ class RobustHeavyHitters(StreamSampler):
         hash tuples come from one vectorised
         :class:`~repro.core.chunk_geometry.ChunkGeometry` precompute per
         chunk (``geometry`` accepts one computed upstream by the
-        pipeline); points the geometry does not cover go through
-        :meth:`insert`.
+        pipeline); a chunk too small to vectorise goes through
+        :meth:`insert`.  An invalid point anywhere in the chunk raises
+        :class:`~repro.errors.ParameterError` before anything mutates.
         """
         if geometry is None and not isinstance(points, (list, tuple)):
             # A non-materialised iterable is streamed in bounded chunks:
@@ -244,20 +241,13 @@ class RobustHeavyHitters(StreamSampler):
             return streamed
 
         config = self._config
-        dim = config.dim
         counters = self._counters
         buckets_get = self._buckets.get
         alpha_sq = config.alpha * config.alpha
         count = self._count
 
-        pts, vectors, error, _offender, geom, hashes_list = prepare_chunk(
-            config,
-            points,
-            count,
-            lambda actual: ParameterError(
-                f"point has dimension {actual}, expected {dim}"
-            ),
-            geometry=geometry,
+        pts, vectors, geom, hashes_list = prepare_chunk(
+            config, points, count, geometry=geometry
         )
         geom_n = len(hashes_list)
         try:
@@ -284,10 +274,9 @@ class RobustHeavyHitters(StreamSampler):
                 self._admit(p, cell_hash, adj_hashes=geom.adj_hashes(i))
         finally:
             self._count = count
-        for p in pts[geom_n:]:
-            self.insert(p)
-        if error is not None:
-            raise error
+        if geom is None:
+            for p in pts:
+                self.insert(p)
         return len(pts)
 
     def heavy_hitters(self, phi: float) -> list[HeavyHitter]:

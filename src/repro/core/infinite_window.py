@@ -180,11 +180,7 @@ class RobustL0SamplerIW(StreamSampler):
 
     def insert(self, point: StreamPoint | Sequence[float]) -> None:
         """Process one arriving stream point (the body of Algorithm 1)."""
-        p = coerce_point(point, self._count)
-        if p.dim != self._config.dim:
-            raise ParameterError(
-                f"point has dimension {p.dim}, sampler expects {self._config.dim}"
-            )
+        p = coerce_point(point, self._count, self._config.grid)
         self._count += 1
         self._policy.observe()
 
@@ -248,11 +244,11 @@ class RobustL0SamplerIW(StreamSampler):
         reduces to the sequential state machine: the bucket probe, the
         distance test and the rate bookkeeping.  New candidate groups
         run the same code the per-point path runs (adjacency hashing,
-        rate halving, peak tracking); points the geometry does not cover
-        (chunks too small to vectorise, the tail from the first point
-        whose coordinates the int64 kernels cannot carry) go through
-        :meth:`insert`.  See :class:`~repro.core.base.StreamSampler` for the equivalence
-        contract this method honours.
+        rate halving, peak tracking); a chunk too small to vectorise goes
+        through :meth:`insert`.  An invalid point anywhere in the chunk
+        raises :class:`~repro.errors.ParameterError` before anything
+        mutates.  See :class:`~repro.core.base.StreamSampler` for the
+        equivalence contract this method honours.
         """
         if geometry is None and not isinstance(points, (list, tuple)):
             # A non-materialised iterable is streamed in bounded chunks:
@@ -280,14 +276,8 @@ class RobustL0SamplerIW(StreamSampler):
         policy = self._policy
         count = self._count
 
-        pts, vectors, error, _offender, geom, hashes_list = prepare_chunk(
-            config,
-            points,
-            count,
-            lambda actual: ParameterError(
-                f"point has dimension {actual}, sampler expects {dim}"
-            ),
-            geometry=geometry,
+        pts, vectors, geom, hashes_list = prepare_chunk(
+            config, points, count, geometry=geometry
         )
         geom_n = len(hashes_list)
 
@@ -449,10 +439,9 @@ class RobustL0SamplerIW(StreamSampler):
         finally:
             self._count = count
             policy.observe_many(pending)
-        for p in pts[geom_n:]:
-            self.insert(p)
-        if error is not None:
-            raise error
+        if geom is None:
+            for p in pts:
+                self.insert(p)
         return len(pts)
 
     # ------------------------------------------------------------------ #

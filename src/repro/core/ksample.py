@@ -114,17 +114,13 @@ class KDistinctSampler(StreamSampler):
         return self._replacement
 
     def insert(self, point: StreamPoint | Sequence[float]) -> None:
-        """Feed one point to every underlying sampler."""
-        if isinstance(point, StreamPoint):
-            for sampler in self._samplers:
-                sampler.insert(point)
-        else:
-            # Materialise a shared StreamPoint so all copies agree on the
-            # arrival index.
-            index = self._samplers[0].points_seen
-            shared = StreamPoint(tuple(float(x) for x in point), index)
-            for sampler in self._samplers:
-                sampler.insert(shared)
+        """Feed one point to every underlying sampler.
+
+        A one-point :meth:`process_many`: the samplers share one
+        StreamPoint (so they agree on its arrival index), and it is
+        validated against every sampler before the first one ingests.
+        """
+        feed_copies_shared(self._samplers, (point,))
 
     def process_many(
         self, points: Iterable[StreamPoint | Sequence[float]]
@@ -136,8 +132,8 @@ class KDistinctSampler(StreamSampler):
         every underlying sampler ingests the chunk through its own
         specialised path with a chunk geometry derived from the shared
         array (grid/hash products stay per sampler - they have
-        independent grids/hashes), with per-point error semantics
-        preserved (every copy holds the valid prefix on failure).
+        independent grids/hashes).  An invalid point anywhere in the
+        chunk leaves every sampler unchanged.
         """
         return feed_copies_shared(self._samplers, points)
 

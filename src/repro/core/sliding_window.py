@@ -83,6 +83,7 @@ from repro.core.base import (
     _ThresholdPolicy,
     coerce_point,
     chunked,
+    invalid_point,
 )
 from repro.core.chunk_geometry import ChunkGeometry, prepare_chunk
 from repro.errors import EmptySampleError, LevelOverflowError, ParameterError
@@ -410,17 +411,11 @@ class RobustL0SamplerSW(StreamSampler):
 
     def insert(self, point: StreamPoint | Sequence[float]) -> None:
         """Process one arriving stream point (Lines 4-18 of Algorithm 3)."""
-        p = coerce_point(point, self._count)
-        if p.dim != self._config.dim:
-            raise ParameterError(
-                f"point has dimension {p.dim}, sampler expects {self._config.dim}"
-            )
+        p = coerce_point(point, self._count, self._config.grid)
         if self._latest is not None and (
             self._window.expiry_key(p) < self._window.expiry_key(self._latest)
         ):
-            raise ParameterError(
-                "stream points must arrive in non-decreasing window order"
-            )
+            raise invalid_point(0, "arrives out of window order")
         self._count += 1
         self._policy.observe()
         self._latest = p
@@ -483,9 +478,11 @@ class RobustL0SamplerSW(StreamSampler):
         (including the shared lazy heap) is identical to per-point
         ingestion.  Cascades never invalidate the hoisted locals: the
         shared store and heap objects are stable across Split/Merge
-        (promotions retag records in place).  Points the geometry does
-        not cover (chunks too small to vectorise, the tail after an
-        unvectorisable point) go through :meth:`insert`.
+        (promotions retag records in place).  A chunk too small to
+        vectorise goes through :meth:`insert`.  An invalid point anywhere
+        in the chunk - window order included, checked against the latest
+        arrival - raises :class:`~repro.errors.ParameterError` before
+        anything mutates.
         """
         if geometry is None and not isinstance(points, (list, tuple)):
             # A non-materialised iterable is streamed in bounded chunks:
@@ -523,7 +520,6 @@ class RobustL0SamplerSW(StreamSampler):
         last_extra = dim + 2
         count = self._count
         latest = self._latest
-        latest_key = expiry_key(latest) if latest is not None else None
         # Sequence windows admit exact inline arithmetic for the three
         # per-arrival window calls: expiry_key(p) == float(p.index),
         # eviction_cutoff(p) == float(p.index - w) == float(p.index) - w
@@ -534,14 +530,13 @@ class RobustL0SamplerSW(StreamSampler):
         )
         pending = 0  # arrivals not yet flushed into the threshold policy
 
-        pts, vectors, error, _offender, geom, hashes_list = prepare_chunk(
+        pts, vectors, geom, hashes_list = prepare_chunk(
             config,
             points,
             count,
-            lambda actual: ParameterError(
-                f"point has dimension {actual}, sampler expects {dim}"
-            ),
             geometry=geometry,
+            window=window,
+            latest=latest,
         )
         geom_n = len(hashes_list)
         try:
@@ -551,15 +546,9 @@ class RobustL0SamplerSW(StreamSampler):
                 point_key = (
                     float(p.index) if seq_size is not None else expiry_key(p)
                 )
-                if latest_key is not None and point_key < latest_key:
-                    raise ParameterError(
-                        "stream points must arrive in non-decreasing "
-                        "window order"
-                    )
                 count += 1
                 pending += 1
                 latest = p
-                latest_key = point_key
 
                 # Inline _evict(p): identical operations to the method.
                 if heap:
@@ -660,10 +649,9 @@ class RobustL0SamplerSW(StreamSampler):
             self._count = count
             self._latest = latest
             policy.observe_many(pending)
-        for p in pts[geom_n:]:
-            self.insert(p)
-        if error is not None:
-            raise error
+        if geom is None:
+            for p in pts:
+                self.insert(p)
         return len(pts)
 
     # ------------------------------------------------------------------ #

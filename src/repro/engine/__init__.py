@@ -70,7 +70,8 @@ test matrix to join - is ``docs/ADDING_A_SUMMARY.md``; in brief:
    correct (looping) ``process_many`` and chunked ``extend``.
 2. If the sampler is hot, override ``process_many``.  Replicate the
    insert path *operation-for-operation* (same mutations, same RNG
-   draws, same error points); hoist attribute lookups into locals and
+   draws), and validate the whole chunk before the first mutation
+   (:func:`~repro.core.chunk_geometry.prepare_chunk`); hoist attribute lookups into locals and
    route repeated geometry through ``config.cell_hash_memo`` /
    ``config.conservative_neighborhood``.  Defer pure counters (e.g.
    ``_ThresholdPolicy.observe``) only to points where nothing reads

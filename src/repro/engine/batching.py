@@ -24,11 +24,13 @@ import numpy as np
 
 from repro.core.base import SamplerConfig, chunked
 from repro.core.chunk_geometry import (
-    MIN_VECTOR_CHUNK,
     ChunkGeometry,
+    coerce_rows,
     compute_chunk_geometry,
     geometry_from_array,
+    is_numeric_array,
     materialize_chunk,
+    validate_chunk,
 )
 from repro.streams.point import StreamPoint
 
@@ -39,6 +41,7 @@ __all__ = [
     "chunk_geometry_for",
     "geometry_from_array",
     "materialize_chunk",
+    "validate_chunk",
 ]
 
 
@@ -46,13 +49,13 @@ def chunk_geometry_for(
     config: SamplerConfig,
     chunk: Sequence[StreamPoint | Iterable[float]],
 ) -> ChunkGeometry | None:
-    """Build a chunk's geometry ahead of dealing it to a shard.
+    """Validate a chunk and build its geometry ahead of dealing it.
 
-    Returns ``None`` for chunks the vectorised path cannot serve -
-    including any invalid point (wrong dimension, non-numeric
-    coordinate): the shard's own ``process_many`` then builds what
-    geometry it can itself and feeds the rest to ``insert``, which
-    reproduces the per-point error semantics exactly.
+    Raises :class:`~repro.errors.ParameterError` for the first invalid
+    point (the checks of
+    :func:`~repro.core.chunk_geometry.validate_chunk`), so an invalid
+    chunk never reaches a shard.  Returns ``None`` for a chunk below
+    :data:`~repro.core.chunk_geometry.MIN_VECTOR_CHUNK`.
 
     The coerced tuples are cached on the returned geometry
     (``source_vectors``; ``pure_coords`` when no input point was a
@@ -60,42 +63,17 @@ def chunk_geometry_for(
     materialisation reuses this coercion instead of repeating it - the
     chunk is coerced exactly once per pipeline pass.
     """
-    if len(chunk) < MIN_VECTOR_CHUNK:
-        return None
-    dim = config.dim
-    if (
-        isinstance(chunk, np.ndarray)
-        and chunk.ndim == 2
-        and chunk.dtype.kind in "fiub"
-    ):
+    if is_numeric_array(chunk):
         # Numeric array chunks skip the per-row float() loop entirely:
         # one dtype cast (a no-op for float64 input), then the same
         # builder the worker-side transport uses.  Restricted to numeric
         # dtypes, where the cast is element-wise identical to float(x);
-        # object arrays fall through to the per-row loop below so exotic
-        # elements keep their exact per-point coercion semantics.
-        if chunk.shape[1] != dim:
-            # The per-row loop would fail its dimension sweep on every
-            # row; short-circuit to the same verdict.
-            return None
+        # object arrays take the per-row coercion below.
         _, geometry = geometry_from_array(
             config, np.asarray(chunk, dtype=np.float64)
         )
         return geometry
-    pure = True
-    vectors = []
-    try:
-        for point in chunk:
-            if isinstance(point, StreamPoint):
-                pure = False
-                vectors.append(point.vector)
-            else:
-                vectors.append(tuple(float(x) for x in point))
-    except Exception:
-        return None
-    for vector in vectors:
-        if len(vector) != dim:
-            return None
+    _, vectors, pure = coerce_rows(chunk, config.dim)
     return compute_chunk_geometry(
         config, vectors, source_vectors=vectors, pure_coords=pure
     )

@@ -23,11 +23,12 @@ keeping the *what* bit-identical:
   no per-chunk context switch), and rebuilds the chunk's
   :class:`~repro.core.chunk_geometry.ChunkGeometry` straight from the
   array (:func:`repro.core.chunk_geometry.geometry_from_array`), so the
-  chunk is float-coerced exactly once end to end.  Chunks the array
-  transport cannot carry (StreamPoints, exotic element types, failed
-  coercion) fall back to pickling, which reproduces the scalar error
-  semantics exactly; an array chunk that finds no free shared-memory
-  slot ships as a pickled array instead.  On
+  chunk is float-coerced exactly once end to end.  Chunks reach an
+  executor already validated (:meth:`BatchPipeline.submit
+  <repro.engine.pipeline.BatchPipeline.submit>` rejects an invalid one
+  before any executor sees it); chunks the array transport cannot carry
+  (StreamPoints) fall back to pickling, and an array chunk that finds no
+  free shared-memory slot ships as a pickled array instead.  On
   :meth:`~ShardExecutor.drain` each worker returns its shards' protocol
   states **batched in one message**, which the caller folds back into
   the coordinator as they arrive (streaming merge - see
@@ -558,10 +559,11 @@ def _chunk_as_array(chunk: Sequence[Any], dim: int) -> "np.ndarray | None":
     Eligibility is decided by the coercion itself: ``np.asarray``
     applies the same per-element ``float()`` conversion the scalar
     coercion does, so carried values are bit-identical, and anything it
-    rejects - ragged rows, unconvertible elements, StreamPoints (not
-    sequences, so they coerce to nothing), wrong widths - falls back to
-    the pickle transport, which reproduces the scalar error semantics
-    exactly.  (numpy never iterates generators, so a failed coercion
+    rejects - StreamPoints (not sequences, so they coerce to nothing),
+    and any ragged or unconvertible chunk handed to the executor without
+    the pipeline's validation - falls back to the pickle transport, whose
+    worker then raises exactly what the sampler raises.  (numpy never
+    iterates generators, so a failed coercion
     cannot half-consume a single-pass element.)  The returned array may
     alias ``chunk`` when it already was a contiguous float64 array -
     callers snapshot before queueing.

@@ -51,7 +51,7 @@ import numpy as np
 from repro.core.base import DEFAULT_KAPPA0, SamplerConfig
 from repro.core.infinite_window import RobustL0SamplerIW
 from repro.distributed.coordinator import DistributedRobustSampler, ShardSampler
-from repro.engine.batching import chunk_geometry_for, chunked
+from repro.engine.batching import chunk_geometry_for, chunked, validate_chunk
 from repro.errors import EmptySampleError, ExecutorError, ParameterError
 from repro.streams.point import StreamPoint
 
@@ -361,6 +361,9 @@ class BatchPipeline:
         surfaces as :class:`~repro.errors.ExecutorError` at the next
         synchronisation point (:meth:`sync`, :meth:`merge`,
         :meth:`to_state`, queries).
+
+        An invalid chunk raises :class:`~repro.errors.ParameterError`
+        before any executor sees it, leaving the pipeline unchanged.
         """
         if self._shipped and self._executor is None:
             # A previous sync left shard states buffered and the
@@ -369,8 +372,6 @@ class BatchPipeline:
             # (A live executor needs no rebuild: its workers hold every
             # state newer than the coordinator's objects.)
             self._materialize()
-        shard = self._next_shard
-        self._next_shard = (shard + 1) % self._coordinator.num_shards
         executor = self._ensure_executor()
         # Lists and tuples pass through as-is; a 2-d numpy array does
         # too (the process executor's transport copies it into shared
@@ -382,9 +383,12 @@ class BatchPipeline:
             chunk = batch
         else:
             chunk = list(batch)
+        config = self._coordinator.config
         geometry = None
-        if executor.wants_geometry:
-            geometry = chunk_geometry_for(self._coordinator.config, chunk)
+        if not executor.wants_geometry:
+            chunk = validate_chunk(config.grid, chunk)
+        else:
+            geometry = chunk_geometry_for(config, chunk)
             if (
                 geometry is not None
                 and geometry.pure_coords
@@ -400,6 +404,8 @@ class BatchPipeline:
                 # StreamPoint metadata is lost and the tuples cover the
                 # full chunk.
                 chunk = geometry.source_vectors
+        shard = self._next_shard
+        self._next_shard = (shard + 1) % self._coordinator.num_shards
         processed = executor.submit(shard, chunk, geometry)
         if processed is None:  # queued, not yet ingested
             self._dirty = True
@@ -412,10 +418,14 @@ class BatchPipeline:
     ) -> int:
         """Protocol ingestion: chunk by ``batch_size`` and deal round-robin.
 
-        Identical to :meth:`extend`, so protocol-generic callers get the
-        same sharded ingestion as native ones; :meth:`submit` remains the
-        explicit one-batch-to-one-shard primitive.
+        :meth:`extend`, so protocol-generic callers get the same sharded
+        ingestion as native ones; :meth:`submit` remains the explicit
+        one-batch-to-one-shard primitive.  A materialised batch is
+        validated whole first, so it is all-or-nothing even when it spans
+        several chunks.
         """
+        if isinstance(points, (list, tuple, np.ndarray)):
+            validate_chunk(self._coordinator.config.grid, points)
         return self.extend(points)
 
     def extend(

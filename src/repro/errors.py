@@ -11,7 +11,7 @@ class ParameterError(ReproError, ValueError):
     """An argument is outside its documented domain."""
 
 
-class DimensionMismatchError(ReproError, ValueError):
+class DimensionMismatchError(ParameterError):
     """A point's dimensionality does not match the structure it is fed to."""
 
 

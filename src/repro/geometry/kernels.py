@@ -38,10 +38,10 @@ differential suite in ``tests/test_geometry_kernels.py`` checks every
 kernel against its scalar oracle over adversarial cell-boundary points.
 
 numpy is a hard dependency (``setup.py``).  The kernels serve every
-point a chunk's :class:`~repro.core.chunk_geometry.ChunkGeometry`
-covers; the scalar implementations they mirror live on in the samplers'
-``insert``, which ingests the points no geometry covers and is the
-oracle the batch paths are checked against.
+chunk a :class:`~repro.core.chunk_geometry.ChunkGeometry` covers; the
+scalar implementations they mirror live on in the samplers' ``insert``,
+which ingests the chunks too small for a geometry and is the oracle the
+batch paths are checked against.
 """
 
 from __future__ import annotations
@@ -52,9 +52,10 @@ import numpy as np
 
 #: Cell coordinates at or beyond this magnitude cannot be carried in the
 #: int64 vector path (and the float64 they came from has long stopped
-#: being integer-exact anyway); chunk geometry stops short of the first
-#: such point and the batch paths feed the rest of the chunk to
-#: ``insert``, which computes big-int cell tuples.
+#: being integer-exact anyway).  A point whose cell reaches it is
+#: rejected at the ingestion boundary
+#: (:func:`repro.core.base.check_vector` and its vectorised twin in
+#: :mod:`repro.core.chunk_geometry`), on every path alike.
 COORD_LIMIT = float(1 << 62)
 
 #: Mersenne prime modulus of CPython's number hashing (``_PyHASH_MODULUS``).
@@ -143,8 +144,8 @@ def cell_coords_chunk(
     (``points - grid.offset``).  numpy's ``floor_divide`` implements the
     same fmod-then-floor algorithm as CPython's float ``//``, so every
     entry equals the scalar ``(x - o) // side`` bit for bit; non-finite
-    inputs yield non-finite outputs (the caller truncates there and lets
-    the scalar path reproduce the exact error).
+    inputs yield non-finite outputs, which the chunk validation
+    rejects.
     """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         return np.floor_divide(shifted, side)

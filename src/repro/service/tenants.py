@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import math
 import time
 from collections import OrderedDict
 from hashlib import blake2b
@@ -40,7 +39,6 @@ from repro.errors import ParameterError
 from repro.persist import dumps_summary, loads_summary, summary_to_state
 from repro.service.config import ServiceSpec
 from repro.service.stores import EnvelopeStore
-from repro.streams.point import StreamPoint
 
 __all__ = ["TenantStore", "derive_tenant_seed"]
 
@@ -175,60 +173,24 @@ class TenantStore:
     # tenant operations (each serialised under the tenant's lock)
     # ------------------------------------------------------------------ #
 
-    def _coerce_batch(self, points: Iterable[Any]) -> list[Any]:
-        """Validate and coerce a whole ingest batch *before* any mutation.
-
-        Ingest must be all-or-nothing: a batch with a malformed point at
-        position k must leave the tenant's summary exactly as it was,
-        not k points further along - otherwise an HTTP client that
-        retries its 400ed batch replays the k good points into the
-        summary twice, silently breaking the per-tenant serial-replay
-        invariant.  ``process_many`` validates lazily (it raises *at*
-        the bad point, after mutating on the good ones), so the checks
-        it would fail on - float coercion, finiteness (a NaN or infinite
-        coordinate has no grid cell) and, for point summaries, the
-        spec's dimension - run here over the full batch first.
-        """
-        expected_dim = getattr(self.spec.spec, "dim", None)
-        coerced: list[Any] = []
-        for position, point in enumerate(points):
-            if isinstance(point, StreamPoint):
-                vector = point.vector
-            else:
-                try:
-                    vector = point = tuple(float(x) for x in point)
-                except (TypeError, ValueError) as error:
-                    raise ParameterError(
-                        f"batch rejected, nothing ingested - point "
-                        f"{position}: {error}"
-                    ) from error
-            dim = len(vector)
-            if expected_dim is not None and dim != expected_dim:
-                raise ParameterError(
-                    f"batch rejected, nothing ingested - point "
-                    f"{position} has dimension {dim}, summary expects "
-                    f"{expected_dim}"
-                )
-            if not all(map(math.isfinite, vector)):
-                raise ParameterError(
-                    f"batch rejected, nothing ingested - point "
-                    f"{position} has a non-finite coordinate"
-                )
-            coerced.append(point)
-        return coerced
-
     async def ingest(self, tenant: str, points: Iterable[Any]) -> int:
         """Feed a batch to ``tenant``'s summary; returns points ingested.
 
-        All-or-nothing: the batch is validated and coerced in full
-        (:meth:`_coerce_batch`) before the summary is touched, so a
-        rejected batch leaves the tenant's state unchanged and a client
-        retry cannot double-ingest its valid prefix.
+        All-or-nothing: a point summary's ``process_many`` validates the
+        whole batch before it mutates, raising
+        :class:`~repro.errors.ParameterError` (an HTTP 400), so a client
+        retry cannot double-ingest a valid prefix.  The item sketches
+        (specs without ``dim``) hash their items: JSON rows reach them
+        as tuples.
         """
-        batch = self._coerce_batch(points)
+        if getattr(self.spec.spec, "dim", None) is None:
+            points = [
+                tuple(point) if isinstance(point, list) else point
+                for point in points
+            ]
         async with self._lock_for(tenant):
             summary = self._materialize(tenant)
-            count = summary.process_many(batch)
+            count = summary.process_many(points)
         await self.enforce()
         return count
 

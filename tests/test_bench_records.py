@@ -1,8 +1,10 @@
-"""Benchmark records keep the sections other bench scripts merged in.
+"""Benchmark records keep what other bench scripts and earlier runs wrote.
 
 ``benchmarks/bench_remote.py`` merges a ``"remote"`` section into
 ``BENCH_pipeline.json``; ``benchmarks/bench_throughput.py`` writes the
 pipeline-scaling record into the same file and must not erase it.
+``scripts/record_perfbench.py`` appends each perfbench run to a capped
+per-workload history in ``BENCH_perfbench.json``.
 """
 
 from __future__ import annotations
@@ -44,3 +46,92 @@ def test_pipeline_record_starts_a_missing_file(tmp_path):
     out = tmp_path / "BENCH_pipeline.json"
     bench.write_pipeline_record(out, {"mode": "smoke"})
     assert json.loads(out.read_text()) == {"mode": "smoke"}
+
+
+RECORD_PERFBENCH = (
+    Path(__file__).resolve().parents[1] / "scripts" / "record_perfbench.py"
+)
+
+
+def load_record_perfbench():
+    spec = importlib.util.spec_from_file_location(
+        "record_perfbench", RECORD_PERFBENCH
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def perfbench_stdout(workload, seed, value):
+    """The shape of one ``perfbench/run.py --trace 0`` stdout."""
+    result = {
+        "correct": True,
+        "attempted": 10,
+        "failed": 0,
+        "metrics": {"ingest_pts_per_s": {"value": value, "unit": "pts/s"}},
+    }
+    return (
+        f"# {workload} seed={seed} seconds=20 trace=0 ran 21.3 s\n"
+        f"ingest_pts_per_s {value:16.4f} pts/s\n"
+        f"# check ok   fingerprint\n"
+        f"{json.dumps(result)}\n"
+    )
+
+
+def record_run(module, path, workload, seed, value, cap=3):
+    out = path.parent / f"{workload}-{seed}.txt"
+    out.write_text(perfbench_stdout(workload, seed, value))
+    argv = [str(out), "--record", str(path), "--cap", str(cap)]
+    assert module.main(argv + ["--commit", "abc1234"]) == 0
+
+
+def test_perfbench_record_appends_with_provenance(tmp_path):
+    module = load_record_perfbench()
+    path = tmp_path / "BENCH_perfbench.json"
+    record_run(module, path, "sliding-cascade", 1, 100.0)
+    record_run(module, path, "sliding-cascade", 2, 110.0)
+    history = json.loads(path.read_text())["workloads"]["sliding-cascade"][
+        "history"
+    ]
+    assert [entry["seed"] for entry in history] == [1, 2]
+    newest = history[-1]
+    assert newest["metrics"]["ingest_pts_per_s"]["value"] == 110.0
+    assert newest["correct"] is True and newest["failed"] == 0
+    assert newest["commit"] == "abc1234"
+    for field in ("cpu_count", "python", "numpy"):
+        assert field in newest
+
+
+def test_perfbench_record_caps_each_history(tmp_path):
+    module = load_record_perfbench()
+    path = tmp_path / "BENCH_perfbench.json"
+    for seed in range(5):
+        record_run(module, path, "service-churn", seed, float(seed), cap=3)
+    history = json.loads(path.read_text())["workloads"]["service-churn"][
+        "history"
+    ]
+    assert [entry["seed"] for entry in history] == [2, 3, 4]
+
+
+def test_perfbench_record_keeps_other_workloads(tmp_path):
+    module = load_record_perfbench()
+    path = tmp_path / "BENCH_perfbench.json"
+    record_run(module, path, "sliding-cascade", 1, 100.0)
+    record_run(module, path, "highdim-pipeline", 7, 5.0)
+    record_run(module, path, "highdim-pipeline", 8, 6.0)
+    workloads = json.loads(path.read_text())["workloads"]
+    assert [e["seed"] for e in workloads["sliding-cascade"]["history"]] == [1]
+    assert [e["seed"] for e in workloads["highdim-pipeline"]["history"]] == [
+        7,
+        8,
+    ]
+
+
+def test_perfbench_record_rejects_output_without_result(tmp_path, capsys):
+    module = load_record_perfbench()
+    out = tmp_path / "broken.txt"
+    out.write_text("Traceback (most recent call last):\n  boom\n")
+    path = tmp_path / "BENCH_perfbench.json"
+    assert module.main([str(out), "--record", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not path.exists()

@@ -88,6 +88,42 @@ class TestSampleCommand:
         assert "line 2" in err
 
 
+class TestHostileInputLines:
+    """A parseable line whose point has no grid cell (NaN, inf, 1e308)
+    or the wrong width used to end some runs with a raw traceback.
+    Every command now exits 1 with one ``error:`` line and writes no
+    ``--save-state`` file."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sample"],
+            ["count"],
+            ["heavy"],
+            ["pipeline"],
+            ["pipeline", "--executor", "process", "--workers", "1"],
+        ],
+        ids=["sample", "count", "heavy", "pipeline", "pipeline-process"],
+    )
+    @pytest.mark.parametrize("bad", ["nan,1", "inf,0", "1e308,0", "1,2,3"])
+    def test_exits_1_with_one_error_line(self, tmp_path, capsys, command, bad):
+        lines = [f"{20.0 * g},0.0" for g in range(10)]
+        lines.insert(5, bad)
+        data = tmp_path / "hostile.csv"
+        data.write_text("\n".join(lines) + "\n")
+        state = tmp_path / "state.json"
+        code = main(
+            [*command, "--alpha", "1.0", "--seed", "1",
+             "--save-state", str(state), str(data)],
+            out=io.StringIO(),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nothing ingested - point 5" in err
+        assert not state.exists()
+
+
 class TestReproducibilityAndBatching:
     @staticmethod
     def run_cli(argv):

@@ -98,17 +98,21 @@ class TestDocsMatchCode:
             assert f"{table} = {{" in module_text, (table, module)
 
     def test_process_many_recipe_has_one_path_per_point(self):
-        # The recipe must match the real overrides: geometry for the
-        # covered prefix, insert for the small-chunk/tail points, and no
-        # scalar branch or geometry toggle.
+        # The recipe must match the real overrides: a validating
+        # 4-tuple prepare_chunk, geometry for the whole chunk, insert
+        # for small chunks only, no error re-raise after a valid prefix,
+        # and no scalar branch or geometry toggle.
         guide = (REPO_ROOT / "docs" / "ADDING_A_SUMMARY.md").read_text(
             encoding="utf-8"
         )
         start = guide.index("### Consume ChunkGeometry")
         recipe = guide[start : guide.index("\n## ", start)]
-        assert "prepare_chunk" in recipe
-        assert "for p in pts[geom_n:]:\n        self.insert(p)" in recipe
-        assert "`insert` is the small-chunk/tail path" in recipe
+        assert (
+            "pts, vectors, geom, cell_hashes = prepare_chunk(" in recipe
+        )
+        assert "if geom is None:\n        for p in pts:" in recipe
+        assert "`insert` is the small-chunk path" in recipe
+        assert "raise error" not in recipe
         # "vectorized_geometry" covers the deleted toggle's setter and
         # getter alike.
         for stale in ("vectorized_geometry", "scalar branch"):

@@ -29,7 +29,7 @@ from repro.core.sliding_window import RobustL0SamplerSW
 from repro.engine.batching import chunked
 from repro.engine.equivalence import state_fingerprint
 from repro.engine.pipeline import BatchPipeline
-from repro.errors import ParameterError, ReproError
+from repro.errors import DimensionMismatchError, ParameterError, ReproError
 from repro.streams.point import StreamPoint, as_stream
 from repro.streams.windows import SequenceWindow, TimeWindow
 
@@ -117,12 +117,17 @@ class TestInfiniteWindowDifferential:
         assert per.sample(random.Random(0)) == bat.sample(random.Random(0))
         assert per.estimate_f0() == bat.estimate_f0()
 
-    def test_dimension_error_mid_batch_keeps_prefix(self):
+    def test_dimension_error_mid_batch_ingests_nothing(self):
         sampler = RobustL0SamplerIW(1.0, 2, seed=1)
+        sampler.process_many(noisy_stream(10, 5, seed=2))
+        before = state_fingerprint(sampler)
         good = noisy_stream(10, 5, seed=1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(DimensionMismatchError, match="point 10"):
             sampler.process_many(good + [(1.0, 2.0, 3.0)])
-        assert sampler.points_seen == 10  # prefix ingested, counters synced
+        assert state_fingerprint(sampler) == before  # no prefix ingested
+        with pytest.raises(DimensionMismatchError):
+            sampler.insert((1.0, 2.0, 3.0))
+        assert state_fingerprint(sampler) == before
 
     def test_corner_filter_fallback_differential(self):
         # A grid side far below alpha makes the chunk's dense adjacency
@@ -259,13 +264,22 @@ class TestSlidingWindowDifferential:
         assert per.deepest_active_level() == bat.deepest_active_level()
         assert per.deepest_active_level() > 0  # cascades actually fired
 
-    def test_order_violation_mid_batch_keeps_prefix(self):
+    def test_order_violation_mid_batch_ingests_nothing(self):
         sampler = RobustL0SamplerSW(1.0, 1, SequenceWindow(10), seed=3)
-        points = [StreamPoint((float(i),), i) for i in range(5)]
+        sampler.process_many([StreamPoint((float(i),), i) for i in range(3)])
+        before = state_fingerprint(sampler)
+        points = [StreamPoint((float(i),), i) for i in range(3, 8)]
         stale = StreamPoint((99.0,), 1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="point 5 arrives out of"):
             sampler.process_many(points + [stale])
-        assert sampler.points_seen == 5
+        assert state_fingerprint(sampler) == before
+        # Against the latest arrival: a chunk whose *first* point is
+        # older than what the sampler already holds is rejected too.
+        with pytest.raises(ParameterError, match="point 0 arrives out of"):
+            sampler.process_many([stale] + points)
+        with pytest.raises(ParameterError):
+            sampler.insert(stale)
+        assert state_fingerprint(sampler) == before
 
 
 def _hostile_cases():
@@ -277,10 +291,12 @@ def _hostile_cases():
 
 
 class TestHostileTailDifferential:
-    """A chunk whose geometry stops short (a non-finite value, or a cell
-    at or beyond 2^62) hands the rest of the chunk to ``insert``: batch
-    and per-point ingestion must end in the same state and raise the
-    same exception type, wherever in the chunk the bad value sits."""
+    """A chunk holding a point without a grid cell the int64 path can
+    carry (a non-finite value, or a cell at or beyond 2^62) is rejected
+    whole, wherever in the chunk the bad value sits: ``process_many``
+    raises ``ParameterError`` naming the position and leaves the state
+    it found, and per-point ``insert`` of the bad point does the same -
+    so batch and per-point ingestion still end in the same state."""
 
     WARMUP = 60
 
@@ -300,14 +316,6 @@ class TestHostileTailDifferential:
             ),
         }
 
-    @staticmethod
-    def _outcome(feed):
-        try:
-            feed()
-        except Exception as exc:  # the type is what both paths must share
-            return type(exc)
-        return None
-
     @pytest.mark.parametrize(
         "key", ["l0-sliding", "l0-infinite", "fixed-rate", "heavy-hitters"]
     )
@@ -325,15 +333,14 @@ class TestHostileTailDifferential:
         for point in warmup:
             per.insert(point)
         bat.process_many(warmup)
-
-        def per_point():
-            for point in chunk:
-                per.insert(point)
-
-        per_outcome = self._outcome(per_point)
-        bat_outcome = self._outcome(lambda: bat.process_many(chunk))
-        assert bat_outcome is per_outcome
-        assert state_fingerprint(bat) == state_fingerprint(per)
+        before = state_fingerprint(bat)
+        assert state_fingerprint(per) == before
+        with pytest.raises(ParameterError, match=f"point {position} "):
+            bat.process_many(chunk)
+        with pytest.raises(ParameterError):
+            per.insert(chunk[position])
+        assert state_fingerprint(bat) == before
+        assert state_fingerprint(per) == before
 
 
 class TestWrapperDifferential:
@@ -440,33 +447,34 @@ class TestCopyLockstepOnErrors:
         ],
     )
     def test_mid_batch_error_keeps_copies_in_lockstep(self, make_sampler):
-        # Per-point ingestion gives every copy the same prefix before an
-        # invalid point raises; the batched path must match, not leave
-        # copy 0 ahead of the others.
+        # A batch with an invalid point is rejected whole: every copy
+        # stays exactly where it was (no copy ahead of the others, no
+        # valid prefix ingested), and per-point insert of the bad point
+        # is rejected just as cleanly.
+        sampler = make_sampler()
+        sampler.process_many(noisy_stream(10, 4, seed=3))
+        before = state_fingerprint(sampler)
         good = noisy_stream(10, 4, seed=1)
-        per = make_sampler()
+        with pytest.raises(ParameterError, match="point 10"):
+            sampler.process_many(good + [(1.0, 2.0, 3.0)])
+        assert state_fingerprint(sampler) == before
         with pytest.raises(ParameterError):
-            for point in good + [(1.0, 2.0, 3.0)]:
-                per.insert(point)
-        bat = make_sampler()
-        with pytest.raises(ParameterError):
-            bat.process_many(good + [(1.0, 2.0, 3.0)])
-        assert state_fingerprint(per) == state_fingerprint(bat)
+            sampler.insert((1.0, 2.0, 3.0))
+        assert state_fingerprint(sampler) == before
 
     def test_coercion_error_keeps_copies_in_lockstep(self):
         # A non-numeric coordinate fails during materialisation, before
-        # any copy ingests; the valid prefix must still reach every copy
-        # exactly as per-point ingestion would have delivered it.
+        # any copy ingests: no copy sees the valid prefix.
         good = noisy_stream(8, 4, seed=2)
-        per = RobustF0EstimatorIW(1.0, 2, epsilon=0.5, copies=3, seed=7)
-        with pytest.raises(ValueError):
-            for point in good + [("x", "y")]:
-                per.insert(point)
         bat = RobustF0EstimatorIW(1.0, 2, epsilon=0.5, copies=3, seed=7)
-        with pytest.raises(ValueError):
+        before = state_fingerprint(bat)
+        with pytest.raises(ParameterError, match="point 8"):
             bat.process_many(good + [("x", "y")])
-        assert all(c.points_seen == len(good) for c in bat._copies)
-        assert state_fingerprint(per) == state_fingerprint(bat)
+        assert all(c.points_seen == 0 for c in bat._copies)
+        assert state_fingerprint(bat) == before
+        with pytest.raises(ParameterError):
+            bat.insert(("x", "y"))
+        assert state_fingerprint(bat) == before
 
 
 class TestExplicitRngThreading:

@@ -170,12 +170,49 @@ class TestCallerBufferReuse:
             assert state_fingerprint(twin) == state_fingerprint(serial)
 
 
+class TestInvalidChunkRejectedAtSubmit:
+    """Regression: one NaN chunk used to poison a process pipeline (its
+    worker failed, and ``state_fingerprint`` and ``close()`` raised
+    ``ExecutorError`` from then on).  ``submit`` now validates the chunk
+    before any executor sees it."""
+
+    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+    @pytest.mark.parametrize(
+        "poison",
+        [
+            [(1.0,), (float("nan"),), (2.0,), (3.0,), (4.0,)],
+            [(float("nan"),)],
+            np.array([[1.0], [2.0], [float("inf")], [3.0]]),
+            [(1.0,), (2.0, 3.0)],
+        ],
+        ids=["nan-list", "nan-singleton", "inf-array", "ragged"],
+    )
+    def test_pipeline_stays_usable(self, executor, poison):
+        chunks = [group_stream(40, seed=seed) for seed in range(5)]
+        serial = make_pipeline("serial")
+        for chunk in chunks:
+            serial.submit(chunk)
+        pipeline = make_pipeline(executor)
+        for chunk in chunks[:2]:
+            pipeline.submit(chunk)
+        with pytest.raises(ParameterError, match="nothing ingested"):
+            pipeline.submit(poison)
+        for chunk in chunks[2:]:
+            pipeline.submit(chunk)
+        assert state_fingerprint(pipeline) == state_fingerprint(serial)
+        pipeline.close()
+
+
 class TestExecutorFailures:
     @pytest.mark.parametrize("executor", ["process", "remote"])
     def test_worker_failure_surfaces_at_sync(self, executor):
         pipeline = make_pipeline(executor)
         pipeline.extend(group_stream(64, seed=1))
-        pipeline.submit([(None,)])  # unconvertible point poisons a worker
+        # BatchPipeline.submit rejects an invalid chunk before any
+        # executor sees it, so a worker can only fail on a chunk that
+        # bypasses that boundary: hand the unconvertible point straight
+        # to the executor to poison a worker.
+        pipeline._ensure_executor().submit(0, [(None,)])
         with pytest.raises(ExecutorError):
             pipeline.sync()
         # The failure is sticky and the pipeline stays dirty: closing

@@ -21,13 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.base import SamplerConfig
+from repro.core.base import SamplerConfig, check_vector
 from repro.core.chunk_geometry import (
     MIN_VECTOR_CHUNK,
     ChunkGeometry,
     compute_chunk_geometry,
     materialize_chunk,
 )
+from repro.errors import DimensionMismatchError, ParameterError
 from repro.geometry import kernels
 from repro.geometry.adjacency import (
     brute_force_adjacent_cells,
@@ -157,18 +158,49 @@ class TestCellKernels:
         second = compute_chunk_geometry(config, points)
         assert first.cell_hashes == second.cell_hashes
 
-    def test_nonfinite_point_truncates_geometry(self):
+    def test_nonfinite_point_rejects_chunk(self):
         config = SamplerConfig.create(1.0, 2, seed=13)
         points = boundary_points(config.grid, 50, seed=13)
         points[20] = (float("nan"), 1.0)
-        geom = compute_chunk_geometry(config, points)
-        assert geom is not None and geom.n == 20
+        with pytest.raises(ParameterError, match="point 20 has a non-finite"):
+            compute_chunk_geometry(config, points)
+        # The scalar check of chunks below MIN_VECTOR_CHUNK agrees.
+        with pytest.raises(ParameterError, match="point 1 has a non-finite"):
+            compute_chunk_geometry(config, points[19:21])
 
-    def test_huge_coordinates_fall_back_to_scalar_tail(self):
+    def test_huge_coordinates_reject_chunk(self):
         config = SamplerConfig.create(1.0, 1, seed=17)
         points = [(float(i),) for i in range(30)] + [(1e300,)]
-        geom = compute_chunk_geometry(config, points)
-        assert geom is not None and geom.n == 30
+        with pytest.raises(ParameterError, match=r"point 30 .*int64 range"):
+            compute_chunk_geometry(config, points)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_scalar_and_vector_checks_agree_at_the_limit(self, sign):
+        # Around the first magnitude whose cell index reaches 2^62, the
+        # vectorised mask and the scalar check accept the same points.
+        config = SamplerConfig.create(1.0, 2, seed=23)
+        grid = config.grid
+        edge = grid.offset[0] + sign * kernels.COORD_LIMIT * grid.side
+        value = edge
+        for _ in range(8):
+            value = math.nextafter(value, -sign * math.inf)
+        verdicts = []
+        for _ in range(16):
+            chunk = [(0.0, 0.0)] * MIN_VECTOR_CHUNK + [(value, 0.0)]
+            try:
+                compute_chunk_geometry(config, chunk)
+                vector_ok = True
+            except ParameterError:
+                vector_ok = False
+            try:
+                check_vector(grid, (value, 0.0))
+                scalar_ok = True
+            except ParameterError:
+                scalar_ok = False
+            assert vector_ok == scalar_ok, value
+            verdicts.append(scalar_ok)
+            value = math.nextafter(value, sign * math.inf)
+        assert verdicts[0] and not verdicts[-1]  # the edge was crossed
 
     @given(
         st.lists(
@@ -558,22 +590,23 @@ class TestLowDimProbe:
 
 class TestMaterializeChunk:
     def test_valid_prefix_and_dim_error(self):
-        error = ValueError("boom")
-        pts, vectors, got, offender = materialize_chunk(
-            [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0)],
-            2,
-            10,
-            lambda actual: error,
-        )
+        # The error names the first bad position; no partial chunk is
+        # returned for the valid prefix before it.
+        with pytest.raises(
+            DimensionMismatchError, match="point 2 has dimension 3, expected 2"
+        ):
+            materialize_chunk(
+                [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0)], 2, 10
+            )
+        pts, vectors = materialize_chunk([(0.0, 1.0), (2.0, 3.0)], 2, 10)
         assert [p.index for p in pts] == [10, 11]
         assert vectors == [(0.0, 1.0), (2.0, 3.0)]
-        assert got is error and offender is None
 
     def test_coercion_error_stops_at_offender(self):
-        pts, vectors, got, offender = materialize_chunk(
-            [(0.0,), ("bad",), (1.0,)], 1, 0, lambda actual: ValueError()
-        )
-        assert len(pts) == 1 and isinstance(got, ValueError)
+        with pytest.raises(
+            ParameterError, match="point 1 is not a sequence of numbers"
+        ):
+            materialize_chunk([(0.0,), ("bad",), (1.0,)], 1, 0)
 
     def test_stale_geometry_rejected(self):
         # A geometry built for a different chunk must be refused (and

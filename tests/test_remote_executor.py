@@ -625,7 +625,9 @@ class TestPoisonedShard:
         adopter does not loop on the same poison."""
         pipeline = build("batch-pipeline", pipeline_spec(num_workers=2))
         pipeline.extend(group_stream(96, seed=31))
-        pipeline.submit([(None,)])  # unconvertible: poisons a worker
+        # Past the pipeline's validating submit: straight to the
+        # executor, as a foreign writer of the shared queue could.
+        pipeline._ensure_executor().submit(0, [(None,)])
         with pytest.raises(ExecutorError, match="remote worker failed"):
             pipeline.sync()
         with pytest.raises(ExecutorError):
