@@ -1,11 +1,11 @@
 """Append one perfbench run to the committed ``BENCH_perfbench.json``.
 
-Reads the stdout of one ``perfbench/run.py`` invocation (a file, or
-``-`` for stdin), takes its final JSON line (``correct``, ``attempted``,
+Reads the stdout of one ``perfbench/run.py`` invocation from a file,
+takes its final JSON line (``correct``, ``attempted``,
 ``failed``, ``metrics``) and the run's header line (workload, seed,
 seconds, trace), adds provenance (``commit``, ``cpu_count``,
 ``python``, ``numpy``) and appends the entry to that workload's
-``history``, keeping the newest ``--cap`` entries.  Other workloads'
+``history``, keeping the newest :data:`CAP` entries.  Other workloads'
 histories are left as they are, so records grow into a trajectory
 instead of being overwritten.
 
@@ -31,7 +31,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_RECORD = ROOT / "BENCH_perfbench.json"
-DEFAULT_CAP = 20
+#: Entries kept per workload history.
+CAP = 20
 
 _HEADER = re.compile(
     r"^# (?P<workload>\S+) seed=(?P<seed>-?\d+) seconds=(?P<seconds>\S+) "
@@ -68,19 +69,18 @@ def parse_output(text: str) -> dict:
     }
 
 
-def provenance(commit: str | None = None) -> dict:
+def provenance() -> dict:
     """Where the run happened: commit, cores, Python and numpy versions."""
-    if commit is None:
-        try:
-            commit = subprocess.run(
-                ["git", "describe", "--always", "--dirty"],
-                cwd=ROOT,
-                capture_output=True,
-                text=True,
-                check=True,
-            ).stdout.strip()
-        except (OSError, subprocess.CalledProcessError):
-            commit = "unknown"
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=ROOT,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = "unknown"
     try:
         import numpy
 
@@ -95,10 +95,8 @@ def provenance(commit: str | None = None) -> dict:
     }
 
 
-def append_run(record: dict, entry: dict, cap: int = DEFAULT_CAP) -> dict:
+def append_run(record: dict, entry: dict, cap: int = CAP) -> dict:
     """Append ``entry`` to its workload's history, newest ``cap`` kept."""
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
     workloads = record.setdefault("workloads", {})
     history = workloads.setdefault(entry["workload"], {}).setdefault(
         "history", []
@@ -123,25 +121,16 @@ def write_record(path: Path, record: dict) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("output", help="perfbench stdout file, or - for stdin")
+    parser.add_argument("output", help="perfbench stdout file")
     parser.add_argument("--record", type=Path, default=DEFAULT_RECORD)
-    parser.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    parser.add_argument(
-        "--commit", default=None,
-        help="commit label (default: git describe --always --dirty)",
-    )
     args = parser.parse_args(argv)
-    if args.output == "-":
-        text = sys.stdin.read()
-    else:
-        text = Path(args.output).read_text(encoding="utf-8")
     try:
-        entry = parse_output(text)
+        entry = parse_output(Path(args.output).read_text(encoding="utf-8"))
     except ValueError as error:
         print(f"error: {args.output}: {error}", file=sys.stderr)
         return 1
-    entry.update(provenance(args.commit))
-    record = append_run(load_record(args.record), entry, args.cap)
+    entry.update(provenance())
+    record = append_run(load_record(args.record), entry)
     write_record(args.record, record)
     history = record["workloads"][entry["workload"]]["history"]
     print(f"recorded {entry['workload']} seed={entry['seed']} "

@@ -11,14 +11,9 @@ space baseline for the experiments.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.core.base import (
-    DEFAULT_BATCH_SIZE,
-    StreamSampler,
-    chunked,
-    coerce_point,
-)
+from repro.core.base import StreamSampler, coerce_point
 from repro.core.chunk_geometry import validate_chunk
 from repro.errors import EmptySampleError, ParameterError
 from repro.geometry.distance import within_distance
@@ -107,21 +102,8 @@ class ExactDistinctSampler(StreamSampler):
         self._buckets.setdefault(cell, []).append(p)
         self._representatives.append(p)
 
-    def process_many(
-        self, points: Iterable[StreamPoint | Sequence[float]]
-    ) -> int:
-        """Batched :meth:`insert`, validated whole first: an invalid
-        chunk changes nothing.  A non-materialised iterable is streamed
-        in chunks of :data:`~repro.core.base.DEFAULT_BATCH_SIZE`."""
-        if not isinstance(points, (list, tuple)):
-            return sum(
-                self.process_many(chunk)
-                for chunk in chunked(points, DEFAULT_BATCH_SIZE)
-            )
+    def _check_batch(self, points: list) -> None:
         validate_chunk(self._grid, points)
-        for point in points:
-            self.insert(point)
-        return len(points)
 
     def sample(self, rng: random.Random | None = None) -> StreamPoint:
         """Uniformly random group representative."""

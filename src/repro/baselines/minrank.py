@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, Hashable, Sequence
 
 from repro.baselines.fm import item_key
-from repro.core.base import StreamSampler, coerce_point
+from repro.core.base import StreamSampler, coerce_point, coerce_points
 from repro.errors import CheckpointError, EmptySampleError, ParameterError
 from repro.hashing.mix import SplitMix64
 from repro.streams.point import StreamPoint
@@ -82,6 +82,9 @@ class MinRankL0Sampler(StreamSampler):
         if self._best_rank is None or rank < self._best_rank:
             self._best_rank = rank
             self._best = p
+
+    def _check_batch(self, points: list) -> None:
+        coerce_points(points, self._count)
 
     def sample(self) -> StreamPoint:
         """The minimum-rank item: uniform over distinct identities."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from repro.core.base import StreamSampler, coerce_point
+from repro.core.base import StreamSampler, coerce_point, coerce_points
 from repro.errors import EmptySampleError
 from repro.streams.point import StreamPoint
 
@@ -48,6 +48,9 @@ class NaiveReservoirSampler(StreamSampler):
         self._count += 1
         if self._sample is None or self._rng.random() < 1.0 / self._count:
             self._sample = p
+
+    def _check_batch(self, points: list) -> None:
+        coerce_points(points, self._count)
 
     def sample(self) -> StreamPoint:
         """The current uniform sample over raw points."""

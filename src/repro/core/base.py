@@ -109,16 +109,19 @@ class StreamSampler:
         An invalid batch (a point that does not coerce to floats, has
         the wrong dimension, arrives out of window order, or has no
         grid cell the int64 path can carry) raises
-        :class:`~repro.errors.ParameterError` naming the offending
+        :class:`~repro.errors.ParameterError` naming an offending
         position and leaves the state unchanged, and so does ``insert``
         of an invalid point.  "Batch" means one materialised
         ``process_many`` chunk; :meth:`extend` and streamed iterables
-        are all-or-nothing per chunk.  The item sketches, which hash
-        arbitrary items, validate nothing.
+        are all-or-nothing per chunk.  The grid-less point baselines
+        (naive reservoir, min-rank) check coercion and finiteness only;
+        the item sketches, which hash arbitrary items, validate
+        nothing.
 
     Equivalently: batching is an *implementation detail of throughput*,
     never observable in sampler output.  The default ``process_many``
-    realises the contract trivially by looping over :meth:`insert`;
+    realises the contract trivially: :meth:`_check_batch`, then a loop
+    over :meth:`insert`;
     :meth:`extend` slices any iterable into chunks of
     :data:`DEFAULT_BATCH_SIZE` so every bulk caller automatically rides
     the batch path of samplers that specialise it.
@@ -128,21 +131,26 @@ class StreamSampler:
         """Process one arriving stream point."""
         raise NotImplementedError
 
+    def _check_batch(self, points: list) -> None:
+        """Raise for an invalid batch before the default
+        :meth:`process_many` mutates (by default nothing is invalid)."""
+
     def process_many(
         self, points: Iterable[StreamPoint | Sequence[float]]
     ) -> int:
         """Process a batch of points; returns the number processed.
 
-        Default fallback: per-point dispatch.  Subclasses override this
-        with an inlined loop that computes the per-arrival geometry once
-        per batch chunk (see the contract in the class docstring).
+        Default fallback: per-point dispatch once :meth:`_check_batch`
+        accepted the whole batch.  Subclasses override this with an
+        inlined loop that computes the per-arrival geometry once per
+        batch chunk (see the contract in the class docstring).
         """
+        batch = points if isinstance(points, list) else list(points)
+        self._check_batch(batch)
         insert = self.insert
-        processed = 0
-        for point in points:
+        for point in batch:
             insert(point)
-            processed += 1
-        return processed
+        return len(batch)
 
     def extend(
         self,
@@ -909,13 +917,15 @@ def coerce_point(
     value: StreamPoint | Sequence[float],
     next_index: int,
     grid: Grid | None = None,
+    position: int = 0,
 ) -> StreamPoint:
     """Accept either a StreamPoint or raw coordinates.
 
     Raw coordinates receive the sampler's running arrival index (and a
-    matching timestamp).  With ``grid`` the point is also validated
-    (:func:`check_vector`), so an ``insert`` that coerces first rejects
-    a bad point before it touches any state.
+    matching timestamp).  The point is also validated - against
+    ``grid`` (:func:`check_vector`) when given, else for finite
+    coordinates - so an ``insert`` that coerces first rejects a bad
+    point before it touches any state.  ``position`` names it.
     """
     if isinstance(value, StreamPoint):
         point = value
@@ -924,11 +934,32 @@ def coerce_point(
             point = StreamPoint(tuple(map(float, value)), next_index)
         except (TypeError, ValueError, OverflowError) as error:
             raise invalid_point(
-                0, f"is not a sequence of numbers ({error})"
+                position, f"is not a sequence of numbers ({error})"
             ) from error
     if grid is not None:
-        check_vector(grid, point.vector)
+        check_vector(grid, point.vector, position)
+    else:
+        try:
+            finite = all(map(math.isfinite, point.vector))
+        except TypeError as error:
+            raise invalid_point(
+                position, f"has a non-float coordinate ({error})"
+            ) from error
+        if not finite:
+            raise invalid_point(position, "has a non-finite coordinate")
     return point
+
+
+def coerce_points(
+    points: Iterable[StreamPoint | Sequence[float]], next_index: int
+) -> list[StreamPoint]:
+    """:func:`coerce_point` over a whole chunk: raw coordinates get
+    consecutive arrival indices from ``next_index``, and the first
+    invalid point raises naming its position."""
+    return [
+        coerce_point(point, next_index + position, position=position)
+        for position, point in enumerate(points)
+    ]
 
 
 @dataclass

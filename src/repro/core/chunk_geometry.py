@@ -30,7 +30,7 @@ This module is also the ingestion boundary (:func:`validate_chunk`,
 :func:`prepare_chunk`): a whole chunk is checked before anything
 mutates - float coercion, dimension, window order and a cell the int64
 path can carry - and one :class:`~repro.errors.ParameterError` names
-the first offending position.  A batch is ingested whole or not at all.
+an offending position.  A batch is ingested whole or not at all.
 
 Every batched ``process_many`` has exactly one ingestion path per point:
 :func:`prepare_chunk` validates the chunk and supplies its geometry, and
@@ -58,6 +58,7 @@ from repro.core.base import (
     _CELL_MEMO_LIMIT,
     SamplerConfig,
     check_vector,
+    coerce_point,
     invalid_point,
 )
 from repro.errors import DimensionMismatchError
@@ -482,9 +483,8 @@ def compute_chunk_geometry(
 
 def _check_shape(array: "np.ndarray", dim: int) -> None:
     if array.ndim != 2 or array.shape[1] != dim:
-        raise DimensionMismatchError(
-            f"expected a (n, {dim}) array, got shape {array.shape!r}"
-        )
+        reason = f"is not a row of an (n, {dim}) array {array.shape!r}"
+        raise invalid_point(0, reason, DimensionMismatchError)
 
 
 def geometry_from_array(
@@ -538,10 +538,10 @@ def validate_chunk(grid: Grid, chunk: Sequence) -> Sequence:
     pipeline's worker-side executors, the exact baseline): every point
     must coerce to floats, have ``grid``'s dimension and a cell the int64
     path can carry - finite coordinates, ``|(x - offset) // side| <
-    2^62``.  The first offending point raises one
-    :class:`~repro.errors.ParameterError` naming its position and
-    reason.  :func:`prepare_chunk` applies the same checks (plus window
-    order) with the cell check run on the geometry's own arrays.
+    2^62``.  One :class:`~repro.errors.ParameterError` names an
+    offending point's position and reason (rows are all checked before
+    any cell is).  :func:`prepare_chunk` applies the same checks (plus
+    window order) with the cell check run on the geometry's own arrays.
 
     Returns the chunk as its validated float64 array when it is made of
     coordinate rows, so a transport ships it without coercing again;
@@ -557,6 +557,24 @@ def validate_chunk(grid: Grid, chunk: Sequence) -> Sequence:
     array = _chunk_array(grid, vectors)
     _valid_cells(grid, array)
     return array if pure else chunk
+
+
+def insert_copies(
+    copies: Sequence, point: StreamPoint | Sequence[float]
+) -> None:
+    """Per-point ``insert`` of the multi-copy wrappers (k-sample, F0).
+
+    One shared :class:`StreamPoint` (so all copies agree on its arrival
+    index) is checked against every copy's grid before the first copy's
+    ``insert``, which checks window order - the same for copies in
+    lockstep.  An invalid point leaves every copy unchanged.
+    """
+    first = copies[0]
+    shared = coerce_point(point, first.points_seen, first._config.grid)
+    for copy in copies[1:]:
+        check_vector(copy._config.grid, shared.vector)
+    for copy in copies:
+        copy.insert(shared)
 
 
 def feed_copies_shared(

@@ -14,7 +14,7 @@ import statistics
 from typing import Iterable, Sequence
 
 from repro.core.base import StreamSampler
-from repro.core.chunk_geometry import feed_copies_shared
+from repro.core.chunk_geometry import feed_copies_shared, insert_copies
 from repro.core.infinite_window import RobustL0SamplerIW
 from repro.errors import ParameterError
 from repro.streams.point import StreamPoint
@@ -96,9 +96,10 @@ class RobustF0EstimatorIW(StreamSampler):
         return len(self._copies)
 
     def insert(self, point: StreamPoint | Sequence[float]) -> None:
-        """Feed one point to every copy (a one-point :meth:`process_many`:
-        validated against every copy before the first one ingests)."""
-        feed_copies_shared(self._copies, (point,))
+        """Feed one point to every copy (validated against every copy
+        before the first one ingests - see
+        :func:`~repro.core.chunk_geometry.insert_copies`)."""
+        insert_copies(self._copies, point)
 
     def process_many(
         self, points: Iterable[StreamPoint | Sequence[float]]

@@ -25,7 +25,7 @@ import statistics
 from typing import Iterable, Literal, Sequence
 
 from repro.core.base import DEFAULT_KAPPA0, StreamSampler
-from repro.core.chunk_geometry import feed_copies_shared
+from repro.core.chunk_geometry import feed_copies_shared, insert_copies
 from repro.core.sliding_window import RobustL0SamplerSW
 from repro.errors import ParameterError
 from repro.streams.point import StreamPoint
@@ -100,9 +100,10 @@ class RobustF0EstimatorSW(StreamSampler):
         return self._mode
 
     def insert(self, point: StreamPoint | Sequence[float]) -> None:
-        """Feed one point to every copy (a one-point :meth:`process_many`:
-        validated against every copy before the first one ingests)."""
-        feed_copies_shared(self._copies, (point,))
+        """Feed one point to every copy (validated against every copy
+        before the first one ingests - see
+        :func:`~repro.core.chunk_geometry.insert_copies`)."""
+        insert_copies(self._copies, point)
 
     def process_many(
         self, points: Iterable[StreamPoint | Sequence[float]]

@@ -16,7 +16,7 @@ import random
 from typing import Iterable, Sequence
 
 from repro.core.base import DEFAULT_KAPPA0, StreamSampler
-from repro.core.chunk_geometry import feed_copies_shared
+from repro.core.chunk_geometry import feed_copies_shared, insert_copies
 from repro.core.infinite_window import RobustL0SamplerIW
 from repro.core.sliding_window import RobustL0SamplerSW
 from repro.errors import EmptySampleError, ParameterError
@@ -116,11 +116,11 @@ class KDistinctSampler(StreamSampler):
     def insert(self, point: StreamPoint | Sequence[float]) -> None:
         """Feed one point to every underlying sampler.
 
-        A one-point :meth:`process_many`: the samplers share one
-        StreamPoint (so they agree on its arrival index), and it is
-        validated against every sampler before the first one ingests.
+        The samplers share one StreamPoint (so they agree on its arrival
+        index), validated against every sampler before the first one
+        ingests (:func:`~repro.core.chunk_geometry.insert_copies`).
         """
-        feed_copies_shared(self._samplers, (point,))
+        insert_copies(self._samplers, point)
 
     def process_many(
         self, points: Iterable[StreamPoint | Sequence[float]]

@@ -35,10 +35,11 @@ from hashlib import blake2b
 from typing import Any, Callable, Iterable
 
 from repro.api import build
-from repro.errors import ParameterError
+from repro.core.base import coerce_points
 from repro.persist import dumps_summary, loads_summary, summary_to_state
 from repro.service.config import ServiceSpec
 from repro.service.stores import EnvelopeStore
+from repro.streams.point import StreamPoint
 
 __all__ = ["TenantStore", "derive_tenant_seed"]
 
@@ -176,17 +177,20 @@ class TenantStore:
     async def ingest(self, tenant: str, points: Iterable[Any]) -> int:
         """Feed a batch to ``tenant``'s summary; returns points ingested.
 
-        All-or-nothing: a point summary's ``process_many`` validates the
-        whole batch before it mutates, raising
-        :class:`~repro.errors.ParameterError` (an HTTP 400), so a client
-        retry cannot double-ingest a valid prefix.  The item sketches
-        (specs without ``dim``) hash their items: JSON rows reach them
-        as tuples.
+        All-or-nothing: an invalid batch raises
+        :class:`~repro.errors.ParameterError` (an HTTP 400) and leaves
+        the tenant's state unchanged, so a client retry cannot
+        double-ingest a valid prefix.  The item sketches (specs without
+        ``dim``) hash whatever they get, so for them the batch is
+        checked here (:func:`~repro.core.base.coerce_points`): each row
+        reaches them as a tuple of finite floats, whose hash - unlike a
+        string's or a NaN's - is the same in every process.
         """
         if getattr(self.spec.spec, "dim", None) is None:
+            points = list(points)
             points = [
-                tuple(point) if isinstance(point, list) else point
-                for point in points
+                point if isinstance(point, StreamPoint) else coerced.vector
+                for point, coerced in zip(points, coerce_points(points, 0))
             ]
         async with self._lock_for(tenant):
             summary = self._materialize(tenant)
@@ -358,14 +362,3 @@ class TenantStore:
         """Backend operation counters (the ``/metrics`` ``store`` section)."""
         return self.store.stats()
 
-
-def validate_tenant_name(tenant: str) -> str:
-    """Reject tenant keys that cannot round-trip through a URL path.
-
-    The store layer itself accepts any string; this guard is for the
-    HTTP surface, where an empty segment or a slash would be a routing
-    ambiguity rather than a tenant.
-    """
-    if not tenant or "/" in tenant:
-        raise ParameterError(f"invalid tenant key {tenant!r}")
-    return tenant

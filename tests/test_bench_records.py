@@ -78,11 +78,10 @@ def perfbench_stdout(workload, seed, value):
     )
 
 
-def record_run(module, path, workload, seed, value, cap=3):
+def record_run(module, path, workload, seed, value):
     out = path.parent / f"{workload}-{seed}.txt"
     out.write_text(perfbench_stdout(workload, seed, value))
-    argv = [str(out), "--record", str(path), "--cap", str(cap)]
-    assert module.main(argv + ["--commit", "abc1234"]) == 0
+    assert module.main([str(out), "--record", str(path)]) == 0
 
 
 def test_perfbench_record_appends_with_provenance(tmp_path):
@@ -97,19 +96,18 @@ def test_perfbench_record_appends_with_provenance(tmp_path):
     newest = history[-1]
     assert newest["metrics"]["ingest_pts_per_s"]["value"] == 110.0
     assert newest["correct"] is True and newest["failed"] == 0
-    assert newest["commit"] == "abc1234"
+    assert isinstance(newest["commit"], str) and newest["commit"]
     for field in ("cpu_count", "python", "numpy"):
         assert field in newest
 
 
-def test_perfbench_record_caps_each_history(tmp_path):
+def test_perfbench_record_caps_each_history():
     module = load_record_perfbench()
-    path = tmp_path / "BENCH_perfbench.json"
+    record = {}
     for seed in range(5):
-        record_run(module, path, "service-churn", seed, float(seed), cap=3)
-    history = json.loads(path.read_text())["workloads"]["service-churn"][
-        "history"
-    ]
+        entry = {"workload": "service-churn", "seed": seed}
+        module.append_run(record, entry, cap=3)
+    history = record["workloads"]["service-churn"]["history"]
     assert [entry["seed"] for entry in history] == [2, 3, 4]
 
 

@@ -9,7 +9,7 @@ alphabet at any position of chunks of size 1, 3, ``MIN_VECTOR_CHUNK``
 and 200, and drives every surface that ingests points:
 
 * ``insert`` and ``process_many`` of every point summary (the registry
-  keys with a ``dim``);
+  keys with a ``dim``) and of the grid-less point baselines;
 * ``BatchPipeline.submit`` under each executor;
 * HTTP ingest (400, checkpoint unchanged);
 * CLI input (exit 1, one ``error:`` line, no ``--save-state`` file).
@@ -26,17 +26,18 @@ import os
 import random
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import L0InfiniteSpec, PipelineSpec, build
 from repro.cli import main
-from repro.core.base import check_vector
-from repro.core.chunk_geometry import MIN_VECTOR_CHUNK
+from repro.core.base import SamplerConfig, check_vector
+from repro.core.chunk_geometry import MIN_VECTOR_CHUNK, geometry_from_array
 from repro.engine.equivalence import state_fingerprint
 from repro.engine.executors import EXECUTOR_NAMES
-from repro.errors import ParameterError
+from repro.errors import DimensionMismatchError, ParameterError
 from repro.geometry.kernels import COORD_LIMIT
 from repro.service import ServiceSpec, create_app
 from repro.service.testing import ASGITestClient
@@ -159,6 +160,48 @@ class TestSummaries:
                 assert state_fingerprint(summary) == before
         finally:
             getattr(summary, "close", lambda: None)()
+
+
+#: The grid-less point baselines: no dimension or grid to check, but
+#: every point must coerce to finite floats (their hashes and
+#: checkpoints must not depend on a NaN's identity).
+GRIDLESS = ["minrank", "naive-reservoir"]
+GRIDLESS_ALPHABET = ["nan", "inf", "-inf", "string", "text", "none"]
+
+
+class TestGridlessBaselines:
+    @pytest.mark.parametrize("key", GRIDLESS)
+    @given(case=hostile_chunks(GRIDLESS_ALPHABET))
+    @settings(max_examples=30, deadline=None)
+    def test_batch_and_insert_rejected_with_state_unchanged(self, key, case):
+        size, position, kind, seed = case
+        summary = build(key, seed=seed)
+        summary.process_many(good_points(30, seed + 1))
+        before = state_fingerprint(summary)
+        chunk = place(kind, None, size, position, seed)
+        with pytest.raises(ParameterError, match=f"point {position} "):
+            summary.process_many(chunk)
+        assert state_fingerprint(summary) == before
+        with pytest.raises(ParameterError):
+            summary.insert(chunk[position])
+        assert state_fingerprint(summary) == before
+
+    @pytest.mark.parametrize("key", GRIDLESS)
+    def test_valid_batch_equals_per_point(self, key):
+        points = good_points(50, 4)
+        batched, single = build(key, seed=4), build(key, seed=4)
+        assert batched.process_many(points) == len(points)
+        for point in points:
+            single.insert(point)
+        assert state_fingerprint(batched) == state_fingerprint(single)
+
+
+def test_worker_array_of_the_wrong_width_is_rejected_as_a_batch():
+    config = SamplerConfig.create(1.0, 2, seed=1)
+    with pytest.raises(
+        DimensionMismatchError, match="nothing ingested - point 0 "
+    ):
+        geometry_from_array(config, np.zeros((5, 3)))
 
 
 @pytest.fixture(scope="module", params=EXECUTOR_NAMES)

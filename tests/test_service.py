@@ -19,10 +19,16 @@ import random
 import pytest
 
 from repro.api import (
+    BJKSTSpec,
     F0InfiniteSpec,
+    FMSpec,
     HeavyHittersSpec,
+    HyperLogLogSpec,
     L0InfiniteSpec,
     L0SlidingSpec,
+    LogLogSpec,
+    MinRankSpec,
+    NaiveReservoirSpec,
 )
 from repro.engine import state_fingerprint
 from repro.errors import ParameterError
@@ -796,6 +802,46 @@ class TestAllOrNothingIngest:
             assert resp.status == 400
             error = resp.json()["error"]
             assert "nothing ingested" in error and "point 1" in error
+            assert (await client.post("/v1/t/checkpoint")).body == before
+
+        run(scenario())
+
+    #: The specs without ``dim``: the item sketches and the grid-less
+    #: point baselines, whose batch the service checks before ingest.
+    DIMLESS = {
+        "naive-reservoir": NaiveReservoirSpec(seed=3),
+        "minrank": MinRankSpec(seed=3),
+        "fm": FMSpec(seed=3),
+        "loglog": LogLogSpec(seed=3),
+        "hyperloglog": HyperLogLogSpec(seed=3),
+        "bjkst": BJKSTSpec(seed=3),
+    }
+
+    @pytest.mark.parametrize("key", sorted(DIMLESS))
+    @pytest.mark.parametrize(
+        "bad", [b'["x"]', b"[NaN]", b"[-Infinity]", b"null"]
+    )
+    def test_http_dimless_poisoned_batch_is_400_and_checkpoint_unchanged(
+        self, key, bad
+    ):
+        """A string or non-finite row would otherwise be hashed by
+        ``hash()`` - randomised per process, or identity-based for NaN -
+        after the rows before it were ingested."""
+
+        async def scenario():
+            app = create_app(service_spec(key, spec=self.DIMLESS[key]))
+            client = ASGITestClient(app)
+            good = {"points": [[1.0, 2.0], [5.0, 5.0]]}
+            await client.post_json("/v1/t/ingest", good)
+            before = (await client.post("/v1/t/checkpoint")).body
+            resp = await client.request(
+                "POST",
+                "/v1/t/ingest",
+                body=b'{"points": [[7, 7], ' + bad + b", [8, 8]]}",
+            )
+            assert resp.status == 400
+            error = resp.json()["error"]
+            assert "nothing ingested - point 1" in error
             assert (await client.post("/v1/t/checkpoint")).body == before
 
         run(scenario())
