@@ -69,18 +69,35 @@ def parse_output(text: str) -> dict:
     }
 
 
-def provenance() -> dict:
-    """Where the run happened: commit, cores, Python and numpy versions."""
+def _git(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, capture_output=True, text=True
+    )
+
+
+def provenance(record: Path) -> dict:
+    """Where the run happened: commit, cores, Python and numpy versions.
+
+    The commit is ``git describe --always``, marked ``-dirty`` when a
+    tracked file other than ``record`` differs from HEAD: the record
+    changes with every append, which does not change the measured code.
+    """
+    pathspec = ["."]
     try:
-        commit = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
+        pathspec.append(f":(exclude){record.resolve().relative_to(ROOT)}")
+    except ValueError:
+        pass  # a record outside the checkout cannot dirty it
+    try:
+        described = _git("describe", "--always")
+        dirty = _git("diff", "--quiet", "HEAD", "--", *pathspec)
+    except OSError:
+        described = None
+    if described is None or described.returncode != 0:
         commit = "unknown"
+    else:
+        commit = described.stdout.strip()
+        if dirty.returncode != 0:
+            commit += "-dirty"
     try:
         import numpy
 
@@ -129,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as error:
         print(f"error: {args.output}: {error}", file=sys.stderr)
         return 1
-    entry.update(provenance())
+    entry.update(provenance(args.record))
     record = append_run(load_record(args.record), entry)
     write_record(args.record, record)
     history = record["workloads"][entry["workload"]]["history"]

@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
+
+import pytest
 
 BENCH_THROUGHPUT = (
     Path(__file__).resolve().parents[1] / "benchmarks" / "bench_throughput.py"
@@ -123,6 +127,39 @@ def test_perfbench_record_keeps_other_workloads(tmp_path):
         7,
         8,
     ]
+
+
+def git(repo, *args):
+    subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+        cwd=repo,
+        check=True,
+        capture_output=True,
+    )
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_perfbench_record_does_not_dirty_the_commit_label(
+    tmp_path, monkeypatch
+):
+    """Appending changes the tracked record itself; only a change to
+    other tracked files marks the measured commit ``-dirty``."""
+    module = load_record_perfbench()
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    code, record = repo / "code.py", repo / "BENCH_perfbench.json"
+    code.write_text("x = 1\n")
+    record.write_text("{}\n")
+    git(repo, "init", "-q")
+    git(repo, "add", ".")
+    git(repo, "commit", "-q", "-m", "seed")
+    monkeypatch.setattr(module, "ROOT", repo.resolve())
+    clean = module.provenance(record)["commit"]
+    assert clean not in ("", "unknown") and not clean.endswith("-dirty")
+    record.write_text('{"workloads": {}}\n')
+    assert module.provenance(record)["commit"] == clean
+    code.write_text("x = 2\n")
+    assert module.provenance(record)["commit"] == clean + "-dirty"
 
 
 def test_perfbench_record_rejects_output_without_result(tmp_path, capsys):
