@@ -17,7 +17,7 @@ from repro.distributed.coordinator import DistributedRobustSampler
 from repro.metric_space.lsh import BandedLSH, MinHash
 from repro.metric_space.metrics import jaccard_distance
 from repro.metric_space.sampler import RobustLSHSampler
-from repro.persist import sampler_from_state, sampler_to_state
+from repro.persist import summary_from_state, summary_to_state
 
 
 def test_lsh_sampler_pass(benchmark):
@@ -116,7 +116,7 @@ def test_checkpoint_round_trip(benchmark, records):
         )
 
     def round_trip():
-        return sampler_from_state(sampler_to_state(sampler))
+        return summary_from_state(summary_to_state(sampler))
 
     restored = benchmark(round_trip)
     benchmark.extra_info.update(

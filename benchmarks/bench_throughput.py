@@ -197,7 +197,6 @@ def _transport_record(stats) -> dict | None:
     return {
         "chunks": chunks,
         "shm_chunks": stats.get("shm_chunks", 0),
-        "array_chunks": stats.get("array_chunks", 0),
         "pickle_chunks": stats.get("pickle_chunks", 0),
         "shm_bytes": stats.get("shm_bytes", 0),
         "submit_us_per_chunk": (

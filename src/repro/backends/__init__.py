@@ -4,7 +4,7 @@ Where durable state lives once it leaves a summary object.  The
 :class:`StateBackend` contract (``put``/``get``/``get_versioned``/
 ``delete``/``keys``/O(1) ``count`` plus atomic
 ``compare_and_swap(key, expected_version, data)``) is what the serving
-layer's envelope spills (:mod:`repro.service.stores`), checkpoint
+layer's envelope spills (:mod:`repro.service.tenants`), checkpoint
 persistence (:mod:`repro.persist`) and crash-safe resumable pipelines
 (:mod:`repro.engine.resumable`) all sit on; three implementations ship:
 

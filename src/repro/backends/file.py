@@ -24,7 +24,7 @@ On-disk format: ``<hex(utf8(key))>.blob`` holding a 12-byte header
 (magic ``RSB1`` + big-endian ``u64`` version) followed by the payload -
 header and payload travel in one file, so version and data can never
 disagree after a crash.  Legacy ``<hex>.json`` files (the pre-backend
-:class:`~repro.service.stores.FileEnvelopeStore` layout: bare payload)
+file envelope-store layout: bare payload)
 are still readable as version 1 and are upgraded on the next write.
 
 ``count()`` is served from a counter maintained under the lock (O(1),

@@ -15,20 +15,19 @@ keeping the *what* bit-identical:
   states plus the shared :class:`~repro.core.base.SamplerConfig`).
   Chunks travel over a **zero-copy shared-memory transport**: ``submit``
   coerces the chunk into one contiguous float64 array, the scheduler
-  memcpys it into a pooled :mod:`multiprocessing.shared_memory` slot and
-  enqueues only a small descriptor ``(slot, segment name, rows, dim)``;
-  the owning worker reconstructs the array pickle-free, publishes the
-  completion and freed slot through a lock-free shared-memory control
-  block (:class:`_ControlBlock` - no message, no submitter wake-up,
-  no per-chunk context switch), and rebuilds the chunk's
-  :class:`~repro.core.chunk_geometry.ChunkGeometry` straight from the
-  array (:func:`repro.core.chunk_geometry.geometry_from_array`), so the
-  chunk is float-coerced exactly once end to end.  Chunks reach an
-  executor already validated (:meth:`BatchPipeline.submit
+  memcpys it into a pooled :mod:`multiprocessing.shared_memory` slot at
+  dispatch and enqueues only a small descriptor ``(slot, segment name,
+  rows, dim)``; the owning worker reconstructs the array pickle-free,
+  rebuilds the chunk's
+  :class:`~repro.core.chunk_geometry.ChunkGeometry` straight from it
+  (:func:`repro.core.chunk_geometry.geometry_from_array`), so the chunk
+  is float-coerced exactly once end to end, and reports the completion
+  and the slot to recycle as one small ``("done", worker, slot)``
+  message.  Chunks reach an executor already validated
+  (:meth:`BatchPipeline.submit
   <repro.engine.pipeline.BatchPipeline.submit>` rejects an invalid one
   before any executor sees it); chunks the array transport cannot carry
-  (StreamPoints) fall back to pickling, and an array chunk that finds no
-  free shared-memory slot ships as a pickled array instead.  On
+  (StreamPoints) fall back to pickling.  On
   :meth:`~ShardExecutor.drain` each worker returns its shards' protocol
   states **batched in one message**, which the caller folds back into
   the coordinator as they arrive (streaming merge - see
@@ -95,7 +94,6 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import queue as queue_module
-import struct
 import threading
 import time
 import traceback
@@ -134,10 +132,9 @@ _DISPATCH_DEPTH = 4
 
 #: Dispatch depth used when there is exactly ONE worker.  It still
 #: bounds the pool (``depth + slack`` slots), and a deep pipeline lets
-#: the submitter pre-dispatch its whole backlog: the worker chews
-#: through it without a single submitter wake-up (the control block
-#: makes completions message-free), which is what keeps the 1-worker
-#: configuration at parity with serial even on one core.
+#: the submitter pre-dispatch its whole backlog: the worker never waits
+#: for the submitter to refill it, which is what keeps the 1-worker
+#: configuration at parity with serial.
 _SINGLE_WORKER_DEPTH = 64
 
 #: Pool slack beyond the worst-case in-flight slot count.
@@ -297,10 +294,10 @@ class _ShmChunkPool:
 
     The submitter acquires a free slot per dispatched chunk, memcpys the
     chunk's float64 array into it and ships only a descriptor; the
-    consuming worker returns the slot through the :class:`_ControlBlock`
-    free ring with its completion, and the pool holds a slot for
-    every chunk that can be in flight plus slack, so recycling can
-    never starve a submit.
+    consuming worker returns the slot with its ``"done"`` message.  Only
+    dispatched chunks hold a slot - at most ``workers x depth`` - and
+    the pool has that many plus slack, so :meth:`acquire` cannot run
+    dry.
     Segments are created lazily, grown geometrically and reused (LIFO,
     so warm segments stay warm).  Every created segment is unlinked on
     :meth:`close` and, as a backstop, by a ``weakref.finalize`` at
@@ -323,12 +320,8 @@ class _ShmChunkPool:
         """Names of every live segment (the lifecycle tests' probe)."""
         return list(self._names.values())
 
-    def acquire(
-        self, nbytes: int
-    ) -> tuple[int, shared_memory.SharedMemory] | None:
-        """A free slot with capacity >= ``nbytes``, or ``None``."""
-        if not self._free:
-            return None
+    def acquire(self, nbytes: int) -> tuple[int, shared_memory.SharedMemory]:
+        """A free slot with capacity >= ``nbytes``."""
         slot = self._free.pop()
         segment = self._segments[slot]
         if segment is None or segment.size < nbytes:
@@ -381,79 +374,6 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
         resource_tracker.register = original_register
 
 
-class _ControlBlock:
-    """Lock-free completion channel in one small shared-memory segment.
-
-    Completion acks used to return as result-queue messages; on a
-    loaded (or single-core) machine every such write wakes the blocked
-    submitter - two context switches plus a cache refill *per chunk*.
-    Instead each worker publishes into its own region of this segment:
-
-    * a monotonically increasing **completion counter** (one per
-      processed chunk, slot-carrying or not), and
-    * a **ring of freed chunk-pool slots**, each written as
-      ``slot + 1`` (0 means empty; the submitter zeroes consumed
-      cells).
-
-    Every cell is an 8-byte-aligned single-writer value, so plain
-    reads and writes are atomic and no lock exists anywhere; the
-    submitter polls opportunistically (during submits and drain waits)
-    and is never woken at all.  A worker cannot lap the submitter's
-    ring cursor: unconsumed frees are bounded by the slots in
-    existence, and the ring holds one cell per pool slot.
-    """
-
-    def __init__(self, num_workers: int, ring_slots: int) -> None:
-        self._num_workers = num_workers
-        self._ring_slots = ring_slots
-        self._stride = 8 * (1 + ring_slots)
-        self._segment = shared_memory.SharedMemory(
-            create=True, size=max(8, num_workers * self._stride)
-        )
-        self._done_seen = [0] * num_workers
-        self._cursors = [0] * num_workers
-        self._names = {0: self._segment.name}
-        self._finalizer = weakref.finalize(
-            self, _unlink_segments, self._names
-        )
-
-    @property
-    def name(self) -> str:
-        return self._segment.name
-
-    @property
-    def ring_slots(self) -> int:
-        return self._ring_slots
-
-    def poll(self) -> tuple[list[int], list[int]]:
-        """(per-worker completion deltas, freed pool slots) since last
-        poll.  Submitter-side only."""
-        buf = self._segment.buf
-        deltas = []
-        freed = []
-        for worker in range(self._num_workers):
-            base = worker * self._stride
-            done = struct.unpack_from("<q", buf, base)[0]
-            deltas.append(done - self._done_seen[worker])
-            self._done_seen[worker] = done
-            cursor = self._cursors[worker]
-            while True:
-                offset = base + 8 + (cursor % self._ring_slots) * 8
-                value = struct.unpack_from("<q", buf, offset)[0]
-                if value == 0:
-                    break
-                struct.pack_into("<q", buf, offset, 0)
-                freed.append(value - 1)
-                cursor += 1
-            self._cursors[worker] = cursor
-        return deltas, freed
-
-    def close(self) -> None:
-        self._finalizer.detach()
-        self._segment.close()
-        _try_unlink(self._segment)
-
-
 class _Channel:
     """One-direction message channel built directly on a pipe.
 
@@ -469,8 +389,11 @@ class _Channel:
     lock; single-writer channels (each worker's task channel) skip
     even that.  Flow control is the pipe buffer itself: a ``put``
     blocks once the reader falls a pipe-buffer behind, which only the
-    oversized pickle-fallback payloads can reach - descriptor traffic
-    is bounded by the dispatch depth.
+    oversized pickle-fallback payloads can reach.  Descriptor traffic
+    is bounded by the dispatch depth, and so are the workers' unread
+    ``"done"`` messages - at most ``workers x depth`` of them: a worker
+    only receives a chunk after the submitter has read the completion
+    that made room for it, so completions cannot fill the result pipe.
     """
 
     def __init__(self, context, *, writers: int) -> None:
@@ -510,9 +433,6 @@ class _Channel:
         if timeout is not None and not self._reader.poll(timeout):
             raise queue_module.Empty
         return self._reader.recv()
-
-    def get_nowait(self):
-        return self.get(timeout=0)
 
     def close(self) -> None:
         self._reader.close()
@@ -586,25 +506,23 @@ def _chunk_as_array(chunk: Sequence[Any], dim: int) -> "np.ndarray | None":
     return array
 
 
-def _transport_worker(
-    worker_id, task_queue, result_queue, config_state, ctrl_name, ring_slots
-):
+def _transport_worker(worker_id, task_queue, result_queue, config_state):
     """Worker-process loop of the zero-copy transport.
 
     Owns the shard replicas the scheduler ``adopt``\\ s - shipping each
     shard's protocol state before the shard's first chunk.  Chunk
-    payloads arrive as shared-memory descriptors, pickled arrays or
-    pickled chunks; the array forms rebuild the chunk's geometry in one
-    pass (:func:`repro.core.chunk_geometry.geometry_from_array`) with
-    the coerced vectors cached on it, so the replica's materialisation
-    is free.  Per-shard sequence numbers are asserted on every chunk -
-    the machine check of per-shard FIFO order.  Completions and freed
-    slots are published through the :class:`_ControlBlock` (no
-    message, no submitter wake-up).  On ``drain`` the worker ships all
+    payloads arrive as shared-memory descriptors (``"shm"``) or pickled
+    chunks (``"pickle"``); a descriptor's array rebuilds the chunk's
+    geometry in one pass
+    (:func:`repro.core.chunk_geometry.geometry_from_array`) with the
+    coerced vectors cached on it, so the replica's materialisation is
+    free.  Per-shard sequence numbers are asserted on every chunk - the
+    machine check of per-shard FIFO order.  Every chunk is answered
+    with one ``("done", worker_id, slot)`` message (``slot`` is
+    ``None`` for a pickled chunk).  On ``drain`` the worker ships all
     owned shards' states batched in one message; failures are sticky
-    and reported there (chunks after a failure are swallowed, but their
-    completions and shared-memory slots are still published so the
-    submitter's pool cannot starve).
+    and reported there (chunks after a failure are swallowed, but each
+    still gets its ``"done"`` so the submitter's pool cannot starve).
     """
     from repro.core import serialize
     from repro.core.chunk_geometry import geometry_from_array
@@ -615,25 +533,6 @@ def _transport_worker(
     next_seq: dict[int, int] = {}
     attachments: dict[int, shared_memory.SharedMemory] = {}
     failure: str | None = None
-
-    ctrl = _attach_untracked(ctrl_name)
-    ctrl_base = worker_id * 8 * (1 + ring_slots)
-    done_total = 0
-    freed_total = 0
-
-    def publish(slot: int | None) -> None:
-        """Publish one completion (and a freed slot) to the submitter."""
-        nonlocal done_total, freed_total
-        if slot is not None:
-            struct.pack_into(
-                "<q",
-                ctrl.buf,
-                ctrl_base + 8 + (freed_total % ring_slots) * 8,
-                slot + 1,
-            )
-            freed_total += 1
-        done_total += 1
-        struct.pack_into("<q", ctrl.buf, ctrl_base, done_total)
 
     def attach(slot: int, name: str) -> shared_memory.SharedMemory:
         cached = attachments.get(slot)
@@ -651,49 +550,43 @@ def _transport_worker(
         if kind == "chunk":
             shard_id, seq, payload = message[1], message[2], message[3]
             slot = payload[1] if payload[0] == "shm" else None
-            if failure is not None:
-                # Poisoned: swallow work until drain reports, but keep
-                # the transport flowing - the slot and the completion
-                # must still reach the submitter.
-                publish(slot)
-                continue
-            try:
-                expected = next_seq.get(shard_id)
-                if seq != expected:
-                    raise RuntimeError(
-                        f"shard {shard_id} chunk out of order: got "
-                        f"sequence {seq}, expected {expected}"
-                    )
-                if payload[0] == "shm":
-                    segment = attach(slot, payload[2])
-                    rows, dim = payload[3], payload[4]
-                    view = np.frombuffer(
-                        segment.buf, dtype=np.float64, count=rows * dim
-                    ).reshape(rows, dim)
-                    vectors, geometry = geometry_from_array(config, view)
-                    del view  # everything derived is a copy
-                    shards[shard_id].process_many(
-                        vectors, geometry=geometry
-                    )
-                elif payload[0] == "array":
-                    vectors, geometry = geometry_from_array(
-                        config, payload[1]
-                    )
-                    shards[shard_id].process_many(
-                        vectors, geometry=geometry
-                    )
-                else:  # "pickle"
-                    shards[shard_id].process_many(payload[1])
-                next_seq[shard_id] = seq + 1
-            except BaseException:
-                failure = traceback.format_exc()
-            finally:
-                # One publication per chunk carries both the completion
-                # and the slot to recycle: the pool has a slot for
-                # every chunk that can be in flight plus slack, so
-                # holding the slot for the chunk's processing (instead
-                # of an early free) can never starve the submitter.
-                publish(slot)
+            # A poisoned worker swallows work until drain reports it.
+            if failure is None:
+                try:
+                    expected = next_seq.get(shard_id)
+                    if seq != expected:
+                        raise RuntimeError(
+                            f"shard {shard_id} chunk out of order: got "
+                            f"sequence {seq}, expected {expected}"
+                        )
+                    if payload[0] == "shm":
+                        segment = attach(slot, payload[2])
+                        rows, dim = payload[3], payload[4]
+                        view = np.frombuffer(
+                            segment.buf, dtype=np.float64, count=rows * dim
+                        ).reshape(rows, dim)
+                        try:
+                            vectors, geometry = geometry_from_array(
+                                config, view
+                            )
+                        finally:
+                            # Everything derived is a copy; a rejected
+                            # array must not pin the segment either.
+                            del view
+                        shards[shard_id].process_many(
+                            vectors, geometry=geometry
+                        )
+                    else:  # "pickle"
+                        shards[shard_id].process_many(payload[1])
+                    next_seq[shard_id] = seq + 1
+                except BaseException:
+                    failure = traceback.format_exc()
+            # Poisoned or not, one message per chunk carries both the
+            # completion and the slot to recycle: the pool has a slot
+            # for every chunk that can be in flight plus slack, so
+            # holding the slot for the chunk's processing (instead of an
+            # early free) can never starve the submitter.
+            result_queue.put(("done", worker_id, slot))
         elif kind == "adopt":
             try:
                 shards[message[1]] = ShardSampler.from_state(
@@ -735,7 +628,6 @@ def _transport_worker(
         else:  # "stop"
             for segment in attachments.values():
                 segment.close()
-            ctrl.close()
             return
 
 
@@ -758,9 +650,8 @@ class ProcessShardExecutor(ShardExecutor):
     merge while stragglers are still ingesting.
 
     Eligible chunks ship as float64 arrays through pooled shared-memory
-    segments.  Two per-chunk fallbacks remain: a pickled float64 array
-    when no pool slot is free, and a pickled chunk for anything
-    :func:`_chunk_as_array` rejects (StreamPoints, ragged rows).
+    segments, written at dispatch; anything :func:`_chunk_as_array`
+    rejects (StreamPoints, ragged rows) ships as a pickled chunk.
     """
 
     name = "process"
@@ -800,14 +691,12 @@ class ProcessShardExecutor(ShardExecutor):
         self._stats: dict[str, Any] = {
             "chunks": 0,
             "shm_chunks": 0,
-            "array_chunks": 0,
             "pickle_chunks": 0,
             "shm_bytes": 0,
             "submit_seconds": 0.0,
         }
         pool_slots = self._num_workers * self._depth + _POOL_SLACK_SLOTS
         self._pool = _ShmChunkPool(pool_slots)
-        self._ctrl = _ControlBlock(self._num_workers, pool_slots)
         context = _mp_context()
         self._result_queue = _Channel(context, writers=self._num_workers)
         self._task_queues = []
@@ -817,14 +706,7 @@ class ProcessShardExecutor(ShardExecutor):
             tasks = _Channel(context, writers=1)
             worker = context.Process(
                 target=_transport_worker,
-                args=(
-                    index,
-                    tasks,
-                    self._result_queue,
-                    config_state,
-                    self._ctrl.name,
-                    self._ctrl.ring_slots,
-                ),
+                args=(index, tasks, self._result_queue, config_state),
                 name=f"repro-shard-worker-{index}",
                 daemon=True,
             )
@@ -844,21 +726,17 @@ class ProcessShardExecutor(ShardExecutor):
         start = time.perf_counter()
         # ``geometry`` is intentionally unused (wants_geometry is
         # False); the worker rebuilds it from the transported array.
-        payload = None
+        # Backlog entries are an owned float64 array (written into a
+        # shared-memory slot at dispatch) or a ready pickle payload.
         array = _chunk_as_array(chunk, self._dim)
-        if array is not None:
-            if array is chunk or array.base is not None:
-                # Aliases the caller's mutable buffer: snapshot it into
-                # a shared-memory slot right now if one is free, else
-                # fall back to an owned copy.
-                payload = self._write_shm(array)
-                if payload is None:
-                    payload = ("array", array.copy())
-            else:
-                payload = ("array", array)
-        if payload is None:
+        if array is None:
             payload = ("pickle", _owned_chunk(chunk))
             self._stats["pickle_chunks"] += 1
+        elif array is chunk or array.base is not None:
+            # Aliases the caller's mutable buffer: snapshot it.
+            payload = array.copy()
+        else:
+            payload = array
         seq = self._seq[shard_id]
         self._seq[shard_id] = seq + 1
         self._pending.setdefault(shard_id, deque()).append((seq, payload))
@@ -868,12 +746,9 @@ class ProcessShardExecutor(ShardExecutor):
         self._stats["submit_seconds"] += time.perf_counter() - start
         return None
 
-    def _write_shm(self, array) -> tuple | None:
-        """Copy ``array`` into a pooled slot -> descriptor, or ``None``."""
-        acquired = self._pool.acquire(array.nbytes)
-        if acquired is None:
-            return None
-        slot, segment = acquired
+    def _write_shm(self, array) -> tuple:
+        """Copy ``array`` into a pooled slot -> its descriptor."""
+        slot, segment = self._pool.acquire(array.nbytes)
         rows, dim = array.shape
         target = np.frombuffer(
             segment.buf, dtype=np.float64, count=rows * dim
@@ -918,12 +793,8 @@ class ProcessShardExecutor(ShardExecutor):
             tasks = self._task_queues[worker]
             while backlog and self._inflight[worker] < self._depth:
                 seq, payload = backlog.popleft()
-                if payload[0] == "array":
-                    written = self._write_shm(payload[1])
-                    if written is not None:
-                        payload = written
-                    else:
-                        self._stats["array_chunks"] += 1
+                if isinstance(payload, np.ndarray):
+                    payload = self._write_shm(payload)
                 tasks.put(("chunk", shard_id, seq, payload))
                 self._inflight[worker] += 1
 
@@ -934,7 +805,11 @@ class ProcessShardExecutor(ShardExecutor):
     def _handle_async(self, message) -> None:
         """Absorb a worker message that is not a drain-level response."""
         kind = message[0]
-        if kind == "error":
+        if kind == "done":
+            self._inflight[message[1]] -= 1
+            if message[2] is not None:
+                self._pool.release(message[2])
+        elif kind == "error":
             self._failure = message[3]
         elif kind == "states":
             # Stale report from an interrupted drain: its payload still
@@ -942,40 +817,18 @@ class ProcessShardExecutor(ShardExecutor):
             # message stream aligned, then both are dropped.
             self._result_queue.get_payload()
 
-    def _consume_control(self) -> bool:
-        """Absorb control-block publications: completions, freed slots."""
-        deltas, freed = self._ctrl.poll()
-        progress = bool(freed)
-        for worker, delta in enumerate(deltas):
-            if delta:
-                progress = True
-                self._inflight[worker] -= delta
-        for slot in freed:
-            self._pool.release(slot)
-        return progress
+    def _poll_results(self, timeout: float = 0.0) -> bool:
+        """Absorb every ready worker message; return whether any arrived.
 
-    def _poll_results(self, timeout: float | None = None) -> bool:
-        """Absorb ready worker publications and messages.
-
-        Returns whether anything arrived.  ``timeout`` blocks on the
-        result channel for the first message only, and only when the
-        control block showed no progress either - the drain flush loop
-        uses a short timeout so silent control-block progress (the
-        normal case: completions carry no message at all) is picked up
-        promptly.
+        ``timeout`` bounds the wait for the first message only.
         """
-        progress = self._consume_control()
+        progress = False
         while True:
             try:
-                if timeout is not None and not progress:
-                    message = self._result_queue.get(timeout=timeout)
-                else:
-                    message = self._result_queue.get_nowait()
+                message = self._result_queue.get(
+                    timeout=0.0 if progress else timeout
+                )
             except queue_module.Empty:
-                if timeout is not None and not progress:
-                    # Completions may have landed during the blocking
-                    # wait; report them so stall detection sees life.
-                    progress = self._consume_control()
                 return progress
             progress = True
             self._handle_async(message)
@@ -1015,10 +868,7 @@ class ProcessShardExecutor(ShardExecutor):
             self._pump()
             if self._failure is not None:
                 self._raise_failure()
-            # Short wait: chunk completions are silent control-block
-            # updates, not messages, so a long blocking poll on the
-            # result channel would starve dispatch refills.
-            if self._poll_results(timeout=0.02):
+            if self._poll_results(timeout=_DRAIN_POLL_SECONDS):
                 last_progress = time.monotonic()
             else:
                 self._check_liveness()
@@ -1045,11 +895,6 @@ class ProcessShardExecutor(ShardExecutor):
                     timeout=_DRAIN_POLL_SECONDS
                 )
             except queue_module.Empty:
-                if self._consume_control():
-                    # In-flight chunks completing ahead of the barrier
-                    # response are progress, message-free as they are.
-                    last_progress = time.monotonic()
-                    continue
                 self._check_liveness()
                 if time.monotonic() - last_progress > _DRAIN_STALL_SECONDS:
                     raise ExecutorError(
@@ -1059,7 +904,11 @@ class ProcessShardExecutor(ShardExecutor):
                 continue
             last_progress = time.monotonic()
             kind = message[0]
-            if kind == "states":
+            if kind == "done":
+                # In-flight chunks completing ahead of the barrier
+                # response.
+                self._handle_async(message)
+            elif kind == "states":
                 # The raw state payload follows its header on the pipe
                 # unconditionally - consume it even for a stale report.
                 deferred = DeferredStates(self._result_queue.get_payload())
@@ -1098,7 +947,6 @@ class ProcessShardExecutor(ShardExecutor):
         for tasks in self._task_queues:
             tasks.close()
         self._pool.close()
-        self._ctrl.close()
 
 
 class RemoteShardExecutor(ShardExecutor):

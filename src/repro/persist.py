@@ -100,8 +100,8 @@ def dumps_summary(summary: Any) -> bytes:
 
     The bytes-level twin of :func:`dump_summary`: same envelope, no
     filesystem.  This is what stores that hold envelopes in memory, a
-    database or an object store (e.g. the serving layer's
-    :class:`repro.service.EnvelopeStore`) round-trip through.
+    database or an object store (e.g. the serving layer's envelope
+    store, a :class:`repro.backends.StateBackend`) round-trip through.
 
     >>> sampler = RobustL0SamplerIW(1.0, 1, seed=3)
     >>> sampler.insert((0.0,))
@@ -238,58 +238,14 @@ def _legacy_record_from_state(state: dict[str, Any]):
     return serialize.record_from_state(state)
 
 
-def sampler_to_state(sampler: RobustL0SamplerIW) -> dict[str, Any]:
-    """Serialise an infinite-window sampler (now a protocol envelope).
-
-    Kept as a compatibility alias for the original single-sampler API;
-    new code should use :func:`summary_to_state`.
-
-    >>> sampler = RobustL0SamplerIW(1.0, 1, seed=3)
-    >>> sampler.insert((0.0,))
-    >>> state = sampler_to_state(sampler)
-    >>> state["version"], state["state"]["rate_denominator"]
-    (2, 1)
-    """
-    return summary_to_state(sampler)
-
-
-def sampler_from_state(state: dict[str, Any]) -> RobustL0SamplerIW:
-    """Restore an infinite-window sampler from version-1 or -2 state.
-
-    Compatibility alias; new code should use :func:`summary_from_state`.
-    """
-    restored = summary_from_state(state)
-    if not isinstance(restored, RobustL0SamplerIW):
-        raise CheckpointError(
-            "checkpoint does not hold an infinite-window sampler; use "
-            "load_summary/summary_from_state for other summaries"
-        )
-    return restored
-
-
-def dump_sampler(sampler: RobustL0SamplerIW, path: str) -> None:
-    """Compatibility alias for :func:`dump_summary`."""
-    dump_summary(sampler, path)
-
-
-def load_sampler(path: str) -> RobustL0SamplerIW:
-    """Compatibility alias: load a checkpoint holding an IW sampler."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return sampler_from_state(json.load(handle))
-
-
 __all__ = [
     "FORMAT_NAME",
     "FORMAT_VERSION",
-    "dump_sampler",
     "dump_summary",
     "dumps_summary",
-    "load_sampler",
     "load_stored_summary",
     "load_summary",
     "loads_summary",
-    "sampler_from_state",
-    "sampler_to_state",
     "store_summary",
     "summary_from_state",
     "summary_to_state",

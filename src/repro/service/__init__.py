@@ -11,9 +11,9 @@ through :func:`repro.api.build`, with:
   (:class:`TenantStore`);
 * **eviction to checkpoint** - cold tenants (LRU beyond ``capacity``,
   or idle past ``ttl_seconds``) are serialised through the versioned
-  checkpoint envelope into a pluggable :class:`EnvelopeStore`
-  (memory or per-tenant files) and restored *fingerprint-exactly* on
-  the next touch;
+  checkpoint envelope into a pluggable
+  :class:`~repro.backends.StateBackend` (memory, per-tenant files or
+  redis) and restored *fingerprint-exactly* on the next touch;
 * **live metrics** - ``GET /metrics`` reports per-route counters and
   latency histograms, the tenant population, and ingest throughput
   (:mod:`repro.service.metrics`);
@@ -50,12 +50,6 @@ enforced by ``tests/test_service.py``.
 from repro.service.app import SummaryService, create_app
 from repro.service.config import STORE_NAMES, ServiceSpec
 from repro.service.metrics import ServiceMetrics
-from repro.service.stores import (
-    BackendEnvelopeStore,
-    EnvelopeStore,
-    FileEnvelopeStore,
-    MemoryEnvelopeStore,
-)
 from repro.service.tenants import TenantStore, derive_tenant_seed
 
 __all__ = [
@@ -64,10 +58,6 @@ __all__ = [
     "ServiceMetrics",
     "SummaryService",
     "TenantStore",
-    "BackendEnvelopeStore",
-    "EnvelopeStore",
-    "FileEnvelopeStore",
-    "MemoryEnvelopeStore",
     "create_app",
     "derive_tenant_seed",
 ]

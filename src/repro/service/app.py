@@ -41,6 +41,7 @@ import time
 from typing import Any
 from urllib.parse import parse_qsl
 
+from repro.backends import StateBackend
 from repro.errors import (
     BackendError,
     EmptySampleError,
@@ -50,7 +51,6 @@ from repro.errors import (
 )
 from repro.service.config import ServiceSpec
 from repro.service.metrics import ServiceMetrics
-from repro.service.stores import EnvelopeStore
 from repro.service.tenants import TenantStore
 
 __all__ = ["SummaryService", "create_app"]
@@ -82,7 +82,7 @@ class SummaryService:
         self,
         spec: ServiceSpec,
         *,
-        store: EnvelopeStore | None = None,
+        store: StateBackend | None = None,
         clock=None,
     ) -> None:
         self.spec = spec
@@ -351,7 +351,7 @@ class SummaryService:
 def create_app(
     spec: ServiceSpec,
     *,
-    store: EnvelopeStore | None = None,
+    store: StateBackend | None = None,
     clock=None,
 ) -> SummaryService:
     """Build the service's ASGI app from a validated :class:`ServiceSpec`."""

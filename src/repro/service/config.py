@@ -24,14 +24,8 @@ from dataclasses import dataclass
 from typing import Literal
 
 from repro.api.specs import SummarySpec
-from repro.backends import make_backend
+from repro.backends import StateBackend, make_backend
 from repro.errors import ParameterError
-from repro.service.stores import (
-    BackendEnvelopeStore,
-    EnvelopeStore,
-    FileEnvelopeStore,
-    MemoryEnvelopeStore,
-)
 
 #: Envelope-store choices ``ServiceSpec.store`` accepts (one per
 #: :data:`repro.backends.BACKEND_NAMES` flavour).
@@ -132,21 +126,15 @@ class ServiceSpec:
                 f"stream_interval must be positive, got {self.stream_interval}"
             )
 
-    def build_store(self) -> EnvelopeStore:
-        """The envelope store this spec describes.
+    def build_store(self) -> StateBackend:
+        """The envelope store this spec describes: the matching
+        :class:`~repro.backends.StateBackend`, keyed by tenant.
 
-        Built as the matching state backend behind the
-        :class:`~repro.service.stores.BackendEnvelopeStore` adapter.
         ``store="redis"`` raises
         :class:`~repro.errors.BackendUnavailableError` here - at build
         time, not at spec validation - when the ``redis`` package is
         not installed.
         """
-        if self.store == "memory":
-            return MemoryEnvelopeStore()
-        if self.store == "file":
-            assert self.store_path is not None
-            return FileEnvelopeStore(self.store_path)
-        return BackendEnvelopeStore(
-            make_backend(self.store, path=self.store_path, url=self.store_url)
+        return make_backend(
+            self.store, path=self.store_path, url=self.store_url
         )

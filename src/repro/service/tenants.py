@@ -6,9 +6,9 @@ tenant key owns one summary, built lazily through
 serialised by an asyncio lock drawn from a sharded lock table (distinct
 tenants almost never contend, same-tenant requests are strictly
 ordered); cold tenants are evicted - by LRU count beyond ``capacity``
-and by idle TTL - into an :class:`~repro.service.stores.EnvelopeStore`
-as checkpoint-envelope bytes, and transparently restored on the next
-touch.
+and by idle TTL - into a :class:`~repro.backends.StateBackend` (the
+envelope store) as checkpoint-envelope bytes, and transparently
+restored on the next touch.
 
 The correctness invariant everything above this module leans on:
 
@@ -35,10 +35,10 @@ from hashlib import blake2b
 from typing import Any, Callable, Iterable
 
 from repro.api import build
+from repro.backends import StateBackend
 from repro.core.base import coerce_points
 from repro.persist import dumps_summary, loads_summary, summary_to_state
 from repro.service.config import ServiceSpec
-from repro.service.stores import EnvelopeStore
 from repro.streams.point import StreamPoint
 
 __all__ = ["TenantStore", "derive_tenant_seed"]
@@ -89,8 +89,12 @@ class TenantStore:
     spec:
         The validated service configuration.
     store:
-        Envelope store evictions spill into; defaults to
-        ``spec.build_store()``.
+        Backend evictions spill envelopes into, keyed by tenant;
+        defaults to ``spec.build_store()``.  Its calls are synchronous
+        and made under the tenant's lock: the built-in backends are
+        fast enough that yielding the event loop around them buys
+        nothing, so a network-backed one should batch or cache
+        internally rather than block the loop for long.
     clock:
         Monotonic-seconds callable for TTL bookkeeping (injectable for
         tests; default :func:`time.monotonic`).
@@ -100,7 +104,7 @@ class TenantStore:
         self,
         spec: ServiceSpec,
         *,
-        store: EnvelopeStore | None = None,
+        store: StateBackend | None = None,
         clock: Callable[[], float] | None = None,
     ) -> None:
         self.spec = spec
@@ -333,7 +337,8 @@ class TenantStore:
     def spilled_count(self) -> int:
         """Tenants currently parked in the envelope store.
 
-        Served from the store's O(1) :meth:`~EnvelopeStore.count` -
+        Served from the backend's O(1)
+        :meth:`~repro.backends.StateBackend.count` -
         this is on the ``/metrics`` scrape path, which must never pay a
         directory walk (or a network enumeration) per request.
         """

@@ -288,14 +288,16 @@ class TestTransportMatrix:
         assert stats["shm_chunks"] == 0
         assert state_fingerprint(parallel) == state_fingerprint(serial)
 
-    def test_array_payload_when_no_shm_slot_is_free(self):
-        """With every pool slot held, chunks ship as pickled arrays.
+    def test_backlog_beyond_the_pool_ships_through_shm(self):
+        """Chunks beyond the pool wait in the backlog, then take a slot.
 
-        Two workers at depth 4 get a 10-slot pool.  Each submitted view
-        aliases the caller's array, so it is written into a slot at
-        submit time.  Stopping shard 0's owner pins the slots of its
-        ten chunks; the mixed tail then finds the pool empty and takes
-        the ``"array"`` payload - fingerprint-identical to serial.
+        Two workers at depth 4 get a 10-slot pool; thirty chunks are
+        submitted while shard 0's owner is stopped.  Every chunk is a
+        view aliasing one caller buffer, which is overwritten after the
+        submits: the backlog holds snapshots, each chunk is written
+        into a slot only at dispatch, and every one ships through
+        shared memory - fingerprint-identical to serial fed the
+        submit-time values.
         """
         rows = np.array(group_stream(1200, seed=37), dtype=np.float64)
         views = [rows[i : i + 40] for i in range(0, len(rows), 40)]
@@ -307,6 +309,7 @@ class TestTransportMatrix:
 
         parallel = DistributedRobustSampler(1.0, 1, num_shards=2, seed=5)
         executor = ProcessShardExecutor(parallel, num_workers=2)
+        pool_slots = len(executor._pool._free)
         try:
             executor.submit(0, views[0])
             pid = executor._workers[executor._owner[0]].pid
@@ -314,16 +317,94 @@ class TestTransportMatrix:
             try:
                 for shard_id, view in zip(shard_ids[1:], views[1:]):
                     executor.submit(shard_id, view)
+                rows[:] = 0.5  # the caller reuses its buffer
             finally:
                 os.kill(pid, signal.SIGCONT)
             drain_into(parallel, executor)
             stats = executor.stats()
         finally:
             executor.close()
+        assert len(views) > pool_slots == 10
+        assert set(stats) == {
+            "chunks", "shm_chunks", "pickle_chunks", "shm_bytes",
+            "submit_seconds",
+        }
         assert stats["chunks"] == len(views)
-        assert stats["array_chunks"] > 0
+        assert stats["shm_chunks"] == len(views)
         assert stats["pickle_chunks"] == 0
         assert state_fingerprint(parallel) == state_fingerprint(serial)
+
+
+class TestDoneMessages:
+    """Each chunk's ``("done", worker, slot)`` message is its only
+    completion signal: it frees dispatch depth and recycles the slot."""
+
+    def test_held_slots_bounded_by_dispatch_depth(self):
+        """With every worker stopped, the submitter holds at most
+        ``workers x depth`` slots - the backlog takes the rest - and
+        all of them come back once the workers resume."""
+        rows = np.array(group_stream(1600, seed=43), dtype=np.float64)
+        chunks = [rows[i : i + 40] for i in range(0, len(rows), 40)]
+        shard_ids = [i % 4 for i in range(len(chunks))]
+
+        serial = DistributedRobustSampler(1.0, 1, num_shards=4, seed=9)
+        for shard_id, chunk in zip(shard_ids, chunks):
+            serial.route_many(chunk, shard_id)
+
+        parallel = DistributedRobustSampler(1.0, 1, num_shards=4, seed=9)
+        executor = ProcessShardExecutor(parallel, num_workers=2)
+        pool_slots = len(executor._pool._free)
+        limit = 2 * executor._depth
+        held = []
+        try:
+            for shard_id, chunk in zip(shard_ids[:4], chunks[:4]):
+                executor.submit(shard_id, chunk)  # adopts every shard
+            pids = [worker.pid for worker in executor._workers]
+            for pid in pids:
+                os.kill(pid, signal.SIGSTOP)
+            try:
+                for shard_id, chunk in zip(shard_ids[4:], chunks[4:]):
+                    executor.submit(shard_id, chunk)
+                    held.append(pool_slots - len(executor._pool._free))
+                    assert held[-1] == sum(executor._inflight)
+            finally:
+                for pid in pids:
+                    os.kill(pid, signal.SIGCONT)
+            drain_into(parallel, executor)
+            assert executor._inflight == [0, 0]
+            assert sorted(executor._pool._free) == list(range(pool_slots))
+            stats = executor.stats()
+        finally:
+            executor.close()
+        assert max(held) == limit < len(chunks)
+        assert stats["shm_chunks"] == len(chunks)
+        assert state_fingerprint(parallel) == state_fingerprint(serial)
+
+    def test_poisoned_worker_returns_every_slot(self):
+        """A poisoned worker swallows the chunks behind the poison but
+        still answers each one, so a backlog larger than the pool
+        flushes and the failure surfaces at the barrier, not as a
+        stall."""
+        coordinator = DistributedRobustSampler(1.0, 1, num_shards=1, seed=3)
+        executor = ProcessShardExecutor(coordinator, num_workers=1)
+        pool_slots = len(executor._pool._free)
+        rows = np.array(group_stream(40, seed=8), dtype=np.float64)
+        try:
+            # Bypasses the submit boundary: a NaN row rejected worker-side.
+            executor.submit(0, [(None,)])
+            for _ in range(pool_slots + 10):
+                executor.submit(0, rows)
+            with pytest.raises(ExecutorError, match="shard worker failed"):
+                list(executor.drain())
+            assert executor._inflight == [0]
+            assert sorted(executor._pool._free) == list(range(pool_slots))
+            stats = executor.stats()
+        finally:
+            executor.close()
+        assert stats["shm_chunks"] == stats["chunks"] == pool_slots + 11
+        # The rejected chunk's view did not pin its slot's segment, so
+        # the worker detached and exited cleanly on close.
+        assert executor._workers[0].exitcode == 0
 
 
 class TestDrainStallDetection:

@@ -15,14 +15,10 @@ from repro.errors import CheckpointError
 from repro.persist import (
     FORMAT_NAME,
     FORMAT_VERSION,
-    dump_sampler,
     dump_summary,
     dumps_summary,
-    load_sampler,
     load_summary,
     loads_summary,
-    sampler_from_state,
-    sampler_to_state,
     summary_from_state,
     summary_to_state,
 )
@@ -95,7 +91,8 @@ class TestEnvelope:
             "policy": dict(v2["policy"]),
             "records": v2["records"],
         }
-        restored = sampler_from_state(json.loads(json.dumps(v1)))
+        restored = summary_from_state(json.loads(json.dumps(v1)))
+        assert isinstance(restored, RobustL0SamplerIW)
         assert snapshot(restored) == snapshot(sampler)
 
 
@@ -144,20 +141,9 @@ class TestInfiniteWindowRoundTrip:
         sampler = RobustL0SamplerIW(1.0, 2, seed=6)
         sampler.insert((1.0, 2.0))
         path = tmp_path / "checkpoint.json"
-        dump_sampler(sampler, str(path))
-        restored = load_sampler(str(path))
+        dump_summary(sampler, str(path))
+        restored = load_summary(str(path))
         assert snapshot(restored) == snapshot(sampler)
-
-    def test_load_sampler_rejects_other_summaries(self, tmp_path):
-        sketch = build("fm", seed=1)
-        path = tmp_path / "fm.json"
-        dump_summary(sketch, str(path))
-        with pytest.raises(CheckpointError):
-            load_sampler(str(path))
-
-    def test_sampler_to_state_is_envelope_alias(self):
-        sampler = RobustL0SamplerIW(1.0, 1, seed=8)
-        assert sampler_to_state(sampler) == summary_to_state(sampler)
 
     def test_sample_distribution_unchanged_after_restore(self):
         sampler = RobustL0SamplerIW(1.0, 1, seed=8)

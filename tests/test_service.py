@@ -30,11 +30,10 @@ from repro.api import (
     MinRankSpec,
     NaiveReservoirSpec,
 )
+from repro.backends import FileBackend, MemoryBackend
 from repro.engine import state_fingerprint
 from repro.errors import ParameterError
 from repro.service import (
-    FileEnvelopeStore,
-    MemoryEnvelopeStore,
     ServiceMetrics,
     ServiceSpec,
     TenantStore,
@@ -80,7 +79,7 @@ class TestServiceSpec:
     def test_valid_spec_builds(self):
         spec = service_spec(capacity=2)
         assert spec.capacity == 2
-        assert spec.build_store().__class__ is MemoryEnvelopeStore
+        assert spec.build_store().__class__ is MemoryBackend
 
     def test_unknown_summary_key_rejected(self):
         with pytest.raises(ParameterError):
@@ -122,8 +121,9 @@ class TestServiceSpec:
     def test_file_store_built_from_spec(self, tmp_path):
         spec = service_spec(store="file", store_path=str(tmp_path / "s"))
         store = spec.build_store()
-        assert isinstance(store, FileEnvelopeStore)
+        assert isinstance(store, FileBackend)
         assert store.directory == str(tmp_path / "s")
+        store.close()
 
 
 # --------------------------------------------------------------------- #
@@ -133,10 +133,14 @@ class TestServiceSpec:
 
 @pytest.mark.parametrize("flavour", ["memory", "file"])
 class TestEnvelopeStores:
+    """The store a ServiceSpec builds: a state backend keyed by tenant."""
+
     def make(self, flavour, tmp_path):
         if flavour == "file":
-            return FileEnvelopeStore(str(tmp_path / "envelopes"))
-        return MemoryEnvelopeStore()
+            return service_spec(
+                store="file", store_path=str(tmp_path / "envelopes")
+            ).build_store()
+        return service_spec().build_store()
 
     def test_round_trip_and_delete(self, flavour, tmp_path):
         store = self.make(flavour, tmp_path)
@@ -172,15 +176,15 @@ class TestEnvelopeStores:
 
 class TestFileStoreOnDisk:
     def test_foreign_files_ignored(self, tmp_path):
-        store = FileEnvelopeStore(str(tmp_path))
+        store = FileBackend(str(tmp_path))
         (tmp_path / "README.txt").write_text("not an envelope")
         (tmp_path / "zz-not-hex.json").write_text("{}")
         store.put("t", b"data")
         assert list(store.keys()) == ["t"]
 
     def test_survives_reopen(self, tmp_path):
-        FileEnvelopeStore(str(tmp_path)).put("t", b"data")
-        assert FileEnvelopeStore(str(tmp_path)).get("t") == b"data"
+        FileBackend(str(tmp_path)).put("t", b"data")
+        assert FileBackend(str(tmp_path)).get("t") == b"data"
 
 
 # --------------------------------------------------------------------- #
@@ -927,20 +931,36 @@ class TestBackendAwareServiceSpec:
             with pytest.raises(BackendUnavailableError):
                 spec.build_store()
 
-    def test_stores_are_backend_adapters(self, tmp_path):
-        from repro.backends import FileBackend, MemoryBackend
-        from repro.service import BackendEnvelopeStore
+    @pytest.mark.parametrize("flavour", ["memory", "file"])
+    def test_store_is_the_state_backend(self, flavour, tmp_path):
+        """The spec's store is a plain StateBackend, no adapter between:
+        the tenant store writes evicted tenants' envelopes straight into
+        it, and the persist layer reads them back."""
+        from repro.backends import StateBackend
+        from repro.persist import load_stored_summary, summary_to_state
 
-        memory = service_spec().build_store()
-        assert isinstance(memory, BackendEnvelopeStore)
-        assert isinstance(memory.backend, MemoryBackend)
-        file_store = service_spec(
-            store="file", store_path=str(tmp_path / "s")
-        ).build_store()
-        assert isinstance(file_store, BackendEnvelopeStore)
-        assert isinstance(file_store.backend, FileBackend)
-        file_store.close()
+        overrides = {"capacity": 1}
+        if flavour == "file":
+            overrides.update(store="file", store_path=str(tmp_path / "s"))
+        spec = service_spec(**overrides)
+        backend = spec.build_store()
+        assert isinstance(backend, StateBackend)
+        assert isinstance(
+            backend, FileBackend if flavour == "file" else MemoryBackend
+        )
 
+        async def scenario():
+            tenants = TenantStore(spec, store=backend)
+            assert tenants.store is backend
+            await tenants.ingest("a", [(1.0,), (4.0,)])
+            expected = (await tenants.checkpoint("a"))["state"]
+            await tenants.ingest("b", [(2.0,)])  # evicts "a"
+            assert list(backend.keys()) == ["a"]
+            restored = load_stored_summary(backend, "a")
+            assert summary_to_state(restored)["state"] == expected
+            await tenants.close()
+
+        run(scenario())
 
 class TestMetricsStoreSection:
     def test_metrics_expose_backend_operation_counters(self, tmp_path):

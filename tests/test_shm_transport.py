@@ -1,7 +1,7 @@
 """Shared-memory transport lifecycle: segments never outlive the executor.
 
 The zero-copy transport creates real kernel objects (``/dev/shm``
-segments for the chunk pool and the control block).  These tests prove
+segments for the chunk pool).  These tests prove
 the lifecycle claim in :class:`repro.engine.executors._ShmChunkPool`:
 every segment is released on ``close()``, on worker crash, on worker
 failure, and - via the ``weakref.finalize`` backstop - at interpreter
@@ -44,8 +44,8 @@ def group_stream(n=240, seed=41, groups=8):
 
 
 def segment_names(executor) -> list[str]:
-    """Every shm segment the executor owns: pool slots + control block."""
-    names = [executor._ctrl.name]
+    """Every shm segment the executor owns: its pool slots."""
+    names = []
     if executor._pool is not None:
         names.extend(executor._pool.segment_names())
     return names
@@ -80,7 +80,7 @@ class TestSegmentLifecycle:
                 isinstance(state, DeferredStates) for _, state in arrivals
             )
             names = segment_names(executor)
-            assert len(names) >= 2  # control block + >= 1 pool segment
+            assert len(names) >= 1  # >= 1 pool segment
         finally:
             executor.close()
         assert_all_released(names)
@@ -133,7 +133,7 @@ class TestSegmentLifecycle:
             " seed=1)\n"
             "executor = ProcessShardExecutor(coordinator, num_workers=1)\n"
             "executor.submit(0, chunk)\n"
-            "names = [executor._ctrl.name]\n"
+            "names = []\n"
             "if executor._pool is not None:\n"
             "    names += executor._pool.segment_names()\n"
             "print(json.dumps(names))\n"
