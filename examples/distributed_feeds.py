@@ -12,9 +12,9 @@ decisions are mutually consistent and the merge is exact.
 Part 2 - one machine, parallel shard executors: the same merge
 machinery scales a *local* ingestion job across worker processes.
 ``PipelineSpec(executor="process")`` deals chunks round-robin to shard
-replicas living in worker processes; on query, the coordinator folds
-each worker's shard state into the running union sampler as it arrives
-(streaming merge).  The parallel pipeline's state is
+replicas living in worker processes; on query, the workers ship their
+shard states home and the coordinator merges every shard in one pass.
+The parallel pipeline's state is
 fingerprint-identical to the serial one - the executor is a throughput
 knob, not a semantic one.
 
@@ -96,10 +96,9 @@ def parallel_pipeline() -> None:
     serial = spec("serial").build()
     serial.extend(stream)
 
-    # Same spec, same stream - but chunks run on worker processes and
-    # the query-side merge streams the shard states home as each worker
-    # finishes.  Context-manage parallel pipelines: close() releases
-    # the workers.
+    # Same spec, same stream - but chunks run on worker processes, and
+    # the query first brings the shard states home, then merges them.
+    # Context-manage parallel pipelines: close() releases the workers.
     with spec("process").build() as parallel:
         parallel.extend(stream)
         merged = parallel.merge()

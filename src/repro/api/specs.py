@@ -270,8 +270,8 @@ class PipelineSpec(PointSummarySpec):
         Where shard ingestion runs (see :mod:`repro.engine.executors`):
         ``"serial"`` (default) ingests chunks synchronously in the
         calling process, ``"process"`` ships them to worker processes
-        holding shard replicas and folds finished shard states back in
-        as they arrive (streaming merge), ``"remote"`` enqueues chunks
+        holding shard replicas, whose states come home at the next
+        synchronisation, ``"remote"`` enqueues chunks
         into a shared :class:`~repro.backends.base.StateBackend` served
         by lease-holding workers that may live on other machines
         (``python -m repro.engine.remote_worker``).  Every choice is

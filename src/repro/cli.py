@@ -10,8 +10,8 @@ library's summaries over it:
 * ``pipeline`` - sharded parallel ingestion (``--shards`` shard
   samplers fed round-robin by a serial/process/remote
   ``--executor`` with ``--workers`` workers), answering a robust F0
-  estimate and one distinct sample over the union stream from the
-  streaming shard merge;
+  estimate and one distinct sample over the union stream from one
+  merge of the synchronised shards;
 * ``worker``   - serve a remote pipeline's work queue from any machine
   that shares its backend (the CLI twin of
   ``python -m repro.engine.remote_worker``);
@@ -676,12 +676,13 @@ def _resumable_pipeline_for(args, points: Iterator[Sequence[float]]):
 def _run_pipeline(
     args, points: Iterator[Sequence[float]], out: TextIO
 ) -> None:
-    """Sharded ingestion; answers come from the streaming shard merge.
+    """Sharded ingestion; answers come from one barrier shard merge.
 
     Text output is two lines - the robust F0 estimate, then one distinct
     sample's coordinates; ``--output json`` emits one object per line.
-    The merge fold order is deterministic, so runs are bit-reproducible
-    for a fixed seed whichever executor ran the shards.
+    Every executor leaves the same shard states and the merge is a
+    function of them alone, so runs are bit-reproducible for a fixed
+    seed whichever executor ran the shards.
     """
     _, query_rng = _derived_rngs(args)
     if args.backend is not None:

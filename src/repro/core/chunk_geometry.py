@@ -212,24 +212,17 @@ class ChunkGeometry:
         Guards the ``process_many(..., geometry=...)`` surface against a
         caller handing a geometry built for a *different* chunk (a stale
         variable, a retry loop reusing the previous precompute): the
-        config must be the same object, the lengths must match, and the
-        endpoints must be the very vectors of the chunk.
-        Rejection is cheap and safe - the consumer just recomputes.
-        (NaN endpoints fail the equality check and force a recompute,
-        which is the conservative direction.)
+        config must be the same object and the chunk must be this
+        geometry's own coerced tuples (the pipeline and worker path,
+        see ``BatchPipeline.submit``) or equal them point for point.
+        Rejection is safe - the consumer recomputes, which validates.
+        (A NaN coordinate never equals itself, so it forces a
+        recompute.)
         """
-        n = self.n
-        if config is not self.config or n != len(vectors):
+        if config is not self.config or self.n != len(vectors):
             return False
         own = self._vectors
-        if vectors is own:
-            # The pipeline handed the shard this geometry's own coerced
-            # tuples (see ``BatchPipeline.submit``): trivially valid,
-            # skip the endpoint comparisons.
-            return True
-        return n == 0 or (
-            vectors[0] == own[0] and vectors[n - 1] == own[n - 1]
-        )
+        return vectors is own or list(vectors) == list(own)
 
     def cell_at(self, index: int) -> Cell:
         """Cell tuple of point ``index`` (lazy - foundings only)."""
@@ -614,48 +607,30 @@ def feed_copies_shared(
 def _reusable_vectors(
     points, dim: int, geometry: ChunkGeometry | None
 ) -> list[tuple[float, ...]] | None:
-    """The geometry's cached coercion of ``points``, if provably theirs.
+    """The geometry's cached coercion of ``points``, if it is ``points``.
 
-    Reuse requires the geometry to have coerced pure coordinate rows
-    (``pure_coords`` - StreamPoint inputs carry arrival metadata a
-    rebuild would lose) covering a chunk of the same length and
-    dimension whose endpoints coerce to the cached endpoints - the same
-    endpoint-trust model as :meth:`ChunkGeometry.valid_for`.  The
-    identity case (``points is source_vectors``) is the worker-process
-    path, where :func:`geometry_from_array` built both together.
+    Reuse requires the chunk to *be* the geometry's coerced pure
+    coordinate rows (``points is source_vectors``, ``pure_coords`` -
+    StreamPoint inputs carry arrival metadata a rebuild would lose) for
+    a config of the same dimension.  That is the pipeline's path, which
+    hands the shard the tuples :func:`chunk_geometry_for` coerced, and
+    the worker-process path, where :func:`geometry_from_array` built
+    both together.  Any other chunk is coerced (and so checked) anew.
     """
-    if geometry is None or not geometry.pure_coords:
-        return None
-    source = geometry.source_vectors
-    if source is None:
-        return None
-    if points is source:
-        return source
     if (
-        not isinstance(points, (list, tuple))
-        or len(points) != len(source)
-        or not source
-        or len(source[0]) != dim
-        or isinstance(points[0], StreamPoint)
-        or isinstance(points[-1], StreamPoint)
+        geometry is not None
+        and geometry.pure_coords
+        and geometry.source_vectors is not None
+        and points is geometry.source_vectors
+        and geometry.config.dim == dim
     ):
-        return None
-    try:
-        if (
-            tuple(float(x) for x in points[0]) != source[0]
-            or tuple(float(x) for x in points[-1]) != source[-1]
-        ):
-            return None
-    except Exception:
-        return None
-    return source
+        return points
+    return None
 
 
 def coerce_rows(
     points: Iterable[StreamPoint | Sequence[float]],
     dim: int,
-    *,
-    coerce: bool = True,
 ) -> tuple[list, list[tuple[float, ...]], bool]:
     """Coerce and dimension-check a chunk: ``(items, vectors, pure)``.
 
@@ -665,8 +640,7 @@ def coerce_rows(
     numbers, or has the wrong dimension, raises
     :class:`~repro.errors.ParameterError` (a
     :class:`~repro.errors.DimensionMismatchError` for the latter) naming
-    its position.  ``coerce=False`` (the fixed-rate contract) accepts
-    StreamPoints only.
+    its position.
     """
     items = points if isinstance(points, list) else list(points)
     vectors: list[tuple[float, ...]] = []
@@ -676,8 +650,6 @@ def coerce_rows(
         if isinstance(point, StreamPoint):
             pure = False
             vector = point.vector
-        elif not coerce:
-            raise invalid_point(position, "is not a StreamPoint")
         else:
             try:
                 vector = tuple(map(float, point))
@@ -700,7 +672,6 @@ def materialize_chunk(
     dim: int,
     next_index: int,
     *,
-    coerce: bool = True,
     geometry: ChunkGeometry | None = None,
     window: WindowSpec | None = None,
     latest: StreamPoint | None = None,
@@ -719,10 +690,10 @@ def materialize_chunk(
     skipped and the StreamPoints are built straight from the cached
     tuples, which the geometry's builder already checked.
     """
-    vectors = _reusable_vectors(points, dim, geometry) if coerce else None
+    vectors = _reusable_vectors(points, dim, geometry)
     pure = True
     if vectors is None:
-        items, vectors, pure = coerce_rows(points, dim, coerce=coerce)
+        items, vectors, pure = coerce_rows(points, dim)
     if pure:
         materialized = [
             StreamPoint(vector, index)
@@ -753,7 +724,6 @@ def prepare_chunk(
     points: Iterable[StreamPoint | Sequence[float]],
     next_index: int,
     *,
-    coerce: bool = True,
     geometry: ChunkGeometry | None = None,
     window: WindowSpec | None = None,
     latest: StreamPoint | None = None,
@@ -778,7 +748,6 @@ def prepare_chunk(
         points,
         config.dim,
         next_index,
-        coerce=coerce,
         geometry=geometry,
         window=window,
         latest=latest,

@@ -1,8 +1,13 @@
 """Algorithm 2: sliding-window sampling at a fixed cell sample rate.
 
-This is the building block of the space-efficient hierarchy (Algorithm 3);
-it can also be used standalone when the number of groups per window is
-known to be modest (its worst-case space is w/R).
+A standalone reference implementation of one fixed-rate level, usable
+when the number of groups per window is known to be modest (its
+worst-case space is w/R); the experiments use it as such.  The
+space-efficient hierarchy (Algorithm 3,
+:class:`~repro.core.sliding_window.RobustL0SamplerSW`) does not build on
+it: it keeps every level in one shared candidate store.  Batches go
+through the default per-point ``process_many``, after the whole batch
+is checked.
 
 State per candidate group (cf. the paper's key-value store ``A``): the
 group's representative point ``u`` (possibly already expired itself) and
@@ -18,19 +23,17 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.core.base import (
-    DEFAULT_BATCH_SIZE,
     CandidateRecord,
     CandidateStore,
     PointContext,
     SamplerConfig,
     StreamSampler,
     check_vector,
-    chunked,
+    invalid_point,
 )
-from repro.core.chunk_geometry import ChunkGeometry, prepare_chunk
 from repro.core.reservoir import WindowReservoir
 from repro.errors import EmptySampleError, ParameterError
 from repro.streams.point import StreamPoint
@@ -237,151 +240,18 @@ class FixedRateSlidingSampler(StreamSampler):
             self._reservoirs[key] = reservoir
         return reservoir
 
-    def process_many(
-        self,
-        points: Iterable[StreamPoint],
-        *,
-        geometry: "ChunkGeometry | None" = None,
-    ) -> int:
-        """Batched :meth:`insert`; state-equivalent (including the heap).
-
-        Cells and memo-aware cell hashes come from one vectorised
-        :class:`~repro.core.chunk_geometry.ChunkGeometry` precompute per
-        chunk (``geometry`` accepts one computed upstream); the loop
-        inlines eviction and the bucket probe, replicating :meth:`evict`
-        operation-for-operation so the lazy heap - stale entries
-        included - ends up identical to the per-point path's.  A chunk
-        too small to vectorise goes through :meth:`insert`.  Points must
-        be :class:`StreamPoint` instances, as for :meth:`insert`; an
-        invalid point anywhere in the chunk raises
-        :class:`~repro.errors.ParameterError` before anything mutates
-        (no eviction included).
-        """
-        if geometry is None and not isinstance(points, (list, tuple)):
-            # A non-materialised iterable is streamed in bounded chunks:
-            # building one ChunkGeometry over an arbitrary stream would
-            # regress the O(chunk)-memory behaviour of the batch engine
-            # (chunk boundaries are state-invisible by the layout-
-            # invariance contract, so this is purely a memory bound).
-            streamed = 0
-            for chunk in chunked(points, DEFAULT_BATCH_SIZE):
-                streamed += self.process_many(chunk)
-            return streamed
-
-        config = self._config
-        dim = config.dim
-        window = self._window
-        expiry_key = window.expiry_key
-        in_window = window.in_window
-        eviction_cutoff = window.eviction_cutoff
-        heap = self._heap
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        store = self._store
-        slot_tb = store._slot_tb
-        slot_words = store._slot_words
-        buckets_get = store._buckets.get
-        find_overflow = store.find_overflow
-        reservoirs = self._reservoirs
-        track = self._track_members
-        member_rng = self._member_rng
-        tiebreak = self._tiebreak
-        rate_mask = self._rate - 1
-        alpha_sq = config.alpha * config.alpha
-
-        pts, vectors, geom, hashes_list = prepare_chunk(
-            config, points, 0, coerce=False, geometry=geometry
-        )
-        geom_n = len(hashes_list)
-        for i in range(geom_n):
-            p = pts[i]
-            vector = vectors[i]
-            # Inline evict(p) - identical operations, identical heap
-            # state.
-            if heap:
-                cutoff = eviction_cutoff(p)
-                while heap:
-                    key, entry_tb, record, _ = heap[0]
-                    if slot_tb[record.slot] != entry_tb:
-                        heappop(heap)
-                        continue
-                    if key > cutoff or in_window(record.last, p):
-                        break
-                    heappop(heap)
-                    store.remove(record)
-                    reservoirs.pop(record.representative.index, None)
-
-            cell_hash = hashes_list[i]
-
-            # Inline find_nearby: the overflow only on a head miss.
-            existing = buckets_get(cell_hash)
-            if existing is not None:
-                acc = 0.0
-                for a, b in zip(existing.representative.vector, vector):
-                    diff = a - b
-                    acc += diff * diff
-                    if acc > alpha_sq:
-                        existing = find_overflow(vector, cell_hash)
-                        break
-            if existing is not None:
-                # Inline relink_last: footprint moves only on the (once
-                # per record) rep -> non-rep identity transition.
-                if p is not existing.representative:
-                    if existing.last is existing.representative:
-                        store._base_words += dim + 2
-                        slot_words[existing.slot] += dim + 2
-                elif existing.last is not existing.representative:
-                    store._base_words -= dim + 2
-                    slot_words[existing.slot] -= dim + 2
-                existing.last = p
-                existing.count += 1
-                entry_tb = next(tiebreak)
-                slot_tb[existing.slot] = entry_tb
-                heappush(heap, (expiry_key(p), entry_tb, existing, p))
-                if track:
-                    self._reservoir_for(existing).offer(p, member_rng)
-                continue
-
-            # First point of a candidate group: same code as insert().
-            adj_hashes = geom.adj_hashes(i)
-            if cell_hash & rate_mask == 0:
-                accepted = True
-            elif any(value & rate_mask == 0 for value in adj_hashes):
-                accepted = False
-            else:
-                continue
-            record = CandidateRecord(
-                representative=p,
-                cell=geom.cell_at(i),
-                cell_hash=cell_hash,
-                adj_hashes=adj_hashes,
-                accepted=accepted,
-                last=p,
-            )
-            store.add(record)
-            entry_tb = next(tiebreak)
-            slot_tb[record.slot] = entry_tb
-            heappush(heap, (expiry_key(p), entry_tb, record, p))
-            if track:
-                self._reservoir_for(record).offer(p, member_rng)
-        if geom is None:
-            for p in pts:
-                self.insert(p)
-        return len(pts)
+    def _check_batch(self, points: list) -> None:
+        # The per-point contract of insert(), checked for the whole
+        # batch before the default process_many inserts any of it.
+        grid = self._config.grid
+        for position, point in enumerate(points):
+            if not isinstance(point, StreamPoint):
+                raise invalid_point(position, "is not a StreamPoint")
+            check_vector(grid, point.vector, position)
 
     # ------------------------------------------------------------------ #
-    # bulk-management helpers
+    # record helpers
     # ------------------------------------------------------------------ #
-    # (The sliding-window hierarchy no longer builds on per-level
-    # instances - it shares one store across levels - so the old
-    # Split/Merge integration hooks are gone; these remain as standalone
-    # Algorithm 2 conveniences.)
-
-    def clear(self) -> None:
-        """Reset to the freshly created state, keeping the rate (Line 9)."""
-        self._store = CandidateStore(self._config)
-        self._heap.clear()
-        self._reservoirs.clear()
 
     def adopt_record(self, record: CandidateRecord) -> None:
         """Install an externally built record, with heap tracking."""

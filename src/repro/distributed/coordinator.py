@@ -126,54 +126,6 @@ class ShardSampler(RobustL0SamplerIW):
         )
 
 
-class StreamingMerge:
-    """Incremental union-sampler accumulator (the streaming half of the
-    coordinator's merge).
-
-    :meth:`fold` absorbs one shard at a time through the Summary
-    protocol's pairwise :meth:`~repro.core.infinite_window.RobustL0SamplerIW.merge`,
-    so a coordinator can start merging as soon as the first shard
-    finishes instead of waiting for all of them.  The result of folding
-    shards in a fixed order is deterministic; the barrier-style
-    :meth:`DistributedRobustSampler.merged_sampler` remains the one-shot
-    variadic form.
-
-    >>> a = RobustL0SamplerIW(1.0, 1, seed=3)
-    >>> b = RobustL0SamplerIW(1.0, 1, config=a.config)
-    >>> a.insert((0.0,)); b.insert((50.0,))
-    >>> merge = StreamingMerge()
-    >>> merge.fold(a); merge.fold(b)
-    >>> merge.result().num_candidate_groups
-    2
-    """
-
-    def __init__(self) -> None:
-        self._accumulator: RobustL0SamplerIW | None = None
-        self._folded = 0
-
-    @property
-    def folded(self) -> int:
-        """Number of summaries folded so far."""
-        return self._folded
-
-    def fold(self, sampler: RobustL0SamplerIW) -> None:
-        """Absorb one shard sampler into the running union."""
-        if self._accumulator is None:
-            # merge() with no peers normalises the first shard into a
-            # fresh union sampler (re-keyed representatives), exactly as
-            # the variadic merge does for its first input.
-            self._accumulator = sampler.merge()
-        else:
-            self._accumulator = self._accumulator.merge(sampler)
-        self._folded += 1
-
-    def result(self) -> RobustL0SamplerIW:
-        """The union sampler over everything folded so far."""
-        if self._accumulator is None:
-            raise EmptySampleError("nothing folded into the merge yet")
-        return self._accumulator
-
-
 class DistributedRobustSampler:
     """Coordinator over ``num_shards`` robust shard samplers.
 
@@ -307,52 +259,6 @@ class DistributedRobustSampler:
         total), not the stream size.
         """
         return self._shards[0].merge(*self._shards[1:])
-
-    def streaming_merge(
-        self,
-        arrivals: Iterable[tuple[int, dict[str, Any] | None]],
-    ) -> RobustL0SamplerIW:
-        """Fold finished shard states into a running union sampler.
-
-        ``arrivals`` yields ``(shard_id, state)`` pairs in *completion*
-        order (the surface of :meth:`repro.engine.executors.ShardExecutor.drain`);
-        a ``state`` of ``None`` means the coordinator's own shard object
-        is already current.  The process executor delivers states
-        *batched per worker* and encoded (one
-        :class:`~repro.engine.executors.DeferredStates` payload per
-        worker message) - callers consuming ``drain()`` directly pass
-        each pair through
-        :func:`repro.engine.executors.resolve_state` first, which is
-        what the pipeline does at every read point.  Each arriving
-        state is restored into its
-        shard slot immediately, and the merge accumulator folds every
-        settled shard *in shard order* as soon as it is available - so
-        merge work overlaps with still-running workers instead of
-        barriering on the slowest one, while the folded result stays
-        deterministic (a left fold over shards 0..k-1) regardless of
-        which worker finished first.
-
-        The deterministic fold order is what keeps parallel pipeline
-        queries reproducible: the same spec and stream produce the same
-        merged sampler whichever executor ran the shards.
-        """
-        merge = StreamingMerge()
-        settled: set[int] = set()
-        next_fold = 0
-        for shard_id, state in arrivals:
-            if state is not None:
-                self.restore_shard(shard_id, state)
-            settled.add(shard_id)
-            while next_fold in settled:
-                merge.fold(self._shards[next_fold])
-                next_fold += 1
-        # Shards the executor did not report (every executor reports all
-        # of its shards; this also serves direct coordinator callers who
-        # pass a partial iterable).
-        while next_fold < len(self._shards):
-            merge.fold(self._shards[next_fold])
-            next_fold += 1
-        return merge.result()
 
     def sample(self, rng: random.Random | None = None) -> StreamPoint:
         """One-shot distributed query: merge then sample."""

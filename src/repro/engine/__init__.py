@@ -107,9 +107,11 @@ replicas - the wall-clock scaling path - and ``remote`` enqueues them
 into a shared :class:`~repro.backends.StateBackend` served by
 lease-holding workers on any machine
 (:mod:`repro.engine.remote_worker`, chaos-tested by
-``tests/test_remote_executor.py``), with finished shard states folded
-into the coordinator's running union merge as they arrive
-(:meth:`~repro.distributed.coordinator.DistributedRobustSampler.streaming_merge`).
+``tests/test_remote_executor.py``).  A query first synchronises -
+the executor's drain ships home only the states of shards whose
+replicas live outside the coordinator - then merges every shard in one
+pass
+(:meth:`~repro.distributed.coordinator.DistributedRobustSampler.merged_sampler`).
 Executor choice is never observable in state
 (``tests/test_executors.py``).  The pipeline is part of the unified
 API (:mod:`repro.api`, key ``"batch-pipeline"``): shards are

@@ -29,10 +29,8 @@ keeping the *what* bit-identical:
   before any executor sees it); chunks the array transport cannot carry
   (StreamPoints) fall back to pickling.  On
   :meth:`~ShardExecutor.drain` each worker returns its shards' protocol
-  states **batched in one message**, which the caller folds back into
-  the coordinator as they arrive (streaming merge - see
-  :meth:`repro.distributed.coordinator.DistributedRobustSampler.streaming_merge`)
-  instead of barriering on the slowest worker.
+  states **batched in one message**, still pickled; the pipeline parks
+  them and rebuilds shard objects only when a read needs them.
 * :class:`RemoteShardExecutor` - workers that may live on **other
   machines**, coupled to the submitter only through a shared
   :class:`~repro.backends.base.StateBackend` (a mounted directory, a
@@ -188,17 +186,18 @@ class ShardExecutor:
         """
         raise NotImplementedError
 
-    def drain(self) -> Iterator[tuple[int, dict[str, Any] | None]]:
-        """Finish all queued work; yield every shard as it settles.
+    def drain(self) -> Iterator[tuple[int, Any]]:
+        """Finish all queued work; yield the shard states it moved.
 
-        Yields ``(shard_id, state)`` pairs in *completion* order -
-        ``state`` is the shard's protocol ``to_state()`` for executors
-        whose replicas live outside the coordinator (process workers
-        ship it still pickled, as a shared :class:`DeferredStates`
-        handle - pass it through :func:`resolve_state` to decode), or
-        ``None`` when the coordinator's own shard object is already
-        current.  Raises :class:`~repro.errors.ExecutorError` if any
-        worker failed; the pipeline then stays dirty.
+        Yields ``(shard_id, state)`` only for shards whose current state
+        lives outside the coordinator, in no promised order; a shard
+        not yielded is current in the coordinator's own shard object.
+        ``state`` is the shard's protocol ``to_state()`` (process
+        workers ship it still pickled, as a shared
+        :class:`DeferredStates` handle - pass it through
+        :func:`resolve_state` to decode).  Raises
+        :class:`~repro.errors.ExecutorError` if any worker failed; the
+        pipeline then stays dirty.
         """
         raise NotImplementedError
 
@@ -231,9 +230,9 @@ class SerialShardExecutor(ShardExecutor):
             chunk, shard_id, geometry=geometry
         )
 
-    def drain(self) -> Iterator[tuple[int, dict[str, Any] | None]]:
-        for shard_id in range(self._coordinator.num_shards):
-            yield (shard_id, None)
+    def drain(self) -> Iterator[tuple[int, Any]]:
+        # Every chunk went straight into the coordinator's shards.
+        return iter(())
 
 
 def _resolve_workers(num_workers: int | None, num_shards: int) -> int:
@@ -478,15 +477,13 @@ def _chunk_as_array(chunk: Sequence[Any], dim: int) -> "np.ndarray | None":
 
     Eligibility is decided by the coercion itself: ``np.asarray``
     applies the same per-element ``float()`` conversion the scalar
-    coercion does, so carried values are bit-identical, and anything it
-    rejects - StreamPoints (not sequences, so they coerce to nothing),
-    and any ragged or unconvertible chunk handed to the executor without
-    the pipeline's validation - falls back to the pickle transport, whose
-    worker then raises exactly what the sampler raises.  (numpy never
-    iterates generators, so a failed coercion
-    cannot half-consume a single-pass element.)  The returned array may
-    alias ``chunk`` when it already was a contiguous float64 array -
-    callers snapshot before queueing.
+    coercion does, so carried values are bit-identical.  Chunks arrive
+    already validated (:meth:`BatchPipeline.submit
+    <repro.engine.pipeline.BatchPipeline.submit>`), so what it rejects
+    are StreamPoint chunks (not sequences, so they coerce to nothing);
+    they ride the pickle transport with their arrival metadata.  The
+    returned array may alias ``chunk`` when it already was a contiguous
+    float64 array - callers snapshot before queueing.
     """
     if len(chunk) == 0:
         return None
@@ -643,11 +640,9 @@ def _mp_context():
 class ProcessShardExecutor(ShardExecutor):
     """Worker processes fed through the zero-copy shared-memory transport.
 
-    The coordinator's shard objects become *stale* while chunks are in
-    flight; every read must go through :meth:`drain`, which returns each
-    worker's shard states as that worker finishes (one batched message
-    per worker), so the caller can fold early finishers into a running
-    merge while stragglers are still ingesting.
+    The coordinator's shard objects become *stale* once a worker adopts
+    them; every read must go through :meth:`drain`, which returns the
+    adopted shards' states (one batched message per worker).
 
     Eligible chunks ship as float64 arrays through pooled shared-memory
     segments, written at dispatch; anything :func:`_chunk_as_array`
@@ -854,7 +849,7 @@ class ProcessShardExecutor(ShardExecutor):
     # drain / close
     # ------------------------------------------------------------------ #
 
-    def drain(self) -> Iterator[tuple[int, dict[str, Any] | None]]:
+    def drain(self) -> Iterator[tuple[int, Any]]:
         if self._closed:
             raise ExecutorError("executor is closed")
         if self._failure is not None:
@@ -882,7 +877,8 @@ class ProcessShardExecutor(ShardExecutor):
                         "chunk(s) still queued"
                     )
         # Phase 2: barrier.  Workers report their owned shards' states
-        # batched in one message each, in completion order.
+        # batched in one message each; shards no worker adopted are
+        # current in the coordinator and are not reported.
         self._token += 1
         token = self._token
         for tasks in self._task_queues:
@@ -920,11 +916,6 @@ class ProcessShardExecutor(ShardExecutor):
             else:  # "error"
                 self._failure = message[3]
                 self._raise_failure()
-        # Phase 3: shards no chunk ever reached - the coordinator's own
-        # shard objects are current.
-        for shard_id in range(self._num_shards):
-            if shard_id not in self._owner:
-                yield (shard_id, None)
 
     def stats(self) -> dict[str, Any]:
         return dict(self._stats)
@@ -964,8 +955,8 @@ class RemoteShardExecutor(ShardExecutor):
     sequence order and commit ``(consumed_seq, state)`` entries through
     a per-shard CAS fence (see :mod:`repro.engine.queue`).  ``drain``
     polls those entries and yields each shard's plain protocol state
-    the moment its consumed count reaches the submitted count, in
-    completion order, for the pipeline's streaming merge - so the
+    the moment its consumed count reaches the submitted count (shards
+    no chunk reached stay current in the coordinator) - so the
     executor is fingerprint-identical to serial by construction:
     per-shard FIFO is enforced by sequence numbers, and states
     round-trip through the protocol's exact ``to_state``/``from_state``.
@@ -1101,13 +1092,17 @@ class RemoteShardExecutor(ShardExecutor):
             self._flush()
         return None
 
-    def drain(self) -> Iterator[tuple[int, dict[str, Any] | None]]:
+    def drain(self) -> Iterator[tuple[int, Any]]:
         if self._failure is not None:
             raise ExecutorError(
                 "remote worker failed:\n" + self._failure
             )
         self._flush()
-        pending = set(range(self._coordinator.num_shards))
+        # A shard no chunk reached this epoch is current in the
+        # coordinator: only the others are waited for and yielded.
+        pending = {
+            shard for shard, count in enumerate(self._submitted) if count
+        }
         last_total = -1
         last_progress = time.monotonic()
         while pending:
@@ -1116,7 +1111,7 @@ class RemoteShardExecutor(ShardExecutor):
                 self._failure = error
                 raise ExecutorError("remote worker failed:\n" + error)
             total = 0
-            settled: list[tuple[int, dict[str, Any] | None]] = []
+            settled: list[tuple[int, dict[str, Any]]] = []
             for shard in sorted(pending):
                 found = self._queue.read_state(shard)
                 if found is None:  # pragma: no cover - purged underfoot
@@ -1124,9 +1119,7 @@ class RemoteShardExecutor(ShardExecutor):
                 seq, state, _version = found
                 total += seq
                 if seq >= self._submitted[shard]:
-                    # seq == 0: no chunk ever folded this epoch, so the
-                    # coordinator's own shard object is still current.
-                    settled.append((shard, state if seq > 0 else None))
+                    settled.append((shard, state))
             for shard, state in settled:
                 pending.discard(shard)
                 yield (shard, state)

@@ -25,13 +25,11 @@ stopped and resumed with fingerprint-identical results.
 replicas - the first wall-clock (not just per-core) throughput win -
 and ``"remote"`` enqueues them into a shared backend served by
 lease-holding workers.  Reads (:meth:`merge`, :meth:`to_state`,
-queries) synchronise first; the merge path folds finished shard states
-into the running union sampler as each worker delivers them (the
-coordinator's
-:meth:`~repro.distributed.coordinator.DistributedRobustSampler.streaming_merge`)
-instead of barriering on the slowest shard.  Executor choice is never
-observable in state: every executor yields a ``state_fingerprint``
-identical to the serial pipeline's (enforced by
+queries) synchronise first, and every query answers from one barrier
+merge of the synchronised shards (the coordinator's
+:meth:`~repro.distributed.coordinator.DistributedRobustSampler.merged_sampler`).
+Executor choice is never observable in state: every executor yields a
+``state_fingerprint`` identical to the serial pipeline's (enforced by
 ``tests/test_executors.py`` and the Hypothesis matrix in
 ``tests/test_property_equivalence.py``).
 
@@ -274,13 +272,13 @@ class BatchPipeline:
     def sync(self) -> None:
         """Barrier: finish outstanding shard work, bring states home.
 
-        A no-op for the serial executor (shard objects are always
-        current) and for a clean pipeline.  With the process executor
-        this collects each worker's shard states as the workers deliver
-        them; rebuilding them into live shard *objects* is deferred to
-        the first read that needs one (:meth:`_materialize`), so a
-        sync-then-keep-streaming cycle never pays the restore cost and a
-        sync-then-merge pays it inside the merge fold.  Raises
+        A no-op for a clean pipeline; the serial executor's drain
+        yields nothing (its shard objects are always current).  With
+        the process and remote executors this parks each shard state
+        the drain ships home; rebuilding them into live shard *objects*
+        is deferred to the first read that needs one
+        (:meth:`_materialize`), so a sync-then-keep-streaming cycle
+        never pays the restore cost.  Raises
         :class:`~repro.errors.ExecutorError` if a worker failed - the
         pipeline then stays dirty and unsynchronised work is not lost
         silently - not even after a failed :meth:`close` released the
@@ -295,11 +293,7 @@ class BatchPipeline:
                 "queued work was lost - restore from the last checkpoint"
             )
         for shard_id, state in self._executor.drain():
-            if state is not None:
-                self._shipped[shard_id] = state
-            # state None: either the coordinator's own shard object is
-            # current, or an earlier drain already shipped this shard's
-            # state and it is still buffered - keep the buffered one.
+            self._shipped[shard_id] = state
         self._dirty = False
 
     def _materialize(self) -> None:
@@ -449,20 +443,19 @@ class BatchPipeline:
         return total
 
     # ------------------------------------------------------------------ #
-    # queries (via the coordinator's sketch-sized streaming merge)
+    # queries (via the coordinator's sketch-sized merge)
     # ------------------------------------------------------------------ #
 
     def merge(self, *others: "BatchPipeline") -> RobustL0SamplerIW:
         """Merge all shard states into one sampler over the union stream.
 
         Called with no arguments (the usual form) this is the pipeline's
-        shard merge: finished shard states are folded into the running
-        union sampler as the executor delivers them
-        (:meth:`~repro.distributed.coordinator.DistributedRobustSampler.streaming_merge`),
-        so with process workers the merge overlaps the last shards'
-        ingestion instead of barriering on all of them.  The fold order
-        is deterministic (shards 0..k-1), so the merged sampler is
-        identical whichever executor ran the shards.
+        shard merge: a barrier (:meth:`sync`), the rebuild of every
+        shard state the drain shipped home, then the coordinator's
+        one-pass
+        :meth:`~repro.distributed.coordinator.DistributedRobustSampler.merged_sampler`.
+        Every executor reaches the same shard states, so the merged
+        sampler is identical whichever executor ran the shards.
 
         Merging two *pipelines* is intentionally unsupported - deal the
         streams into one pipeline instead, or merge the pipelines'
@@ -476,40 +469,9 @@ class BatchPipeline:
                 "merge() combines this pipeline's own shards; merge the "
                 "per-pipeline merged samplers instead",
             )
-        if self._dirty:
-            if self._executor is None:
-                self.sync()  # raises: the queued work was lost
-            merged = self._coordinator.streaming_merge(
-                self._arrivals_via(self._executor.drain())
-            )
-            self._dirty = False
-            return merged
-        # Buffered states from an earlier sync ride into the fold (the
-        # streaming merge restores each arriving state anyway, so the
-        # deferred rebuild happens here at no extra cost).
-        from repro.engine.executors import resolve_state
-
-        return self._coordinator.streaming_merge(
-            (shard_id, resolve_state(shard_id, self._shipped.pop(shard_id, None)))
-            for shard_id in range(self._coordinator.num_shards)
-        )
-
-    def _arrivals_via(self, drain):
-        """Adapt a drain into merge arrivals, overlaying buffered states.
-
-        A drain reports ``None`` for a shard whose chunks all pre-date
-        this executor's life or whose newest state was already shipped
-        by an earlier drain; in the latter case the buffered state is
-        the current one and must reach the fold.
-        """
-        from repro.engine.executors import resolve_state
-
-        for shard_id, state in drain:
-            if state is None:
-                state = self._shipped.pop(shard_id, None)
-            else:
-                self._shipped.pop(shard_id, None)
-            yield (shard_id, resolve_state(shard_id, state))
+        self.sync()
+        self._materialize()
+        return self._coordinator.merged_sampler()
 
     def query(self, rng: random.Random | None = None) -> StreamPoint:
         """Protocol query: merge then sample (see :meth:`sample`)."""

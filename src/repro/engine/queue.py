@@ -28,12 +28,12 @@ Each executor instance bumps ``<queue_key>/epoch`` and works under the
 returned version, so a worker resurrected from a *previous* executor's
 queue writes only to dead keys.
 
-Chunks are encoded through the PR-6 array coercion path
-(``repro.engine.executors._chunk_as_array``): an eligible chunk ships
-as raw little-endian float64 rows (decoded to one contiguous array, so
-the worker rebuilds its geometry in one pass exactly like the
-shared-memory transport), everything else pickles - reproducing the
-per-point error semantics.
+Chunks are encoded through the executors' array coercion
+(``repro.engine.executors._chunk_as_array``): a coordinate-row chunk
+ships as raw little-endian float64 rows (decoded to one contiguous
+array, so the worker rebuilds its geometry in one pass exactly like the
+shared-memory transport); a StreamPoint chunk pickles, keeping its
+arrival metadata.
 
 Enforced by ``tests/test_remote_executor.py``.
 """

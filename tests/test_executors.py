@@ -81,8 +81,8 @@ class TestExecutorEquivalenceMatrix:
         with make_pipeline(executor, shards=shards, workers=workers) as twin:
             twin.extend(stream)
             assert state_fingerprint(twin) == state_fingerprint(serial)
-            # The streaming merge folds in deterministic shard order, so
-            # even the merged union sampler is bit-identical.
+            # The merge reads only the (identical) shard states, so even
+            # the merged union sampler is bit-identical.
             assert state_fingerprint(twin.merge()) == state_fingerprint(
                 serial.merge()
             )
@@ -438,6 +438,50 @@ class TestDrainStallDetection:
                 list(executor.drain())
         finally:
             executor.close()
+
+
+class TestDrainContract:
+    """``drain()`` yields ``(shard_id, state)`` only for shards whose
+    state lives outside the coordinator, never a ``None`` state, and
+    every query is the one barrier merge of the synchronised shards."""
+
+    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+    def test_drain_yields_only_shards_that_moved(self, executor):
+        coordinator = DistributedRobustSampler(1.0, 1, num_shards=4, seed=3)
+        reference = DistributedRobustSampler(1.0, 1, num_shards=4, seed=3)
+        runner = executors_module.make_executor(
+            executor, coordinator, num_workers=2
+        )
+        try:
+            for shard in (0, 1, 3):  # shard 2 receives no chunk
+                chunk = group_stream(48, seed=shard)
+                runner.submit(shard, chunk)
+                reference.route_many(chunk, shard)
+            arrivals = list(runner.drain())
+        finally:
+            runner.close()
+        if executor == "serial":
+            assert arrivals == []
+        else:
+            assert sorted(shard for shard, _ in arrivals) == [0, 1, 3]
+            assert all(state is not None for _, state in arrivals)
+            for shard, state in arrivals:
+                coordinator.restore_shard(shard, resolve_state(shard, state))
+        assert state_fingerprint(coordinator) == state_fingerprint(reference)
+
+    def test_merge_identical_dirty_synced_and_serial(self):
+        stream = group_stream(300, seed=17)
+        serial = make_pipeline("serial", shards=4)
+        serial.extend(stream)
+        expected = state_fingerprint(serial.merge())
+        with make_pipeline("process", shards=4, workers=2) as dirty:
+            dirty.extend(stream)
+            assert dirty._dirty
+            assert state_fingerprint(dirty.merge()) == expected
+        with make_pipeline("process", shards=4, workers=2) as synced:
+            synced.extend(stream)
+            synced.sync()
+            assert state_fingerprint(synced.merge()) == expected
 
 
 class TestDeferredStates:

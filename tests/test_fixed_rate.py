@@ -163,13 +163,6 @@ class TestSampling:
 
 
 class TestHierarchySupport:
-    def test_clear_resets(self):
-        sampler, _ = make(rate=1)
-        sampler.insert(StreamPoint((0.0,), 0))
-        sampler.clear()
-        assert sampler.candidate_count == 0
-        assert sampler.accepted_count == 0
-
     def test_adopt_record_roundtrip(self):
         sampler, config = make(rate=1, window=SequenceWindow(50))
         donor, _ = make(config=config, rate=1, window=SequenceWindow(50))

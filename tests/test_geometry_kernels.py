@@ -608,21 +608,63 @@ class TestMaterializeChunk:
         ):
             materialize_chunk([(0.0,), ("bad",), (1.0,)], 1, 0)
 
-    def test_stale_geometry_rejected(self):
+    @pytest.mark.parametrize("sampler", ["infinite", "sliding"])
+    @pytest.mark.parametrize(
+        "builder", ["compute_chunk_geometry", "chunk_geometry_for"]
+    )
+    @pytest.mark.parametrize(
+        "change", ["other-chunk", "interior-point", "interior-nan"]
+    )
+    def test_stale_geometry_rejected(self, sampler, builder, change):
         # A geometry built for a different chunk must be refused (and
-        # recomputed), not silently corrupt the sampler's state.
+        # recomputed), not silently corrupt the sampler's state - also
+        # when the chunks share their length and both endpoints, and
+        # the one interior point that differs would fail the boundary.
         from repro.core.infinite_window import RobustL0SamplerIW
+        from repro.core.sliding_window import RobustL0SamplerSW
+        from repro.engine.batching import chunk_geometry_for
         from repro.engine.equivalence import state_fingerprint
+        from repro.streams.windows import SequenceWindow
 
+        config = SamplerConfig.create(1.0, 2, seed=1)
+
+        def make():
+            if sampler == "infinite":
+                return RobustL0SamplerIW(1.0, 2, config=config)
+            return RobustL0SamplerSW(
+                1.0, 2, SequenceWindow(40), config=config
+            )
+
+        build = {
+            "compute_chunk_geometry": compute_chunk_geometry,
+            "chunk_geometry_for": chunk_geometry_for,
+        }[builder]
         rng = random.Random(0)
         chunk_a = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(64)]
-        chunk_b = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(64)]
-        stale = RobustL0SamplerIW(1.0, 2, seed=1)
-        geometry_a = compute_chunk_geometry(stale.config, chunk_a)
-        assert geometry_a.valid_for(stale.config, chunk_a)
-        assert not geometry_a.valid_for(stale.config, chunk_b)
+        if change == "other-chunk":
+            chunk_b = [
+                (rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(64)
+            ]
+        else:
+            chunk_b = list(chunk_a)
+            chunk_b[31] = (
+                (math.nan, 0.0)
+                if change == "interior-nan"
+                else (rng.uniform(0, 100), rng.uniform(0, 100))
+            )
+        stale = make()
+        geometry_a = build(config, chunk_a)
+        assert geometry_a.valid_for(config, chunk_a)
+        assert not geometry_a.valid_for(config, chunk_b)
+        clean = make()
+        if change == "interior-nan":
+            before = state_fingerprint(stale)
+            with pytest.raises(ParameterError, match="point 31 "):
+                stale.process_many(chunk_b, geometry=geometry_a)
+            assert state_fingerprint(stale) == before
+            assert before == state_fingerprint(clean)
+            return
         stale.process_many(chunk_b, geometry=geometry_a)
-        clean = RobustL0SamplerIW(1.0, 2, seed=1)
         clean.process_many(chunk_b)
         assert state_fingerprint(stale) == state_fingerprint(clean)
 
