@@ -244,16 +244,6 @@ class SamplerConfig:
     conservative_memo: dict[Cell, tuple] = field(
         default_factory=dict, repr=False, compare=False
     )
-    #: Shared cell-id -> base-hash memo used by the vectorised chunk
-    #: geometry (:mod:`repro.core.chunk_geometry`).  Sound by
-    #: construction: a cell's base hash is *defined* as a function of
-    #: its 64-bit cell id (``hash.value(grid.cell_id(cell))``), so
-    #: caching by id can never diverge from hashing the cell directly.
-    #: Keyed by int (cheaper lookups than coordinate tuples on the
-    #: vectorised path, where ids come out of the kernels anyway).
-    cell_id_hash_memo: dict[int, int] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     @classmethod
     def create(

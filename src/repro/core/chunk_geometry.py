@@ -5,9 +5,8 @@ every point of the chunk, the geometry the samplers' ``process_many``
 overrides would otherwise recompute point by point in Python:
 
 * the grid cell (as the usual int tuple, ready for dict keys),
-* the cell's base-hash value (memo-aware: cells already in the config's
-  shared ``cell_hash_memo`` are served from it, the rest are hashed in
-  one vectorised pass and memoised),
+* the cell's base-hash value (cell ids and hashes in one vectorised
+  pass),
 * lazily, the fractional in-cell positions, the conservative
   high-dimensional ignore probe (:meth:`ChunkGeometry.high_dim_ignorable`)
   and the per-point ``adj(p)`` hash tuples
@@ -55,7 +54,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.base import (
-    _CELL_MEMO_LIMIT,
     SamplerConfig,
     check_vector,
     coerce_point,
@@ -86,41 +84,17 @@ _ADJ_BLOCK = 192
 _ADJ_MIN_BLOCK = 16
 
 
-def _hash_cells_list(
-    config: SamplerConfig, coords: "np.ndarray"
-) -> list[int]:
-    """Base-hash values of int64 cell rows, memo-aware, as a plain list.
+def _hash_cells(config: SamplerConfig, coords: "np.ndarray") -> "np.ndarray":
+    """Base-hash values of int64 cell rows, as a uint64 array.
 
-    The cell ids are computed in one vectorised pass
-    (:func:`repro.geometry.kernels.cell_ids_chunk`); known ids are
-    served from the config's shared ``cell_id_hash_memo`` (an int-keyed
-    dict probe - near-duplicate chunks revisit the same few cells
-    constantly), the missing ones are hashed in one array call and
-    memoised.  A cell's base hash is by definition a function of its
-    cell id, so the values are identical to ``config.cell_hash(cell)``
-    per row - the memo is a pure cache.
+    One vectorised pass: the cell ids
+    (:func:`repro.geometry.kernels.cell_ids_chunk`) through the base
+    hash's array evaluator
+    (:meth:`~repro.hashing.sampling.SamplingHash.value_chunk`).  A
+    cell's base hash is by definition ``hash.value(cell_id(cell))``, so
+    the values equal ``config.cell_hash(cell)`` per row.
     """
-    if coords.shape[0] == 0:
-        return []
-    ids = kernels.cell_ids_chunk(coords)
-    id_list = ids.tolist()
-    memo = config.cell_id_hash_memo
-    memo_get = memo.get
-    hashes = [memo_get(cell_id) for cell_id in id_list]
-    if None in hashes:
-        missing = [
-            index for index, value in enumerate(hashes) if value is None
-        ]
-        hashed = config.hash.value_chunk(
-            ids[np.array(missing, dtype=np.intp)]
-        ).tolist()
-        if len(memo) + len(missing) >= _CELL_MEMO_LIMIT:
-            memo.clear()
-        for position, index in enumerate(missing):
-            value = hashed[position]
-            hashes[index] = value
-            memo[id_list[index]] = value
-    return hashes
+    return config.hash.value_chunk(kernels.cell_ids_chunk(coords))
 
 
 class ChunkGeometry:
@@ -161,6 +135,7 @@ class ChunkGeometry:
         "_low_ignorable",
         "_low_ignorable_mask",
         "_adj_table",
+        "_adj_tz",
         "_adj_start",
         "_adj_requests",
         "_adj_window_start",
@@ -195,6 +170,7 @@ class ChunkGeometry:
         self._low_ignorable: list[bool] | None = None
         self._low_ignorable_mask = -1
         self._adj_table: list[tuple[int, ...]] | None = None
+        self._adj_tz: list[int] = []
         self._adj_start = 0
         self._adj_requests = 0
         self._adj_window_start = 0
@@ -265,9 +241,7 @@ class ChunkGeometry:
             config.grid.side,
             config.alpha,
             mask,
-            lambda rows: np.array(
-                _hash_cells_list(config, rows), dtype=np.uint64
-            ),
+            lambda rows: _hash_cells(config, rows),
         )
         self._ignorable = probe.tolist() if probe is not None else None
         self._ignorable_mask = mask
@@ -297,9 +271,7 @@ class ChunkGeometry:
             config.grid.side,
             config.alpha,
             mask,
-            lambda rows: np.array(
-                _hash_cells_list(config, rows), dtype=np.uint64
-            ),
+            lambda rows: _hash_cells(config, rows),
         )
         self._low_ignorable = probe.tolist() if probe is not None else None
         self._low_ignorable_mask = mask
@@ -340,6 +312,21 @@ class ChunkGeometry:
                 return self._adj_table[0]  # type: ignore[index]
         return self._scalar_adj(index)
 
+    def adj_tz(self, index: int) -> int:
+        """Survival exponent of point ``index``'s ``adj(p)`` hashes.
+
+        Value-identical to :meth:`CandidateRecord.survival_exponent
+        <repro.core.base.CandidateRecord.survival_exponent>` over
+        :meth:`adj_hashes` ``(index)`` when the point lies in the current
+        vectorised block (computed in bulk with the block), else ``-1``
+        - the record's "not yet computed" marker, so it is derived
+        lazily.  Call after :meth:`adj_hashes` for the same point.
+        """
+        offset = index - self._adj_start
+        if 0 <= offset < len(self._adj_tz):
+            return self._adj_tz[offset]
+        return -1
+
     def _scalar_adj(self, index: int) -> tuple[int, ...]:
         return self.config.adj_hashes(
             self._vectors[index], cell=self.cell_at(index)
@@ -358,7 +345,8 @@ class ChunkGeometry:
             self._adj_failed = True
             return False
         flat_cells, counts = result
-        flat_hashes = _hash_cells_list(config, flat_cells)
+        hashes = _hash_cells(config, flat_cells)
+        flat_hashes = hashes.tolist()
         table: list[tuple[int, ...]] = []
         position = 0
         for count in counts.tolist():
@@ -366,6 +354,7 @@ class ChunkGeometry:
             position += count
         self._adj_start = start
         self._adj_table = table
+        self._adj_tz = kernels.max_trailing_zeros(hashes, counts).tolist()
         # Fresh counting window past the block: the next block is only
         # computed if founding density stays high beyond it.
         self._adj_requests = 0
@@ -436,7 +425,7 @@ def _geometry_from_array(
         shifted,
         cells_f,
         coords,
-        _hash_cells_list(config, coords),
+        _hash_cells(config, coords).tolist(),
         source_vectors=source_vectors,
         pure_coords=pure_coords,
     )

@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.core.base import (
     CandidateRecord,
@@ -248,21 +248,6 @@ class FixedRateSlidingSampler(StreamSampler):
             if not isinstance(point, StreamPoint):
                 raise invalid_point(position, "is not a StreamPoint")
             check_vector(grid, point.vector, position)
-
-    # ------------------------------------------------------------------ #
-    # record helpers
-    # ------------------------------------------------------------------ #
-
-    def adopt_record(self, record: CandidateRecord) -> None:
-        """Install an externally built record, with heap tracking."""
-        self._store.add(record)
-        self._push_heap(record)
-
-    def find_group(
-        self, vector: Sequence[float], cell_hash: int
-    ) -> CandidateRecord | None:
-        """Proximity lookup against this instance's representatives."""
-        return self._store.find_nearby(vector, cell_hash)
 
     # ------------------------------------------------------------------ #
     # queries

@@ -221,7 +221,7 @@ class RobustHeavyHitters(StreamSampler):
     ) -> int:
         """Batched :meth:`insert` with the counting fast path inlined.
 
-        Cells, memo-aware cell hashes and (on admission) the ``adj(p)``
+        Cells, cell hashes and (on admission) the ``adj(p)``
         hash tuples come from one vectorised
         :class:`~repro.core.chunk_geometry.ChunkGeometry` precompute per
         chunk (``geometry`` accepts one computed upstream by the

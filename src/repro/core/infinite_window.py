@@ -236,7 +236,7 @@ class RobustL0SamplerIW(StreamSampler):
     ) -> int:
         """Batched :meth:`insert`: state-equivalent, several times faster.
 
-        The chunk's geometry - cells, memo-aware cell hashes, the
+        The chunk's geometry - cells, cell hashes, the
         high-dimensional ignore probe, adjacency hash tuples - is
         computed once per chunk through the vectorised kernel layer
         (:class:`~repro.core.chunk_geometry.ChunkGeometry`; ``geometry``

@@ -155,38 +155,12 @@ class KDistinctSampler(StreamSampler):
         if isinstance(sampler, RobustL0SamplerIW):
             pool = [r.representative for r in sampler._store.accepted_records()]
         else:
-            pool = self._sliding_pool(sampler, rng)
+            pool = sampler.sample_pool(rng)
         if len(pool) < self._k:
             raise EmptySampleError(
                 f"only {len(pool)} groups available, need {self._k}"
             )
         return rng.sample(pool, self._k)
-
-    @staticmethod
-    def _sliding_pool(
-        sampler: RobustL0SamplerSW, rng: random.Random
-    ) -> list[StreamPoint]:
-        """Rate-unified pool of accepted last-points across levels."""
-        if sampler._latest is None:
-            return []
-        latest = sampler._latest
-        active = []
-        for index in range(sampler.num_levels):
-            instance = sampler.level(index)
-            instance.evict(latest)
-            records = instance.accepted_records()
-            if records:
-                active.append((index, records))
-        if not active:
-            return []
-        coarsest = sampler.level(active[-1][0]).rate_denominator
-        pool = []
-        for index, records in active:
-            keep = sampler.level(index).rate_denominator / coarsest
-            for record in records:
-                if keep >= 1.0 or rng.random() < keep:
-                    pool.append(record.last)
-        return pool
 
     def space_words(self) -> int:
         """Total footprint across the underlying samplers."""

@@ -38,7 +38,19 @@ to the earlier one-store-per-level layout:
 * ``space_words`` sums cached per-level word counters (updated on every
   record add/evict/promote and on ``last``-point detachment), so peak
   tracking is O(levels) instead of a full record walk;
-  ``recount_space_words`` is the from-scratch oracle.
+  ``recount_space_words`` is the from-scratch oracle;
+* each level's record map is kept in **representative-index order**.
+  Foundings append the newest index and a promoted prefix is usually
+  newer than the target level's tail, so both keep a level ordered; the
+  exceptions (a reactivated group re-entering level 0, a promoted prefix
+  older than the target's tail) only flag the level unordered, and it
+  is re-sorted in place when a ``Split`` or a query next reads it.
+  ``Split`` therefore finds its boundary by a short backward walk and
+  carves the prefix off the front without sorting, and ``Split``/
+  ``Merge`` apply their accept-count and word deltas once per cascade
+  step.  The order is canonical, so a live hierarchy and one restored
+  from its checkpoint (which rebuilds the maps in index order) draw the
+  same query answers from the same ``rng``.
 
 Eviction is hierarchy-wide and runs once per arrival, which matches the
 paper's Line 4 (every ``A_l`` drops expired pairs on each arrival) more
@@ -100,8 +112,8 @@ class HierarchyLevel:
     The sliding-window sampler stores all levels in one
     :class:`~repro.core.base.CandidateStore`; this view exposes the
     classic per-level surface (``rate_denominator``, ``records()``,
-    ``accepted_records()``, ``find_group``...) for queries, tests and
-    the k-sample wrapper, backed by the shared structures.
+    ``accepted_records()``...) for tests and diagnostics, backed by the
+    shared structures (records in representative-index order).
     """
 
     __slots__ = ("_sampler", "_index")
@@ -127,29 +139,15 @@ class HierarchyLevel:
 
     def records(self) -> Iterator[CandidateRecord]:
         """Iterate this level's candidate records."""
-        return iter(list(self._sampler._level_records[self._index].values()))
+        return iter(list(self._sampler._ordered(self._index).values()))
 
     def accepted_records(self) -> list[CandidateRecord]:
         """Records of this level's accept set."""
-        return [
-            r
-            for r in self._sampler._level_records[self._index].values()
-            if r.accepted
-        ]
+        return [r for r in self.records() if r.accepted]
 
     def rejected_records(self) -> list[CandidateRecord]:
         """Records of this level's reject set."""
-        return [
-            r
-            for r in self._sampler._level_records[self._index].values()
-            if not r.accepted
-        ]
-
-    def find_group(
-        self, vector: Sequence[float], cell_hash: int
-    ) -> CandidateRecord | None:
-        """Proximity lookup restricted to this level's records."""
-        return self._sampler._store.find_nearby(vector, cell_hash, self._index)
+        return [r for r in self.records() if not r.accepted]
 
     def evict(self, latest: StreamPoint) -> None:
         """Evict expired groups (hierarchy-wide; levels share one heap)."""
@@ -234,6 +232,8 @@ class RobustL0SamplerSW(StreamSampler):
         self._level_records: list[dict[int, CandidateRecord]] = [
             {} for _ in range(levels)
         ]
+        # True while a level's map is out of representative-index order.
+        self._level_unordered: list[bool] = [False] * levels
         self._level_accepted: list[int] = [0] * levels
         self._level_words: list[int] = [0] * levels
         self._latest: StreamPoint | None = None
@@ -303,12 +303,35 @@ class RobustL0SamplerSW(StreamSampler):
             ),
         )
 
+    def _append(self, level: int, record: CandidateRecord) -> None:
+        """Put a record at the end of a level map, noting lost order."""
+        level_map = self._level_records[level]
+        key = record.representative.index
+        if level_map and next(reversed(level_map)) > key:
+            self._level_unordered[level] = True
+        level_map[key] = record
+
+    def _ordered(self, level: int) -> dict[int, CandidateRecord]:
+        """A level's record map, re-sorted in place if flagged unordered.
+
+        The map object is kept (hot loops hold it in a local); only its
+        insertion order changes.
+        """
+        level_map = self._level_records[level]
+        if self._level_unordered[level]:
+            keys = sorted(level_map)
+            records = [level_map[key] for key in keys]
+            level_map.clear()
+            level_map.update(zip(keys, records))
+            self._level_unordered[level] = False
+        return level_map
+
     def _add(self, record: CandidateRecord) -> None:
         """Register a record (store + its level's map/counters)."""
         store = self._store
         store.add(record)
         level = record.level
-        self._level_records[level][record.representative.index] = record
+        self._append(level, record)
         if record.accepted:
             self._level_accepted[level] += 1
         self._level_words[level] += store._slot_words[record.slot]
@@ -324,29 +347,22 @@ class RobustL0SamplerSW(StreamSampler):
             self._level_accepted[level] -= 1
         self._level_words[level] -= words
 
-    def _move(self, record: CandidateRecord, target: int) -> None:
-        """Retag a record's level - the store registration survives."""
-        source = record.level
-        key = record.representative.index
-        del self._level_records[source][key]
-        self._level_records[target][key] = record
-        record.level = target
-        # The record's footprint is served from its slot (kept exact by
-        # add/relink), so the promotion is counter moves only.
-        words = self._store._slot_words[record.slot]
-        level_words = self._level_words
-        level_words[source] -= words
-        level_words[target] += words
-        if record.accepted:
-            level_accepted = self._level_accepted
-            level_accepted[source] -= 1
-            level_accepted[target] += 1
+    def _reactivate(self, record: CandidateRecord) -> None:
+        """Move a rejected record with fresh activity to level 0, accepted.
 
-    def _set_accepted(self, record: CandidateRecord, accepted: bool) -> None:
-        """Flip accept status, keeping store and level counters in sync."""
-        if record.accepted != accepted:
-            self._store.set_accepted(record, accepted)
-            self._level_accepted[record.level] += 1 if accepted else -1
+        The group belongs to the newest subwindow now; its representative
+        (and so its store registration) is preserved - only the level tag,
+        the per-level maps and the counters change.
+        """
+        source = record.level
+        del self._level_records[source][record.representative.index]
+        self._append(0, record)
+        record.level = 0
+        words = self._store._slot_words[record.slot]
+        self._level_words[source] -= words
+        self._level_words[0] += words
+        self._store.set_accepted(record, True)
+        self._level_accepted[0] += 1
 
     def _relink_last(self, record: CandidateRecord, new_last: StreamPoint) -> None:
         """Level-aware :meth:`CandidateStore.relink_last`."""
@@ -431,10 +447,9 @@ class RobustL0SamplerSW(StreamSampler):
             self._push(record)
             if not record.accepted and record.level != 0:
                 # A rejected group with fresh activity belongs to the
-                # newest subwindow: move it (representative preserved) to
-                # level 0, whose rate 1 accepts everything.
-                self._move(record, 0)
-                self._set_accepted(record, True)
+                # newest subwindow: move it to level 0, whose rate 1
+                # accepts everything.
+                self._reactivate(record)
                 if self._level_accepted[0] > self._policy.threshold():
                     self._cascade(0)
         else:
@@ -467,7 +482,7 @@ class RobustL0SamplerSW(StreamSampler):
     ) -> int:
         """Batched :meth:`insert` over the whole hierarchy.
 
-        The chunk's cells and memo-aware cell hashes come from one
+        The chunk's cells and cell hashes come from one
         vectorised :class:`~repro.core.chunk_geometry.ChunkGeometry`
         precompute (``geometry`` accepts one computed upstream by the
         pipeline; founding-heavy chunks also get their ``adj(p)`` hash
@@ -512,6 +527,7 @@ class RobustL0SamplerSW(StreamSampler):
         buckets_get = store._buckets.get
         find_overflow = store.find_overflow
         level_records0 = self._level_records[0]
+        level_unordered = self._level_unordered
         level_accepted = self._level_accepted
         level_words = self._level_words
         remove = self._remove
@@ -611,8 +627,7 @@ class RobustL0SamplerSW(StreamSampler):
                         self._latest = latest
                         policy.observe_many(pending)
                         pending = 0
-                        self._move(found, 0)
-                        self._set_accepted(found, True)
+                        self._reactivate(found)
                         if level_accepted[0] > threshold():
                             self._cascade(0)
                 else:
@@ -632,9 +647,13 @@ class RobustL0SamplerSW(StreamSampler):
                         accepted=True,
                         last=p,
                         level=0,
+                        adj_tz=geom.adj_tz(i),
                     )
                     store.add(record)
-                    level_records0[p.index] = record
+                    key = p.index
+                    if level_records0 and next(reversed(level_records0)) > key:
+                        level_unordered[0] = True
+                    level_records0[key] = record
                     level_accepted[0] += 1
                     level_words[0] += slot_words[record.slot]
                     entry_tb = next(tiebreak)
@@ -683,48 +702,63 @@ class RobustL0SamplerSW(StreamSampler):
         at ``level`` completely untouched: no store re-registration, no
         heap churn.
         """
-        level_map = self._level_records[level]
+        level_map = self._ordered(level)
         doubled_exponent = level + 1
         doubled_mask = (1 << doubled_exponent) - 1
 
-        all_records = sorted(
-            level_map.values(), key=lambda r: r.representative.index
-        )
-        accepted = [r for r in all_records if r.accepted]
-        survivors = [
-            r for r in accepted if r.cell_hash & doubled_mask == 0
-        ]
-        if survivors:
-            boundary = survivors[-1].representative.index
-        elif len(accepted) > 1:
-            # Negligible-probability corner (see DESIGN.md): keep the last
-            # accepted point at this level so Fact 3 survives.
-            boundary = accepted[-2].representative.index
-        else:
-            boundary = accepted[-1].representative.index - 1
+        # The boundary is the last accepted record that survives the
+        # doubled rate; the map is index-ordered, so a backward walk
+        # finds it (survivors are dense: the walk is short).
+        boundary = None
+        last = second = None
+        for record in reversed(level_map.values()):
+            if record.accepted:
+                if record.cell_hash & doubled_mask == 0:
+                    boundary = record.representative.index
+                    break
+                if last is None:
+                    last = record
+                elif second is None:
+                    second = record
+        if boundary is None:
+            if second is not None:
+                # Negligible-probability corner (see DESIGN.md): keep the
+                # last accepted point at this level so Fact 3 survives.
+                boundary = second.representative.index
+            else:
+                boundary = last.representative.index - 1
 
         # Re-derive the prefix at the doubled rate (Algorithm 4's ALG_a);
         # the suffix (ALG_b) keeps its rate and status by simply staying.
-        # ``all_records`` is index-sorted, so the prefix is its leading
-        # run; the adj test is the cached O(1) survival exponent.
+        # The adj test reads the survival exponent founded with the
+        # record (derived once otherwise).  Accept flips are counted and
+        # applied to the counters once; dropped records leave the map
+        # after the walk, in prefix order.
+        flips = 0
         promoted: list[CandidateRecord] = []
-        for record in all_records:
+        dropped: list[CandidateRecord] = []
+        for record in level_map.values():
             if record.representative.index > boundary:
                 break
             if record.cell_hash & doubled_mask == 0:
-                self._set_accepted(record, True)
+                if not record.accepted:
+                    record.accepted = True
+                    flips += 1
             else:
-                # Inline the cached survival-exponent read (computed at
-                # most once per record by survival_exponent()).
                 tz = record.adj_tz
                 if tz < 0:
                     tz = record.survival_exponent()
-                if tz >= doubled_exponent:
-                    self._set_accepted(record, False)
-                else:
-                    self._remove(record)
+                if tz < doubled_exponent:
+                    dropped.append(record)
                     continue
+                if record.accepted:
+                    record.accepted = False
+                    flips -= 1
             promoted.append(record)
+        for record in dropped:
+            self._remove(record)
+        self._store._accepted_count += flips
+        self._level_accepted[level] += flips
         return promoted
 
     def _merge(self, promoted: list[CandidateRecord], level: int) -> None:
@@ -737,12 +771,26 @@ class RobustL0SamplerSW(StreamSampler):
         ``alpha`` of a promoted representative, the existing record
         absorbs the promoted one's last-point and count.
         """
+        if not promoted:
+            return
         store = self._store
         buckets_get = store._buckets.get
         overflow = store._overflow
         find_overflow = store.find_overflow
+        slot_words = store._slot_words
         alpha = self._config.alpha
         expiry_key = self._window.expiry_key
+        source = level - 1
+        source_map = self._level_records[source]
+        target_map = self._level_records[level]
+        # The prefix is index-ordered: appended after the target's tail
+        # it keeps the target ordered unless it starts before that tail.
+        if target_map and (
+            next(reversed(target_map)) > promoted[0].representative.index
+        ):
+            self._level_unordered[level] = True
+        moved_words = 0
+        moved_accepted = 0
         for record in promoted:
             # Inline find_nearby(vector, cell_hash, level).  The head is
             # usually the promoted record itself: promoted-but-not-yet-
@@ -770,7 +818,20 @@ class RobustL0SamplerSW(StreamSampler):
                 existing.count += record.count
                 self._remove(record)
             else:
-                self._move(record, level)
+                key = record.representative.index
+                del source_map[key]
+                target_map[key] = record
+                record.level = level
+                # The footprint is served from the slot (kept exact by
+                # add/relink): the move is counter arithmetic only.
+                moved_words += slot_words[record.slot]
+                moved_accepted += record.accepted
+        level_words = self._level_words
+        level_words[source] -= moved_words
+        level_words[level] += moved_words
+        level_accepted = self._level_accepted
+        level_accepted[source] -= moved_accepted
+        level_accepted[level] += moved_accepted
 
     # ------------------------------------------------------------------ #
     # queries
@@ -787,29 +848,41 @@ class RobustL0SamplerSW(StreamSampler):
         if self._latest is None:
             raise EmptySampleError("no points inserted yet")
         rng = rng if rng is not None else random.Random()
-        self._evict(self._latest)
-
-        active: list[tuple[int, list[CandidateRecord]]] = []
-        for index, level_map in enumerate(self._level_records):
-            if not self._level_accepted[index]:
-                continue
-            records = [r for r in level_map.values() if r.accepted]
-            if records:
-                active.append((index, records))
-        if not active:
+        pool = self.sample_pool(rng)
+        if not pool:
             raise EmptySampleError("the sliding window contains no points")
-
-        deepest = active[-1][0]
-        coarsest = 1 << deepest
-        pool: list[StreamPoint] = []
-        for index, records in active:
-            keep_probability = (1 << index) / coarsest
-            for record in records:
-                if keep_probability >= 1.0 or rng.random() < keep_probability:
-                    pool.append(record.last)
-        # Level c participates with probability 1, so the pool is never
-        # empty (Lemma 2.10).
         return rng.choice(pool)
+
+    def sample_pool(self, rng: random.Random) -> list[StreamPoint]:
+        """The rate-unified pool of accepted last-points (Lines 19-22).
+
+        Evicts, then keeps each accepted group at level ``l`` with
+        probability ``R_l / R_c`` (``c`` the deepest level with a
+        non-empty accept set), drawing from ``rng`` level by level in
+        representative-index order - so the draws depend on the state
+        alone, not on how it was reached.  Level ``c`` participates with
+        probability 1, so the pool is empty only when the window is
+        (Lemma 2.10).  :meth:`sample` picks one member; the k-sample
+        wrapper picks ``k`` distinct ones.
+        """
+        if self._latest is None:
+            return []
+        self._evict(self._latest)
+        active = [
+            index for index, count in enumerate(self._level_accepted) if count
+        ]
+        if not active:
+            return []
+        coarsest = 1 << active[-1]
+        pool: list[StreamPoint] = []
+        for index in active:
+            keep_probability = (1 << index) / coarsest
+            for record in self._ordered(index).values():
+                if record.accepted and (
+                    keep_probability >= 1.0 or rng.random() < keep_probability
+                ):
+                    pool.append(record.last)
+        return pool
 
     def estimate_f0(self) -> float:
         """Estimate the number of groups in the window (Section 5).
@@ -977,6 +1050,7 @@ class RobustL0SamplerSW(StreamSampler):
         sampler._store = CandidateStore(config)
         sampler._heap = []
         sampler._level_records = [{} for _ in range(levels)]
+        sampler._level_unordered = [False] * levels
         sampler._level_accepted = [0] * levels
         sampler._level_words = [0] * levels
         sampler._latest = (

@@ -36,8 +36,8 @@ Where the speed comes from
 * the vectorised geometry kernel layer
   (:mod:`repro.geometry.kernels` + the per-chunk
   :class:`~repro.core.chunk_geometry.ChunkGeometry` precompute): a
-  whole chunk's cell coordinates, cell ids and memo-aware cell hashes
-  in a few numpy passes, bit-identical to the scalar geometry;
+  whole chunk's cell coordinates, cell ids and cell hashes in a few
+  numpy passes, bit-identical to the scalar geometry;
   adjacency enumeration switches to vectorised block tables when a
   chunk proves founding-heavy; pipelines build ONE geometry per dealt
   chunk (:func:`repro.engine.batching.chunk_geometry_for`) and hand it
@@ -48,16 +48,18 @@ Where the speed comes from
   neighbourhoods at dim <= 2 (``conservative_neighborhood``), the
   kernel layer's conservative probe above (usable at any dimension,
   verdicts rate-nested across mid-chunk doublings);
-* the config-level hash memos (``cell_hash_memo`` scalar,
-  ``cell_id_hash_memo`` vectorised): near-duplicate streams revisit
-  the same grid cells constantly, so cell hashes are computed once per
-  cell, not once per point - shared by every level of a sliding-window
+* the config-level scalar hash memo (``cell_hash_memo``): the scalar
+  ``adj(p)`` enumeration (``insert``, and a chunk geometry outside its
+  vectorised blocks) revisits the same grid cells constantly, so each
+  cell is hashed once - shared by every level of a sliding-window
   hierarchy and every shard of a pipeline;
 * batch Horner / batch splitmix64 evaluation
   (:meth:`repro.hashing.kwise.KWiseHash.many`,
   :meth:`repro.hashing.mix.SplitMix64.many`, and their array twins
-  :meth:`~repro.hashing.mix.SplitMix64.many_chunk` /
-  :meth:`~repro.hashing.sampling.SamplingHash.value_chunk`).
+  :meth:`~repro.hashing.kwise.KWiseHash.many_chunk` /
+  :meth:`~repro.hashing.mix.SplitMix64.many_chunk`, reached through
+  :meth:`~repro.hashing.sampling.SamplingHash.value_chunk`), which the
+  chunk geometry calls on every cell id it hashes.
 
 Extending the engine to a new sampler
 -------------------------------------

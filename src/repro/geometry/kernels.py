@@ -17,6 +17,9 @@ numpy, **bit-identically** to the scalar implementations they replace:
   re-implemented in uint64 lanes, then the splitmix64 finalisation of
   :meth:`~repro.geometry.grid.Grid.cell_id`;
 * :func:`splitmix64_chunk` - the splitmix64 finalizer over an array;
+* :func:`max_trailing_zeros` - per-point survival exponents of the
+  ``adj(p)`` hash tuples (:meth:`CandidateRecord.survival_exponent
+  <repro.core.base.CandidateRecord.survival_exponent>` in bulk);
 * :func:`adjacent_cells_chunk` - the pruned ``adj(p)`` enumeration of
   :func:`repro.geometry.adjacency.collect_adjacent` for every point of a
   chunk, producing the identical cells in the identical order
@@ -133,6 +136,28 @@ def cell_ids_chunk(coords: "np.ndarray") -> "np.ndarray":
     """:meth:`Grid.cell_id <repro.geometry.grid.Grid.cell_id>` per row:
     ``splitmix64(hash(cell) & MASK64)`` as a uint64 array."""
     return splitmix64_chunk(tuple_hashes(coords))
+
+
+def max_trailing_zeros(
+    hashes: "np.ndarray", counts: "np.ndarray"
+) -> "np.ndarray":
+    """Largest trailing-zero count per consecutive group of uint64 hashes.
+
+    ``counts[j]`` hashes of ``hashes`` form group ``j`` (in order); a
+    zero hash counts 64 and an empty group 0.  Per group this equals
+    :meth:`CandidateRecord.survival_exponent
+    <repro.core.base.CandidateRecord.survival_exponent>`: the lowest set
+    bit ``h & -h`` is a power of two, which ``frexp`` decodes exactly.
+    """
+    lowest = hashes & (~hashes + _U64(1))
+    _, exponent = np.frexp(lowest.astype(np.float64))
+    tz = np.where(hashes == 0, 64, exponent - 1)
+    out = np.zeros(len(counts), dtype=np.int64)
+    nonempty = counts > 0
+    if nonempty.any():
+        starts = np.cumsum(counts) - counts
+        out[nonempty] = np.maximum.reduceat(tz, starts[nonempty])
+    return out
 
 
 def cell_coords_chunk(
@@ -257,7 +282,7 @@ def low_dim_ignore_probe(
     testing each point against the corner boxes of the sampled cells of
     its *conservative* neighbourhood, enumerate ``adj(p)`` itself with
     :func:`adjacent_cells_chunk` (bit-identical to the exact path's
-    adjacency), hash every cell (``hash_coords``, memo-aware) and test
+    adjacency), hash every cell (``hash_coords``) and test
     against ``mask``.  ``True`` entries have **no** sampled cell in
     ``adj(p)`` - the exact founding path would ignore them outright -
     so unlike the corner filter the probe is exact, not conservative:
@@ -306,8 +331,8 @@ def high_dim_ignore_probe(
     * an axis move is feasible only when its squared distance fits
       within ``radius^2 * (1 + 1e-9)`` (over-inclusive, so boundary
       points always reach the exact path);
-    * every feasible single-axis neighbour is hashed (``hash_coords``,
-      memo-aware) and tested against ``mask``;
+    * every feasible single-axis neighbour is hashed (``hash_coords``)
+      and tested against ``mask``;
     * multi-axis (diagonal) neighbours whose summed per-axis costs fit
       the budget are *enumerated and hashed too* (a pruned DFS over the
       feasible ``{-1, 0, +1}`` offsets, run only for the points whose

@@ -122,5 +122,60 @@ class KWiseHash:
             append(acc)
         return out
 
+    def many_chunk(self, keys):
+        """Vectorised :meth:`many` over a numpy uint64 array.
+
+        Returns a ``numpy.uint64`` array with ``out[i] ==
+        self(int(keys[i]))`` for every lane.  Every step of the scalar
+        Horner loop is an exact reduction: with ``acc, x < p`` its one
+        fold plus one conditional subtract leaves ``(acc * x + c) mod p``
+        fully reduced.  So any exact evaluation mod ``p`` agrees with it
+        bit for bit; this one works in uint64 lanes on 31-bit limbs,
+        where ``2^62 = 2 (mod p)`` and ``2^61 = 1 (mod p)`` turn the
+        122-bit product into a sum below ``2^64``, keeps the accumulator
+        lazily reduced (below ``2^61 + 8``) between steps and reduces it
+        fully once at the end.  This is the hashing layer's batch entry
+        point for the vectorised chunk geometry; it requires numpy.
+        """
+        import numpy as np
+
+        p = np.uint64(MERSENNE_P)
+        mask31 = np.uint64((1 << 31) - 1)
+        mask30 = np.uint64((1 << 30) - 1)
+        s31, s30, s61 = np.uint64(31), np.uint64(30), np.uint64(61)
+        x = np.asarray(keys, dtype=np.uint64) % p
+        x0 = x & mask31
+        x1 = x >> s31
+        x1_twice = x1 + x1
+        coefficients = self._coefficients
+        acc = np.full(x.shape, coefficients[0], dtype=np.uint64)
+        a0, a1, t, mid, u = (np.empty_like(x) for _ in range(5))
+        for coefficient in coefficients[1:]:
+            # acc * x = a1*x1 * 2^62 + (a1*x0 + a0*x1) * 2^31 + a0*x0
+            #         = 2*a1*x1 + (mid >> 30) + (mid & (2^30-1)) * 2^31
+            #           + a0*x0  (mod p), each term below 2^62.
+            np.bitwise_and(acc, mask31, out=a0)
+            np.right_shift(acc, s31, out=a1)
+            np.multiply(a1, x1_twice, out=t)
+            np.multiply(a1, x0, out=mid)
+            np.multiply(a0, x1, out=u)
+            mid += u
+            a0 *= x0
+            t += a0
+            np.right_shift(mid, s30, out=u)
+            t += u
+            mid &= mask30
+            mid <<= s31
+            t += mid
+            t += np.uint64(coefficient)
+            # One fold at bit 61: t < 2^64, so acc < 2^61 + 8.
+            np.right_shift(t, s61, out=u)
+            np.bitwise_and(t, p, out=acc)
+            acc += u
+        # acc < 2p: one conditional subtract (an unsigned wrap marks
+        # acc < p) completes the reduction.
+        np.subtract(acc, p, out=u)
+        return np.minimum(acc, u)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KWiseHash(k={self._k})"

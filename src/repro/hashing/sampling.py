@@ -90,7 +90,8 @@ class SamplingHash:
         The batch entry point used by the vectorised chunk geometry:
         delegates to the base hash's vectorised evaluator when it has
         one (:meth:`SplitMix64.many_chunk
-        <repro.hashing.mix.SplitMix64.many_chunk>`), otherwise runs the
+        <repro.hashing.mix.SplitMix64.many_chunk>`, :meth:`KWiseHash.many_chunk
+        <repro.hashing.kwise.KWiseHash.many_chunk>`), otherwise runs the
         scalar batch evaluator and repacks - either way the values equal
         ``[self.value(int(k)) for k in keys]``.  Requires numpy.
         """

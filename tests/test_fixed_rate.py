@@ -163,16 +163,6 @@ class TestSampling:
 
 
 class TestHierarchySupport:
-    def test_adopt_record_roundtrip(self):
-        sampler, config = make(rate=1, window=SequenceWindow(50))
-        donor, _ = make(config=config, rate=1, window=SequenceWindow(50))
-        p = StreamPoint((0.0,), 0)
-        donor.insert(p)
-        record = donor.accepted_records()[0]
-        sampler.adopt_record(record)
-        assert sampler.candidate_count == 1
-        assert sampler.find_group(p.vector, config.point_context(p.vector).cell_hash)
-
     def test_space_words_positive(self):
         sampler, _ = make(rate=1)
         sampler.insert(StreamPoint((0.0,), 0))

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.base import SamplerConfig, check_vector
+from repro.core.base import CandidateRecord, SamplerConfig, check_vector
 from repro.core.chunk_geometry import (
     MIN_VECTOR_CHUNK,
     ChunkGeometry,
@@ -35,9 +35,10 @@ from repro.geometry.adjacency import (
     collect_adjacent,
 )
 from repro.geometry.grid import Grid
-from repro.hashing.kwise import KWiseHash
+from repro.hashing.kwise import MERSENNE_P, KWiseHash
 from repro.hashing.mix import SplitMix64, splitmix64
 from repro.hashing.sampling import SamplingHash
+from repro.streams.point import StreamPoint
 
 MASK64 = (1 << 64) - 1
 
@@ -110,13 +111,36 @@ class TestHashKernels:
         arr = base.many_chunk(np.array(keys, dtype=np.uint64))
         assert arr.tolist() == base.many(keys)
 
+    @pytest.mark.parametrize("k", [2, 20, 32])
+    def test_kwise_many_chunk_matches_many(self, k):
+        p = MERSENNE_P
+        rng = random.Random(k)
+        edges = [0, p - 1, p, p + 1, 1 << 61, MASK64]
+        keys = edges + [rng.randrange(1 << 64) for _ in range(2000)]
+        for seed in range(3):
+            base = KWiseHash(k=k, seed=seed)
+            out = base.many_chunk(np.array(keys, dtype=np.uint64))
+            assert out.dtype == np.uint64
+            assert out.tolist() == base.many(keys)
+
+    def test_kwise_many_chunk_extreme_coefficients(self):
+        # All coefficients p - 1: every Horner step carries the largest
+        # partial products and the most carries out of the low word.
+        p = MERSENNE_P
+        base = KWiseHash.from_coefficients((p - 1, p - 1, p - 1))
+        keys = [0, 1, 2, p - 1, p + 1, MASK64] + list(range(3, 500))
+        out = base.many_chunk(np.array(keys, dtype=np.uint64))
+        assert out.tolist() == base.many(keys)
+
     def test_sampling_hash_value_chunk_dispatch(self):
-        # SplitMix64 base: vectorised; KWise base: scalar fallback.
+        # SplitMix64 and KWise bases: vectorised; any other base: the
+        # scalar fallback.
         keys = list(range(100)) + [MASK64, 1 << 63]
         array = np.array(keys, dtype=np.uint64)
         for sampling in (
             SamplingHash(seed=5),
             SamplingHash(KWiseHash(k=4, seed=5)),
+            SamplingHash(lambda key: (key * 0x9E3779B1) & MASK64),
         ):
             assert sampling.value_chunk(array).tolist() == (
                 sampling.value_many(keys)
@@ -149,14 +173,18 @@ class TestCellKernels:
                 config.grid.cell_of(point)
             )
 
-    def test_memo_hit_path_identical(self):
-        # Second build of the same chunk is served from the id memo.
-        config = SamplerConfig.create(1.0, 2, seed=11)
+    @pytest.mark.parametrize("kwise", [None, 20])
+    def test_rebuilt_chunk_hashes_identical(self, kwise):
+        # Geometry is a pure function of the chunk and the config: a
+        # second build of the same chunk yields the same hashes.
+        config = SamplerConfig.create(1.0, 2, seed=11, kwise=kwise)
         points = boundary_points(config.grid, 100, seed=11)
         first = compute_chunk_geometry(config, points)
-        assert config.cell_id_hash_memo  # misses were memoised
         second = compute_chunk_geometry(config, points)
         assert first.cell_hashes == second.cell_hashes
+        assert first.cell_hashes == [
+            config.cell_hash(config.grid.cell_of(point)) for point in points
+        ]
 
     def test_nonfinite_point_rejects_chunk(self):
         config = SamplerConfig.create(1.0, 2, seed=13)
@@ -344,6 +372,39 @@ class TestAdjacencyKernel:
                 point, cell=config.grid.cell_of(point)
             )
         assert geom._adj_table is not None  # the eager path actually ran
+
+    @pytest.mark.parametrize("kwise", [None, 20])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_block_survival_exponents_match_records(self, dim, kwise):
+        config = SamplerConfig.create(1.0, dim, seed=61 + dim, kwise=kwise)
+        points = boundary_points(config.grid, 200, seed=61 + dim)
+        geom = compute_chunk_geometry(config, points)
+        served = 0
+        for index, point in enumerate(points):
+            hashes = geom.adj_hashes(index)
+            tz = geom.adj_tz(index)
+            if tz < 0:
+                continue  # scalar-served: the record derives it lazily
+            served += 1
+            record = CandidateRecord(
+                representative=StreamPoint(point, index),
+                cell=config.grid.cell_of(point),
+                cell_hash=geom.cell_hashes[index],
+                adj_hashes=hashes,
+                accepted=True,
+                last=StreamPoint(point, index),
+            )
+            assert tz == record.survival_exponent()
+        assert served > 100  # the vectorised blocks actually ran
+
+    def test_max_trailing_zeros_edge_values(self):
+        hashes = np.array(
+            [0, 1, 2, 1 << 63, MASK64, 12, 40, 0, 8], dtype=np.uint64
+        )
+        counts = np.array([1, 2, 0, 2, 1, 3])
+        assert kernels.max_trailing_zeros(hashes, counts).tolist() == [
+            64, 1, 0, 63, 2, 64,
+        ]
 
 
 class TestHighDimProbe:

@@ -149,8 +149,10 @@ class TestHierarchyMechanics:
             pytest.skip("no rejected record materialised for this seed")
         revisit = StreamPoint(rejected.representative.vector, 3000)
         sw.insert(revisit)
-        moved = sw.level(0).find_group(
-            revisit.vector, sw._config.point_context(revisit.vector).cell_hash
+        moved = sw._store.find_nearby(
+            revisit.vector,
+            sw._config.point_context(revisit.vector).cell_hash,
+            0,
         )
         assert moved is not None
         assert moved.accepted
