@@ -8,8 +8,6 @@ looked up by proximity when new points arrive.  This module provides:
 * :func:`default_grid_side` - the grid side-length policy,
 * :class:`SamplerConfig` - immutable bundle of grid + hash + alpha shared
   by a sampler (and across the levels of the sliding-window hierarchy),
-* :class:`PointContext` - the per-arrival geometry (cell, cell hash,
-  ``adj(p)`` hashes) computed once and shared across hierarchy levels,
 * :class:`CandidateRecord` - one tracked group,
 * :class:`CandidateStore` - the accept/reject sets with hash-bucketed
   proximity search.
@@ -54,7 +52,7 @@ DEFAULT_KAPPA0 = 4
 
 #: Dimension up to which the conservative side alpha/sqrt(d) stays cheap
 #: (|adj(p)| <= 25 at dim 2, exactly the paper's Section 2 setting; by
-#: dim 4 the conservative neighbourhood already spans hundreds of cells).
+#: dim 4 ``adj(p)`` already spans hundreds of cells).
 _SMALL_DIM = 2
 
 #: Chunk size used by :meth:`StreamSampler.extend` when slicing an
@@ -196,34 +194,14 @@ def default_grid_side(alpha: float, dim: int) -> float:
     return alpha * dim
 
 
-@dataclass(frozen=True, slots=True)
-class PointContext:
-    """Per-arrival geometry shared across a hierarchy's levels.
-
-    Attributes
-    ----------
-    cell:
-        ``cell(p)`` coordinates.
-    cell_hash:
-        Base-hash value of ``cell(p)`` (sampling test: ``& (R-1) == 0``).
-    adj_hashes:
-        Base-hash values of every cell of ``adj(p)``, or ``None`` when not
-        yet computed (they are only needed on the first-point path, so
-        they are filled lazily).
-    """
-
-    cell: Cell
-    cell_hash: int
-    adj_hashes: tuple[int, ...] | None = None
-
-
 @dataclass(frozen=True)
 class SamplerConfig:
     """Geometry and hashing shared by one sampler instance.
 
-    The sliding-window hierarchy creates many Algorithm 2 instances that
-    *must* share the same grid and hash (sampling decisions have to be
-    nested across levels); bundling them makes that sharing explicit.
+    The levels of the sliding-window hierarchy and the shards of a
+    pipeline *must* share the same grid and hash (sampling decisions
+    have to be nested across levels and agree across shards); bundling
+    them makes that sharing explicit.
     """
 
     alpha: float
@@ -236,12 +214,6 @@ class SamplerConfig:
     #: hierarchy level / shard sharing this config) skip re-hashing cells
     #: they have already seen.  Excluded from equality and repr.
     cell_hash_memo: dict[Cell, int] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    #: Shared cell -> conservative neighbourhood memo (see
-    #: :meth:`conservative_neighborhood`).  A pure cache like
-    #: :attr:`cell_hash_memo`.
-    conservative_memo: dict[Cell, tuple] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -303,46 +275,6 @@ class SamplerConfig:
         cell_id = self.grid.cell_id
         return self.hash.value_many([cell_id(cell) for cell in cells])
 
-    def conservative_neighborhood(
-        self, cell: Cell
-    ) -> tuple[tuple[tuple[float, ...], int], ...]:
-        """Cells possibly within ``alpha`` of *any* point of ``cell``.
-
-        Returns ``((lower_corner, base_hash), ...)`` for every cell whose
-        minimum distance to ``cell``'s region is at most ``alpha`` (by the
-        triangle inequality: within ``alpha + half-diagonal`` of the cell
-        centre; the radius carries a relative epsilon so floating-point
-        drift can only *over*-include).  This is the batched ingestion
-        paths' ignore filter: a point of ``cell`` whose own cell is
-        unsampled and that is farther than ``alpha`` from every *sampled*
-        cell of this superset has no sampled cell in ``adj(p)`` and can be
-        dropped without enumerating ``adj(p)`` at all.  Memoised per cell
-        (mask-independent), shared across levels and shards.
-        """
-        memo = self.conservative_memo
-        entry = memo.get(cell)
-        if entry is None:
-            grid = self.grid
-            side = grid.side
-            corner = grid.lower_corner(cell)
-            center = tuple(c + side * 0.5 for c in corner)
-            half_diagonal = side * math.sqrt(self.dim) * 0.5
-            radius = (self.alpha + half_diagonal) * (1.0 + 1e-9)
-            cells = collect_adjacent(grid, center, radius)
-            hashes = self.cell_hashes(cells)
-            entry = tuple(
-                (grid.lower_corner(c), h) for c, h in zip(cells, hashes)
-            )
-            if len(memo) >= _CELL_MEMO_LIMIT:
-                memo.clear()
-            memo[cell] = entry
-        return entry
-
-    def point_context(self, vector: Sequence[float]) -> PointContext:
-        """The cheap part of an arrival's geometry (no adjacency yet)."""
-        cell = self.grid.cell_of(vector)
-        return PointContext(cell=cell, cell_hash=self.cell_hash(cell))
-
     def adj_hashes(
         self, vector: Sequence[float], *, cell: Cell | None = None
     ) -> tuple[int, ...]:
@@ -374,16 +306,6 @@ class SamplerConfig:
                 hashes[index] = value
                 memo[cells[index]] = value
         return tuple(hashes)  # type: ignore[arg-type]
-
-    def with_adj(self, vector: Sequence[float], ctx: PointContext) -> PointContext:
-        """Return ``ctx`` with ``adj_hashes`` filled (computing if needed)."""
-        if ctx.adj_hashes is not None:
-            return ctx
-        return PointContext(
-            cell=ctx.cell,
-            cell_hash=ctx.cell_hash,
-            adj_hashes=self.adj_hashes(vector, cell=ctx.cell),
-        )
 
 
 @dataclass(slots=True)

@@ -7,9 +7,10 @@ overrides would otherwise recompute point by point in Python:
 * the grid cell (as the usual int tuple, ready for dict keys),
 * the cell's base-hash value (cell ids and hashes in one vectorised
   pass),
-* lazily, the fractional in-cell positions, the conservative
-  high-dimensional ignore probe (:meth:`ChunkGeometry.high_dim_ignorable`)
-  and the per-point ``adj(p)`` hash tuples
+* lazily, the fractional in-cell positions, the ignore probes
+  (:meth:`ChunkGeometry.low_dim_ignorable` at dim <= 2,
+  :meth:`ChunkGeometry.high_dim_ignorable` above) and the per-point
+  ``adj(p)`` hash tuples
   (:meth:`ChunkGeometry.adj_hashes`, which switches itself from the
   scalar DFS to the vectorised enumeration when a chunk turns out to be
   founding-heavy).
@@ -103,11 +104,11 @@ class ChunkGeometry:
     Instances are created by :func:`compute_chunk_geometry`;
     ``cell_hashes`` is a plain Python list aligned with the chunk's
     points (the hot loops index it directly), cell *tuples* are built
-    lazily per point (:meth:`cell_at` - only candidate foundings and the
-    dim<=2 ignore filter ever need them), and the arrays behind the
-    other lazy products are kept private.  A geometry always covers its
-    whole chunk (``n`` points): the builders validate every cell first
-    and raise rather than build a partial one.
+    lazily per point (:meth:`cell_at` - only candidate foundings ever
+    need them), and the arrays behind the other lazy products are kept
+    private.  A geometry always covers its whole chunk (``n`` points):
+    the builders validate every cell first and raise rather than build a
+    partial one.
 
     ``source_vectors``/``pure_coords`` carry the chunk's *coercion*
     result when the builder performed one: ``source_vectors`` is the
@@ -224,13 +225,13 @@ class ChunkGeometry:
 
         ``True`` entries certainly have no sampled cell in ``adj(p)``
         beyond their own cell, so a point whose own cell is unsampled
-        can be dropped without enumerating ``adj(p)`` - the
-        high-dimensional twin of the dim<=2 conservative-neighbourhood
-        filter.  Returns ``None`` when the grid's cells are not strictly
-        larger than alpha (the probe's premise; the caller then runs the
-        exact path for every point).  Verdicts stay valid when the rate
-        doubles mid-chunk (decisions nest - the sampled set only
-        shrinks), so one probe per chunk suffices.
+        can be dropped without enumerating ``adj(p)`` - the dim > 2
+        counterpart of :meth:`low_dim_ignorable`.  Returns ``None`` when
+        the grid's cells are not strictly larger than alpha (the probe's
+        premise; the caller then runs the exact path for every point).
+        Verdicts stay valid when the rate doubles mid-chunk (decisions
+        nest - the sampled set only shrinks), so one probe per chunk
+        suffices.
         """
         if self._ignorable_mask == mask:
             return self._ignorable
@@ -255,12 +256,13 @@ class ChunkGeometry:
         :func:`repro.geometry.kernels.low_dim_ignore_probe`): ``True``
         entries are certainly ignored by the founding path when their
         own cell is unsampled, ``False`` entries certainly have a
-        sampled adjacency cell and can skip the scalar corner filter.
-        Lazy - chunks whose points all match tracked groups never pay
-        for the enumeration - and cached per mask; ``True`` verdicts
-        stay valid across mid-chunk rate doublings (decisions nest).
-        Returns ``None`` when the adjacency enumeration cannot serve
-        this configuration (the caller keeps the scalar corner filter).
+        sampled adjacency cell at ``mask``.  Lazy - chunks whose points
+        all match tracked groups never pay for the enumeration - and
+        cached per mask; ``True`` verdicts stay valid across mid-chunk
+        rate doublings (decisions nest).  Returns ``None`` when the
+        adjacency enumeration cannot serve this configuration (a dense
+        table too large for a tiny ``grid_side``); the caller then runs
+        the exact founding path for every point.
         """
         if self._low_ignorable_mask == mask:
             return self._low_ignorable

@@ -28,7 +28,6 @@ from typing import Iterator
 from repro.core.base import (
     CandidateRecord,
     CandidateStore,
-    PointContext,
     SamplerConfig,
     StreamSampler,
     check_vector,
@@ -176,53 +175,41 @@ class FixedRateSlidingSampler(StreamSampler):
             store.remove(record)
             self._reservoirs.pop(record.representative.index, None)
 
-    def insert(
-        self,
-        point: StreamPoint,
-        ctx: PointContext | None = None,
-    ) -> tuple[bool, PointContext]:
+    def insert(self, point: StreamPoint) -> None:
         """Process an arriving point.
 
-        Returns ``(tracked, ctx)``.  ``tracked`` is the Algorithm 3 test
-        "exists (u, p) in A_l": True exactly when ``point`` became the
-        last point of some candidate group of this instance (either by
-        updating an existing group or by founding one).  ``ctx`` is the
-        point's geometry, possibly enriched with ``adj(p)`` hashes - a
-        hierarchy passes it down so the computation happens once per
-        arrival rather than once per level.  Without ``ctx`` the point is
-        validated (:func:`~repro.core.base.check_vector`) before the
-        eviction sweep, so an invalid point changes nothing.
+        The point is validated (:func:`~repro.core.base.check_vector`)
+        before the eviction sweep, so an invalid point changes nothing.
         """
         config = self._config
-        if ctx is None:
-            check_vector(config.grid, point.vector)
-            ctx = config.point_context(point.vector)
+        check_vector(config.grid, point.vector)
         self.evict(point)
 
-        record = self._store.find_nearby(point.vector, ctx.cell_hash)
+        cell = config.grid.cell_of(point.vector)
+        cell_hash = config.cell_hash(cell)
+        record = self._store.find_nearby(point.vector, cell_hash)
         if record is not None:
             self._store.relink_last(record, point)
             record.count += 1
             self._push_heap(record)
             if self._track_members:
                 self._reservoir_for(record).offer(point, self._member_rng)
-            return True, ctx
+            return
 
-        ctx = config.with_adj(point.vector, ctx)
-        assert ctx.adj_hashes is not None
+        adj_hashes = config.adj_hashes(point.vector, cell=cell)
         mask = self._rate - 1
-        if ctx.cell_hash & mask == 0:
+        if cell_hash & mask == 0:
             accepted = True
-        elif any(value & mask == 0 for value in ctx.adj_hashes):
+        elif any(value & mask == 0 for value in adj_hashes):
             accepted = False
         else:
-            return False, ctx
+            return
 
         record = CandidateRecord(
             representative=point,
-            cell=ctx.cell,
-            cell_hash=ctx.cell_hash,
-            adj_hashes=ctx.adj_hashes,
+            cell=cell,
+            cell_hash=cell_hash,
+            adj_hashes=adj_hashes,
             accepted=accepted,
             last=point,
         )
@@ -230,7 +217,6 @@ class FixedRateSlidingSampler(StreamSampler):
         self._push_heap(record)
         if self._track_members:
             self._reservoir_for(record).offer(point, self._member_rng)
-        return True, ctx
 
     def _reservoir_for(self, record: CandidateRecord) -> WindowReservoir:
         key = record.representative.index

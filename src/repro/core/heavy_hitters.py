@@ -23,11 +23,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.core.base import (
-    DEFAULT_BATCH_SIZE,
     SamplerConfig,
     StreamSampler,
     coerce_point,
-    chunked,
 )
 from repro.core.chunk_geometry import ChunkGeometry, prepare_chunk
 from repro.errors import ParameterError
@@ -206,12 +204,13 @@ class RobustHeavyHitters(StreamSampler):
         """Count one arriving point into its group."""
         p = coerce_point(point, self._count, self._config.grid)
         self._count += 1
-        ctx = self._config.point_context(p.vector)
-        counter = self._find(p.vector, ctx.cell_hash)
+        config = self._config
+        cell_hash = config.cell_hash(config.grid.cell_of(p.vector))
+        counter = self._find(p.vector, cell_hash)
         if counter is not None:
             counter.count += 1
             return
-        self._admit(p, ctx.cell_hash)
+        self._admit(p, cell_hash)
 
     def process_many(
         self,
@@ -230,15 +229,9 @@ class RobustHeavyHitters(StreamSampler):
         :class:`~repro.errors.ParameterError` before anything mutates.
         """
         if geometry is None and not isinstance(points, (list, tuple)):
-            # A non-materialised iterable is streamed in bounded chunks:
-            # building one ChunkGeometry over an arbitrary stream would
-            # regress the O(chunk)-memory behaviour of the batch engine
-            # (chunk boundaries are state-invisible by the layout-
-            # invariance contract, so this is purely a memory bound).
-            streamed = 0
-            for chunk in chunked(points, DEFAULT_BATCH_SIZE):
-                streamed += self.process_many(chunk)
-            return streamed
+            # A one-shot iterable is streamed in bounded chunks, so
+            # memory stays O(chunk) however long the stream is.
+            return self.extend(points)
 
         config = self._config
         counters = self._counters
@@ -299,9 +292,16 @@ class RobustHeavyHitters(StreamSampler):
 
     def estimated_count(self, vector: Sequence[float]) -> int:
         """Estimated frequency of the group containing ``vector`` (0 when
-        untracked)."""
-        cell_hash = self._config.point_context(tuple(vector)).cell_hash
-        counter = self._find(tuple(float(x) for x in vector), cell_hash)
+        untracked).
+
+        The probe is validated like an arriving point: coordinates that
+        are not finite floats, a wrong dimension or a cell beyond the
+        int64 range raise :class:`~repro.errors.ParameterError`.
+        """
+        config = self._config
+        probe = coerce_point(vector, self._count, config.grid).vector
+        cell_hash = config.cell_hash(config.grid.cell_of(probe))
+        counter = self._find(probe, cell_hash)
         return counter.count if counter is not None else 0
 
     def space_words(self) -> int:

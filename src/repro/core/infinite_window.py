@@ -24,17 +24,14 @@ import random
 from typing import Any, Iterable, Sequence
 
 from repro.core.base import (
-    DEFAULT_BATCH_SIZE,
     DEFAULT_KAPPA0,
     CandidateRecord,
     CandidateStore,
     SamplerConfig,
     StreamSampler,
-    _CELL_MEMO_LIMIT,
     _SMALL_DIM,
     _ThresholdPolicy,
     coerce_point,
-    chunked,
 )
 from repro.core.chunk_geometry import ChunkGeometry, prepare_chunk
 from repro.errors import EmptySampleError, ParameterError
@@ -118,12 +115,6 @@ class RobustL0SamplerIW(StreamSampler):
             None if seed is None else seed ^ 0x5EED
         )
         self._peak_words = 0
-        # Batch-path ignore filter: cell -> lower corners of the cells of
-        # its conservative neighbourhood sampled at the memoised mask.  A
-        # pure cache (decisions are re-derived by the exact path); it is
-        # rebuilt whenever the rate changes.
-        self._sampled_nearby: dict = {}
-        self._sampled_nearby_mask = -1
 
     # ------------------------------------------------------------------ #
     # properties
@@ -185,8 +176,9 @@ class RobustL0SamplerIW(StreamSampler):
         self._policy.observe()
 
         config = self._config
-        ctx = config.point_context(p.vector)
-        existing = self._store.find_nearby(p.vector, ctx.cell_hash)
+        cell = config.grid.cell_of(p.vector)
+        cell_hash = config.cell_hash(cell)
+        existing = self._store.find_nearby(p.vector, cell_hash)
         if existing is not None:
             # Line 4: p is not the first point of its candidate group.
             existing.count += 1
@@ -197,9 +189,9 @@ class RobustL0SamplerIW(StreamSampler):
                 existing.member = p
             return
 
-        adj_hashes = config.adj_hashes(p.vector, cell=ctx.cell)
+        adj_hashes = config.adj_hashes(p.vector, cell=cell)
         mask = self._rate_denominator - 1
-        if ctx.cell_hash & mask == 0:
+        if cell_hash & mask == 0:
             accepted = True
         elif any(value & mask == 0 for value in adj_hashes):
             accepted = False
@@ -208,8 +200,8 @@ class RobustL0SamplerIW(StreamSampler):
 
         record = CandidateRecord(
             representative=p,
-            cell=ctx.cell,
-            cell_hash=ctx.cell_hash,
+            cell=cell,
+            cell_hash=cell_hash,
             adj_hashes=adj_hashes,
             accepted=accepted,
             last=p,
@@ -236,9 +228,9 @@ class RobustL0SamplerIW(StreamSampler):
     ) -> int:
         """Batched :meth:`insert`: state-equivalent, several times faster.
 
-        The chunk's geometry - cells, cell hashes, the
-        high-dimensional ignore probe, adjacency hash tuples - is
-        computed once per chunk through the vectorised kernel layer
+        The chunk's geometry - cells, cell hashes, the ignore probe,
+        adjacency hash tuples - is computed once per chunk through the
+        vectorised kernel layer
         (:class:`~repro.core.chunk_geometry.ChunkGeometry`; ``geometry``
         accepts one precomputed by the pipeline), so the per-point loop
         reduces to the sequential state machine: the bucket probe, the
@@ -251,26 +243,16 @@ class RobustL0SamplerIW(StreamSampler):
         equivalence contract this method honours.
         """
         if geometry is None and not isinstance(points, (list, tuple)):
-            # A non-materialised iterable is streamed in bounded chunks:
-            # building one ChunkGeometry over an arbitrary stream would
-            # regress the O(chunk)-memory behaviour of the batch engine
-            # (chunk boundaries are state-invisible by the layout-
-            # invariance contract, so this is purely a memory bound).
-            streamed = 0
-            for chunk in chunked(points, DEFAULT_BATCH_SIZE):
-                streamed += self.process_many(chunk)
-            return streamed
+            # A one-shot iterable is streamed in bounded chunks, so
+            # memory stays O(chunk) however long the stream is.
+            return self.extend(points)
 
         config = self._config
         dim = config.dim
-        side = config.grid.side
         store = self._store
         buckets_get = store._buckets.get
         find_overflow = store.find_overflow
         alpha_sq = config.alpha * config.alpha
-        # Inclusive threshold with 1-ulp headroom: boundary points must
-        # reach the exact path, never be dropped by the filter.
-        alpha_eps = alpha_sq * (1.0 + 1e-9)
         track = self._track_members
         member_random = self._member_rng.random
         policy = self._policy
@@ -283,34 +265,17 @@ class RobustL0SamplerIW(StreamSampler):
 
         pending = 0  # arrivals not yet flushed into the threshold policy
         mask = self._rate_denominator - 1
-        if self._sampled_nearby_mask != mask:
-            self._sampled_nearby = {}
-            self._sampled_nearby_mask = mask
-        nearby_memo = self._sampled_nearby
-        nearby_get = nearby_memo.get
-        conservative_neighborhood = config.conservative_neighborhood
-        # The conservative-neighbourhood ignore filter pays off only
-        # where the neighbourhood is small (<= 25 cells at dim <= 2, the
-        # paper's Section 2 setting) - it is exponential in dim.  High
-        # dimensions use the vectorised sampled-cell probe instead: a
-        # per-chunk conservative verdict whose False entries certainly
-        # have no sampled cell in adj(p) beyond their own (verdicts stay
+        # The ignore probe of this dimension band (exact at dim <= 2,
+        # conservative above), fetched on the first untracked point whose
+        # cell is unsampled, so chunks of pure duplicates never pay for
+        # it.  True entries certainly have no sampled cell in adj(p)
+        # beyond cell(p): insert() would ignore the point.  They stay
         # valid across mid-chunk rate doublings because sampling
-        # decisions nest).
-        use_ignore_filter = dim <= _SMALL_DIM
+        # decisions nest.  Every other point - and every point when the
+        # probe declines with None - takes the exact founding path.
+        low_dim = dim <= _SMALL_DIM
         ignorable = None
-        if geom_n and not use_ignore_filter:
-            ignorable = geom.high_dim_ignorable(mask)
-        # Low-dimensional twin: the exact vectorised adj(p) probe
-        # (fetched lazily on the first untracked point, so chunks of
-        # pure duplicates never pay for it).  Unlike the conservative
-        # corner filter it is exact in both directions: True entries
-        # are certainly ignored, False entries certainly found or join
-        # a sampled neighbourhood and skip the corner test entirely.
-        # The corner filter only stands in when the probe returns None
-        # (an adjacency table too large for this configuration).
-        low_ignorable = None
-        low_fetched = False
+        probed = False
         try:
             for i in range(geom_n):
                 p = pts[i]
@@ -345,63 +310,16 @@ class RobustL0SamplerIW(StreamSampler):
                             existing.member = p
                         continue
 
-                # Untracked group.  Ignore filter: unless the point's own
-                # cell is sampled, it can only become tracked by lying
-                # within alpha of a sampled cell - and the sampled cells
-                # of its conservative neighbourhood are few and memoised.
-                # The exact path below stays authoritative for the rest.
-                if use_ignore_filter and cell_hash & mask != 0:
-                    if not low_fetched:
-                        low_ignorable = geom.low_dim_ignorable(mask)
-                        low_fetched = True
-                    if low_ignorable is not None:
-                        if low_ignorable[i]:
-                            # Exact verdict: no sampled cell in adj(p),
-                            # and cell(p) is unsampled - insert() would
-                            # ignore the point.
-                            continue
-                        # Otherwise a sampled adjacency cell certainly
-                        # exists: the founding path below decides.
-                    else:
-                        cell = geom.cell_at(i)
-                        corners = nearby_get(cell)
-                        if corners is None:
-                            corners = tuple(
-                                corner
-                                for corner, value in (
-                                    conservative_neighborhood(cell)
-                                )
-                                if value & mask == 0
-                            )
-                            if len(nearby_memo) >= _CELL_MEMO_LIMIT:
-                                nearby_memo.clear()
-                            nearby_memo[cell] = corners
-                        for corner in corners:
-                            acc = 0.0
-                            for x, low in zip(vector, corner):
-                                if x < low:
-                                    diff = low - x
-                                else:
-                                    diff = x - low - side
-                                    if diff <= 0.0:
-                                        continue
-                                acc += diff * diff
-                                if acc > alpha_eps:
-                                    break
-                            else:
-                                break  # near a sampled cell: exact path
-                        else:
-                            continue  # certainly ignored at current rate
-                elif (
-                    ignorable is not None
-                    and cell_hash & mask != 0
-                    and ignorable[i]
-                ):
-                    # High-dimensional ignore filter: the sampled-cell
-                    # probe proved no sampled cell exists in adj(p)
-                    # beyond cell(p), and cell(p) is unsampled - insert()
-                    # would ignore the point at the current rate.
-                    continue
+                if cell_hash & mask != 0:
+                    if not probed:
+                        ignorable = (
+                            geom.low_dim_ignorable(mask)
+                            if low_dim
+                            else geom.high_dim_ignorable(mask)
+                        )
+                        probed = True
+                    if ignorable is not None and ignorable[i]:
+                        continue
 
                 # First point of a candidate group: same code as insert().
                 adj_hashes = geom.adj_hashes(i)
@@ -429,8 +347,6 @@ class RobustL0SamplerIW(StreamSampler):
                     self._rate_denominator *= 2
                     store.resample(self._rate_denominator)
                     mask = self._rate_denominator - 1
-                    nearby_memo.clear()
-                    self._sampled_nearby_mask = mask
 
                 self._count = count
                 words = self.space_words()

@@ -86,7 +86,6 @@ import heapq
 import itertools
 
 from repro.core.base import (
-    DEFAULT_BATCH_SIZE,
     DEFAULT_KAPPA0,
     CandidateRecord,
     CandidateStore,
@@ -94,7 +93,6 @@ from repro.core.base import (
     StreamSampler,
     _ThresholdPolicy,
     coerce_point,
-    chunked,
     invalid_point,
 )
 from repro.core.chunk_geometry import ChunkGeometry, prepare_chunk
@@ -437,8 +435,10 @@ class RobustL0SamplerSW(StreamSampler):
         self._latest = p
         self._evict(p)
 
-        ctx = self._config.point_context(p.vector)
-        record = self._store.find_nearby(p.vector, ctx.cell_hash)
+        config = self._config
+        cell = config.grid.cell_of(p.vector)
+        cell_hash = config.cell_hash(cell)
+        record = self._store.find_nearby(p.vector, cell_hash)
         if record is not None:
             # The group is tracked at exactly one level (invariant I1);
             # the shared store finds its record in one bucket probe.
@@ -457,9 +457,9 @@ class RobustL0SamplerSW(StreamSampler):
             # tracks every representative since R_0 = 1).
             record = CandidateRecord(
                 representative=p,
-                cell=ctx.cell,
-                cell_hash=ctx.cell_hash,
-                adj_hashes=self._config.adj_hashes(p.vector, cell=ctx.cell),
+                cell=cell,
+                cell_hash=cell_hash,
+                adj_hashes=config.adj_hashes(p.vector, cell=cell),
                 accepted=True,
                 last=p,
                 level=0,
@@ -500,15 +500,9 @@ class RobustL0SamplerSW(StreamSampler):
         anything mutates.
         """
         if geometry is None and not isinstance(points, (list, tuple)):
-            # A non-materialised iterable is streamed in bounded chunks:
-            # building one ChunkGeometry over an arbitrary stream would
-            # regress the O(chunk)-memory behaviour of the batch engine
-            # (chunk boundaries are state-invisible by the layout-
-            # invariance contract, so this is purely a memory bound).
-            streamed = 0
-            for chunk in chunked(points, DEFAULT_BATCH_SIZE):
-                streamed += self.process_many(chunk)
-            return streamed
+            # A one-shot iterable is streamed in bounded chunks, so
+            # memory stays O(chunk) however long the stream is.
+            return self.extend(points)
 
         config = self._config
         dim = config.dim

@@ -43,11 +43,10 @@ Where the speed comes from
   chunk (:func:`repro.engine.batching.chunk_geometry_for`) and hand it
   to the owning shard;
 * the sampled-cell ignore probes: a point whose group is untracked at
-  the current rate needs no ``adj(p)`` enumeration unless it lies
-  within ``alpha`` of a *sampled* nearby cell - memoised conservative
-  neighbourhoods at dim <= 2 (``conservative_neighborhood``), the
-  kernel layer's conservative probe above (usable at any dimension,
-  verdicts rate-nested across mid-chunk doublings);
+  the current rate needs no ``adj(p)`` hash tuple unless it lies
+  within ``alpha`` of a *sampled* nearby cell - the kernel layer's
+  exact probe at dim <= 2 and its conservative probe above, one per
+  chunk (verdicts rate-nested across mid-chunk doublings);
 * the config-level scalar hash memo (``cell_hash_memo``): the scalar
   ``adj(p)`` enumeration (``insert``, and a chunk geometry outside its
   vectorised blocks) revisits the same grid cells constantly, so each
@@ -73,11 +72,11 @@ test matrix to join - is ``docs/ADDING_A_SUMMARY.md``; in brief:
 2. If the sampler is hot, override ``process_many``.  Replicate the
    insert path *operation-for-operation* (same mutations, same RNG
    draws), and validate the whole chunk before the first mutation
-   (:func:`~repro.core.chunk_geometry.prepare_chunk`); hoist attribute lookups into locals and
-   route repeated geometry through ``config.cell_hash_memo`` /
-   ``config.conservative_neighborhood``.  Defer pure counters (e.g.
-   ``_ThresholdPolicy.observe``) only to points where nothing reads
-   them.
+   (:func:`~repro.core.chunk_geometry.prepare_chunk`); hoist
+   attribute lookups into locals and take per-point geometry from the
+   chunk's :class:`~repro.core.chunk_geometry.ChunkGeometry`.  Defer
+   pure counters (e.g. ``_ThresholdPolicy.observe``) only to points
+   where nothing reads them.
 3. Keep the *incremental-space contract*: ``space_words()`` must be
    served from counters maintained on every mutation (record add /
    remove / ``last``-point relink - see

@@ -27,12 +27,11 @@ numpy, **bit-identically** to the scalar implementations they replace:
   the scalar DFS above that);
 * :func:`high_dim_ignore_probe` - a *conservative* sampled-cell
   membership probe usable at any dimension: ``True`` marks points that
-  certainly have no sampled cell in ``adj(p)`` beyond their own cell, so
-  the high-dimensional batch ignore filter no longer needs the
-  (exponential in ``dim``) conservative cell neighbourhood;
-* :func:`low_dim_ignore_probe` - its *exact* ``dim <= 2`` twin; the
-  infinite-window sampler falls back to the conservative-neighbourhood
-  corner filter only when this probe returns ``None``.
+  certainly have no sampled cell in ``adj(p)`` beyond their own cell,
+  without enumerating the (exponential in ``dim``) neighbourhood;
+* :func:`low_dim_ignore_probe` - its *exact* ``dim <= 2`` counterpart.
+  When either probe returns ``None`` the infinite-window sampler runs
+  the exact founding path for every point of the chunk.
 
 Equality with the scalar path is not best-effort: record state (cells,
 hash tuples) feeds ``state_fingerprint``, so any divergence - even a
@@ -278,16 +277,13 @@ def low_dim_ignore_probe(
 ) -> "np.ndarray | None":
     """Exact "no sampled cell in ``adj(p)``" verdict per point (small dims).
 
-    The vectorised twin of the scalar dim<=2 corner filter: instead of
-    testing each point against the corner boxes of the sampled cells of
-    its *conservative* neighbourhood, enumerate ``adj(p)`` itself with
-    :func:`adjacent_cells_chunk` (bit-identical to the exact path's
-    adjacency), hash every cell (``hash_coords``) and test
-    against ``mask``.  ``True`` entries have **no** sampled cell in
-    ``adj(p)`` - the exact founding path would ignore them outright -
-    so unlike the corner filter the probe is exact, not conservative:
+    Enumerates ``adj(p)`` itself with :func:`adjacent_cells_chunk`
+    (bit-identical to the exact path's adjacency), hashes every cell
+    (``hash_coords``) and tests against ``mask``.  ``True`` entries
+    have **no** sampled cell in ``adj(p)`` - the exact founding path
+    would ignore them outright.  The probe is exact, not conservative:
     ``False`` entries certainly have a sampled cell in ``adj(p)`` and
-    can skip the corner test and go straight to the founding path.
+    go straight to the founding path.
 
     The enumeration includes the point's own cell; callers consult the
     probe only for points whose own cell is unsampled, where that row
@@ -297,8 +293,8 @@ def low_dim_ignore_probe(
     ``False`` entries re-test against the live mask on the exact path.
 
     Returns ``None`` when :func:`adjacent_cells_chunk` cannot serve the
-    configuration (dimension or table size); callers then keep the
-    scalar corner filter.
+    configuration (dimension or table size); callers then run the exact
+    founding path for every point.
     """
     result = adjacent_cells_chunk(coords, fracs, side, radius)
     if result is None:

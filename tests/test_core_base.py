@@ -63,15 +63,15 @@ class TestSamplerConfig:
     def test_adj_hashes_contains_own_cell(self):
         config = SamplerConfig.create(1.0, 2, seed=1)
         v = (3.0, 4.0)
-        ctx = config.point_context(v)
-        assert ctx.cell_hash in config.adj_hashes(v)
+        assert config.cell_hash(config.grid.cell_of(v)) in config.adj_hashes(v)
 
-    def test_with_adj_idempotent(self):
+    def test_adj_hashes_with_precomputed_cell(self):
+        # Callers that already hold cell(p) pass it in; the values are
+        # those of the full computation.
         config = SamplerConfig.create(1.0, 2, seed=1)
         v = (3.0, 4.0)
-        ctx = config.with_adj(v, config.point_context(v))
-        again = config.with_adj(v, ctx)
-        assert again is ctx
+        cell = config.grid.cell_of(v)
+        assert config.adj_hashes(v, cell=cell) == config.adj_hashes(v)
 
     def test_kwise_mode(self):
         config = SamplerConfig.create(1.0, 2, seed=1, kwise=8)
@@ -86,7 +86,7 @@ class TestAdjacencyIndex:
         self.store = CandidateStore(self.config)
 
     def probe(self, vector, level=None):
-        cell_hash = self.config.point_context(vector).cell_hash
+        cell_hash = self.config.cell_hash(self.config.grid.cell_of(vector))
         return self.store.find_nearby(vector, cell_hash, level)
 
     def test_disjoint_adjacency_owns_no_bucket_container(self):
@@ -176,15 +176,15 @@ class TestCandidateStore:
         record = make_record(self.config, (5.0, 5.0), 0)
         self.store.add(record)
         nearby = (5.3, 5.4)
-        ctx = self.config.point_context(nearby)
-        assert self.store.find_nearby(nearby, ctx.cell_hash) is record
+        cell_hash = self.config.cell_hash(self.config.grid.cell_of(nearby))
+        assert self.store.find_nearby(nearby, cell_hash) is record
 
     def test_find_misses_far_point(self):
         record = make_record(self.config, (5.0, 5.0), 0)
         self.store.add(record)
         far = (9.0, 9.0)
-        ctx = self.config.point_context(far)
-        assert self.store.find_nearby(far, ctx.cell_hash) is None
+        cell_hash = self.config.cell_hash(self.config.grid.cell_of(far))
+        assert self.store.find_nearby(far, cell_hash) is None
 
     def test_duplicate_key_rejected(self):
         record = make_record(self.config, (5.0, 5.0), 0)
@@ -204,8 +204,8 @@ class TestCandidateStore:
         self.store.add(record)
         self.store.remove(record)
         assert len(self.store) == 0
-        ctx = self.config.point_context((0.1, 0.1))
-        assert self.store.find_nearby((0.1, 0.1), ctx.cell_hash) is None
+        cell_hash = self.config.cell_hash(self.config.grid.cell_of((0.1, 0.1)))
+        assert self.store.find_nearby((0.1, 0.1), cell_hash) is None
 
     def test_contains_identity(self):
         record = make_record(self.config, (0.0, 0.0), 0)

@@ -122,6 +122,15 @@ class TestDocsMatchCode:
         ).read_text(encoding="utf-8")
         assert "def prepare_chunk(" in geometry_source
 
+    @pytest.mark.parametrize("path", DOCS, ids=lambda p: p.name)
+    def test_no_deleted_ignore_machinery(self, path):
+        # The dim <= 2 corner filter's neighbourhood memo and the
+        # per-arrival context hand-down are gone from the library; no
+        # guide may tell a reader to use them.
+        text = path.read_text(encoding="utf-8")
+        for stale in ("conservative_neighborhood", "PointContext", "with_adj"):
+            assert stale not in text, stale
+
     def test_architecture_documents_hot_path(self):
         # The slot/generation scheme, the adjacency index and the
         # shared-geometry cache invariant are load-bearing perf

@@ -129,18 +129,19 @@ class TestInfiniteWindowDifferential:
             sampler.insert((1.0, 2.0, 3.0))
         assert state_fingerprint(sampler) == before
 
-    def test_corner_filter_fallback_differential(self):
+    def test_declined_probe_differential(self):
         # A grid side far below alpha makes the chunk's dense adjacency
-        # table too large for the exact low-dimensional probe; the batch
-        # path then falls back to the conservative-neighbourhood corner
-        # filter, which must be just as invisible in state.
+        # table too large for the exact low-dimensional probe; with no
+        # ignore filter every untracked point then takes the exact
+        # founding path (scalar adj(p) hashing), which must be just as
+        # invisible in state.
         points = noisy_stream(10_000, 60, seed=12)
         config = SamplerConfig.create(1.0, 2, seed=15, grid_side=0.125)
         assert compute_chunk_geometry(config, points).low_dim_ignorable(1) is None
         per, bat = assert_differential(
             lambda: RobustL0SamplerIW(1.0, 2, config=config), points, 10_000
         )
-        assert per.rate_denominator > 1  # the filter ran under real masks
+        assert per.rate_denominator > 1  # foundings ran under real masks
 
     @pytest.mark.parametrize("dim", [3, 5, 8])
     def test_high_dim_batch_ignore_filter(self, dim):
@@ -190,9 +191,9 @@ class TestFixedRateDifferential:
         )
 
     def test_bad_dimension_point_still_evicts_first(self):
-        # insert() evicts before point_context() can raise on a bad
-        # dimension; the batch path must do the same, or the two paths
-        # diverge on which expired records survive the failed call.
+        # insert() raises on a bad dimension before its eviction sweep;
+        # the batch path must do the same, or the two paths diverge on
+        # which expired records survive the failed call.
         def make():
             config = SamplerConfig.create(1.0, 2, seed=35)
             return FixedRateSlidingSampler(config, 1, SequenceWindow(5))
@@ -511,6 +512,24 @@ class TestExtendUsesBatchPath:
         returned = bat.extend(iter(points), batch_size=13)
         assert returned == len(points)
         assert state_fingerprint(per) == state_fingerprint(bat)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: RobustL0SamplerIW(1.0, 2, seed=97),
+            lambda: RobustL0SamplerSW(1.0, 2, SequenceWindow(400), seed=97),
+            lambda: RobustHeavyHitters(1.0, 2, epsilon=0.05, seed=97),
+        ],
+        ids=["l0-infinite", "l0-sliding", "heavy-hitters"],
+    )
+    def test_one_shot_iterator_matches_list(self, make):
+        # process_many streams a one-shot iterable through extend's
+        # bounded chunks; the state equals one list-sized batch.
+        points = noisy_stream(2500, 60, seed=101)
+        streamed, listed = make(), make()
+        assert streamed.process_many(p for p in points) == len(points)
+        assert listed.process_many(points) == len(points)
+        assert state_fingerprint(streamed) == state_fingerprint(listed)
 
     def test_extend_validates_batch_size(self):
         sampler = RobustL0SamplerIW(1.0, 2, seed=1)

@@ -40,12 +40,13 @@ class TestBasics:
         assert sampler.candidate_count == 5
         assert sampler.accepted_count == 5  # rate 1 accepts every cell
 
-    def test_insert_returns_tracked_flag(self):
+    def test_insert_founds_group_in_its_cell(self):
         sampler, config = make(rate=1)
         p = StreamPoint((0.0,), 0)
-        tracked, ctx = sampler.insert(p)
-        assert tracked
-        assert ctx.cell == config.grid.cell_of(p.vector)
+        assert sampler.insert(p) is None
+        (record,) = sampler.accepted_records()
+        assert record.cell == config.grid.cell_of(p.vector)
+        assert record.cell_hash == config.cell_hash(record.cell)
 
     def test_same_group_updates_last(self):
         sampler, _ = make(rate=1, window=SequenceWindow(100))

@@ -587,50 +587,6 @@ class TestLowDimProbe:
             )
             assert verdict == oracle
 
-    def test_prunes_at_least_the_corner_filter(self):
-        # Every point the scalar corner filter skips, the exact probe
-        # must skip too (it subsumes the conservative filter).
-        config = SamplerConfig.create(1.0, 2, seed=91)
-        grid = config.grid
-        side = grid.side
-        mask = 7
-        alpha_eps = config.alpha * config.alpha * (1.0 + 1e-9)
-        points = boundary_points(grid, 400, seed=17)
-        geom = compute_chunk_geometry(config, points)
-        verdicts = geom.low_dim_ignorable(mask)
-        skipped_by_filter = []
-        for point in points:
-            cell = grid.cell_of(point)
-            if config.cell_hash(cell) & mask == 0:
-                skipped_by_filter.append(False)
-                continue
-            corners = [
-                corner
-                for corner, value in config.conservative_neighborhood(cell)
-                if value & mask == 0
-            ]
-            skip = True
-            for corner in corners:
-                acc = 0.0
-                for x, low in zip(point, corner):
-                    if x < low:
-                        diff = low - x
-                    else:
-                        diff = x - low - side
-                        if diff <= 0.0:
-                            continue
-                    acc += diff * diff
-                    if acc > alpha_eps:
-                        break
-                else:
-                    skip = False
-                    break
-            skipped_by_filter.append(skip)
-        assert any(skipped_by_filter)
-        for verdict, filtered in zip(verdicts, skipped_by_filter):
-            if filtered:
-                assert verdict
-
     def test_verdicts_survive_rate_doubling(self):
         config = SamplerConfig.create(1.0, 2, seed=19)
         points = boundary_points(config.grid, 300, seed=19)
@@ -642,7 +598,7 @@ class TestLowDimProbe:
 
     def test_unservable_dimension_returns_none(self):
         # Above the vectorised adjacency limit the probe declines and
-        # callers keep the scalar corner filter.
+        # callers run the exact founding path.
         config = SamplerConfig.create(1.0, kernels.MAX_ADJACENCY_DIM + 1, seed=2)
         points = boundary_points(config.grid, 40, seed=2)
         geom = compute_chunk_geometry(config, points)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -26,6 +27,20 @@ class TestBasics:
         hh = RobustHeavyHitters(1.0, 2, epsilon=0.5)
         with pytest.raises(ParameterError):
             hh.insert((1.0,))
+
+    @pytest.mark.parametrize(
+        "probe",
+        [(math.nan, 0.0), (math.inf, 0.0), ("a", 0.0), (1e308, 0.0)],
+        ids=["nan", "inf", "non-float", "cell-beyond-int64"],
+    )
+    def test_estimated_count_validates_probe(self, probe):
+        # The probe is checked like an arriving point: a bad one raises
+        # ParameterError instead of a bare ValueError / TypeError or a
+        # silent 0.
+        hh = RobustHeavyHitters(1.0, 2, epsilon=0.5, seed=0)
+        hh.insert((0.0, 0.0))
+        with pytest.raises(ParameterError):
+            hh.estimated_count(probe)
 
     def test_capacity(self):
         assert RobustHeavyHitters(1.0, 1, epsilon=0.1).capacity == 10

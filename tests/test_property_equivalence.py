@@ -629,7 +629,7 @@ class TestSlotPoolProperties:
                 store.remove(live.pop(position % len(live)))
             store.check_index_integrity()
             probe = (0.7 * position - 2.8,)
-            cell_hash = config.point_context(probe).cell_hash
+            cell_hash = config.cell_hash(config.grid.cell_of(probe))
             expected = next(
                 (
                     record

@@ -151,7 +151,7 @@ class TestHierarchyMechanics:
         sw.insert(revisit)
         moved = sw._store.find_nearby(
             revisit.vector,
-            sw._config.point_context(revisit.vector).cell_hash,
+            sw._config.cell_hash(sw._config.grid.cell_of(revisit.vector)),
             0,
         )
         assert moved is not None
