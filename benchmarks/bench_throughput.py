@@ -41,15 +41,19 @@ tracked trajectory):
   gate that needs real cores: it is enforced in full mode only when
   ``os.cpu_count()`` covers the worker count (a 1-core box would only
   measure IPC overhead), and the measured trajectory is always recorded.
-* geometry (dim-3 ignore probe): batch/per-point on the dim-3
+* geometry (dim-3 ignore test): batch/per-point on the dim-3
   high-cardinality infinite-window workload >= 2.0x (>= 1.5x in
   --smoke), fingerprint-checked like every section.  ``insert`` has
-  no ignore probe - it enumerates ``adj(p)`` for every untracked
-  point - so this ratio is what the chunk geometry and its vectorised
-  sampled-cell probe buy on the workload they exist for.
+  no chunk-wide ignore test - it enumerates ``adj(p)`` for every
+  untracked point - so this ratio is what the chunk geometry and its
+  vectorised survival exponents buy on the workload they exist for.
 * ``--smoke`` (CI): sliding >= 1.5x on the small duplicate-heavy stream
   and dim-3 geometry >= 1.5x; the pipeline scaling section runs ungated (2 process workers, mostly
   an end-to-end executor-equivalence check).
+
+Every timed region - per-point and batch, in every section - starts
+from a collected and frozen heap (:func:`settle_heap`), so no GC pass
+left over from an earlier section lands inside a ~15 ms smoke timing.
 
 Every run overwrites ``BENCH_sliding.json`` (sliding measurements),
 ``BENCH_pipeline.json`` (pipeline executor scaling; sections other
@@ -68,6 +72,7 @@ Not collected by pytest (``bench_`` prefix); run directly::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import random
@@ -109,9 +114,21 @@ def _rate(n: int, elapsed: float) -> float:
     return n / elapsed if elapsed > 0 else float("inf")
 
 
+def settle_heap() -> None:
+    """Collect-then-freeze, off the clock: each timed region starts
+    from a frozen heap, so its in-region GC work (which stays enabled -
+    real deployments run with it) is proportional to its own
+    allocations instead of quasi-randomly re-traversing whatever the
+    harness and earlier sections happened to retain.  A single-shot
+    smoke region lasts ~15 ms, so one leftover collection decides it."""
+    gc.collect()
+    gc.freeze()
+
+
 def bench_infinite(points, batch_size: int, seed: int):
     """Per-point vs batch on the infinite-window sampler."""
     per = RobustL0SamplerIW(alpha=1.0, dim=len(points[0]), seed=seed)
+    settle_heap()
     start = time.perf_counter()
     insert = per.insert
     for p in points:
@@ -119,6 +136,7 @@ def bench_infinite(points, batch_size: int, seed: int):
     per_elapsed = time.perf_counter() - start
 
     bat = RobustL0SamplerIW(alpha=1.0, dim=len(points[0]), seed=seed)
+    settle_heap()
     start = time.perf_counter()
     for chunk in chunked(points, batch_size):
         bat.process_many(chunk)
@@ -135,6 +153,7 @@ def bench_sliding(points, batch_size: int, seed: int, window: int):
     spec = SequenceWindow(window)
     dim = len(points[0])
     per = RobustL0SamplerSW(1.0, dim, spec, seed=seed)
+    settle_heap()
     start = time.perf_counter()
     insert = per.insert
     for p in points:
@@ -142,6 +161,7 @@ def bench_sliding(points, batch_size: int, seed: int, window: int):
     per_elapsed = time.perf_counter() - start
 
     bat = RobustL0SamplerSW(1.0, dim, spec, seed=seed)
+    settle_heap()
     start = time.perf_counter()
     for chunk in chunked(points, batch_size):
         bat.process_many(chunk)
@@ -268,17 +288,6 @@ def bench_pipeline_scaling(
     reference = None
     process_rates: dict[int, float] = {}
     transport_stats: dict[int, dict] = {}
-    import gc
-
-    def settle_heap():
-        """Collect-then-freeze, off the clock: each timed region starts
-        from a frozen heap, so its in-region GC work (which stays
-        enabled - real deployments run with it) is proportional to its
-        own allocations instead of quasi-randomly re-traversing
-        whatever the harness and earlier rounds happened to retain."""
-        gc.collect()
-        gc.freeze()
-
     def time_serial():
         nonlocal serial_rate, reference
         serial = BatchPipeline(spec=spec("serial"))
@@ -372,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         "--min-geometry-speedup", type=float, default=2.0,
         help="committed floor for the batch/per-point ratio on the "
         "dim-3 high-cardinality infinite-window workload (the chunk "
-        "geometry's ignore probe, which insert() does not have); gated "
+        "geometry's ignore test, which insert() does not have); gated "
         "in full mode (measured 2.6-3.2x)",
     )
     parser.add_argument(
@@ -521,7 +530,7 @@ def main(argv: list[str] | None = None) -> int:
     # Geometry section: batch/per-point on the dim-3 high-cardinality
     # stream (fingerprint-checked inside bench_infinite).  The batch
     # path's chunk geometry answers most arrivals with its vectorised
-    # ignore probe; insert() enumerates adj(p) for each of them.
+    # ignore test; insert() enumerates adj(p) for each of them.
     geometry_record: dict = {
         "mode": record["mode"],
         "batch_size": args.batch_size,

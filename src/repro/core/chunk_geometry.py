@@ -7,13 +7,12 @@ overrides would otherwise recompute point by point in Python:
 * the grid cell (as the usual int tuple, ready for dict keys),
 * the cell's base-hash value (cell ids and hashes in one vectorised
   pass),
-* lazily, the fractional in-cell positions, the ignore probes
-  (:meth:`ChunkGeometry.low_dim_ignorable` at dim <= 2,
-  :meth:`ChunkGeometry.high_dim_ignorable` above) and the per-point
-  ``adj(p)`` hash tuples
-  (:meth:`ChunkGeometry.adj_hashes`, which switches itself from the
-  scalar DFS to the vectorised enumeration when a chunk turns out to be
-  founding-heavy).
+* lazily, the fractional in-cell positions, the per-point survival
+  exponents of ``adj(p)`` (:meth:`ChunkGeometry.survival_exponents`,
+  the infinite-window ignore test) and the per-point ``adj(p)`` hash
+  tuples (:meth:`ChunkGeometry.adj_hashes`, which switches itself from
+  the scalar DFS to the vectorised enumeration when a chunk turns out
+  to be founding-heavy).
 
 Everything a ``ChunkGeometry`` serves is a pure function of the chunk's
 coordinates and the shared :class:`~repro.core.base.SamplerConfig` - it
@@ -131,10 +130,6 @@ class ChunkGeometry:
         "_coords",
         "_coords_list",
         "_fracs",
-        "_ignorable",
-        "_ignorable_mask",
-        "_low_ignorable",
-        "_low_ignorable_mask",
         "_adj_table",
         "_adj_tz",
         "_adj_start",
@@ -166,10 +161,6 @@ class ChunkGeometry:
         self._coords = coords
         self._coords_list: list[list[int]] | None = None
         self._fracs = None
-        self._ignorable: list[bool] | None = None
-        self._ignorable_mask = -1
-        self._low_ignorable: list[bool] | None = None
-        self._low_ignorable_mask = -1
         self._adj_table: list[tuple[int, ...]] | None = None
         self._adj_tz: list[int] = []
         self._adj_start = 0
@@ -220,64 +211,32 @@ class ChunkGeometry:
             self._fracs = fracs
         return fracs
 
-    def high_dim_ignorable(self, mask: int) -> list[bool] | None:
-        """The conservative sampled-cell probe for this chunk at ``mask``.
+    def survival_exponents(self) -> list[int] | None:
+        """Per-point survival exponents of the chunk's ``adj(p)`` hashes.
 
-        ``True`` entries certainly have no sampled cell in ``adj(p)``
-        beyond their own cell, so a point whose own cell is unsampled
-        can be dropped without enumerating ``adj(p)`` - the dim > 2
-        counterpart of :meth:`low_dim_ignorable`.  Returns ``None`` when
-        the grid's cells are not strictly larger than alpha (the probe's
-        premise; the caller then runs the exact path for every point).
-        Verdicts stay valid when the rate doubles mid-chunk (decisions
-        nest - the sampled set only shrinks), so one probe per chunk
-        suffices.
+        :func:`~repro.geometry.kernels.max_trailing_zeros` over the
+        hashed :func:`~repro.geometry.kernels.adjacent_cells_chunk`
+        enumeration of the whole chunk.  The infinite-window ignore
+        test: a point whose own cell is unsampled at rate ``2^k`` has no
+        sampled cell in ``adj(p)`` - ``insert`` would ignore it - iff
+        its exponent is below ``k``.  The exponents do not depend on the
+        rate, so one product serves every mid-chunk rate doubling.
+
+        Returns ``None`` when the whole-chunk enumeration declines (too
+        many candidates for a tiny ``grid_side``); the caller then runs
+        the exact founding path for every point.  That leaves the
+        :meth:`adj_hashes` blocks enabled: a smaller block may still
+        fit.
         """
-        if self._ignorable_mask == mask:
-            return self._ignorable
         config = self.config
-        probe = kernels.high_dim_ignore_probe(
-            self._coords,
-            self.fracs,
-            config.grid.side,
-            config.alpha,
-            mask,
-            lambda rows: _hash_cells(config, rows),
+        result = kernels.adjacent_cells_chunk(
+            self._coords, self.fracs, config.grid.side, config.alpha
         )
-        self._ignorable = probe.tolist() if probe is not None else None
-        self._ignorable_mask = mask
-        return self._ignorable
-
-    def low_dim_ignorable(self, mask: int) -> list[bool] | None:
-        """The exact "no sampled cell in ``adj(p)``" verdicts at ``mask``.
-
-        The dim<=2 twin of :meth:`high_dim_ignorable`, but *exact*
-        rather than conservative (see
-        :func:`repro.geometry.kernels.low_dim_ignore_probe`): ``True``
-        entries are certainly ignored by the founding path when their
-        own cell is unsampled, ``False`` entries certainly have a
-        sampled adjacency cell at ``mask``.  Lazy - chunks whose points
-        all match tracked groups never pay for the enumeration - and
-        cached per mask; ``True`` verdicts stay valid across mid-chunk
-        rate doublings (decisions nest).  Returns ``None`` when the
-        adjacency enumeration cannot serve this configuration (a dense
-        table too large for a tiny ``grid_side``); the caller then runs
-        the exact founding path for every point.
-        """
-        if self._low_ignorable_mask == mask:
-            return self._low_ignorable
-        config = self.config
-        probe = kernels.low_dim_ignore_probe(
-            self._coords,
-            self.fracs,
-            config.grid.side,
-            config.alpha,
-            mask,
-            lambda rows: _hash_cells(config, rows),
-        )
-        self._low_ignorable = probe.tolist() if probe is not None else None
-        self._low_ignorable_mask = mask
-        return self._low_ignorable
+        if result is None:
+            return None
+        cells, counts = result
+        hashes = _hash_cells(config, cells)
+        return kernels.max_trailing_zeros(hashes, counts).tolist()
 
     # ------------------------------------------------------------------ #
     # adjacency

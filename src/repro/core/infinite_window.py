@@ -29,7 +29,6 @@ from repro.core.base import (
     CandidateStore,
     SamplerConfig,
     StreamSampler,
-    _SMALL_DIM,
     _ThresholdPolicy,
     coerce_point,
 )
@@ -228,9 +227,9 @@ class RobustL0SamplerIW(StreamSampler):
     ) -> int:
         """Batched :meth:`insert`: state-equivalent, several times faster.
 
-        The chunk's geometry - cells, cell hashes, the ignore probe,
-        adjacency hash tuples - is computed once per chunk through the
-        vectorised kernel layer
+        The chunk's geometry - cells, cell hashes, the ``adj(p)``
+        survival exponents of the ignore test, adjacency hash tuples -
+        is computed once per chunk through the vectorised kernel layer
         (:class:`~repro.core.chunk_geometry.ChunkGeometry`; ``geometry``
         accepts one precomputed by the pipeline), so the per-point loop
         reduces to the sequential state machine: the bucket probe, the
@@ -265,16 +264,15 @@ class RobustL0SamplerIW(StreamSampler):
 
         pending = 0  # arrivals not yet flushed into the threshold policy
         mask = self._rate_denominator - 1
-        # The ignore probe of this dimension band (exact at dim <= 2,
-        # conservative above), fetched on the first untracked point whose
-        # cell is unsampled, so chunks of pure duplicates never pay for
-        # it.  True entries certainly have no sampled cell in adj(p)
-        # beyond cell(p): insert() would ignore the point.  They stay
-        # valid across mid-chunk rate doublings because sampling
-        # decisions nest.  Every other point - and every point when the
-        # probe declines with None - takes the exact founding path.
-        low_dim = dim <= _SMALL_DIM
-        ignorable = None
+        rate_exponent = mask.bit_length()
+        # The ignore test: the chunk's adj(p) survival exponents, fetched
+        # on the first untracked point whose cell is unsampled, so chunks
+        # of pure duplicates never pay for them.  Such a point has no
+        # sampled cell in adj(p) - insert() would ignore it - iff its
+        # exponent is below the rate exponent, at every mid-chunk rate.
+        # Every other point - and every point when the enumeration
+        # declines with None - takes the exact founding path.
+        exponents = None
         probed = False
         try:
             for i in range(geom_n):
@@ -312,13 +310,9 @@ class RobustL0SamplerIW(StreamSampler):
 
                 if cell_hash & mask != 0:
                     if not probed:
-                        ignorable = (
-                            geom.low_dim_ignorable(mask)
-                            if low_dim
-                            else geom.high_dim_ignorable(mask)
-                        )
+                        exponents = geom.survival_exponents()
                         probed = True
-                    if ignorable is not None and ignorable[i]:
+                    if exponents is not None and exponents[i] < rate_exponent:
                         continue
 
                 # First point of a candidate group: same code as insert().
@@ -347,6 +341,7 @@ class RobustL0SamplerIW(StreamSampler):
                     self._rate_denominator *= 2
                     store.resample(self._rate_denominator)
                     mask = self._rate_denominator - 1
+                    rate_exponent = mask.bit_length()
 
                 self._count = count
                 words = self.space_words()
@@ -356,8 +351,11 @@ class RobustL0SamplerIW(StreamSampler):
             self._count = count
             policy.observe_many(pending)
         if geom is None:
+            # This class's insert, not an override's: pts are already in
+            # the sampler's own space (a projecting subclass projected
+            # them before handing the chunk over).
             for p in pts:
-                self.insert(p)
+                RobustL0SamplerIW.insert(self, p)
         return len(pts)
 
     # ------------------------------------------------------------------ #

@@ -42,11 +42,12 @@ Where the speed comes from
   chunk proves founding-heavy; pipelines build ONE geometry per dealt
   chunk (:func:`repro.engine.batching.chunk_geometry_for`) and hand it
   to the owning shard;
-* the sampled-cell ignore probes: a point whose group is untracked at
+* the sampled-cell ignore test: a point whose group is untracked at
   the current rate needs no ``adj(p)`` hash tuple unless it lies
-  within ``alpha`` of a *sampled* nearby cell - the kernel layer's
-  exact probe at dim <= 2 and its conservative probe above, one per
-  chunk (verdicts rate-nested across mid-chunk doublings);
+  within ``alpha`` of a *sampled* nearby cell - decided exactly, at
+  any dimension and rate, by the chunk's ``adj(p)`` survival exponents
+  (:meth:`~repro.core.chunk_geometry.ChunkGeometry.survival_exponents`,
+  one per chunk);
 * the config-level scalar hash memo (``cell_hash_memo``): the scalar
   ``adj(p)`` enumeration (``insert``, and a chunk geometry outside its
   vectorised blocks) revisits the same grid cells constantly, so each

@@ -22,16 +22,11 @@ numpy, **bit-identically** to the scalar implementations they replace:
   <repro.core.base.CandidateRecord.survival_exponent>` in bulk);
 * :func:`adjacent_cells_chunk` - the pruned ``adj(p)`` enumeration of
   :func:`repro.geometry.adjacency.collect_adjacent` for every point of a
-  chunk, producing the identical cells in the identical order
-  (vectorised for the common ``dim <= 4`` grids; callers fall back to
-  the scalar DFS above that);
-* :func:`high_dim_ignore_probe` - a *conservative* sampled-cell
-  membership probe usable at any dimension: ``True`` marks points that
-  certainly have no sampled cell in ``adj(p)`` beyond their own cell,
-  without enumerating the (exponential in ``dim``) neighbourhood;
-* :func:`low_dim_ignore_probe` - its *exact* ``dim <= 2`` counterpart.
-  When either probe returns ``None`` the infinite-window sampler runs
-  the exact founding path for every point of the chunk.
+  chunk, at any dimension, producing the identical cells in the
+  identical order.  Hashed and reduced by :func:`max_trailing_zeros`,
+  it is also the infinite-window ignore test
+  (:meth:`ChunkGeometry.survival_exponents
+  <repro.core.chunk_geometry.ChunkGeometry.survival_exponents>`).
 
 Equality with the scalar path is not best-effort: record state (cells,
 hash tuples) feeds ``state_fingerprint``, so any divergence - even a
@@ -48,8 +43,6 @@ batch paths are checked against.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 #: Cell coordinates at or beyond this magnitude cannot be carried in the
@@ -63,10 +56,8 @@ COORD_LIMIT = float(1 << 62)
 #: Mersenne prime modulus of CPython's number hashing (``_PyHASH_MODULUS``).
 _M61 = (1 << 61) - 1
 
-#: Vectorised adjacency is generated from a dense per-axis offset table;
-#: above this dimension (or this many table entries) the scalar DFS is
-#: the better tool and :func:`adjacent_cells_chunk` returns ``None``.
-MAX_ADJACENCY_DIM = 4
+#: Bound on the candidates :func:`adjacent_cells_chunk` extends along one
+#: axis (prefixes times moves); beyond it the enumeration returns ``None``.
 _MAX_ADJACENCY_TABLE = 4_000_000
 
 _U64 = np.uint64
@@ -188,6 +179,25 @@ def fractional_positions_chunk(
     return np.clip(shifted - cells_f * side, 0.0, side)
 
 
+def _max_axis_move(side: float, radius: float) -> int:
+    """Largest ``j`` with ``((j - 1) * side)**2 <= radius**2``.
+
+    A move ``+-j`` costs at least that much (the in-cell distance it
+    adds is non-negative, and float addition and squaring are monotone),
+    so no point moves further along any axis.  The floor-division
+    estimate is corrected with the exact predicate both ways:
+    ``1.0 // 0.1 == 9.0`` in floats, yet ``fl(10 * 0.1) == 1.0`` still
+    fits a unit budget.
+    """
+    radius_sq = radius * radius
+    j = int(radius // side) + 1
+    while j > 1 and ((j - 1) * side) * ((j - 1) * side) > radius_sq:
+        j -= 1
+    while (j * side) * (j * side) <= radius_sq:
+        j += 1
+    return j
+
+
 def adjacent_cells_chunk(
     coords: "np.ndarray",
     fracs: "np.ndarray",
@@ -201,285 +211,70 @@ def adjacent_cells_chunk(
     point ``i`` (rows are grouped by point, in point order), such that
     point ``i``'s rows equal
     ``collect_adjacent(grid, p_i, radius, base_cell=cell(p_i))`` - the
-    same cells in the same enumeration order (the per-axis
-    ``0, -1, ..., +1, ...`` move order with later axes outermost).
+    same cells in the same enumeration order.
 
-    Returns ``None`` when the dimension exceeds
-    :data:`MAX_ADJACENCY_DIM` or the dense offset table would be
-    unreasonably large (tiny ``side`` relative to ``radius``); callers
-    then use the scalar DFS, which handles any configuration.
+    This is the array form of that function's axis-by-axis pruning, at
+    any dimension: every surviving prefix is extended by each move of
+    the next axis (``0, -1, ..., +1, ...``) and kept while its
+    accumulated cost ``acc + cost`` - the scalar float expression - is
+    at most ``radius^2``.  The scalar order (move outermost, then the
+    owner's prefixes in their previous order) is restored with one
+    stable sort per axis.
+
+    Returns ``None`` when some axis would extend more than
+    ``_MAX_ADJACENCY_TABLE`` candidates (tiny ``side`` relative to
+    ``radius``); callers then enumerate fewer points at a time or run
+    the scalar DFS.
     """
     n, dim = coords.shape
-    if dim > MAX_ADJACENCY_DIM:
-        return None
     if radius < 0:
         return (
             np.empty((0, dim), dtype=np.int64),
             np.zeros(n, dtype=np.int64),
         )
     radius_sq = radius * radius
-    # One extra step of headroom over floor(radius/side): float floor
-    # division can round down (1.0 // 0.1 == 9.0) while the scalar
-    # _axis_moves loop still admits the next offset whenever its product
-    # rounds within the budget; surplus offsets are infeasible by
-    # construction and the total-cost mask below discards them.
-    j_max = int(radius // side) + 2
+    j_max = _max_axis_move(side, radius)
     m = 2 * j_max + 1
-    if n * (m**dim) > _MAX_ADJACENCY_TABLE:
+    if max(n, 1) * m > _MAX_ADJACENCY_TABLE:
         return None
+    # Per-axis moves in _axis_moves order: 0, -1..-J, +1..+J.
+    offsets = np.concatenate(
+        ([0], -np.arange(1, j_max + 1), np.arange(1, j_max + 1))
+    )
+    # (j - 1) * side for j = 1..J, exactly as the scalar code computes it.
+    steps = np.arange(j_max, dtype=np.float64) * side
 
-    # Per-axis offsets in _axis_moves order: 0, -1..-J, +1..+J.  A move
-    # is feasible when its squared distance fits the remaining budget;
-    # infeasible moves survive into the dense table and are masked out
-    # by the total-cost test below (their cost alone already exceeds
-    # radius_sq, and float addition of non-negatives never decreases).
-    offsets = np.empty(m, dtype=np.int64)
-    offsets[0] = 0
-    offsets[1 : j_max + 1] = -np.arange(1, j_max + 1)
-    offsets[j_max + 1 :] = np.arange(1, j_max + 1)
-    # (j - 1) * side for j = 1..J, computed exactly as the scalar code.
-    steps = (np.arange(1, j_max + 1, dtype=np.float64) - 1.0) * side
-    cost = np.empty((n, dim, m), dtype=np.float64)
-    cost[:, :, 0] = 0.0
-    minus = fracs[:, :, None] + steps[None, None, :]
-    cost[:, :, 1 : j_max + 1] = minus * minus
-    plus = (side - fracs)[:, :, None] + steps[None, None, :]
-    cost[:, :, j_max + 1 :] = plus * plus
+    def axis_cost(axis: int) -> "np.ndarray":
+        """``(m, n)`` squared cost of every move along ``axis``."""
+        frac = fracs[:, axis]
+        minus = frac + steps[:, None]
+        plus = (side - frac) + steps[:, None]
+        cost = np.empty((m, n), dtype=np.float64)
+        cost[0] = 0.0
+        cost[1 : j_max + 1] = minus * minus
+        cost[j_max + 1 :] = plus * plus
+        return cost
 
-    # Accumulate axis costs left-associatively (acc + cost), the same
-    # float expression the scalar construction evaluates; the final
-    # total <= radius_sq test subsumes the scalar path's intermediate
-    # prefix pruning because float addition of non-negative costs is
-    # monotone.  The accumulated block keeps later axes outermost, so
-    # np.nonzero walks cells in the scalar enumeration order.
-    total = cost[:, 0, :]
+    # Axis 0 extends one empty prefix per point (0.0 + cost == cost), so
+    # the (point, move) walk already is the scalar order.
+    cost = np.ascontiguousarray(axis_cost(0).T)
+    kept = np.flatnonzero(cost <= radius_sq)
+    owner = kept // m
+    acc = cost.ravel()[kept]
+    columns = [coords[owner, 0] + offsets[kept - owner * m]]
     for axis in range(1, dim):
-        axis_cost = cost[:, axis, :].reshape((n, m) + (1,) * axis)
-        total = total[:, None] + axis_cost
-    mask = total <= radius_sq
-
-    index = np.nonzero(mask)
-    point = index[0]
-    cells = np.empty((point.shape[0], dim), dtype=np.int64)
-    for axis in range(dim):
-        cells[:, axis] = coords[point, axis] + offsets[index[dim - axis]]
-    counts = np.bincount(point, minlength=n)
-    return cells, counts
-
-
-def low_dim_ignore_probe(
-    coords: "np.ndarray",
-    fracs: "np.ndarray",
-    side: float,
-    radius: float,
-    mask: int,
-    hash_coords: "Callable[[np.ndarray], np.ndarray]",
-) -> "np.ndarray | None":
-    """Exact "no sampled cell in ``adj(p)``" verdict per point (small dims).
-
-    Enumerates ``adj(p)`` itself with :func:`adjacent_cells_chunk`
-    (bit-identical to the exact path's adjacency), hashes every cell
-    (``hash_coords``) and tests against ``mask``.  ``True`` entries
-    have **no** sampled cell in ``adj(p)`` - the exact founding path
-    would ignore them outright.  The probe is exact, not conservative:
-    ``False`` entries certainly have a sampled cell in ``adj(p)`` and
-    go straight to the founding path.
-
-    The enumeration includes the point's own cell; callers consult the
-    probe only for points whose own cell is unsampled, where that row
-    never matches.  Verdicts nest across mid-chunk rate doublings
-    exactly like :func:`high_dim_ignore_probe`'s (the sampled set only
-    shrinks), so one probe per chunk suffices for ``True`` entries;
-    ``False`` entries re-test against the live mask on the exact path.
-
-    Returns ``None`` when :func:`adjacent_cells_chunk` cannot serve the
-    configuration (dimension or table size); callers then run the exact
-    founding path for every point.
-    """
-    result = adjacent_cells_chunk(coords, fracs, side, radius)
-    if result is None:
-        return None
-    n = coords.shape[0]
-    cells, counts = result
-    if cells.shape[0] == 0:
-        return np.ones(n, dtype=bool)
-    sampled = (hash_coords(cells) & _U64(mask)) == 0
-    owners = np.repeat(np.arange(n), counts)
-    return np.bincount(owners[sampled], minlength=n) == 0
-
-
-def high_dim_ignore_probe(
-    coords: "np.ndarray",
-    fracs: "np.ndarray",
-    side: float,
-    radius: float,
-    mask: int,
-    hash_coords: "Callable[[np.ndarray], np.ndarray]",
-) -> "np.ndarray | None":
-    """Conservative "no sampled cell in ``adj(p)`` beyond ``cell(p)``" probe.
-
-    For grids whose cells are strictly larger than ``radius`` (the
-    ``dim > 2`` default, side ``radius * dim``), every adjacency offset
-    is ``-1/0/+1`` per axis.  The probe marks a point ``True`` only when
-    it is *certain* no sampled cell exists in ``adj(p)`` other than
-    possibly its own cell:
-
-    * an axis move is feasible only when its squared distance fits
-      within ``radius^2 * (1 + 1e-9)`` (over-inclusive, so boundary
-      points always reach the exact path);
-    * every feasible single-axis neighbour is hashed (``hash_coords``)
-      and tested against ``mask``;
-    * multi-axis (diagonal) neighbours whose summed per-axis costs fit
-      the budget are *enumerated and hashed too* (a pruned DFS over the
-      feasible ``{-1, 0, +1}`` offsets, run only for the points whose
-      two cheapest axis moves fit the budget together - corner-parked
-      points, typically few); a point whose feasible enumeration would
-      exceed :data:`_DIAGONAL_CELL_CAP` cells falls back to the old
-      conservative verdict (sent to the exact path).
-
-    Returns a bool array (``True`` = certainly ignorable when the
-    point's own cell is unsampled), or ``None`` when ``side`` is not
-    strictly larger than the radius budget (multi-step offsets would be
-    possible and the probe's premise breaks - callers fall back to the
-    exact path for the whole chunk).
-
-    Because sampling decisions are nested across rates (Fact 1(b)), a
-    verdict computed at rate mask ``R - 1`` stays valid after the rate
-    doubles mid-chunk: the sampled-cell set only shrinks.
-    """
-    n, dim = coords.shape
-    budget = radius * radius * (1.0 + 1e-9)
-    if side * side <= budget:
-        return None
-    minus_cost = fracs * fracs
-    rem = side - fracs
-    plus_cost = rem * rem
-    feasible_minus = minus_cost <= budget
-    feasible_plus = plus_cost <= budget
-
-    # Sampled single-axis neighbours (the only adjacency cells the probe
-    # inspects exactly).
-    hit = np.zeros(n, dtype=bool)
-    neighbour_blocks = []
-    owner_blocks = []
-    for sign, feasible in ((-1, feasible_minus), (1, feasible_plus)):
-        point, axis = np.nonzero(feasible)
-        if point.size == 0:
-            continue
-        neighbours = coords[point].copy()
-        neighbours[np.arange(point.size), axis] += sign
-        neighbour_blocks.append(neighbours)
-        owner_blocks.append(point)
-    if neighbour_blocks:
-        neighbours = np.concatenate(neighbour_blocks)
-        owners = np.concatenate(owner_blocks)
-        sampled = (hash_coords(neighbours) & _U64(mask)) == 0
-        if sampled.any():
-            hit = np.bincount(owners[sampled], minlength=n) > 0
-
-    # Feasible diagonal neighbourhood: the two cheapest feasible axis
-    # moves fitting the budget together means some multi-axis cell may
-    # lie within the radius.  Those cells used to be a conservative
-    # give-up; enumerate and hash them instead (the candidate points
-    # are corner-parked and few, so the per-point DFS is cheap), so a
-    # point whose whole feasible diagonal set is unsampled is still
-    # certainly ignorable.
-    if dim >= 2:
-        axis_min = np.where(feasible_minus, minus_cost, np.inf)
-        axis_min = np.minimum(
-            axis_min, np.where(feasible_plus, plus_cost, np.inf)
-        )
-        cheapest_two = np.partition(axis_min, 1, axis=1)[:, :2]
-        maybe = (cheapest_two.sum(axis=1) <= budget) & ~hit
-        diagonal = np.zeros(n, dtype=bool)
-        if maybe.any():
-            candidates = np.nonzero(maybe)[0]
-            minus_list = minus_cost[candidates].tolist()
-            plus_list = plus_cost[candidates].tolist()
-            coords_list = coords[candidates].tolist()
-            cell_rows: list[list[int]] = []
-            owner_rows: list[int] = []
-            for position, index in enumerate(candidates.tolist()):
-                cells = _feasible_diagonal_cells(
-                    coords_list[position],
-                    minus_list[position],
-                    plus_list[position],
-                    budget,
-                )
-                if cells is None:
-                    # Cap exceeded: keep the old conservative verdict
-                    # for this point (exact path decides).
-                    diagonal[index] = True
-                else:
-                    cell_rows.extend(cells)
-                    owner_rows.extend([index] * len(cells))
-            if cell_rows:
-                sampled = (
-                    hash_coords(np.array(cell_rows, dtype=np.int64))
-                    & _U64(mask)
-                ) == 0
-                if sampled.any():
-                    owners = np.array(owner_rows, dtype=np.intp)
-                    diagonal |= (
-                        np.bincount(owners[sampled], minlength=n) > 0
-                    )
-        return ~(hit | diagonal)
-    return ~hit
-
-
-#: Per-point bound on enumerated feasible diagonal cells in
-#: :func:`high_dim_ignore_probe`; beyond it the point keeps the old
-#: conservative "send to the exact path" verdict.
-_DIAGONAL_CELL_CAP = 512
-
-
-def _feasible_diagonal_cells(
-    cell: list, minus_cost: list, plus_cost: list, budget: float
-) -> list[list[int]] | None:
-    """Multi-axis ``{-1, 0, +1}`` neighbours within the cost budget.
-
-    A pruned DFS over per-axis offsets: offset ``-1`` on axis ``a``
-    costs ``minus_cost[a]`` (the squared distance to the lower face),
-    ``+1`` costs ``plus_cost[a]``, ``0`` is free; a cell is feasible
-    when its total cost fits ``budget``.  Only combinations with at
-    least two non-zero offsets are returned (single-axis neighbours are
-    hashed separately, the all-zero row is the point's own cell).  The
-    summed costs bound the true squared distance from below exactly as
-    the scalar adjacency does, and ``budget`` carries the caller's
-    over-inclusive headroom, so the result is a superset of the true
-    diagonal ``adj(p)`` cells.  Returns ``None`` when more than
-    :data:`_DIAGONAL_CELL_CAP` cells would be produced.
-    """
-    dim = len(cell)
-    out: list[list[int]] = []
-    row = list(cell)
-
-    def walk(axis: int, cost: float, moved: int) -> bool:
-        if axis == dim:
-            if moved >= 2:
-                out.append(list(row))
-                if len(out) > _DIAGONAL_CELL_CAP:
-                    return False
-            return True
-        if not walk(axis + 1, cost, moved):
-            return False
-        base = row[axis]
-        down = cost + minus_cost[axis]
-        if down <= budget:
-            row[axis] = base - 1
-            if not walk(axis + 1, down, moved + 1):
-                row[axis] = base
-                return False
-            row[axis] = base
-        up = cost + plus_cost[axis]
-        if up <= budget:
-            row[axis] = base + 1
-            if not walk(axis + 1, up, moved + 1):
-                row[axis] = base
-                return False
-            row[axis] = base
-        return True
-
-    if not walk(0, 0.0, 0):
-        return None
-    return out
+        count = owner.shape[0]
+        if count * m > _MAX_ADJACENCY_TABLE:
+            return None
+        total = acc + axis_cost(axis)[:, owner]
+        # flatnonzero walks (move, prefix); the stable sort by owner
+        # yields the scalar (owner, move, prefix) order.
+        kept = np.flatnonzero(total <= radius_sq)
+        kept = kept[np.argsort(owner[kept % count], kind="stable")]
+        move = kept // count
+        parent = kept - move * count
+        acc = total.ravel()[kept]
+        owner = owner[parent]
+        columns = [column[parent] for column in columns]
+        columns.append(coords[owner, axis] + offsets[move])
+    return np.stack(columns, axis=1), np.bincount(owner, minlength=n)

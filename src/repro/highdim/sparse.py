@@ -15,9 +15,10 @@ first (Remark 2).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.core.base import DEFAULT_KAPPA0, SamplerConfig
+from repro.core.chunk_geometry import ChunkGeometry, coerce_rows
 from repro.core.infinite_window import RobustL0SamplerIW
 from repro.core.sliding_window import RobustL0SamplerSW
 from repro.errors import ParameterError
@@ -102,15 +103,41 @@ class HighDimSamplerIW(RobustL0SamplerIW):
         if self._projection is None:
             super().insert(point)
             return
-        if isinstance(point, StreamPoint):
-            projected = StreamPoint(
-                self._projection.project(point.vector), point.index, point.time
-            )
-        else:
-            projected = StreamPoint(
-                self._projection.project(point), self.points_seen
-            )
-        super().insert(projected)
+        super().insert(self._project([point])[0])
+
+    def process_many(
+        self,
+        points: Iterable[StreamPoint | Sequence[float]],
+        *,
+        geometry: ChunkGeometry | None = None,
+    ) -> int:
+        """Batched :meth:`insert` of native-dimension points.
+
+        With a projection the chunk is validated and projected whole
+        (:meth:`_project`, the routine ``insert`` uses, so both paths
+        see the same bits) before the parent ingests it.
+        """
+        if self._projection is None:
+            return super().process_many(points, geometry=geometry)
+        if geometry is None and not isinstance(points, (list, tuple)):
+            return self.extend(points)
+        return super().process_many(self._project(points), geometry=geometry)
+
+    def _project(
+        self, points: Iterable[StreamPoint | Sequence[float]]
+    ) -> list[StreamPoint | tuple[float, ...]]:
+        """Check native rows, then project each one (arrival metadata of
+        a :class:`StreamPoint` is kept).  A row that is not a sequence of
+        ``native_dim`` numbers raises
+        :class:`~repro.errors.ParameterError` naming its position."""
+        items, vectors, _ = coerce_rows(points, self._native_dim)
+        project = self._projection.project
+        return [
+            StreamPoint(project(vector), item.index, item.time)
+            if isinstance(item, StreamPoint)
+            else project(vector)
+            for item, vector in zip(items, vectors)
+        ]
 
 
 class HighDimSamplerSW(RobustL0SamplerSW):

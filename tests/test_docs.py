@@ -124,11 +124,19 @@ class TestDocsMatchCode:
 
     @pytest.mark.parametrize("path", DOCS, ids=lambda p: p.name)
     def test_no_deleted_ignore_machinery(self, path):
-        # The dim <= 2 corner filter's neighbourhood memo and the
-        # per-arrival context hand-down are gone from the library; no
-        # guide may tell a reader to use them.
+        # The dim <= 2 corner filter's neighbourhood memo, the
+        # per-arrival context hand-down and the per-band ignore probes
+        # are gone from the library; no guide may tell a reader to use
+        # them.
         text = path.read_text(encoding="utf-8")
-        for stale in ("conservative_neighborhood", "PointContext", "with_adj"):
+        for stale in (
+            "conservative_neighborhood",
+            "PointContext",
+            "with_adj",
+            "high_dim_ignorable",
+            "low_dim_ignorable",
+            "MAX_ADJACENCY_DIM",
+        ):
             assert stale not in text, stale
 
     def test_architecture_documents_hot_path(self):
@@ -171,8 +179,10 @@ class TestDocsMatchCode:
         kernels_source = (
             REPO_ROOT / "src" / "repro" / "geometry" / "kernels.py"
         ).read_text(encoding="utf-8")
-        assert "low_dim_ignore_probe" in text
-        assert "def low_dim_ignore_probe" in kernels_source
+        assert "adjacent_cells_chunk" in text
+        assert "def adjacent_cells_chunk" in kernels_source
+        assert "survival_exponents" in text
+        assert "def survival_exponents" in geometry_source
 
     def test_readme_registry_table_matches_live_registry(self):
         from repro.api import available, entry

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.base import SamplerConfig, StreamSampler
-from repro.core.chunk_geometry import compute_chunk_geometry
+from repro.core.chunk_geometry import ChunkGeometry, compute_chunk_geometry
 from repro.core.f0_infinite import RobustF0EstimatorIW
 from repro.core.f0_sliding import RobustF0EstimatorSW
 from repro.core.fixed_rate import FixedRateSlidingSampler
@@ -63,6 +63,19 @@ def assert_differential(make_sampler, points, batch_size):
     feed_batches(bat, points, batch_size)
     assert state_fingerprint(per) == state_fingerprint(bat)
     return per, bat
+
+
+def spy_adjacency_blocks(monkeypatch) -> list[bool]:
+    """Record whether each vectorised adjacency block was served."""
+    served: list[bool] = []
+    original = ChunkGeometry._precompute_adjacency
+
+    def spy(geometry, start, block):
+        served.append(original(geometry, start, block))
+        return served[-1]
+
+    monkeypatch.setattr(ChunkGeometry, "_precompute_adjacency", spy)
+    return served
 
 
 class TestInfiniteWindowDifferential:
@@ -129,19 +142,22 @@ class TestInfiniteWindowDifferential:
             sampler.insert((1.0, 2.0, 3.0))
         assert state_fingerprint(sampler) == before
 
-    def test_declined_probe_differential(self):
-        # A grid side far below alpha makes the chunk's dense adjacency
-        # table too large for the exact low-dimensional probe; with no
-        # ignore filter every untracked point then takes the exact
-        # founding path (scalar adj(p) hashing), which must be just as
-        # invisible in state.
+    def test_declined_probe_differential(self, monkeypatch):
+        # At grid side alpha/12.5 a whole 10,000-point chunk extends
+        # ~7M adjacency candidates along its second axis, so the chunk's
+        # survival exponents decline; with no ignore filter every
+        # untracked point then takes the exact founding path, which
+        # must be just as invisible in state.  The 192-point adjacency
+        # blocks still fit and serve it.
         points = noisy_stream(10_000, 60, seed=12)
-        config = SamplerConfig.create(1.0, 2, seed=15, grid_side=0.125)
-        assert compute_chunk_geometry(config, points).low_dim_ignorable(1) is None
+        config = SamplerConfig.create(1.0, 2, seed=15, grid_side=0.08)
+        assert compute_chunk_geometry(config, points).survival_exponents() is None
+        served = spy_adjacency_blocks(monkeypatch)
         per, bat = assert_differential(
             lambda: RobustL0SamplerIW(1.0, 2, config=config), points, 10_000
         )
         assert per.rate_denominator > 1  # foundings ran under real masks
+        assert any(served)  # blocks served the declined chunk
 
     @pytest.mark.parametrize("dim", [3, 5, 8])
     def test_high_dim_batch_ignore_filter(self, dim):
@@ -175,6 +191,28 @@ class TestInfiniteWindowDifferential:
         assert_differential(
             lambda: RobustL0SamplerIW(1.0, 2, seed=31), points, 64
         )
+
+
+class TestHighDimVectorisedAdjacency:
+    """The adjacency enumeration has no dimension cap: at dims 5 and 8
+    founding-heavy chunks are served by vectorised blocks, which must be
+    invisible in state for both window models."""
+
+    @pytest.mark.parametrize("dim", [5, 8])
+    @pytest.mark.parametrize("window", ["infinite", "sliding"])
+    def test_blocks_match_per_point(self, window, dim, monkeypatch):
+        if window == "infinite":
+            def make():
+                return RobustL0SamplerIW(1.0, dim, seed=dim)
+        else:
+            def make():
+                return RobustL0SamplerSW(
+                    1.0, dim, SequenceWindow(400), seed=dim
+                )
+        served = spy_adjacency_blocks(monkeypatch)
+        points = noisy_stream(2500, 1200, seed=dim, dim=dim)
+        assert_differential(make, points, 256)
+        assert any(served)  # the vectorised blocks actually ran
 
 
 class TestFixedRateDifferential:

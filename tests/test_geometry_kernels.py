@@ -7,8 +7,8 @@ hashes and adjacency tuples feed ``state_fingerprint``, so a 1-ulp
 divergence is a correctness bug, not a rounding nit.  The streams here
 are adversarial by construction: cell-boundary points (exact multiples
 of the grid side, with +-1-ulp perturbations), negative coordinates,
-huge coordinates, and every dimension the vectorised adjacency serves
-(1-4) plus the probe-only high dimensions (5, 8).
+huge coordinates, and dimensions 1-10 of the vectorised adjacency
+enumeration, which serves every dimension.
 """
 
 from __future__ import annotations
@@ -64,6 +64,35 @@ def boundary_points(grid: Grid, count: int, seed: int) -> list[tuple]:
             vector.append(value)
         points.append(tuple(vector))
     return points
+
+
+def face_points(grid: Grid, count: int, seed: int) -> list[tuple]:
+    """Points with every axis uniform, on a cell face, or one ulp off it."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(count):
+        vector = []
+        for axis in range(grid.dim):
+            kind = rng.randrange(4)
+            value = grid.offset[axis] + rng.randrange(-40, 40) * grid.side
+            if kind == 0:
+                value = rng.uniform(-60.0, 60.0)
+            elif kind == 2:
+                value = math.nextafter(value, math.inf)
+            elif kind == 3:
+                value = math.nextafter(value, -math.inf)
+            vector.append(value)
+        points.append(tuple(vector))
+    return points
+
+
+#: Side/alpha ratios the adjacency kernel is checked at (plus ``dim``),
+#: and per dimension the finest one the scalar oracle checks in time.
+SIDE_RATIOS = (0.1, 1 / 3, 0.5, 1 / math.sqrt(2), 1.0, 2.0)
+RATIO_FLOOR = {
+    1: 0.1, 2: 0.1, 3: 0.1, 4: 1 / 3, 5: 1 / 3,
+    6: 0.5, 7: 1 / math.sqrt(2), 8: 1 / math.sqrt(2), 9: 1.0, 10: 1.0,
+}
 
 
 class TestHashKernels:
@@ -343,23 +372,57 @@ class TestAdjacencyKernel:
             position += count
             assert got == collect_adjacent(grid, point, radius)
 
-    def test_dimension_above_limit_returns_none(self):
-        config = SamplerConfig.create(1.0, 5, seed=31)
-        points = boundary_points(config.grid, 40, seed=31)
-        geom = compute_chunk_geometry(config, points)
-        assert (
-            kernels.adjacent_cells_chunk(
-                geom._coords, geom.fracs, config.grid.side, config.alpha
+    @pytest.mark.parametrize("dim", range(1, 11))
+    def test_matches_collect_adjacent_at_every_side_ratio(self, dim):
+        # Side/alpha ratios from multi-step (0.1, where fl(10 * 0.1)
+        # == 1.0 admits the move 1.0 // 0.1 == 9.0 would miss) to the
+        # Section 4 side d * alpha, with every axis on, or one ulp
+        # either side of, a cell face.  Finer ratios than the floor put
+        # 10^4+ cells in one adj(p) at that dim - beyond what the scalar
+        # oracle checks in test time.
+        for ratio in SIDE_RATIOS + (float(dim),):
+            if ratio < RATIO_FLOOR[dim]:
+                continue
+            config = SamplerConfig.create(
+                1.0, dim, seed=dim * 13 + 1, grid_side=ratio
             )
-            is None
-        )
-        # ... and the ChunkGeometry transparently serves the scalar DFS.
-        for index, point in enumerate(points):
+            grid = config.grid
+            points = face_points(grid, 24, seed=dim * 31 + int(ratio * 97))
+            geom = compute_chunk_geometry(config, points)
+            flat, counts = kernels.adjacent_cells_chunk(
+                geom._coords, geom.fracs, grid.side, config.alpha
+            )
+            flat_cells = list(map(tuple, flat.tolist()))
+            position = 0
+            for index, point in enumerate(points):
+                count = int(counts[index])
+                got = flat_cells[position : position + count]
+                position += count
+                want = collect_adjacent(
+                    grid, point, config.alpha, base_cell=grid.cell_of(point)
+                )
+                assert got == want, (dim, ratio, index)
+
+    def test_declined_chunk_leaves_blocks_enabled(self):
+        # A whole 4,096-point chunk at side alpha/20 extends ~7M
+        # candidates along its second axis: the chunk's survival
+        # exponents decline, but the 192-point adjacency blocks fit and
+        # still serve adj_hashes.
+        config = SamplerConfig.create(1.0, 2, seed=43, grid_side=0.05)
+        rng = random.Random(43)
+        points = [
+            (rng.uniform(-300, 300), rng.uniform(-300, 300))
+            for _ in range(4096)
+        ]
+        geom = compute_chunk_geometry(config, points)
+        assert geom.survival_exponents() is None
+        for index, point in enumerate(points[:40]):
             assert geom.adj_hashes(index) == config.adj_hashes(
                 point, cell=config.grid.cell_of(point)
             )
+        assert geom._adj_table is not None  # a block served
 
-    @pytest.mark.parametrize("dim", [1, 2, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 4, 5, 8])
     def test_eager_table_matches_scalar_adjacency(self, dim):
         config = SamplerConfig.create(1.0, dim, seed=41 + dim)
         points = boundary_points(config.grid, 200, seed=41 + dim)
@@ -374,7 +437,7 @@ class TestAdjacencyKernel:
         assert geom._adj_table is not None  # the eager path actually ran
 
     @pytest.mark.parametrize("kwise", [None, 20])
-    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
     def test_block_survival_exponents_match_records(self, dim, kwise):
         config = SamplerConfig.create(1.0, dim, seed=61 + dim, kwise=kwise)
         points = boundary_points(config.grid, 200, seed=61 + dim)
@@ -407,202 +470,31 @@ class TestAdjacencyKernel:
         ]
 
 
-class TestHighDimProbe:
-    @pytest.mark.parametrize("dim", [3, 5, 8])
-    @pytest.mark.parametrize("mask", [3, 63, 4095])
-    def test_ignorable_implies_no_sampled_adjacent_cell(self, dim, mask):
-        config = SamplerConfig.create(1.0, dim, seed=dim * 100 + 7)
-        grid = config.grid
-        rng = random.Random(dim)
-        points = []
-        for _ in range(300):
-            vector = [rng.uniform(-40, 40) for _ in range(dim)]
-            if rng.random() < 0.5:  # park near a cell face
-                axis = rng.randrange(dim)
-                vector[axis] = (
-                    grid.offset[axis]
-                    + rng.randrange(-5, 5) * grid.side
-                    + rng.choice([0.0, 1e-9, 0.5, 0.999, grid.side - 1e-9])
-                )
-            points.append(tuple(vector))
-        geom = compute_chunk_geometry(config, points)
-        ignorable = geom.high_dim_ignorable(mask)
-        assert ignorable is not None
-        assert any(ignorable)  # the probe actually prunes something
-        for index, point in enumerate(points):
-            if not ignorable[index]:
-                continue
-            cell = grid.cell_of(point)
-            for neighbour in collect_adjacent(
-                grid, point, config.alpha, base_cell=cell
-            ):
-                if neighbour != cell:
-                    assert config.cell_hash(neighbour) & mask != 0
-
-    def test_probe_disabled_when_cells_not_larger_than_alpha(self):
-        # dim 2 default side is alpha/sqrt(2) < alpha: premise broken.
-        config = SamplerConfig.create(1.0, 2, seed=3)
-        geom = compute_chunk_geometry(
-            config, boundary_points(config.grid, 40, seed=3)
-        )
-        assert geom.high_dim_ignorable(7) is None
-
-    def test_probe_verdicts_survive_rate_doubling(self):
-        # Nesting: ignorable at mask R-1 must stay ignorable at 2R-1.
-        config = SamplerConfig.create(1.0, 3, seed=5)
-        points = boundary_points(config.grid, 300, seed=5)
-        geom = compute_chunk_geometry(config, points)
-        coarse = geom.high_dim_ignorable(7)
-        fine = compute_chunk_geometry(config, points).high_dim_ignorable(15)
-        for at_coarse, at_fine in zip(coarse, fine):
-            if at_coarse:
-                assert at_fine
-
-    @staticmethod
-    def _corner_parked_points(config, count, seed):
-        """1-ulp adversaries parked at cell corners: every axis sits on
-        (or one ulp off) a lattice line, so the diagonal neighbourhood
-        is feasible on purpose."""
-        grid = config.grid
-        rng = random.Random(seed)
-        points = []
-        for _ in range(count):
-            vector = []
-            for axis in range(grid.dim):
-                value = (
-                    grid.offset[axis] + rng.randrange(-6, 6) * grid.side
-                )
-                nudge = rng.randrange(3)
-                if nudge == 1:
-                    value = math.nextafter(value, math.inf)
-                elif nudge == 2:
-                    value = math.nextafter(value, -math.inf)
-                vector.append(value)
-            points.append(tuple(vector))
-        return points
-
-    @pytest.mark.parametrize("dim", [3, 4, 5])
-    @pytest.mark.parametrize("mask", [63, 1023])
-    def test_diagonal_hashing_stays_sound_at_corners(self, dim, mask):
-        # Corner-parked points have feasible diagonals by construction;
-        # the probe now hashes them instead of giving up, and every
-        # True verdict must still be backed by the scalar adjacency.
-        config = SamplerConfig.create(1.0, dim, seed=dim * 37 + 1)
-        grid = config.grid
-        points = self._corner_parked_points(config, 200, seed=dim)
-        geom = compute_chunk_geometry(config, points)
-        ignorable = geom.high_dim_ignorable(mask)
-        assert ignorable is not None
-        for index, point in enumerate(points):
-            if not ignorable[index]:
-                continue
-            cell = grid.cell_of(point)
-            for neighbour in collect_adjacent(
-                grid, point, config.alpha, base_cell=cell
-            ):
-                if neighbour != cell:
-                    assert config.cell_hash(neighbour) & mask != 0
-
-    def test_diagonal_hashing_prunes_corner_points(self):
-        # The payoff over the old conservative give-up: at a sparse
-        # mask some corner-parked points (feasible diagonals, none of
-        # them sampled) must now come back ignorable - the old probe
-        # marked every such point not-ignorable unconditionally.
-        config = SamplerConfig.create(1.0, 4, seed=11)
-        points = self._corner_parked_points(config, 300, seed=29)
-        geom = compute_chunk_geometry(config, points)
-        fracs = geom.fracs
-        budget = config.alpha * config.alpha * (1.0 + 1e-9)
-        minus = fracs * fracs
-        rem = config.grid.side - fracs
-        plus = rem * rem
-        axis_min = np.minimum(
-            np.where(minus <= budget, minus, np.inf),
-            np.where(plus <= budget, plus, np.inf),
-        )
-        two_cheapest = np.partition(axis_min, 1, axis=1)[:, :2]
-        feasible_diagonal = two_cheapest.sum(axis=1) <= budget
-        assert feasible_diagonal.any()  # adversaries did their job
-        ignorable = np.array(geom.high_dim_ignorable(2047), dtype=bool)
-        assert (ignorable & feasible_diagonal).any()
-
-    def test_diagonal_cell_cap_falls_back_conservatively(self, monkeypatch):
-        # A cap of zero forces every feasible-diagonal point onto the
-        # old conservative verdict; soundness must be unaffected (the
-        # point just goes to the exact path).
-        monkeypatch.setattr(kernels, "_DIAGONAL_CELL_CAP", 0)
-        config = SamplerConfig.create(1.0, 3, seed=13)
-        points = self._corner_parked_points(config, 120, seed=13)
-        capped = compute_chunk_geometry(config, points).high_dim_ignorable(
-            63
-        )
-        monkeypatch.undo()
-        full = compute_chunk_geometry(config, points).high_dim_ignorable(63)
-        # Capped verdicts are a subset of the full ones: the cap can
-        # only demote True -> False, never invent a True.
-        for with_cap, without in zip(capped, full):
-            if with_cap:
-                assert without
-
-    def test_feasible_diagonal_cells_enumeration(self):
-        # Direct unit check of the DFS: a point at the exact corner of
-        # its cell (zero cost to every lower face) reaches all lower
-        # diagonals and nothing else at a tiny budget.
-        cells = kernels._feasible_diagonal_cells(
-            [5, -3], [0.0, 0.0], [4.0, 4.0], 1.0
-        )
-        assert cells == [[4, -4]]
-        # Budget admitting +1 on axis 0 too (cost 0.5 each way).
-        cells = kernels._feasible_diagonal_cells(
-            [0, 0], [0.5, 0.5], [0.5, 0.5], 1.0
-        )
-        assert sorted(map(tuple, cells)) == [
-            (-1, -1),
-            (-1, 1),
-            (1, -1),
-            (1, 1),
-        ]
-
-
-class TestLowDimProbe:
-    @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("mask", [3, 63, 4095])
-    def test_exactly_matches_scalar_adjacency_oracle(self, dim, mask):
-        # The probe is exact, not conservative: verdicts must equal the
-        # scalar adjacency sweep in both directions, ulp adversaries
+class TestSurvivalExponents:
+    @pytest.mark.parametrize("kwise", [None, 20])
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_verdict_matches_scalar_adjacency_oracle(self, dim, kwise):
+        # Exact in both directions at every rate: exponent >= k iff some
+        # cell of adj(p) is sampled at rate 2^k, ulp adversaries
         # included.
-        config = SamplerConfig.create(1.0, dim, seed=dim * 53 + 3)
+        config = SamplerConfig.create(1.0, dim, seed=dim * 53 + 3, kwise=kwise)
         grid = config.grid
-        points = boundary_points(grid, 400, seed=dim * 7 + mask)
-        geom = compute_chunk_geometry(config, points)
-        verdicts = geom.low_dim_ignorable(mask)
-        assert verdicts is not None
-        for point, verdict in zip(points, verdicts):
-            cell = grid.cell_of(point)
-            oracle = all(
-                config.cell_hash(neighbour) & mask != 0
-                for neighbour in collect_adjacent(
-                    grid, point, config.alpha, base_cell=cell
+        points = face_points(grid, 300, seed=dim * 7)
+        exponents = compute_chunk_geometry(config, points).survival_exponents()
+        assert exponents is not None
+        verdicts = set()
+        for mask in (1, 7, 63, 4095):
+            rate_exponent = mask.bit_length()
+            for point, exponent in zip(points, exponents):
+                oracle = any(
+                    value & mask == 0
+                    for value in config.adj_hashes(
+                        point, cell=grid.cell_of(point)
+                    )
                 )
-            )
-            assert verdict == oracle
-
-    def test_verdicts_survive_rate_doubling(self):
-        config = SamplerConfig.create(1.0, 2, seed=19)
-        points = boundary_points(config.grid, 300, seed=19)
-        coarse = compute_chunk_geometry(config, points).low_dim_ignorable(7)
-        fine = compute_chunk_geometry(config, points).low_dim_ignorable(15)
-        for at_coarse, at_fine in zip(coarse, fine):
-            if at_coarse:
-                assert at_fine
-
-    def test_unservable_dimension_returns_none(self):
-        # Above the vectorised adjacency limit the probe declines and
-        # callers run the exact founding path.
-        config = SamplerConfig.create(1.0, kernels.MAX_ADJACENCY_DIM + 1, seed=2)
-        points = boundary_points(config.grid, 40, seed=2)
-        geom = compute_chunk_geometry(config, points)
-        assert geom.low_dim_ignorable(7) is None
+                assert (exponent >= rate_exponent) == oracle, (mask, point)
+                verdicts.add(oracle)
+        assert verdicts == {True, False}
 
 
 class TestMaterializeChunk:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import collections
+import math
 import random
 
 import pytest
 
 from repro.datasets.synthetic import sparse_high_dim
+from repro.engine.equivalence import state_fingerprint
 from repro.errors import ParameterError
 from repro.geometry.distance import distance
 from repro.highdim.jl import JohnsonLindenstrauss, jl_dimension
@@ -117,6 +119,37 @@ class TestHighDimSamplerIW:
             sampler.insert(p)
         # Samples live in the projected space.
         assert sampler.sample(random.Random(0)).dim == 8
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 64, 10_000])
+    def test_jl_batch_matches_per_point(self, batch_size):
+        # extend/process_many project the chunk through the routine
+        # insert uses; chunks below the vector threshold (1, 3) go
+        # through the parent's own insert, never projected twice.
+        points, _, alpha = self._stream(20, 40, seed=9)
+        raw = [p.vector if p.index % 2 else p for p in points]
+        per = HighDimSamplerIW(alpha, 20, seed=4, project_to=8)
+        for point in raw:
+            per.insert(point)
+        bat = HighDimSamplerIW(alpha, 20, seed=4, project_to=8)
+        assert bat.extend(raw, batch_size=batch_size) == len(raw)
+        assert state_fingerprint(bat) == state_fingerprint(per)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [["x"] + [0.0] * 19, [math.nan] * 20, [0.0] * 8, [0.0] * 19],
+        ids=["non-number", "nan", "projected-dim", "short"],
+    )
+    def test_jl_hostile_row_rejected_before_mutation(self, bad):
+        points, _, alpha = self._stream(20, 12, seed=10)
+        sampler = HighDimSamplerIW(alpha, 20, seed=4, project_to=8)
+        sampler.extend(points[:20])
+        before = state_fingerprint(sampler)
+        with pytest.raises(ParameterError):
+            sampler.insert(bad)
+        chunk = [p.vector for p in points[20:26]]
+        with pytest.raises(ParameterError, match="point 3"):
+            sampler.process_many(chunk[:3] + [bad] + chunk[3:])
+        assert state_fingerprint(sampler) == before
 
     def test_jl_target_must_reduce(self):
         with pytest.raises(ParameterError):
