@@ -21,16 +21,16 @@ Every remote run is fingerprint-checked against the serial pipeline
 worker threads share the submitter's GIL, so the bench records the
 overhead trajectory instead of demanding a speedup the topology cannot
 deliver.  Results merge into the ``"remote"`` section of
-``BENCH_pipeline.json`` (the rest of the record belongs to
-``bench_throughput.py``, which rewrites the file wholesale - rerun
-this bench after it to refresh the remote section).
+``BENCH_pipeline.json`` through ``bench_throughput.write_record``, the
+one section-merging writer of the bench records (the rest of the
+record belongs to ``bench_throughput.py``, whose runs keep this
+section).
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
 import random
 import sys
 import tempfile
@@ -39,6 +39,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from bench_throughput import write_record  # noqa: E402
 from repro.api.specs import PipelineSpec  # noqa: E402
 from repro.engine import BatchPipeline, state_fingerprint  # noqa: E402
 
@@ -191,12 +192,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     print("state equivalence: OK (remote == serial fingerprints)")
 
-    out = Path(args.json_out)
-    try:
-        record = json.loads(out.read_text()) if out.is_file() else {}
-    except (OSError, ValueError):
-        record = {}
-    record["remote"] = {
+    remote = {
         "mode": "smoke" if args.smoke else "full",
         "points": len(points),
         "batch_size": args.batch_size,
@@ -206,11 +202,7 @@ def main(argv: list[str] | None = None) -> int:
         "serial_pts_per_sec": round(serial_rate),
         "backends": results,
     }
-    try:
-        out.write_text(json.dumps(record, indent=2) + "\n")
-        print(f"remote perf record merged into {out}")
-    except OSError as error:  # read-only checkouts shouldn't fail the run
-        print(f"note: could not write {out}: {error}")
+    write_record(Path(args.json_out), {"remote": remote})
     return 0
 
 

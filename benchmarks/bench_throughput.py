@@ -55,12 +55,13 @@ Every timed region - per-point and batch, in every section - starts
 from a collected and frozen heap (:func:`settle_heap`), so no GC pass
 left over from an earlier section lands inside a ~15 ms smoke timing.
 
-Every run overwrites ``BENCH_sliding.json`` (sliding measurements),
-``BENCH_pipeline.json`` (pipeline executor scaling; sections other
-scripts merged in, such as ``bench_remote.py``'s ``"remote"``, are
-kept) and ``BENCH_geometry.json`` (the dim-3 geometry section) at the
-repo root; the files are committed, so the cross-PR trajectory is
-their git history (CI also uploads the freshly measured records as
+Every run merges its sections into ``BENCH_sliding.json`` (sliding
+measurements), ``BENCH_pipeline.json`` (pipeline executor scaling) and
+``BENCH_geometry.json`` (the dim-3 geometry section) at the repo root
+through one writer (:func:`write_record`), which keeps the sections a
+run does not write - ``bench_remote.py``'s ``"remote"`` among them.
+The files are committed, so the cross-PR trajectory is their git
+history (CI also uploads the freshly measured records as
 artifacts, including on gate failures).
 
 Not collected by pytest (``bench_`` prefix); run directly::
@@ -225,19 +226,28 @@ def _transport_record(stats) -> dict | None:
     }
 
 
-def write_pipeline_record(path: Path, record: dict) -> None:
-    """Write ``record`` to ``path``, keeping the sections it lacks.
+def write_record(path: Path, record: dict) -> None:
+    """Merge ``record``'s top-level sections into the JSON file ``path``.
 
-    Other scripts merge their own sections into the same file
-    (``bench_remote.py`` writes ``"remote"``); rewriting it whole would
-    erase them.  An unreadable existing file is replaced.
+    The one writer of every bench record: the sections ``record`` lacks
+    are kept - other scripts merge their own into the same file
+    (``bench_remote.py`` writes ``"remote"`` into
+    ``BENCH_pipeline.json``), and rewriting it whole would erase them.
+    An unreadable existing file is replaced; a file that cannot be
+    written (a read-only checkout) only prints a note, so recording
+    never fails a run.
     """
     try:
         merged = json.loads(path.read_text())
     except (OSError, ValueError):
         merged = {}
     merged.update(record)
-    path.write_text(json.dumps(merged, indent=2) + "\n")
+    try:
+        path.write_text(json.dumps(merged, indent=2) + "\n")
+    except OSError as error:
+        print(f"note: could not write {path}: {error}")
+        return
+    print(f"perf record merged into {path}")
 
 
 def bench_pipeline_scaling(
@@ -668,23 +678,9 @@ def main(argv: list[str] | None = None) -> int:
             )
 
     print("state equivalence: OK (batch == per-point fingerprints)")
-    try:
-        Path(args.json_out).write_text(json.dumps(record, indent=2) + "\n")
-        print(f"sliding perf record written to {args.json_out}")
-    except OSError as error:  # read-only checkouts shouldn't fail the run
-        print(f"note: could not write {args.json_out}: {error}")
-    try:
-        write_pipeline_record(Path(args.pipeline_json_out), pipeline_record)
-        print(f"pipeline perf record written to {args.pipeline_json_out}")
-    except OSError as error:  # read-only checkouts shouldn't fail the run
-        print(f"note: could not write {args.pipeline_json_out}: {error}")
-    try:
-        Path(args.geometry_json_out).write_text(
-            json.dumps(geometry_record, indent=2) + "\n"
-        )
-        print(f"geometry perf record written to {args.geometry_json_out}")
-    except OSError as error:  # read-only checkouts shouldn't fail the run
-        print(f"note: could not write {args.geometry_json_out}: {error}")
+    write_record(Path(args.json_out), record)
+    write_record(Path(args.pipeline_json_out), pipeline_record)
+    write_record(Path(args.geometry_json_out), geometry_record)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

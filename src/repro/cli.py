@@ -86,6 +86,7 @@ from repro.api import (
 from repro.backends import BACKEND_NAMES
 from repro.core.base import DEFAULT_BATCH_SIZE
 from repro.engine.executors import EXECUTOR_NAMES
+from repro.engine.remote_worker import add_worker_arguments, run_worker
 from repro.engine.resumable import DEFAULT_CHECKPOINT_EVERY
 from repro.errors import CheckpointError, ReproError
 from repro.persist import dump_summary, load_summary
@@ -286,42 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         "backend CAS, fold their chunks, commit states through the CAS "
         "fence (runs on any machine sharing the backend)",
     )
-    worker.add_argument(
-        "--backend", choices=["file", "redis"], required=True,
-        help="shared backend flavour the submitting pipeline uses "
-        "(memory is in-process only and has no worker command)",
-    )
-    worker.add_argument(
-        "--backend-path", default=None,
-        help="directory of the file backend (with --backend file)",
-    )
-    worker.add_argument(
-        "--backend-url", default=None,
-        help="redis URL of the redis backend (with --backend redis)",
-    )
-    worker.add_argument(
-        "--queue-key", default="remote-queue",
-        help="work-queue namespace to serve (default remote-queue; "
-        "must match the pipeline's --queue-key)",
-    )
-    worker.add_argument(
-        "--worker-id", default=None,
-        help="lease identity (default: <hostname>-<pid>)",
-    )
-    worker.add_argument(
-        "--lease-ttl", type=float, default=5.0,
-        help="seconds without a heartbeat before this worker's shards "
-        "are stolen (default 5; match the pipeline's --lease-ttl)",
-    )
-    worker.add_argument(
-        "--poll-interval", type=float, default=0.05,
-        help="idle polling period in seconds (default 0.05)",
-    )
-    worker.add_argument(
-        "--max-idle", type=float, default=None,
-        help="exit after this many idle seconds (default: serve "
-        "forever, across successive pipeline runs)",
-    )
+    add_worker_arguments(worker)
 
     serve = commands.add_parser(
         "serve",
@@ -557,7 +523,6 @@ def _run_worker(args, out: TextIO) -> None:
     prints the worker's counters as JSON on exit.
     """
     from repro.backends import make_backend
-    from repro.engine.remote_worker import run_worker
 
     backend = make_backend(
         args.backend, path=args.backend_path, url=args.backend_url

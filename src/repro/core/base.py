@@ -35,6 +35,8 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.errors import DimensionMismatchError, ParameterError
 from repro.geometry.adjacency import collect_adjacent
 from repro.geometry.distance import within_distance
@@ -68,22 +70,41 @@ DEFAULT_BATCH_SIZE = 1024
 _CELL_MEMO_LIMIT = 1 << 20
 
 
+def is_numeric_array(chunk) -> bool:
+    """Whether ``chunk`` is a 2-d numpy array of a numeric dtype, whose
+    float64 cast is element-wise identical to ``float(x)``."""
+    return (
+        isinstance(chunk, np.ndarray)
+        and chunk.ndim == 2
+        and chunk.dtype.kind in "fiub"
+    )
+
+
 def chunked(items, size: int):
-    """Slice any iterable into consecutive lists of at most ``size`` items.
+    """Slice any iterable into consecutive chunks of at most ``size`` items.
 
     Order-preserving; the final chunk may be shorter (the "uneven tail").
-    Works on one-shot iterators, so it can sit directly on a file reader
-    or a socket without materialising the stream.  Re-exported as
-    :func:`repro.engine.batching.chunked` (this is the leaf definition -
-    the engine package imports the core, not vice versa).
+    A numeric ``(n, dim)`` array is sliced into row blocks (views), so
+    its chunks keep the array form and skip per-row coercion; anything
+    else yields lists.  Works on one-shot iterators, so it can sit
+    directly on a file reader or a socket without materialising the
+    stream.  Re-exported as :func:`repro.engine.batching.chunked` (this
+    is the leaf definition - the engine package imports the core, not
+    vice versa).
 
     >>> list(chunked(range(7), 3))
     [[0, 1, 2], [3, 4, 5], [6]]
     >>> list(chunked([], 3))
     []
+    >>> [block.shape for block in chunked(np.zeros((5, 2)), 2)]
+    [(2, 2), (2, 2), (1, 2)]
     """
     if size < 1:
         raise ParameterError(f"chunk size must be >= 1, got {size}")
+    if is_numeric_array(items):
+        for start in range(0, len(items), size):
+            yield items[start : start + size]
+        return
     iterator = iter(items)
     while True:
         chunk = list(islice(iterator, size))

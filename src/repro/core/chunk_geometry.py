@@ -1,55 +1,68 @@
-"""Per-chunk vectorised geometry: the precompute object of the batch paths.
+"""The validated chunk: the one value batch ingestion hands around.
 
-A :class:`ChunkGeometry` is built **once per chunk** and carries, for
-every point of the chunk, the geometry the samplers' ``process_many``
-overrides would otherwise recompute point by point in Python:
+:func:`chunk_geometry_for` is the ingestion boundary.  It validates a
+chunk - a list or tuple of coordinate rows and
+:class:`~repro.streams.point.StreamPoint` objects, or a numeric
+``(n, dim)`` numpy array - exactly once, before anything mutates: float
+coercion, dimension, and a cell the int64 path can carry.  One
+:class:`~repro.errors.ParameterError` names an offending position, so a
+batch is ingested whole or not at all.  The result is a
+:class:`ChunkGeometry`, which owns the chunk's float64 array (and its
+items when one is a StreamPoint, whose arrival metadata the array
+cannot carry).
 
-* the grid cell (as the usual int tuple, ready for dict keys),
-* the cell's base-hash value (cell ids and hashes in one vectorised
-  pass),
-* lazily, the fractional in-cell positions, the per-point survival
-  exponents of ``adj(p)`` (:meth:`ChunkGeometry.survival_exponents`,
-  the infinite-window ignore test) and the per-point ``adj(p)`` hash
-  tuples (:meth:`ChunkGeometry.adj_hashes`, which switches itself from
-  the scalar DFS to the vectorised enumeration when a chunk turns out
-  to be founding-heavy).
+Every consumer takes that one object: a sampler's ``process_many``
+accepts it as its chunk, the pipeline's serial executor hands it to
+the owning shard, the process executor ships ``geometry.array`` through
+shared memory and the remote executor encodes it.  Worker processes
+rebuild it from the array they receive - a ``ChunkGeometry`` is a pure
+function of the chunk's coordinates and the shared
+:class:`~repro.core.base.SamplerConfig`, and carries **no sampler
+state** - so they validate it again before touching their replicas.
 
-Everything a ``ChunkGeometry`` serves is a pure function of the chunk's
-coordinates and the shared :class:`~repro.core.base.SamplerConfig` - it
-carries **no sampler state** - so it can be computed ahead of ingestion,
-shared by the pipeline with whichever shard the chunk is dealt to
-(:func:`repro.engine.batching.chunk_geometry_for`), or rebuilt
-deterministically inside a worker process.  The values are bit-identical
-to the scalar computations of ``insert`` (enforced by
+Beside the validated array a geometry serves, for every point of the
+chunk, what the samplers' ``process_many`` overrides would otherwise
+recompute point by point in Python, each computed lazily on first use:
+
+* the coerced float tuples (:attr:`ChunkGeometry.vectors` - recovered
+  from the array in one pass when the chunk was an array),
+* the cell's base-hash value (:attr:`ChunkGeometry.cell_hashes`, cell
+  ids and hashes in one vectorised pass) and the grid cell as the usual
+  int tuple (:meth:`ChunkGeometry.cell_at`, foundings only),
+* the fractional in-cell positions, the per-point survival exponents
+  of ``adj(p)`` (:meth:`ChunkGeometry.survival_exponents`, the
+  infinite-window ignore test) and the per-point ``adj(p)`` hash tuples
+  (:meth:`ChunkGeometry.adj_hashes`, which switches itself from the
+  scalar DFS to the vectorised enumeration when a chunk turns out to be
+  founding-heavy).
+
+A transport that only ships the array therefore pays for the
+validation alone.  The values are bit-identical to the scalar
+computations of ``insert`` (enforced by
 ``tests/test_geometry_kernels.py``), so batch ingestion through a
 ``ChunkGeometry`` remains ``state_fingerprint``-equivalent to per-point
 ingestion.
 
-This module is also the ingestion boundary (:func:`validate_chunk`,
-:func:`prepare_chunk`): a whole chunk is checked before anything
-mutates - float coercion, dimension, window order and a cell the int64
-path can carry - and one :class:`~repro.errors.ParameterError` names
-an offending position.  A batch is ingested whole or not at all.
-
 Every batched ``process_many`` has exactly one ingestion path per point:
-:func:`prepare_chunk` validates the chunk and supplies its geometry, and
-the loop runs over the whole chunk; a chunk below
-:data:`MIN_VECTOR_CHUNK` gets no geometry and goes through the sampler's
-own ``insert``, one point at a time.  ``insert`` is the oracle the batch
+:func:`prepare_chunk` validates the chunk (window order included) and
+supplies its geometry, and the loop runs over the whole chunk; a chunk
+below :data:`MIN_VECTOR_CHUNK` goes through the sampler's own
+``insert``, one point at a time.  ``insert`` is the oracle the batch
 paths are checked against, so no loop carries a second, inlined scalar
-cell/hash computation.
+cell/hash computation.  :func:`validate_chunk` is the same check
+against a bare :class:`~repro.geometry.grid.Grid`, for callers that
+build no geometry.
 
-This is the leaf home of the engine-facing
-:func:`repro.engine.batching.compute_chunk_geometry` (the core package
-cannot import the engine without a cycle, exactly like
-:func:`~repro.core.base.chunked`).
+This is the leaf home of :func:`repro.engine.batching.chunk_geometry_for`
+(the core package cannot import the engine without a cycle, exactly
+like :func:`~repro.core.base.chunked`).
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -58,16 +71,17 @@ from repro.core.base import (
     check_vector,
     coerce_point,
     invalid_point,
+    is_numeric_array,
 )
-from repro.errors import DimensionMismatchError
+from repro.errors import DimensionMismatchError, ParameterError
 from repro.geometry import kernels
 from repro.geometry.grid import Cell, Grid
 from repro.streams.point import StreamPoint
 from repro.streams.windows import WindowSpec
 
-#: Chunks smaller than this get no geometry and are ingested point by
-#: point through ``insert``: the fixed cost of array construction would
-#: exceed what vectorisation saves.
+#: Chunks smaller than this are ingested point by point through
+#: ``insert``: the fixed cost of the vectorised passes would exceed what
+#: they save.
 MIN_VECTOR_CHUNK = 4
 
 #: Adaptive adjacency vectorisation: after this many scalar adjacency
@@ -98,33 +112,31 @@ def _hash_cells(config: SamplerConfig, coords: "np.ndarray") -> "np.ndarray":
 
 
 class ChunkGeometry:
-    """Vectorised per-chunk geometry (see the module docstring).
+    """A validated chunk and its lazy per-point geometry (module docstring).
 
-    Instances are created by :func:`compute_chunk_geometry`;
+    Built by :func:`chunk_geometry_for`; the constructor is the cell
+    check, so a geometry always covers its whole chunk (``n`` points).
+    ``array`` is the chunk's own ``(n, dim)`` float64 array - a caller
+    may reuse its buffer after the build.  ``items`` is the chunk as a
+    list when one of them is a :class:`~repro.streams.point.StreamPoint`
+    (their arrival metadata), else ``None``: coordinate rows live in
+    ``array`` alone.  ``len()`` and iteration follow the chunk - the
+    items, or the coerced tuples - so a geometry is itself a chunk any
+    ``process_many`` accepts.
+
     ``cell_hashes`` is a plain Python list aligned with the chunk's
-    points (the hot loops index it directly), cell *tuples* are built
-    lazily per point (:meth:`cell_at` - only candidate foundings ever
-    need them), and the arrays behind the other lazy products are kept
-    private.  A geometry always covers its whole chunk (``n`` points):
-    the builders validate every cell first and raise rather than build a
-    partial one.
-
-    ``source_vectors``/``pure_coords`` carry the chunk's *coercion*
-    result when the builder performed one: ``source_vectors`` is the
-    chunk's coerced float tuples and ``pure_coords`` is ``True`` only when
-    every source element was a raw coordinate row (no
-    :class:`~repro.streams.point.StreamPoint`, whose arrival metadata a
-    reuse would lose).  :func:`materialize_chunk` uses the pair to skip
-    re-coercing a chunk the geometry builder already coerced.
+    points (the hot loops index it directly); cell *tuples* are built
+    per point (:meth:`cell_at` - only candidate foundings need them),
+    and the arrays behind the other lazy products are kept private.
     """
 
     __slots__ = (
         "config",
         "n",
-        "cell_hashes",
-        "source_vectors",
-        "pure_coords",
+        "array",
+        "items",
         "_vectors",
+        "_cell_hashes",
         "_shifted",
         "_cells_f",
         "_coords",
@@ -141,24 +153,20 @@ class ChunkGeometry:
     def __init__(
         self,
         config: SamplerConfig,
-        vectors: Sequence[tuple[float, ...]],
-        shifted: "np.ndarray",
-        cells_f: "np.ndarray",
-        coords: "np.ndarray",
-        cell_hashes: list[int],
+        array: "np.ndarray",
         *,
-        source_vectors: list[tuple[float, ...]] | None = None,
-        pure_coords: bool = False,
+        items: list | None = None,
+        vectors: list[tuple[float, ...]] | None = None,
     ) -> None:
+        _check_shape(array, config.dim)
+        self._shifted, self._cells_f = _valid_cells(config.grid, array)
         self.config = config
-        self.n = len(cell_hashes)
-        self.cell_hashes = cell_hashes
-        self.source_vectors = source_vectors
-        self.pure_coords = pure_coords
+        self.n = len(array)
+        self.array = array
+        self.items = items
         self._vectors = vectors
-        self._shifted = shifted
-        self._cells_f = cells_f
-        self._coords = coords
+        self._cell_hashes: list[int] | None = None
+        self._coords = self._cells_f.astype(np.int64)
         self._coords_list: list[list[int]] | None = None
         self._fracs = None
         self._adj_table: list[tuple[int, ...]] | None = None
@@ -168,29 +176,63 @@ class ChunkGeometry:
         self._adj_window_start = 0
         self._adj_failed = False
 
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self) -> Iterator:
+        return iter(self.items if self.items is not None else self.vectors)
+
+    def valid_for(self, config: SamplerConfig, chunk) -> bool:
+        """Whether this precompute may serve ``chunk`` under ``config``.
+
+        Guards the ``process_many(..., geometry=...)`` surface against a
+        caller handing a geometry built for a *different* chunk (a stale
+        variable, a retry loop refilling the previous buffer): the
+        config must be the same object and the chunk must validate to
+        the same float64 bits and StreamPoint arrivals.  Rejection is
+        safe - the consumer builds the chunk's own geometry, which
+        raises for an invalid chunk.
+        """
+        if config is not self.config:
+            return False
+        if not isinstance(chunk, ChunkGeometry):
+            try:
+                chunk = chunk_geometry_for(config, chunk)
+            except ParameterError:
+                return False
+        return chunk is self or (
+            chunk.array.shape == self.array.shape
+            and chunk.array.tobytes() == self.array.tobytes()
+            and _arrivals(chunk.items) == _arrivals(self.items)
+        )
+
     # ------------------------------------------------------------------ #
     # lazy products
     # ------------------------------------------------------------------ #
 
-    def valid_for(
-        self, config: SamplerConfig, vectors: Sequence[tuple[float, ...]]
-    ) -> bool:
-        """Whether this precompute may serve the given materialised chunk.
+    @property
+    def vectors(self) -> list[tuple[float, ...]]:
+        """Each point's float tuple (a StreamPoint's own vector).
 
-        Guards the ``process_many(..., geometry=...)`` surface against a
-        caller handing a geometry built for a *different* chunk (a stale
-        variable, a retry loop reusing the previous precompute): the
-        config must be the same object and the chunk must be this
-        geometry's own coerced tuples (the pipeline and worker path,
-        see ``BatchPipeline.submit``) or equal them point for point.
-        Rejection is safe - the consumer recomputes, which validates.
-        (A NaN coordinate never equals itself, so it forces a
-        recompute.)
+        Recovered from the array when the chunk was one: per-column
+        ``tolist`` then one ``zip`` builds every row tuple at C speed,
+        value-identical to per-point ``tuple(float(x) for x in row)``
+        (float64 round-trips exactly).
         """
-        if config is not self.config or self.n != len(vectors):
-            return False
-        own = self._vectors
-        return vectors is own or list(vectors) == list(own)
+        vectors = self._vectors
+        if vectors is None:
+            vectors = list(zip(*self.array.T.tolist()))
+            self._vectors = vectors
+        return vectors
+
+    @property
+    def cell_hashes(self) -> list[int]:
+        """Per-point base-hash values of the points' cells."""
+        hashes = self._cell_hashes
+        if hashes is None:
+            hashes = _hash_cells(self.config, self._coords).tolist()
+            self._cell_hashes = hashes
+        return hashes
 
     def cell_at(self, index: int) -> Cell:
         """Cell tuple of point ``index`` (lazy - foundings only)."""
@@ -210,6 +252,21 @@ class ChunkGeometry:
             )
             self._fracs = fracs
         return fracs
+
+    def stream_points(self, next_index: int) -> list[StreamPoint]:
+        """The chunk as StreamPoints, raw rows numbered from
+        ``next_index`` (a StreamPoint item is kept as it is)."""
+        vectors = self.vectors
+        items = self.items
+        if items is None:
+            return [
+                StreamPoint(vector, index)
+                for index, vector in enumerate(vectors, next_index)
+            ]
+        return [
+            item if isinstance(item, StreamPoint) else StreamPoint(vector, index)
+            for index, (item, vector) in enumerate(zip(items, vectors), next_index)
+        ]
 
     def survival_exponents(self) -> list[int] | None:
         """Per-point survival exponents of the chunk's ``adj(p)`` hashes.
@@ -290,7 +347,7 @@ class ChunkGeometry:
 
     def _scalar_adj(self, index: int) -> tuple[int, ...]:
         return self.config.adj_hashes(
-            self._vectors[index], cell=self.cell_at(index)
+            self.vectors[index], cell=self.cell_at(index)
         )
 
     def _precompute_adjacency(self, start: int, block: int) -> bool:
@@ -321,6 +378,16 @@ class ChunkGeometry:
         self._adj_requests = 0
         self._adj_window_start = stop
         return True
+
+
+def _arrivals(items: list | None) -> list | None:
+    """The arrival metadata of a chunk's StreamPoint items."""
+    if items is None:
+        return None
+    return [
+        (item.index, item.time) if isinstance(item, StreamPoint) else None
+        for item in items
+    ]
 
 
 def _check_vectors(grid: Grid, vectors: Sequence[tuple[float, ...]]) -> None:
@@ -362,66 +429,10 @@ def _chunk_array(grid: Grid, vectors: Sequence[tuple[float, ...]]) -> "np.ndarra
         return np.fromiter(
             chain.from_iterable(vectors), np.float64, count=total * dim
         ).reshape(total, dim)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         # A StreamPoint built around non-numeric values: name it.
         _check_vectors(grid, vectors)
         raise
-
-
-def _geometry_from_array(
-    config: SamplerConfig,
-    vectors: Sequence[tuple[float, ...]],
-    array: "np.ndarray",
-    *,
-    source_vectors: list[tuple[float, ...]] | None = None,
-    pure_coords: bool = False,
-) -> ChunkGeometry:
-    """Builder core over a prebuilt ``(total, dim)`` float array; checks
-    every cell (:func:`_valid_cells`) before building anything."""
-    shifted, cells_f = _valid_cells(config.grid, array)
-    coords = cells_f.astype(np.int64)
-    return ChunkGeometry(
-        config,
-        vectors,
-        shifted,
-        cells_f,
-        coords,
-        _hash_cells(config, coords).tolist(),
-        source_vectors=source_vectors,
-        pure_coords=pure_coords,
-    )
-
-
-def compute_chunk_geometry(
-    config: SamplerConfig,
-    vectors: Sequence[tuple[float, ...]],
-    *,
-    source_vectors: list[tuple[float, ...]] | None = None,
-    pure_coords: bool = False,
-) -> ChunkGeometry | None:
-    """Check the chunk's cells and build its :class:`ChunkGeometry`.
-
-    ``vectors`` must all have the config's dimension (the materialising
-    callers guarantee it).  Raises :class:`~repro.errors.ParameterError`
-    for the first point without a carriable cell.  A chunk below
-    :data:`MIN_VECTOR_CHUNK` is checked point by point and gets no
-    geometry (``None``): the array setup would cost more than it saves.
-
-    ``source_vectors``/``pure_coords`` are recorded on the geometry for
-    :func:`materialize_chunk`'s coercion-reuse fast path (see
-    :class:`ChunkGeometry`); builders that coerced the whole chunk
-    themselves pass them so downstream materialisation is free.
-    """
-    if len(vectors) < MIN_VECTOR_CHUNK:
-        _check_vectors(config.grid, vectors)
-        return None
-    return _geometry_from_array(
-        config,
-        vectors,
-        _chunk_array(config.grid, vectors),
-        source_vectors=source_vectors,
-        pure_coords=pure_coords,
-    )
 
 
 def _check_shape(array: "np.ndarray", dim: int) -> None:
@@ -430,76 +441,73 @@ def _check_shape(array: "np.ndarray", dim: int) -> None:
         raise invalid_point(0, reason, DimensionMismatchError)
 
 
-def geometry_from_array(
-    config: SamplerConfig, array: "np.ndarray"
-) -> tuple[list[tuple[float, ...]], ChunkGeometry | None]:
-    """Check a chunk's float array and rebuild ``(vectors, geometry)``.
+def _coerce(
+    grid: Grid, chunk: Iterable[StreamPoint | Sequence[float]]
+) -> tuple["np.ndarray", list | None, list[tuple[float, ...]] | None]:
+    """The chunk's coercion and dimension check: ``(array, items, vectors)``.
 
-    The worker-side entry point of the array transports (process
-    workers reading shared memory, remote workers decoding a backend
-    payload): the array is validated whole - shape, then every cell -
-    so a worker fed an invalid chunk raises before touching its shard.
-    The coerced tuples are recovered with one ``tolist`` pass (value-
-    identical to per-point ``tuple(float(x) for x in row)`` - float64
-    round-trips exactly) and the geometry is built without re-flattening
-    through ``fromiter``.  ``geometry`` is ``None`` for a chunk below
-    :data:`MIN_VECTOR_CHUNK`.  The geometry carries the vectors as its
-    coercion source (``pure_coords``), so the consuming sampler's
-    materialisation reuses them instead of coercing again.
-    """
-    _check_shape(array, config.dim)
-    array = np.asarray(array, dtype=np.float64)
-    # Tuple recovery off the hot path: per-column tolist then one zip
-    # builds every row tuple at C speed - faster than the nested
-    # tolist + per-row tuple() and than regrouping a flat tolist
-    # through iterator tricks.  Values are identical either way -
-    # tolist yields Python floats.
-    vectors = list(zip(*array.T.tolist()))
-    if len(vectors) < MIN_VECTOR_CHUNK:
-        _valid_cells(config.grid, array)
-        return vectors, None
-    geometry = _geometry_from_array(
-        config, vectors, array, source_vectors=vectors, pure_coords=True
-    )
-    return vectors, geometry
-
-
-def is_numeric_array(chunk) -> bool:
-    """Whether ``chunk`` is a 2-d numpy array of a numeric dtype, whose
-    float64 cast is element-wise identical to ``float(x)``."""
-    return (
-        isinstance(chunk, np.ndarray)
-        and chunk.ndim == 2
-        and chunk.dtype.kind in "fiub"
-    )
-
-
-def validate_chunk(grid: Grid, chunk: Sequence) -> Sequence:
-    """Validate a whole chunk before anything mutates; returns it to ship.
-
-    The ingestion boundary for callers that build no geometry (the
-    pipeline's worker-side executors, the exact baseline): every point
-    must coerce to floats, have ``grid``'s dimension and a cell the int64
-    path can carry - finite coordinates, ``|(x - offset) // side| <
-    2^62``.  One :class:`~repro.errors.ParameterError` names an
-    offending point's position and reason (rows are all checked before
-    any cell is).  :func:`prepare_chunk` applies the same checks (plus
-    window order) with the cell check run on the geometry's own arrays.
-
-    Returns the chunk as its validated float64 array when it is made of
-    coordinate rows, so a transport ships it without coercing again;
-    numeric arrays and StreamPoint chunks are returned as given.
+    ``array`` is a fresh ``(n, dim)`` float64 array; ``items`` the chunk
+    as a list when one is a StreamPoint, else ``None``; ``vectors`` the
+    coerced tuples when the per-row coercion built them.  A numeric
+    array skips that loop: one dtype cast (element-wise identical to
+    ``float(x)`` for numeric dtypes) into a copy.
     """
     if is_numeric_array(chunk):
         _check_shape(chunk, grid.dim)
-        _valid_cells(grid, np.asarray(chunk, dtype=np.float64))
-        return chunk
-    _, vectors, pure = coerce_rows(chunk, grid.dim)
-    if not vectors:
-        return chunk
+        return np.array(chunk, dtype=np.float64, order="C"), None, None
+    items, vectors, pure = coerce_rows(chunk, grid.dim)
     array = _chunk_array(grid, vectors)
+    return array, None if pure else list(items), vectors
+
+
+def chunk_geometry_for(
+    config: SamplerConfig,
+    chunk: "ChunkGeometry | Iterable[StreamPoint | Sequence[float]]",
+) -> ChunkGeometry:
+    """Validate a chunk once and return it as a :class:`ChunkGeometry`.
+
+    The ingestion boundary (see the module docstring): coercion,
+    dimension and cells are checked before anything mutates, and the
+    first invalid point raises :class:`~repro.errors.ParameterError`
+    naming its position.  A geometry built for ``config`` passes
+    through, and one built for another config is checked against
+    ``config``'s grid from its array, so every consumer may call this on
+    whatever chunk it was handed.
+    """
+    if isinstance(chunk, ChunkGeometry):
+        if chunk.config is config:
+            return chunk
+        return ChunkGeometry(
+            config, chunk.array, items=chunk.items, vectors=chunk._vectors
+        )
+    array, items, vectors = _coerce(config.grid, chunk)
+    return ChunkGeometry(config, array, items=items, vectors=vectors)
+
+
+def is_chunk(points) -> bool:
+    """Whether ``process_many`` takes ``points`` whole - a list, tuple,
+    numeric array or :class:`ChunkGeometry` - rather than streaming a
+    one-shot iterable through ``extend`` in bounded chunks."""
+    if isinstance(points, (list, tuple, ChunkGeometry)):
+        return True
+    return is_numeric_array(points)
+
+
+def validate_chunk(grid: Grid, chunk: Sequence) -> None:
+    """Validate a whole chunk against ``grid`` before anything mutates.
+
+    The ingestion boundary for callers that build no geometry (the
+    exact baseline, :meth:`BatchPipeline.process_many
+    <repro.engine.pipeline.BatchPipeline.process_many>` over a batch
+    that spans several chunks): the checks of
+    :func:`chunk_geometry_for` - every point must coerce to floats,
+    have ``grid``'s dimension and a cell the int64 path can carry
+    (finite coordinates, ``|(x - offset) // side| < 2^62``).  One
+    :class:`~repro.errors.ParameterError` names an offending point's
+    position and reason (rows are all checked before any cell is).
+    """
+    array, _, _ = _coerce(grid, chunk)
     _valid_cells(grid, array)
-    return array if pure else chunk
 
 
 def insert_copies(
@@ -523,59 +531,32 @@ def insert_copies(
 def feed_copies_shared(
     copies: Sequence, points: Iterable[StreamPoint | Sequence[float]]
 ) -> int:
-    """Shared-geometry batch path of the multi-copy wrappers (k-sample, F0).
+    """Shared-chunk batch path of the multi-copy wrappers (k-sample, F0).
 
-    Raw coordinates are materialised once into :class:`StreamPoint`
-    objects so all copies agree on arrival indices, and the chunk's
-    float coercion and flattened float64 array are computed **once**;
-    each copy derives its :class:`ChunkGeometry` from that array (the
-    grid products are per copy: each copy owns an independently seeded
-    :class:`~repro.core.base.SamplerConfig`).  Building every copy's
-    geometry is the cell check against every copy's grid, so it all
-    happens before the first copy ingests; window order, identical for
-    copies in lockstep, is checked by the first copy before it mutates.
-    An invalid chunk thus leaves every copy unchanged.  Returns the
-    number of points ingested.
+    The chunk is validated once, against the first copy's config, and
+    materialised once into :class:`StreamPoint` objects so all copies
+    share them and agree on arrival indices; each copy's geometry is
+    derived from that validated array (the grid products are per copy:
+    each copy owns an independently seeded
+    :class:`~repro.core.base.SamplerConfig`).  Deriving every
+    copy's geometry is the cell check against every copy's grid, so it
+    all happens before the first copy ingests; window order, identical
+    for copies in lockstep, is checked by the first copy before it
+    mutates.  An invalid chunk thus leaves every copy unchanged.
+    Returns the number of points ingested.
     """
     first = copies[0]
-    chunk, vectors = materialize_chunk(points, first.dim, first.points_seen)
-    if len(chunk) >= MIN_VECTOR_CHUNK:
-        array = _chunk_array(first._config.grid, vectors)
-        geometries = [
-            _geometry_from_array(copy._config, vectors, array)
-            for copy in copies
-        ]
-    else:
-        geometries = [
-            compute_chunk_geometry(copy._config, vectors) for copy in copies
-        ]
+    chunk = chunk_geometry_for(first._config, points)
+    shared = chunk.stream_points(first.points_seen)
+    geometries = [
+        ChunkGeometry(
+            copy._config, chunk.array, items=shared, vectors=chunk.vectors
+        )
+        for copy in copies
+    ]
     for copy, geometry in zip(copies, geometries):
-        copy.process_many(chunk, geometry=geometry)
-    return len(chunk)
-
-
-def _reusable_vectors(
-    points, dim: int, geometry: ChunkGeometry | None
-) -> list[tuple[float, ...]] | None:
-    """The geometry's cached coercion of ``points``, if it is ``points``.
-
-    Reuse requires the chunk to *be* the geometry's coerced pure
-    coordinate rows (``points is source_vectors``, ``pure_coords`` -
-    StreamPoint inputs carry arrival metadata a rebuild would lose) for
-    a config of the same dimension.  That is the pipeline's path, which
-    hands the shard the tuples :func:`chunk_geometry_for` coerced, and
-    the worker-process path, where :func:`geometry_from_array` built
-    both together.  Any other chunk is coerced (and so checked) anew.
-    """
-    if (
-        geometry is not None
-        and geometry.pure_coords
-        and geometry.source_vectors is not None
-        and points is geometry.source_vectors
-        and geometry.config.dim == dim
-    ):
-        return points
-    return None
+        copy.process_many(geometry)
+    return chunk.n
 
 
 def coerce_rows(
@@ -617,61 +598,28 @@ def coerce_rows(
     return items, vectors, pure
 
 
-def materialize_chunk(
-    points: Iterable[StreamPoint | Sequence[float]],
-    dim: int,
-    next_index: int,
-    *,
-    geometry: ChunkGeometry | None = None,
-    window: WindowSpec | None = None,
-    latest: StreamPoint | None = None,
-) -> tuple[list[StreamPoint], list[tuple[float, ...]]]:
-    """Materialise a chunk into StreamPoints: ``(points, vectors)``.
-
-    The row checks of the ingestion boundary: coercion and dimension
-    (:func:`coerce_rows`) and, when ``window`` is given, window order -
-    every point's expiry key at least its predecessor's, the first
-    point's at least ``latest``'s.  The first violation raises
-    :class:`~repro.errors.ParameterError`.
-
-    ``geometry`` may pass the chunk's precomputed
-    :class:`ChunkGeometry`: when it cached the chunk's own coercion
-    (see :func:`_reusable_vectors`) the per-point float coercion is
-    skipped and the StreamPoints are built straight from the cached
-    tuples, which the geometry's builder already checked.
-    """
-    vectors = _reusable_vectors(points, dim, geometry)
-    pure = True
-    if vectors is None:
-        items, vectors, pure = coerce_rows(points, dim)
-    if pure:
-        materialized = [
-            StreamPoint(vector, index)
-            for index, vector in enumerate(vectors, next_index)
-        ]
-    else:
-        materialized = [
-            item if isinstance(item, StreamPoint) else StreamPoint(vector, index)
-            for index, (item, vector) in enumerate(zip(items, vectors), next_index)
-        ]
-    if window is not None:
-        key_of = window.expiry_key
-        previous = key_of(latest) if latest is not None else -math.inf
-        for position, point in enumerate(materialized):
-            key = key_of(point)
-            if key < previous:
-                raise invalid_point(
-                    position,
-                    f"arrives out of window order (expiry key {key} after "
-                    f"{previous})",
-                )
-            previous = key
-    return materialized, vectors
+def _check_window_order(
+    points: list[StreamPoint], window: WindowSpec, latest: StreamPoint | None
+) -> None:
+    """Every point's expiry key at least its predecessor's, the first
+    point's at least ``latest``'s; the first violation raises
+    :class:`~repro.errors.ParameterError` naming its position."""
+    key_of = window.expiry_key
+    previous = key_of(latest) if latest is not None else -math.inf
+    for position, point in enumerate(points):
+        key = key_of(point)
+        if key < previous:
+            raise invalid_point(
+                position,
+                f"arrives out of window order (expiry key {key} after "
+                f"{previous})",
+            )
+        previous = key
 
 
 def prepare_chunk(
     config: SamplerConfig,
-    points: Iterable[StreamPoint | Sequence[float]],
+    points: "ChunkGeometry | Iterable[StreamPoint | Sequence[float]]",
     next_index: int,
     *,
     geometry: ChunkGeometry | None = None,
@@ -686,23 +634,22 @@ def prepare_chunk(
     """The validating prologue of the batched ``process_many`` overrides.
 
     Checks the whole chunk before the caller mutates anything:
-    :func:`materialize_chunk` (coercion, dimension, window order
-    against ``latest``), then the cells - on a caller-supplied
-    ``geometry`` that is :meth:`~ChunkGeometry.valid_for` this chunk
-    (its builder checked them), else while computing one
-    (:func:`compute_chunk_geometry`).  Returns ``(points, vectors,
-    geometry, cell_hashes)``; ``cell_hashes`` is empty for a chunk below
-    :data:`MIN_VECTOR_CHUNK`, which the caller feeds to ``insert``.
+    :func:`chunk_geometry_for` (coercion, dimension, cells - a
+    :class:`ChunkGeometry` chunk built for this config passes straight
+    through) and, when ``window`` is given, window order against
+    ``latest``.  A caller-supplied ``geometry`` that is
+    :meth:`~ChunkGeometry.valid_for` the chunk serves it with whatever
+    it has already computed.  Returns ``(points, vectors, geometry,
+    cell_hashes)``; for a chunk below :data:`MIN_VECTOR_CHUNK`
+    ``geometry`` is ``None`` and ``cell_hashes`` empty, and the caller
+    feeds the points to ``insert``.
     """
-    pts, vectors = materialize_chunk(
-        points,
-        config.dim,
-        next_index,
-        geometry=geometry,
-        window=window,
-        latest=latest,
-    )
-    if geometry is None or not geometry.valid_for(config, vectors):
-        geometry = compute_chunk_geometry(config, vectors)
-    cell_hashes = geometry.cell_hashes if geometry is not None else []
-    return pts, vectors, geometry, cell_hashes
+    chunk = chunk_geometry_for(config, points)
+    if geometry is not None and geometry.valid_for(config, chunk):
+        chunk = geometry
+    pts = chunk.stream_points(next_index)
+    if window is not None:
+        _check_window_order(pts, window, latest)
+    if chunk.n < MIN_VECTOR_CHUNK:
+        return pts, chunk.vectors, None, []
+    return pts, chunk.vectors, chunk, chunk.cell_hashes

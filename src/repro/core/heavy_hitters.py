@@ -27,7 +27,7 @@ from repro.core.base import (
     StreamSampler,
     coerce_point,
 )
-from repro.core.chunk_geometry import ChunkGeometry, prepare_chunk
+from repro.core.chunk_geometry import ChunkGeometry, is_chunk, prepare_chunk
 from repro.errors import ParameterError
 from repro.streams.point import StreamPoint
 
@@ -223,12 +223,13 @@ class RobustHeavyHitters(StreamSampler):
         Cells, cell hashes and (on admission) the ``adj(p)``
         hash tuples come from one vectorised
         :class:`~repro.core.chunk_geometry.ChunkGeometry` precompute per
-        chunk (``geometry`` accepts one computed upstream by the
-        pipeline); a chunk too small to vectorise goes through
+        chunk (``points`` may be that validated chunk itself, or
+        ``geometry`` one built separately); a chunk too small to
+        vectorise goes through
         :meth:`insert`.  An invalid point anywhere in the chunk raises
         :class:`~repro.errors.ParameterError` before anything mutates.
         """
-        if geometry is None and not isinstance(points, (list, tuple)):
+        if geometry is None and not is_chunk(points):
             # A one-shot iterable is streamed in bounded chunks, so
             # memory stays O(chunk) however long the stream is.
             return self.extend(points)

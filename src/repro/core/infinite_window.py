@@ -32,7 +32,7 @@ from repro.core.base import (
     _ThresholdPolicy,
     coerce_point,
 )
-from repro.core.chunk_geometry import ChunkGeometry, prepare_chunk
+from repro.core.chunk_geometry import ChunkGeometry, is_chunk, prepare_chunk
 from repro.errors import EmptySampleError, ParameterError
 from repro.streams.point import StreamPoint
 
@@ -230,8 +230,9 @@ class RobustL0SamplerIW(StreamSampler):
         The chunk's geometry - cells, cell hashes, the ``adj(p)``
         survival exponents of the ignore test, adjacency hash tuples -
         is computed once per chunk through the vectorised kernel layer
-        (:class:`~repro.core.chunk_geometry.ChunkGeometry`; ``geometry``
-        accepts one precomputed by the pipeline), so the per-point loop
+        (:class:`~repro.core.chunk_geometry.ChunkGeometry`, which may be
+        ``points`` itself - the pipeline's validated chunk - or come in
+        as ``geometry``), so the per-point loop
         reduces to the sequential state machine: the bucket probe, the
         distance test and the rate bookkeeping.  New candidate groups
         run the same code the per-point path runs (adjacency hashing,
@@ -241,7 +242,7 @@ class RobustL0SamplerIW(StreamSampler):
         mutates.  See :class:`~repro.core.base.StreamSampler` for the
         equivalence contract this method honours.
         """
-        if geometry is None and not isinstance(points, (list, tuple)):
+        if geometry is None and not is_chunk(points):
             # A one-shot iterable is streamed in bounded chunks, so
             # memory stays O(chunk) however long the stream is.
             return self.extend(points)
@@ -401,10 +402,6 @@ class RobustL0SamplerIW(StreamSampler):
     def accepted_representatives(self) -> list[StreamPoint]:
         """The representatives of all accepted groups (for F0 estimation)."""
         return [r.representative for r in self._store.accepted_records()]
-
-    def rejected_representatives(self) -> list[StreamPoint]:
-        """The representatives of all rejected groups."""
-        return [r.representative for r in self._store.rejected_records()]
 
     def estimate_f0(self) -> float:
         """Point estimate ``|S_acc| * R`` of the number of groups (S 5)."""

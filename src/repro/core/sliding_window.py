@@ -95,7 +95,7 @@ from repro.core.base import (
     coerce_point,
     invalid_point,
 )
-from repro.core.chunk_geometry import ChunkGeometry, prepare_chunk
+from repro.core.chunk_geometry import ChunkGeometry, is_chunk, prepare_chunk
 from repro.errors import EmptySampleError, LevelOverflowError, ParameterError
 from repro.geometry.distance import within_distance
 from repro.streams.point import StreamPoint
@@ -484,8 +484,9 @@ class RobustL0SamplerSW(StreamSampler):
 
         The chunk's cells and cell hashes come from one
         vectorised :class:`~repro.core.chunk_geometry.ChunkGeometry`
-        precompute (``geometry`` accepts one computed upstream by the
-        pipeline; founding-heavy chunks also get their ``adj(p)`` hash
+        precompute (``points`` may be that validated chunk itself, or
+        ``geometry`` one built separately; founding-heavy chunks also
+        get their ``adj(p)`` hash
         tuples from its vectorised enumeration), so the per-arrival loop
         keeps only the sequential machinery - eviction sweep, the single
         shared-store bucket probe, the distance test - replicating
@@ -499,7 +500,7 @@ class RobustL0SamplerSW(StreamSampler):
         arrival - raises :class:`~repro.errors.ParameterError` before
         anything mutates.
         """
-        if geometry is None and not isinstance(points, (list, tuple)):
+        if geometry is None and not is_chunk(points):
             # A one-shot iterable is streamed in bounded chunks, so
             # memory stays O(chunk) however long the stream is.
             return self.extend(points)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from repro.datasets.near_duplicates import (
     add_near_duplicates,
@@ -74,11 +74,6 @@ class LabeledDataset:
         ]
         labels = [self.labels[j] for j in order]
         return points, labels
-
-    def iter_points(self) -> Iterator[StreamPoint]:
-        """The points in stored (unshuffled) order as a stream."""
-        for i, vector in enumerate(self.vectors):
-            yield StreamPoint(vector, i)
 
 
 _BASES: dict[str, Callable[[random.Random], list[Vector]]] = {

@@ -16,10 +16,6 @@ from repro.errors import ParameterError
 Vector = tuple[float, ...]
 
 
-def _to_tuples(array: np.ndarray) -> list[Vector]:
-    return [tuple(float(x) for x in row) for row in array]
-
-
 def random_points(
     n: int, dim: int, *, rng: random.Random | None = None
 ) -> list[Vector]:

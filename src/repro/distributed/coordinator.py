@@ -33,6 +33,7 @@ from repro.streams.point import StreamPoint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.api.specs import L0InfiniteSpec
+    from repro.core.chunk_geometry import ChunkGeometry
 
 
 def _shard_spec(
@@ -207,19 +208,17 @@ class DistributedRobustSampler:
 
     def route_many(
         self,
-        points: Iterable[StreamPoint | Sequence[float]],
+        points: "ChunkGeometry | Iterable[StreamPoint | Sequence[float]]",
         shard: int,
-        *,
-        geometry=None,
     ) -> int:
         """Deliver a batch to a shard through its batched ingestion path.
 
-        ``geometry`` forwards a chunk's precomputed
+        ``points`` may be a validated
         :class:`~repro.core.chunk_geometry.ChunkGeometry` (valid for
-        every shard - they share one config) so the shard skips
-        rebuilding it.
+        every shard - they share one config), which the shard ingests
+        without validating it again.
         """
-        return self._shards[shard].process_many(points, geometry=geometry)
+        return self._shards[shard].process_many(points)
 
     def restore_shard(self, index: int, state: dict[str, Any]) -> None:
         """Replace one shard with a restore of ``state`` (protocol state).

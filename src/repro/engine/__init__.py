@@ -39,9 +39,12 @@ Where the speed comes from
   whole chunk's cell coordinates, cell ids and cell hashes in a few
   numpy passes, bit-identical to the scalar geometry;
   adjacency enumeration switches to vectorised block tables when a
-  chunk proves founding-heavy; pipelines build ONE geometry per dealt
-  chunk (:func:`repro.engine.batching.chunk_geometry_for`) and hand it
-  to the owning shard;
+  chunk proves founding-heavy.  The geometry is also the validated
+  chunk: :func:`repro.engine.batching.chunk_geometry_for` coerces and
+  checks a list, tuple or numeric array once, and that one object
+  travels from ``BatchPipeline.submit`` through every executor to the
+  owning shard's ``process_many`` (numeric arrays never go through
+  per-row coercion);
 * the sampled-cell ignore test: a point whose group is untracked at
   the current rate needs no ``adj(p)`` hash tuple unless it lies
   within ``alpha`` of a *sampled* nearby cell - decided exactly, at
@@ -131,12 +134,7 @@ a torn checkpoint (``tests/test_resumable.py``).
 """
 
 from repro.core.base import DEFAULT_BATCH_SIZE, StreamSampler
-from repro.engine.batching import (
-    ChunkGeometry,
-    chunk_geometry_for,
-    chunked,
-    compute_chunk_geometry,
-)
+from repro.engine.batching import ChunkGeometry, chunk_geometry_for, chunked
 from repro.engine.equivalence import state_fingerprint
 from repro.engine.executors import (
     EXECUTOR_NAMES,
@@ -157,7 +155,6 @@ __all__ = [
     "chunked",
     "ChunkGeometry",
     "chunk_geometry_for",
-    "compute_chunk_geometry",
     "state_fingerprint",
     "EXECUTOR_NAMES",
     "ShardExecutor",

@@ -13,21 +13,17 @@ keeping the *what* bit-identical:
 * :class:`ProcessShardExecutor` - worker processes holding
   spec-constructed *shard replicas* (rebuilt from the shards' protocol
   states plus the shared :class:`~repro.core.base.SamplerConfig`).
-  Chunks travel over a **zero-copy shared-memory transport**: ``submit``
-  coerces the chunk into one contiguous float64 array, the scheduler
-  memcpys it into a pooled :mod:`multiprocessing.shared_memory` slot at
-  dispatch and enqueues only a small descriptor ``(slot, segment name,
-  rows, dim)``; the owning worker reconstructs the array pickle-free,
-  rebuilds the chunk's
-  :class:`~repro.core.chunk_geometry.ChunkGeometry` straight from it
-  (:func:`repro.core.chunk_geometry.geometry_from_array`), so the chunk
-  is float-coerced exactly once end to end, and reports the completion
-  and the slot to recycle as one small ``("done", worker, slot)``
-  message.  Chunks reach an executor already validated
-  (:meth:`BatchPipeline.submit
-  <repro.engine.pipeline.BatchPipeline.submit>` rejects an invalid one
-  before any executor sees it); chunks the array transport cannot carry
-  (StreamPoints) fall back to pickling.  On
+  Chunks travel over a **zero-copy shared-memory transport**: the
+  scheduler memcpys the validated chunk's own float64 array into a
+  pooled :mod:`multiprocessing.shared_memory` slot at dispatch and
+  enqueues only a small descriptor ``(slot, segment name, rows, dim)``;
+  the owning worker reconstructs the array pickle-free and hands it to
+  the replica's ``process_many``, which validates it again and
+  rebuilds the chunk's geometry from it in one vectorised pass - no
+  per-row coercion on either side - and reports the completion and the
+  slot to recycle as one small ``("done", worker, slot)`` message.
+  Chunks the array cannot carry (StreamPoints, whose arrival metadata
+  it loses) pickle their items instead.  On
   :meth:`~ShardExecutor.drain` each worker returns its shards' protocol
   states **batched in one message**, still pickled; the pipeline parks
   them and rebuilds shard objects only when a read needs them.
@@ -98,13 +94,14 @@ import traceback
 import weakref
 from collections import deque
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Any, ClassVar, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, ClassVar, Iterator
 
 import numpy as np
 
 from repro.errors import ExecutorError, ParameterError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.chunk_geometry import ChunkGeometry
     from repro.distributed.coordinator import DistributedRobustSampler
 
 #: Registry of executor names accepted by
@@ -163,26 +160,16 @@ class ShardExecutor:
     #: Name under which :func:`make_executor` builds this class.
     name: ClassVar[str] = ""
 
-    #: Whether the pipeline should precompute a
-    #: :class:`~repro.core.chunk_geometry.ChunkGeometry` per chunk and
-    #: pass it to :meth:`submit`.  True for executors whose shard work
-    #: runs in this process (the geometry object can be handed over
-    #: directly); the process executor's workers rebuild it from the
-    #: transported array instead of paying to pickle it.
-    wants_geometry: ClassVar[bool] = True
+    def submit(self, shard_id: int, chunk: "ChunkGeometry") -> int | None:
+        """Deliver one validated chunk to one shard.
 
-    def submit(
-        self, shard_id: int, chunk: Sequence[Any], geometry: Any = None
-    ) -> int | None:
-        """Deliver one chunk to one shard.
-
-        ``geometry`` is the chunk's precomputed
-        :class:`~repro.core.chunk_geometry.ChunkGeometry` (or ``None``);
-        executors forward it to the shard's ``process_many`` when the
-        shard runs in-process.  Returns the number of points ingested
-        when the work happened synchronously, or ``None`` when it was
-        queued (the caller then counts ``len(chunk)`` and must
-        :meth:`drain` before reading any shard state).
+        ``chunk`` is the :class:`~repro.core.chunk_geometry.ChunkGeometry`
+        :func:`~repro.engine.batching.chunk_geometry_for` built; it owns
+        its array and items, so the caller may reuse its batch buffer
+        at once.  Returns the number of points ingested when the work
+        happened synchronously, or ``None`` when it was queued (the
+        caller then counts ``len(chunk)`` and must :meth:`drain` before
+        reading any shard state).
         """
         raise NotImplementedError
 
@@ -223,12 +210,8 @@ class SerialShardExecutor(ShardExecutor):
     def __init__(self, coordinator: "DistributedRobustSampler") -> None:
         self._coordinator = coordinator
 
-    def submit(
-        self, shard_id: int, chunk: Sequence[Any], geometry: Any = None
-    ) -> int:
-        return self._coordinator.route_many(
-            chunk, shard_id, geometry=geometry
-        )
+    def submit(self, shard_id: int, chunk: "ChunkGeometry") -> int:
+        return self._coordinator.route_many(chunk, shard_id)
 
     def drain(self) -> Iterator[tuple[int, Any]]:
         # Every chunk went straight into the coordinator's shards.
@@ -245,24 +228,6 @@ def _resolve_workers(num_workers: int | None, num_shards: int) -> int:
     # More workers than shards would sit idle: shards are the unit of
     # parallelism (per-shard order is part of the equivalence contract).
     return min(num_workers, num_shards)
-
-
-def _owned_chunk(chunk: Sequence[Any]) -> Sequence[Any]:
-    """A snapshot of a submitted chunk the executor may read later.
-
-    Asynchronous executors consume chunks after ``submit`` returns, so a
-    caller that reuses (clears/refills) its batch buffer must not
-    corrupt queued work.  Tuples are immutable containers and are kept
-    as-is - no copy; numpy arrays are copied wholesale (a ``list()`` of
-    row views would still alias the caller's buffer); everything else
-    gets the shallow list copy.  The snapshot is shallow by contract,
-    matching what the serial executor observes at submit time.
-    """
-    if isinstance(chunk, tuple):
-        return chunk
-    if isinstance(chunk, np.ndarray):
-        return np.array(chunk, copy=True)
-    return list(chunk)
 
 
 # --------------------------------------------------------------------- #
@@ -472,49 +437,17 @@ def resolve_state(shard_id: int, state: Any) -> dict[str, Any] | None:
     return state
 
 
-def _chunk_as_array(chunk: Sequence[Any], dim: int) -> "np.ndarray | None":
-    """The chunk as an ``(n, dim)`` float64 array, or ``None``.
-
-    Eligibility is decided by the coercion itself: ``np.asarray``
-    applies the same per-element ``float()`` conversion the scalar
-    coercion does, so carried values are bit-identical.  Chunks arrive
-    already validated (:meth:`BatchPipeline.submit
-    <repro.engine.pipeline.BatchPipeline.submit>`), so what it rejects
-    are StreamPoint chunks (not sequences, so they coerce to nothing);
-    they ride the pickle transport with their arrival metadata.  The
-    returned array may alias ``chunk`` when it already was a contiguous
-    float64 array - callers snapshot before queueing.
-    """
-    if len(chunk) == 0:
-        return None
-    if isinstance(chunk, np.ndarray):
-        if chunk.ndim != 2 or chunk.shape[1] != dim:
-            return None
-        try:
-            return np.ascontiguousarray(chunk, dtype=np.float64)
-        except (TypeError, ValueError):
-            return None
-    try:
-        array = np.asarray(chunk, dtype=np.float64)
-    except Exception:
-        return None
-    if array.ndim != 2 or array.shape[1] != dim:
-        return None
-    return array
-
-
 def _transport_worker(worker_id, task_queue, result_queue, config_state):
     """Worker-process loop of the zero-copy transport.
 
     Owns the shard replicas the scheduler ``adopt``\\ s - shipping each
     shard's protocol state before the shard's first chunk.  Chunk
     payloads arrive as shared-memory descriptors (``"shm"``) or pickled
-    chunks (``"pickle"``); a descriptor's array rebuilds the chunk's
-    geometry in one pass
-    (:func:`repro.core.chunk_geometry.geometry_from_array`) with the
-    coerced vectors cached on it, so the replica's materialisation is
-    free.  Per-shard sequence numbers are asserted on every chunk - the
-    machine check of per-shard FIFO order.  Every chunk is answered
+    items (``"pickle"``); the replica's ``process_many`` takes either
+    and validates it again, the array without per-row coercion (its
+    geometry copies the array, so nothing pins the segment).  Per-shard
+    sequence numbers are asserted on every chunk - the machine check of
+    per-shard FIFO order.  Every chunk is answered
     with one ``("done", worker_id, slot)`` message (``slot`` is
     ``None`` for a pickled chunk).  On ``drain`` the worker ships all
     owned shards' states batched in one message; failures are sticky
@@ -522,7 +455,6 @@ def _transport_worker(worker_id, task_queue, result_queue, config_state):
     still gets its ``"done"`` so the submitter's pool cannot starve).
     """
     from repro.core import serialize
-    from repro.core.chunk_geometry import geometry_from_array
     from repro.distributed.coordinator import ShardSampler
 
     config = serialize.config_from_state(config_state)
@@ -563,16 +495,11 @@ def _transport_worker(worker_id, task_queue, result_queue, config_state):
                             segment.buf, dtype=np.float64, count=rows * dim
                         ).reshape(rows, dim)
                         try:
-                            vectors, geometry = geometry_from_array(
-                                config, view
-                            )
+                            shards[shard_id].process_many(view)
                         finally:
                             # Everything derived is a copy; a rejected
                             # array must not pin the segment either.
                             del view
-                        shards[shard_id].process_many(
-                            vectors, geometry=geometry
-                        )
                     else:  # "pickle"
                         shards[shard_id].process_many(payload[1])
                     next_seq[shard_id] = seq + 1
@@ -644,16 +571,12 @@ class ProcessShardExecutor(ShardExecutor):
     them; every read must go through :meth:`drain`, which returns the
     adopted shards' states (one batched message per worker).
 
-    Eligible chunks ship as float64 arrays through pooled shared-memory
-    segments, written at dispatch; anything :func:`_chunk_as_array`
-    rejects (StreamPoints, ragged rows) ships as a pickled chunk.
+    A chunk's float64 array ships through pooled shared-memory
+    segments, written at dispatch; a chunk with StreamPoint items ships
+    its pickled items.
     """
 
     name = "process"
-    # The submitter never builds a ChunkGeometry: its per-chunk work is
-    # one asarray + one memcpy, and the worker rebuilds the geometry
-    # from the transported array in one vectorised pass.
-    wants_geometry = False
 
     def __init__(
         self,
@@ -666,7 +589,6 @@ class ProcessShardExecutor(ShardExecutor):
         self._coordinator = coordinator
         self._num_shards = coordinator.num_shards
         self._num_workers = _resolve_workers(num_workers, self._num_shards)
-        self._dim = coordinator.config.dim
         self._closed = False
         self._token = 0
         self._failure: str | None = None
@@ -713,25 +635,18 @@ class ProcessShardExecutor(ShardExecutor):
     # submit side
     # ------------------------------------------------------------------ #
 
-    def submit(
-        self, shard_id: int, chunk: Sequence[Any], geometry: Any = None
-    ) -> None:
+    def submit(self, shard_id: int, chunk: "ChunkGeometry") -> None:
         if self._closed:
             raise ExecutorError("executor is closed")
         start = time.perf_counter()
-        # ``geometry`` is intentionally unused (wants_geometry is
-        # False); the worker rebuilds it from the transported array.
-        # Backlog entries are an owned float64 array (written into a
-        # shared-memory slot at dispatch) or a ready pickle payload.
-        array = _chunk_as_array(chunk, self._dim)
-        if array is None:
-            payload = ("pickle", _owned_chunk(chunk))
-            self._stats["pickle_chunks"] += 1
-        elif array is chunk or array.base is not None:
-            # Aliases the caller's mutable buffer: snapshot it.
-            payload = array.copy()
+        # Backlog entries are the chunk's own float64 array (written
+        # into a shared-memory slot at dispatch) or a ready pickle
+        # payload of its StreamPoint items.
+        if chunk.items is None:
+            payload = chunk.array
         else:
-            payload = array
+            payload = ("pickle", chunk.items)
+            self._stats["pickle_chunks"] += 1
         seq = self._seq[shard_id]
         self._seq[shard_id] = seq + 1
         self._pending.setdefault(shard_id, deque()).append((seq, payload))
@@ -944,9 +859,9 @@ class RemoteShardExecutor(ShardExecutor):
     """Shard work served by workers reachable only through a backend.
 
     The submitter side of the multi-machine pipeline: ``submit``
-    serialises each chunk through the array coercion path
-    (:func:`_chunk_as_array` - raw float64 rows when eligible, pickle
-    otherwise) and group-commits it as a sequenced
+    encodes each validated chunk (:func:`repro.engine.queue.encode_chunk`
+    - its raw float64 rows, or its pickled StreamPoint items) and
+    group-commits it as a sequenced
     ``chunk/<shard>/<seq>`` backend entry
     (:meth:`~repro.backends.base.StateBackend.put_many`, amortising the
     file backend's per-put fsync).  Workers - local threads spawned
@@ -977,9 +892,6 @@ class RemoteShardExecutor(ShardExecutor):
     """
 
     name = "remote"
-    #: Workers rebuild geometry from the transported array, exactly like
-    #: the process executor - shipping the object would just be weight.
-    wants_geometry = False
 
     def __init__(
         self,
@@ -1003,7 +915,6 @@ class RemoteShardExecutor(ShardExecutor):
                 f"lease_ttl must be > 0, got {lease_ttl}"
             )
         self._coordinator = coordinator
-        self._dim = coordinator.config.dim
         if backend is not None:
             self._backend = backend
             self._owns_backend = False
@@ -1018,7 +929,7 @@ class RemoteShardExecutor(ShardExecutor):
             self._backend,
             queue_key or "remote-queue",
             config_state=serialize.config_to_state(coordinator.config),
-            dim=self._dim,
+            dim=coordinator.config.dim,
             shard_states=[
                 coordinator.shard(index).to_state()
                 for index in range(coordinator.num_shards)
@@ -1072,15 +983,12 @@ class RemoteShardExecutor(ShardExecutor):
         self._counters["flushes"] += 1
         self._pending.clear()
 
-    def submit(
-        self, shard_id: int, chunk: Sequence[Any], geometry: Any = None
-    ) -> None:
+    def submit(self, shard_id: int, chunk: "ChunkGeometry") -> None:
         if self._closed:
             raise ExecutorError("executor is closed")
         from repro.engine.queue import encode_chunk
 
-        # Serialised immediately, so the caller may reuse its buffer.
-        payload = encode_chunk(chunk, self._dim)
+        payload = encode_chunk(chunk)
         seq = self._submitted[shard_id]
         self._submitted[shard_id] = seq + 1
         self._pending.append((shard_id, seq, payload))

@@ -44,9 +44,8 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-import numpy as np
-
 from repro.core.base import DEFAULT_KAPPA0, SamplerConfig
+from repro.core.chunk_geometry import is_chunk
 from repro.core.infinite_window import RobustL0SamplerIW
 from repro.distributed.coordinator import DistributedRobustSampler, ShardSampler
 from repro.engine.batching import chunk_geometry_for, chunked, validate_chunk
@@ -344,15 +343,18 @@ class BatchPipeline:
     ) -> int:
         """Ingest one batch into the next shard (round-robin).
 
-        The chunk's :class:`~repro.core.chunk_geometry.ChunkGeometry`
-        is built **once here** (all shards share one config, so the
-        geometry is valid wherever the chunk lands) and handed to the
-        executor; in-process executors forward it to the owning shard's
-        ``process_many``, worker processes rebuild it deterministically
-        on their side.  Returns the number of points ingested.  With a
-        parallel executor the chunk is queued to the shard's worker and
-        the count returned is the chunk length; any worker-side failure
-        surfaces as :class:`~repro.errors.ExecutorError` at the next
+        The batch is validated **once here**
+        (:func:`~repro.engine.batching.chunk_geometry_for`: coercion,
+        dimension, cells - a list, a tuple or a numeric ``(n, dim)``
+        array) into a :class:`~repro.core.chunk_geometry.ChunkGeometry`,
+        and that one object is what the executor carries: the serial
+        executor hands it to the owning shard's ``process_many`` (all
+        shards share one config, so it is valid wherever the chunk
+        lands), the process and remote executors ship its float64
+        array.  Returns the number of points ingested.  With a parallel
+        executor the chunk is queued to the shard's worker and the count
+        returned is the chunk length; any worker-side failure surfaces
+        as :class:`~repro.errors.ExecutorError` at the next
         synchronisation point (:meth:`sync`, :meth:`merge`,
         :meth:`to_state`, queries).
 
@@ -367,43 +369,13 @@ class BatchPipeline:
             # state newer than the coordinator's objects.)
             self._materialize()
         executor = self._ensure_executor()
-        # Lists and tuples pass through as-is; a 2-d numpy array does
-        # too (the process executor's transport copies it into shared
-        # memory without ever touching Python floats).  Anything else -
-        # generators included - is materialised once here.
-        if isinstance(batch, (list, tuple)):
-            chunk = batch
-        elif isinstance(batch, np.ndarray) and batch.ndim == 2:
-            chunk = batch
-        else:
-            chunk = list(batch)
-        config = self._coordinator.config
-        geometry = None
-        if not executor.wants_geometry:
-            chunk = validate_chunk(config.grid, chunk)
-        else:
-            geometry = chunk_geometry_for(config, chunk)
-            if (
-                geometry is not None
-                and geometry.pure_coords
-                and geometry.source_vectors is not None
-                and len(geometry.source_vectors) == len(chunk)
-            ):
-                # Hand the shard the coerced tuples themselves: shard
-                # materialisation then hits the identity fast path of
-                # ``_reusable_vectors`` (``points is source_vectors``)
-                # and ``valid_for`` short-circuits on the same identity,
-                # so the chunk is coerced exactly once per pipeline
-                # pass.  Safe because ``pure_coords`` guarantees no
-                # StreamPoint metadata is lost and the tuples cover the
-                # full chunk.
-                chunk = geometry.source_vectors
+        chunk = chunk_geometry_for(self._coordinator.config, batch)
         shard = self._next_shard
         self._next_shard = (shard + 1) % self._coordinator.num_shards
-        processed = executor.submit(shard, chunk, geometry)
+        processed = executor.submit(shard, chunk)
         if processed is None:  # queued, not yet ingested
             self._dirty = True
-            processed = len(chunk)
+            processed = chunk.n
         self._points_seen += processed
         return processed
 
@@ -418,7 +390,7 @@ class BatchPipeline:
         validated whole first, so it is all-or-nothing even when it spans
         several chunks.
         """
-        if isinstance(points, (list, tuple, np.ndarray)):
+        if is_chunk(points):
             validate_chunk(self._coordinator.config.grid, points)
         return self.extend(points)
 

@@ -28,12 +28,12 @@ Each executor instance bumps ``<queue_key>/epoch`` and works under the
 returned version, so a worker resurrected from a *previous* executor's
 queue writes only to dead keys.
 
-Chunks are encoded through the executors' array coercion
-(``repro.engine.executors._chunk_as_array``): a coordinate-row chunk
-ships as raw little-endian float64 rows (decoded to one contiguous
-array, so the worker rebuilds its geometry in one pass exactly like the
-shared-memory transport); a StreamPoint chunk pickles, keeping its
-arrival metadata.
+A chunk is encoded from its validated
+:class:`~repro.core.chunk_geometry.ChunkGeometry`: a coordinate-row
+chunk ships as its raw little-endian float64 rows (decoded to one array
+the worker's replica validates and ingests without per-row coercion,
+exactly like the shared-memory transport); a chunk with StreamPoint
+items pickles them, keeping their arrival metadata.
 
 Enforced by ``tests/test_remote_executor.py``.
 """
@@ -42,11 +42,14 @@ from __future__ import annotations
 
 import pickle
 import struct
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 import numpy as np
 
 from repro.backends.base import StateBackend
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.chunk_geometry import ChunkGeometry
 
 __all__ = ["RemoteQueue", "decode_chunk", "encode_chunk"]
 
@@ -55,33 +58,34 @@ _CHUNK_MAGIC = b"RQC1"
 _ARRAY_HEADER = struct.Struct("<4scII")  # magic, kind, rows, dim
 
 
-def encode_chunk(chunk: Any, dim: int) -> bytes:
-    """One chunk as self-describing bytes (array form when eligible)."""
-    from repro.engine.executors import _chunk_as_array
-
-    array = _chunk_as_array(chunk, dim)
-    if array is not None:
-        rows = array.shape[0]
+def encode_chunk(chunk: "ChunkGeometry") -> bytes:
+    """A validated chunk as self-describing bytes: its float64 rows, or
+    its pickled items when one is a StreamPoint."""
+    if chunk.items is None:
+        rows, dim = chunk.array.shape
         return (
             _ARRAY_HEADER.pack(_CHUNK_MAGIC, b"A", rows, dim)
-            + array.astype("<f8", copy=False).tobytes()
+            + chunk.array.astype("<f8", copy=False).tobytes()
         )
     return (
         _ARRAY_HEADER.pack(_CHUNK_MAGIC, b"P", 0, 0)
-        + pickle.dumps(list(chunk), protocol=pickle.HIGHEST_PROTOCOL)
+        + pickle.dumps(chunk.items, protocol=pickle.HIGHEST_PROTOCOL)
     )
 
 
 def decode_chunk(data: bytes) -> tuple[str, Any]:
-    """``("array", ndarray)`` or ``("pickle", list)`` back from bytes."""
+    """``("array", ndarray)`` or ``("pickle", list)`` back from bytes.
+
+    The array is a read-only view of ``data``; ``process_many`` copies
+    it into the chunk's own geometry.
+    """
     magic, kind, rows, dim = _ARRAY_HEADER.unpack_from(data)
     if magic != _CHUNK_MAGIC:
         raise ValueError("not a remote-queue chunk payload")
     payload = data[_ARRAY_HEADER.size :]
     if kind == b"P":
         return "pickle", pickle.loads(payload)
-    array = np.frombuffer(payload, dtype="<f8").reshape(rows, dim)
-    return "array", np.ascontiguousarray(array, dtype=np.float64)
+    return "array", np.frombuffer(payload, dtype="<f8").reshape(rows, dim)
 
 
 class RemoteQueue:

@@ -58,7 +58,7 @@ from repro.backends.lease import (
 from repro.engine.queue import RemoteQueue, decode_chunk
 from repro.errors import CASConflictError
 
-__all__ = ["main", "run_worker"]
+__all__ = ["add_worker_arguments", "main", "run_worker"]
 
 
 @dataclass
@@ -128,7 +128,6 @@ def _pump(
     entry: _Owned,
     worker_id: str,
     lease_ttl: float,
-    config: Any,
     stats: dict[str, int],
 ) -> bool:
     """Fold every available chunk of one owned shard; returns progress."""
@@ -143,14 +142,7 @@ def _pump(
         if payload is None:
             break
         try:
-            kind, decoded = decode_chunk(payload)
-            if kind == "array":
-                from repro.core.chunk_geometry import geometry_from_array
-
-                vectors, geometry = geometry_from_array(config, decoded)
-                entry.replica.process_many(vectors, geometry=geometry)
-            else:
-                entry.replica.process_many(decoded)
+            entry.replica.process_many(decode_chunk(payload)[1])
         except BaseException:
             stats["errors"] += 1
             queue.report_error(worker_id, traceback.format_exc())
@@ -274,15 +266,7 @@ def run_worker(
                         continue
                     owned[shard] = entry
                 progressed = (
-                    _pump(
-                        queue,
-                        owned,
-                        entry,
-                        worker_id,
-                        lease_ttl,
-                        config,
-                        stats,
-                    )
+                    _pump(queue, owned, entry, worker_id, lease_ttl, stats)
                     or progressed
                 )
             if progressed:
@@ -309,30 +293,34 @@ def run_worker(
     return stats
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.engine.remote_worker",
-        description=(
-            "Serve a remote pipeline work queue: lease shards through "
-            "backend CAS, fold their chunks, commit states through the "
-            "CAS fence.  Point it at the same backend and --queue-key "
-            "the submitting pipeline uses."
-        ),
-    )
+def add_worker_arguments(parser: argparse.ArgumentParser) -> None:
+    """Add the worker's flags to ``parser``.
+
+    The one definition behind both entry points: this module's
+    ``main`` and the ``repro.cli worker`` subcommand.
+    """
     parser.add_argument(
         "--backend",
         required=True,
         choices=["file", "redis"],
-        help="shared backend flavour (memory is in-process only)",
+        help="shared backend flavour the submitting pipeline uses "
+        "(memory is in-process only and has no worker command)",
     )
     parser.add_argument(
-        "--backend-path", default=None, help="file backend directory"
+        "--backend-path",
+        default=None,
+        help="directory of the file backend (with --backend file)",
     )
     parser.add_argument(
-        "--backend-url", default=None, help="redis backend URL"
+        "--backend-url",
+        default=None,
+        help="redis URL of the redis backend (with --backend redis)",
     )
     parser.add_argument(
-        "--queue-key", required=True, help="queue namespace to serve"
+        "--queue-key",
+        default="remote-queue",
+        help="work-queue namespace to serve (default remote-queue; "
+        "must match the pipeline's queue key)",
     )
     parser.add_argument(
         "--worker-id",
@@ -343,20 +331,35 @@ def main(argv: list[str] | None = None) -> int:
         "--lease-ttl",
         type=float,
         default=5.0,
-        help="seconds without a heartbeat before a shard is stolen",
+        help="seconds without a heartbeat before this worker's shards "
+        "are stolen (default 5; match the pipeline's lease ttl)",
     )
     parser.add_argument(
         "--poll-interval",
         type=float,
         default=0.05,
-        help="idle polling period in seconds",
+        help="idle polling period in seconds (default 0.05)",
     )
     parser.add_argument(
         "--max-idle",
         type=float,
         default=None,
-        help="exit after this many idle seconds (default: serve forever)",
+        help="exit after this many idle seconds (default: serve "
+        "forever, across successive pipeline runs)",
     )
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.engine.remote_worker",
+        description=(
+            "Serve a remote pipeline work queue: lease shards through "
+            "backend CAS, fold their chunks, commit states through the "
+            "CAS fence.  Point it at the same backend and --queue-key "
+            "the submitting pipeline uses."
+        ),
+    )
+    add_worker_arguments(parser)
     args = parser.parse_args(argv)
     try:
         backend = make_backend(

@@ -15,7 +15,7 @@ the coordinate range up front).
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.errors import DimensionMismatchError, ParameterError
 from repro.hashing.mix import splitmix64
@@ -124,10 +124,6 @@ class Grid:
         """
         return splitmix64(hash(cell) & _MASK64)
 
-    def cell_id_of(self, point: Sequence[float]) -> int:
-        """Shorthand for ``cell_id(cell_of(point))``."""
-        return self.cell_id(self.cell_of(point))
-
     def lower_corner(self, cell: Cell) -> tuple[float, ...]:
         """Return the coordinates of the cell's lower corner."""
         if len(cell) != self._dim:
@@ -170,10 +166,6 @@ class Grid:
                 diff = 0.0
             acc += diff * diff
         return acc
-
-    def cells_within(self, points: Iterable[Sequence[float]]) -> set[Cell]:
-        """Return the set of cells occupied by ``points`` (convenience)."""
-        return {self.cell_of(p) for p in points}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Grid(side={self._side}, dim={self._dim})"

@@ -15,13 +15,13 @@ first (Remark 2).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.core.base import DEFAULT_KAPPA0, SamplerConfig
-from repro.core.chunk_geometry import ChunkGeometry, coerce_rows
+from repro.core.chunk_geometry import ChunkGeometry, coerce_rows, is_chunk
 from repro.core.infinite_window import RobustL0SamplerIW
 from repro.core.sliding_window import RobustL0SamplerSW
-from repro.errors import ParameterError
+from repro.errors import CheckpointError, ParameterError
 from repro.highdim.jl import JohnsonLindenstrauss, jl_dimension
 from repro.streams.point import StreamPoint
 from repro.streams.windows import WindowSpec
@@ -119,9 +119,48 @@ class HighDimSamplerIW(RobustL0SamplerIW):
         """
         if self._projection is None:
             return super().process_many(points, geometry=geometry)
-        if geometry is None and not isinstance(points, (list, tuple)):
+        if geometry is None and not is_chunk(points):
             return self.extend(points)
         return super().process_many(self._project(points), geometry=geometry)
+
+    def to_state(self) -> dict[str, Any]:
+        """Checkpoint state of a sampler without a projection.
+
+        A projecting sampler has no checkpoint form: the envelope holds
+        the projected-space state only, so a restore would be a plain
+        ``project_to``-dimensional sampler without the JL matrix, which
+        rejects the native rows it is fed.  It raises
+        :class:`~repro.errors.CheckpointError` instead.
+        """
+        if self._projection is not None:
+            raise CheckpointError(
+                "a HighDimSamplerIW with a Johnson-Lindenstrauss projection "
+                f"({self._native_dim} -> {self.dim} dims) cannot be "
+                "checkpointed: the state does not carry the projection"
+            )
+        return super().to_state()
+
+    @classmethod
+    def _construct_for_restore(
+        cls, state: dict[str, Any], config: SamplerConfig, policy
+    ) -> "HighDimSamplerIW":
+        """The empty shell ``from_state`` fills: the Section 4 grid
+        arrives with ``config``, and a checkpointed sampler never
+        projects (:meth:`to_state`)."""
+        sampler = cls.__new__(cls)
+        RobustL0SamplerIW.__init__(
+            sampler,
+            config.alpha,
+            config.dim,
+            kappa0=policy.kappa0,
+            expected_stream_length=policy.expected_stream_length,
+            accept_capacity=policy.fixed,
+            track_members=state["track_members"],
+            config=config,
+        )
+        sampler._projection = None
+        sampler._native_dim = config.dim
+        return sampler
 
     def _project(
         self, points: Iterable[StreamPoint | Sequence[float]]

@@ -348,9 +348,6 @@ class TenantStore:
         """Resident tenant keys, least recently used first."""
         return list(self._resident)
 
-    def is_resident(self, tenant: str) -> bool:
-        return tenant in self._resident
-
     def counters(self) -> dict[str, Any]:
         """Population counters (the ``/metrics`` ``tenants`` section)."""
         return {

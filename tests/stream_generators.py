@@ -42,3 +42,18 @@ def line_stream(n, seed, groups):
         (25.0 * rng.randrange(groups) + rng.uniform(0, 0.4),)
         for _ in range(n)
     ]
+
+
+def poisoned_chunk(config):
+    """A validated one-point chunk whose array is then overwritten with NaN.
+
+    No submitter can build it - ``chunk_geometry_for`` rejects NaN - so
+    it stands for a chunk corrupted past the submit boundary: handed
+    straight to an executor, it reaches a worker whose own validation
+    rejects it, which poisons the worker.
+    """
+    from repro.core.chunk_geometry import chunk_geometry_for
+
+    chunk = chunk_geometry_for(config, [(0.0,) * config.dim])
+    chunk.array[:] = float("nan")
+    return chunk

@@ -3,6 +3,7 @@
 ``benchmarks/bench_remote.py`` merges a ``"remote"`` section into
 ``BENCH_pipeline.json``; ``benchmarks/bench_throughput.py`` writes the
 pipeline-scaling record into the same file and must not erase it.
+Both go through ``bench_throughput.write_record``.
 ``scripts/record_perfbench.py`` appends each perfbench run to a capped
 per-workload history in ``BENCH_perfbench.json``.
 """
@@ -36,7 +37,7 @@ def test_pipeline_record_keeps_the_remote_section(tmp_path):
     out = tmp_path / "BENCH_pipeline.json"
     remote = {"mode": "smoke", "backends": {"memory": {"pts_per_sec": 1}}}
     out.write_text(json.dumps({"mode": "full", "remote": remote}))
-    bench.write_pipeline_record(
+    bench.write_record(
         out, {"mode": "smoke", "serial_pts_per_sec": 10, "process": {}}
     )
     written = json.loads(out.read_text())
@@ -48,7 +49,7 @@ def test_pipeline_record_keeps_the_remote_section(tmp_path):
 def test_pipeline_record_starts_a_missing_file(tmp_path):
     bench = load_bench_throughput()
     out = tmp_path / "BENCH_pipeline.json"
-    bench.write_pipeline_record(out, {"mode": "smoke"})
+    bench.write_record(out, {"mode": "smoke"})
     assert json.loads(out.read_text()) == {"mode": "smoke"}
 
 

@@ -139,6 +139,23 @@ class TestDocsMatchCode:
         ):
             assert stale not in text, stale
 
+    @pytest.mark.parametrize("path", DOCS, ids=lambda p: p.name)
+    def test_no_deleted_chunk_boundary_machinery(self, path):
+        # One validated chunk travels from submit to the sampler loop;
+        # the per-executor geometry switch, the coerced-tuple identity
+        # hand-off and the extra geometry builders are gone.
+        text = path.read_text(encoding="utf-8")
+        for stale in (
+            "wants_geometry",
+            "source_vectors",
+            "pure_coords",
+            "_chunk_as_array",
+            "geometry_from_array",
+            "compute_chunk_geometry",
+            "materialize_chunk",
+        ):
+            assert stale not in text, stale
+
     def test_architecture_documents_hot_path(self):
         # The slot/generation scheme, the adjacency index and the
         # shared-geometry cache invariant are load-bearing perf
@@ -171,8 +188,7 @@ class TestDocsMatchCode:
         for name in (
             "valid_for",
             "feed_copies_shared",
-            "source_vectors",
-            "pure_coords",
+            "chunk_geometry_for",
         ):
             assert name in text
             assert name in geometry_source

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.base import SamplerConfig, StreamSampler
-from repro.core.chunk_geometry import ChunkGeometry, compute_chunk_geometry
+from repro.core.chunk_geometry import ChunkGeometry, chunk_geometry_for
 from repro.core.f0_infinite import RobustF0EstimatorIW
 from repro.core.f0_sliding import RobustF0EstimatorSW
 from repro.core.fixed_rate import FixedRateSlidingSampler
@@ -151,7 +151,7 @@ class TestInfiniteWindowDifferential:
         # blocks still fit and serve it.
         points = noisy_stream(10_000, 60, seed=12)
         config = SamplerConfig.create(1.0, 2, seed=15, grid_side=0.08)
-        assert compute_chunk_geometry(config, points).survival_exponents() is None
+        assert chunk_geometry_for(config, points).survival_exponents() is None
         served = spy_adjacency_blocks(monkeypatch)
         per, bat = assert_differential(
             lambda: RobustL0SamplerIW(1.0, 2, config=config), points, 10_000
@@ -654,10 +654,52 @@ class TestChunkCoercedOnce:
 
 
 class TestArrayChunkFastPath:
-    """2-d numeric numpy chunks skip the per-row coercion loop entirely."""
+    """2-d numeric numpy chunks are validated whole - one dtype cast into
+    the chunk's own array - and never go through per-row coercion, on a
+    sampler's ``process_many`` and ``extend`` and on
+    ``BatchPipeline.extend`` (whose ``chunked`` slices keep the array
+    form)."""
 
     def _pipeline(self):
         return BatchPipeline(1.0, 2, num_shards=2, seed=21, batch_size=128)
+
+    @pytest.mark.parametrize(
+        "surface", ["process_many", "extend", "pipeline-extend"]
+    )
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_array_skips_per_row_coercion(self, monkeypatch, surface, dtype):
+        import repro.core.chunk_geometry as chunk_geometry_module
+        import repro.engine.batching as batching_module
+
+        coerced = []
+        original = chunk_geometry_module.coerce_rows
+
+        def spy(points, dim):
+            coerced.append(len(points))
+            return original(points, dim)
+
+        for module in (chunk_geometry_module, batching_module):
+            monkeypatch.setattr(module, "coerce_rows", spy, raising=False)
+        rng = np.random.default_rng(5)
+        array = rng.uniform(0.0, 40.0, (300, 2)).astype(dtype)
+        rows = [tuple(float(x) for x in row) for row in array.tolist()]
+        if surface == "pipeline-extend":
+            fed, reference = self._pipeline(), self._pipeline()
+            assert fed.extend(array) == len(rows)
+            assert coerced == []
+            reference.extend(rows)
+            fed, reference = fed.merge(), reference.merge()
+        else:
+            fed = RobustL0SamplerIW(1.0, 2, seed=21)
+            reference = RobustL0SamplerIW(1.0, 2, seed=21)
+            if surface == "process_many":
+                assert fed.process_many(array) == len(rows)
+            else:
+                assert fed.extend(array, batch_size=64) == len(rows)
+            assert coerced == []
+            reference.process_many(rows)
+        assert sum(coerced) == len(rows)  # the spy saw the row chunks
+        assert state_fingerprint(fed) == state_fingerprint(reference)
 
     def test_float_array_chunk_matches_list_chunk(self):
         rng = random.Random(17)

@@ -19,7 +19,11 @@ import signal
 import numpy as np
 import pytest
 
+from stream_generators import poisoned_chunk
+
 from repro.api import PipelineSpec, build
+from repro.core.base import SamplerConfig
+from repro.core.chunk_geometry import chunk_geometry_for
 from repro.distributed.coordinator import DistributedRobustSampler
 from repro.engine import state_fingerprint
 from repro.engine import executors as executors_module
@@ -27,7 +31,6 @@ from repro.engine.executors import (
     EXECUTOR_NAMES,
     DeferredStates,
     ProcessShardExecutor,
-    _owned_chunk,
     _resolve_workers,
     resolve_state,
 )
@@ -210,9 +213,10 @@ class TestExecutorFailures:
         pipeline.extend(group_stream(64, seed=1))
         # BatchPipeline.submit rejects an invalid chunk before any
         # executor sees it, so a worker can only fail on a chunk that
-        # bypasses that boundary: hand the unconvertible point straight
-        # to the executor to poison a worker.
-        pipeline._ensure_executor().submit(0, [(None,)])
+        # bypasses that boundary: hand a corrupted chunk straight to the
+        # executor to poison a worker.
+        poison = poisoned_chunk(pipeline.config)
+        pipeline._ensure_executor().submit(0, poison)
         with pytest.raises(ExecutorError):
             pipeline.sync()
         # The failure is sticky and the pipeline stays dirty: closing
@@ -260,9 +264,9 @@ class TestTransportMatrix:
         assert stats["pickle_chunks"] == 0
 
     def test_pickle_fallback_for_streampoint_chunks(self):
-        # StreamPoints are not sequences, so ``np.asarray`` rejects the
-        # chunk and the executor falls back to pickling exactly those
-        # chunks - fingerprint-identical either way.
+        # The array cannot carry StreamPoints' arrival metadata, so the
+        # validated chunk keeps its items and the executor pickles
+        # exactly those chunks - fingerprint-identical either way.
         from repro.streams import StreamPoint
 
         raw = group_stream(160, seed=23)
@@ -279,7 +283,7 @@ class TestTransportMatrix:
         executor = ProcessShardExecutor(parallel, num_workers=2)
         try:
             for chunk in chunks:
-                executor.submit(0, chunk)
+                executor.submit(0, chunk_geometry_for(parallel.config, chunk))
             drain_into(parallel, executor)
             stats = executor.stats()
         finally:
@@ -311,12 +315,16 @@ class TestTransportMatrix:
         executor = ProcessShardExecutor(parallel, num_workers=2)
         pool_slots = len(executor._pool._free)
         try:
-            executor.submit(0, views[0])
+            executor.submit(
+                0, chunk_geometry_for(parallel.config, views[0])
+            )
             pid = executor._workers[executor._owner[0]].pid
             os.kill(pid, signal.SIGSTOP)
             try:
                 for shard_id, view in zip(shard_ids[1:], views[1:]):
-                    executor.submit(shard_id, view)
+                    executor.submit(
+                        shard_id, chunk_geometry_for(parallel.config, view)
+                    )
                 rows[:] = 0.5  # the caller reuses its buffer
             finally:
                 os.kill(pid, signal.SIGCONT)
@@ -358,13 +366,18 @@ class TestDoneMessages:
         held = []
         try:
             for shard_id, chunk in zip(shard_ids[:4], chunks[:4]):
-                executor.submit(shard_id, chunk)  # adopts every shard
+                # adopts every shard
+                executor.submit(
+                    shard_id, chunk_geometry_for(parallel.config, chunk)
+                )
             pids = [worker.pid for worker in executor._workers]
             for pid in pids:
                 os.kill(pid, signal.SIGSTOP)
             try:
                 for shard_id, chunk in zip(shard_ids[4:], chunks[4:]):
-                    executor.submit(shard_id, chunk)
+                    executor.submit(
+                        shard_id, chunk_geometry_for(parallel.config, chunk)
+                    )
                     held.append(pool_slots - len(executor._pool._free))
                     assert held[-1] == sum(executor._inflight)
             finally:
@@ -391,9 +404,10 @@ class TestDoneMessages:
         rows = np.array(group_stream(40, seed=8), dtype=np.float64)
         try:
             # Bypasses the submit boundary: a NaN row rejected worker-side.
-            executor.submit(0, [(None,)])
+            executor.submit(0, poisoned_chunk(coordinator.config))
+            chunk = chunk_geometry_for(coordinator.config, rows)
             for _ in range(pool_slots + 10):
-                executor.submit(0, rows)
+                executor.submit(0, chunk)
             with pytest.raises(ExecutorError, match="shard worker failed"):
                 list(executor.drain())
             assert executor._inflight == [0]
@@ -418,7 +432,10 @@ class TestDrainStallDetection:
             pid = executor._workers[0].pid
             os.kill(pid, signal.SIGSTOP)
             try:
-                executor.submit(0, group_stream(64, seed=2))
+                chunk = group_stream(64, seed=2)
+                executor.submit(
+                    0, chunk_geometry_for(coordinator.config, chunk)
+                )
                 with pytest.raises(ExecutorError, match="stalled"):
                     list(executor.drain())
             finally:
@@ -433,7 +450,8 @@ class TestDrainStallDetection:
             worker = executor._workers[0]
             os.kill(worker.pid, signal.SIGKILL)
             worker.join(timeout=5.0)
-            executor.submit(0, group_stream(64, seed=2))
+            chunk = group_stream(64, seed=2)
+            executor.submit(0, chunk_geometry_for(coordinator.config, chunk))
             with pytest.raises(ExecutorError, match="died without reporting"):
                 list(executor.drain())
         finally:
@@ -455,7 +473,9 @@ class TestDrainContract:
         try:
             for shard in (0, 1, 3):  # shard 2 receives no chunk
                 chunk = group_stream(48, seed=shard)
-                runner.submit(shard, chunk)
+                runner.submit(
+                    shard, chunk_geometry_for(coordinator.config, chunk)
+                )
                 reference.route_many(chunk, shard)
             arrivals = list(runner.drain())
         finally:
@@ -518,22 +538,32 @@ class TestDeferredStates:
 
 
 class TestOwnedChunk:
-    def test_tuple_kept_without_copy(self):
+    """The validated chunk owns what an asynchronous executor ships, so
+    a caller may reuse its batch buffer as soon as ``submit`` returns."""
+
+    def test_coordinate_rows_live_in_a_fresh_array(self):
+        config = SamplerConfig.create(1.0, 1, seed=1)
         chunk = ((0.0,), (1.0,))
-        assert _owned_chunk(chunk) is chunk
+        owned = chunk_geometry_for(config, chunk)
+        assert owned.items is None
+        assert owned.array.tolist() == [[0.0], [1.0]]
 
     def test_list_is_snapshotted(self):
-        chunk = [(0.0,), (1.0,)]
-        owned = _owned_chunk(chunk)
-        assert owned == chunk and owned is not chunk
+        from repro.streams import StreamPoint
+
+        config = SamplerConfig.create(1.0, 1, seed=1)
+        chunk = [StreamPoint((0.0,), 0), (1.0,)]
+        owned = chunk_geometry_for(config, chunk)
+        assert owned.items == chunk and owned.items is not chunk
         chunk.clear()
-        assert len(owned) == 2
+        assert len(owned.items) == 2
 
     def test_ndarray_is_deep_copied(self):
+        config = SamplerConfig.create(1.0, 1, seed=1)
         chunk = np.zeros((4, 1))
-        owned = _owned_chunk(chunk)
+        owned = chunk_geometry_for(config, chunk)
         chunk[0, 0] = 99.0
-        assert owned[0, 0] == 0.0
+        assert owned.array[0, 0] == 0.0
 
 
 class TestWorkerMapping:

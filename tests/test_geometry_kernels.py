@@ -25,8 +25,8 @@ from repro.core.base import CandidateRecord, SamplerConfig, check_vector
 from repro.core.chunk_geometry import (
     MIN_VECTOR_CHUNK,
     ChunkGeometry,
-    compute_chunk_geometry,
-    materialize_chunk,
+    chunk_geometry_for,
+    prepare_chunk,
 )
 from repro.errors import DimensionMismatchError, ParameterError
 from repro.geometry import kernels
@@ -182,7 +182,7 @@ class TestCellKernels:
         config = SamplerConfig.create(1.0, dim, seed=dim)
         grid = config.grid
         points = boundary_points(grid, 400, seed=dim)
-        geom = compute_chunk_geometry(config, points)
+        geom = chunk_geometry_for(config, points)
         assert geom is not None and geom.n == len(points)
         for index, point in enumerate(points):
             cell = grid.cell_of(point)
@@ -196,7 +196,7 @@ class TestCellKernels:
     def test_kwise_config_hashes_match(self):
         config = SamplerConfig.create(1.0, 2, seed=9, kwise=8)
         points = boundary_points(config.grid, 200, seed=9)
-        geom = compute_chunk_geometry(config, points)
+        geom = chunk_geometry_for(config, points)
         for index, point in enumerate(points):
             assert geom.cell_hashes[index] == config.cell_hash(
                 config.grid.cell_of(point)
@@ -208,8 +208,8 @@ class TestCellKernels:
         # second build of the same chunk yields the same hashes.
         config = SamplerConfig.create(1.0, 2, seed=11, kwise=kwise)
         points = boundary_points(config.grid, 100, seed=11)
-        first = compute_chunk_geometry(config, points)
-        second = compute_chunk_geometry(config, points)
+        first = chunk_geometry_for(config, points)
+        second = chunk_geometry_for(config, points)
         assert first.cell_hashes == second.cell_hashes
         assert first.cell_hashes == [
             config.cell_hash(config.grid.cell_of(point)) for point in points
@@ -220,16 +220,16 @@ class TestCellKernels:
         points = boundary_points(config.grid, 50, seed=13)
         points[20] = (float("nan"), 1.0)
         with pytest.raises(ParameterError, match="point 20 has a non-finite"):
-            compute_chunk_geometry(config, points)
+            chunk_geometry_for(config, points)
         # The scalar check of chunks below MIN_VECTOR_CHUNK agrees.
         with pytest.raises(ParameterError, match="point 1 has a non-finite"):
-            compute_chunk_geometry(config, points[19:21])
+            chunk_geometry_for(config, points[19:21])
 
     def test_huge_coordinates_reject_chunk(self):
         config = SamplerConfig.create(1.0, 1, seed=17)
         points = [(float(i),) for i in range(30)] + [(1e300,)]
         with pytest.raises(ParameterError, match=r"point 30 .*int64 range"):
-            compute_chunk_geometry(config, points)
+            chunk_geometry_for(config, points)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_scalar_and_vector_checks_agree_at_the_limit(self, sign):
@@ -245,7 +245,7 @@ class TestCellKernels:
         for _ in range(16):
             chunk = [(0.0, 0.0)] * MIN_VECTOR_CHUNK + [(value, 0.0)]
             try:
-                compute_chunk_geometry(config, chunk)
+                chunk_geometry_for(config, chunk)
                 vector_ok = True
             except ParameterError:
                 vector_ok = False
@@ -274,7 +274,7 @@ class TestCellKernels:
         config = SamplerConfig.create(1.0, 1, seed=seed)
         grid = config.grid
         points = [(v,) for v in values]
-        geom = compute_chunk_geometry(config, points)
+        geom = chunk_geometry_for(config, points)
         assert geom is not None
         for index, point in enumerate(points):
             assert geom.cell_at(index) == grid.cell_of(point)
@@ -286,7 +286,7 @@ class TestAdjacencyKernel:
         config = SamplerConfig.create(1.0, dim, seed=21 + dim)
         grid = config.grid
         points = boundary_points(grid, 150, seed=21 + dim)
-        geom = compute_chunk_geometry(config, points)
+        geom = chunk_geometry_for(config, points)
         flat, counts = kernels.adjacent_cells_chunk(
             geom._coords, geom.fracs, grid.side, config.alpha
         )
@@ -313,7 +313,7 @@ class TestAdjacencyKernel:
             tuple(rng.uniform(-30, 30) for _ in range(dim))
             for _ in range(60)
         ]
-        geom = compute_chunk_geometry(config, points)
+        geom = chunk_geometry_for(config, points)
         flat, counts = kernels.adjacent_cells_chunk(
             geom._coords, geom.fracs, grid.side, config.alpha
         )
@@ -388,7 +388,7 @@ class TestAdjacencyKernel:
             )
             grid = config.grid
             points = face_points(grid, 24, seed=dim * 31 + int(ratio * 97))
-            geom = compute_chunk_geometry(config, points)
+            geom = chunk_geometry_for(config, points)
             flat, counts = kernels.adjacent_cells_chunk(
                 geom._coords, geom.fracs, grid.side, config.alpha
             )
@@ -414,7 +414,7 @@ class TestAdjacencyKernel:
             (rng.uniform(-300, 300), rng.uniform(-300, 300))
             for _ in range(4096)
         ]
-        geom = compute_chunk_geometry(config, points)
+        geom = chunk_geometry_for(config, points)
         assert geom.survival_exponents() is None
         for index, point in enumerate(points[:40]):
             assert geom.adj_hashes(index) == config.adj_hashes(
@@ -426,7 +426,7 @@ class TestAdjacencyKernel:
     def test_eager_table_matches_scalar_adjacency(self, dim):
         config = SamplerConfig.create(1.0, dim, seed=41 + dim)
         points = boundary_points(config.grid, 200, seed=41 + dim)
-        geom = compute_chunk_geometry(config, points)
+        geom = chunk_geometry_for(config, points)
         # Request adjacency for every point: the first few run the
         # scalar DFS, then the eager vectorised table takes over; both
         # regimes must agree with the scalar oracle.
@@ -441,7 +441,7 @@ class TestAdjacencyKernel:
     def test_block_survival_exponents_match_records(self, dim, kwise):
         config = SamplerConfig.create(1.0, dim, seed=61 + dim, kwise=kwise)
         points = boundary_points(config.grid, 200, seed=61 + dim)
-        geom = compute_chunk_geometry(config, points)
+        geom = chunk_geometry_for(config, points)
         served = 0
         for index, point in enumerate(points):
             hashes = geom.adj_hashes(index)
@@ -480,7 +480,7 @@ class TestSurvivalExponents:
         config = SamplerConfig.create(1.0, dim, seed=dim * 53 + 3, kwise=kwise)
         grid = config.grid
         points = face_points(grid, 300, seed=dim * 7)
-        exponents = compute_chunk_geometry(config, points).survival_exponents()
+        exponents = chunk_geometry_for(config, points).survival_exponents()
         assert exponents is not None
         verdicts = set()
         for mask in (1, 7, 63, 4095):
@@ -501,26 +501,30 @@ class TestMaterializeChunk:
     def test_valid_prefix_and_dim_error(self):
         # The error names the first bad position; no partial chunk is
         # returned for the valid prefix before it.
+        config2 = SamplerConfig.create(1.0, 2, seed=1)
         with pytest.raises(
             DimensionMismatchError, match="point 2 has dimension 3, expected 2"
         ):
-            materialize_chunk(
-                [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0)], 2, 10
+            chunk_geometry_for(
+                config2,
+                [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0)],
             )
-        pts, vectors = materialize_chunk([(0.0, 1.0), (2.0, 3.0)], 2, 10)
+        geometry = chunk_geometry_for(config2, [(0.0, 1.0), (2.0, 3.0)])
+        pts = geometry.stream_points(10)
         assert [p.index for p in pts] == [10, 11]
-        assert vectors == [(0.0, 1.0), (2.0, 3.0)]
+        assert geometry.vectors == [(0.0, 1.0), (2.0, 3.0)]
 
     def test_coercion_error_stops_at_offender(self):
         with pytest.raises(
             ParameterError, match="point 1 is not a sequence of numbers"
         ):
-            materialize_chunk([(0.0,), ("bad",), (1.0,)], 1, 0)
+            chunk_geometry_for(
+                SamplerConfig.create(1.0, 1, seed=1),
+                [(0.0,), ("bad",), (1.0,)],
+            )
 
     @pytest.mark.parametrize("sampler", ["infinite", "sliding"])
-    @pytest.mark.parametrize(
-        "builder", ["compute_chunk_geometry", "chunk_geometry_for"]
-    )
+    @pytest.mark.parametrize("builder", ["array-chunk", "chunk_geometry_for"])
     @pytest.mark.parametrize(
         "change", ["other-chunk", "interior-point", "interior-nan"]
     )
@@ -531,7 +535,6 @@ class TestMaterializeChunk:
         # the one interior point that differs would fail the boundary.
         from repro.core.infinite_window import RobustL0SamplerIW
         from repro.core.sliding_window import RobustL0SamplerSW
-        from repro.engine.batching import chunk_geometry_for
         from repro.engine.equivalence import state_fingerprint
         from repro.streams.windows import SequenceWindow
 
@@ -545,7 +548,9 @@ class TestMaterializeChunk:
             )
 
         build = {
-            "compute_chunk_geometry": compute_chunk_geometry,
+            "array-chunk": lambda cfg, rows: chunk_geometry_for(
+                cfg, np.array(rows)
+            ),
             "chunk_geometry_for": chunk_geometry_for,
         }[builder]
         rng = random.Random(0)
@@ -600,7 +605,5 @@ class TestMaterializeChunk:
         config = SamplerConfig.create(1.0, 2, seed=1)
         points = boundary_points(config.grid, 50, seed=1)
         small = points[: MIN_VECTOR_CHUNK - 1]
-        assert compute_chunk_geometry(config, small) is None
-        assert isinstance(
-            compute_chunk_geometry(config, points), ChunkGeometry
-        )
+        assert prepare_chunk(config, small, 0)[2] is None
+        assert isinstance(prepare_chunk(config, points, 0)[2], ChunkGeometry)

@@ -10,11 +10,12 @@ import pytest
 
 from repro.datasets.synthetic import sparse_high_dim
 from repro.engine.equivalence import state_fingerprint
-from repro.errors import ParameterError
+from repro.errors import CheckpointError, ParameterError
 from repro.geometry.distance import distance
 from repro.highdim.jl import JohnsonLindenstrauss, jl_dimension
 from repro.highdim.sparse import HighDimSamplerIW, HighDimSamplerSW
 from repro.metrics.accuracy import chi_square_uniformity
+from repro.persist import dumps_summary, loads_summary
 from repro.streams.point import StreamPoint
 from repro.streams.windows import SequenceWindow
 
@@ -150,6 +151,33 @@ class TestHighDimSamplerIW:
         with pytest.raises(ParameterError, match="point 3"):
             sampler.process_many(chunk[:3] + [bad] + chunk[3:])
         assert state_fingerprint(sampler) == before
+
+    def test_checkpoint_round_trips_without_projection(self):
+        points, _, alpha = self._stream(12, 30, seed=11)
+        sampler = HighDimSamplerIW(alpha, 12, seed=3)
+        sampler.extend(points[:60])
+        restored = HighDimSamplerIW.from_state(sampler.to_state())
+        assert isinstance(restored, HighDimSamplerIW)
+        assert restored.native_dim == 12 and restored.projection is None
+        assert state_fingerprint(restored) == state_fingerprint(sampler)
+        reloaded = loads_summary(dumps_summary(sampler))
+        assert state_fingerprint(reloaded) == state_fingerprint(sampler)
+        # Every copy continues the stream with the same decisions.
+        for copy in (sampler, restored, reloaded):
+            copy.extend(points[60:])
+        assert state_fingerprint(restored) == state_fingerprint(sampler)
+        assert state_fingerprint(reloaded) == state_fingerprint(sampler)
+
+    def test_projecting_checkpoint_is_refused(self):
+        # The state holds the projected space only: a restore would be a
+        # plain 8-dim sampler that rejects the native 20-dim rows.
+        points, _, alpha = self._stream(20, 12, seed=12)
+        sampler = HighDimSamplerIW(alpha, 20, project_to=8, seed=3)
+        sampler.extend(points)
+        with pytest.raises(CheckpointError, match="projection"):
+            sampler.to_state()
+        with pytest.raises(CheckpointError, match="projection"):
+            dumps_summary(sampler)
 
     def test_jl_target_must_reduce(self):
         with pytest.raises(ParameterError):

@@ -34,7 +34,8 @@ from hypothesis import strategies as st
 from repro.api import L0InfiniteSpec, PipelineSpec, build
 from repro.cli import main
 from repro.core.base import SamplerConfig, check_vector
-from repro.core.chunk_geometry import MIN_VECTOR_CHUNK, geometry_from_array
+from repro.core.chunk_geometry import MIN_VECTOR_CHUNK
+from repro.core.infinite_window import RobustL0SamplerIW
 from repro.engine.equivalence import state_fingerprint
 from repro.engine.executors import EXECUTOR_NAMES
 from repro.errors import DimensionMismatchError, ParameterError
@@ -197,11 +198,14 @@ class TestGridlessBaselines:
 
 
 def test_worker_array_of_the_wrong_width_is_rejected_as_a_batch():
+    # Worker loops hand the transported array straight to the replica.
     config = SamplerConfig.create(1.0, 2, seed=1)
+    replica = RobustL0SamplerIW(1.0, 2, config=config)
     with pytest.raises(
         DimensionMismatchError, match="nothing ingested - point 0 "
     ):
-        geometry_from_array(config, np.zeros((5, 3)))
+        replica.process_many(np.zeros((5, 3)))
+    assert replica.points_seen == 0
 
 
 @pytest.fixture(scope="module", params=EXECUTOR_NAMES)

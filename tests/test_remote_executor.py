@@ -37,6 +37,7 @@ import time
 from pathlib import Path
 
 import pytest
+from stream_generators import poisoned_chunk
 
 from repro.api import PipelineSpec, build
 from repro.backends import FileBackend, MemoryBackend
@@ -46,11 +47,14 @@ from repro.backends.lease import (
     release_lease,
     renew_lease,
 )
+from repro.core.base import SamplerConfig
+from repro.core.chunk_geometry import chunk_geometry_for
 from repro.engine import BatchPipeline, run_resumable, state_fingerprint
 from repro.engine.executors import _REMOTE_FLUSH_CHUNKS
 from repro.engine.queue import RemoteQueue, decode_chunk, encode_chunk
 from repro.engine.remote_worker import run_worker
 from repro.errors import CASConflictError, ExecutorError, ParameterError
+from repro.streams import StreamPoint
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -99,19 +103,21 @@ def serial_twin(stream):
 class TestChunkCodec:
     def test_float_chunk_round_trips_as_array(self):
         chunk = [(1.0, 2.5), (3.0, -4.25)]
-        payload = encode_chunk(chunk, 2)
+        config = SamplerConfig.create(1.0, 2, seed=1)
+        payload = encode_chunk(chunk_geometry_for(config, chunk))
         kind, decoded = decode_chunk(payload)
+        assert kind == "array"
         recovered = [tuple(map(float, row)) for row in decoded]
         assert recovered == [(1.0, 2.5), (3.0, -4.25)]
-        if kind == "pickle":  # numpy-less fallback: same float64 tuples
-            assert decoded == [(1.0, 2.5), (3.0, -4.25)]
 
     def test_ineligible_chunk_round_trips_via_pickle(self):
-        chunk = [("poison",)]  # not float-coercible: no array form
-        payload = encode_chunk(chunk, 1)
+        # StreamPoint arrival metadata has no array form.
+        chunk = [StreamPoint((1.0,), 7, 9.5), (2.0,)]
+        config = SamplerConfig.create(1.0, 1, seed=1)
+        payload = encode_chunk(chunk_geometry_for(config, chunk))
         kind, decoded = decode_chunk(payload)
         assert kind == "pickle"
-        assert decoded == [("poison",)]
+        assert decoded == chunk
 
     def test_foreign_payload_rejected(self):
         with pytest.raises(ValueError):
@@ -627,7 +633,8 @@ class TestPoisonedShard:
         pipeline.extend(group_stream(96, seed=31))
         # Past the pipeline's validating submit: straight to the
         # executor, as a foreign writer of the shared queue could.
-        pipeline._ensure_executor().submit(0, [(None,)])
+        poison = poisoned_chunk(pipeline.config)
+        pipeline._ensure_executor().submit(0, poison)
         with pytest.raises(ExecutorError, match="remote worker failed"):
             pipeline.sync()
         with pytest.raises(ExecutorError):

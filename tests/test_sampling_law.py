@@ -8,10 +8,13 @@ rate halving, the resampling and the batch path's ignore probe all
 shape the sample.  The test asserts that depth too, so it cannot go
 trivial again by staying at rate 1.
 
-Both ingestion surfaces are checked: ``insert`` and ``process_many``
+Three ingestion surfaces are checked: ``insert``, ``process_many``
 in chunks of at least ``MIN_VECTOR_CHUNK`` points, so that every chunk
-gets a ``ChunkGeometry``.  A negative control shows the test has
-power: naive reservoir sampling over points follows the group sizes,
+gets a ``ChunkGeometry``, and ``BatchPipeline.merge()`` over three
+serial shards (``kappa0=0.25``), fed numpy array chunks in half the
+runs and row lists in the other half, so both forms of the chunk
+boundary meet the one-pass shard merge.  A negative control shows the
+test has power: naive reservoir sampling over points follows the group sizes,
 not the groups, and must fail it.  Seeds are fixed, so the verdicts
 are deterministic.
 """
@@ -21,11 +24,13 @@ from __future__ import annotations
 import collections
 import random
 
+import numpy as np
 import pytest
 
 from repro.baselines.naive import NaiveReservoirSampler
 from repro.core.chunk_geometry import MIN_VECTOR_CHUNK
 from repro.core.infinite_window import RobustL0SamplerIW
+from repro.engine.pipeline import BatchPipeline
 from repro.metrics.accuracy import chi_square_uniformity
 
 NUM_GROUPS = 40
@@ -71,7 +76,27 @@ def feed_chunks(sampler, points, rng):
         start += size
 
 
-def sampling_law(feed, seed_base: int):
+def single_sampler(feed):
+    """One ``accept_capacity=4`` sampler per run, fed by ``feed``."""
+
+    def ingest(points, seed):
+        sampler = RobustL0SamplerIW(1.0, 2, seed=seed, accept_capacity=4)
+        feed(sampler, points, random.Random(seed ^ 0x1))
+        return sampler
+
+    return ingest
+
+
+def pipeline_merge(points, seed):
+    """Three serial shards, merged; odd seeds deal array chunks."""
+    pipeline = BatchPipeline(
+        1.0, 2, num_shards=3, seed=seed, batch_size=64, kappa0=0.25
+    )
+    pipeline.extend(np.array(points) if seed % 2 else points)
+    return pipeline.merge()
+
+
+def sampling_law(ingest, seed_base: int):
     """Sample one group per seeded run; returns the per-group counts,
     each run's final rate denominator and the runs that ended with an
     empty accept set (the probability-1/m failure event, not counted)."""
@@ -81,8 +106,7 @@ def sampling_law(feed, seed_base: int):
     for run in range(RUNS):
         seed = seed_base + run
         points = skewed_stream(random.Random(seed))
-        sampler = RobustL0SamplerIW(1.0, 2, seed=seed, accept_capacity=4)
-        feed(sampler, points, random.Random(seed ^ 0x1))
+        sampler = ingest(points, seed)
         rates.append(sampler.rate_denominator)
         if sampler.accept_size == 0:
             empty += 1
@@ -92,16 +116,24 @@ def sampling_law(feed, seed_base: int):
 
 
 @pytest.mark.parametrize(
-    "feed, seed_base",
-    [(feed_insert, 1000), (feed_chunks, 5000)],
-    ids=["insert", "process_many"],
+    "ingest, seed_base, max_empty",
+    [
+        (single_sampler(feed_insert), 1000, RUNS // 20),
+        (single_sampler(feed_chunks), 5000, RUNS // 20),
+        # The merged rate is the largest of the shards' rates, so the
+        # merged accept set is empty more often than one sampler's:
+        # 6-12 of 200 runs at kappa0 0.25 and 0.5, against 0-4 for a
+        # single sampler on the same streams.
+        (pipeline_merge, 7000, RUNS // 10),
+    ],
+    ids=["insert", "process_many", "pipeline-merge"],
 )
-def test_groups_sampled_uniformly_at_depth(feed, seed_base):
-    counts, rates, empty = sampling_law(feed, seed_base)
+def test_groups_sampled_uniformly_at_depth(ingest, seed_base, max_empty):
+    counts, rates, empty = sampling_law(ingest, seed_base)
     assert sum(rate >= 8 for rate in rates) > 0.8 * RUNS, (
         collections.Counter(rates)
     )
-    assert empty <= RUNS // 20
+    assert empty <= max_empty
     _, p_value = chi_square_uniformity(counts)
     assert p_value > 1e-4, counts
 

@@ -23,7 +23,10 @@ from pathlib import Path
 
 import pytest
 
+from stream_generators import poisoned_chunk
+
 from repro.api import PipelineSpec, build
+from repro.core.chunk_geometry import chunk_geometry_for
 from repro.distributed.coordinator import DistributedRobustSampler
 from repro.engine import state_fingerprint
 from repro.engine import executors as executors_module
@@ -73,7 +76,10 @@ class TestSegmentLifecycle:
             for index, chunk in enumerate(
                 group_stream(i * 7 + 40, seed=i) for i in range(6)
             ):
-                executor.submit(index % coordinator.num_shards, chunk)
+                executor.submit(
+                    index % coordinator.num_shards,
+                    chunk_geometry_for(coordinator.config, chunk),
+                )
             arrivals = list(executor.drain())
             # Worker-settled shards come home as DeferredStates handles.
             assert any(
@@ -91,7 +97,10 @@ class TestSegmentLifecycle:
         try:
             for index in range(4):
                 executor.submit(
-                    index % coordinator.num_shards, group_stream(seed=index)
+                    index % coordinator.num_shards,
+                    chunk_geometry_for(
+                        coordinator.config, group_stream(seed=index)
+                    ),
                 )
             names = segment_names(executor)
             victim = executor._workers[0]
@@ -109,8 +118,11 @@ class TestSegmentLifecycle:
     def test_close_releases_segments_after_worker_failure(self):
         coordinator, executor = make_executor(num_workers=1)
         try:
-            executor.submit(0, group_stream(seed=3))  # healthy shm chunk
-            executor.submit(0, [(None,)])  # poisons the worker via pickle
+            healthy = chunk_geometry_for(
+                coordinator.config, group_stream(seed=3)
+            )
+            executor.submit(0, healthy)  # a healthy shm chunk
+            executor.submit(0, poisoned_chunk(coordinator.config))
             with pytest.raises(ExecutorError, match="shard worker failed"):
                 list(executor.drain())
             names = segment_names(executor)
@@ -124,6 +136,7 @@ class TestSegmentLifecycle:
         src = Path(__file__).resolve().parent.parent / "src"
         script = (
             "import json, random, sys\n"
+            "from repro.core.chunk_geometry import chunk_geometry_for\n"
             "from repro.distributed.coordinator import"
             " DistributedRobustSampler\n"
             "from repro.engine.executors import ProcessShardExecutor\n"
@@ -132,7 +145,7 @@ class TestSegmentLifecycle:
             "coordinator = DistributedRobustSampler(1.0, 1, num_shards=2,"
             " seed=1)\n"
             "executor = ProcessShardExecutor(coordinator, num_workers=1)\n"
-            "executor.submit(0, chunk)\n"
+            "executor.submit(0, chunk_geometry_for(coordinator.config, chunk))\n"
             "names = []\n"
             "if executor._pool is not None:\n"
             "    names += executor._pool.segment_names()\n"
@@ -202,7 +215,9 @@ class TestSpawnContext:
         executor = ProcessShardExecutor(parallel, num_workers=2)
         try:
             for index, chunk in enumerate(chunks):
-                executor.submit(index % 2, chunk)
+                executor.submit(
+                    index % 2, chunk_geometry_for(parallel.config, chunk)
+                )
             for shard_id, state in executor.drain():
                 if state is not None:
                     parallel.restore_shard(
