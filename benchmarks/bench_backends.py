@@ -1,10 +1,16 @@
 #!/usr/bin/env python
 """State-backend benchmark: op throughput and checkpoint overhead.
 
-Measures, per backend flavour:
+Measures the serving layer's eviction/restore unit, the checkpoint
+envelope of a service-sized tenant (an ``l0-sliding`` summary, dim 2,
+window 512, fed 128-point ingests of 300 near-duplicate groups):
 
-* raw ``put`` / ``get`` / ``compare_and_swap`` operations per second on
-  envelope-sized payloads (the serving layer's eviction/restore unit);
+* its size and best-of-N ``dumps_summary`` / ``loads_summary`` times;
+
+and, per backend flavour:
+
+* raw ``put`` / ``get`` / ``compare_and_swap`` operations per second
+  with that envelope as the payload;
 * the end-to-end cost of a crash-safe resumable pipeline run
   (:func:`repro.engine.resumable.run_resumable`) against the same run
   with no checkpointing, at several ``checkpoint_every`` settings - the
@@ -17,7 +23,9 @@ correctness side effects: every resumable run must fingerprint-equal
 the plain run, whatever the cadence.
 
 Redis joins when ``REPRO_REDIS_URL`` is set and reachable; otherwise
-the flavour is reported as skipped.
+the flavour is reported as skipped.  The results merge into the
+``"backends"`` section of ``BENCH_pipeline.json`` through
+``bench_throughput.write_record``.
 
 Usage::
 
@@ -33,11 +41,57 @@ import random
 import sys
 import tempfile
 import time
+from pathlib import Path
 
-from repro.api import PipelineSpec
+from bench_throughput import write_record
+from repro.api import PipelineSpec, build
 from repro.backends import FileBackend, MemoryBackend
 from repro.engine import BatchPipeline, run_resumable, state_fingerprint
 from repro.errors import CASConflictError
+from repro.persist import dumps_summary, loads_summary
+
+
+def tenant_summary(seed: int = 1, batches: int = 32):
+    """A service-sized ``l0-sliding`` tenant after ``batches`` ingests."""
+    rng = random.Random(seed)
+    summary = build(
+        "l0-sliding", alpha=1.0, dim=2, seed=2018, window_size=512
+    )
+    for _ in range(batches):
+        batch = []
+        for _ in range(128):
+            group = rng.randrange(300)
+            batch.append(
+                (
+                    25.0 * (group % 20) + rng.uniform(0.0, 0.4),
+                    25.0 * (group // 20) + rng.uniform(0.0, 0.4),
+                )
+            )
+        summary.process_many(batch)
+    return summary
+
+
+def bench_envelope(summary, repeats: int) -> tuple[bytes, dict[str, float]]:
+    """The tenant's envelope and its best-of-``repeats`` codec times."""
+    data = dumps_summary(summary)
+    restored = loads_summary(data)
+    assert state_fingerprint(restored) == state_fingerprint(summary), (
+        "envelope round trip diverged"
+    )
+
+    def best_ms(call) -> float:
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            call()
+            best = min(best, time.perf_counter() - start)
+        return round(best * 1e3, 3)
+
+    return data, {
+        "envelope_bytes": len(data),
+        "dumps_ms": best_ms(lambda: dumps_summary(summary)),
+        "loads_ms": best_ms(lambda: loads_summary(data)),
+    }
 
 
 def make_backends(root: str):
@@ -134,8 +188,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--ops", type=int, default=2000, help="operations per raw-op timing"
     )
+    parser.add_argument(
+        "--json-out",
+        default=str(
+            Path(__file__).resolve().parents[1] / "BENCH_pipeline.json"
+        ),
+        help="pipeline perf record to merge the backends section into",
+    )
     args = parser.parse_args(argv)
-    payload = b"x" * 4096  # a typical small checkpoint envelope
+    payload, envelope = bench_envelope(tenant_summary(), repeats=20)
+    print(f"envelope: {json.dumps(envelope)}")
     report: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as root:
         for name, backend in make_backends(root):
@@ -146,7 +208,9 @@ def main(argv: list[str] | None = None) -> int:
             if name == "redis":
                 backend.clear()
             backend.close()
-    print(json.dumps({"backends": report}, indent=2))
+    section = {"ops": args.ops, "envelope": envelope, "flavours": report}
+    print(json.dumps({"backends": section}, indent=2))
+    write_record(Path(args.json_out), {"backends": section})
     return 0
 
 

@@ -497,9 +497,7 @@ def validate_chunk(grid: Grid, chunk: Sequence) -> None:
     """Validate a whole chunk against ``grid`` before anything mutates.
 
     The ingestion boundary for callers that build no geometry (the
-    exact baseline, :meth:`BatchPipeline.process_many
-    <repro.engine.pipeline.BatchPipeline.process_many>` over a batch
-    that spans several chunks): the checks of
+    exact baseline): the checks of
     :func:`chunk_geometry_for` - every point must coerce to floats,
     have ``grid``'s dimension and a cell the int64 path can carry
     (finite coordinates, ``|(x - offset) // side| < 2^62``).  One

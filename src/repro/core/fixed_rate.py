@@ -296,13 +296,8 @@ class FixedRateSlidingSampler(StreamSampler):
         all - so a restored level evicts, updates and samples exactly as
         the original would on the remainder of the stream.
 
-        Heap entries are stored with two linkage flags instead of object
-        references: ``linked`` (the referenced record is still the store's
-        record for that representative) and ``cur`` (the entry is linked and
-        its last-point is the record's current one).  ``from_state`` uses
-        them to restore the identity relationships the lazy-eviction
-        staleness checks rely on (``store.get(i) is record`` /
-        ``record.last is last_ref``).
+        Records, heap and reservoirs are packed columns
+        (:mod:`repro.core.serialize`).
 
         The shared :class:`~repro.core.base.SamplerConfig` and window are
         *not* embedded; the owner (hierarchy or caller) restores them once
@@ -311,25 +306,10 @@ class FixedRateSlidingSampler(StreamSampler):
         from repro.core import serialize
 
         store = self._store
+        dim = self._config.dim
         records = sorted(
             store.records(), key=lambda r: r.representative.index
         )
-        heap_state = []
-        for key, tiebreak, record, last_ref in self._heap:
-            linked = store.get(record.representative.index) is record
-            heap_state.append(
-                {
-                    "k": key,
-                    "t": tiebreak,
-                    "r": record.representative.index,
-                    "p": serialize.point_to_state(last_ref),
-                    "linked": linked,
-                    # A restored stand-in for an unlinked entry has
-                    # last is last_ref: flagging only linked entries
-                    # keeps re-serialisation byte-identical.
-                    "cur": linked and record.last is last_ref,
-                }
-            )
         # Read the tiebreak position without perturbing the sequence: the
         # counter object is consumed by one peek and replaced by an equal
         # continuation (fingerprints never include the object itself).
@@ -339,18 +319,15 @@ class FixedRateSlidingSampler(StreamSampler):
             "rate_denominator": self._rate,
             "track_members": self._track_members,
             "next_tiebreak": position,
-            "records": [serialize.record_to_state(r) for r in records],
-            "heap": heap_state,
-            "reservoirs": [
-                {
-                    "key": key,
-                    "entries": [
-                        [priority, serialize.point_to_state(point)]
-                        for priority, point in self._reservoirs[key]._entries
-                    ],
-                }
-                for key in sorted(self._reservoirs)
-            ],
+            "records": serialize.records_to_columns(records, dim),
+            "heap": serialize.heap_to_columns(self._heap, store, dim),
+            "reservoirs": serialize.reservoirs_to_columns(
+                [
+                    (key, self._reservoirs[key]._entries)
+                    for key in sorted(self._reservoirs)
+                ],
+                dim,
+            ),
         }
         # Untracked members never draw from the RNG (and an unseeded one
         # is OS entropy): omitting it keeps the envelope deterministic.
@@ -373,7 +350,6 @@ class FixedRateSlidingSampler(StreamSampler):
         to nest across rates, expiry must be judged consistently).
         """
         from repro.core import serialize
-        from repro.core.reservoir import WindowReservoir
 
         sampler = cls(
             config,
@@ -384,44 +360,17 @@ class FixedRateSlidingSampler(StreamSampler):
         if "member_rng" in state:
             sampler._member_rng = serialize.rng_from_state(state["member_rng"])
         sampler._tiebreak = itertools.count(state["next_tiebreak"])
-        records: dict[int, CandidateRecord] = {}
-        for record_state in state["records"]:
-            record = serialize.record_from_state(record_state)
-            records[record.representative.index] = record
+        for record in serialize.records_from_columns(
+            state["records"], config.dim
+        ):
             sampler._store.add(record)
-        slot_tb = sampler._store._slot_tb
-        for entry in state["heap"]:
-            last = serialize.point_from_state(entry["p"])
-            record = records.get(entry["r"]) if entry["linked"] else None
-            if record is None:
-                # The referenced record left the store: fabricate a
-                # detached stand-in so the staleness check pops the entry
-                # exactly as it would have popped the original (the
-                # sentinel slot 0 never matches a real tiebreak).
-                record = CandidateRecord(
-                    representative=StreamPoint(last.vector, entry["r"]),
-                    cell=(),
-                    cell_hash=0,
-                    adj_hashes=(),
-                    accepted=False,
-                    last=last,
-                )
-            elif entry["cur"]:
-                # Live entry: restore the identity record.last is last_ref
-                # and stamp the slot generation (max-wins: the record's
-                # latest push owns the counter, as in live stamping).
-                last = record.last
-                if entry["t"] > slot_tb[record.slot]:
-                    slot_tb[record.slot] = entry["t"]
-            # The saved list order *is* a valid heap arrangement (it was
-            # the live heap), so it is restored verbatim - heapifying
-            # could legally rearrange it and break fingerprint equality.
-            sampler._heap.append((entry["k"], entry["t"], record, last))
-        for reservoir_state in state["reservoirs"]:
+        sampler._heap = serialize.heap_from_columns(
+            state["heap"], sampler._store, config.dim
+        )
+        for key, entries in serialize.reservoirs_from_columns(
+            state["reservoirs"], config.dim
+        ):
             reservoir = WindowReservoir(window)
-            reservoir._entries = [
-                (priority, serialize.point_from_state(point_state))
-                for priority, point_state in reservoir_state["entries"]
-            ]
-            sampler._reservoirs[reservoir_state["key"]] = reservoir
+            reservoir._entries = entries
+            sampler._reservoirs[key] = reservoir
         return sampler

@@ -534,10 +534,9 @@ class RobustL0SamplerIW(StreamSampler):
             "peak_space_words": self._peak_words,
             "track_members": self._track_members,
             "policy": serialize.policy_to_state(self._policy),
-            "records": [
-                serialize.record_to_state(record)
-                for record in self._store.records()
-            ],
+            "records": serialize.records_to_columns(
+                list(self._store.records()), self._config.dim
+            ),
         }
         # Untracked members never draw from the RNG (and a config-built
         # sampler's is OS entropy): omitting it keeps the envelope
@@ -584,6 +583,8 @@ class RobustL0SamplerIW(StreamSampler):
         sampler._peak_words = state["peak_space_words"]
         if "member_rng" in state:
             sampler._member_rng = serialize.rng_from_state(state["member_rng"])
-        for record_state in state["records"]:
-            sampler._store.add(serialize.record_from_state(record_state))
+        for record in serialize.records_from_columns(
+            state["records"], config.dim
+        ):
+            sampler._store.add(record)
         return sampler

@@ -14,10 +14,19 @@ primitives, never the samplers, so every core class (and
 
 from __future__ import annotations
 
+import base64
 import random
-from typing import Any
+from itertools import chain
+from typing import Any, Iterable, Sequence
 
-from repro.core.base import CandidateRecord, SamplerConfig, _ThresholdPolicy
+import numpy as np
+
+from repro.core.base import (
+    CandidateRecord,
+    CandidateStore,
+    SamplerConfig,
+    _ThresholdPolicy,
+)
 from repro.errors import CheckpointError
 from repro.geometry.grid import Grid
 from repro.hashing.kwise import KWiseHash
@@ -101,36 +110,207 @@ def config_from_state(state: dict[str, Any]) -> SamplerConfig:
     )
 
 
-def record_to_state(record: CandidateRecord) -> dict[str, Any]:
-    """Encode one candidate record (``last``/``member``/``level`` only
-    when they deviate from the defaults).
+# --------------------------------------------------------------------- #
+# packed columns: candidate records, lazy heaps, window reservoirs
+# --------------------------------------------------------------------- #
+#
+# A record sequence (or heap, or set of reservoirs) is one ``columns``
+# object: its row count ``n`` and one packed little-endian column per
+# field, base64-encoded so the state stays a JSON-compatible tree.
+# Points are ``dim`` wide, ``dim`` being the owning sampler's config
+# dimension (passed to both sides, never stored).  Optional per-row points (a record's ``last``
+# when it is not the representative, its ``member`` when present) are
+# packed for the flagged rows only; variable-length fields (adjacency
+# hashes, reservoir entries) are one flat column plus a length column.
 
-    ``record.slot`` - the record's index into its store's slot pool -
-    is **derived state** and deliberately never encoded: restoring
-    re-grants slots through ``CandidateStore.add``, so checkpoints stay
-    byte-identical to the pre-pool layout and legacy checkpoints
-    restore unchanged (``tests/test_persist.py``,
-    ``tests/test_property_equivalence.py``).
-    """
-    state = {
-        "rep": point_to_state(record.representative),
-        "cell": list(record.cell),
-        "cell_hash": record.cell_hash,
-        "adj_hashes": list(record.adj_hashes),
-        "accepted": record.accepted,
-        "count": record.count,
+_F8 = "<f8"
+_I8 = "<i8"
+_U8 = "<u8"
+_U1 = "u1"
+
+
+def _pack(values: Iterable[Any], dtype: str, count: int) -> str:
+    """``count`` values as one base64 column of ``dtype``."""
+    try:
+        array = np.fromiter(values, np.dtype(dtype))
+    except (OverflowError, TypeError, ValueError) as error:
+        raise CheckpointError(
+            f"cannot pack a {dtype} checkpoint column: {error}"
+        ) from error
+    if array.size != count:
+        raise CheckpointError(
+            f"checkpoint column has {array.size} values, expected {count}"
+        )
+    return base64.b64encode(array.tobytes()).decode("ascii")
+
+
+def _unpack(columns: dict[str, Any], name: str, dtype: str, count: int) -> list:
+    """Column ``name`` as a Python list of exactly ``count`` values."""
+    text = columns.get(name)
+    if not isinstance(text, str):
+        raise CheckpointError(f"checkpoint column {name!r} is missing")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as error:
+        raise CheckpointError(
+            f"checkpoint column {name!r} is not base64: {error}"
+        ) from error
+    if len(raw) != count * np.dtype(dtype).itemsize:
+        raise CheckpointError(
+            f"checkpoint column {name!r} holds {len(raw)} bytes, "
+            f"expected {count} {dtype} values"
+        )
+    return np.frombuffer(raw, dtype=dtype).tolist()
+
+
+def _row_count(columns: Any) -> int:
+    """A columns object's validated row count ``n``."""
+    if not isinstance(columns, dict):
+        raise CheckpointError("checkpoint columns are not an object")
+    n = columns.get("n")
+    if type(n) is not int or n < 0:
+        raise CheckpointError(f"checkpoint columns have an invalid n: {n!r}")
+    return n
+
+
+def _rows(flat: list, width: int) -> list[tuple]:
+    """Consecutive ``width``-tuples of ``flat``."""
+    return list(zip(*[iter(flat)] * width))
+
+
+def _pack_points(
+    prefix: str, points: list[StreamPoint], dim: int
+) -> dict[str, str]:
+    n = len(points)
+    return {
+        prefix + "v": _pack(
+            chain.from_iterable(p.vector for p in points), _F8, n * dim
+        ),
+        prefix + "i": _pack((p.index for p in points), _I8, n),
+        prefix + "t": _pack((p.time for p in points), _F8, n),
     }
-    if record.last is not record.representative:
-        state["last"] = point_to_state(record.last)
-    if record.member is not None:
-        state["member"] = point_to_state(record.member)
-    if record.level:
-        state["level"] = record.level
-    return state
 
 
-def record_from_state(state: dict[str, Any]) -> CandidateRecord:
-    """Decode one candidate record, preserving last-is-representative."""
+def _unpack_points(
+    columns: dict[str, Any], prefix: str, count: int, dim: int
+) -> list[StreamPoint]:
+    vectors = _rows(_unpack(columns, prefix + "v", _F8, count * dim), dim)
+    indices = _unpack(columns, prefix + "i", _I8, count)
+    times = _unpack(columns, prefix + "t", _F8, count)
+    return [
+        StreamPoint(vector, index, time)
+        for vector, index, time in zip(vectors, indices, times)
+    ]
+
+
+def _pack_ragged(
+    name: str, rows: list[Sequence[Any]], dtype: str
+) -> dict[str, str]:
+    lengths = [len(row) for row in rows]
+    return {
+        name + "_len": _pack(lengths, _I8, len(rows)),
+        name: _pack(chain.from_iterable(rows), dtype, sum(lengths)),
+    }
+
+
+def _unpack_ragged(
+    columns: dict[str, Any], name: str, dtype: str, count: int
+) -> list[tuple]:
+    lengths = _unpack(columns, name + "_len", _I8, count)
+    if any(length < 0 for length in lengths):
+        raise CheckpointError(f"checkpoint column {name!r} has a negative length")
+    flat = _unpack(columns, name, dtype, sum(lengths))
+    rows, start = [], 0
+    for length in lengths:
+        rows.append(tuple(flat[start : start + length]))
+        start += length
+    return rows
+
+
+def records_to_columns(
+    records: Sequence[CandidateRecord], dim: int
+) -> dict[str, Any]:
+    """Encode candidate records as one packed columns object.
+
+    Per record: representative, cell, cell hash, adjacency hashes,
+    accept flag, count and level; the last point only where it is not
+    the representative itself, the member only where one is tracked.
+    A record's ``slot`` (its index into the store's slot pool) and its
+    ``adj_tz`` cache are derived state and never encoded: a restore
+    re-grants slots through ``CandidateStore.add``.
+    """
+    n = len(records)
+    last_is_rep = [r.last is r.representative for r in records]
+    members = [r.member for r in records if r.member is not None]
+    columns: dict[str, Any] = {"n": n}
+    columns.update(_pack_points("rep_", [r.representative for r in records], dim))
+    columns.update(
+        _pack_points(
+            "last_",
+            [r.last for r, same in zip(records, last_is_rep) if not same],
+            dim,
+        )
+    )
+    columns.update(_pack_points("member_", members, dim))
+    columns.update(_pack_ragged("adj", [r.adj_hashes for r in records], _U8))
+    columns.update(
+        cell=_pack(chain.from_iterable(r.cell for r in records), _I8, n * dim),
+        cell_hash=_pack((r.cell_hash for r in records), _U8, n),
+        count=_pack((r.count for r in records), _I8, n),
+        accepted=_pack((r.accepted for r in records), _U1, n),
+        level=_pack((r.level for r in records), _U1, n),
+        last_is_rep=_pack(last_is_rep, _U1, n),
+        has_member=_pack((r.member is not None for r in records), _U1, n),
+    )
+    return columns
+
+
+def records_from_columns(value: Any, dim: int) -> list[CandidateRecord]:
+    """Decode :func:`records_to_columns` output (points ``dim`` wide).
+
+    Also reads the per-record list of version-1/2 envelopes, so every
+    ``from_state`` restores either layout through this one call.
+    """
+    if isinstance(value, list):
+        return [_record_from_dict(state) for state in value]
+    n = _row_count(value)
+    last_is_rep = _unpack(value, "last_is_rep", _U1, n)
+    has_member = _unpack(value, "has_member", _U1, n)
+    reps = _unpack_points(value, "rep_", n, dim)
+    lasts = iter(_unpack_points(value, "last_", last_is_rep.count(0), dim))
+    members = iter(
+        _unpack_points(value, "member_", n - has_member.count(0), dim)
+    )
+    fields = zip(
+        reps,
+        _rows(_unpack(value, "cell", _I8, n * dim), dim),
+        _unpack(value, "cell_hash", _U8, n),
+        _unpack_ragged(value, "adj", _U8, n),
+        _unpack(value, "accepted", _U1, n),
+        _unpack(value, "count", _I8, n),
+        _unpack(value, "level", _U1, n),
+        last_is_rep,
+        has_member,
+    )
+    return [
+        CandidateRecord(
+            representative=rep,
+            cell=cell,
+            cell_hash=cell_hash,
+            adj_hashes=adj,
+            accepted=bool(accepted),
+            last=rep if same else next(lasts),
+            count=count,
+            member=next(members) if member else None,
+            level=level,
+        )
+        for rep, cell, cell_hash, adj, accepted, count, level, same, member
+        in fields
+    ]
+
+
+def _record_from_dict(state: dict[str, Any]) -> CandidateRecord:
+    """Decode one record of the version-1/2 per-record layout."""
     representative = point_from_state(state["rep"])
     last = (
         point_from_state(state["last"]) if "last" in state else representative
@@ -147,6 +327,150 @@ def record_from_state(state: dict[str, Any]) -> CandidateRecord:
         member=member,
         level=state.get("level", 0),
     )
+
+
+HeapEntry = tuple[float, int, CandidateRecord, StreamPoint]
+
+
+def heap_to_columns(
+    heap: Sequence[HeapEntry], store: CandidateStore, dim: int
+) -> dict[str, Any]:
+    """Encode a lazy eviction heap **verbatim** (stale entries and all).
+
+    Entries carry two flags instead of object references: ``linked``
+    (the entry's record is still the store's record for its
+    representative) and ``cur`` (linked, and the entry's last point is
+    the record's current one).  :func:`heap_from_columns` uses them to
+    restore the identities the staleness checks rely on
+    (``store.get(i) is record`` / ``record.last is last_ref``).  A
+    current entry's point is its record's last point, so only the other
+    entries' points are packed.
+    """
+    n = len(heap)
+    linked, cur, stale_points = [], [], []
+    for _, _, record, last in heap:
+        live = store.get(record.representative.index) is record
+        # A restored stand-in for an unlinked entry has last is
+        # last_ref: flagging only linked entries keeps re-serialisation
+        # byte-identical.
+        current = live and record.last is last
+        linked.append(live)
+        cur.append(current)
+        if not current:
+            stale_points.append(last)
+    columns: dict[str, Any] = {"n": n}
+    columns.update(_pack_points("p_", stale_points, dim))
+    columns.update(
+        key=_pack((key for key, _, _, _ in heap), _F8, n),
+        tiebreak=_pack((tiebreak for _, tiebreak, _, _ in heap), _I8, n),
+        rep=_pack(
+            (rec.representative.index for _, _, rec, _ in heap), _I8, n
+        ),
+        linked=_pack(linked, _U1, n),
+        cur=_pack(cur, _U1, n),
+    )
+    return columns
+
+
+def heap_from_columns(
+    value: Any, store: CandidateStore, dim: int
+) -> list[HeapEntry]:
+    """Rebuild a lazy heap against the restored ``store``.
+
+    Reads :func:`heap_to_columns` output or the per-entry list of
+    version-2 envelopes.  The saved order *is* a valid heap arrangement
+    (it was the live heap), so it is restored verbatim - heapifying
+    could legally rearrange it and break fingerprint equality.
+    """
+    if isinstance(value, list):
+        entries = [
+            (e["k"], e["t"], e["r"], e["linked"], e["cur"], point_from_state(e["p"]))
+            for e in value
+        ]
+    else:
+        n = _row_count(value)
+        flags = _unpack(value, "cur", _U1, n)
+        points = iter(_unpack_points(value, "p_", flags.count(0), dim))
+        entries = zip(
+            _unpack(value, "key", _F8, n),
+            _unpack(value, "tiebreak", _I8, n),
+            _unpack(value, "rep", _I8, n),
+            _unpack(value, "linked", _U1, n),
+            flags,
+            (None if flag else next(points) for flag in flags),
+        )
+    slot_tb = store._slot_tb
+    heap = []
+    for key, tiebreak, rep_index, linked, cur, last in entries:
+        record = store.get(rep_index) if linked else None
+        if record is not None and cur:
+            # Live entry: restore the identity record.last is last_ref
+            # and stamp the record's slot generation so the entry reads
+            # as current.  Max-wins, matching live stamping (the
+            # record's *latest* push owns the slot counter).
+            last = record.last
+            if tiebreak > slot_tb[record.slot]:
+                slot_tb[record.slot] = tiebreak
+        elif last is None:
+            raise CheckpointError(
+                f"current heap entry {rep_index} has no record in the store"
+            )
+        elif record is None:
+            # The referenced record left the store: fabricate a
+            # detached stand-in so the staleness check pops the entry
+            # exactly as it would have popped the original (a detached
+            # record carries the sentinel slot 0, whose generation
+            # counter never matches a real tiebreak).
+            record = CandidateRecord(
+                representative=StreamPoint(last.vector, rep_index),
+                cell=(),
+                cell_hash=0,
+                adj_hashes=(),
+                accepted=False,
+                last=last,
+            )
+        heap.append((key, tiebreak, record, last))
+    return heap
+
+
+def reservoirs_to_columns(
+    reservoirs: Sequence[tuple[int, Sequence[tuple[float, StreamPoint]]]],
+    dim: int,
+) -> dict[str, Any]:
+    """Encode ``(key, entries)`` window reservoirs, entries being
+    ``(priority, point)`` pairs, as one columns object."""
+    entries = [entry for _, group in reservoirs for entry in group]
+    columns: dict[str, Any] = {"n": len(reservoirs)}
+    columns.update(_pack_points("p_", [point for _, point in entries], dim))
+    columns.update(
+        _pack_ragged(
+            "priority", [[p for p, _ in group] for _, group in reservoirs], _F8
+        )
+    )
+    columns["key"] = _pack((key for key, _ in reservoirs), _I8, len(reservoirs))
+    return columns
+
+
+def reservoirs_from_columns(
+    value: Any, dim: int
+) -> list[tuple[int, list[tuple[float, StreamPoint]]]]:
+    """Decode :func:`reservoirs_to_columns` output, or the version-2
+    list of ``{"key", "entries"}`` objects."""
+    if isinstance(value, list):
+        return [
+            (
+                state["key"],
+                [(p, point_from_state(point)) for p, point in state["entries"]],
+            )
+            for state in value
+        ]
+    n = _row_count(value)
+    priorities = _unpack_ragged(value, "priority", _F8, n)
+    points = iter(_unpack_points(value, "p_", sum(map(len, priorities)), dim))
+    return [
+        (key, [(priority, next(points)) for priority in group])
+        for key, group in zip(_unpack(value, "key", _I8, n), priorities)
+    ]
 
 
 def policy_to_state(policy: _ThresholdPolicy) -> dict[str, Any]:

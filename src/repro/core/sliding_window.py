@@ -963,36 +963,17 @@ class RobustL0SamplerSW(StreamSampler):
         hierarchy continues the stream with decisions identical to the
         original's (``repro.engine.state_fingerprint``-equal).
 
-        Heap entries are stored with two linkage flags instead of object
-        references: ``linked`` (the referenced record is still the store's
-        record for that representative) and ``cur`` (the entry is linked and
-        its last-point is the record's current one).  ``from_state`` uses
-        them to restore the identity relationships the lazy-eviction
-        staleness checks rely on (``store.get(i) is record`` /
-        ``record.last is last_ref``).
+        Records and heap are packed columns
+        (:func:`repro.core.serialize.records_to_columns` /
+        :func:`~repro.core.serialize.heap_to_columns`).
         """
         from repro.core import serialize
 
         store = self._store
+        dim = self._config.dim
         records = sorted(
             store.records(), key=lambda r: r.representative.index
         )
-        heap_state = []
-        for key, tiebreak, record, last_ref in self._heap:
-            linked = store.get(record.representative.index) is record
-            heap_state.append(
-                {
-                    "k": key,
-                    "t": tiebreak,
-                    "r": record.representative.index,
-                    "p": serialize.point_to_state(last_ref),
-                    "linked": linked,
-                    # A restored stand-in for an unlinked entry has
-                    # last is last_ref: flagging only linked entries
-                    # keeps re-serialisation byte-identical.
-                    "cur": linked and record.last is last_ref,
-                }
-            )
         # Read the tiebreak position without perturbing the sequence: the
         # counter object is consumed by one peek and replaced by an equal
         # continuation (fingerprints never include the object itself).
@@ -1010,8 +991,8 @@ class RobustL0SamplerSW(StreamSampler):
                 if self._latest is not None
                 else None
             ),
-            "records": [serialize.record_to_state(r) for r in records],
-            "heap": heap_state,
+            "records": serialize.records_to_columns(records, dim),
+            "heap": serialize.heap_to_columns(self._heap, store, dim),
             "next_tiebreak": position,
         }
 
@@ -1059,42 +1040,19 @@ class RobustL0SamplerSW(StreamSampler):
             sampler._restore_legacy_levels(state["levels"])
             return sampler
 
-        records: dict[int, CandidateRecord] = {}
-        for record_state in state["records"]:
-            record = serialize.record_from_state(record_state)
-            records[record.representative.index] = record
+        for record in serialize.records_from_columns(
+            state["records"], config.dim
+        ):
+            if record.level >= levels:
+                raise CheckpointError(
+                    f"record level {record.level} is beyond the "
+                    f"hierarchy's max_level {sampler._max_level}"
+                )
             sampler._add(record)
         sampler._tiebreak = itertools.count(state["next_tiebreak"])
-        slot_tb = sampler._store._slot_tb
-        for entry in state["heap"]:
-            last = serialize.point_from_state(entry["p"])
-            record = records.get(entry["r"]) if entry["linked"] else None
-            if record is None:
-                # The referenced record left the store: fabricate a
-                # detached stand-in so the staleness check pops the entry
-                # exactly as it would have popped the original (a
-                # detached record carries the sentinel slot 0, whose
-                # generation counter never matches a real tiebreak).
-                record = CandidateRecord(
-                    representative=StreamPoint(last.vector, entry["r"]),
-                    cell=(),
-                    cell_hash=0,
-                    adj_hashes=(),
-                    accepted=False,
-                    last=last,
-                )
-            elif entry["cur"]:
-                # Live entry: restore the identity record.last is last_ref
-                # and stamp the record's slot generation so the entry
-                # reads as current.  Max-wins, matching live stamping
-                # (the record's *latest* push owns the slot counter).
-                last = record.last
-                if entry["t"] > slot_tb[record.slot]:
-                    slot_tb[record.slot] = entry["t"]
-            # The saved list order *is* a valid heap arrangement (it was
-            # the live heap), so it is restored verbatim - heapifying
-            # could legally rearrange it and break fingerprint equality.
-            sampler._heap.append((entry["k"], entry["t"], record, last))
+        sampler._heap = serialize.heap_from_columns(
+            state["heap"], sampler._store, config.dim
+        )
         return sampler
 
     def _restore_legacy_levels(self, level_states: list[dict]) -> None:
@@ -1104,8 +1062,9 @@ class RobustL0SamplerSW(StreamSampler):
         live_entries: list[tuple[float, int, int, int]] = []
         records: dict[int, CandidateRecord] = {}
         for index, level_state in enumerate(level_states):
-            for record_state in level_state["records"]:
-                record = serialize.record_from_state(record_state)
+            for record in serialize.records_from_columns(
+                level_state["records"], self._config.dim
+            ):
                 record.level = index
                 records[record.representative.index] = record
                 self._add(record)

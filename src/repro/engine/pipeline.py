@@ -45,10 +45,10 @@ import random
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.core.base import DEFAULT_KAPPA0, SamplerConfig
-from repro.core.chunk_geometry import is_chunk
+from repro.core.chunk_geometry import ChunkGeometry, is_chunk
 from repro.core.infinite_window import RobustL0SamplerIW
 from repro.distributed.coordinator import DistributedRobustSampler, ShardSampler
-from repro.engine.batching import chunk_geometry_for, chunked, validate_chunk
+from repro.engine.batching import chunk_geometry_for, chunked
 from repro.errors import EmptySampleError, ExecutorError, ParameterError
 from repro.streams.point import StreamPoint
 
@@ -384,15 +384,32 @@ class BatchPipeline:
     ) -> int:
         """Protocol ingestion: chunk by ``batch_size`` and deal round-robin.
 
-        :meth:`extend`, so protocol-generic callers get the same sharded
-        ingestion as native ones; :meth:`submit` remains the explicit
+        The same sharded ingestion as :meth:`extend`, so protocol-generic
+        callers match native ones; :meth:`submit` remains the explicit
         one-batch-to-one-shard primitive.  A materialised batch is
-        validated whole first, so it is all-or-nothing even when it spans
-        several chunks.
+        validated whole first (:func:`chunk_geometry_for`), so it is
+        all-or-nothing even when it spans several chunks, and each
+        chunk dealt is a row block of that one validated array (with
+        its StreamPoint items): no row is coerced twice.  A one-shot
+        iterable streams through :meth:`extend`.
         """
-        if is_chunk(points):
-            validate_chunk(self._coordinator.config.grid, points)
-        return self.extend(points)
+        if not is_chunk(points):
+            return self.extend(points)
+        config = self._coordinator.config
+        whole = chunk_geometry_for(config, points)
+        items = whole.items
+        size = self._batch_size
+        total = 0
+        for start in range(0, whole.n, size):
+            block = slice(start, start + size)
+            total += self.submit(
+                ChunkGeometry(
+                    config,
+                    whole.array[block],
+                    items=None if items is None else items[block],
+                )
+            )
+        return total
 
     def extend(
         self,

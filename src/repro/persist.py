@@ -6,7 +6,7 @@ implements ``to_state()`` / ``from_state(state)`` (the
 :class:`repro.api.Summary` protocol); this module wraps those states in a
 **versioned envelope** tagged with the summary's registry key::
 
-    {"format": "repro/summary", "version": 2,
+    {"format": "repro/summary", "version": 3,
      "summary": "l0-sliding", "state": {...}}
 
 so :func:`summary_from_state` can dispatch the restore through
@@ -19,8 +19,21 @@ list, reservoirs, and the one hierarchy-wide lazy eviction heap
 including stale entries and tiebreak counters; legacy one-store-per-level
 checkpoints remain readable).
 
-Version-1 checkpoints (the original infinite-window-only format) remain
-readable; writers emit version 2.
+Version 3 packs every candidate-record sequence, lazy eviction heap and
+window-reservoir set into one ``columns`` object
+(:mod:`repro.core.serialize`): the row count ``n`` and one
+little-endian column per field, base64-encoded so the state stays a
+JSON tree - ``<f8`` for vectors, times, heap keys and
+priorities, ``<i8`` for indices, cells, counts, tiebreaks and lengths,
+``<u8`` for cell hashes and the flattened adjacency hashes, ``u1`` for
+flags and levels.  Optional per-row points (a record's last point when
+it is not its representative, its tracked member) are packed for the
+flagged rows only.  A column of the wrong length or encoding raises
+:class:`~repro.errors.CheckpointError`.
+
+Version 2 (one JSON object per record and heap entry) and version 1
+(the original infinite-window-only format) remain readable; writers
+emit version 3.
 
 >>> from repro.api import build
 >>> sampler = build("l0-infinite", alpha=1.0, dim=1, seed=3)
@@ -28,7 +41,13 @@ readable; writers emit version 2.
 2
 >>> envelope = summary_to_state(sampler)
 >>> envelope["version"], envelope["summary"]
-(2, 'l0-infinite')
+(3, 'l0-infinite')
+>>> columns = envelope["state"]["records"]
+>>> columns["n"]
+2
+>>> import base64, numpy as np
+>>> np.frombuffer(base64.b64decode(columns["rep_v"]), "<f8").tolist()
+[0.0, 9.0]
 >>> summary_from_state(envelope).points_seen
 2
 """
@@ -43,7 +62,10 @@ from repro.core.infinite_window import RobustL0SamplerIW
 from repro.errors import CheckpointError
 
 #: Current envelope schema version.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+
+#: Versions dispatched through the registry (version 1 has its own path).
+_REGISTRY_VERSIONS = (2, 3)
 
 #: Envelope format tag.
 FORMAT_NAME = "repro/summary"
@@ -71,15 +93,17 @@ def summary_from_state(envelope: dict[str, Any]) -> Any:
 
     The restore is dispatched through the registry: the envelope's
     ``summary`` key names the class whose ``from_state`` rebuilds the
-    instance.  Version-1 checkpoints (infinite-window sampler only) are
-    recognised and upgraded transparently.
+    instance.  Version-2 states restore through the same ``from_state``
+    (the column readers also take the per-record lists); version-1
+    checkpoints (infinite-window sampler only) are recognised and
+    upgraded transparently.
     """
     from repro.api import registry
 
     version = envelope.get("version")
     if version == 1:
         return _legacy_sampler_from_state(envelope)
-    if version != FORMAT_VERSION:
+    if version not in _REGISTRY_VERSIONS:
         raise CheckpointError(
             f"unsupported checkpoint version {version!r}"
         )
@@ -228,14 +252,12 @@ def _legacy_sampler_from_state(state: dict[str, Any]) -> RobustL0SamplerIW:
     sampler._member_rng.setstate(
         ast.literal_eval(state["member_rng_state"])
     )
-    for record_state in state["records"]:
-        sampler._store.add(_legacy_record_from_state(record_state))
+    # Version 1 used the version-2 per-record layout.
+    for record in serialize.records_from_columns(
+        state["records"], config.dim
+    ):
+        sampler._store.add(record)
     return sampler
-
-
-def _legacy_record_from_state(state: dict[str, Any]):
-    # Version 1 used the same record layout as repro.core.serialize.
-    return serialize.record_from_state(state)
 
 
 __all__ = [

@@ -653,6 +653,80 @@ class TestChunkCoercedOnce:
         )
 
 
+class TestPipelineProcessManyValidatesOnce:
+    """``BatchPipeline.process_many`` validates a materialised batch once
+    and deals row blocks of that one validated array: every row is
+    coerced exactly once, whatever the chunk size, and the result is
+    ``extend``'s."""
+
+    @staticmethod
+    def _rows(n=300, seed=19):
+        rng = random.Random(seed)
+        return [
+            (rng.uniform(0.0, 60.0), rng.uniform(0.0, 60.0))
+            for _ in range(n)
+        ]
+
+    @pytest.mark.parametrize("batch_size", [1, 64, 300])
+    def test_each_row_coerced_once(self, monkeypatch, batch_size):
+        import repro.core.chunk_geometry as chunk_geometry_module
+
+        coerced = []
+        original = chunk_geometry_module.coerce_rows
+
+        def spy(points, dim):
+            coerced.append(len(points))
+            return original(points, dim)
+
+        monkeypatch.setattr(chunk_geometry_module, "coerce_rows", spy)
+        rows = self._rows()
+        pipeline = BatchPipeline(
+            1.0, 2, num_shards=2, seed=21, batch_size=batch_size
+        )
+        assert pipeline.process_many(rows) == len(rows)
+        assert coerced == [len(rows)]
+        monkeypatch.setattr(chunk_geometry_module, "coerce_rows", original)
+        reference = BatchPipeline(
+            1.0, 2, num_shards=2, seed=21, batch_size=batch_size
+        )
+        reference.extend(rows)
+        assert state_fingerprint(pipeline) == state_fingerprint(reference)
+
+    def test_nan_in_last_chunk_submits_nothing(self, monkeypatch):
+        rows = self._rows(200) + [(float("nan"), 1.0)]
+        pipeline = BatchPipeline(1.0, 2, num_shards=2, seed=21, batch_size=64)
+        submitted = []
+        monkeypatch.setattr(pipeline, "submit", submitted.append)
+        with pytest.raises(ParameterError, match="point 200"):
+            pipeline.process_many(rows)
+        assert submitted == []
+        assert pipeline.points_seen == 0
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("form", ["tuples", "stream-points", "array"])
+    def test_matches_extend(self, executor, form):
+        from repro.api.specs import PipelineSpec
+
+        rows = self._rows()
+        if form == "stream-points":
+            rows = [
+                StreamPoint(row, index, 2.0 * index)
+                for index, row in enumerate(rows)
+            ]
+        elif form == "array":
+            rows = np.array(rows)
+        spec = PipelineSpec(
+            alpha=1.0, dim=2, seed=21, num_shards=3, batch_size=64,
+            executor=executor, num_workers=1,
+        )
+        with BatchPipeline(spec=spec) as batched, BatchPipeline(
+            spec=spec
+        ) as streamed:
+            assert batched.process_many(rows) == len(rows)
+            streamed.extend(rows)
+            assert state_fingerprint(batched) == state_fingerprint(streamed)
+
+
 class TestArrayChunkFastPath:
     """2-d numeric numpy chunks are validated whole - one dtype cast into
     the chunk's own array - and never go through per-row coercion, on a

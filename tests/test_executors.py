@@ -35,7 +35,12 @@ from repro.engine.executors import (
     resolve_state,
 )
 from repro.errors import EmptySampleError, ExecutorError, ParameterError
-from repro.persist import summary_from_state, summary_to_state
+from repro.persist import (
+    dumps_summary,
+    loads_summary,
+    summary_from_state,
+    summary_to_state,
+)
 
 
 def group_stream(n=360, seed=51, groups=10):
@@ -132,6 +137,23 @@ class TestExecutorEquivalenceMatrix:
             assert resumed.estimate_f0() == serial.estimate_f0()
         finally:
             resumed.close()
+
+    @pytest.mark.parametrize("executor", ["process", "remote"])
+    def test_bytes_envelope_round_trip_is_exact(self, executor):
+        # The drained shard states travel as packed columns; the
+        # envelope round trip keeps fingerprints and bytes.
+        stream = group_stream(320, seed=31)
+        serial = make_pipeline("serial")
+        serial.extend(stream)
+        with make_pipeline(executor) as parallel:
+            parallel.extend(stream)
+            data = dumps_summary(parallel)
+        restored = loads_summary(data)
+        try:
+            assert state_fingerprint(restored) == state_fingerprint(serial)
+            assert dumps_summary(restored) == data
+        finally:
+            restored.close()
 
     @pytest.mark.parametrize("executor", ["process", "remote"])
     def test_ingestion_continues_after_close(self, executor):

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import base64
 import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.api import available, build, entry
@@ -22,9 +24,14 @@ from repro.persist import (
     summary_from_state,
     summary_to_state,
 )
+from repro.streams.point import StreamPoint
 
 
 from stream_generators import line_stream, noisy_grid_stream
+
+#: Committed envelopes written by the version-2 writer (see
+#: :class:`TestVersion2Fixtures`).
+V2_FIXTURE_DIR = Path(__file__).parent / "data"
 
 
 def build_stream(n=400, seed=0, groups=120):
@@ -75,11 +82,15 @@ class TestEnvelope:
             summary_to_state(object())
 
     def test_legacy_v1_checkpoint_still_readable(self):
-        # A version-1 checkpoint as the original persist module wrote it.
+        # A version-1 checkpoint as the original persist module wrote it:
+        # its records use the per-record layout, taken here from the
+        # committed version-2 fixture of the same sampler and stream.
         sampler = RobustL0SamplerIW(1.0, 1, seed=11)
         for v in build_stream(200, seed=11):
             sampler.insert(v)
-        v2 = summary_to_state(sampler)["state"]
+        fixture = V2_FIXTURE_DIR / "v2_l0_infinite_members.json"
+        v2 = json.loads(fixture.read_text())["state"]
+        version, internal, gauss_next = v2["member_rng"]
         v1 = {
             "version": 1,
             "config": v2["config"],
@@ -87,7 +98,7 @@ class TestEnvelope:
             "points_seen": v2["points_seen"],
             "peak_space_words": v2["peak_space_words"],
             "track_members": v2["track_members"],
-            "member_rng_state": repr(sampler._member_rng.getstate()),
+            "member_rng_state": repr((version, tuple(internal), gauss_next)),
             "policy": dict(v2["policy"]),
             "records": v2["records"],
         }
@@ -567,3 +578,224 @@ class TestCanonicalEnvelopes:
         restored = summary_from_state(older)
         assert state_fingerprint(restored) == state_fingerprint(sampler)
         assert summary_to_state(restored) == envelope
+
+
+# ------------------------------------------------------------------ #
+# version-2 envelopes (per-record JSON) stay readable
+# ------------------------------------------------------------------ #
+
+
+def _timed_stream():
+    """1-D stream with explicit half-unit timestamps (time windows)."""
+    return [
+        StreamPoint(vector, index, 0.5 * index)
+        for index, vector in enumerate(line_stream(384, 7, 150))
+    ]
+
+
+#: name -> (registry key, build kwargs, stream factory, checkpoint cut).
+V2_FIXTURES = {
+    "l0_infinite_members": (
+        "l0-infinite",
+        dict(alpha=1.0, dim=1, seed=11, track_members=True),
+        lambda: line_stream(300, 11, 120),
+        200,
+    ),
+    "l0_sliding_sequence": (
+        "l0-sliding",
+        dict(alpha=1.0, dim=2, seed=5, window_size=128),
+        lambda: noisy_grid_stream(600, 100, seed=1, dim=2),
+        400,
+    ),
+    "l0_sliding_time": (
+        "l0-sliding",
+        dict(
+            alpha=1.0, dim=1, seed=5, window_seconds=128.0,
+            window_capacity=256,
+        ),
+        _timed_stream,
+        320,
+    ),
+    "ksample": (
+        "ksample",
+        dict(alpha=1.0, dim=1, seed=5, k=2, window_size=64),
+        lambda: line_stream(500, 17, 9),
+        250,
+    ),
+    "f0_sliding": (
+        "f0-sliding",
+        dict(alpha=1.0, dim=1, seed=5, window_size=64, copies=2),
+        lambda: line_stream(500, 17, 9),
+        250,
+    ),
+    "batch_pipeline": (
+        "batch-pipeline",
+        dict(alpha=1.0, dim=1, seed=5, num_shards=3, batch_size=25),
+        lambda: line_stream(500, 17, 9),
+        250,
+    ),
+}
+
+
+class TestVersion2Fixtures:
+    """Envelopes written before the packed-column layout restore exactly.
+
+    ``tests/data/v2_<name>.json`` holds ``dumps_summary`` of
+    ``build(key, **kwargs)`` after ``process_many(stream[:cut])`` (the
+    :data:`V2_FIXTURES` entry), as the version-2 writer produced it:
+    one JSON object per candidate record and heap entry.
+    """
+
+    @staticmethod
+    def load(name):
+        data = V2_FIXTURE_DIR.joinpath(f"v2_{name}.json").read_bytes()
+        assert json.loads(data)["version"] == 2
+        return loads_summary(data)
+
+    def test_time_window_fixture_holds_unlinked_heap_entries(self):
+        state = json.loads(
+            V2_FIXTURE_DIR.joinpath("v2_l0_sliding_time.json").read_text()
+        )["state"]
+        assert any(not entry["linked"] for entry in state["heap"])
+
+    @pytest.mark.parametrize("name", sorted(V2_FIXTURES))
+    def test_fixture_matches_replay_and_continues(self, name):
+        key, kwargs, make_stream, cut = V2_FIXTURES[name]
+        stream = make_stream()
+        restored = self.load(name)
+        replay = build(key, **kwargs)
+        try:
+            replay.process_many(stream[:cut])
+            assert type(restored) is type(replay)
+            assert state_fingerprint(restored) == state_fingerprint(replay)
+            restored.process_many(stream[cut:])
+            replay.process_many(stream[cut:])
+            assert state_fingerprint(restored) == state_fingerprint(replay)
+            # Re-serialised, the fixture is a version-3 envelope of the
+            # same state.
+            assert dumps_summary(restored) == dumps_summary(replay)
+        finally:
+            for summary in (restored, replay):
+                getattr(summary, "close", lambda: None)()
+
+
+# ------------------------------------------------------------------ #
+# version-3 packed columns
+# ------------------------------------------------------------------ #
+
+
+class TestPackedColumns:
+    @pytest.mark.parametrize("key", sorted(RESUME_SPECS))
+    def test_reserialisation_is_byte_identical(self, key):
+        summary = build(key, **RESUME_SPECS[key])
+        summary.process_many(build_stream(300, seed=41, groups=40))
+        data = dumps_summary(summary)
+        restored = loads_summary(data)
+        assert state_fingerprint(restored) == state_fingerprint(summary)
+        assert dumps_summary(restored) == data
+        for item in (summary, restored):
+            getattr(item, "close", lambda: None)()
+
+    def test_records_and_heap_are_column_objects(self):
+        summary = build("l0-sliding", **RESUME_SPECS["l0-sliding"])
+        summary.process_many(build_stream(200, seed=3, groups=40))
+        state = summary_to_state(summary)["state"]
+        for name in ("records", "heap"):
+            columns = state[name]
+            assert columns["n"] > 0
+            assert all(
+                isinstance(value, str)
+                for field, value in columns.items()
+                if field != "n"
+            )
+
+
+def _pack(values, dtype):
+    return base64.b64encode(np.asarray(values, dtype).tobytes()).decode()
+
+
+def _unpack(text, dtype):
+    return np.frombuffer(base64.b64decode(text), dtype).tolist()
+
+
+def _truncate(columns, field):
+    columns[field] = _pack(_unpack(columns[field], "<u8")[:-1], "<u8")
+
+
+def _grow_n(columns, field):
+    columns["n"] += 1
+
+
+def _not_base64(columns, field):
+    columns[field] = "not base64 at all!"
+
+
+def _negative_adjacency(columns, field):
+    lengths = _unpack(columns["adj_len"], "<i8")
+    lengths[0] = -1
+    columns["adj_len"] = _pack(lengths, "<i8")
+
+
+def _overrun_adjacency(columns, field):
+    lengths = _unpack(columns["adj_len"], "<i8")
+    lengths[-1] += 1
+    columns["adj_len"] = _pack(lengths, "<i8")
+
+
+def _level_beyond_hierarchy(columns, field):
+    columns["level"] = _pack([255] * columns["n"], "u1")
+
+
+def _unlink_current_entries(columns, field):
+    columns["linked"] = _pack([0] * columns["n"], "u1")
+
+
+def _negative_n(columns, field):
+    columns["n"] = -1
+
+
+class TestHostileColumns:
+    """A corrupt version-3 envelope raises :class:`CheckpointError` (never
+    a bare numpy/base64 ``ValueError``, ``KeyError`` or ``IndexError``),
+    through :func:`summary_from_state` and :func:`loads_summary` alike."""
+
+    CORRUPTIONS = {
+        "truncated-column": (_truncate, "records", "cell_hash"),
+        "truncated-heap-column": (_truncate, "heap", "key"),
+        "n-disagrees": (_grow_n, "records", None),
+        "heap-n-disagrees": (_grow_n, "heap", None),
+        "not-base64": (_not_base64, "records", "adj"),
+        "negative-adjacency-length": (_negative_adjacency, "records", None),
+        "adjacency-overrun": (_overrun_adjacency, "records", None),
+        "negative-n": (_negative_n, "records", None),
+        "level-beyond-hierarchy": (_level_beyond_hierarchy, "records", None),
+        "current-entry-without-record": (
+            _unlink_current_entries, "heap", None
+        ),
+        "missing-column": (
+            lambda columns, field: columns.pop(field), "heap", "linked"
+        ),
+    }
+
+    @staticmethod
+    def envelope():
+        summary = build("l0-sliding", **RESUME_SPECS["l0-sliding"])
+        summary.process_many(build_stream(200, seed=13, groups=40))
+        return json.loads(dumps_summary(summary))
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_corruption_raises_checkpoint_error(self, case):
+        corrupt, part, field = self.CORRUPTIONS[case]
+        envelope = self.envelope()
+        corrupt(envelope["state"][part], field)
+        with pytest.raises(CheckpointError) as raised:
+            summary_from_state(envelope)
+        assert type(raised.value) is CheckpointError
+        with pytest.raises(CheckpointError):
+            loads_summary(json.dumps(envelope).encode("utf-8"))
+
+    def test_columns_that_are_not_an_object(self):
+        envelope = self.envelope()
+        envelope["state"]["records"] = "columns"
+        with pytest.raises(CheckpointError):
+            summary_from_state(envelope)

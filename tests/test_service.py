@@ -280,6 +280,32 @@ class TestTenantStore:
 
         run(scenario())
 
+    @pytest.mark.parametrize("key", ["l0-infinite", "l0-sliding"])
+    def test_corrupt_envelope_fails_typed_and_stays_stored(self, key):
+        import json
+
+        from repro.errors import CheckpointError
+
+        async def scenario():
+            store = TenantStore(service_spec(key, capacity=8))
+            await store.ingest("t", noisy_points(random.Random(2), 40))
+            assert await store.evict("t") is True
+            envelope = json.loads(store.store.get("t"))
+            envelope["state"]["records"]["n"] += 1  # disagrees with columns
+            corrupt = json.dumps(envelope).encode("utf-8")
+            store.store.put("t", corrupt)
+            for _ in range(2):
+                with pytest.raises(CheckpointError):
+                    await store.ingest("t", [(1.0,)])
+                with pytest.raises(CheckpointError):
+                    await store.query("t")
+            # Nothing was restored, rebuilt or deleted: the bytes stay.
+            assert store.store.get("t") == corrupt
+            assert store.resident_tenants() == []
+            assert store.restores == 0 and store.builds == 1
+
+        run(scenario())
+
     def test_drop_forgets_memory_and_store(self):
         async def scenario():
             store = TenantStore(service_spec(capacity=8))
