@@ -5,9 +5,12 @@ takes its final JSON line (``correct``, ``attempted``,
 ``failed``, ``metrics``) and the run's header line (workload, seed,
 seconds, trace), adds provenance (``commit``, ``cpu_count``,
 ``python``, ``numpy``) and appends the entry to that workload's
-``history``, keeping the newest :data:`CAP` entries.  Other workloads'
-histories are left as they are, so records grow into a trajectory
-instead of being overwritten.
+``history``, keeping the newest :data:`CAP` entries.  Older entries are
+folded into the workload's ``by_commit`` summary: per commit, the run
+count, the provenance and each metric's list of values, so exact
+per-commit medians outlive the raw entries.  Other workloads are left
+as they are, so records grow into a trajectory instead of being
+overwritten.
 
     python3 perfbench/run.py --workload sliding-cascade --seed 1 \\
         --seconds 20 --trace 0 > run.txt
@@ -31,7 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_RECORD = ROOT / "BENCH_perfbench.json"
-#: Entries kept per workload history.
+#: Raw entries kept per workload history; older ones are folded.
 CAP = 20
 
 _HEADER = re.compile(
@@ -112,14 +115,37 @@ def provenance(record: Path) -> dict:
     }
 
 
-def append_run(record: dict, entry: dict, cap: int = CAP) -> dict:
-    """Append ``entry`` to its workload's history, newest ``cap`` kept."""
-    workloads = record.setdefault("workloads", {})
-    history = workloads.setdefault(entry["workload"], {}).setdefault(
-        "history", []
+def fold_run(by_commit: dict, entry: dict) -> None:
+    """Fold one history entry into its commit's summary: the run count,
+    the first run's provenance and every metric's list of values."""
+    summary = by_commit.setdefault(
+        entry.get("commit", "unknown"),
+        {
+            "runs": 0,
+            "cpu_count": entry.get("cpu_count"),
+            "python": entry.get("python"),
+            "numpy": entry.get("numpy"),
+            "metrics": {},
+        },
     )
+    summary["runs"] += 1
+    for name, metric in entry.get("metrics", {}).items():
+        summary["metrics"].setdefault(name, []).append(metric["value"])
+
+
+def append_run(record: dict, entry: dict, cap: int = CAP) -> dict:
+    """Append ``entry`` to its workload's history, newest ``cap`` kept;
+    the entries pushed out are folded into ``by_commit``."""
+    workload = record.setdefault("workloads", {}).setdefault(
+        entry["workload"], {}
+    )
+    history = workload.setdefault("history", [])
     history.append(entry)
-    del history[:-cap]
+    if len(history) > cap:
+        by_commit = workload.setdefault("by_commit", {})
+        for old in history[:-cap]:
+            fold_run(by_commit, old)
+        del history[:-cap]
     return record
 
 

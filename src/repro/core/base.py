@@ -381,12 +381,15 @@ class CandidateRecord:
     #: Cached ``max_v tz(v)`` over ``adj_hashes`` (-1 = not yet computed;
     #: see :meth:`survival_exponent`).  Derived state - never serialised.
     adj_tz: int = -1
-    #: Slot index into the owning :class:`CandidateStore`'s parallel
-    #: arrays (``_slot_tb`` / ``_slot_words``).  0 is the reserved
-    #: sentinel slot: a record not currently held by a store (detached
-    #: stand-ins, removed records) carries slot 0, whose generation
-    #: counter is permanently stale.  Derived state - never serialised.
-    slot: int = 0
+    #: Tiebreak of the record's freshest entry in its sampler's lazy
+    #: eviction heap (-1 = never pushed, removed from its store, or a
+    #: detached restore stand-in): a heap entry is current iff its
+    #: tiebreak equals this.  Derived state - never serialised.
+    tb: int = -1
+    #: The record's :meth:`CandidateStore.record_words` footprint, kept
+    #: exact by :meth:`CandidateStore.add` and the relinks.  Derived
+    #: state - never serialised.
+    words: int = 0
 
     def survival_exponent(self) -> int:
         """Largest ``k`` such that some ``adj`` hash is sampled at ``2^k``.
@@ -451,33 +454,19 @@ class CandidateStore:
     ordered list would give - and removing the head promotes
     ``_overflow[h][0]``.  :meth:`check_index_integrity` is the oracle.
 
-    Slot pool (the array-backed hot path)
-    -------------------------------------
-    Every live record owns an integer *slot* into the store's parallel
-    arrays, granted by :meth:`add` from an explicit free list and
-    released by :meth:`remove`:
-
-    * ``_slot_record[slot]`` - the record occupying the slot (``None``
-      when free),
-    * ``_slot_tb[slot]`` - generation counter: the heap tiebreak of the
-      record's most recent heap entry (-1 when the record has never been
-      pushed, or the slot is free),
-    * ``_slot_words[slot]`` - the record's current ``record_words``
-      footprint, kept exact by :meth:`add` / :meth:`relink_last` (and
-      the samplers' inlined relink fast paths).
-
-    The sliding-window samplers stamp ``_slot_tb`` on every heap push,
-    turning the lazy-eviction staleness check into one list index plus
-    an int compare (``slot_tb[record.slot] != entry_tb``) instead of two
-    object-identity probes through dict lookups.  Soundness: heap
-    tiebreaks are drawn from a strictly increasing counter, every
-    re-link of a record is immediately followed by a push with a fresh
-    tiebreak, and a *reused* slot is only ever re-stamped with a later
-    tiebreak - so ``slot_tb`` matches an entry's tiebreak iff that entry
-    is the record's current (freshest) one.  Slot 0 is a reserved
-    sentinel whose counter is permanently stale (-1): detached records
-    (checkpoint stand-ins, removed records) carry slot 0, so their heap
-    entries read as stale without special-casing.
+    Heap currency and footprints (the hot path)
+    -------------------------------------------
+    Two derived fields on each record serve the sliding samplers' lazy
+    eviction heaps.  ``record.tb`` is the tiebreak of the record's
+    freshest heap entry: every push stamps it, so an entry is stale iff
+    ``record.tb != entry_tb`` - one attribute read and one int compare.
+    Soundness: tiebreaks come from a strictly increasing counter, every
+    relink of a record is followed by a push with a fresh tiebreak, and
+    :meth:`remove` resets ``tb`` to -1, which matches no entry.
+    ``record.words`` is the record's :meth:`record_words` footprint,
+    kept exact by :meth:`add` and the relinks, so moving or dropping a
+    record is counter arithmetic.  :meth:`check_words_integrity` is the
+    oracle.
     """
 
     __slots__ = (
@@ -488,10 +477,6 @@ class CandidateStore:
         "_accepted_count",
         "_base_words",
         "_member_words",
-        "_slot_record",
-        "_slot_tb",
-        "_slot_words",
-        "_free",
     )
 
     def __init__(self, config: SamplerConfig) -> None:
@@ -505,11 +490,6 @@ class CandidateStore:
         self._accepted_count = 0
         self._base_words = 0
         self._member_words = 0
-        # Parallel slot arrays; index 0 is the reserved stale sentinel.
-        self._slot_record: list[CandidateRecord | None] = [None]
-        self._slot_tb: list[int] = [-1]
-        self._slot_words: list[int] = [0]
-        self._free: list[int] = []
 
     def __len__(self) -> int:
         return len(self._records)
@@ -596,7 +576,7 @@ class CandidateStore:
         return words
 
     def add(self, record: CandidateRecord) -> None:
-        """Insert a new candidate record (granting it a slot)."""
+        """Insert a new candidate record."""
         key = record.representative.index
         if key in self._records:
             raise ParameterError(
@@ -620,25 +600,13 @@ class CandidateStore:
                     extra.append(record)
         if record.accepted:
             self._accepted_count += 1
-        words = self.record_words(record)
+        words = record.words = self.record_words(record)
         self._base_words += words
         if record.member is not None:
             self._member_words += len(record.representative.vector) + 2
-        free = self._free
-        if free:
-            slot = free.pop()
-            self._slot_record[slot] = record
-            self._slot_tb[slot] = -1
-            self._slot_words[slot] = words
-        else:
-            slot = len(self._slot_record)
-            self._slot_record.append(record)
-            self._slot_tb.append(-1)
-            self._slot_words.append(words)
-        record.slot = slot
 
     def remove(self, record: CandidateRecord) -> None:
-        """Remove a candidate record (releasing its slot)."""
+        """Remove a candidate record (its heap entries turn stale)."""
         key = record.representative.index
         del self._records[key]
         buckets = self._buckets
@@ -657,15 +625,10 @@ class CandidateStore:
                 del overflow[value]
         if record.accepted:
             self._accepted_count -= 1
-        slot = record.slot
-        self._base_words -= self._slot_words[slot]
+        self._base_words -= record.words
         if record.member is not None:
             self._member_words -= len(record.representative.vector) + 2
-        self._slot_record[slot] = None
-        self._slot_tb[slot] = -1
-        self._slot_words[slot] = 0
-        self._free.append(slot)
-        record.slot = 0
+        record.tb = -1
 
     def relink_last(self, record: CandidateRecord, new_last: StreamPoint) -> None:
         """Set ``record.last`` keeping the incremental footprint exact.
@@ -682,47 +645,20 @@ class CandidateStore:
         if record.last is rep:
             if new_last is not rep:
                 self._base_words += extra
-                self._slot_words[record.slot] += extra
+                record.words += extra
         elif new_last is rep:
             self._base_words -= extra
-            self._slot_words[record.slot] -= extra
+            record.words -= extra
         record.last = new_last
 
-    def check_slot_integrity(self) -> None:
-        """Free-list / slot-pool invariant oracle (test hook, O(slots)).
-
-        Raises ``AssertionError`` unless:
-
-        * slot 0 is the pristine stale sentinel,
-        * every live record owns exactly one slot, that slot points back
-          at it, and its cached words match :meth:`record_words`,
-        * every free-list entry is a cleared slot, listed exactly once,
-          never slot 0, and never a live record's slot (no double-grant,
-          no live-slot reuse),
-        * live slots + free slots account for the whole pool.
-        """
-        slot_record = self._slot_record
-        slot_tb = self._slot_tb
-        slot_words = self._slot_words
-        assert len(slot_record) == len(slot_tb) == len(slot_words)
-        assert slot_record[0] is None and slot_tb[0] == -1 and slot_words[0] == 0
-        free = self._free
-        free_set = set(free)
-        assert len(free_set) == len(free), "free list double-grants a slot"
-        assert 0 not in free_set, "sentinel slot 0 on the free list"
-        live_slots = set()
+    def check_words_integrity(self) -> None:
+        """Cached-footprint oracle (test hook, O(records)): raises
+        ``AssertionError`` unless every live record's ``words`` equals
+        :meth:`record_words`."""
         for record in self._records.values():
-            slot = record.slot
-            assert 0 < slot < len(slot_record), "live record without a slot"
-            assert slot not in live_slots, "two live records share a slot"
-            assert slot not in free_set, "live record's slot on the free list"
-            assert slot_record[slot] is record, "slot does not point back"
-            assert slot_words[slot] == self.record_words(record)
-            live_slots.add(slot)
-        for slot in free_set:
-            assert slot_record[slot] is None and slot_tb[slot] == -1
-            assert slot_words[slot] == 0
-        assert len(live_slots) + len(free_set) == len(slot_record) - 1
+            assert record.words == self.record_words(record), (
+                "cached words drifted"
+            )
 
     def check_index_integrity(self) -> None:
         """Adjacency-index invariant oracle (test hook, O(registrations)).

@@ -131,11 +131,10 @@ class FixedRateSlidingSampler(StreamSampler):
     # ------------------------------------------------------------------ #
 
     def _push_heap(self, record: CandidateRecord) -> None:
-        # Stamp the record's slot generation with the entry's tiebreak
-        # (see the slot-pool notes on CandidateStore): eviction then
-        # detects stale entries with one list index + int compare.
-        tiebreak = next(self._tiebreak)
-        self._store._slot_tb[record.slot] = tiebreak
+        # Stamp the record with the entry's tiebreak (see
+        # CandidateStore): eviction then detects stale entries with one
+        # attribute read + int compare.
+        tiebreak = record.tb = next(self._tiebreak)
         heapq.heappush(
             self._heap,
             (
@@ -150,8 +149,8 @@ class FixedRateSlidingSampler(StreamSampler):
         """Drop groups whose last point expired (Lines 1-3 of Algorithm 2).
 
         Stale heap entries (the record was updated or already removed -
-        detected in O(1) by the entry tiebreak no longer matching its
-        record's slot generation) are discarded lazily; amortised
+        detected in O(1) by the entry tiebreak no longer equalling its
+        record's ``tb``) are discarded lazily; amortised
         O(log n) per tracked update.  The window's
         :meth:`~repro.streams.windows.WindowSpec.eviction_cutoff`
         pre-filters live entries by their heap key, so the common
@@ -163,10 +162,9 @@ class FixedRateSlidingSampler(StreamSampler):
         store = self._store
         window = self._window
         cutoff = window.eviction_cutoff(latest)
-        slot_tb = store._slot_tb
         while heap:
             key, tiebreak, record, _ = heap[0]
-            if slot_tb[record.slot] != tiebreak:
+            if record.tb != tiebreak:
                 heapq.heappop(heap)
                 continue
             if key > cutoff or window.in_window(record.last, latest):

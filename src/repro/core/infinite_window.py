@@ -300,10 +300,10 @@ class RobustL0SamplerIW(StreamSampler):
                         if p is not existing.representative:
                             if existing.last is existing.representative:
                                 store._base_words += dim + 2
-                                store._slot_words[existing.slot] += dim + 2
+                                existing.words += dim + 2
                         elif existing.last is not existing.representative:
                             store._base_words -= dim + 2
-                            store._slot_words[existing.slot] -= dim + 2
+                            existing.words -= dim + 2
                         existing.last = p
                         if track and member_random() < 1.0 / existing.count:
                             existing.member = p

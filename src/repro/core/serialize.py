@@ -235,9 +235,9 @@ def records_to_columns(
     Per record: representative, cell, cell hash, adjacency hashes,
     accept flag, count and level; the last point only where it is not
     the representative itself, the member only where one is tracked.
-    A record's ``slot`` (its index into the store's slot pool) and its
-    ``adj_tz`` cache are derived state and never encoded: a restore
-    re-grants slots through ``CandidateStore.add``.
+    A record's ``tb`` and ``words`` fields and its ``adj_tz`` cache are
+    derived state and never encoded: ``CandidateStore.add`` recomputes
+    ``words`` and :func:`heap_from_columns` re-stamps ``tb``.
     """
     n = len(records)
     last_is_rep = [r.last is r.representative for r in records]
@@ -380,7 +380,9 @@ def heap_from_columns(
     Reads :func:`heap_to_columns` output or the per-entry list of
     version-2 envelopes.  The saved order *is* a valid heap arrangement
     (it was the live heap), so it is restored verbatim - heapifying
-    could legally rearrange it and break fingerprint equality.
+    could legally rearrange it and break fingerprint equality.  Each
+    current entry stamps its record's ``tb``; the largest tiebreak wins,
+    as it does for live pushes.
     """
     if isinstance(value, list):
         entries = [
@@ -399,18 +401,15 @@ def heap_from_columns(
             flags,
             (None if flag else next(points) for flag in flags),
         )
-    slot_tb = store._slot_tb
     heap = []
     for key, tiebreak, rep_index, linked, cur, last in entries:
         record = store.get(rep_index) if linked else None
         if record is not None and cur:
             # Live entry: restore the identity record.last is last_ref
-            # and stamp the record's slot generation so the entry reads
-            # as current.  Max-wins, matching live stamping (the
-            # record's *latest* push owns the slot counter).
+            # and stamp record.tb so the entry reads as current.
             last = record.last
-            if tiebreak > slot_tb[record.slot]:
-                slot_tb[record.slot] = tiebreak
+            if tiebreak > record.tb:
+                record.tb = tiebreak
         elif last is None:
             raise CheckpointError(
                 f"current heap entry {rep_index} has no record in the store"
@@ -419,8 +418,7 @@ def heap_from_columns(
             # The referenced record left the store: fabricate a
             # detached stand-in so the staleness check pops the entry
             # exactly as it would have popped the original (a detached
-            # record carries the sentinel slot 0, whose generation
-            # counter never matches a real tiebreak).
+            # record keeps tb == -1, which matches no real tiebreak).
             record = CandidateRecord(
                 representative=StreamPoint(last.vector, rep_index),
                 cell=(),

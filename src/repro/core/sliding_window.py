@@ -285,12 +285,10 @@ class RobustL0SamplerSW(StreamSampler):
     # ------------------------------------------------------------------ #
 
     def _push(self, record: CandidateRecord) -> None:
-        # Stamping the record's slot with the entry's tiebreak is what
-        # makes the eviction staleness check O(1): an entry is current
-        # iff its tiebreak matches the slot's generation counter (see
-        # the slot-pool notes on CandidateStore).
-        tiebreak = next(self._tiebreak)
-        self._store._slot_tb[record.slot] = tiebreak
+        # Stamping the record with the entry's tiebreak makes the
+        # eviction staleness check O(1): an entry is current iff its
+        # tiebreak equals record.tb (see CandidateStore).
+        tiebreak = record.tb = next(self._tiebreak)
         heapq.heappush(
             self._heap,
             (
@@ -326,24 +324,21 @@ class RobustL0SamplerSW(StreamSampler):
 
     def _add(self, record: CandidateRecord) -> None:
         """Register a record (store + its level's map/counters)."""
-        store = self._store
-        store.add(record)
+        self._store.add(record)
         level = record.level
         self._append(level, record)
         if record.accepted:
             self._level_accepted[level] += 1
-        self._level_words[level] += store._slot_words[record.slot]
+        self._level_words[level] += record.words
 
     def _remove(self, record: CandidateRecord) -> None:
         """Drop a record (store + its level's map/counters)."""
-        store = self._store
-        words = store._slot_words[record.slot]
-        store.remove(record)
+        self._store.remove(record)
         level = record.level
         del self._level_records[level][record.representative.index]
         if record.accepted:
             self._level_accepted[level] -= 1
-        self._level_words[level] -= words
+        self._level_words[level] -= record.words
 
     def _reactivate(self, record: CandidateRecord) -> None:
         """Move a rejected record with fresh activity to level 0, accepted.
@@ -356,7 +351,7 @@ class RobustL0SamplerSW(StreamSampler):
         del self._level_records[source][record.representative.index]
         self._append(0, record)
         record.level = 0
-        words = self._store._slot_words[record.slot]
+        words = record.words
         self._level_words[source] -= words
         self._level_words[0] += words
         self._store.set_accepted(record, True)
@@ -370,11 +365,11 @@ class RobustL0SamplerSW(StreamSampler):
         if record.last is rep:
             if new_last is not rep:
                 store._base_words += extra
-                store._slot_words[record.slot] += extra
+                record.words += extra
                 self._level_words[record.level] += extra
         elif new_last is rep:
             store._base_words -= extra
-            store._slot_words[record.slot] -= extra
+            record.words -= extra
             self._level_words[record.level] -= extra
         record.last = new_last
 
@@ -385,8 +380,8 @@ class RobustL0SamplerSW(StreamSampler):
         ``eviction_cutoff`` pre-filters by heap key first - the common
         nothing-expires case costs one float comparison - then stale
         entries (detected in O(1): the entry's tiebreak no longer
-        matches its record's slot generation - the record was removed,
-        or a later push superseded the entry) are popped, and the
+        equals its record's ``tb`` - the record was removed, or a later
+        push superseded the entry) are popped, and the
         authoritative ``in_window`` test decides the rest.
         """
         heap = self._heap
@@ -394,12 +389,11 @@ class RobustL0SamplerSW(StreamSampler):
             return
         window = self._window
         cutoff = window.eviction_cutoff(latest)
-        slot_tb = self._store._slot_tb
         while heap:
             key, tiebreak, record, _ = heap[0]
             if key > cutoff:
                 break
-            if slot_tb[record.slot] != tiebreak:
+            if record.tb != tiebreak:
                 heapq.heappop(heap)
                 continue
             if window.in_window(record.last, latest):
@@ -517,8 +511,6 @@ class RobustL0SamplerSW(StreamSampler):
         policy = self._policy
         threshold = policy.threshold
         store = self._store
-        slot_tb = store._slot_tb
-        slot_words = store._slot_words
         buckets_get = store._buckets.get
         find_overflow = store.find_overflow
         level_records0 = self._level_records[0]
@@ -571,7 +563,7 @@ class RobustL0SamplerSW(StreamSampler):
                         key, entry_tb, record, _ = heap[0]
                         if key > cutoff:
                             break
-                        if slot_tb[record.slot] != entry_tb:
+                        if record.tb != entry_tb:
                             heappop(heap)
                             continue
                         if (
@@ -604,16 +596,15 @@ class RobustL0SamplerSW(StreamSampler):
                     if p is not rep:
                         if found.last is rep:
                             store._base_words += last_extra
-                            slot_words[found.slot] += last_extra
+                            found.words += last_extra
                             level_words[found.level] += last_extra
                     elif found.last is not rep:
                         store._base_words -= last_extra
-                        slot_words[found.slot] -= last_extra
+                        found.words -= last_extra
                         level_words[found.level] -= last_extra
                     found.last = p
                     found.count += 1
-                    entry_tb = next(tiebreak)
-                    slot_tb[found.slot] = entry_tb
+                    entry_tb = found.tb = next(tiebreak)
                     heappush(heap, (point_key, entry_tb, found, p))
                     if not found.accepted and found.level:
                         # Rejected group with fresh activity: move it to
@@ -650,9 +641,8 @@ class RobustL0SamplerSW(StreamSampler):
                         level_unordered[0] = True
                     level_records0[key] = record
                     level_accepted[0] += 1
-                    level_words[0] += slot_words[record.slot]
-                    entry_tb = next(tiebreak)
-                    slot_tb[record.slot] = entry_tb
+                    level_words[0] += record.words
+                    entry_tb = record.tb = next(tiebreak)
                     heappush(heap, (point_key, entry_tb, record, p))
                     if level_accepted[0] > threshold():
                         self._cascade(0)
@@ -772,7 +762,6 @@ class RobustL0SamplerSW(StreamSampler):
         buckets_get = store._buckets.get
         overflow = store._overflow
         find_overflow = store.find_overflow
-        slot_words = store._slot_words
         alpha = self._config.alpha
         expiry_key = self._window.expiry_key
         source = level - 1
@@ -817,9 +806,9 @@ class RobustL0SamplerSW(StreamSampler):
                 del source_map[key]
                 target_map[key] = record
                 record.level = level
-                # The footprint is served from the slot (kept exact by
+                # The footprint is cached on the record (kept exact by
                 # add/relink): the move is counter arithmetic only.
-                moved_words += slot_words[record.slot]
+                moved_words += record.words
                 moved_accepted += record.accepted
         level_words = self._level_words
         level_words[source] -= moved_words
@@ -1087,11 +1076,9 @@ class RobustL0SamplerSW(StreamSampler):
         # Pushing in sorted order yields a valid heap with fresh,
         # collision-free tiebreaks (per-level counters overlapped).
         self._tiebreak = itertools.count()
-        slot_tb = self._store._slot_tb
         for heap_key, _, _, record_key in sorted(live_entries):
             record = records[record_key]
-            tiebreak = next(self._tiebreak)
-            # Later pushes overwrite: the slot generation tracks the
-            # record's freshest entry, exactly as live stamping does.
-            slot_tb[record.slot] = tiebreak
+            # Later pushes overwrite: record.tb tracks the record's
+            # freshest entry, exactly as live stamping does.
+            tiebreak = record.tb = next(self._tiebreak)
             self._heap.append((heap_key, tiebreak, record, record.last))

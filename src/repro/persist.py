@@ -116,7 +116,17 @@ def summary_from_state(envelope: dict[str, Any]) -> Any:
             "checkpoint envelope is missing its state payload"
         )
     cls = registry.summary_class(key)
-    return cls.from_state(state)
+    try:
+        return cls.from_state(state)
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError) as error:
+        # A state missing a key or holding a value of the wrong shape
+        # fails inside from_state; report it as a bad checkpoint.
+        raise CheckpointError(
+            f"{key!r} checkpoint state is malformed: "
+            f"{type(error).__name__}: {error}"
+        ) from error
 
 
 def dumps_summary(summary: Any) -> bytes:

@@ -5,7 +5,8 @@
 pipeline-scaling record into the same file and must not erase it.
 Both go through ``bench_throughput.write_record``.
 ``scripts/record_perfbench.py`` appends each perfbench run to a capped
-per-workload history in ``BENCH_perfbench.json``.
+per-workload history in ``BENCH_perfbench.json`` and folds the runs past
+the cap into per-commit metric lists.
 """
 
 from __future__ import annotations
@@ -109,11 +110,44 @@ def test_perfbench_record_appends_with_provenance(tmp_path):
 def test_perfbench_record_caps_each_history():
     module = load_record_perfbench()
     record = {}
-    for seed in range(5):
-        entry = {"workload": "service-churn", "seed": seed}
+    for seed in range(6):
+        entry = {
+            "workload": "service-churn",
+            "seed": seed,
+            "commit": "aaa" if seed < 2 else "bbb",
+            "cpu_count": 2,
+            "python": "3.11.7",
+            "numpy": "2.4.6",
+            "metrics": {
+                "ingest_pts_per_s": {"value": 100.0 + seed, "unit": "pts/s"},
+                "state_bytes": {"value": 7.0, "unit": "bytes"},
+            },
+        }
         module.append_run(record, entry, cap=3)
-    history = record["workloads"]["service-churn"]["history"]
-    assert [entry["seed"] for entry in history] == [2, 3, 4]
+        if seed < 3:
+            assert "by_commit" not in record["workloads"]["service-churn"]
+    workload = record["workloads"]["service-churn"]
+    assert [entry["seed"] for entry in workload["history"]] == [3, 4, 5]
+    # The entries past the cap are folded per commit, not dropped.
+    assert workload["by_commit"] == {
+        "aaa": {
+            "runs": 2,
+            "cpu_count": 2,
+            "python": "3.11.7",
+            "numpy": "2.4.6",
+            "metrics": {
+                "ingest_pts_per_s": [100.0, 101.0],
+                "state_bytes": [7.0, 7.0],
+            },
+        },
+        "bbb": {
+            "runs": 1,
+            "cpu_count": 2,
+            "python": "3.11.7",
+            "numpy": "2.4.6",
+            "metrics": {"ingest_pts_per_s": [102.0], "state_bytes": [7.0]},
+        },
+    }
 
 
 def test_perfbench_record_keeps_other_workloads(tmp_path):

@@ -156,25 +156,40 @@ class TestDocsMatchCode:
         ):
             assert stale not in text, stale
 
+    def test_no_deleted_slot_pool(self):
+        # Records carry their own heap stamp and footprint; the store's
+        # slot pool is gone from the library and from every guide.
+        stale = (
+            "_slot_record",
+            "_slot_tb",
+            "_slot_words",
+            "record.slot",
+            "check_slot_integrity",
+        )
+        sources = sorted((REPO_ROOT / "src").rglob("*.py"))
+        for path in [*DOCS, *sources]:
+            text = path.read_text(encoding="utf-8")
+            for name in stale:
+                assert name not in text, (path.name, name)
+
     def test_architecture_documents_hot_path(self):
-        # The slot/generation scheme, the adjacency index and the
-        # shared-geometry cache invariant are load-bearing perf
+        # The per-record heap stamp and footprint, the adjacency index
+        # and the shared-geometry cache invariant are load-bearing perf
         # architecture: the sections must exist and name machinery that
         # really exists in the code.
         text = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text(
             encoding="utf-8"
         )
-        assert "slot/generation scheme" in text
+        assert "#### The hot path's per-record fields" in text
         assert "#### The adjacency index" in text
         assert "## The shared-geometry cache invariant" in text
         base_source = (
             REPO_ROOT / "src" / "repro" / "core" / "base.py"
         ).read_text(encoding="utf-8")
         for name in (
-            "_slot_record",
-            "_slot_tb",
-            "_slot_words",
-            "check_slot_integrity",
+            "record.tb",
+            "record.words",
+            "check_words_integrity",
             "_buckets",
             "_overflow",
             "find_overflow",

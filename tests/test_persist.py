@@ -799,3 +799,45 @@ class TestHostileColumns:
         envelope["state"]["records"] = "columns"
         with pytest.raises(CheckpointError):
             summary_from_state(envelope)
+
+
+class TestMalformedStates:
+    """A state that breaks a registry ``from_state`` with a bare
+    ``KeyError``, ``TypeError``, ``IndexError`` or ``ValueError`` fails
+    as :class:`CheckpointError` naming the summary key, with the
+    original error chained; a ``CheckpointError`` passes unchanged."""
+
+    @staticmethod
+    def assert_typed(envelope, key, original):
+        with pytest.raises(CheckpointError) as raised:
+            summary_from_state(envelope)
+        assert repr(key) in str(raised.value)
+        assert isinstance(raised.value.__cause__, original)
+        with pytest.raises(CheckpointError) as raised:
+            loads_summary(json.dumps(envelope).encode("utf-8"))
+        assert isinstance(raised.value.__cause__, original)
+
+    def test_sliding_state_without_max_level(self):
+        envelope = TestHostileColumns.envelope()
+        del envelope["state"]["max_level"]
+        self.assert_typed(envelope, "l0-sliding", KeyError)
+
+    @pytest.mark.parametrize(
+        "name", ["l0_infinite_members", "l0_sliding_sequence"]
+    )
+    def test_v2_record_without_fields(self, name):
+        envelope = json.loads(
+            V2_FIXTURE_DIR.joinpath(f"v2_{name}.json").read_text()
+        )
+        envelope["state"]["records"] = [{"rep": 1}]
+        self.assert_typed(envelope, envelope["summary"], TypeError)
+
+    def test_checkpoint_errors_pass_through(self):
+        envelope = TestHostileColumns.envelope()
+        _level_beyond_hierarchy(envelope["state"]["records"], None)
+        with pytest.raises(CheckpointError) as direct:
+            entry("l0-sliding").summary_cls.from_state(envelope["state"])
+        with pytest.raises(CheckpointError) as wrapped:
+            summary_from_state(envelope)
+        assert str(wrapped.value) == str(direct.value)
+        assert wrapped.value.__cause__ is None

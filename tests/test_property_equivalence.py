@@ -43,6 +43,7 @@ from repro.core.infinite_window import RobustL0SamplerIW
 from repro.core.sliding_window import RobustL0SamplerSW
 from repro.engine.batching import chunked
 from repro.engine.equivalence import state_fingerprint
+from repro.errors import EmptySampleError
 from repro.geometry.distance import within_distance
 from repro.persist import summary_from_state, summary_to_state
 from repro.streams.point import StreamPoint
@@ -499,33 +500,68 @@ class TestPeakSpaceRegression:
 
 
 def _assert_no_slot_leak(state) -> None:
-    """The slot pool is derived state: no checkpoint may carry it."""
+    """Heap stamps, cached footprints and slot indices are derived
+    state: no checkpoint may carry them."""
     if isinstance(state, dict):
         for key, value in state.items():
-            assert key not in {"slot", "slots", "free", "free_list"}, (
-                f"slot-pool key {key!r} leaked into a checkpoint"
-            )
+            assert key not in {
+                "slot",
+                "slots",
+                "free",
+                "free_list",
+                "tb",
+                "words",
+            }, f"derived key {key!r} leaked into a checkpoint"
             _assert_no_slot_leak(value)
     elif isinstance(state, (list, tuple)):
         for value in state:
             _assert_no_slot_leak(value)
 
 
-class TestSlotPoolProperties:
-    """Tentpole invariants of the array-backed candidate store.
+def _check_heap_currency(sampler) -> None:
+    """Lazy-heap currency oracle for a sliding sampler's shared heap.
 
-    * *Checkpoint purity*: slot indices, generation stamps and the free
-      list are derived state - fingerprints and checkpoints of a pooled
-      store must equal what the pre-pool layout produced, which is
-      exactly what a JSON round-trip (pool rebuilt from scratch) checks.
-    * *Free-list integrity*: after **every** ``add``/``remove`` on any
-      live store, the pool must pass :meth:`CandidateStore.
-      check_slot_integrity` - unique live slots, exact cached words,
-      clean free slots, conservation of pool size.
+    Every live record owns exactly one heap entry whose tiebreak equals
+    ``record.tb``, and no entry that reads current references a record
+    outside the store.
+    """
+    store = sampler._store
+    owned: dict[int, int] = {}
+    for _, entry_tb, record, _ in sampler._heap:
+        if record.tb == entry_tb:
+            assert record in store, "a current entry outlived its record"
+            key = record.representative.index
+            owned[key] = owned.get(key, 0) + 1
+    for record in store.records():
+        assert owned.get(record.representative.index) == 1, (
+            "live record without exactly one current heap entry"
+        )
+
+
+def _check_store(sampler) -> None:
+    """Every store oracle, plus heap currency."""
+    sampler._store.check_words_integrity()
+    sampler._store.check_index_integrity()
+    _check_heap_currency(sampler)
+
+
+class TestStoreProperties:
+    """Invariants of the candidate store's derived per-record fields.
+
+    * *Checkpoint purity*: ``record.tb`` and ``record.words`` are
+      derived state - a JSON round-trip (every store rebuilt from
+      scratch) must reproduce fingerprints and checkpoints exactly.
+    * *Footprint integrity*: after **every** ``add``/``remove`` on any
+      live store, each record's cached ``words`` must equal
+      :meth:`CandidateStore.record_words`
+      (:meth:`CandidateStore.check_words_integrity`).
     * *Index integrity*: after every such operation the adjacency index
       must pass :meth:`CandidateStore.check_index_integrity` - inline
       head plus overflow equals the registration multimap rebuilt from
       the live records, in registration order.
+    * *Heap currency*: in the sliding samplers, every live record owns
+      exactly one current heap entry, per point, after queries and
+      after a restore.
     """
 
     #: Registry keys whose summaries are built on CandidateStore.
@@ -545,7 +581,7 @@ class TestSlotPoolProperties:
     @pytest.mark.parametrize("key", STORE_KEYS)
     @given(bursts=BURSTS, seed=SEEDS, batch_size=BATCH_SIZES)
     @settings(max_examples=8, deadline=None)
-    def test_pooled_fingerprints_match_pre_pool_layout(
+    def test_restored_fingerprints_match_live_store(
         self, key, bursts, seed, batch_size
     ):
         points = burst_points(bursts, seed)
@@ -554,8 +590,9 @@ class TestSlotPoolProperties:
             summary.process_many(chunk)
         envelope = summary_to_state(summary)
         _assert_no_slot_leak(envelope)
-        # Restoring rebuilds every slot pool from scratch; equality of
-        # fingerprints proves the pool never shapes observable state.
+        # Restoring rebuilds every store from scratch; equality of
+        # fingerprints proves the derived fields never shape observable
+        # state.
         restored = summary_from_state(json.loads(json.dumps(envelope)))
         assert state_fingerprint(restored) == state_fingerprint(summary)
         assert summary_to_state(restored) == envelope
@@ -563,7 +600,7 @@ class TestSlotPoolProperties:
     @pytest.mark.parametrize("key", STORE_KEYS)
     @given(bursts=BURSTS, seed=SEEDS, batch_size=BATCH_SIZES)
     @settings(max_examples=6, deadline=None)
-    def test_slot_integrity_after_every_store_operation(
+    def test_store_integrity_after_every_store_operation(
         self, key, bursts, seed, batch_size
     ):
         original_add = CandidateStore.add
@@ -571,13 +608,13 @@ class TestSlotPoolProperties:
 
         def checked_add(self, record, *args, **kwargs):
             result = original_add(self, record, *args, **kwargs)
-            self.check_slot_integrity()
+            self.check_words_integrity()
             self.check_index_integrity()
             return result
 
         def checked_remove(self, record, *args, **kwargs):
             result = original_remove(self, record, *args, **kwargs)
-            self.check_slot_integrity()
+            self.check_words_integrity()
             self.check_index_integrity()
             return result
 
@@ -645,23 +682,87 @@ class TestSlotPoolProperties:
 
     @given(bursts=BURSTS, seed=SEEDS, window=st.integers(1, 30))
     @settings(max_examples=15, deadline=None)
-    def test_sliding_slot_integrity_per_point_and_queries(
+    def test_sliding_store_integrity_per_point_and_queries(
         self, bursts, seed, window
     ):
-        # The heaviest slot churn: sliding eviction recycles slots
-        # constantly.  Check the pool after every point and query.
+        # The heaviest churn: sliding eviction drops and founds records
+        # constantly, and kappa0=0.5 (an accept capacity of 4) makes
+        # Split drop and Merge deduplicate records while their current
+        # heap entries stay queued.  Check the store and heap after
+        # every point and query, and after a restore.
         points = burst_points(bursts, seed)
-        sampler = RobustL0SamplerSW(1.0, 1, SequenceWindow(window), seed=seed)
+        sampler = RobustL0SamplerSW(
+            1.0, 1, SequenceWindow(window), seed=seed, kappa0=0.5
+        )
         for point in points:
             sampler.insert(point)
-            sampler._store.check_slot_integrity()
-            sampler._store.check_index_integrity()
+            _check_store(sampler)
         sampler.estimate_f0()
-        sampler._store.check_slot_integrity()
-        sampler._store.check_index_integrity()
+        _check_store(sampler)
         restored = RobustL0SamplerSW.from_state(
             json.loads(json.dumps(sampler.to_state()))
         )
-        restored._store.check_slot_integrity()
-        restored._store.check_index_integrity()
+        _check_store(restored)
+        assert state_fingerprint(restored) == state_fingerprint(sampler)
+
+    @given(bursts=BURSTS, seed=SEEDS, duration=st.integers(1, 20))
+    @settings(max_examples=15, deadline=None)
+    def test_time_window_heap_currency(self, bursts, seed, duration):
+        # Bursty timestamps: equal times and long gaps expire many
+        # records in one sweep.
+        rng = random.Random(seed ^ 0x5151)
+        now = 0.0
+        points = []
+        for i, vector in enumerate(burst_points(bursts, seed)):
+            now += rng.choice([0.0, 0.0, 0.5, 3.0])
+            points.append(StreamPoint(vector, i, now))
+        sampler = RobustL0SamplerSW(
+            1.0,
+            1,
+            TimeWindow(float(duration)),
+            window_capacity=max(len(points), 2),
+            seed=seed,
+            kappa0=0.5,
+        )
+        for point in points:
+            sampler.insert(point)
+            _check_store(sampler)
+        sampler.estimate_f0()
+        _check_store(sampler)
+        restored = RobustL0SamplerSW.from_state(
+            json.loads(json.dumps(sampler.to_state()))
+        )
+        _check_store(restored)
+        assert state_fingerprint(restored) == state_fingerprint(sampler)
+
+    @given(
+        bursts=BURSTS,
+        seed=SEEDS,
+        window=st.integers(1, 30),
+        rate=st.sampled_from([1, 2, 4]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_fixed_rate_heap_currency(self, bursts, seed, window, rate):
+        config = SamplerConfig.create(1.0, 1, seed=seed)
+        sampler = FixedRateSlidingSampler(
+            config, rate, SequenceWindow(window)
+        )
+        points = [
+            StreamPoint(vector, i)
+            for i, vector in enumerate(burst_points(bursts, seed))
+        ]
+        for point in points:
+            sampler.insert(point)
+            _check_store(sampler)
+        try:
+            sampler.sample(points[-1], random.Random(seed))
+        except EmptySampleError:
+            pass
+        _check_store(sampler)
+        restored = FixedRateSlidingSampler.from_state(
+            json.loads(json.dumps(sampler.to_state())),
+            config=config,
+            window=SequenceWindow(window),
+        )
+        _check_store(restored)
         assert state_fingerprint(restored) == state_fingerprint(sampler)

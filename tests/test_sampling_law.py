@@ -1,4 +1,4 @@
-"""Distribution-level gate for the infinite-window sampler (Theorem 2.4).
+"""Distribution-level gates for the samplers (Theorems 2.4 and 2.7).
 
 The reproduction's central claim: each group present is returned with
 probability about ``1/n``, however many near-duplicates it has.  These
@@ -15,8 +15,15 @@ serial shards (``kappa0=0.25``), fed numpy array chunks in half the
 runs and row lists in the other half, so both forms of the chunk
 boundary meet the one-pass shard merge.  A negative control shows the
 test has power: naive reservoir sampling over points follows the group sizes,
-not the groups, and must fail it.  Seeds are fixed, so the verdicts
-are deterministic.
+not the groups, and must fail it.
+
+Theorem 2.7 is checked on the sliding-window sampler with a sequence
+window: 300 points that have all expired, then a 300-point window of 24
+skewed groups.  With ``kappa0=0.5`` the deepest active level reaches 2
+or more in most runs, so Split, Merge, eviction and the rate-unified
+query pool all shape the sample.  Even runs feed ``insert`` and odd
+runs chunked ``process_many``.  Seeds are fixed, so the verdicts are
+deterministic.
 """
 
 from __future__ import annotations
@@ -30,8 +37,10 @@ import pytest
 from repro.baselines.naive import NaiveReservoirSampler
 from repro.core.chunk_geometry import MIN_VECTOR_CHUNK
 from repro.core.infinite_window import RobustL0SamplerIW
+from repro.core.sliding_window import RobustL0SamplerSW
 from repro.engine.pipeline import BatchPipeline
 from repro.metrics.accuracy import chi_square_uniformity
+from repro.streams.windows import SequenceWindow
 
 NUM_GROUPS = 40
 ROW = 8
@@ -136,6 +145,57 @@ def test_groups_sampled_uniformly_at_depth(ingest, seed_base, max_empty):
     assert empty <= max_empty
     _, p_value = chi_square_uniformity(counts)
     assert p_value > 1e-4, counts
+
+
+WINDOW = 300
+SLIDING_RUNS = 400
+#: Groups with points in the window, sized 1 to 23 with the remainder
+#: on group 0, so a point-uniform sampler is far from group-uniform.
+LIVE_GROUPS = 24
+LIVE_SIZES = [1 + (g * 17) % 23 for g in range(LIVE_GROUPS)]
+LIVE_SIZES[0] += WINDOW - sum(LIVE_SIZES)
+
+
+def near(rng: random.Random, group: int) -> tuple[float, float]:
+    """A point within 0.6 of group ``group``'s lattice corner."""
+    x, y = SPACING * (group % ROW), SPACING * (group // ROW)
+    return (x + rng.uniform(0.0, 0.4), y + rng.uniform(0.0, 0.4))
+
+
+def windowed_stream(rng: random.Random) -> list[tuple[float, float]]:
+    """``WINDOW`` points that expire, spread over the live groups and as
+    many groups that never reach the window, then the shuffled window."""
+    expired = [near(rng, rng.randrange(2 * LIVE_GROUPS)) for _ in range(WINDOW)]
+    live = [
+        near(rng, group)
+        for group, size in enumerate(LIVE_SIZES)
+        for _ in range(size)
+    ]
+    rng.shuffle(live)
+    return expired + live
+
+
+def test_sliding_window_groups_sampled_uniformly_at_depth():
+    counts = [0] * (2 * LIVE_GROUPS)
+    depths = []
+    for run in range(SLIDING_RUNS):
+        seed = 11000 + run
+        rng = random.Random(seed)
+        points = windowed_stream(rng)
+        sampler = RobustL0SamplerSW(
+            1.0, 2, SequenceWindow(WINDOW), seed=seed, kappa0=0.5
+        )
+        feed = feed_chunks if run % 2 else feed_insert
+        feed(sampler, points, rng)
+        depths.append(sampler.deepest_active_level())
+        counts[group_of(sampler.sample(random.Random(seed ^ 0x2)).vector)] += 1
+    for parity in (0, 1):
+        deep = sum(depth >= 2 for depth in depths[parity::2])
+        assert deep > 0.8 * SLIDING_RUNS / 2, collections.Counter(depths)
+    # A group whose points all expired is never returned.
+    assert sum(counts[LIVE_GROUPS:]) == 0, counts
+    _, p_value = chi_square_uniformity(counts[:LIVE_GROUPS])
+    assert p_value > 0.01, counts
 
 
 def test_naive_reservoir_fails_the_same_test():

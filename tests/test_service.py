@@ -286,12 +286,26 @@ class TestTenantStore:
 
         from repro.errors import CheckpointError
 
-        async def scenario():
+        def grow_n(envelope):
+            envelope["state"]["records"]["n"] += 1  # disagrees with columns
+
+        def drop_max_level(envelope):
+            del envelope["state"]["max_level"]
+
+        def v2_record(envelope):
+            envelope["version"] = 2
+            envelope["state"]["records"] = [{"rep": 1}]
+
+        corruptions = [grow_n, v2_record]
+        if key == "l0-sliding":
+            corruptions.append(drop_max_level)
+
+        async def scenario(corrupt_envelope):
             store = TenantStore(service_spec(key, capacity=8))
             await store.ingest("t", noisy_points(random.Random(2), 40))
             assert await store.evict("t") is True
             envelope = json.loads(store.store.get("t"))
-            envelope["state"]["records"]["n"] += 1  # disagrees with columns
+            corrupt_envelope(envelope)
             corrupt = json.dumps(envelope).encode("utf-8")
             store.store.put("t", corrupt)
             for _ in range(2):
@@ -304,7 +318,25 @@ class TestTenantStore:
             assert store.resident_tenants() == []
             assert store.restores == 0 and store.builds == 1
 
-        run(scenario())
+            # Through the HTTP surface: a 400, and the bytes stay.
+            app = create_app(service_spec(key, capacity=8))
+            client = ASGITestClient(app)
+            await client.post_json(
+                "/v1/t/ingest", {"points": noisy_points(random.Random(2), 40)}
+            )
+            assert await app.tenants.evict("t") is True
+            app.tenants.store.put("t", corrupt)
+            for _ in range(2):
+                resp = await client.post_json(
+                    "/v1/t/ingest", {"points": [[1.0]]}
+                )
+                assert resp.status == 400 and "error" in resp.json()
+                resp = await client.get("/v1/t/query?seed=1")
+                assert resp.status == 400 and "error" in resp.json()
+            assert app.tenants.store.get("t") == corrupt
+
+        for corrupt_envelope in corruptions:
+            run(scenario(corrupt_envelope))
 
     def test_drop_forgets_memory_and_store(self):
         async def scenario():
