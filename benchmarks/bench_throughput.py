@@ -50,6 +50,11 @@ tracked trajectory):
 * ``--smoke`` (CI): sliding >= 1.5x on the small duplicate-heavy stream
   and dim-3 geometry >= 1.5x; the pipeline scaling section runs ungated (2 process workers, mostly
   an end-to-end executor-equivalence check).
+* pipeline query latency (recorded and printed in both modes, never
+  gated): the median and interquartile range of ``pipeline.query()``
+  over 40 rounds (12 in --smoke), each a chunk per shard then a
+  ``sync()``, on a process-executor pipeline (one worker, dim 3, 4
+  shards) - the merge of the shipped shard states a query pays for.
 
 Every timed region - per-point and batch, in every section - starts
 from a collected and frozen heap (:func:`settle_heap`), so no GC pass
@@ -77,6 +82,7 @@ import gc
 import json
 import os
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -204,6 +210,51 @@ def bench_pipeline(points, batch_size: int, seed: int, shards: int):
     elapsed = time.perf_counter() - start
     merged = pipeline.merge()
     return _rate(len(points), elapsed), merged.num_candidate_groups
+
+
+def bench_pipeline_query(
+    rounds: int, chunk: int, seed: int, shards: int = 4, dim: int = 3
+) -> dict:
+    """Query latency of a synced process-executor pipeline (one worker).
+
+    Each round submits one ``chunk``-point chunk of the high-cardinality
+    dim-3 stream per shard and calls ``sync()``, untimed; the timed
+    region is the ``query()`` that follows, i.e. the merge of the
+    shard states the drain shipped home plus one draw.  Returns the
+    record kept under ``"query"`` in ``BENCH_pipeline.json``.
+    """
+    from repro.api.specs import PipelineSpec
+
+    spec = PipelineSpec(
+        alpha=1.0,
+        dim=dim,
+        seed=seed,
+        num_shards=shards,
+        batch_size=chunk,
+        executor="process",
+        num_workers=1,
+    )
+    points = make_highdim_stream(rounds * shards * chunk, dim, seed)
+    times = []
+    with BatchPipeline(spec=spec) as pipeline:
+        for start in range(0, len(points), shards * chunk):
+            for offset in range(start, start + shards * chunk, chunk):
+                pipeline.submit(points[offset : offset + chunk])
+            pipeline.sync()
+            begin = time.perf_counter()
+            pipeline.query(random.Random(start))
+            times.append((time.perf_counter() - begin) * 1e3)
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {
+        "executor": "process",
+        "workers": 1,
+        "dim": dim,
+        "num_shards": shards,
+        "chunk": chunk,
+        "queries": len(times),
+        "median_ms": round(median, 3),
+        "iqr_ms": round(q3 - q1, 3),
+    }
 
 
 def _transport_record(stats) -> dict | None:
@@ -676,6 +727,20 @@ def main(argv: list[str] | None = None) -> int:
                 f"at {gate_workers} workers) not gated: only "
                 f"{cpu_count} CPU core(s) available"
             )
+
+    query_record = bench_pipeline_query(
+        12 if args.smoke else 40,
+        512 if args.smoke else args.batch_size,
+        args.seed,
+    )
+    pipeline_record["query"] = query_record
+    print(
+        f"pipeline query (process, 1 worker, dim 3, "
+        f"{query_record['num_shards']} shards) "
+        f"{query_record['queries']} queries  median "
+        f"{query_record['median_ms']:.2f} ms   IQR "
+        f"{query_record['iqr_ms']:.2f} ms   (ungated)"
+    )
 
     print("state equivalence: OK (batch == per-point fingerprints)")
     write_record(Path(args.json_out), record)

@@ -21,7 +21,9 @@ Section 2.3 extensions implemented here:
 from __future__ import annotations
 
 import random
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.core.base import (
     DEFAULT_KAPPA0,
@@ -33,7 +35,8 @@ from repro.core.base import (
     coerce_point,
 )
 from repro.core.chunk_geometry import ChunkGeometry, is_chunk, prepare_chunk
-from repro.errors import EmptySampleError, ParameterError
+from repro.errors import CheckpointError, EmptySampleError, ParameterError
+from repro.geometry.distance import within_distance
 from repro.streams.point import StreamPoint
 
 
@@ -432,12 +435,17 @@ class RobustL0SamplerIW(StreamSampler):
         """Combine samplers sharing one grid/hash into a union sampler.
 
         This is the coordinator's merge protocol (consistency argument in
-        :mod:`repro.distributed.coordinator`): every input is first raised
-        to the maximum rate - decisions nest, so resampling only drops or
-        demotes records - then groups observed by several inputs are
-        deduplicated by proximity, keeping the earliest representative and
-        pooling the counts.  Representatives are re-keyed injectively
-        (input-local arrival indices overlap across inputs).
+        :mod:`repro.distributed.coordinator`), run by
+        :func:`merge_columns` on the inputs' record columns: every input
+        is raised to the maximum rate - decisions nest, so resampling
+        only drops or demotes records - groups observed by several
+        inputs are deduplicated by proximity, keeping the earliest
+        representative and pooling the counts, and the rate doubles
+        while the accept set is too big.  The final rate, which is at
+        least the largest input rate, is derived before any record is
+        built, and only the surviving records are.  Representatives are
+        re-keyed injectively (input-local arrival indices overlap across
+        inputs).
 
         Returns a NEW :class:`RobustL0SamplerIW`; the inputs are not
         modified.  The merged sampler remains a live summary: re-keyed
@@ -462,66 +470,52 @@ class RobustL0SamplerIW(StreamSampler):
                 self, "member reservoirs cannot be combined exactly"
             )
 
-        target_rate = max(s.rate_denominator for s in samplers)
-        policy = self._policy
-        merged = RobustL0SamplerIW(
-            self._config.alpha,
-            self._config.dim,
-            kappa0=policy.kappa0,
-            expected_stream_length=policy.expected_stream_length,
-            accept_capacity=policy.fixed,
-            config=self._config,
+        return merge_columns(
+            self._config, [sampler.merge_input() for sampler in samplers]
         )
-        merged._rate_denominator = target_rate
-        store = merged._store
-        mask = target_rate - 1
-        total_seen = 0
-        # Re-keyed representatives get fresh negative indices: input-local
-        # arrival indices overlap across inputs (so they cannot be kept),
-        # and non-negative keys would eventually collide with the arrival
-        # indices of points inserted into the merged sampler later.
-        next_key = -1
-        for sampler in samplers:
-            total_seen += sampler.points_seen
-            sampler_records = sorted(
-                sampler._store.records(),
-                key=lambda r: r.representative.index,
+
+    def merge_input(self) -> "MergeInput":
+        """This sampler as one input of :func:`merge_columns`: its rate,
+        arrival count, policy and the live store's record columns
+        (:func:`~repro.core.serialize.records_to_arrays`, no base64)."""
+        from repro.core import serialize
+
+        return MergeInput(
+            self._rate_denominator,
+            self._count,
+            self._policy,
+            serialize.records_to_arrays(
+                list(self._store.records()), self._config.dim
+            ),
+        )
+
+    @staticmethod
+    def merge_input_from_state(
+        state: dict[str, Any], dim: int
+    ) -> "MergeInput":
+        """A :meth:`to_state` output as one input of :func:`merge_columns`,
+        without rebuilding the sampler.
+
+        The record columns go through the checkpoint reader's checks, so
+        a corrupt state raises :class:`~repro.errors.CheckpointError`
+        here, as its restore would.
+        """
+        from repro.core import serialize
+
+        try:
+            rate, seen = state["rate_denominator"], state["points_seen"]
+            policy = serialize.policy_from_state(state["policy"])
+            records = state["records"]
+        except (KeyError, TypeError) as error:
+            raise CheckpointError(
+                f"shard state is malformed: {type(error).__name__}: {error}"
+            ) from error
+        if type(rate) is not int or rate < 1 or type(seen) is not int:
+            raise CheckpointError(
+                f"shard state has an invalid rate {rate!r} or count {seen!r}"
             )
-            for record in sampler_records:
-                if record.cell_hash & mask == 0:
-                    accepted = True
-                elif any(v & mask == 0 for v in record.adj_hashes):
-                    accepted = False
-                else:
-                    continue
-                existing = store.find_nearby(
-                    record.representative.vector, record.cell_hash
-                )
-                if existing is not None:
-                    # Same group seen by several inputs: keep the earlier
-                    # representative, pool the counts.
-                    existing.count += record.count
-                    continue
-                rep = record.representative
-                global_rep = StreamPoint(rep.vector, next_key, rep.time)
-                next_key -= 1
-                store.add(
-                    CandidateRecord(
-                        representative=global_rep,
-                        cell=record.cell,
-                        cell_hash=record.cell_hash,
-                        adj_hashes=record.adj_hashes,
-                        accepted=accepted,
-                        last=record.last,
-                        count=record.count,
-                    )
-                )
-        merged._count = total_seen
-        merged._policy.observe_many(total_seen)
-        while store.accepted_count > merged._policy.threshold():
-            merged._rate_denominator *= 2
-            store.resample(merged._rate_denominator)
-        return merged
+        records = serialize.record_arrays_from_columns(records, dim)
+        return MergeInput(rate, seen, policy, records)
 
     def to_state(self) -> dict[str, Any]:
         """Serialise to a JSON-compatible dict (protocol checkpoint)."""
@@ -588,3 +582,190 @@ class RobustL0SamplerIW(StreamSampler):
         ):
             sampler._store.add(record)
         return sampler
+
+
+class MergeInput(NamedTuple):
+    """One input sampler of :func:`merge_columns`."""
+
+    rate_denominator: int
+    points_seen: int
+    policy: _ThresholdPolicy
+    #: Record columns: :func:`~repro.core.serialize.records_to_arrays`
+    #: of a live store, or the same arrays read back from a state.
+    records: dict[str, Any]
+
+
+_U64 = (1 << 64) - 1
+
+
+def _sampled(hashes: np.ndarray, rate: int) -> np.ndarray:
+    """Which hash values are sampled at ``1/rate`` (``h & (rate - 1) == 0``,
+    exactly as the scalar test: hash values have 64 bits, so the mask's
+    higher bits never matter)."""
+    return hashes & np.uint64((rate - 1) & _U64) == 0
+
+
+def merge_columns(
+    config: SamplerConfig, inputs: Sequence[MergeInput]
+) -> RobustL0SamplerIW:
+    """The union of samplers sharing ``config``, from their record columns.
+
+    The paper's merge (Algorithm 1, Line 12 applied to a union): raise
+    every input to the largest input rate, visit each input's records in
+    representative-index order, pool a record whose group an earlier
+    record already holds (the first record registered under the
+    record's cell hash within ``alpha``, counts summed), then double the
+    rate while the accept set is over the threshold.  Decisions nest, so
+    the final rate - at least the largest input rate - and every
+    record's fate follow from the hash columns alone: they are derived
+    here before any record is built, and only the survivors become
+    :class:`~repro.core.base.CandidateRecord`\\ s.
+
+    Only records with an earlier registrant under their cell hash can
+    pool; a sorted ``(hash, position)`` table finds them in numpy, and
+    just those reach the scalar :func:`within_distance` test, in
+    registration order.  The result is the state the record-by-record
+    loop gives: each survivor keeps the negative key its position among
+    the unpooled records assigns (input-local arrival indices overlap
+    across inputs, and non-negative keys would collide with later
+    arrivals), its ``last`` is a distinct point, and the threshold
+    policy is ``inputs[0]``'s.
+    """
+    dim = config.dim
+    policy = inputs[0].policy
+    merged = RobustL0SamplerIW(
+        config.alpha,
+        dim,
+        kappa0=policy.kappa0,
+        expected_stream_length=policy.expected_stream_length,
+        accept_capacity=policy.fixed,
+        config=config,
+    )
+    merged._count = sum(item.points_seen for item in inputs)
+    merged._policy.observe_many(merged._count)
+    rate = max(item.rate_denominator for item in inputs)
+
+    def column(name: str) -> np.ndarray:
+        return np.concatenate([item.records[name] for item in inputs])
+
+    cell_hash = column("cell_hash")
+    adj, adj_len = column("adj"), column("adj_len")
+    adj_start = np.cumsum(adj_len) - adj_len
+    rep_index = column("rep_i")
+
+    # Each input in representative-index order, kept at the start rate.
+    source = np.repeat(
+        np.arange(len(inputs)), [item.records["n"] for item in inputs]
+    )
+    order = np.lexsort((rep_index, source))
+    kept = _sampled(cell_hash, rate)
+    adj_row = np.repeat(np.arange(len(adj_len)), adj_len)
+    kept[adj_row[_sampled(adj, rate)]] = True
+    rows = order[kept[order]]
+    n = len(rows)
+
+    # The kept rows' adjacency registrations, in registration order,
+    # and a (hash, row) table over them.
+    reg_hash, reg_row = _ragged_rows(adj, adj_start, adj_len, rows)
+    by_hash = np.argsort(reg_hash, kind="stable")
+    table_hash, table_row = reg_hash[by_hash], reg_row[by_hash]
+
+    # Pooling: only a row with an earlier registrant under its own cell
+    # hash can pool, into the first unpooled one within alpha.
+    hashes = cell_hash[rows]
+    lo = np.searchsorted(table_hash, hashes, "left")
+    hi = np.searchsorted(table_hash, hashes, "right")
+    pools = lo < hi
+    pools[pools] = table_row[lo[pools]] < np.flatnonzero(pools)
+    candidates = np.flatnonzero(pools)
+    vectors = column("rep_v").reshape(-1, dim)[rows]
+    counts = column("count")[rows].tolist()
+    unpooled = np.ones(n, dtype=bool)
+    alpha = config.alpha
+    for row, first, stop in zip(
+        candidates.tolist(), lo[candidates].tolist(), hi[candidates].tolist()
+    ):
+        vector = vectors[row].tolist()
+        for earlier in table_row[first:stop].tolist():
+            if earlier >= row:
+                break
+            if unpooled[earlier] and within_distance(
+                vectors[earlier].tolist(), vector, alpha
+            ):
+                unpooled[row] = False
+                counts[earlier] += counts[row]
+                break
+
+    # The final rate: double while the unpooled accept set is too big,
+    # dropping what each doubling drops.
+    threshold = merged._policy.threshold()
+    alive = unpooled.copy()
+    accepted = _sampled(hashes, rate)
+    while np.count_nonzero(accepted & alive) > threshold:
+        rate *= 2
+        accepted = _sampled(hashes, rate)
+        adjacent = np.zeros(n, dtype=bool)
+        adjacent[reg_row[_sampled(reg_hash, rate)]] = True
+        alive &= accepted | adjacent
+    merged._rate_denominator = rate
+
+    # Build the survivors only, in merge order.
+    survivors = np.flatnonzero(alive)
+    source_rows = rows[survivors]
+    last_is_rep = column("last_is_rep").astype(bool)
+    same = last_is_rep[source_rows]
+    last_rows = (np.cumsum(~last_is_rep) - 1)[source_rows[~same]]
+    lasts = iter(
+        StreamPoint(tuple(vector), index, time)
+        for vector, index, time in zip(
+            column("last_v").reshape(-1, dim)[last_rows].tolist(),
+            column("last_i")[last_rows].tolist(),
+            column("last_t")[last_rows].tolist(),
+        )
+    )
+    adj_flat = _ragged_rows(adj, adj_start, adj_len, source_rows)[0].tolist()
+    fields = zip(
+        (-np.cumsum(unpooled))[survivors].tolist(),
+        vectors[survivors].tolist(),
+        rep_index[source_rows].tolist(),
+        column("rep_t")[source_rows].tolist(),
+        column("cell").reshape(-1, dim)[source_rows].tolist(),
+        cell_hash[source_rows].tolist(),
+        np.cumsum(adj_len[source_rows]).tolist(),
+        same.tolist(),
+        accepted[survivors].tolist(),
+        (counts[row] for row in survivors.tolist()),
+    )
+    begin = 0
+    for (
+        key, vector, index, time, cell, value, end, is_rep, flag, count
+    ) in fields:
+        vector = tuple(vector)
+        merged._store.add(
+            CandidateRecord(
+                representative=StreamPoint(vector, key, time),
+                cell=tuple(cell),
+                cell_hash=value,
+                adj_hashes=tuple(adj_flat[begin:end]),
+                accepted=flag,
+                last=(
+                    StreamPoint(vector, index, time) if is_rep else next(lasts)
+                ),
+                count=count,
+            )
+        )
+        begin = end
+    return merged
+
+
+def _ragged_rows(
+    flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The values of ragged ``rows`` (``flat[starts[r]:starts[r] +
+    lengths[r]]`` for each ``r`` in order), concatenated, and the
+    position in ``rows`` each value came from."""
+    counts = lengths[rows]
+    ends = np.cumsum(counts)
+    gather = np.repeat(starts[rows] - (ends - counts), counts)
+    gather += np.arange(len(gather))
+    return flat[gather], np.repeat(np.arange(len(rows)), counts)

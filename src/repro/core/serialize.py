@@ -129,8 +129,8 @@ _U8 = "<u8"
 _U1 = "u1"
 
 
-def _pack(values: Iterable[Any], dtype: str, count: int) -> str:
-    """``count`` values as one base64 column of ``dtype``."""
+def _array(values: Iterable[Any], dtype: str, count: int) -> np.ndarray:
+    """``count`` values as one array of ``dtype`` (a column to pack)."""
     try:
         array = np.fromiter(values, np.dtype(dtype))
     except (OverflowError, TypeError, ValueError) as error:
@@ -141,11 +141,22 @@ def _pack(values: Iterable[Any], dtype: str, count: int) -> str:
         raise CheckpointError(
             f"checkpoint column has {array.size} values, expected {count}"
         )
+    return array
+
+
+def _pack(values: Iterable[Any], dtype: str, count: int) -> str:
+    """``count`` values as one base64 column of ``dtype``."""
+    return _encode(_array(values, dtype, count))
+
+
+def _encode(array: np.ndarray) -> str:
     return base64.b64encode(array.tobytes()).decode("ascii")
 
 
-def _unpack(columns: dict[str, Any], name: str, dtype: str, count: int) -> list:
-    """Column ``name`` as a Python list of exactly ``count`` values."""
+def _unpack(
+    columns: dict[str, Any], name: str, dtype: str, count: int
+) -> np.ndarray:
+    """Column ``name`` as an array of exactly ``count`` values."""
     text = columns.get(name)
     if not isinstance(text, str):
         raise CheckpointError(f"checkpoint column {name!r} is missing")
@@ -160,7 +171,7 @@ def _unpack(columns: dict[str, Any], name: str, dtype: str, count: int) -> list:
             f"checkpoint column {name!r} holds {len(raw)} bytes, "
             f"expected {count} {dtype} values"
         )
-    return np.frombuffer(raw, dtype=dtype).tolist()
+    return np.frombuffer(raw, dtype=dtype)
 
 
 def _row_count(columns: Any) -> int:
@@ -178,53 +189,142 @@ def _rows(flat: list, width: int) -> list[tuple]:
     return list(zip(*[iter(flat)] * width))
 
 
+def _point_arrays(
+    prefix: str, points: list[StreamPoint], dim: int
+) -> dict[str, np.ndarray]:
+    n = len(points)
+    return {
+        prefix + "v": _array(
+            chain.from_iterable(p.vector for p in points), _F8, n * dim
+        ),
+        prefix + "i": _array((p.index for p in points), _I8, n),
+        prefix + "t": _array((p.time for p in points), _F8, n),
+    }
+
+
+def _encoded(arrays: dict[str, np.ndarray]) -> dict[str, str]:
+    """Every column of ``arrays`` base64-encoded."""
+    return {name: _encode(array) for name, array in arrays.items()}
+
+
 def _pack_points(
     prefix: str, points: list[StreamPoint], dim: int
 ) -> dict[str, str]:
-    n = len(points)
+    return _encoded(_point_arrays(prefix, points, dim))
+
+
+def _unpack_point_arrays(
+    columns: dict[str, Any], prefix: str, count: int, dim: int
+) -> dict[str, np.ndarray]:
     return {
-        prefix + "v": _pack(
-            chain.from_iterable(p.vector for p in points), _F8, n * dim
-        ),
-        prefix + "i": _pack((p.index for p in points), _I8, n),
-        prefix + "t": _pack((p.time for p in points), _F8, n),
+        prefix + "v": _unpack(columns, prefix + "v", _F8, count * dim),
+        prefix + "i": _unpack(columns, prefix + "i", _I8, count),
+        prefix + "t": _unpack(columns, prefix + "t", _F8, count),
     }
+
+
+def _points(
+    arrays: dict[str, np.ndarray], prefix: str, dim: int
+) -> list[StreamPoint]:
+    """The points of :func:`_point_arrays` / :func:`_unpack_point_arrays`."""
+    return [
+        StreamPoint(vector, index, time)
+        for vector, index, time in zip(
+            _rows(arrays[prefix + "v"].tolist(), dim),
+            arrays[prefix + "i"].tolist(),
+            arrays[prefix + "t"].tolist(),
+        )
+    ]
 
 
 def _unpack_points(
     columns: dict[str, Any], prefix: str, count: int, dim: int
 ) -> list[StreamPoint]:
-    vectors = _rows(_unpack(columns, prefix + "v", _F8, count * dim), dim)
-    indices = _unpack(columns, prefix + "i", _I8, count)
-    times = _unpack(columns, prefix + "t", _F8, count)
-    return [
-        StreamPoint(vector, index, time)
-        for vector, index, time in zip(vectors, indices, times)
-    ]
+    arrays = _unpack_point_arrays(columns, prefix, count, dim)
+    return _points(arrays, prefix, dim)
+
+
+def _ragged_arrays(
+    name: str, rows: list[Sequence[Any]], dtype: str
+) -> dict[str, np.ndarray]:
+    lengths = [len(row) for row in rows]
+    return {
+        name + "_len": _array(lengths, _I8, len(rows)),
+        name: _array(chain.from_iterable(rows), dtype, sum(lengths)),
+    }
 
 
 def _pack_ragged(
     name: str, rows: list[Sequence[Any]], dtype: str
 ) -> dict[str, str]:
-    lengths = [len(row) for row in rows]
-    return {
-        name + "_len": _pack(lengths, _I8, len(rows)),
-        name: _pack(chain.from_iterable(rows), dtype, sum(lengths)),
-    }
+    return _encoded(_ragged_arrays(name, rows, dtype))
+
+
+def _unpack_ragged_arrays(
+    columns: dict[str, Any], name: str, dtype: str, count: int
+) -> dict[str, np.ndarray]:
+    lengths = _unpack(columns, name + "_len", _I8, count)
+    if (lengths < 0).any():
+        raise CheckpointError(f"checkpoint column {name!r} has a negative length")
+    # An exact Python sum: an int64 sum of hostile lengths could wrap.
+    total = sum(lengths.tolist())
+    return {name + "_len": lengths, name: _unpack(columns, name, dtype, total)}
+
+
+def _ragged(arrays: dict[str, np.ndarray], name: str) -> list[tuple]:
+    """The rows of :func:`_ragged_arrays` / :func:`_unpack_ragged_arrays`."""
+    flat = arrays[name].tolist()
+    rows, start = [], 0
+    for length in arrays[name + "_len"].tolist():
+        rows.append(tuple(flat[start : start + length]))
+        start += length
+    return rows
 
 
 def _unpack_ragged(
     columns: dict[str, Any], name: str, dtype: str, count: int
 ) -> list[tuple]:
-    lengths = _unpack(columns, name + "_len", _I8, count)
-    if any(length < 0 for length in lengths):
-        raise CheckpointError(f"checkpoint column {name!r} has a negative length")
-    flat = _unpack(columns, name, dtype, sum(lengths))
-    rows, start = [], 0
-    for length in lengths:
-        rows.append(tuple(flat[start : start + length]))
-        start += length
-    return rows
+    return _ragged(_unpack_ragged_arrays(columns, name, dtype, count), name)
+
+
+def records_to_arrays(
+    records: Sequence[CandidateRecord], dim: int
+) -> dict[str, Any]:
+    """Candidate records as numpy columns: :func:`records_to_columns`
+    before base64.
+
+    Per record: representative, cell, cell hash, adjacency hashes,
+    accept flag, count and level; the last point only where it is not
+    the representative itself, the member only where one is tracked.
+    Points are flat ``<f8``/``<i8``/``<f8`` columns (``dim`` values per
+    vector), adjacency hashes one flat ``adj`` column plus ``adj_len``.
+    :func:`record_arrays_from_columns` reads the packed form back to
+    the same arrays; the infinite-window merge kernel takes either.
+    """
+    n = len(records)
+    last_is_rep = [r.last is r.representative for r in records]
+    members = [r.member for r in records if r.member is not None]
+    arrays: dict[str, Any] = {"n": n}
+    arrays.update(_point_arrays("rep_", [r.representative for r in records], dim))
+    arrays.update(
+        _point_arrays(
+            "last_",
+            [r.last for r, same in zip(records, last_is_rep) if not same],
+            dim,
+        )
+    )
+    arrays.update(_point_arrays("member_", members, dim))
+    arrays.update(_ragged_arrays("adj", [r.adj_hashes for r in records], _U8))
+    arrays.update(
+        cell=_array(chain.from_iterable(r.cell for r in records), _I8, n * dim),
+        cell_hash=_array((r.cell_hash for r in records), _U8, n),
+        count=_array((r.count for r in records), _I8, n),
+        accepted=_array((r.accepted for r in records), _U1, n),
+        level=_array((r.level for r in records), _U1, n),
+        last_is_rep=_array(last_is_rep, _U1, n),
+        has_member=_array((r.member is not None for r in records), _U1, n),
+    )
+    return arrays
 
 
 def records_to_columns(
@@ -232,37 +332,47 @@ def records_to_columns(
 ) -> dict[str, Any]:
     """Encode candidate records as one packed columns object.
 
-    Per record: representative, cell, cell hash, adjacency hashes,
-    accept flag, count and level; the last point only where it is not
-    the representative itself, the member only where one is tracked.
-    A record's ``tb`` and ``words`` fields and its ``adj_tz`` cache are
+    The columns of :func:`records_to_arrays`, each base64-encoded.  A
+    record's ``tb`` and ``words`` fields and its ``adj_tz`` cache are
     derived state and never encoded: ``CandidateStore.add`` recomputes
     ``words`` and :func:`heap_from_columns` re-stamps ``tb``.
     """
-    n = len(records)
-    last_is_rep = [r.last is r.representative for r in records]
-    members = [r.member for r in records if r.member is not None]
-    columns: dict[str, Any] = {"n": n}
-    columns.update(_pack_points("rep_", [r.representative for r in records], dim))
-    columns.update(
-        _pack_points(
-            "last_",
-            [r.last for r, same in zip(records, last_is_rep) if not same],
-            dim,
+    arrays = records_to_arrays(records, dim)
+    n = arrays.pop("n")
+    return {"n": n, **_encoded(arrays)}
+
+
+def record_arrays_from_columns(value: Any, dim: int) -> dict[str, Any]:
+    """The one reader of packed record columns: :func:`records_to_columns`
+    output back to the arrays of :func:`records_to_arrays`.
+
+    Every column passes the checkpoint checks - base64 with
+    ``validate=True``, exact byte lengths, non-negative adjacency
+    lengths that sum to the flat column - or the read raises
+    :class:`~repro.errors.CheckpointError`.
+    """
+    n = _row_count(value)
+    arrays: dict[str, Any] = {"n": n}
+    arrays["last_is_rep"] = _unpack(value, "last_is_rep", _U1, n)
+    arrays["has_member"] = _unpack(value, "has_member", _U1, n)
+    arrays.update(_unpack_point_arrays(value, "rep_", n, dim))
+    arrays.update(
+        _unpack_point_arrays(
+            value, "last_", n - np.count_nonzero(arrays["last_is_rep"]), dim
         )
     )
-    columns.update(_pack_points("member_", members, dim))
-    columns.update(_pack_ragged("adj", [r.adj_hashes for r in records], _U8))
-    columns.update(
-        cell=_pack(chain.from_iterable(r.cell for r in records), _I8, n * dim),
-        cell_hash=_pack((r.cell_hash for r in records), _U8, n),
-        count=_pack((r.count for r in records), _I8, n),
-        accepted=_pack((r.accepted for r in records), _U1, n),
-        level=_pack((r.level for r in records), _U1, n),
-        last_is_rep=_pack(last_is_rep, _U1, n),
-        has_member=_pack((r.member is not None for r in records), _U1, n),
+    arrays.update(
+        _unpack_point_arrays(
+            value, "member_", np.count_nonzero(arrays["has_member"]), dim
+        )
     )
-    return columns
+    arrays["cell"] = _unpack(value, "cell", _I8, n * dim)
+    arrays["cell_hash"] = _unpack(value, "cell_hash", _U8, n)
+    arrays.update(_unpack_ragged_arrays(value, "adj", _U8, n))
+    arrays["accepted"] = _unpack(value, "accepted", _U1, n)
+    arrays["count"] = _unpack(value, "count", _I8, n)
+    arrays["level"] = _unpack(value, "level", _U1, n)
+    return arrays
 
 
 def records_from_columns(value: Any, dim: int) -> list[CandidateRecord]:
@@ -273,24 +383,19 @@ def records_from_columns(value: Any, dim: int) -> list[CandidateRecord]:
     """
     if isinstance(value, list):
         return [_record_from_dict(state) for state in value]
-    n = _row_count(value)
-    last_is_rep = _unpack(value, "last_is_rep", _U1, n)
-    has_member = _unpack(value, "has_member", _U1, n)
-    reps = _unpack_points(value, "rep_", n, dim)
-    lasts = iter(_unpack_points(value, "last_", last_is_rep.count(0), dim))
-    members = iter(
-        _unpack_points(value, "member_", n - has_member.count(0), dim)
-    )
+    arrays = record_arrays_from_columns(value, dim)
+    lasts = iter(_points(arrays, "last_", dim))
+    members = iter(_points(arrays, "member_", dim))
     fields = zip(
-        reps,
-        _rows(_unpack(value, "cell", _I8, n * dim), dim),
-        _unpack(value, "cell_hash", _U8, n),
-        _unpack_ragged(value, "adj", _U8, n),
-        _unpack(value, "accepted", _U1, n),
-        _unpack(value, "count", _I8, n),
-        _unpack(value, "level", _U1, n),
-        last_is_rep,
-        has_member,
+        _points(arrays, "rep_", dim),
+        _rows(arrays["cell"].tolist(), dim),
+        arrays["cell_hash"].tolist(),
+        _ragged(arrays, "adj"),
+        arrays["accepted"].tolist(),
+        arrays["count"].tolist(),
+        arrays["level"].tolist(),
+        arrays["last_is_rep"].tolist(),
+        arrays["has_member"].tolist(),
     )
     return [
         CandidateRecord(
@@ -391,13 +496,13 @@ def heap_from_columns(
         ]
     else:
         n = _row_count(value)
-        flags = _unpack(value, "cur", _U1, n)
+        flags = _unpack(value, "cur", _U1, n).tolist()
         points = iter(_unpack_points(value, "p_", flags.count(0), dim))
         entries = zip(
-            _unpack(value, "key", _F8, n),
-            _unpack(value, "tiebreak", _I8, n),
-            _unpack(value, "rep", _I8, n),
-            _unpack(value, "linked", _U1, n),
+            _unpack(value, "key", _F8, n).tolist(),
+            _unpack(value, "tiebreak", _I8, n).tolist(),
+            _unpack(value, "rep", _I8, n).tolist(),
+            _unpack(value, "linked", _U1, n).tolist(),
             flags,
             (None if flag else next(points) for flag in flags),
         )
@@ -467,7 +572,7 @@ def reservoirs_from_columns(
     points = iter(_unpack_points(value, "p_", sum(map(len, priorities)), dim))
     return [
         (key, [(priority, next(points)) for priority in group])
-        for key, group in zip(_unpack(value, "key", _I8, n), priorities)
+        for key, group in zip(_unpack(value, "key", _I8, n).tolist(), priorities)
     ]
 
 

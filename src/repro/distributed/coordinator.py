@@ -8,11 +8,22 @@ states and merges them into a single sampler over the union stream.
 Consistency argument: all shards share one ``SamplerConfig`` (same grid
 offset, same sampling hash), so a group's accept/reject status at rate
 ``1/R`` is the same everywhere - it depends only on the representative's
-cell.  The merge itself is the Summary protocol's
-:meth:`repro.core.infinite_window.RobustL0SamplerIW.merge`: raise every
-shard to the maximum rate (decisions nest), deduplicate groups observed
-by several shards by proximity, keep the earliest representative and
-pool the counts.
+cell.  The merge is the Summary protocol's
+(:meth:`repro.core.infinite_window.RobustL0SamplerIW.merge`), run by
+:func:`~repro.core.infinite_window.merge_columns` on the shards' record
+columns: raise every shard to the maximum rate (decisions nest),
+deduplicate groups observed by several shards by proximity, keep the
+earliest representative and pool the counts, then double the rate while
+the accept set is too big.  The final rate is derived from the hash
+columns before any record is built, so only the surviving records are;
+it is at least the largest shard rate, so a merged accept set is empty
+more often than a single sampler's.
+
+A shard whose current state arrived as a protocol state (shipped home
+by a parallel executor, see :meth:`DistributedRobustSampler.park_shard`)
+stays *parked* as that state: the merge reads its columns directly, and
+the shard object is rebuilt only when something reads it
+(:meth:`~DistributedRobustSampler.shard`, checkpoints, ingestion).
 
 Shards are **spec-constructed**: the coordinator holds one
 :class:`~repro.api.specs.L0InfiniteSpec` describing every shard, derives
@@ -24,10 +35,10 @@ The whole coordinator checkpoints through the same protocol
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.core.base import DEFAULT_KAPPA0, SamplerConfig
-from repro.core.infinite_window import RobustL0SamplerIW
+from repro.core.infinite_window import RobustL0SamplerIW, merge_columns
 from repro.errors import EmptySampleError, ParameterError
 from repro.streams.point import StreamPoint
 
@@ -182,6 +193,9 @@ class DistributedRobustSampler:
             ShardSampler(i, self._config, spec=self._spec)
             for i in range(num_shards)
         ]
+        # Parked shards: index -> loader of the shard's current protocol
+        # state, which supersedes self._shards[index] (see park_shard).
+        self._parked: dict[int, Callable[[], dict[str, Any]]] = {}
 
     @property
     def num_shards(self) -> int:
@@ -199,12 +213,15 @@ class DistributedRobustSampler:
         return self._spec
 
     def shard(self, index: int) -> ShardSampler:
-        """Access one shard's sampler."""
+        """Access one shard's sampler (rebuilding a parked shard first)."""
+        load = self._parked.get(index)
+        if load is not None:
+            self.restore_shard(index, load())
         return self._shards[index]
 
     def route(self, point: StreamPoint | Sequence[float], shard: int) -> None:
         """Deliver a point to a shard (convenience for simulations)."""
-        self._shards[shard].insert(point)
+        self.shard(shard).insert(point)
 
     def route_many(
         self,
@@ -218,7 +235,7 @@ class DistributedRobustSampler:
         every shard - they share one config), which the shard ingests
         without validating it again.
         """
-        return self._shards[shard].process_many(points)
+        return self.shard(shard).process_many(points)
 
     def restore_shard(self, index: int, state: dict[str, Any]) -> None:
         """Replace one shard with a restore of ``state`` (protocol state).
@@ -233,6 +250,21 @@ class DistributedRobustSampler:
         self._shards[index] = ShardSampler.from_state(
             state, config=self._config
         )
+        self._parked.pop(index, None)
+
+    def park_shard(
+        self, index: int, load: Callable[[], dict[str, Any]]
+    ) -> None:
+        """Record that shard ``index``'s current state is ``load()``.
+
+        The deferred form of :meth:`restore_shard`, for the states a
+        parallel executor's drain ships home: :meth:`merged_sampler`
+        reads the state's record columns without rebuilding the shard,
+        and the first read that needs the shard *object* restores it.
+        ``load`` may decode lazily; it is called on each such read, so
+        it should cache what it decodes.
+        """
+        self._parked[index] = load
 
     def scatter(
         self,
@@ -243,7 +275,7 @@ class DistributedRobustSampler:
         """Distribute points across shards uniformly at random."""
         rng = rng if rng is not None else random.Random()
         for point in points:
-            self._shards[rng.randrange(len(self._shards))].insert(point)
+            self.route(point, rng.randrange(len(self._shards)))
 
     # ------------------------------------------------------------------ #
     # merge protocol
@@ -252,12 +284,27 @@ class DistributedRobustSampler:
     def merged_sampler(self) -> RobustL0SamplerIW:
         """Merge all shard states into one sampler over the union stream.
 
-        Delegates to the Summary protocol's
-        :meth:`~repro.core.infinite_window.RobustL0SamplerIW.merge`.
-        Communication cost is the shards' sketch sizes (O(k log m) words
-        total), not the stream size.
+        The Summary protocol's merge
+        (:func:`~repro.core.infinite_window.merge_columns`) over each
+        shard's record columns, read from whichever form the shard is
+        in: a live shard's store, or a parked shard's state (checked as
+        a checkpoint is, so a corrupt one raises
+        :class:`~repro.errors.CheckpointError`) - no shard is rebuilt.
+        The merged rate is derived before any record is built and is at
+        least the largest shard rate.  Communication cost is the shards'
+        sketch sizes (O(k log m) words total), not the stream size.
         """
-        return self._shards[0].merge(*self._shards[1:])
+        inputs = []
+        for index, shard in enumerate(self._shards):
+            load = self._parked.get(index)
+            inputs.append(
+                shard.merge_input()
+                if load is None
+                else RobustL0SamplerIW.merge_input_from_state(
+                    load(), self._config.dim
+                )
+            )
+        return merge_columns(self._config, inputs)
 
     def sample(self, rng: random.Random | None = None) -> StreamPoint:
         """One-shot distributed query: merge then sample."""
@@ -272,7 +319,9 @@ class DistributedRobustSampler:
 
     def communication_words(self) -> int:
         """Total words shipped to the coordinator in one merge."""
-        return sum(s.space_words() for s in self._shards)
+        return sum(
+            self.shard(index).space_words() for index in range(self.num_shards)
+        )
 
     # ------------------------------------------------------------------ #
     # checkpoint state
@@ -285,7 +334,9 @@ class DistributedRobustSampler:
         return {
             "spec": self._spec.to_state(),
             "config": serialize.config_to_state(self._config),
-            "shards": [shard.to_state() for shard in self._shards],
+            "shards": [
+                self.shard(index).to_state() for index in range(self.num_shards)
+            ],
         }
 
     @classmethod
@@ -303,4 +354,5 @@ class DistributedRobustSampler:
             )
             for shard_state in state["shards"]
         ]
+        coordinator._parked = {}
         return coordinator

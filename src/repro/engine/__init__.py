@@ -120,8 +120,9 @@ pass
 Executor choice is never observable in state
 (``tests/test_executors.py``).  The pipeline is part of the unified
 API (:mod:`repro.api`, key ``"batch-pipeline"``): shards are
-spec-constructed, the shard merge goes through the Summary protocol's
-:meth:`~repro.core.infinite_window.RobustL0SamplerIW.merge`, and the
+spec-constructed, the shard merge is the Summary protocol's
+(:func:`~repro.core.infinite_window.merge_columns`, over the shards'
+record columns, so a query rebuilds no shard object), and the
 whole pipeline checkpoints mid-stream via ``to_state``/``from_state``
 (resumed runs are fingerprint-identical when the interruption falls on
 a chunk boundary - checkpoint between ``submit``/``extend`` calls; a

@@ -25,8 +25,9 @@ keeping the *what* bit-identical:
   Chunks the array cannot carry (StreamPoints, whose arrival metadata
   it loses) pickle their items instead.  On
   :meth:`~ShardExecutor.drain` each worker returns its shards' protocol
-  states **batched in one message**, still pickled; the pipeline parks
-  them and rebuilds shard objects only when a read needs them.
+  states **batched in one message**, still pickled; the coordinator
+  parks them, a query merges their record columns, and shard objects
+  are rebuilt only when a read needs them.
 * :class:`RemoteShardExecutor` - workers that may live on **other
   machines**, coupled to the submitter only through a shared
   :class:`~repro.backends.base.StateBackend` (a mounted directory, a

@@ -27,7 +27,9 @@ and ``"remote"`` enqueues them into a shared backend served by
 lease-holding workers.  Reads (:meth:`merge`, :meth:`to_state`,
 queries) synchronise first, and every query answers from one barrier
 merge of the synchronised shards (the coordinator's
-:meth:`~repro.distributed.coordinator.DistributedRobustSampler.merged_sampler`).
+:meth:`~repro.distributed.coordinator.DistributedRobustSampler.merged_sampler`),
+which reads the record columns of the states a drain shipped home
+without rebuilding a shard object.
 Executor choice is never observable in state: every executor yields a
 ``state_fingerprint`` identical to the serial pipeline's (enforced by
 ``tests/test_executors.py`` and the Hypothesis matrix in
@@ -41,6 +43,7 @@ whichever executor runs the shards.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
@@ -177,11 +180,6 @@ class BatchPipeline:
         self._points_seen = 0
         self._executor: "ShardExecutor | None" = None
         self._dirty = False
-        # Shard states shipped home by a drain but not yet rebuilt into
-        # the coordinator's shard objects (see sync()).  Values are
-        # protocol-state dicts or still-pickled DeferredStates handles;
-        # readers go through executors.resolve_state.
-        self._shipped: dict[int, Any] = {}
 
     # ------------------------------------------------------------------ #
     # properties
@@ -217,10 +215,9 @@ class BatchPipeline:
         """The underlying coordinator (shard access, communication cost).
 
         Synchronises first: with a parallel executor the coordinator's
-        shard objects are only current after outstanding chunks drain.
+        shards are only current after outstanding chunks drain.
         """
         self.sync()
-        self._materialize()
         return self._coordinator
 
     @property
@@ -231,7 +228,6 @@ class BatchPipeline:
     def shard(self, index: int) -> ShardSampler:
         """Access one shard's sampler (synchronises first)."""
         self.sync()
-        self._materialize()
         return self._coordinator.shard(index)
 
     # ------------------------------------------------------------------ #
@@ -273,11 +269,15 @@ class BatchPipeline:
 
         A no-op for a clean pipeline; the serial executor's drain
         yields nothing (its shard objects are always current).  With
-        the process and remote executors this parks each shard state
-        the drain ships home; rebuilding them into live shard *objects*
-        is deferred to the first read that needs one
-        (:meth:`_materialize`), so a sync-then-keep-streaming cycle
-        never pays the restore cost.  Raises
+        the process and remote executors each shard state the drain
+        ships home is parked in the coordinator
+        (:meth:`~repro.distributed.coordinator.DistributedRobustSampler.park_shard`),
+        still undecoded when a process worker shipped it.  A query
+        merges the parked states' record columns directly; a shard
+        *object* is rebuilt only by a read that needs one (:meth:`shard`,
+        :meth:`to_state`, :meth:`communication_words`, or a fresh
+        executor adopting the shard), so neither a sync-then-keep-
+        streaming cycle nor a query pays the restore cost.  Raises
         :class:`~repro.errors.ExecutorError` if a worker failed - the
         pipeline then stays dirty and unsynchronised work is not lost
         silently - not even after a failed :meth:`close` released the
@@ -291,28 +291,13 @@ class BatchPipeline:
                 "already released (a close() after a worker failure); the "
                 "queued work was lost - restore from the last checkpoint"
             )
-        for shard_id, state in self._executor.drain():
-            self._shipped[shard_id] = state
-        self._dirty = False
-
-    def _materialize(self) -> None:
-        """Rebuild buffered shard states into the coordinator's shards.
-
-        The deferred half of :meth:`sync`: drain ships the states home
-        cheaply (as raw payload bytes for process workers), and only a
-        read that needs live shard objects (queries, checkpoints,
-        direct shard access, the next adoption decision inside a fresh
-        executor) pays the decode and ``from_state`` reconstruction.
-        """
-        if not self._shipped:
-            return
         from repro.engine.executors import resolve_state
 
-        for shard_id, state in self._shipped.items():
-            self._coordinator.restore_shard(
-                shard_id, resolve_state(shard_id, state)
+        for shard_id, state in self._executor.drain():
+            self._coordinator.park_shard(
+                shard_id, functools.partial(resolve_state, shard_id, state)
             )
-        self._shipped.clear()
+        self._dirty = False
 
     def close(self) -> None:
         """Synchronise and release the executor's workers (idempotent).
@@ -361,13 +346,6 @@ class BatchPipeline:
         An invalid chunk raises :class:`~repro.errors.ParameterError`
         before any executor sees it, leaving the pipeline unchanged.
         """
-        if self._shipped and self._executor is None:
-            # A previous sync left shard states buffered and the
-            # executor that shipped them is gone; rebuild them before a
-            # fresh executor snapshots coordinator shards for adoption.
-            # (A live executor needs no rebuild: its workers hold every
-            # state newer than the coordinator's objects.)
-            self._materialize()
         executor = self._ensure_executor()
         chunk = chunk_geometry_for(self._coordinator.config, batch)
         shard = self._next_shard
@@ -439,12 +417,13 @@ class BatchPipeline:
         """Merge all shard states into one sampler over the union stream.
 
         Called with no arguments (the usual form) this is the pipeline's
-        shard merge: a barrier (:meth:`sync`), the rebuild of every
-        shard state the drain shipped home, then the coordinator's
+        shard merge: a barrier (:meth:`sync`), then the coordinator's
         one-pass
-        :meth:`~repro.distributed.coordinator.DistributedRobustSampler.merged_sampler`.
-        Every executor reaches the same shard states, so the merged
-        sampler is identical whichever executor ran the shards.
+        :meth:`~repro.distributed.coordinator.DistributedRobustSampler.merged_sampler`,
+        which reads the record columns of every shard state the drain
+        shipped home and rebuilds no shard object.  Every executor
+        reaches the same shard states, so the merged sampler is
+        identical whichever executor ran the shards.
 
         Merging two *pipelines* is intentionally unsupported - deal the
         streams into one pipeline instead, or merge the pipelines'
@@ -459,7 +438,6 @@ class BatchPipeline:
                 "per-pipeline merged samplers instead",
             )
         self.sync()
-        self._materialize()
         return self._coordinator.merged_sampler()
 
     def query(self, rng: random.Random | None = None) -> StreamPoint:
@@ -480,7 +458,6 @@ class BatchPipeline:
     def communication_words(self) -> int:
         """Words shipped to the coordinator by one merge."""
         self.sync()
-        self._materialize()
         return self._coordinator.communication_words()
 
     # ------------------------------------------------------------------ #
@@ -495,7 +472,6 @@ class BatchPipeline:
         chunk-aligned: call between :meth:`submit`/:meth:`extend` calls.
         """
         self.sync()
-        self._materialize()
         return {
             "spec": self._spec.to_state(),
             "batch_size": self._batch_size,
@@ -524,7 +500,6 @@ class BatchPipeline:
         )
         pipeline._executor = None  # restarted lazily on the next submit
         pipeline._dirty = False
-        pipeline._shipped = {}
         return pipeline
 
     # ------------------------------------------------------------------ #

@@ -102,7 +102,10 @@ def summary_from_state(envelope: dict[str, Any]) -> Any:
 
     version = envelope.get("version")
     if version == 1:
-        return _legacy_sampler_from_state(envelope)
+        # The flat version-1 layout is its own (infinite-window) state.
+        return _restore(
+            RobustL0SamplerIW.summary_key, _legacy_sampler_from_state, envelope
+        )
     if version not in _REGISTRY_VERSIONS:
         raise CheckpointError(
             f"unsupported checkpoint version {version!r}"
@@ -115,9 +118,13 @@ def summary_from_state(envelope: dict[str, Any]) -> Any:
         raise CheckpointError(
             "checkpoint envelope is missing its state payload"
         )
-    cls = registry.summary_class(key)
+    return _restore(key, registry.summary_class(key).from_state, state)
+
+
+def _restore(key: str, from_state: Any, state: dict[str, Any]) -> Any:
+    """``from_state(state)``, its shape errors raised as a bad checkpoint."""
     try:
-        return cls.from_state(state)
+        return from_state(state)
     except CheckpointError:
         raise
     except (KeyError, TypeError, IndexError, ValueError) as error:
@@ -259,9 +266,13 @@ def _legacy_sampler_from_state(state: dict[str, Any]) -> RobustL0SamplerIW:
     sampler._count = state["points_seen"]
     sampler._peak_words = state["peak_space_words"]
     sampler._policy._seen = policy_state["seen"]
-    sampler._member_rng.setstate(
-        ast.literal_eval(state["member_rng_state"])
-    )
+    try:
+        rng_state = ast.literal_eval(state["member_rng_state"])
+    except SyntaxError as error:
+        raise CheckpointError(
+            f"version-1 member RNG state is not a literal: {error}"
+        ) from error
+    sampler._member_rng.setstate(rng_state)
     # Version 1 used the version-2 per-record layout.
     for record in serialize.records_from_columns(
         state["records"], config.dim

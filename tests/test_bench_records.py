@@ -2,7 +2,8 @@
 
 ``benchmarks/bench_remote.py`` merges a ``"remote"`` section into
 ``BENCH_pipeline.json``; ``benchmarks/bench_throughput.py`` writes the
-pipeline-scaling record into the same file and must not erase it.
+pipeline-scaling record and its query-latency section into the same
+file and must not erase it.
 Both go through ``bench_throughput.write_record``.
 ``scripts/record_perfbench.py`` appends each perfbench run to a capped
 per-workload history in ``BENCH_perfbench.json`` and folds the runs past
@@ -52,6 +53,22 @@ def test_pipeline_record_starts_a_missing_file(tmp_path):
     out = tmp_path / "BENCH_pipeline.json"
     bench.write_record(out, {"mode": "smoke"})
     assert json.loads(out.read_text()) == {"mode": "smoke"}
+
+
+def test_pipeline_query_record(tmp_path):
+    """The ungated query-latency section: a median and an IQR over
+    queries of a synced process-executor pipeline, merged in beside the
+    scaling record."""
+    bench = load_bench_throughput()
+    record = bench.bench_pipeline_query(3, 64, seed=2)
+    assert record["queries"] == 3 and record["num_shards"] == 4
+    assert record["executor"] == "process" and record["dim"] == 3
+    assert record["median_ms"] > 0 and record["iqr_ms"] >= 0
+    out = tmp_path / "BENCH_pipeline.json"
+    out.write_text(json.dumps({"mode": "full", "serial_pts_per_sec": 10}))
+    bench.write_record(out, {"query": record})
+    written = json.loads(out.read_text())
+    assert written["query"] == record and written["serial_pts_per_sec"] == 10
 
 
 RECORD_PERFBENCH = (

@@ -172,6 +172,20 @@ class TestDocsMatchCode:
             for name in stale:
                 assert name not in text, (path.name, name)
 
+    def test_query_merges_parked_columns(self):
+        # A query merges the parked shard states' record columns with
+        # one kernel; the pipeline's rebuild-before-query buffer is gone.
+        text = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text(
+            encoding="utf-8"
+        )
+        for name in ("merge_columns", "park_shard"):
+            assert name in text, name
+        pipeline = REPO_ROOT / "src" / "repro" / "engine" / "pipeline.py"
+        for path in [*DOCS, pipeline]:
+            text = path.read_text(encoding="utf-8")
+            for stale in ("_materialize", "_shipped"):
+                assert stale not in text, (path.name, stale)
+
     def test_architecture_documents_hot_path(self):
         # The per-record heap stamp and footprint, the adjacency index
         # and the shared-geometry cache invariant are load-bearing perf

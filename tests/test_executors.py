@@ -15,6 +15,7 @@ import json
 import os
 import random
 import signal
+import threading
 
 import numpy as np
 import pytest
@@ -22,9 +23,10 @@ import pytest
 from stream_generators import poisoned_chunk
 
 from repro.api import PipelineSpec, build
+from repro.backends import MemoryBackend
 from repro.core.base import SamplerConfig
 from repro.core.chunk_geometry import chunk_geometry_for
-from repro.distributed.coordinator import DistributedRobustSampler
+from repro.distributed.coordinator import DistributedRobustSampler, ShardSampler
 from repro.engine import state_fingerprint
 from repro.engine import executors as executors_module
 from repro.engine.executors import (
@@ -511,19 +513,64 @@ class TestDrainContract:
                 coordinator.restore_shard(shard, resolve_state(shard, state))
         assert state_fingerprint(coordinator) == state_fingerprint(reference)
 
-    def test_merge_identical_dirty_synced_and_serial(self):
+    def test_merge_identical_dirty_synced_and_serial(self, monkeypatch):
         stream = group_stream(300, seed=17)
         serial = make_pipeline("serial", shards=4)
         serial.extend(stream)
         expected = state_fingerprint(serial.merge())
-        with make_pipeline("process", shards=4, workers=2) as dirty:
-            dirty.extend(stream)
-            assert dirty._dirty
-            assert state_fingerprint(dirty.merge()) == expected
-        with make_pipeline("process", shards=4, workers=2) as synced:
-            synced.extend(stream)
-            synced.sync()
-            assert state_fingerprint(synced.merge()) == expected
+        # Queries after a sync merge the shipped states' columns and
+        # rebuild no shard object.  Remote workers are threads of this
+        # process that rebuild their own replicas, so only the calling
+        # thread's rebuilds count.
+        rebuilds = []
+        restore = ShardSampler.from_state.__func__
+
+        def spy(cls, state, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                rebuilds.append(state["shard_id"])
+            return restore(cls, state, **kwargs)
+
+        monkeypatch.setattr(ShardSampler, "from_state", classmethod(spy))
+        for executor in ("process", "remote"):
+            with make_pipeline(executor, shards=4, workers=2) as dirty:
+                dirty.extend(stream)
+                assert dirty._dirty
+                assert state_fingerprint(dirty.merge()) == expected
+            with make_pipeline(executor, shards=4, workers=2) as synced:
+                synced.extend(stream)
+                synced.sync()
+                rebuilds.clear()
+                assert state_fingerprint(synced.merge()) == expected
+                assert synced.query(random.Random(3)) == serial.query(
+                    random.Random(3)
+                )
+                assert synced.sample(random.Random(4)) == serial.sample(
+                    random.Random(4)
+                )
+                assert rebuilds == [], executor
+                # Reads that need shard objects still rebuild them.
+                assert state_fingerprint(
+                    synced.shard(2)
+                ) == state_fingerprint(serial.shard(2))
+                assert rebuilds == [2], executor
+                assert json.dumps(synced.to_state()["coordinator"]) == (
+                    json.dumps(serial.to_state()["coordinator"])
+                )
+                assert sorted(rebuilds) == [0, 1, 2, 3], executor
+                assert state_fingerprint(synced.merge()) == expected
+            with make_pipeline(executor, shards=4, workers=2) as synced:
+                synced.extend(stream)
+                synced.sync()
+                synced.merge()
+                rebuilds.clear()
+                backend = MemoryBackend()
+                synced.checkpoint_to(backend, "job")
+                assert sorted(rebuilds) == [0, 1, 2, 3], executor
+                restored, _ = type(synced).resume_from(backend, "job")
+                assert state_fingerprint(restored) == state_fingerprint(
+                    serial
+                )
+                assert state_fingerprint(restored.merge()) == expected
 
 
 class TestDeferredStates:

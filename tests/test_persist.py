@@ -800,6 +800,56 @@ class TestHostileColumns:
         with pytest.raises(CheckpointError):
             summary_from_state(envelope)
 
+    SHIPPED = {
+        "not-base64": (_not_base64, "adj"),
+        "truncated-adjacency": (_truncate, "adj"),
+        "negative-adjacency-length": (_negative_adjacency, None),
+        "adjacency-overrun": (_overrun_adjacency, None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SHIPPED))
+    def test_corrupt_shipped_shard_state_fails_merge(self, case, monkeypatch):
+        """A remote pipeline's shard states come from the backend, and a
+        query merges their columns without rebuilding the shard: a
+        corrupt committed state must still fail typed, from merge()."""
+        import copy
+        import threading
+
+        from repro.api import PipelineSpec
+        from repro.engine.queue import RemoteQueue
+
+        corrupt, field = self.SHIPPED[case]
+        read_state = RemoteQueue.read_state
+
+        def hostile_read(queue, shard):
+            found = read_state(queue, shard)
+            # The remote workers are threads that adopt from the same
+            # key; only the drain's read (the calling thread) is hostile.
+            main = threading.current_thread() is threading.main_thread()
+            if shard == 1 and main and state_has_records(found):
+                seq, state, version = found
+                state = copy.deepcopy(state)
+                corrupt(state["records"], field)
+                found = (seq, state, version)
+            return found
+
+        def state_has_records(found):
+            return found is not None and found[1]["records"]["n"] > 0
+
+        monkeypatch.setattr(RemoteQueue, "read_state", hostile_read)
+        spec = PipelineSpec(
+            alpha=1.0, dim=2, seed=5, num_shards=2, batch_size=25,
+            executor="remote", num_workers=1,
+        )
+        with build("batch-pipeline", spec) as pipeline:
+            pipeline.extend(noisy_grid_stream(200, groups=30, seed=9))
+            for _ in range(2):
+                with pytest.raises(CheckpointError) as raised:
+                    pipeline.merge()
+                assert type(raised.value) is CheckpointError
+            with pytest.raises(CheckpointError):
+                pipeline.shard(1)
+
 
 class TestMalformedStates:
     """A state that breaks a registry ``from_state`` with a bare
@@ -831,6 +881,28 @@ class TestMalformedStates:
         )
         envelope["state"]["records"] = [{"rep": 1}]
         self.assert_typed(envelope, envelope["summary"], TypeError)
+
+    def test_v1_envelope_without_fields(self):
+        # Version 1 is the flat infinite-window layout: its restore goes
+        # through the same typed wrapper as the registry's.
+        envelope = {"version": 1, "format": "repro/summary"}
+        self.assert_typed(envelope, "l0-infinite", KeyError)
+
+    def test_v1_envelope_with_a_bad_rng_literal(self):
+        sampler = RobustL0SamplerIW(1.0, 1, seed=3)
+        sampler.insert((0.0,))
+        state = sampler.to_state()
+        envelope = {
+            "version": 1,
+            "format": "repro/summary",
+            **state,
+            "records": [],
+            "member_rng_state": "(1, 2",
+        }
+        with pytest.raises(CheckpointError):
+            summary_from_state(envelope)
+        envelope["member_rng_state"] = "[1, 2]"
+        self.assert_typed(envelope, "l0-infinite", ValueError)
 
     def test_checkpoint_errors_pass_through(self):
         envelope = TestHostileColumns.envelope()

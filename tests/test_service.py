@@ -296,7 +296,11 @@ class TestTenantStore:
             envelope["version"] = 2
             envelope["state"]["records"] = [{"rep": 1}]
 
-        corruptions = [grow_n, v2_record]
+        def v1_without_fields(envelope):
+            envelope.clear()
+            envelope.update(version=1, format="repro/summary")
+
+        corruptions = [grow_n, v2_record, v1_without_fields]
         if key == "l0-sliding":
             corruptions.append(drop_max_level)
 
