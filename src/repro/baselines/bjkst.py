@@ -11,9 +11,8 @@ sampler into, so it doubles as the noiseless reference for
 from __future__ import annotations
 
 import math
-from typing import Hashable
 
-from repro.baselines.fm import item_key
+from repro.baselines.fm import Item, check_items, item_key
 from repro.core.base import StreamSampler
 from repro.errors import ParameterError
 from repro.hashing.mix import SplitMix64
@@ -51,7 +50,7 @@ class BJKSTSketch(StreamSampler):
         """Current subsampling level z (rate 1/2^z)."""
         return self._z
 
-    def insert(self, item: Hashable) -> None:
+    def insert(self, item: Item) -> None:
         """Observe one item."""
         key = item_key(item)
         value = self._hash(key)
@@ -62,6 +61,9 @@ class BJKSTSketch(StreamSampler):
             self._z += 1
             mask = (1 << self._z) - 1
             self._kept = {k: v for k, v in self._kept.items() if not v & mask}
+
+    def _check_batch(self, points: list) -> None:
+        check_items(points)
 
     def estimate(self) -> float:
         """``|B| * 2^z``."""

@@ -11,36 +11,71 @@ count.  Averaging rho over independent copies tightens the estimate
 
 from __future__ import annotations
 
-from typing import Hashable
+import hashlib
+from typing import Union
 
-from repro.core.base import StreamSampler
+from repro.core.base import StreamSampler, invalid_point
 from repro.errors import ParameterError
 from repro.hashing.mix import SplitMix64
 
 #: E[2^R] ~= PHI * F0 with PHI = 0.77351 (Flajolet & Martin 1985).
 FM_CORRECTION = 0.77351
 
+#: What the item sketches count (see :func:`item_key`).
+Item = Union[int, float, str, bytes, tuple]
 
-def item_key(item: Hashable) -> int:
+_ITEM_CONTRACT = "an int, a non-NaN float, a str, bytes or a tuple of these"
+
+
+def item_key(item: Item) -> int:
     """Process-stable integer identity of a sketch item.
 
-    The item sketches (FM, LogLog, HyperLogLog, BJKST) key every item by
-    an integer before mixing.  Builtin ``hash()`` is deterministic for
-    numbers and tuples of numbers - the library's point streams - but
-    randomised per process for ``str``/``bytes``, which would break the
-    checkpoint contract (a restored sketch must count the *same* items as
-    seen) and cross-process merges.  Strings and bytes therefore go
-    through a keyed-nothing BLAKE2b digest instead.
+    The item contract: an item is an int, a non-NaN float, a str,
+    bytes, or a tuple of these.  Anything else raises
+    :class:`~repro.errors.ParameterError`, and the item sketches (FM,
+    LogLog, HyperLogLog, BJKST, and min-rank over its point keys) call
+    this before they mutate, so a rejected item leaves them unchanged.
+
+    A sketch keys every item by an integer before mixing, and the key
+    must name the same item in every process: a restored sketch must
+    count the *same* items as seen, and merges cross processes.
+    Builtin ``hash()`` is that key for numbers and tuples of numbers,
+    but randomised per process for ``str``/``bytes`` (these go through
+    a keyed-nothing BLAKE2b digest instead, also inside a tuple), and
+    for a NaN it depends on the object's identity, so no two NaN
+    objects would ever count as one item.
     """
+    stable = _stable_item(item)
+    return stable if isinstance(item, (str, bytes)) else hash(stable)
+
+
+def _stable_item(item: Item) -> Item:
+    """``item`` with every str/bytes replaced by its digest, checked
+    against the item contract (:func:`item_key`)."""
     if isinstance(item, str):
         item = item.encode("utf-8")
-    if isinstance(item, (bytes, bytearray)):
-        import hashlib
-
+    if isinstance(item, bytes):
         return int.from_bytes(
             hashlib.blake2b(item, digest_size=8).digest(), "big"
         )
-    return hash(item)
+    if isinstance(item, tuple):
+        return tuple([_stable_item(element) for element in item])
+    if isinstance(item, int) or (isinstance(item, float) and item == item):
+        return item
+    raise ParameterError(f"sketch item {item!r} is not {_ITEM_CONTRACT}")
+
+
+def check_items(items: list) -> None:
+    """The item sketches' batch check: :func:`item_key` over every item
+    before anything mutates; the first item outside the contract raises
+    :class:`~repro.errors.ParameterError` naming its position."""
+    for position, item in enumerate(items):
+        try:
+            item_key(item)
+        except ParameterError:
+            raise invalid_point(
+                position, f"is not {_ITEM_CONTRACT} ({item!r})"
+            ) from None
 
 
 def lowest_set_bit(value: int) -> int:
@@ -86,11 +121,14 @@ class FMSketch(StreamSampler):
         """Number of averaged sub-sketches."""
         return len(self._hashes)
 
-    def insert(self, item: Hashable) -> None:
+    def insert(self, item: Item) -> None:
         """Observe one item (duplicates are absorbed by the bitmap)."""
         key = item_key(item)
         for i, h in enumerate(self._hashes):
             self._bitmaps[i] |= 1 << lowest_set_bit(h(key))
+
+    def _check_batch(self, points: list) -> None:
+        check_items(points)
 
     def _statistic(self, bitmap: int) -> int:
         """Index of the lowest unset bit of the bitmap."""

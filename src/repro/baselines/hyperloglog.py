@@ -9,9 +9,8 @@ is the baseline for that comparison.
 from __future__ import annotations
 
 import math
-from typing import Hashable
 
-from repro.baselines.fm import item_key, lowest_set_bit
+from repro.baselines.fm import Item, check_items, item_key, lowest_set_bit
 from repro.baselines.registers import RegisterSketchSummary
 from repro.core.base import StreamSampler
 from repro.errors import ParameterError
@@ -56,13 +55,16 @@ class HyperLogLog(RegisterSketchSummary, StreamSampler):
         """Number of registers m."""
         return self._m
 
-    def insert(self, item: Hashable) -> None:
+    def insert(self, item: Item) -> None:
         """Observe one item."""
         value = self._hash(item_key(item))
         bucket = value & (self._m - 1)
         rho = lowest_set_bit(value >> self._b) + 1
         if rho > self._registers[bucket]:
             self._registers[bucket] = rho
+
+    def _check_batch(self, points: list) -> None:
+        check_items(points)
 
     def estimate(self) -> float:
         """Harmonic-mean estimate with linear-counting correction."""

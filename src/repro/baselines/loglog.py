@@ -8,9 +8,7 @@ Included as an F0 baseline for the Section 5 comparison table.
 
 from __future__ import annotations
 
-from typing import Hashable
-
-from repro.baselines.fm import item_key, lowest_set_bit
+from repro.baselines.fm import Item, check_items, item_key, lowest_set_bit
 from repro.baselines.registers import RegisterSketchSummary
 from repro.core.base import StreamSampler
 from repro.errors import ParameterError
@@ -47,13 +45,16 @@ class LogLogSketch(RegisterSketchSummary, StreamSampler):
         """Number of registers m."""
         return self._m
 
-    def insert(self, item: Hashable) -> None:
+    def insert(self, item: Item) -> None:
         """Observe one item."""
         value = self._hash(item_key(item))
         bucket = value & (self._m - 1)
         rho = lowest_set_bit(value >> self._b) + 1
         if rho > self._registers[bucket]:
             self._registers[bucket] = rho
+
+    def _check_batch(self, points: list) -> None:
+        check_items(points)
 
     def estimate(self) -> float:
         """``alpha_m * m * 2^mean(register)``."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Sequence
 
-from repro.baselines.fm import item_key
+from repro.baselines.fm import check_items, item_key
 from repro.core.base import StreamSampler, coerce_point, coerce_points
 from repro.errors import CheckpointError, EmptySampleError, ParameterError
 from repro.hashing.mix import SplitMix64
@@ -32,7 +32,10 @@ class MinRankL0Sampler(StreamSampler):
     ----------
     key:
         Maps a point to its identity; duplicates (by this key) collapse.
-        Default: the exact coordinate tuple.
+        Default: the exact coordinate tuple.  An identity must be a
+        sketch item (:func:`~repro.baselines.fm.item_key`); a point
+        whose identity is not raises
+        :class:`~repro.errors.ParameterError` before anything mutates.
     seed:
         Seed of the rank hash.
 
@@ -75,16 +78,17 @@ class MinRankL0Sampler(StreamSampler):
     def insert(self, point: StreamPoint | Sequence[float]) -> None:
         """Offer a point; its rank is the hash of its identity."""
         p = coerce_point(point, self._count)
-        self._count += 1
         identity = self._key(p)
-        self._seen_keys.add(identity)
         rank = self._hash(item_key(identity))
+        self._count += 1
+        self._seen_keys.add(identity)
         if self._best_rank is None or rank < self._best_rank:
             self._best_rank = rank
             self._best = p
 
     def _check_batch(self, points: list) -> None:
-        coerce_points(points, self._count)
+        points = coerce_points(points, self._count)
+        check_items([self._key(p) for p in points])
 
     def sample(self) -> StreamPoint:
         """The minimum-rank item: uniform over distinct identities."""

@@ -133,9 +133,10 @@ class StreamSampler:
         of an invalid point.  "Batch" means one materialised
         ``process_many`` chunk; :meth:`extend` and streamed iterables
         are all-or-nothing per chunk.  The grid-less point baselines
-        (naive reservoir, min-rank) check coercion and finiteness only;
-        the item sketches, which hash arbitrary items, validate
-        nothing.
+        (naive reservoir, min-rank) check coercion and finiteness; the
+        item sketches, and min-rank's point keys, are checked against
+        the item contract (:func:`repro.baselines.fm.item_key`: an int,
+        a non-NaN float, a str, bytes or a tuple of these).
 
     Equivalently: batching is an *implementation detail of throughput*,
     never observable in sampler output.  The default ``process_many``

@@ -29,12 +29,18 @@ recompute point by point in Python, each computed lazily on first use:
 * the cell's base-hash value (:attr:`ChunkGeometry.cell_hashes`, cell
   ids and hashes in one vectorised pass) and the grid cell as the usual
   int tuple (:meth:`ChunkGeometry.cell_at`, foundings only),
-* the fractional in-cell positions, the per-point survival exponents
-  of ``adj(p)`` (:meth:`ChunkGeometry.survival_exponents`, the
-  infinite-window ignore test) and the per-point ``adj(p)`` hash tuples
-  (:meth:`ChunkGeometry.adj_hashes`, which switches itself from the
-  scalar DFS to the vectorised enumeration when a chunk turns out to be
-  founding-heavy).
+* one ``adj(p)`` product: a single
+  :func:`~repro.geometry.kernels.adjacent_cells_chunk` enumeration of
+  the whole chunk (from the points' fractional in-cell positions),
+  hashed once and kept as numpy arrays.
+  It serves the per-point ``adj(p)`` hash tuples
+  (:meth:`ChunkGeometry.adj_hashes`), their survival exponents
+  (:meth:`ChunkGeometry.adj_tz`) and the infinite-window ignore test
+  (:meth:`ChunkGeometry.survival_exponents`); whichever is asked first
+  builds it.  A chunk whose enumeration declines (a ``grid_side`` of
+  about ``alpha/12`` or less at thousands of points, or a chunk of some
+  300,000 points at dim 2) is served by the scalar DFS, as ``insert``
+  serves every point.
 
 A transport that only ships the array therefore pays for the
 validation alone.  The values are bit-identical to the scalar
@@ -84,20 +90,6 @@ from repro.streams.windows import WindowSpec
 #: they save.
 MIN_VECTOR_CHUNK = 4
 
-#: Adaptive adjacency vectorisation: after this many scalar adjacency
-#: requests within one counting window, and provided the request
-#: *density* is high enough (at least one request per
-#: ``_ADJ_EAGER_DENSITY`` points - otherwise a cold-start burst of
-#: foundings at the head of a duplicate-heavy chunk would trigger a
-#: mostly-wasted sweep), the next ``_ADJ_BLOCK`` points' adjacency is
-#: enumerated in one vectorised pass.  Blocks bound the waste when a
-#: founding-heavy prefix turns duplicate-heavy mid-chunk.
-_ADJ_EAGER_AFTER = 8
-_ADJ_EAGER_DENSITY = 8
-_ADJ_BLOCK = 192
-_ADJ_MIN_BLOCK = 16
-
-
 def _hash_cells(config: SamplerConfig, coords: "np.ndarray") -> "np.ndarray":
     """Base-hash values of int64 cell rows, as a uint64 array.
 
@@ -141,13 +133,7 @@ class ChunkGeometry:
         "_cells_f",
         "_coords",
         "_coords_list",
-        "_fracs",
-        "_adj_table",
-        "_adj_tz",
-        "_adj_start",
-        "_adj_requests",
-        "_adj_window_start",
-        "_adj_failed",
+        "_adjacency",
     )
 
     def __init__(
@@ -168,13 +154,7 @@ class ChunkGeometry:
         self._cell_hashes: list[int] | None = None
         self._coords = self._cells_f.astype(np.int64)
         self._coords_list: list[list[int]] | None = None
-        self._fracs = None
-        self._adj_table: list[tuple[int, ...]] | None = None
-        self._adj_tz: list[int] = []
-        self._adj_start = 0
-        self._adj_requests = 0
-        self._adj_window_start = 0
-        self._adj_failed = False
+        self._adjacency: tuple | None = None
 
     def __len__(self) -> int:
         return self.n
@@ -244,14 +224,11 @@ class ChunkGeometry:
 
     @property
     def fracs(self) -> "np.ndarray":
-        """Per-point fractional in-cell positions (lazy, cached)."""
-        fracs = self._fracs
-        if fracs is None:
-            fracs = kernels.fractional_positions_chunk(
-                self._shifted, self._cells_f, self.config.grid.side
-            )
-            self._fracs = fracs
-        return fracs
+        """Per-point fractional in-cell positions (the input of the
+        ``adj(p)`` enumeration, computed on each access)."""
+        return kernels.fractional_positions_chunk(
+            self._shifted, self._cells_f, self.config.grid.side
+        )
 
     def stream_points(self, next_index: int) -> list[StreamPoint]:
         """The chunk as StreamPoints, raw rows numbered from
@@ -268,116 +245,84 @@ class ChunkGeometry:
             for index, (item, vector) in enumerate(zip(items, vectors), next_index)
         ]
 
+    # ------------------------------------------------------------------ #
+    # adjacency: one enumeration per chunk
+    # ------------------------------------------------------------------ #
+
+    def _adjacency_product(self) -> tuple:
+        """The chunk's ``adj(p)`` product, built on first use.
+
+        One :func:`~repro.geometry.kernels.adjacent_cells_chunk` call
+        over the whole chunk, hashed once and kept as numpy arrays
+        ``(hashes, starts, exponents)``: the flat uint64 hashes, point
+        ``i``'s slice ``hashes[starts[i]:starts[i + 1]]`` and its
+        :func:`~repro.geometry.kernels.max_trailing_zeros` exponent.
+        The kernel's own table bound caps its memory.  An empty tuple
+        when the enumeration declines (too many candidates for a tiny
+        ``grid_side``): every request then runs the scalar DFS.
+        """
+        product = self._adjacency
+        if product is None:
+            config = self.config
+            result = kernels.adjacent_cells_chunk(
+                self._coords, self.fracs, config.grid.side, config.alpha
+            )
+            if result is None:
+                product = ()
+            else:
+                cells, counts = result
+                hashes = _hash_cells(config, cells)
+                starts = np.zeros(self.n + 1, dtype=np.int64)
+                np.cumsum(counts, out=starts[1:])
+                product = (
+                    hashes,
+                    starts,
+                    kernels.max_trailing_zeros(hashes, counts),
+                )
+            self._adjacency = product
+        return product
+
     def survival_exponents(self) -> list[int] | None:
         """Per-point survival exponents of the chunk's ``adj(p)`` hashes.
 
-        :func:`~repro.geometry.kernels.max_trailing_zeros` over the
-        hashed :func:`~repro.geometry.kernels.adjacent_cells_chunk`
-        enumeration of the whole chunk.  The infinite-window ignore
-        test: a point whose own cell is unsampled at rate ``2^k`` has no
-        sampled cell in ``adj(p)`` - ``insert`` would ignore it - iff
-        its exponent is below ``k``.  The exponents do not depend on the
-        rate, so one product serves every mid-chunk rate doubling.
-
-        Returns ``None`` when the whole-chunk enumeration declines (too
-        many candidates for a tiny ``grid_side``); the caller then runs
-        the exact founding path for every point.  That leaves the
-        :meth:`adj_hashes` blocks enabled: a smaller block may still
-        fit.
+        The infinite-window ignore test: a point whose own cell is
+        unsampled at rate ``2^k`` has no sampled cell in ``adj(p)`` -
+        ``insert`` would ignore it - iff its exponent is below ``k``.
+        The exponents do not depend on the rate, so one product serves
+        every mid-chunk rate doubling, and the chunk's foundings read
+        the same product through :meth:`adj_hashes`.  ``None`` when the
+        enumeration declines; the caller then runs the exact founding
+        path for every point.
         """
-        config = self.config
-        result = kernels.adjacent_cells_chunk(
-            self._coords, self.fracs, config.grid.side, config.alpha
-        )
-        if result is None:
-            return None
-        cells, counts = result
-        hashes = _hash_cells(config, cells)
-        return kernels.max_trailing_zeros(hashes, counts).tolist()
-
-    # ------------------------------------------------------------------ #
-    # adjacency
-    # ------------------------------------------------------------------ #
+        product = self._adjacency_product()
+        return product[2].tolist() if product else None
 
     def adj_hashes(self, index: int) -> tuple[int, ...]:
         """``adj(p)`` base-hash tuple for point ``index``.
 
-        Value-identical to ``config.adj_hashes(vector, cell=cell)``.
-        Requests outside the current vectorised block run the scalar
-        DFS while a per-window request counter accumulates; when a
-        stretch of the chunk proves founding-heavy (enough requests, at
-        sufficient density - a cold-start burst alone does not qualify
-        twice), the next :data:`_ADJ_BLOCK` points' adjacency is
-        enumerated in one vectorised pass and served from the block
-        table.  The block bound keeps the waste small when a
-        founding-heavy prefix turns duplicate-heavy mid-chunk; chunks
-        that never found pay nothing.
+        Value-identical to ``config.adj_hashes(vector, cell=cell)``:
+        a slice of the chunk's one adjacency product, or the scalar DFS
+        when the enumeration declined.
         """
-        table = self._adj_table
-        if table is not None:
-            offset = index - self._adj_start
-            if 0 <= offset < len(table):
-                return table[offset]
-        self._adj_requests += 1
-        if not self._adj_failed and self._adj_requests >= _ADJ_EAGER_AFTER:
-            span = index + 1 - self._adj_window_start
-            block = min(_ADJ_BLOCK, self.n - index)
-            if (
-                span <= self._adj_requests * _ADJ_EAGER_DENSITY
-                and block >= _ADJ_MIN_BLOCK
-                and self._precompute_adjacency(index, block)
-            ):
-                return self._adj_table[0]  # type: ignore[index]
-        return self._scalar_adj(index)
+        product = self._adjacency_product()
+        if not product:
+            return self.config.adj_hashes(
+                self.vectors[index], cell=self.cell_at(index)
+            )
+        hashes, starts, _ = product
+        return tuple(hashes[starts[index] : starts[index + 1]].tolist())
 
     def adj_tz(self, index: int) -> int:
         """Survival exponent of point ``index``'s ``adj(p)`` hashes.
 
         Value-identical to :meth:`CandidateRecord.survival_exponent
         <repro.core.base.CandidateRecord.survival_exponent>` over
-        :meth:`adj_hashes` ``(index)`` when the point lies in the current
-        vectorised block (computed in bulk with the block), else ``-1``
-        - the record's "not yet computed" marker, so it is derived
-        lazily.  Call after :meth:`adj_hashes` for the same point.
+        :meth:`adj_hashes` ``(index)``, or ``-1`` - the record's "not yet
+        computed" marker, so it is derived lazily - when the
+        enumeration declined.
         """
-        offset = index - self._adj_start
-        if 0 <= offset < len(self._adj_tz):
-            return self._adj_tz[offset]
-        return -1
-
-    def _scalar_adj(self, index: int) -> tuple[int, ...]:
-        return self.config.adj_hashes(
-            self.vectors[index], cell=self.cell_at(index)
-        )
-
-    def _precompute_adjacency(self, start: int, block: int) -> bool:
-        config = self.config
-        stop = start + block
-        result = kernels.adjacent_cells_chunk(
-            self._coords[start:stop],
-            self.fracs[start:stop],
-            config.grid.side,
-            config.alpha,
-        )
-        if result is None:
-            self._adj_failed = True
-            return False
-        flat_cells, counts = result
-        hashes = _hash_cells(config, flat_cells)
-        flat_hashes = hashes.tolist()
-        table: list[tuple[int, ...]] = []
-        position = 0
-        for count in counts.tolist():
-            table.append(tuple(flat_hashes[position : position + count]))
-            position += count
-        self._adj_start = start
-        self._adj_table = table
-        self._adj_tz = kernels.max_trailing_zeros(hashes, counts).tolist()
-        # Fresh counting window past the block: the next block is only
-        # computed if founding density stays high beyond it.
-        self._adj_requests = 0
-        self._adj_window_start = stop
-        return True
+        product = self._adjacency_product()
+        return int(product[2][index]) if product else -1
 
 
 def _arrivals(items: list | None) -> list | None:

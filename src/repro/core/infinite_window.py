@@ -275,7 +275,8 @@ class RobustL0SamplerIW(StreamSampler):
         # sampled cell in adj(p) - insert() would ignore it - iff its
         # exponent is below the rate exponent, at every mid-chunk rate.
         # Every other point - and every point when the enumeration
-        # declines with None - takes the exact founding path.
+        # declines with None - takes the exact founding path, whose
+        # adj(p) comes from the same one-per-chunk product.
         exponents = None
         probed = False
         try:

@@ -479,12 +479,12 @@ class RobustL0SamplerSW(StreamSampler):
         The chunk's cells and cell hashes come from one
         vectorised :class:`~repro.core.chunk_geometry.ChunkGeometry`
         precompute (``points`` may be that validated chunk itself, or
-        ``geometry`` one built separately; founding-heavy chunks also
-        get their ``adj(p)`` hash
-        tuples from its vectorised enumeration), so the per-arrival loop
-        keeps only the sequential machinery - eviction sweep, the single
-        shared-store bucket probe, the distance test - replicating
-        :meth:`insert` operation-for-operation; the resulting state
+        ``geometry`` one built separately; foundings also get their
+        ``adj(p)`` hash tuples from its one vectorised enumeration), so
+        the per-arrival loop keeps only the sequential machinery -
+        eviction sweep, the single shared-store bucket probe, the
+        distance test - replicating :meth:`insert`
+        operation-for-operation; the resulting state
         (including the shared lazy heap) is identical to per-point
         ingestion.  Cascades never invalidate the hoisted locals: the
         shared store and heap objects are stable across Split/Merge

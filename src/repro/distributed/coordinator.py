@@ -35,7 +35,7 @@ The whole coordinator checkpoints through the same protocol
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.core.base import DEFAULT_KAPPA0, SamplerConfig
 from repro.core.infinite_window import RobustL0SamplerIW, merge_columns
@@ -193,9 +193,9 @@ class DistributedRobustSampler:
             ShardSampler(i, self._config, spec=self._spec)
             for i in range(num_shards)
         ]
-        # Parked shards: index -> loader of the shard's current protocol
-        # state, which supersedes self._shards[index] (see park_shard).
-        self._parked: dict[int, Callable[[], dict[str, Any]]] = {}
+        # Parked shards: index -> the shard's current protocol state,
+        # which supersedes self._shards[index] (see park_shard).
+        self._parked: dict[int, dict[str, Any]] = {}
 
     @property
     def num_shards(self) -> int:
@@ -214,9 +214,9 @@ class DistributedRobustSampler:
 
     def shard(self, index: int) -> ShardSampler:
         """Access one shard's sampler (rebuilding a parked shard first)."""
-        load = self._parked.get(index)
-        if load is not None:
-            self.restore_shard(index, load())
+        state = self._parked.get(index)
+        if state is not None:
+            self.restore_shard(index, state)
         return self._shards[index]
 
     def route(self, point: StreamPoint | Sequence[float], shard: int) -> None:
@@ -252,19 +252,15 @@ class DistributedRobustSampler:
         )
         self._parked.pop(index, None)
 
-    def park_shard(
-        self, index: int, load: Callable[[], dict[str, Any]]
-    ) -> None:
-        """Record that shard ``index``'s current state is ``load()``.
+    def park_shard(self, index: int, state: dict[str, Any]) -> None:
+        """Record that shard ``index``'s current protocol state is ``state``.
 
         The deferred form of :meth:`restore_shard`, for the states a
         parallel executor's drain ships home: :meth:`merged_sampler`
         reads the state's record columns without rebuilding the shard,
         and the first read that needs the shard *object* restores it.
-        ``load`` may decode lazily; it is called on each such read, so
-        it should cache what it decodes.
         """
-        self._parked[index] = load
+        self._parked[index] = state
 
     def scatter(
         self,
@@ -296,12 +292,12 @@ class DistributedRobustSampler:
         """
         inputs = []
         for index, shard in enumerate(self._shards):
-            load = self._parked.get(index)
+            state = self._parked.get(index)
             inputs.append(
                 shard.merge_input()
-                if load is None
+                if state is None
                 else RobustL0SamplerIW.merge_input_from_state(
-                    load(), self._config.dim
+                    state, self._config.dim
                 )
             )
         return merge_columns(self._config, inputs)

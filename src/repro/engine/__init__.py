@@ -37,12 +37,13 @@ Where the speed comes from
   (:mod:`repro.geometry.kernels` + the per-chunk
   :class:`~repro.core.chunk_geometry.ChunkGeometry` precompute): a
   whole chunk's cell coordinates, cell ids and cell hashes in a few
-  numpy passes, bit-identical to the scalar geometry;
-  adjacency enumeration switches to vectorised block tables when a
-  chunk proves founding-heavy.  The geometry is also the validated
-  chunk: :func:`repro.engine.batching.chunk_geometry_for` coerces and
-  checks a list, tuple or numeric array once, and that one object
-  travels from ``BatchPipeline.submit`` through every executor to the
+  numpy passes, bit-identical to the scalar geometry, and one
+  ``adj(p)`` enumeration per chunk, built the first time a point asks
+  for its adjacency and shared by every founding.  The geometry is
+  also the validated chunk:
+  :func:`repro.engine.batching.chunk_geometry_for` coerces and checks
+  a list, tuple or numeric array once, and that one object travels
+  from ``BatchPipeline.submit`` through every executor to the
   owning shard's ``process_many`` (numeric arrays never go through
   per-row coercion);
 * the sampled-cell ignore test: a point whose group is untracked at
@@ -52,8 +53,8 @@ Where the speed comes from
   (:meth:`~repro.core.chunk_geometry.ChunkGeometry.survival_exponents`,
   one per chunk);
 * the config-level scalar hash memo (``cell_hash_memo``): the scalar
-  ``adj(p)`` enumeration (``insert``, and a chunk geometry outside its
-  vectorised blocks) revisits the same grid cells constantly, so each
+  ``adj(p)`` enumeration (``insert``, and a chunk whose vectorised
+  enumeration declined) revisits the same grid cells constantly, so each
   cell is hashed once - shared by every level of a sliding-window
   hierarchy and every shard of a pipeline;
 * batch Horner / batch splitmix64 evaluation

@@ -25,9 +25,10 @@ keeping the *what* bit-identical:
   Chunks the array cannot carry (StreamPoints, whose arrival metadata
   it loses) pickle their items instead.  On
   :meth:`~ShardExecutor.drain` each worker returns its shards' protocol
-  states **batched in one message**, still pickled; the coordinator
-  parks them, a query merges their record columns, and shard objects
-  are rebuilt only when a read needs them.
+  states **batched in one pickled message**, which the submitter
+  decodes once into plain dicts; the coordinator parks them, a query
+  merges their record columns, and shard objects are rebuilt only when
+  a read needs them.
 * :class:`RemoteShardExecutor` - workers that may live on **other
   machines**, coupled to the submitter only through a shared
   :class:`~repro.backends.base.StateBackend` (a mounted directory, a
@@ -180,12 +181,9 @@ class ShardExecutor:
         Yields ``(shard_id, state)`` only for shards whose current state
         lives outside the coordinator, in no promised order; a shard
         not yielded is current in the coordinator's own shard object.
-        ``state`` is the shard's protocol ``to_state()`` (process
-        workers ship it still pickled, as a shared
-        :class:`DeferredStates` handle - pass it through
-        :func:`resolve_state` to decode).  Raises
-        :class:`~repro.errors.ExecutorError` if any worker failed; the
-        pipeline then stays dirty.
+        ``state`` is the shard's protocol ``to_state()``, a plain dict.
+        Raises :class:`~repro.errors.ExecutorError` if any worker
+        failed; the pipeline then stays dirty.
         """
         raise NotImplementedError
 
@@ -372,26 +370,6 @@ class _Channel:
             with self._lock:
                 self._writer.send(message)
 
-    def put_with_payload(self, message, payload: bytes) -> None:
-        """Send ``message`` immediately followed by a raw byte payload.
-
-        Both writes happen under the channel lock, so the reader can
-        rely on the payload directly following its header even on a
-        multi-writer channel; the reader MUST consume the payload
-        (:meth:`get_payload`) before its next :meth:`get`.
-        """
-        if self._lock is None:
-            self._writer.send(message)
-            self._writer.send_bytes(payload)
-        else:
-            with self._lock:
-                self._writer.send(message)
-                self._writer.send_bytes(payload)
-
-    def get_payload(self) -> bytes:
-        """The raw byte payload following a header message."""
-        return self._reader.recv_bytes()
-
     def get(self, timeout: float | None = None):
         """Next message; blocks forever when ``timeout`` is ``None``,
         else raises :class:`queue.Empty` after ``timeout`` seconds."""
@@ -402,40 +380,6 @@ class _Channel:
     def close(self) -> None:
         self._reader.close()
         self._writer.close()
-
-
-class DeferredStates:
-    """A worker's drained shard states, shipped home but not yet decoded.
-
-    Drain's barrier needs the state bytes HOME - once the payload is in
-    the submitting process, the workers can die without losing data -
-    but it does not need them *decoded*: unpickling half a megabyte of
-    candidate records belongs to whoever actually rebuilds a shard,
-    which the pipeline does lazily, off the ingestion clock.  Drain
-    therefore yields ``(shard_id, deferred)`` pairs sharing one
-    instance per worker message; :meth:`get` decodes the payload on
-    first use and answers from the decoded dict afterwards.
-    """
-
-    __slots__ = ("_blob", "_states")
-
-    def __init__(self, blob: bytes) -> None:
-        self._blob = blob
-        self._states: dict[int, dict[str, Any]] | None = None
-
-    def get(self, shard_id: int) -> dict[str, Any]:
-        """The decoded protocol state of ``shard_id``."""
-        if self._states is None:
-            self._states = dict(pickle.loads(self._blob))
-            self._blob = b""
-        return self._states[shard_id]
-
-
-def resolve_state(shard_id: int, state: Any) -> dict[str, Any] | None:
-    """A drain-yielded state as a plain dict (decoding if deferred)."""
-    if isinstance(state, DeferredStates):
-        return state.get(shard_id)
-    return state
 
 
 def _transport_worker(worker_id, task_queue, result_queue, config_state):
@@ -526,10 +470,8 @@ def _transport_worker(worker_id, task_queue, result_queue, config_state):
                 result_queue.put(("error", token, worker_id, failure))
             else:
                 try:
-                    # One raw pickle payload for all owned shards: the
-                    # submitter stores the bytes and decodes them lazily
-                    # (DeferredStates), so the barrier pays the ship but
-                    # not the decode.
+                    # One pickle for all owned shards, made here so a
+                    # state that cannot pickle is reported, not fatal.
                     states = [
                         (shard_id, shard.to_state())
                         for shard_id, shard in shards.items()
@@ -541,15 +483,7 @@ def _transport_worker(worker_id, task_queue, result_queue, config_state):
                     failure = traceback.format_exc()
                     result_queue.put(("error", token, worker_id, failure))
                 else:
-                    result_queue.put_with_payload(
-                        (
-                            "states",
-                            token,
-                            worker_id,
-                            [shard_id for shard_id, _ in states],
-                        ),
-                        blob,
-                    )
+                    result_queue.put(("states", token, worker_id, blob))
         else:  # "stop"
             for segment in attachments.values():
                 segment.close()
@@ -722,11 +656,7 @@ class ProcessShardExecutor(ShardExecutor):
                 self._pool.release(message[2])
         elif kind == "error":
             self._failure = message[3]
-        elif kind == "states":
-            # Stale report from an interrupted drain: its payload still
-            # follows on the pipe and must be consumed to keep the
-            # message stream aligned, then both are dropped.
-            self._result_queue.get_payload()
+        # A "states" report here is stale (an interrupted drain's): drop it.
 
     def _poll_results(self, timeout: float = 0.0) -> bool:
         """Absorb every ready worker message; return whether any arrived.
@@ -821,14 +751,10 @@ class ProcessShardExecutor(ShardExecutor):
                 # response.
                 self._handle_async(message)
             elif kind == "states":
-                # The raw state payload follows its header on the pipe
-                # unconditionally - consume it even for a stale report.
-                deferred = DeferredStates(self._result_queue.get_payload())
                 if message[1] != token:
                     continue  # stale report from an interrupted drain
                 remaining -= 1
-                for shard_id in message[3]:
-                    yield (shard_id, deferred)
+                yield from pickle.loads(message[3])
             else:  # "error"
                 self._failure = message[3]
                 self._raise_failure()

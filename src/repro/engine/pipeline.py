@@ -43,7 +43,6 @@ whichever executor runs the shards.
 
 from __future__ import annotations
 
-import functools
 import random
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
@@ -271,8 +270,8 @@ class BatchPipeline:
         yields nothing (its shard objects are always current).  With
         the process and remote executors each shard state the drain
         ships home is parked in the coordinator
-        (:meth:`~repro.distributed.coordinator.DistributedRobustSampler.park_shard`),
-        still undecoded when a process worker shipped it.  A query
+        (:meth:`~repro.distributed.coordinator.DistributedRobustSampler.park_shard`).
+        A query
         merges the parked states' record columns directly; a shard
         *object* is rebuilt only by a read that needs one (:meth:`shard`,
         :meth:`to_state`, :meth:`communication_words`, or a fresh
@@ -291,12 +290,8 @@ class BatchPipeline:
                 "already released (a close() after a worker failure); the "
                 "queued work was lost - restore from the last checkpoint"
             )
-        from repro.engine.executors import resolve_state
-
         for shard_id, state in self._executor.drain():
-            self._coordinator.park_shard(
-                shard_id, functools.partial(resolve_state, shard_id, state)
-            )
+            self._coordinator.park_shard(shard_id, state)
         self._dirty = False
 
     def close(self) -> None:

@@ -223,8 +223,7 @@ def adjacent_cells_chunk(
 
     Returns ``None`` when some axis would extend more than
     ``_MAX_ADJACENCY_TABLE`` candidates (tiny ``side`` relative to
-    ``radius``); callers then enumerate fewer points at a time or run
-    the scalar DFS.
+    ``radius``); callers then run the scalar DFS.
     """
     n, dim = coords.shape
     if radius < 0:

@@ -3,17 +3,22 @@
 from __future__ import annotations
 
 import collections
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.baselines.bjkst import BJKSTSketch
 from repro.baselines.exact import ExactDistinctSampler
-from repro.baselines.fm import FMSketch, lowest_set_bit
+from repro.baselines.fm import FMSketch, item_key, lowest_set_bit
 from repro.baselines.hyperloglog import HyperLogLog
 from repro.baselines.loglog import LogLogSketch
 from repro.baselines.minrank import MinRankL0Sampler
 from repro.baselines.naive import NaiveReservoirSampler
+from repro.engine import state_fingerprint
 from repro.errors import EmptySampleError, ParameterError
 
 
@@ -182,3 +187,99 @@ class TestF0Sketches:
         assert LogLogSketch(bucket_bits=4).space_words() == 17
         assert HyperLogLog(bucket_bits=4).space_words() == 17
         assert BJKSTSketch().space_words() >= 2
+
+
+#: One factory per item-keyed summary: the four item sketches and the
+#: min-rank sampler, whose point keys go through the same contract.
+ITEM_SUMMARIES = {
+    "fm": lambda: FMSketch(copies=8, seed=5),
+    "loglog": lambda: LogLogSketch(bucket_bits=6, seed=5),
+    "hll": lambda: HyperLogLog(bucket_bits=8, seed=5),
+    "bjkst": lambda: BJKSTSketch(epsilon=0.3, seed=5),
+    "minrank": lambda: MinRankL0Sampler(key=lambda p: p.vector[0], seed=5),
+}
+
+
+def snapshot(sketch):
+    """The sketch's whole state (a custom-key min-rank sampler has no
+    checkpoint, so its fields are compared directly)."""
+    if isinstance(sketch, MinRankL0Sampler):
+        return (
+            sketch._count,
+            set(sketch._seen_keys),
+            sketch._best_rank,
+            sketch._best,
+        )
+    return state_fingerprint(sketch)
+
+
+class TestItemContract:
+    """An item is an int, a non-NaN float, a str, bytes or a tuple of
+    these (``item_key``); anything else is rejected before a sketch
+    mutates."""
+
+    @staticmethod
+    def items(key):
+        if key == "minrank":  # keyed by the first coordinate
+            return [(float(i), 0.0) for i in range(40)]
+        return [(float(i), 0.0) for i in range(20)] + list(range(20))
+
+    @pytest.mark.parametrize("position", [0, 17, 39])
+    @pytest.mark.parametrize("key", sorted(ITEM_SUMMARIES))
+    def test_nan_anywhere_in_a_batch_is_rejected(self, key, position):
+        sketch = ITEM_SUMMARIES[key]()
+        sketch.process_many(self.items(key)[:10])
+        before = snapshot(sketch)
+        batch = self.items(key)
+        nan = float("nan")
+        if key == "minrank":
+            # Finite coordinates, but a key that maps to NaN.
+            sketch._key = lambda p: nan if p.vector[0] == 3.5 else p.vector[0]
+            batch[position] = (3.5, 0.0)
+        else:
+            batch[position] = (nan, 0.0)
+        with pytest.raises(ParameterError, match=f"point {position} "):
+            sketch.process_many(batch)
+        assert snapshot(sketch) == before
+        with pytest.raises(ParameterError):
+            sketch.insert(batch[position])
+        assert snapshot(sketch) == before
+
+    @pytest.mark.parametrize("key", ["fm", "loglog", "hll", "bjkst"])
+    def test_non_items_are_rejected(self, key):
+        sketch = ITEM_SUMMARIES[key]()
+        before = state_fingerprint(sketch)
+        for bad in (float("nan"), None, [1, 2], ("a", (1.0, float("nan")))):
+            with pytest.raises(ParameterError):
+                sketch.insert(bad)
+            with pytest.raises(ParameterError, match="point 1 "):
+                sketch.process_many([1, bad, 2])
+        assert state_fingerprint(sketch) == before
+
+    def test_keys_are_process_stable(self):
+        # Numbers and tuples of numbers keep their builtin hash; a str
+        # or bytes anywhere is keyed by its digest, so the key is the
+        # same in every process.
+        for item in (7, -1, 2.5, float("inf"), (1.0, -2), ((1, 2), 3.5)):
+            assert item_key(item) == hash(item)
+        assert item_key("ab") == item_key(b"ab")
+        code = (
+            "from repro.baselines.fm import item_key; "
+            "print(item_key(('ab', 1.5, (b'c',))))"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        keys = {
+            subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                check=True,
+                env={
+                    **os.environ,
+                    "PYTHONPATH": src,
+                    "PYTHONHASHSEED": str(seed),
+                },
+            ).stdout
+            for seed in (1, 2)
+        }
+        assert len(keys) == 1

@@ -186,6 +186,26 @@ class TestDocsMatchCode:
             for stale in ("_materialize", "_shipped"):
                 assert stale not in text, (path.name, stale)
 
+    def test_one_adjacency_enumeration_per_chunk(self):
+        # A chunk's adj(p) is one lazily built product, and drained
+        # shard states come home decoded: the adaptive block scheduler
+        # and the lazy state handle are gone from the guides, the
+        # engine and the chunk geometry.
+        text = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text(
+            encoding="utf-8"
+        )
+        assert "one `adj(p)` product" in text
+        engine = REPO_ROOT / "src" / "repro" / "engine"
+        geometry = REPO_ROOT / "src" / "repro" / "core" / "chunk_geometry.py"
+        for path in [*DOCS, *sorted(engine.glob("*.py")), geometry]:
+            text = path.read_text(encoding="utf-8")
+            for stale in (
+                "_precompute_adjacency",
+                "_ADJ_BLOCK",
+                "DeferredStates",
+            ):
+                assert stale not in text, (path.name, stale)
+
     def test_architecture_documents_hot_path(self):
         # The per-record heap stamp and footprint, the adjacency index
         # and the shared-geometry cache invariant are load-bearing perf

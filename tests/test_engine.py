@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.base import SamplerConfig, StreamSampler
-from repro.core.chunk_geometry import ChunkGeometry, chunk_geometry_for
+from repro.core.chunk_geometry import chunk_geometry_for
 from repro.core.f0_infinite import RobustF0EstimatorIW
 from repro.core.f0_sliding import RobustF0EstimatorSW
 from repro.core.fixed_rate import FixedRateSlidingSampler
@@ -30,6 +30,7 @@ from repro.engine.batching import chunked
 from repro.engine.equivalence import state_fingerprint
 from repro.engine.pipeline import BatchPipeline
 from repro.errors import DimensionMismatchError, ParameterError, ReproError
+from repro.geometry import kernels
 from repro.streams.point import StreamPoint, as_stream
 from repro.streams.windows import SequenceWindow, TimeWindow
 
@@ -65,16 +66,18 @@ def assert_differential(make_sampler, points, batch_size):
     return per, bat
 
 
-def spy_adjacency_blocks(monkeypatch) -> list[bool]:
-    """Record whether each vectorised adjacency block was served."""
+def spy_adjacency_enumerations(monkeypatch) -> list[bool]:
+    """Record each vectorised ``adj(p)`` enumeration: whether it served
+    (``True``) or declined (``False``)."""
     served: list[bool] = []
-    original = ChunkGeometry._precompute_adjacency
+    original = kernels.adjacent_cells_chunk
 
-    def spy(geometry, start, block):
-        served.append(original(geometry, start, block))
-        return served[-1]
+    def spy(*args, **kwargs):
+        result = original(*args, **kwargs)
+        served.append(result is not None)
+        return result
 
-    monkeypatch.setattr(ChunkGeometry, "_precompute_adjacency", spy)
+    monkeypatch.setattr(kernels, "adjacent_cells_chunk", spy)
     return served
 
 
@@ -145,19 +148,24 @@ class TestInfiniteWindowDifferential:
     def test_declined_probe_differential(self, monkeypatch):
         # At grid side alpha/12.5 a whole 10,000-point chunk extends
         # ~7M adjacency candidates along its second axis, so the chunk's
-        # survival exponents decline; with no ignore filter every
-        # untracked point then takes the exact founding path, which
-        # must be just as invisible in state.  The 192-point adjacency
-        # blocks still fit and serve it.
+        # adj(p) enumeration declines; with no ignore filter every
+        # untracked point then takes the exact founding path, its adj(p)
+        # from the scalar DFS, which must be just as invisible in state.
         points = noisy_stream(10_000, 60, seed=12)
         config = SamplerConfig.create(1.0, 2, seed=15, grid_side=0.08)
-        assert chunk_geometry_for(config, points).survival_exponents() is None
-        served = spy_adjacency_blocks(monkeypatch)
+        geom = chunk_geometry_for(config, points)
+        assert geom.survival_exponents() is None
+        for index, point in enumerate(points[:40]):
+            assert geom.adj_hashes(index) == config.adj_hashes(
+                point, cell=config.grid.cell_of(point)
+            )
+            assert geom.adj_tz(index) == -1  # the record derives it
+        served = spy_adjacency_enumerations(monkeypatch)
         per, bat = assert_differential(
             lambda: RobustL0SamplerIW(1.0, 2, config=config), points, 10_000
         )
         assert per.rate_denominator > 1  # foundings ran under real masks
-        assert any(served)  # blocks served the declined chunk
+        assert served == [False]  # declined once, never retried
 
     @pytest.mark.parametrize("dim", [3, 5, 8])
     def test_high_dim_batch_ignore_filter(self, dim):
@@ -195,8 +203,9 @@ class TestInfiniteWindowDifferential:
 
 class TestHighDimVectorisedAdjacency:
     """The adjacency enumeration has no dimension cap: at dims 5 and 8
-    founding-heavy chunks are served by vectorised blocks, which must be
-    invisible in state for both window models."""
+    founding-heavy chunks are served by the chunk's vectorised
+    ``adj(p)`` product, which must be invisible in state for both
+    window models."""
 
     @pytest.mark.parametrize("dim", [5, 8])
     @pytest.mark.parametrize("window", ["infinite", "sliding"])
@@ -209,10 +218,63 @@ class TestHighDimVectorisedAdjacency:
                 return RobustL0SamplerSW(
                     1.0, dim, SequenceWindow(400), seed=dim
                 )
-        served = spy_adjacency_blocks(monkeypatch)
+        served = spy_adjacency_enumerations(monkeypatch)
         points = noisy_stream(2500, 1200, seed=dim, dim=dim)
         assert_differential(make, points, 256)
-        assert any(served)  # the vectorised blocks actually ran
+        assert any(served)  # the vectorised product actually served
+
+
+class TestOneAdjacencyEnumeration:
+    """A chunk's ``adj(p)`` is enumerated at most once: the ignore test
+    and every founding of the chunk read the same product."""
+
+    @staticmethod
+    def run_one_geometry(make, prefix, chunk, monkeypatch):
+        """Feed ``prefix``, then ``chunk`` as one geometry; return the
+        batched sampler, its per-point twin and the chunk's vectorised
+        enumerations."""
+        per, bat = make(), make()
+        for point in prefix + chunk:
+            per.insert(point)
+        bat.process_many(prefix)
+        geom = chunk_geometry_for(bat._config, chunk)
+        served = spy_adjacency_enumerations(monkeypatch)
+        bat.process_many(geom)
+        assert state_fingerprint(per) == state_fingerprint(bat)
+        return per, bat, served
+
+    def test_infinite_window_ignore_test_and_foundings(self, monkeypatch):
+        # A high-cardinality chunk at a rate > 1: the ignore test and
+        # hundreds of foundings all want adj(p).
+        points = noisy_stream(4200, 3000, seed=71)
+        per, bat, served = self.run_one_geometry(
+            lambda: RobustL0SamplerIW(1.0, 2, seed=71),
+            points[:200],
+            points[200:],
+            monkeypatch,
+        )
+        assert per.rate_denominator > 1
+        assert served == [True]
+
+    def test_sliding_window_foundings(self, monkeypatch):
+        points = noisy_stream(4200, 3000, seed=72)
+        _, _, served = self.run_one_geometry(
+            lambda: RobustL0SamplerSW(1.0, 2, SequenceWindow(500), seed=72),
+            points[:200],
+            points[200:],
+            monkeypatch,
+        )
+        assert served == [True]
+
+    def test_heavy_hitters_admissions(self, monkeypatch):
+        points = noisy_stream(4200, 3000, seed=73)
+        _, _, served = self.run_one_geometry(
+            lambda: RobustHeavyHitters(1.0, 2, epsilon=0.05, seed=73),
+            points[:200],
+            points[200:],
+            monkeypatch,
+        )
+        assert served == [True]
 
 
 class TestFixedRateDifferential:

@@ -31,10 +31,8 @@ from repro.engine import state_fingerprint
 from repro.engine import executors as executors_module
 from repro.engine.executors import (
     EXECUTOR_NAMES,
-    DeferredStates,
     ProcessShardExecutor,
     _resolve_workers,
-    resolve_state,
 )
 from repro.errors import EmptySampleError, ExecutorError, ParameterError
 from repro.persist import (
@@ -72,9 +70,7 @@ def drain_into(coordinator, executor):
     """Drain ``executor`` and restore every shipped state."""
     for shard_id, state in executor.drain():
         if state is not None:
-            coordinator.restore_shard(
-                shard_id, resolve_state(shard_id, state)
-            )
+            coordinator.restore_shard(shard_id, state)
 
 
 class TestExecutorEquivalenceMatrix:
@@ -510,7 +506,7 @@ class TestDrainContract:
             assert sorted(shard for shard, _ in arrivals) == [0, 1, 3]
             assert all(state is not None for _, state in arrivals)
             for shard, state in arrivals:
-                coordinator.restore_shard(shard, resolve_state(shard, state))
+                coordinator.restore_shard(shard, state)
         assert state_fingerprint(coordinator) == state_fingerprint(reference)
 
     def test_merge_identical_dirty_synced_and_serial(self, monkeypatch):
@@ -573,32 +569,17 @@ class TestDrainContract:
                 assert state_fingerprint(restored.merge()) == expected
 
 
-class TestDeferredStates:
-    def test_decode_on_first_get(self):
-        import pickle
-
-        deferred = DeferredStates(
-            pickle.dumps([(0, {"a": 1}), (2, {"b": 2})])
-        )
-        assert deferred.get(0) == {"a": 1}
-        assert deferred._blob == b""  # decoded exactly once
-        assert deferred.get(2) == {"b": 2}
-
-    def test_resolve_state_passthrough(self):
-        assert resolve_state(0, None) is None
-        plain = {"k": "v"}
-        assert resolve_state(0, plain) is plain
-
+class TestParkedStates:
     def test_sync_then_continue_matches_serial(self):
-        # sync() parks DeferredStates handles on the pipeline; further
-        # ingestion and every read path must resolve them lazily and
-        # still match the serial fingerprint.
+        # sync() parks the drained states on the pipeline; further
+        # ingestion and every read path must rebuild the shards from
+        # them and still match the serial fingerprint.
         stream = group_stream(400, seed=31)
         serial = make_pipeline("serial")
         serial.extend(stream)
         with make_pipeline("process") as twin:
             twin.extend(stream[:192])
-            twin.sync()  # states come home deferred
+            twin.sync()  # states come home and are parked
             twin.extend(stream[192:])  # lazy restore must re-adopt
             assert state_fingerprint(twin) == state_fingerprint(serial)
             assert state_fingerprint(twin.merge()) == state_fingerprint(

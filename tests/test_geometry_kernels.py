@@ -403,11 +403,11 @@ class TestAdjacencyKernel:
                 )
                 assert got == want, (dim, ratio, index)
 
-    def test_declined_chunk_leaves_blocks_enabled(self):
+    def test_declined_chunk_served_by_scalar_dfs(self):
         # A whole 4,096-point chunk at side alpha/20 extends ~7M
-        # candidates along its second axis: the chunk's survival
-        # exponents decline, but the 192-point adjacency blocks fit and
-        # still serve adj_hashes.
+        # candidates along its second axis: the chunk's enumeration
+        # declines, and every adj(p) comes from the scalar DFS with its
+        # survival exponent left for the record to derive.
         config = SamplerConfig.create(1.0, 2, seed=43, grid_side=0.05)
         rng = random.Random(43)
         points = [
@@ -420,35 +420,21 @@ class TestAdjacencyKernel:
             assert geom.adj_hashes(index) == config.adj_hashes(
                 point, cell=config.grid.cell_of(point)
             )
-        assert geom._adj_table is not None  # a block served
-
-    @pytest.mark.parametrize("dim", [1, 2, 4, 5, 8])
-    def test_eager_table_matches_scalar_adjacency(self, dim):
-        config = SamplerConfig.create(1.0, dim, seed=41 + dim)
-        points = boundary_points(config.grid, 200, seed=41 + dim)
-        geom = chunk_geometry_for(config, points)
-        # Request adjacency for every point: the first few run the
-        # scalar DFS, then the eager vectorised table takes over; both
-        # regimes must agree with the scalar oracle.
-        for index, point in enumerate(points):
-            assert geom.adj_hashes(index) == config.adj_hashes(
-                point, cell=config.grid.cell_of(point)
-            )
-        assert geom._adj_table is not None  # the eager path actually ran
+            assert geom.adj_tz(index) == -1
 
     @pytest.mark.parametrize("kwise", [None, 20])
-    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
-    def test_block_survival_exponents_match_records(self, dim, kwise):
-        config = SamplerConfig.create(1.0, dim, seed=61 + dim, kwise=kwise)
-        points = boundary_points(config.grid, 200, seed=61 + dim)
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_product_matches_scalar_adjacency(self, dim, kwise):
+        # Every point's adj(p) tuple equals the scalar DFS and its
+        # exponent equals the record's own survival_exponent().
+        config = SamplerConfig.create(1.0, dim, seed=41 + dim, kwise=kwise)
+        points = boundary_points(config.grid, 200, seed=41 + dim)
         geom = chunk_geometry_for(config, points)
-        served = 0
         for index, point in enumerate(points):
             hashes = geom.adj_hashes(index)
-            tz = geom.adj_tz(index)
-            if tz < 0:
-                continue  # scalar-served: the record derives it lazily
-            served += 1
+            assert hashes == config.adj_hashes(
+                point, cell=config.grid.cell_of(point)
+            )
             record = CandidateRecord(
                 representative=StreamPoint(point, index),
                 cell=config.grid.cell_of(point),
@@ -457,8 +443,27 @@ class TestAdjacencyKernel:
                 accepted=True,
                 last=StreamPoint(point, index),
             )
-            assert tz == record.survival_exponent()
-        assert served > 100  # the vectorised blocks actually ran
+            assert geom.adj_tz(index) == record.survival_exponent()
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_product_is_order_independent(self, dim):
+        # Whichever of adj_tz, adj_hashes and survival_exponents is
+        # asked first builds the one product; the answers do not depend
+        # on the order.
+        config = SamplerConfig.create(1.0, dim, seed=91 + dim)
+        points = boundary_points(config.grid, 200, seed=91 + dim)
+        geom = chunk_geometry_for(config, points)
+        exponents = [geom.adj_tz(index) for index in range(len(points))]
+        tuples = [geom.adj_hashes(index) for index in range(len(points))]
+        assert geom.survival_exponents() == exponents
+        fresh = chunk_geometry_for(config, points)
+        assert [
+            fresh.adj_hashes(index) for index in range(len(points))
+        ] == tuples
+        assert [
+            fresh.adj_tz(index) for index in range(len(points))
+        ] == exponents
+        assert min(exponents) >= 0
 
     def test_max_trailing_zeros_edge_values(self):
         hashes = np.array(

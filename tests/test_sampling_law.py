@@ -22,12 +22,16 @@ window: 300 points that have all expired, then a 300-point window of 24
 skewed groups.  With ``kappa0=0.5`` the deepest active level reaches 2
 or more in most runs, so Split, Merge, eviction and the rate-unified
 query pool all shape the sample.  Even runs feed ``insert`` and odd
-runs chunked ``process_many``.  Seeds are fixed, so the verdicts are
-deterministic.
+runs chunked ``process_many``.  The same law is checked under a time
+window: the same two phases on bursty, irregular timestamps (ties
+included), with a ``window_capacity`` the densest window fills to
+83-94%, and every run alternating ``insert`` with chunked
+``process_many``.  Seeds are fixed, so the verdicts are deterministic.
 """
 
 from __future__ import annotations
 
+import bisect
 import collections
 import random
 
@@ -40,7 +44,8 @@ from repro.core.infinite_window import RobustL0SamplerIW
 from repro.core.sliding_window import RobustL0SamplerSW
 from repro.engine.pipeline import BatchPipeline
 from repro.metrics.accuracy import chi_square_uniformity
-from repro.streams.windows import SequenceWindow
+from repro.streams.point import StreamPoint
+from repro.streams.windows import SequenceWindow, TimeWindow
 
 NUM_GROUPS = 40
 ROW = 8
@@ -192,6 +197,103 @@ def test_sliding_window_groups_sampled_uniformly_at_depth():
     for parity in (0, 1):
         deep = sum(depth >= 2 for depth in depths[parity::2])
         assert deep > 0.8 * SLIDING_RUNS / 2, collections.Counter(depths)
+    # A group whose points all expired is never returned.
+    assert sum(counts[LIVE_GROUPS:]) == 0, counts
+    _, p_value = chi_square_uniformity(counts[:LIVE_GROUPS])
+    assert p_value > 0.01, counts
+
+
+DURATION = 100.0
+#: The time window's capacity: every run's densest window holds between
+#: ``WINDOW`` and 339 points.
+TIME_CAPACITY = 360
+
+
+def bursty_times(
+    rng: random.Random, count: int, start: float, span: float
+) -> list[float]:
+    """``count`` non-decreasing timestamps in ``(start, start + span]``:
+    a fifth of the gaps are 0 (ties), most are tiny (bursts), the rest
+    exponential (lulls)."""
+    gaps = []
+    for _ in range(count):
+        draw = rng.random()
+        if draw < 0.2:
+            gaps.append(0.0)
+        elif draw < 0.8:
+            gaps.append(rng.uniform(0.0, 0.05))
+        else:
+            gaps.append(rng.expovariate(1.0))
+    scale = span / sum(gaps)
+    times, now = [], start
+    for gap in gaps:
+        now += gap * scale
+        times.append(now)
+    return times
+
+
+def timed_stream(rng: random.Random) -> list[StreamPoint]:
+    """:func:`windowed_stream` on bursty timestamps: the expiring phase
+    spans 200 time units and the live one the last 90, so early live
+    windows still overlap the expiring tail."""
+    times = bursty_times(rng, WINDOW, 0.0, 200.0) + bursty_times(
+        rng, WINDOW, 220.0, 90.0
+    )
+    return [
+        StreamPoint(vector, index, time)
+        for index, (vector, time) in enumerate(
+            zip(windowed_stream(rng), times)
+        )
+    ]
+
+
+def densest_window(points: list[StreamPoint]) -> int:
+    """The most points any time window of the stream holds."""
+    times = [point.time for point in points]
+    return max(
+        index + 1 - bisect.bisect_right(times, time - DURATION)
+        for index, time in enumerate(times)
+    )
+
+
+def feed_alternating(sampler, points, rng):
+    """Random chunks, fed through ``process_many`` and ``insert`` in
+    turn."""
+    start, turn = 0, 0
+    while start < len(points):
+        size = rng.randint(MIN_VECTOR_CHUNK, 128)
+        if len(points) - (start + size) < MIN_VECTOR_CHUNK:
+            size = len(points) - start
+        chunk = points[start : start + size]
+        if turn % 2:
+            feed_insert(sampler, chunk, rng)
+        else:
+            sampler.process_many(chunk)
+        start += size
+        turn += 1
+
+
+def test_time_window_groups_sampled_uniformly_at_depth():
+    counts = [0] * (2 * LIVE_GROUPS)
+    depths = []
+    for run in range(SLIDING_RUNS):
+        seed = 21000 + run
+        rng = random.Random(seed)
+        points = timed_stream(rng)
+        assert WINDOW <= densest_window(points) <= TIME_CAPACITY
+        sampler = RobustL0SamplerSW(
+            1.0,
+            2,
+            TimeWindow(DURATION),
+            window_capacity=TIME_CAPACITY,
+            seed=seed,
+            kappa0=0.5,
+        )
+        feed_alternating(sampler, points, rng)
+        depths.append(sampler.deepest_active_level())
+        counts[group_of(sampler.sample(random.Random(seed ^ 0x2)).vector)] += 1
+    deep = sum(depth >= 2 for depth in depths)
+    assert deep > 0.8 * SLIDING_RUNS, collections.Counter(depths)
     # A group whose points all expired is never returned.
     assert sum(counts[LIVE_GROUPS:]) == 0, counts
     _, p_value = chi_square_uniformity(counts[:LIVE_GROUPS])

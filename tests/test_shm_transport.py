@@ -30,11 +30,7 @@ from repro.core.chunk_geometry import chunk_geometry_for
 from repro.distributed.coordinator import DistributedRobustSampler
 from repro.engine import state_fingerprint
 from repro.engine import executors as executors_module
-from repro.engine.executors import (
-    DeferredStates,
-    ProcessShardExecutor,
-    resolve_state,
-)
+from repro.engine.executors import ProcessShardExecutor
 from repro.errors import ExecutorError
 
 
@@ -81,10 +77,9 @@ class TestSegmentLifecycle:
                     chunk_geometry_for(coordinator.config, chunk),
                 )
             arrivals = list(executor.drain())
-            # Worker-settled shards come home as DeferredStates handles.
-            assert any(
-                isinstance(state, DeferredStates) for _, state in arrivals
-            )
+            # Worker-settled shards come home decoded, as plain dicts.
+            assert arrivals
+            assert all(isinstance(state, dict) for _, state in arrivals)
             names = segment_names(executor)
             assert len(names) >= 1  # >= 1 pool segment
         finally:
@@ -220,9 +215,7 @@ class TestSpawnContext:
                 )
             for shard_id, state in executor.drain():
                 if state is not None:
-                    parallel.restore_shard(
-                        shard_id, resolve_state(shard_id, state)
-                    )
+                    parallel.restore_shard(shard_id, state)
         finally:
             executor.close()
         assert state_fingerprint(parallel) == state_fingerprint(serial)
