@@ -26,21 +26,26 @@ recompute point by point in Python, each computed lazily on first use:
 
 * the coerced float tuples (:attr:`ChunkGeometry.vectors` - recovered
   from the array in one pass when the chunk was an array),
-* the cell's base-hash value (:attr:`ChunkGeometry.cell_hashes`, cell
-  ids and hashes in one vectorised pass) and the grid cell as the usual
-  int tuple (:meth:`ChunkGeometry.cell_at`, foundings only),
-* one ``adj(p)`` product: a single
+* the cell's base-hash value (:attr:`ChunkGeometry.cell_hash_array`,
+  cell ids and hashes in one vectorised pass; :attr:`cell_hashes
+  <ChunkGeometry.cell_hashes>` as a list) and the grid cell as the
+  usual int tuple (:meth:`ChunkGeometry.cell_at`, foundings only),
+* the points as :class:`~repro.streams.point.StreamPoint` objects -
+  all of them, or only those a loop will visit
+  (:meth:`ChunkGeometry.stream_points`),
+* one ``adj(p)`` product: the
   :func:`~repro.geometry.kernels.adjacent_cells_chunk` enumeration of
-  the whole chunk (from the points' fractional in-cell positions),
-  hashed once and kept as numpy arrays.
+  the whole chunk (from the points' fractional in-cell positions), in
+  row blocks only when the chunk is too large for the kernel's table
+  bound, hashed and kept as numpy arrays
+  (:meth:`ChunkGeometry.adjacency_arrays`).
   It serves the per-point ``adj(p)`` hash tuples
   (:meth:`ChunkGeometry.adj_hashes`), their survival exponents
   (:meth:`ChunkGeometry.adj_tz`) and the infinite-window ignore test
   (:meth:`ChunkGeometry.survival_exponents`); whichever is asked first
-  builds it.  A chunk whose enumeration declines (a ``grid_side`` of
-  about ``alpha/12`` or less at thousands of points, or a chunk of some
-  300,000 points at dim 2) is served by the scalar DFS, as ``insert``
-  serves every point.
+  builds it.  A chunk whose enumeration declines (a grid so fine that
+  not one point fits the table bound) is served by the scalar DFS, as
+  ``insert`` serves every point.
 
 A transport that only ships the array therefore pays for the
 validation alone.  The values are bit-identical to the scalar
@@ -49,15 +54,23 @@ computations of ``insert`` (enforced by
 ``ChunkGeometry`` remains ``state_fingerprint``-equivalent to per-point
 ingestion.
 
-Every batched ``process_many`` has exactly one ingestion path per point:
-:func:`prepare_chunk` validates the chunk (window order included) and
-supplies its geometry, and the loop runs over the whole chunk; a chunk
-below :data:`MIN_VECTOR_CHUNK` goes through the sampler's own
-``insert``, one point at a time.  ``insert`` is the oracle the batch
-paths are checked against, so no loop carries a second, inlined scalar
-cell/hash computation.  :func:`validate_chunk` is the same check
-against a bare :class:`~repro.geometry.grid.Grid`, for callers that
-build no geometry.
+Every batched ``process_many`` has exactly one ingestion path per point.
+It validates the chunk first - :func:`prepare_chunk` (window order
+included) for the sliding-window and heavy-hitter loops, which run
+over the whole chunk, :func:`resolve_chunk` for the infinite window -
+and a chunk below :data:`MIN_VECTOR_CHUNK` goes through the sampler's
+own ``insert``, one point at a time.  The infinite-window loop visits
+only the chunk's *active* points
+(:func:`repro.core.infinite_window.active_indices`, one numpy pass
+over :attr:`~ChunkGeometry.cell_hash_array` and the ``adj(p)``
+product): every other point is one ``insert`` would count and then
+ignore at every rate the chunk reaches - the rate only doubles, and
+sampling is nested across rates (Fact 1(b)) - so it is counted as an
+arrival and never becomes a StreamPoint.  ``insert`` is the oracle the
+batch paths are checked against, so no loop carries a second, inlined
+scalar cell/hash computation.  :func:`validate_chunk` is the same
+check against a bare :class:`~repro.geometry.grid.Grid`, for callers
+that build no geometry.
 
 This is the leaf home of :func:`repro.engine.batching.chunk_geometry_for`
 (the core package cannot import the engine without a cycle, exactly
@@ -128,11 +141,11 @@ class ChunkGeometry:
         "array",
         "items",
         "_vectors",
+        "_cell_hash_array",
         "_cell_hashes",
         "_shifted",
         "_cells_f",
         "_coords",
-        "_coords_list",
         "_adjacency",
     )
 
@@ -151,9 +164,9 @@ class ChunkGeometry:
         self.array = array
         self.items = items
         self._vectors = vectors
+        self._cell_hash_array: "np.ndarray | None" = None
         self._cell_hashes: list[int] | None = None
         self._coords = self._cells_f.astype(np.int64)
-        self._coords_list: list[list[int]] | None = None
         self._adjacency: tuple | None = None
 
     def __len__(self) -> int:
@@ -206,21 +219,27 @@ class ChunkGeometry:
         return vectors
 
     @property
+    def cell_hash_array(self) -> "np.ndarray":
+        """Per-point base-hash values of the points' cells (uint64)."""
+        hashes = self._cell_hash_array
+        if hashes is None:
+            hashes = _hash_cells(self.config, self._coords)
+            self._cell_hash_array = hashes
+        return hashes
+
+    @property
     def cell_hashes(self) -> list[int]:
-        """Per-point base-hash values of the points' cells."""
+        """:attr:`cell_hash_array` as a Python list."""
         hashes = self._cell_hashes
         if hashes is None:
-            hashes = _hash_cells(self.config, self._coords).tolist()
+            hashes = self.cell_hash_array.tolist()
             self._cell_hashes = hashes
         return hashes
 
     def cell_at(self, index: int) -> Cell:
-        """Cell tuple of point ``index`` (lazy - foundings only)."""
-        coords_list = self._coords_list
-        if coords_list is None:
-            coords_list = self._coords.tolist()
-            self._coords_list = coords_list
-        return tuple(coords_list[index])
+        """Cell tuple of point ``index`` (foundings only: one row is
+        converted, never the whole chunk)."""
+        return tuple(self._coords[index].tolist())
 
     @property
     def fracs(self) -> "np.ndarray":
@@ -230,57 +249,90 @@ class ChunkGeometry:
             self._shifted, self._cells_f, self.config.grid.side
         )
 
-    def stream_points(self, next_index: int) -> list[StreamPoint]:
-        """The chunk as StreamPoints, raw rows numbered from
-        ``next_index`` (a StreamPoint item is kept as it is)."""
-        vectors = self.vectors
+    def stream_points(
+        self, next_index: int, indices: Sequence[int] | None = None
+    ) -> list[StreamPoint]:
+        """The chunk's points - or only those at ``indices`` - as
+        StreamPoints, raw row ``i`` numbered ``next_index + i`` (a
+        StreamPoint item is kept as it is).
+
+        ``indices`` are increasing positions; a subset of an array
+        chunk reads just its own rows, so no float tuple is built for
+        any other point.
+        """
+        if indices is None or len(indices) == self.n:
+            indices = range(self.n)
+            vectors = self.vectors
+        elif self._vectors is not None:
+            vectors = [self._vectors[i] for i in indices]
+        else:
+            vectors = list(zip(*self.array[indices].T.tolist()))
         items = self.items
         if items is None:
             return [
-                StreamPoint(vector, index)
-                for index, vector in enumerate(vectors, next_index)
+                StreamPoint(vector, next_index + i)
+                for i, vector in zip(indices, vectors)
             ]
-        return [
-            item if isinstance(item, StreamPoint) else StreamPoint(vector, index)
-            for index, (item, vector) in enumerate(zip(items, vectors), next_index)
-        ]
+        points = []
+        for i, vector in zip(indices, vectors):
+            item = items[i]
+            if not isinstance(item, StreamPoint):
+                item = StreamPoint(vector, next_index + i)
+            points.append(item)
+        return points
 
     # ------------------------------------------------------------------ #
     # adjacency: one enumeration per chunk
     # ------------------------------------------------------------------ #
 
-    def _adjacency_product(self) -> tuple:
+    def adjacency_arrays(self) -> tuple | None:
         """The chunk's ``adj(p)`` product, built on first use.
 
-        One :func:`~repro.geometry.kernels.adjacent_cells_chunk` call
-        over the whole chunk, hashed once and kept as numpy arrays
-        ``(hashes, starts, exponents)``: the flat uint64 hashes, point
-        ``i``'s slice ``hashes[starts[i]:starts[i + 1]]`` and its
+        :func:`~repro.geometry.kernels.adjacent_cells_chunk` over the
+        chunk, hashed and kept as numpy arrays ``(hashes, starts,
+        exponents)``: the flat uint64 hashes, point ``i``'s slice
+        ``hashes[starts[i]:starts[i + 1]]`` and its
         :func:`~repro.geometry.kernels.max_trailing_zeros` exponent.
-        The kernel's own table bound caps its memory.  An empty tuple
-        when the enumeration declines (too many candidates for a tiny
+        The kernel's table bound caps each call: the rows go through
+        in blocks of :func:`~repro.geometry.kernels.adjacency_block_rows`
+        (one block for any usual chunk), halved while a later axis
+        still outgrows the bound, and the block arrays are
+        concatenated.  ``None`` when not even one point fits (a tiny
         ``grid_side``): every request then runs the scalar DFS.
         """
         product = self._adjacency
         if product is None:
-            config = self.config
-            result = kernels.adjacent_cells_chunk(
-                self._coords, self.fracs, config.grid.side, config.alpha
-            )
-            if result is None:
-                product = ()
-            else:
-                cells, counts = result
-                hashes = _hash_cells(config, cells)
-                starts = np.zeros(self.n + 1, dtype=np.int64)
-                np.cumsum(counts, out=starts[1:])
-                product = (
-                    hashes,
-                    starts,
-                    kernels.max_trailing_zeros(hashes, counts),
-                )
+            product = self._enumerate_blocks()
             self._adjacency = product
-        return product
+        return product or None
+
+    def _enumerate_blocks(self) -> tuple:
+        """:meth:`adjacency_arrays` built; ``()`` when it declines."""
+        side, alpha = self.config.grid.side, self.config.alpha
+        coords, fracs = self._coords, self.fracs
+        hashes = [np.zeros(0, dtype=np.uint64)]
+        counts = [np.zeros(0, dtype=np.int64)]
+        block = min(self.n, kernels.adjacency_block_rows(side, alpha))
+        start = 0
+        while start < self.n:
+            if block == 0:
+                return ()
+            stop = min(start + block, self.n)
+            result = kernels.adjacent_cells_chunk(
+                coords[start:stop], fracs[start:stop], side, alpha
+            )
+            if result is None:  # a later axis outgrew the table
+                block = (stop - start) // 2
+                continue
+            cells, block_counts = result
+            hashes.append(_hash_cells(self.config, cells))
+            counts.append(block_counts)
+            start = stop
+        flat = np.concatenate(hashes)
+        counts = np.concatenate(counts)
+        starts = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(counts, out=starts[1:])
+        return flat, starts, kernels.max_trailing_zeros(flat, counts)
 
     def survival_exponents(self) -> list[int] | None:
         """Per-point survival exponents of the chunk's ``adj(p)`` hashes.
@@ -294,8 +346,8 @@ class ChunkGeometry:
         enumeration declines; the caller then runs the exact founding
         path for every point.
         """
-        product = self._adjacency_product()
-        return product[2].tolist() if product else None
+        product = self.adjacency_arrays()
+        return None if product is None else product[2].tolist()
 
     def adj_hashes(self, index: int) -> tuple[int, ...]:
         """``adj(p)`` base-hash tuple for point ``index``.
@@ -304,8 +356,8 @@ class ChunkGeometry:
         a slice of the chunk's one adjacency product, or the scalar DFS
         when the enumeration declined.
         """
-        product = self._adjacency_product()
-        if not product:
+        product = self.adjacency_arrays()
+        if product is None:
             return self.config.adj_hashes(
                 self.vectors[index], cell=self.cell_at(index)
             )
@@ -321,8 +373,8 @@ class ChunkGeometry:
         computed" marker, so it is derived lazily - when the
         enumeration declined.
         """
-        product = self._adjacency_product()
-        return int(product[2][index]) if product else -1
+        product = self.adjacency_arrays()
+        return -1 if product is None else int(product[2][index])
 
 
 def _arrivals(items: list | None) -> list | None:
@@ -560,6 +612,21 @@ def _check_window_order(
         previous = key
 
 
+def resolve_chunk(
+    config: SamplerConfig,
+    points: "ChunkGeometry | Iterable[StreamPoint | Sequence[float]]",
+    geometry: ChunkGeometry | None = None,
+) -> ChunkGeometry:
+    """``points`` validated (:func:`chunk_geometry_for`), served by a
+    caller-supplied ``geometry`` when it is
+    :meth:`~ChunkGeometry.valid_for` the chunk - with whatever it has
+    already computed."""
+    chunk = chunk_geometry_for(config, points)
+    if geometry is not None and geometry.valid_for(config, chunk):
+        return geometry
+    return chunk
+
+
 def prepare_chunk(
     config: SamplerConfig,
     points: "ChunkGeometry | Iterable[StreamPoint | Sequence[float]]",
@@ -580,16 +647,13 @@ def prepare_chunk(
     :func:`chunk_geometry_for` (coercion, dimension, cells - a
     :class:`ChunkGeometry` chunk built for this config passes straight
     through) and, when ``window`` is given, window order against
-    ``latest``.  A caller-supplied ``geometry`` that is
-    :meth:`~ChunkGeometry.valid_for` the chunk serves it with whatever
-    it has already computed.  Returns ``(points, vectors, geometry,
+    ``latest``; a caller-supplied ``geometry`` may serve the chunk
+    (:func:`resolve_chunk`).  Returns ``(points, vectors, geometry,
     cell_hashes)``; for a chunk below :data:`MIN_VECTOR_CHUNK`
     ``geometry`` is ``None`` and ``cell_hashes`` empty, and the caller
     feeds the points to ``insert``.
     """
-    chunk = chunk_geometry_for(config, points)
-    if geometry is not None and geometry.valid_for(config, chunk):
-        chunk = geometry
+    chunk = resolve_chunk(config, points, geometry)
     pts = chunk.stream_points(next_index)
     if window is not None:
         _check_window_order(pts, window, latest)

@@ -34,7 +34,12 @@ from repro.core.base import (
     _ThresholdPolicy,
     coerce_point,
 )
-from repro.core.chunk_geometry import ChunkGeometry, is_chunk, prepare_chunk
+from repro.core.chunk_geometry import (
+    MIN_VECTOR_CHUNK,
+    ChunkGeometry,
+    is_chunk,
+    resolve_chunk,
+)
 from repro.errors import CheckpointError, EmptySampleError, ParameterError
 from repro.geometry.distance import within_distance
 from repro.streams.point import StreamPoint
@@ -230,20 +235,26 @@ class RobustL0SamplerIW(StreamSampler):
     ) -> int:
         """Batched :meth:`insert`: state-equivalent, several times faster.
 
-        The chunk's geometry - cells, cell hashes, the ``adj(p)``
-        survival exponents of the ignore test, adjacency hash tuples -
-        is computed once per chunk through the vectorised kernel layer
+        The chunk is validated once and its geometry - cells, cell
+        hashes, the ``adj(p)`` product - computed once through the
+        vectorised kernel layer
         (:class:`~repro.core.chunk_geometry.ChunkGeometry`, which may be
         ``points`` itself - the pipeline's validated chunk - or come in
-        as ``geometry``), so the per-point loop
-        reduces to the sequential state machine: the bucket probe, the
-        distance test and the rate bookkeeping.  New candidate groups
-        run the same code the per-point path runs (adjacency hashing,
-        rate halving, peak tracking); a chunk too small to vectorise goes
-        through :meth:`insert`.  An invalid point anywhere in the chunk
-        raises :class:`~repro.errors.ParameterError` before anything
-        mutates.  See :class:`~repro.core.base.StreamSampler` for the
-        equivalence contract this method honours.
+        as ``geometry``).  One numpy pass then picks the chunk's
+        *active* points (:func:`active_indices`): the only ones
+        :meth:`insert` would do anything with besides counting them.
+        The loop visits those alone, and only they become
+        :class:`~repro.streams.point.StreamPoint` objects; every other
+        point is an arrival and nothing more - its position still
+        numbers the points after it and feeds the threshold policy.
+        The loop is the sequential state machine - the bucket probe,
+        the distance test, foundings through the same code ``insert``
+        runs (adjacency hashes from the chunk's product, rate halving,
+        peak tracking).  A chunk too small to vectorise goes through
+        :meth:`insert`.  An invalid point anywhere in the chunk raises
+        :class:`~repro.errors.ParameterError` before anything mutates.
+        See :class:`~repro.core.base.StreamSampler` for the equivalence
+        contract this method honours.
         """
         if geometry is None and not is_chunk(points):
             # A one-shot iterable is streamed in bounded chunks, so
@@ -251,6 +262,16 @@ class RobustL0SamplerIW(StreamSampler):
             return self.extend(points)
 
         config = self._config
+        start = self._count
+        geom = resolve_chunk(config, points, geometry)
+        if geom.n < MIN_VECTOR_CHUNK:
+            # This class's insert, not an override's: the points are
+            # already in the sampler's own space (a projecting subclass
+            # projected them before handing the chunk over).
+            for p in geom.stream_points(start):
+                RobustL0SamplerIW.insert(self, p)
+            return geom.n
+
         dim = config.dim
         store = self._store
         buckets_get = store._buckets.get
@@ -259,33 +280,26 @@ class RobustL0SamplerIW(StreamSampler):
         track = self._track_members
         member_random = self._member_rng.random
         policy = self._policy
-        count = self._count
-
-        pts, vectors, geom, hashes_list = prepare_chunk(
-            config, points, count, geometry=geometry
-        )
-        geom_n = len(hashes_list)
-
-        pending = 0  # arrivals not yet flushed into the threshold policy
         mask = self._rate_denominator - 1
         rate_exponent = mask.bit_length()
-        # The ignore test: the chunk's adj(p) survival exponents, fetched
-        # on the first untracked point whose cell is unsampled, so chunks
-        # of pure duplicates never pay for them.  Such a point has no
-        # sampled cell in adj(p) - insert() would ignore it - iff its
-        # exponent is below the rate exponent, at every mid-chunk rate.
-        # Every other point - and every point when the enumeration
-        # declines with None - takes the exact founding path, whose
-        # adj(p) comes from the same one-per-chunk product.
+
+        order = active_indices(geom, store._buckets, mask).tolist()
+        pts = geom.stream_points(start, order)
+        hashes = geom.cell_hashes
+
+        # Positions in the chunk: seen counts the arrivals so far (the
+        # current point's included), flushed those the policy observed.
+        seen = flushed = 0
+        # The ignore test for an active point that misses the probe with
+        # its own cell unsampled (its exponent below the rate exponent:
+        # no sampled cell in adj(p)), fetched on first need.
         exponents = None
         probed = False
         try:
-            for i in range(geom_n):
-                p = pts[i]
-                vector = vectors[i]
-                count += 1
-                pending += 1
-                cell_hash = hashes_list[i]
+            for i, p in zip(order, pts):
+                seen = i + 1
+                vector = p.vector
+                cell_hash = hashes[i]
 
                 # Inline find_nearby: the overflow only on a head miss.
                 existing = buckets_get(cell_hash)
@@ -340,28 +354,23 @@ class RobustL0SamplerIW(StreamSampler):
                 )
                 store.add(record)
 
-                policy.observe_many(pending)
-                pending = 0
+                policy.observe_many(seen - flushed)
+                flushed = seen
                 while store.accepted_count > policy.threshold():
                     self._rate_denominator *= 2
                     store.resample(self._rate_denominator)
                     mask = self._rate_denominator - 1
                     rate_exponent = mask.bit_length()
 
-                self._count = count
+                self._count = start + seen
                 words = self.space_words()
                 if words > self._peak_words:
                     self._peak_words = words
+            seen = geom.n
         finally:
-            self._count = count
-            policy.observe_many(pending)
-        if geom is None:
-            # This class's insert, not an override's: pts are already in
-            # the sampler's own space (a projecting subclass projected
-            # them before handing the chunk over).
-            for p in pts:
-                RobustL0SamplerIW.insert(self, p)
-        return len(pts)
+            self._count = start + seen
+            policy.observe_many(seen - flushed)
+        return geom.n
 
     # ------------------------------------------------------------------ #
     # queries
@@ -583,6 +592,49 @@ class RobustL0SamplerIW(StreamSampler):
         ):
             sampler._store.add(record)
         return sampler
+
+
+def active_indices(
+    geometry: ChunkGeometry, buckets: dict, mask: int
+) -> np.ndarray:
+    """The positions of a chunk's *active* points, in order.
+
+    At the chunk's starting rate ``mask + 1 = 2^k`` a point with cell
+    hash ``h`` is active iff
+
+    * its cell is sampled (``h & mask == 0``) or its ``adj(p)`` has a
+      sampled cell (survival exponent at least ``k``) - together, the
+      chunk's *candidates*;
+    * ``h`` is a key of ``buckets`` (the store's registrations) now; or
+    * ``h`` is in the ``adj(p)`` of a candidate.
+
+    Every other point is one ``insert`` would count and ignore.  The
+    rate only doubles inside a chunk and sampling is nested across
+    rates (Fact 1(b)), so a cell or an ``adj(p)`` unsampled at ``2^k``
+    stays unsampled: only a candidate can found a record, a founding
+    registers exactly its ``adj(p)``, and a resample only removes
+    registrations.  An inactive point therefore misses the bucket probe
+    and is ignored at every rate the chunk reaches.
+
+    The ``adj(p)`` product is not built when every point is sampled or
+    hits a registration already (a chunk of pure duplicates); when its
+    enumeration declines, every point is active.
+    """
+    hashes = geometry.cell_hash_array
+    sampled = (hashes & np.uint64(mask)) == 0
+    # Dict probes cost O(chunk); an array of the keys would cost O(store).
+    registered_now = np.fromiter(
+        map(buckets.__contains__, geometry.cell_hashes), bool, geometry.n
+    )
+    active = sampled | registered_now
+    product = None if active.all() else geometry.adjacency_arrays()
+    if product is None:
+        return np.arange(geometry.n)
+    adj, starts, exponents = product
+    candidates = sampled | (exponents >= mask.bit_length())
+    registered = adj[np.repeat(candidates, np.diff(starts))]
+    active |= candidates | np.isin(hashes, registered)
+    return np.flatnonzero(active)
 
 
 class MergeInput(NamedTuple):

@@ -51,7 +51,9 @@ Where the speed comes from
   within ``alpha`` of a *sampled* nearby cell - decided exactly, at
   any dimension and rate, by the chunk's ``adj(p)`` survival exponents
   (:meth:`~repro.core.chunk_geometry.ChunkGeometry.survival_exponents`,
-  one per chunk);
+  one per chunk).  The infinite window applies it to the whole chunk
+  up front (:func:`~repro.core.infinite_window.active_indices`), so
+  its loop visits, and materialises, only the points it can keep;
 * the config-level scalar hash memo (``cell_hash_memo``): the scalar
   ``adj(p)`` enumeration (``insert``, and a chunk whose vectorised
   enumeration declined) revisits the same grid cells constantly, so each

@@ -198,6 +198,14 @@ def _max_axis_move(side: float, radius: float) -> int:
     return j
 
 
+def adjacency_block_rows(side: float, radius: float) -> int:
+    """The most rows one :func:`adjacent_cells_chunk` call can take:
+    its first axis extends every row by each of its ``2J + 1`` moves
+    within ``_MAX_ADJACENCY_TABLE`` candidates (0 when not one row
+    fits)."""
+    return _MAX_ADJACENCY_TABLE // (2 * _max_axis_move(side, radius) + 1)
+
+
 def adjacent_cells_chunk(
     coords: "np.ndarray",
     fracs: "np.ndarray",

@@ -39,7 +39,6 @@ from repro.backends import StateBackend
 from repro.core.base import coerce_points
 from repro.persist import dumps_summary, loads_summary, summary_to_state
 from repro.service.config import ServiceSpec
-from repro.streams.point import StreamPoint
 
 __all__ = ["TenantStore", "derive_tenant_seed"]
 
@@ -187,15 +186,12 @@ class TenantStore:
         double-ingest a valid prefix.  The item sketches (specs without
         ``dim``) hash whatever they get, so for them the batch is
         checked here (:func:`~repro.core.base.coerce_points`): each row
-        reaches them as a tuple of finite floats, whose hash - unlike a
-        string's or a NaN's - is the same in every process.
+        - a StreamPoint as its vector - reaches them as a tuple of
+        finite floats, whose hash - unlike a string's or a NaN's - is
+        the same in every process.
         """
         if getattr(self.spec.spec, "dim", None) is None:
-            points = list(points)
-            points = [
-                point if isinstance(point, StreamPoint) else coerced.vector
-                for point, coerced in zip(points, coerce_points(points, 0))
-            ]
+            points = [coerced.vector for coerced in coerce_points(points, 0)]
         async with self._lock_for(tenant):
             summary = self._materialize(tenant)
             count = summary.process_many(points)

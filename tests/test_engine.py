@@ -146,11 +146,13 @@ class TestInfiniteWindowDifferential:
         assert state_fingerprint(sampler) == before
 
     def test_declined_probe_differential(self, monkeypatch):
-        # At grid side alpha/12.5 a whole 10,000-point chunk extends
-        # ~7M adjacency candidates along its second axis, so the chunk's
-        # adj(p) enumeration declines; with no ignore filter every
-        # untracked point then takes the exact founding path, its adj(p)
-        # from the scalar DFS, which must be just as invisible in state.
+        # At grid side alpha/12.5 one point extends 27 candidates along
+        # its first axis, over a table bound lowered to 20: not even one
+        # row fits, so the chunk's adj(p) enumeration declines; with no
+        # ignore filter every point is active and every untracked one
+        # takes the exact founding path, its adj(p) from the scalar DFS,
+        # which must be just as invisible in state.
+        monkeypatch.setattr(kernels, "_MAX_ADJACENCY_TABLE", 20)
         points = noisy_stream(10_000, 60, seed=12)
         config = SamplerConfig.create(1.0, 2, seed=15, grid_side=0.08)
         geom = chunk_geometry_for(config, points)
@@ -165,7 +167,7 @@ class TestInfiniteWindowDifferential:
             lambda: RobustL0SamplerIW(1.0, 2, config=config), points, 10_000
         )
         assert per.rate_denominator > 1  # foundings ran under real masks
-        assert served == [False]  # declined once, never retried
+        assert served == []  # declined before any kernel call
 
     @pytest.mark.parametrize("dim", [3, 5, 8])
     def test_high_dim_batch_ignore_filter(self, dim):

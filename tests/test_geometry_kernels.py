@@ -403,11 +403,13 @@ class TestAdjacencyKernel:
                 )
                 assert got == want, (dim, ratio, index)
 
-    def test_declined_chunk_served_by_scalar_dfs(self):
-        # A whole 4,096-point chunk at side alpha/20 extends ~7M
-        # candidates along its second axis: the chunk's enumeration
-        # declines, and every adj(p) comes from the scalar DFS with its
-        # survival exponent left for the record to derive.
+    def test_declined_chunk_served_by_scalar_dfs(self, monkeypatch):
+        # At side alpha/20 one point extends 43 candidates along its
+        # first axis, over a table bound lowered to 40: not even one row
+        # fits, the chunk's enumeration declines, and every adj(p) comes
+        # from the scalar DFS with its survival exponent left for the
+        # record to derive.
+        monkeypatch.setattr(kernels, "_MAX_ADJACENCY_TABLE", 40)
         config = SamplerConfig.create(1.0, 2, seed=43, grid_side=0.05)
         rng = random.Random(43)
         points = [

@@ -884,6 +884,22 @@ class TestAllOrNothingIngest:
     }
 
     @pytest.mark.parametrize("key", sorted(DIMLESS))
+    def test_dimless_stream_point_is_ingested_as_its_vector(self, key):
+        """A StreamPoint is not an item: a spec without ``dim`` gets its
+        vector, exactly as if the bare tuple had been sent."""
+        from repro.streams.point import StreamPoint
+
+        async def scenario():
+            fingerprints = []
+            for batch in ([StreamPoint((1.0, 2.0), 0)], [(1.0, 2.0)]):
+                store = TenantStore(service_spec(key, spec=self.DIMLESS[key]))
+                assert await store.ingest("t", batch) == 1
+                fingerprints.append(await store.fingerprint("t"))
+            assert fingerprints[0] == fingerprints[1]
+
+        run(scenario())
+
+    @pytest.mark.parametrize("key", sorted(DIMLESS))
     @pytest.mark.parametrize(
         "bad", [b'["x"]', b"[NaN]", b"[-Infinity]", b"null"]
     )
