@@ -13,7 +13,11 @@ point-fed samplers.
 
 Regression gates (committed floors, conservative against CI noise; the
 actually measured ratios are higher - see BENCH_sliding.json for the
-tracked trajectory):
+tracked trajectory).  The infinite-window, sliding and geometry sections
+each run 5 per-point/batch pairs (3 in --smoke), alternating which side
+goes first, and gate the median of the per-pair ratios; the record keeps
+that median as ``speedup`` and its interquartile range as
+``speedup_iqr``:
 
 * infinite window: batch/per-point >= 1.7x.  The floor was 3x before the
   shared-store/incremental-space PR, whose optimisations (memoised
@@ -127,57 +131,76 @@ def settle_heap() -> None:
     real deployments run with it) is proportional to its own
     allocations instead of quasi-randomly re-traversing whatever the
     harness and earlier sections happened to retain.  A single-shot
-    smoke region lasts ~15 ms, so one leftover collection decides it."""
+    smoke region lasts ~15 ms, so one leftover collection decides it.
+    The earlier regions' frozen objects are unfrozen first, so the
+    samplers of finished pairs are collected instead of piling up."""
+    gc.unfreeze()
     gc.collect()
     gc.freeze()
 
 
-def bench_infinite(points, batch_size: int, seed: int):
-    """Per-point vs batch on the infinite-window sampler."""
-    per = RobustL0SamplerIW(alpha=1.0, dim=len(points[0]), seed=seed)
+def time_ingest(sampler, points, batch_size: int | None) -> float:
+    """Seconds to feed ``points`` to ``sampler``: one ``insert`` per
+    point when ``batch_size`` is ``None``, else ``process_many`` chunks."""
     settle_heap()
     start = time.perf_counter()
-    insert = per.insert
-    for p in points:
-        insert(p)
-    per_elapsed = time.perf_counter() - start
-
-    bat = RobustL0SamplerIW(alpha=1.0, dim=len(points[0]), seed=seed)
-    settle_heap()
-    start = time.perf_counter()
-    for chunk in chunked(points, batch_size):
-        bat.process_many(chunk)
-    bat_elapsed = time.perf_counter() - start
-
-    assert state_fingerprint(per) == state_fingerprint(bat), (
-        "state-equivalence violation on the infinite-window sampler"
-    )
-    return _rate(len(points), per_elapsed), _rate(len(points), bat_elapsed)
+    if batch_size is None:
+        insert = sampler.insert
+        for p in points:
+            insert(p)
+    else:
+        for chunk in chunked(points, batch_size):
+            sampler.process_many(chunk)
+    return time.perf_counter() - start
 
 
-def bench_sliding(points, batch_size: int, seed: int, window: int):
-    """Per-point vs batch on the sliding-window hierarchy."""
+def bench_pairs(make_sampler, points, batch_size: int, pairs: int) -> dict:
+    """Per-point vs batch ingestion of ``points``, as ``pairs`` pairs.
+
+    Each pair feeds the whole stream to two fresh samplers from
+    ``make_sampler()``, one per point and one in chunks.  Even pairs
+    time the per-point side first and odd pairs the batch side, so a
+    host that changes speed during a run moves both sides alike.  Each
+    pair's two samplers must end with equal fingerprints.  Returns the
+    section's record: both sides' median rates and the median and
+    interquartile range of the per-pair batch/per-point ratios.  The
+    median ratio is what the floors gate: one slow timing moves one
+    pair, not the verdict.
+    """
+    per_rates, batch_rates, ratios = [], [], []
+    for index in range(pairs):
+        per, batch = make_sampler(), make_sampler()
+        if index % 2 == 0:
+            per_seconds = time_ingest(per, points, None)
+            batch_seconds = time_ingest(batch, points, batch_size)
+        else:
+            batch_seconds = time_ingest(batch, points, batch_size)
+            per_seconds = time_ingest(per, points, None)
+        assert state_fingerprint(per) == state_fingerprint(batch), (
+            f"state-equivalence violation on {type(per).__name__}"
+        )
+        per_rates.append(_rate(len(points), per_seconds))
+        batch_rates.append(_rate(len(points), batch_seconds))
+        ratios.append(batch_rates[-1] / per_rates[-1])
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    return {
+        "pairs": pairs,
+        "per_point_pts_per_sec": round(statistics.median(per_rates)),
+        "batch_pts_per_sec": round(statistics.median(batch_rates)),
+        "speedup": round(median, 3),
+        "speedup_iqr": round(q3 - q1, 3),
+    }
+
+
+def infinite_sampler(points, seed: int):
+    """A factory of fresh infinite-window samplers for :func:`bench_pairs`."""
+    return lambda: RobustL0SamplerIW(alpha=1.0, dim=len(points[0]), seed=seed)
+
+
+def sliding_sampler(points, seed: int, window: int):
+    """A factory of fresh sliding-window samplers for :func:`bench_pairs`."""
     spec = SequenceWindow(window)
-    dim = len(points[0])
-    per = RobustL0SamplerSW(1.0, dim, spec, seed=seed)
-    settle_heap()
-    start = time.perf_counter()
-    insert = per.insert
-    for p in points:
-        insert(p)
-    per_elapsed = time.perf_counter() - start
-
-    bat = RobustL0SamplerSW(1.0, dim, spec, seed=seed)
-    settle_heap()
-    start = time.perf_counter()
-    for chunk in chunked(points, batch_size):
-        bat.process_many(chunk)
-    bat_elapsed = time.perf_counter() - start
-
-    assert state_fingerprint(per) == state_fingerprint(bat), (
-        "state-equivalence violation on the sliding-window sampler"
-    )
-    return _rate(len(points), per_elapsed), _rate(len(points), bat_elapsed)
+    return lambda: RobustL0SamplerSW(1.0, len(points[0]), spec, seed=seed)
 
 
 def make_highdim_stream(
@@ -531,97 +554,78 @@ def main(argv: list[str] | None = None) -> int:
                 f"committed floor {floor:.2f}x"
             )
 
-    per_iw, bat_iw = bench_infinite(points, args.batch_size, args.seed)
-    speedup_iw = bat_iw / per_iw
-    print(
-        f"infinite-window          n={n}  per-point {per_iw:12,.0f} pts/s   "
-        f"batch {bat_iw:12,.0f} pts/s   speedup {speedup_iw:5.2f}x"
+    pairs = 3 if args.smoke else 5
+
+    def section(name: str, n_points: int, result: dict) -> None:
+        print(
+            f"{name:<24} n={n_points}  per-point "
+            f"{result['per_point_pts_per_sec']:12,.0f} pts/s   batch "
+            f"{result['batch_pts_per_sec']:12,.0f} pts/s   speedup "
+            f"{result['speedup']:5.2f}x  IQR {result['speedup_iqr']:.2f}x "
+            f"({result['pairs']} pairs)"
+        )
+        gate(name, result["speedup"], floors[name])
+
+    floors = {
+        "infinite-window": None if args.smoke else args.min_speedup,
+        "sliding (cascade-heavy)": args.min_sliding_smoke_speedup
+        if args.smoke
+        else args.min_sliding_speedup,
+        "sliding (steady window)": args.min_sliding_steady_speedup,
+        "geometry (dim-3 filter)": args.min_geometry_smoke_speedup
+        if args.smoke
+        else args.min_geometry_speedup,
+    }
+
+    infinite = bench_pairs(
+        infinite_sampler(points, args.seed), points, args.batch_size, pairs
     )
-    if not args.smoke:
-        gate("infinite-window", speedup_iw, args.min_speedup)
+    section("infinite-window", n, infinite)
+    record["workloads"]["infinite_window"] = {"groups": groups, **infinite}
 
     # Sliding workload 1: cascade-dominated (the ROADMAP's named hot
     # path) - groups ~ window, so most arrivals re-found expired groups
     # and feed Split/Merge promotions.  Both paths share those costs.
-    per_sw, bat_sw = bench_sliding(
-        points, args.batch_size, args.seed, args.window
+    cascade = bench_pairs(
+        sliding_sampler(points, args.seed, args.window),
+        points, args.batch_size, pairs,
     )
-    speedup_sw = bat_sw / per_sw
-    print(
-        f"sliding (cascade-heavy)  n={n}  per-point {per_sw:12,.0f} pts/s   "
-        f"batch {bat_sw:12,.0f} pts/s   speedup {speedup_sw:5.2f}x"
-    )
+    section("sliding (cascade-heavy)", n, cascade)
     record["workloads"]["cascade_dominated"] = {
-        "groups": groups,
-        "window": args.window,
-        "per_point_pts_per_sec": round(per_sw),
-        "batch_pts_per_sec": round(bat_sw),
-        "speedup": round(speedup_sw, 3),
+        "groups": groups, "window": args.window, **cascade,
     }
-    if args.smoke:
-        gate("sliding (smoke)", speedup_sw, args.min_sliding_smoke_speedup)
-    else:
-        gate("sliding (cascade-heavy)", speedup_sw, args.min_sliding_speedup)
-
+    if not args.smoke:
         # Sliding workload 2: steady window - few groups re-found, the
         # per-arrival walk dominates and the batch inlining pays off.
         steady_groups = max(8, n // 1000)
         steady_points = make_stream(n, steady_groups, args.dim, args.seed)
-        per_st, bat_st = bench_sliding(
-            steady_points, args.batch_size, args.seed, args.window
+        steady = bench_pairs(
+            sliding_sampler(steady_points, args.seed, args.window),
+            steady_points, args.batch_size, pairs,
         )
-        speedup_st = bat_st / per_st
-        print(
-            f"sliding (steady window)  n={n}  per-point {per_st:12,.0f} pts/s   "
-            f"batch {bat_st:12,.0f} pts/s   speedup {speedup_st:5.2f}x"
-        )
+        section("sliding (steady window)", n, steady)
         record["workloads"]["steady_window"] = {
-            "groups": steady_groups,
-            "window": args.window,
-            "per_point_pts_per_sec": round(per_st),
-            "batch_pts_per_sec": round(bat_st),
-            "speedup": round(speedup_st, 3),
+            "groups": steady_groups, "window": args.window, **steady,
         }
-        gate(
-            "sliding (steady window)",
-            speedup_st,
-            args.min_sliding_steady_speedup,
-        )
 
     # Geometry section: batch/per-point on the dim-3 high-cardinality
-    # stream (fingerprint-checked inside bench_infinite).  The batch
-    # path's chunk geometry answers most arrivals with its vectorised
-    # ignore test; insert() enumerates adj(p) for each of them.
+    # stream.  The batch path's chunk geometry answers most arrivals
+    # with its vectorised ignore test; insert() enumerates adj(p) for
+    # each of them.
+    highdim_n = 4000 if args.smoke else min(n, 60_000)
+    highdim_points = make_highdim_stream(highdim_n, 3, args.seed)
+    highdim = bench_pairs(
+        infinite_sampler(highdim_points, args.seed),
+        highdim_points, args.batch_size, pairs,
+    )
+    section("geometry (dim-3 filter)", highdim_n, highdim)
     geometry_record: dict = {
         "mode": record["mode"],
         "batch_size": args.batch_size,
-        "workloads": {},
+        "workloads": {
+            "highdim_filter": {"dim": 3, "points": highdim_n, **highdim},
+        },
     }
-    highdim_n = 4000 if args.smoke else min(n, 60_000)
-    highdim_points = make_highdim_stream(highdim_n, 3, args.seed)
-    per_hd, bat_hd = bench_infinite(
-        highdim_points, args.batch_size, args.seed
-    )
-    speedup_hd = bat_hd / per_hd
-    print(
-        f"geometry (dim-3 filter)  n={highdim_n}  per-point "
-        f"{per_hd:12,.0f} pts/s   batch {bat_hd:12,.0f} pts/s   "
-        f"speedup {speedup_hd:5.2f}x"
-    )
-    geometry_record["workloads"]["highdim_filter"] = {
-        "dim": 3,
-        "points": highdim_n,
-        "per_point_pts_per_sec": round(per_hd),
-        "batch_pts_per_sec": round(bat_hd),
-        "speedup": round(speedup_hd, 3),
-    }
-    gate(
-        "geometry (dim-3 filter)",
-        speedup_hd,
-        args.min_geometry_smoke_speedup
-        if args.smoke
-        else args.min_geometry_speedup,
-    )
 
     pipe_rate, merged_groups = bench_pipeline(
         points, args.batch_size, args.seed, args.shards

@@ -292,24 +292,20 @@ class SamplerConfig:
         """Base-hash value of a cell (before the ``mod R`` reduction)."""
         return self.hash.value(self.grid.cell_id(cell))
 
-    def cell_hashes(self, cells: Sequence[Cell]) -> list[int]:
-        """Base-hash values of a batch of cells (batched base hash)."""
-        cell_id = self.grid.cell_id
-        return self.hash.value_many([cell_id(cell) for cell in cells])
-
     def adj_hashes(
         self, vector: Sequence[float], *, cell: Cell | None = None
     ) -> tuple[int, ...]:
         """Hash values of every cell of ``adj(vector)`` (DFS pruned).
 
-        Each cell's hash is routed through the shared ``cell_hash_memo``:
-        near-duplicate streams found new candidate groups around the same
-        few cells over and over, so almost every adjacency cell has been
-        hashed before.  Only memo misses pay for a base-hash evaluation,
-        batched in one call (``adj(p)`` spans up to 25 cells at dim 2).
-        The values are identical to hashing every cell directly - the
-        memo is a pure cache.  ``cell``, when the caller has already
-        computed ``cell(vector)``, skips the recomputation.
+        The scalar form behind the per-point ``insert`` path (and a chunk
+        whose vectorised enumeration declined).  Each cell's hash is routed
+        through the shared ``cell_hash_memo``: near-duplicate streams found
+        new candidate groups around the same few cells over and over, so
+        almost every adjacency cell has been hashed before.  Only a memo
+        miss pays for a :meth:`cell_hash` evaluation.  The values are
+        identical to hashing every cell directly - the memo is a pure
+        cache.  ``cell``, when the caller has already computed
+        ``cell(vector)``, skips the recomputation.
         """
         cells = collect_adjacent(
             self.grid, vector, self.alpha, base_cell=cell
@@ -321,12 +317,13 @@ class SamplerConfig:
             missing = [
                 index for index, value in enumerate(hashes) if value is None
             ]
-            computed = self.cell_hashes([cells[index] for index in missing])
             if len(memo) + len(missing) >= _CELL_MEMO_LIMIT:
                 memo.clear()
-            for index, value in zip(missing, computed):
-                hashes[index] = value
-                memo[cells[index]] = value
+            value_of = self.hash.value
+            cell_id = self.grid.cell_id
+            for index in missing:
+                missed = cells[index]
+                hashes[index] = memo[missed] = value_of(cell_id(missed))
         return tuple(hashes)  # type: ignore[arg-type]
 
 

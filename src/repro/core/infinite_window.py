@@ -513,19 +513,17 @@ class RobustL0SamplerIW(StreamSampler):
         from repro.core import serialize
 
         try:
-            rate, seen = state["rate_denominator"], state["points_seen"]
+            check_state_fields(state)
             policy = serialize.policy_from_state(state["policy"])
             records = state["records"]
         except (KeyError, TypeError) as error:
             raise CheckpointError(
                 f"shard state is malformed: {type(error).__name__}: {error}"
             ) from error
-        if type(rate) is not int or rate < 1 or type(seen) is not int:
-            raise CheckpointError(
-                f"shard state has an invalid rate {rate!r} or count {seen!r}"
-            )
         records = serialize.record_arrays_from_columns(records, dim)
-        return MergeInput(rate, seen, policy, records)
+        return MergeInput(
+            state["rate_denominator"], state["points_seen"], policy, records
+        )
 
     def to_state(self) -> dict[str, Any]:
         """Serialise to a JSON-compatible dict (protocol checkpoint)."""
@@ -577,6 +575,7 @@ class RobustL0SamplerIW(StreamSampler):
         """
         from repro.core import serialize
 
+        check_state_fields(state)
         if config is None:
             config = serialize.config_from_state(state["config"])
         policy = serialize.policy_from_state(state["policy"])
@@ -592,6 +591,39 @@ class RobustL0SamplerIW(StreamSampler):
         ):
             sampler._store.add(record)
         return sampler
+
+
+def check_state_fields(state: dict[str, Any]) -> None:
+    """Reject a :meth:`RobustL0SamplerIW.to_state` output whose top-level
+    fields would restore a broken sampler.
+
+    The rate must be an int power of two: sampling is nested across rates
+    only between powers of two (Fact 1(b)), so a rate of 3 would double
+    through 6, 12, ... and break it.  The arrival and peak-space counts
+    must be non-negative ints (a negative arrival count hands out indices
+    already stored), and ``track_members`` a bool.  Raises
+    :class:`~repro.errors.CheckpointError` naming the first bad field; a
+    missing field raises ``KeyError``, which the restore paths report as
+    a malformed checkpoint.
+    """
+    rate = state["rate_denominator"]
+    if type(rate) is not int or rate < 1 or rate & (rate - 1):
+        raise CheckpointError(
+            f"sampler state field 'rate_denominator' must be a power of "
+            f"two >= 1, got {rate!r}"
+        )
+    for field in ("points_seen", "peak_space_words"):
+        value = state[field]
+        if type(value) is not int or value < 0:
+            raise CheckpointError(
+                f"sampler state field {field!r} must be an int >= 0, "
+                f"got {value!r}"
+            )
+    if type(state["track_members"]) is not bool:
+        raise CheckpointError(
+            "sampler state field 'track_members' must be a bool, got "
+            f"{state['track_members']!r}"
+        )
 
 
 def active_indices(

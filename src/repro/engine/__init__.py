@@ -59,10 +59,8 @@ Where the speed comes from
   enumeration declined) revisits the same grid cells constantly, so each
   cell is hashed once - shared by every level of a sliding-window
   hierarchy and every shard of a pipeline;
-* batch Horner / batch splitmix64 evaluation
-  (:meth:`repro.hashing.kwise.KWiseHash.many`,
-  :meth:`repro.hashing.mix.SplitMix64.many`, and their array twins
-  :meth:`~repro.hashing.kwise.KWiseHash.many_chunk` /
+* numpy Horner / splitmix64 evaluation over a whole array of cell ids
+  (:meth:`~repro.hashing.kwise.KWiseHash.many_chunk` /
   :meth:`~repro.hashing.mix.SplitMix64.many_chunk`, reached through
   :meth:`~repro.hashing.sampling.SamplingHash.value_chunk`), which the
   chunk geometry calls on every cell id it hashes.

@@ -13,7 +13,6 @@ sampling decisions on grid-cell identifiers.  This subpackage provides:
 
 from repro.geometry.adjacency import (
     adjacent_cells,
-    any_adjacent_cell,
     brute_force_adjacent_cells,
     collect_adjacent,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "squared_distance",
     "within_distance",
     "adjacent_cells",
-    "any_adjacent_cell",
     "brute_force_adjacent_cells",
     "collect_adjacent",
 ]

@@ -13,19 +13,18 @@ the neighbourhood can span several cells per axis.  The DFS below walks
 offsets outwards per dimension in increasing move distance, so it remains
 exact for any side length while keeping the pruning behaviour.
 
-Two entry points are provided:
-
-* :func:`adjacent_cells` yields every cell of ``adj(p)``;
-* :func:`any_adjacent_cell` is the short-circuiting form used in the hot
-  path ("is any cell of adj(p) sampled?") - it stops at the first match.
-
+:func:`collect_adjacent` is the scalar enumeration behind the per-point
+``insert`` path (:meth:`repro.core.base.SamplerConfig.adj_hashes`); a
+chunk's points take theirs from the vectorised twin
+:func:`repro.geometry.kernels.adjacent_cells_chunk`.
+:func:`adjacent_cells` is the iterator form, and
 :func:`brute_force_adjacent_cells` is an oracle used by the tests.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.geometry.grid import Cell, Grid
 
@@ -65,15 +64,16 @@ def collect_adjacent(
     *,
     base_cell: Cell | None = None,
 ) -> list[Cell]:
-    """Return ``adj(point)`` as a list (hot-path form, no generators).
+    """Return ``adj(point)`` as a list (the per-point ``insert`` form).
 
     Iterative breadth-wise construction over dimensions: the partial
     prefixes carry their accumulated squared move distance, and a prefix is
     extended by an axis move only while the accumulated distance stays
     within ``radius`` - the same pruning as the paper's DFS, organised for
     minimal Python overhead.  Dimensions 1 and 2 (the Section 2 setting,
-    where this sits on the candidate-founding hot path) run specialised
-    loops producing the identical cells in the identical order.
+    where per-point ``insert`` calls this for every point that joins no
+    candidate group) run specialised loops producing the identical cells
+    in the identical order.
     """
     if radius < 0:
         return []
@@ -132,24 +132,6 @@ def adjacent_cells(grid: Grid, point: Sequence[float], radius: float) -> Iterato
     [(-1,), (0,), (1,)]
     """
     return iter(collect_adjacent(grid, point, radius))
-
-
-def any_adjacent_cell(
-    grid: Grid,
-    point: Sequence[float],
-    radius: float,
-    predicate: Callable[[int], bool],
-) -> bool:
-    """True when some cell of ``adj(point)`` has ``predicate(cell_id)`` true.
-
-    This is the short-circuiting form of Line 8 of Algorithm 1 ("exists a
-    sampled cell in adj(p)"); it evaluates the predicate on cell IDs in
-    enumeration order and stops at the first hit.
-    """
-    for cell in collect_adjacent(grid, point, radius):
-        if predicate(grid.cell_id(cell)):
-            return True
-    return False
 
 
 def brute_force_adjacent_cells(

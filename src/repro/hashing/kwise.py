@@ -11,24 +11,11 @@ the Mersenne prime p = 2^61 - 1, which supports fast modular reduction.
 from __future__ import annotations
 
 import random
-from typing import Iterable
 
 from repro.errors import ParameterError
 
 #: The Mersenne prime 2^61 - 1 used as the field size.
 MERSENNE_P = (1 << 61) - 1
-
-
-def _mod_mersenne(value: int) -> int:
-    """Reduce ``value`` modulo 2^61 - 1 without a division.
-
-    Works for any non-negative ``value`` < 2^122 (i.e. a product of two
-    field elements), which is all the polynomial evaluation ever needs.
-    """
-    value = (value & MERSENNE_P) + (value >> 61)
-    if value >= MERSENNE_P:
-        value -= MERSENNE_P
-    return value
 
 
 class KWiseHash:
@@ -89,41 +76,20 @@ class KWiseHash:
 
     def __call__(self, key: int) -> int:
         """Evaluate the polynomial at ``key`` (reduced into the field)."""
-        x = key % MERSENNE_P
+        p = MERSENNE_P
+        x = key % p
         acc = 0
         for coefficient in self._coefficients:
-            acc = _mod_mersenne(acc * x + coefficient)
+            # With acc, x < p the product is below 2^122: one fold at bit
+            # 61 plus one conditional subtract reduces it fully.
+            acc = acc * x + coefficient
+            acc = (acc & p) + (acc >> 61)
+            if acc >= p:
+                acc -= p
         return acc
 
-    def many(self, keys: Iterable[int]) -> list[int]:
-        """Batch Horner evaluation; equals ``[self(k) for k in keys]``.
-
-        The coefficients and the Mersenne reduction run inline over the
-        whole batch, so the per-key cost is ``k`` multiply-reduce steps
-        with no Python call overhead - the amortisation the Schmidt-
-        Siegel-Srinivasan construction is known for in array settings.
-
-        >>> h = KWiseHash(k=4, seed=7)
-        >>> h.many([1, 2, 3]) == [h(1), h(2), h(3)]
-        True
-        """
-        p = MERSENNE_P
-        coefficients = self._coefficients
-        out = []
-        append = out.append
-        for key in keys:
-            x = key % p
-            acc = 0
-            for coefficient in coefficients:
-                acc = acc * x + coefficient
-                acc = (acc & p) + (acc >> 61)
-                if acc >= p:
-                    acc -= p
-            append(acc)
-        return out
-
     def many_chunk(self, keys):
-        """Vectorised :meth:`many` over a numpy uint64 array.
+        """Vectorised :meth:`__call__` over a numpy uint64 array.
 
         Returns a ``numpy.uint64`` array with ``out[i] ==
         self(int(keys[i]))`` for every lane.  Every step of the scalar

@@ -10,8 +10,6 @@ alternative (limited-independence polynomial hashing) lives in
 
 from __future__ import annotations
 
-from typing import Iterable
-
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -66,7 +64,7 @@ class SplitMix64:
         return splitmix64(splitmix64(key & _MASK64) ^ self._seed)
 
     def many_chunk(self, keys):
-        """Vectorised :meth:`many` over a numpy uint64 array.
+        """Vectorised :meth:`__call__` over a numpy uint64 array.
 
         ``keys`` is a ``numpy.uint64`` array; returns a ``numpy.uint64``
         array with ``out[i] == self(int(keys[i]))`` for every lane (the
@@ -81,28 +79,6 @@ class SplitMix64:
         return splitmix64_chunk(
             splitmix64_chunk(keys) ^ numpy.uint64(self._seed)
         )
-
-    def many(self, keys: Iterable[int]) -> list[int]:
-        """Hash a batch of keys; equals ``[self(k) for k in keys]``.
-
-        Both mixing rounds run in one loop with the constants held in
-        locals, amortising the per-call overhead over the batch.
-        """
-        mask = _MASK64
-        gamma = _GAMMA
-        seed = self._seed
-        out = []
-        append = out.append
-        for key in keys:
-            z = ((key & mask) + gamma) & mask
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-            z = ((z ^ (z >> 31)) ^ seed) & mask
-            z = (z + gamma) & mask
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-            append((z ^ (z >> 31)) & mask)
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SplitMix64(seed={self._seed:#x})"

@@ -10,16 +10,22 @@ hierarchy (Algorithm 3) promote points from level l to level l+1.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Protocol
+from typing import Protocol
 
 from repro.errors import ParameterError
 from repro.hashing.mix import SplitMix64
 
 
 class BaseHash(Protocol):
-    """Anything mapping an int key to a non-negative int hash value."""
+    """A seeded map from an int key to a non-negative int hash value.
+
+    ``many_chunk`` evaluates the same map over a numpy uint64 array.
+    """
 
     def __call__(self, key: int) -> int:  # pragma: no cover - protocol
+        ...
+
+    def many_chunk(self, keys):  # pragma: no cover - protocol
         ...
 
 
@@ -51,10 +57,10 @@ class SamplingHash:
     __slots__ = ("_base",)
 
     def __init__(self, base: BaseHash | None = None, *, seed: int = 0) -> None:
-        self._base: Callable[[int], int] = base if base is not None else SplitMix64(seed)
+        self._base: BaseHash = base if base is not None else SplitMix64(seed)
 
     @property
-    def base(self) -> Callable[[int], int]:
+    def base(self) -> BaseHash:
         """The underlying integer hash function."""
         return self._base
 
@@ -69,40 +75,16 @@ class SamplingHash:
         """Return the raw base-hash value of ``key``."""
         return self._base(key)
 
-    def value_many(self, keys: Iterable[int]) -> list[int]:
-        """Raw base-hash values of a batch of keys.
-
-        Delegates to the base hash's own batch evaluator when it has one
-        (:meth:`SplitMix64.many <repro.hashing.mix.SplitMix64.many>`,
-        :meth:`KWiseHash.many <repro.hashing.kwise.KWiseHash.many>`), which
-        amortises the per-call overhead; equals ``[self.value(k) for k in
-        keys]`` either way.
-        """
-        many = getattr(self._base, "many", None)
-        if many is not None:
-            return many(keys)
-        base = self._base
-        return [base(key) for key in keys]
-
     def value_chunk(self, keys):
         """Raw base-hash values of a numpy uint64 key array, as uint64.
 
-        The batch entry point used by the vectorised chunk geometry:
-        delegates to the base hash's vectorised evaluator when it has
-        one (:meth:`SplitMix64.many_chunk
+        The batch entry point of the vectorised chunk geometry: the base
+        hash's numpy evaluator (:meth:`SplitMix64.many_chunk
         <repro.hashing.mix.SplitMix64.many_chunk>`, :meth:`KWiseHash.many_chunk
-        <repro.hashing.kwise.KWiseHash.many_chunk>`), otherwise runs the
-        scalar batch evaluator and repacks - either way the values equal
-        ``[self.value(int(k)) for k in keys]``.  Requires numpy.
+        <repro.hashing.kwise.KWiseHash.many_chunk>`), whose values equal
+        ``[self.value(int(k)) for k in keys]``.
         """
-        many_chunk = getattr(self._base, "many_chunk", None)
-        if many_chunk is not None:
-            return many_chunk(keys)
-        import numpy
-
-        return numpy.array(
-            self.value_many(keys.tolist()), dtype=numpy.uint64
-        )
+        return self._base.many_chunk(keys)
 
     def residue(self, key: int, rate_denominator: int) -> int:
         """Return ``h(key) mod R`` (the paper's ``h_R(key)``)."""

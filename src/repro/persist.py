@@ -58,7 +58,7 @@ import json
 from typing import Any
 
 from repro.core import serialize
-from repro.core.infinite_window import RobustL0SamplerIW
+from repro.core.infinite_window import RobustL0SamplerIW, check_state_fields
 from repro.errors import CheckpointError
 
 #: Current envelope schema version.
@@ -251,6 +251,7 @@ def _legacy_sampler_from_state(state: dict[str, Any]) -> RobustL0SamplerIW:
     """Restore a version-1 checkpoint (flat, infinite-window only)."""
     import ast
 
+    check_state_fields(state)
     config = serialize.config_from_state(state["config"])
     policy_state = state["policy"]
     sampler = RobustL0SamplerIW(

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.errors import DimensionMismatchError, ParameterError
 from repro.geometry.adjacency import (
     adjacent_cells,
-    any_adjacent_cell,
     brute_force_adjacent_cells,
     collect_adjacent,
 )
@@ -169,13 +168,6 @@ class TestAdjacency:
     def test_matches_brute_force_property(self, coords, radius, seed):
         grid = Grid(side=1.1, dim=len(coords), rng=random.Random(seed))
         self._check_against_brute_force(grid, tuple(coords), radius)
-
-    def test_any_adjacent_short_circuit(self):
-        grid = Grid(side=1.0, dim=2, offset=(0.0, 0.0))
-        p = (0.5, 0.5)
-        target = grid.cell_id(grid.cell_of(p))
-        assert any_adjacent_cell(grid, p, 0.4, lambda cid: cid == target)
-        assert not any_adjacent_cell(grid, p, 0.4, lambda cid: False)
 
     def test_all_cells_within_radius(self):
         rng = random.Random(9)

@@ -37,7 +37,6 @@ from repro.geometry.adjacency import (
 from repro.geometry.grid import Grid
 from repro.hashing.kwise import MERSENNE_P, KWiseHash
 from repro.hashing.mix import SplitMix64, splitmix64
-from repro.hashing.sampling import SamplingHash
 from repro.streams.point import StreamPoint
 
 MASK64 = (1 << 64) - 1
@@ -134,14 +133,14 @@ class TestHashKernels:
         ids = kernels.cell_ids_chunk(np.array(cells, dtype=np.int64))
         assert ids.tolist() == [grid.cell_id(c) for c in cells]
 
-    def test_splitmix_many_chunk_matches_many(self):
+    def test_splitmix_many_chunk_matches_scalar(self):
         base = SplitMix64(seed=99)
         keys = [random.Random(4).randrange(1 << 64) for _ in range(256)]
         arr = base.many_chunk(np.array(keys, dtype=np.uint64))
-        assert arr.tolist() == base.many(keys)
+        assert arr.tolist() == [base(k) for k in keys]
 
     @pytest.mark.parametrize("k", [2, 20, 32])
-    def test_kwise_many_chunk_matches_many(self, k):
+    def test_kwise_many_chunk_matches_scalar(self, k):
         p = MERSENNE_P
         rng = random.Random(k)
         edges = [0, p - 1, p, p + 1, 1 << 61, MASK64]
@@ -150,7 +149,7 @@ class TestHashKernels:
             base = KWiseHash(k=k, seed=seed)
             out = base.many_chunk(np.array(keys, dtype=np.uint64))
             assert out.dtype == np.uint64
-            assert out.tolist() == base.many(keys)
+            assert out.tolist() == [base(key) for key in keys]
 
     def test_kwise_many_chunk_extreme_coefficients(self):
         # All coefficients p - 1: every Horner step carries the largest
@@ -159,21 +158,7 @@ class TestHashKernels:
         base = KWiseHash.from_coefficients((p - 1, p - 1, p - 1))
         keys = [0, 1, 2, p - 1, p + 1, MASK64] + list(range(3, 500))
         out = base.many_chunk(np.array(keys, dtype=np.uint64))
-        assert out.tolist() == base.many(keys)
-
-    def test_sampling_hash_value_chunk_dispatch(self):
-        # SplitMix64 and KWise bases: vectorised; any other base: the
-        # scalar fallback.
-        keys = list(range(100)) + [MASK64, 1 << 63]
-        array = np.array(keys, dtype=np.uint64)
-        for sampling in (
-            SamplingHash(seed=5),
-            SamplingHash(KWiseHash(k=4, seed=5)),
-            SamplingHash(lambda key: (key * 0x9E3779B1) & MASK64),
-        ):
-            assert sampling.value_chunk(array).tolist() == (
-                sampling.value_many(keys)
-            )
+        assert out.tolist() == [base(key) for key in keys]
 
 
 class TestCellKernels:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
-from repro.hashing.kwise import MERSENNE_P, KWiseHash, _mod_mersenne
+from repro.hashing.kwise import MERSENNE_P, KWiseHash
 from repro.hashing.mix import SplitMix64, splitmix64
 from repro.hashing.sampling import SamplingHash
 
@@ -67,9 +67,21 @@ class TestKWiseHash:
         for key in (0, 1, MERSENNE_P - 1, MERSENNE_P, 2**64):
             assert 0 <= h(key) < MERSENNE_P
 
-    def test_mod_mersenne_matches_builtin(self):
-        for value in (0, 1, MERSENNE_P, MERSENNE_P + 5, (MERSENNE_P - 1) ** 2):
-            assert _mod_mersenne(value) == value % MERSENNE_P
+    @pytest.mark.parametrize("k", [2, 4, 20])
+    def test_matches_big_int_horner(self, k):
+        # The division-free Mersenne fold against plain big-int Horner
+        # evaluation, including keys at and beyond p.
+        p = MERSENNE_P
+        rng = random.Random(k)
+        keys = [0, 1, p - 1, p, p + 1, 2 * p, 1 << 61, 2**64 - 1, 2**80]
+        keys += [rng.randrange(2**64) for _ in range(500)]
+        extreme = KWiseHash.from_coefficients((p - 1,) * k)
+        for h in (KWiseHash(k=k, seed=k), extreme):
+            for key in keys:
+                acc = 0
+                for coefficient in h.coefficients:
+                    acc = (acc * key + coefficient) % p
+                assert h(key) == acc
 
     def test_pairwise_independence_statistics(self):
         # For random seeds, Pr[h(a) mod 2 == h(b) mod 2] should be ~1/2.

@@ -28,12 +28,14 @@ import json
 import pathlib
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.base import CandidateRecord, SamplerConfig
 from repro.core.infinite_window import RobustL0SamplerIW, merge_columns
 from repro.engine.equivalence import state_fingerprint
+from repro.errors import CheckpointError
 from repro.persist import dumps_summary, loads_summary
 from repro.streams.point import StreamPoint
 
@@ -278,3 +280,32 @@ def test_v2_pipeline_fixture_merges_identically():
     assert state_fingerprint(
         loads_summary(FIXTURE.read_bytes()).merge()
     ) == state_fingerprint(object_merge(*shards))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("rate_denominator", 3),
+        ("rate_denominator", 0),
+        ("rate_denominator", "8"),
+        ("rate_denominator", True),
+        ("points_seen", -5),
+        ("points_seen", 2.0),
+        ("peak_space_words", None),
+        ("track_members", "no"),
+    ],
+)
+def test_shipped_state_with_invalid_field_fails_typed(field, value):
+    """A shipped state is checked like a restored one: a rate that is not
+    a power of two (its doublings would break nesting), a negative or
+    non-int count or a non-bool flag raises CheckpointError naming it."""
+    sampler = RobustL0SamplerIW(ALPHA, 2, seed=5)
+    sampler.process_many([(float(i), 0.0) for i in range(50)])
+    state = json.loads(json.dumps(sampler.to_state()))
+    state[field] = value
+    for restore in (
+        lambda: RobustL0SamplerIW.merge_input_from_state(state, 2),
+        lambda: RobustL0SamplerIW.from_state(state),
+    ):
+        with pytest.raises(CheckpointError, match=field):
+            restore()

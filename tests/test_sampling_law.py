@@ -22,11 +22,13 @@ window: 300 points that have all expired, then a 300-point window of 24
 skewed groups.  With ``kappa0=0.5`` the deepest active level reaches 2
 or more in most runs, so Split, Merge, eviction and the rate-unified
 query pool all shape the sample.  Even runs feed ``insert`` and odd
-runs chunked ``process_many``.  The same law is checked under a time
-window: the same two phases on bursty, irregular timestamps (ties
-included), with a ``window_capacity`` the densest window fills to
-83-94%, and every run alternating ``insert`` with chunked
-``process_many``.  Seeds are fixed, so the verdicts are deterministic.
+runs chunked ``process_many``.  A second set of runs puts each summary
+through a v3 checkpoint (``dumps_summary``/``loads_summary``) between
+the expired prefix and the live window, and continues on the restored
+one.  The same law is checked under a time window: the same two
+phases on bursty, irregular timestamps (ties included), with a
+``window_capacity`` the densest window fills to 83-94%, and every run
+alternating ``insert`` with chunked ``process_many``.  Seeds are fixed, so the verdicts are deterministic.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from repro.core.infinite_window import RobustL0SamplerIW
 from repro.core.sliding_window import RobustL0SamplerSW
 from repro.engine.pipeline import BatchPipeline
 from repro.metrics.accuracy import chi_square_uniformity
+from repro.persist import dumps_summary, loads_summary
 from repro.streams.point import StreamPoint
 from repro.streams.windows import SequenceWindow, TimeWindow
 
@@ -180,18 +183,26 @@ def windowed_stream(rng: random.Random) -> list[tuple[float, float]]:
     return expired + live
 
 
-def test_sliding_window_groups_sampled_uniformly_at_depth():
+def sliding_window_law(seed_base: int, restore: bool) -> None:
+    """Run the sequence-window law; with ``restore`` every run goes
+    through a v3 checkpoint between the expired prefix and the live
+    window and continues on the restored summary."""
     counts = [0] * (2 * LIVE_GROUPS)
     depths = []
     for run in range(SLIDING_RUNS):
-        seed = 11000 + run
+        seed = seed_base + run
         rng = random.Random(seed)
         points = windowed_stream(rng)
         sampler = RobustL0SamplerSW(
             1.0, 2, SequenceWindow(WINDOW), seed=seed, kappa0=0.5
         )
         feed = feed_chunks if run % 2 else feed_insert
-        feed(sampler, points, rng)
+        if restore:
+            feed(sampler, points[:WINDOW], rng)
+            sampler = loads_summary(dumps_summary(sampler))
+            feed(sampler, points[WINDOW:], rng)
+        else:
+            feed(sampler, points, rng)
         depths.append(sampler.deepest_active_level())
         counts[group_of(sampler.sample(random.Random(seed ^ 0x2)).vector)] += 1
     for parity in (0, 1):
@@ -201,6 +212,14 @@ def test_sliding_window_groups_sampled_uniformly_at_depth():
     assert sum(counts[LIVE_GROUPS:]) == 0, counts
     _, p_value = chi_square_uniformity(counts[:LIVE_GROUPS])
     assert p_value > 0.01, counts
+
+
+def test_sliding_window_groups_sampled_uniformly_at_depth():
+    sliding_window_law(11000, restore=False)
+
+
+def test_sliding_window_restored_mid_stream_samples_uniformly_at_depth():
+    sliding_window_law(13000, restore=True)
 
 
 DURATION = 100.0

@@ -300,9 +300,27 @@ class TestTenantStore:
             envelope.clear()
             envelope.update(version=1, format="repro/summary")
 
+        def set_field(field, value):
+            def corrupt(envelope):
+                envelope["state"][field] = value
+
+            return corrupt
+
         corruptions = [grow_n, v2_record, v1_without_fields]
         if key == "l0-sliding":
             corruptions.append(drop_max_level)
+        else:
+            # Without a field check each of these restores: rate 3 then
+            # doubles through 6, 12, ... (sampling no longer nested), and
+            # the others fail at the next ingest with an untyped error.
+            corruptions += [
+                set_field("rate_denominator", 3),
+                set_field("rate_denominator", 0),
+                set_field("rate_denominator", "8"),
+                set_field("points_seen", -5),
+                set_field("peak_space_words", None),
+                set_field("track_members", "no"),
+            ]
 
         async def scenario(corrupt_envelope):
             store = TenantStore(service_spec(key, capacity=8))
