@@ -17,7 +17,8 @@ tracked trajectory).  The infinite-window, sliding and geometry sections
 each run 5 per-point/batch pairs (3 in --smoke), alternating which side
 goes first, and gate the median of the per-pair ratios; the record keeps
 that median as ``speedup`` and its interquartile range as
-``speedup_iqr``:
+``speedup_iqr``.  The pipeline section times serial/process pairs the
+same way, per worker count:
 
 * infinite window: batch/per-point >= 1.7x.  The floor was 3x before the
   shared-store/incremental-space PR, whose optimisations (memoised
@@ -37,9 +38,10 @@ that median as ``speedup`` and its interquartile range as
   and the state ship all serialise onto the single core and exact
   parity is physically out of reach (measured ~0.97x; the seed
   regression this gate exists for was 0.91x at 1 worker and 0.40x at
-  4).  Pipeline configurations are timed over ``--pipeline-repeats``
-  interleaved rounds with the best rate winning, which is what makes
-  the ratio stable on shared/1-core boxes.
+  4).  Each worker count runs ``--pipeline-repeats`` serial/process
+  pairs (3 in --smoke), each pair back to back with the first side
+  alternating, and the gate reads the median per-pair ratio: a host
+  that changes speed between pairs moves both sides of a pair alike.
 * pipeline, process executor at 4 workers: >= 1.5x *wall-clock* over
   the serial executor on the infinite-window workload.  This is the one
   gate that needs real cores: it is enforced in full mode only when
@@ -167,7 +169,7 @@ def bench_pairs(make_sampler, points, batch_size: int, pairs: int) -> dict:
     median ratio is what the floors gate: one slow timing moves one
     pair, not the verdict.
     """
-    per_rates, batch_rates, ratios = [], [], []
+    per_rates, batch_rates = [], []
     for index in range(pairs):
         per, batch = make_sampler(), make_sampler()
         if index % 2 == 0:
@@ -181,15 +183,20 @@ def bench_pairs(make_sampler, points, batch_size: int, pairs: int) -> dict:
         )
         per_rates.append(_rate(len(points), per_seconds))
         batch_rates.append(_rate(len(points), batch_seconds))
-        ratios.append(batch_rates[-1] / per_rates[-1])
-    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
     return {
         "pairs": pairs,
         "per_point_pts_per_sec": round(statistics.median(per_rates)),
         "batch_pts_per_sec": round(statistics.median(batch_rates)),
-        "speedup": round(median, 3),
-        "speedup_iqr": round(q3 - q1, 3),
+        **ratio_summary(per_rates, batch_rates),
     }
+
+
+def ratio_summary(base_rates, rates) -> dict:
+    """The median and interquartile range of the per-pair ratios
+    ``rates[i] / base_rates[i]`` (``speedup`` / ``speedup_iqr``)."""
+    ratios = [rate / base for base, rate in zip(base_rates, rates)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    return {"speedup": round(median, 3), "speedup_iqr": round(q3 - q1, 3)}
 
 
 def infinite_sampler(points, seed: int):
@@ -326,7 +333,7 @@ def write_record(path: Path, record: dict) -> None:
 
 def bench_pipeline_scaling(
     points, batch_size: int, seed: int, shards: int, workers_list,
-    repeats: int = 1,
+    pairs: int = 3,
 ):
     """Wall-clock pipeline scaling: serial executor vs process workers.
 
@@ -338,22 +345,24 @@ def bench_pipeline_scaling(
     for every configuration: the bench measures steady-state ingestion,
     not one-time process launch.
 
-    With ``repeats`` > 1 every configuration is timed that many times,
-    rounds interleaved (every configuration once per round, order
-    alternating between rounds so in-round clock drift cannot
-    systematically favour one side) and the best rate per configuration
-    wins - the minimum-of-N estimator a shared or 1-core box needs for
-    a stable speedup ratio.  Immediately before each timed region the
+    Every worker count is timed as ``pairs`` serial/process pairs, as
+    :func:`bench_pairs` times per-point/batch: each pair runs its two
+    sides back to back, even pairs serial first and odd pairs process
+    first, so a host that changes speed between pairs moves both sides
+    of a pair alike.  Rounds interleave the worker counts (one pair of
+    each per round).  Immediately before each timed region the
     accumulated heap (input streams, earlier regions' leftovers) is
     collected and ``gc.freeze``-exempted from collection, off the
     clock, so in-region GC work - which stays ENABLED: real
     deployments run with it - is proportional to the region's own
     allocations instead of quasi-randomly re-traversing whatever the
     harness happened to retain.  Returns
-    ``(serial_rate, process_rates, transport_stats)`` where
-    ``transport_stats[workers]`` is the executor's transport/scheduling
-    counter snapshot (:meth:`repro.engine.executors.ShardExecutor.stats`)
-    from that configuration's fastest run.
+    ``(serial_rate, process, transport_stats)``: the serial executor's
+    median rate; per worker count, the process executor's median rate
+    and :func:`ratio_summary` of its pairs; and per worker count, the
+    executor's transport/scheduling counter snapshot
+    (:meth:`repro.engine.executors.ShardExecutor.stats`) from that
+    configuration's fastest run.
     """
     from repro.api.specs import PipelineSpec
 
@@ -368,21 +377,21 @@ def bench_pipeline_scaling(
             num_workers=workers,
         )
 
-    serial_rate = 0.0
     reference = None
-    process_rates: dict[int, float] = {}
     transport_stats: dict[int, dict] = {}
+    fastest: dict[int, float] = {}
+
     def time_serial():
-        nonlocal serial_rate, reference
+        nonlocal reference
         serial = BatchPipeline(spec=spec("serial"))
         serial._ensure_executor()  # startup outside the timed region
         settle_heap()
         start = time.perf_counter()
         serial.extend(points)
         elapsed = time.perf_counter() - start
-        serial_rate = max(serial_rate, _rate(len(points), elapsed))
         if reference is None:
             reference = state_fingerprint(serial)
+        return _rate(len(points), elapsed)
 
     def time_process(workers):
         pipeline = BatchPipeline(spec=spec("process", workers))
@@ -401,28 +410,38 @@ def bench_pipeline_scaling(
         finally:
             pipeline.close()
         rate = _rate(len(points), elapsed)
-        if rate > process_rates.get(workers, 0.0):
-            process_rates[workers] = rate
+        if rate > fastest.get(workers, 0.0):
+            fastest[workers] = rate
             transport_stats[workers] = stats
+        return rate
 
+    # Pair 0 runs serial first: the reference fingerprint exists before
+    # any process run is checked against it.
+    serial_rates: dict[int, list[float]] = {w: [] for w in workers_list}
+    process_rates: dict[int, list[float]] = {w: [] for w in workers_list}
     try:
-        for round_index in range(max(1, repeats)):
-            # Alternate the in-round order: clock-frequency drift
-            # (thermal throttling, turbo decay) is roughly monotone
-            # within a round, so a fixed serial-first order would
-            # systematically favour one side of the speedup ratio.
-            if round_index % 2 == 0:
-                time_serial()
-                for workers in workers_list:
-                    time_process(workers)
-            else:
-                for workers in workers_list:
-                    time_process(workers)
-                time_serial()
+        for index in range(pairs):
+            for workers in workers_list:
+                if index % 2 == 0:
+                    serial_rates[workers].append(time_serial())
+                    process_rates[workers].append(time_process(workers))
+                else:
+                    process_rates[workers].append(time_process(workers))
+                    serial_rates[workers].append(time_serial())
     finally:
         gc.unfreeze()
         gc.collect()
-    return serial_rate, process_rates, transport_stats
+    process = {
+        workers: {
+            "pts_per_sec": statistics.median(process_rates[workers]),
+            **ratio_summary(serial_rates[workers], process_rates[workers]),
+        }
+        for workers in workers_list
+    }
+    serial_rate = statistics.median(
+        rate for rates in serial_rates.values() for rate in rates
+    )
+    return serial_rate, process, transport_stats
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -509,8 +528,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--pipeline-repeats", type=int, default=5,
-        help="interleaved timing rounds per pipeline configuration in "
-        "full mode (best rate wins; --smoke always runs one round)",
+        help="serial/process pairs per worker count in full mode (the "
+        "gates read the median per-pair ratio; --smoke runs 3 pairs)",
     )
     parser.add_argument(
         "--pipeline-points", type=int, default=250_000,
@@ -647,22 +666,22 @@ def main(argv: list[str] | None = None) -> int:
         workers_list = sorted(
             {w for w in (1, 2, gate_workers) if w <= args.shards}
         )
-    pipeline_repeats = 1 if args.smoke else max(1, args.pipeline_repeats)
+    pipeline_pairs = pairs if args.smoke else max(2, args.pipeline_repeats)
     scaling_n = n if args.smoke else max(n, args.pipeline_points)
     scaling_points = (
         points
         if scaling_n == n
         else make_stream(scaling_n, groups, args.dim, args.seed)
     )
-    serial_rate, process_rates, transport_stats = bench_pipeline_scaling(
+    serial_rate, process, transport_stats = bench_pipeline_scaling(
         scaling_points, args.batch_size, args.seed, args.shards,
-        workers_list, repeats=pipeline_repeats,
+        workers_list, pairs=pipeline_pairs,
     )
     print(
         f"pipeline executor=serial n={scaling_n}  {args.shards} shards "
         f"{serial_rate:12,.0f} pts/s   (baseline)"
     )
-    for workers, rate in process_rates.items():
+    for workers, result in process.items():
         stats = transport_stats.get(workers) or {}
         chunks = stats.get("chunks") or 0
         overhead_us = (
@@ -670,7 +689,9 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(
             f"pipeline executor=process n={scaling_n} {workers} workers "
-            f"{rate:11,.0f} pts/s   speedup {rate / serial_rate:5.2f}x   "
+            f"{result['pts_per_sec']:11,.0f} pts/s   speedup "
+            f"{result['speedup']:5.2f}x  IQR {result['speedup_iqr']:.2f}x "
+            f"({pipeline_pairs} pairs)   "
             f"{overhead_us:6.1f} us/chunk submit-side"
         )
     pipeline_record = {
@@ -680,18 +701,18 @@ def main(argv: list[str] | None = None) -> int:
         "batch_size": args.batch_size,
         "num_shards": args.shards,
         "cpu_count": cpu_count,
-        "repeats": pipeline_repeats,
+        "pairs": pipeline_pairs,
         "serial_pts_per_sec": round(serial_rate),
         "process": {
             str(workers): {
-                "pts_per_sec": round(rate),
-                "speedup": round(rate / serial_rate, 3),
+                **result,
+                "pts_per_sec": round(result["pts_per_sec"]),
                 "transport": _transport_record(transport_stats.get(workers)),
             }
-            for workers, rate in process_rates.items()
+            for workers, result in process.items()
         },
     }
-    if not args.smoke and 1 in process_rates:
+    if not args.smoke and 1 in process:
         # The parallel-no-slower-than-serial contract: gated on every
         # machine.  A 1-worker pipeline is TWO processes (submitter +
         # worker); with a second core the transport work overlaps
@@ -711,11 +732,11 @@ def main(argv: list[str] | None = None) -> int:
             )
         gate(
             "pipeline (process, 1 worker)",
-            process_rates[1] / serial_rate,
+            process[1]["speedup"],
             floor_1w,
         )
-    if not args.smoke and gate_workers in process_rates:
-        pipeline_speedup = process_rates[gate_workers] / serial_rate
+    if not args.smoke and gate_workers in process:
+        pipeline_speedup = process[gate_workers]["speedup"]
         if cpu_count >= gate_workers:
             gate(
                 f"pipeline (process, {gate_workers} workers)",

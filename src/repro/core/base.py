@@ -10,7 +10,9 @@ looked up by proximity when new points arrive.  This module provides:
   by a sampler (and across the levels of the sliding-window hierarchy),
 * :class:`CandidateRecord` - one tracked group,
 * :class:`CandidateStore` - the accept/reject sets with hash-bucketed
-  proximity search.
+  proximity search,
+* :func:`eviction_heap` / :func:`evict_expired` - the sliding samplers'
+  lazy eviction heap.
 
 Proximity search exploits the geometry: a stored representative ``u`` can
 satisfy ``d(u, p) <= alpha`` only if ``cell(p)`` is within distance
@@ -29,11 +31,12 @@ rate from their cached hash values alone.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +48,7 @@ from repro.geometry.kernels import COORD_LIMIT
 from repro.hashing.kwise import KWiseHash
 from repro.hashing.sampling import SamplingHash
 from repro.streams.point import StreamPoint
+from repro.streams.windows import WindowSpec
 
 #: Default threshold constant kappa_0 (Line 10 of Algorithm 1).  The paper
 #: only requires "a large enough constant": Lemma 2.5 needs kappa_0 >= 2
@@ -379,11 +383,12 @@ class CandidateRecord:
     #: Cached ``max_v tz(v)`` over ``adj_hashes`` (-1 = not yet computed;
     #: see :meth:`survival_exponent`).  Derived state - never serialised.
     adj_tz: int = -1
-    #: Tiebreak of the record's freshest entry in its sampler's lazy
-    #: eviction heap (-1 = never pushed, removed from its store, or a
-    #: detached restore stand-in): a heap entry is current iff its
-    #: tiebreak equals this.  Derived state - never serialised.
-    tb: int = -1
+    #: True while a :class:`CandidateStore` holds the record (set by
+    #: :meth:`CandidateStore.add`, cleared by
+    #: :meth:`CandidateStore.remove`): the sliding samplers' eviction
+    #: sweeps pop a removed record's heap entry on this one read.
+    #: Derived state - never serialised.
+    stored: bool = False
     #: The record's :meth:`CandidateStore.record_words` footprint, kept
     #: exact by :meth:`CandidateStore.add` and the relinks.  Derived
     #: state - never serialised.
@@ -452,15 +457,12 @@ class CandidateStore:
     ordered list would give - and removing the head promotes
     ``_overflow[h][0]``.  :meth:`check_index_integrity` is the oracle.
 
-    Heap currency and footprints (the hot path)
-    -------------------------------------------
-    Two derived fields on each record serve the sliding samplers' lazy
-    eviction heaps.  ``record.tb`` is the tiebreak of the record's
-    freshest heap entry: every push stamps it, so an entry is stale iff
-    ``record.tb != entry_tb`` - one attribute read and one int compare.
-    Soundness: tiebreaks come from a strictly increasing counter, every
-    relink of a record is followed by a push with a fresh tiebreak, and
-    :meth:`remove` resets ``tb`` to -1, which matches no entry.
+    Heap membership and footprints (the hot path)
+    ---------------------------------------------
+    Two derived fields on each record serve the sliding samplers.
+    ``record.stored`` is True from :meth:`add` until :meth:`remove`, so
+    an eviction sweep (:func:`evict_expired`) tells a removed record's
+    leftover heap entry apart with one attribute read.
     ``record.words`` is the record's :meth:`record_words` footprint,
     kept exact by :meth:`add` and the relinks, so moving or dropping a
     record is counter arithmetic.  :meth:`check_words_integrity` is the
@@ -581,6 +583,7 @@ class CandidateStore:
                 f"representative with index {key} already stored"
             )
         self._records[key] = record
+        record.stored = True
         buckets = self._buckets
         overflow = self._overflow
         # No dedup: a cell-id collision (CPython hashes -1 and -2 alike,
@@ -604,7 +607,7 @@ class CandidateStore:
             self._member_words += len(record.representative.vector) + 2
 
     def remove(self, record: CandidateRecord) -> None:
-        """Remove a candidate record (its heap entries turn stale)."""
+        """Remove a candidate record (its heap entry turns stale)."""
         key = record.representative.index
         del self._records[key]
         buckets = self._buckets
@@ -626,7 +629,7 @@ class CandidateStore:
         self._base_words -= record.words
         if record.member is not None:
             self._member_words -= len(record.representative.vector) + 2
-        record.tb = -1
+        record.stored = False
 
     def relink_last(self, record: CandidateRecord, new_last: StreamPoint) -> None:
         """Set ``record.last`` keeping the incremental footprint exact.
@@ -737,6 +740,81 @@ class CandidateStore:
                 words += dim + 2
             total += words
         return total
+
+
+# --------------------------------------------------------------------- #
+# the sliding samplers' lazy eviction heap
+# --------------------------------------------------------------------- #
+#
+# A sliding sampler (Algorithm 2's fixed-rate level, Algorithm 3's
+# hierarchy) keeps one min-heap entry per record it founded:
+# ``(key, last index, representative index, record)``, pushed once, at
+# the founding.  The key is at most ``expiry_key(record.last)``: an
+# update moves ``record.last`` forward and pushes nothing, so the entry
+# lags until a sweep meets it at the top and re-keys it in place.  The
+# first three fields are unique across entries (a representative founds
+# one record), so comparisons never reach the record.  A removed
+# record's entry stays until it reaches the top, where ``record.stored``
+# reads False and the sweep pops it.  The heap is derived state: a
+# restore rebuilds it from the records (:func:`eviction_heap`).
+
+#: One lazy eviction-heap entry (see above).
+HeapEntry = tuple[float, int, int, CandidateRecord]
+
+
+def eviction_heap(
+    records: Iterable[CandidateRecord], window: WindowSpec
+) -> list[HeapEntry]:
+    """A restored sampler's eviction heap: one current entry per record."""
+    expiry_key = window.expiry_key
+    heap = [
+        (
+            expiry_key(record.last),
+            record.last.index,
+            record.representative.index,
+            record,
+        )
+        for record in records
+    ]
+    heapq.heapify(heap)
+    return heap
+
+
+def evict_expired(
+    heap: list[HeapEntry],
+    window: WindowSpec,
+    latest: StreamPoint,
+    remove: Callable[[CandidateRecord], None],
+) -> None:
+    """Remove every record whose last point expired at ``latest``.
+
+    The window's ``eviction_cutoff`` pre-filters by heap key - the
+    common nothing-expires case costs one float comparison.  At the
+    top, a removed record's entry is popped, a lagging key is re-keyed
+    to the record's current last point, and the authoritative
+    ``in_window`` test decides the rest; ``remove`` drops an expired
+    record from its sampler.
+    """
+    if not heap:
+        return
+    expiry_key = window.expiry_key
+    cutoff = window.eviction_cutoff(latest)
+    while heap:
+        key, _, rep_index, record = heap[0]
+        if key > cutoff:
+            break
+        if not record.stored:
+            heapq.heappop(heap)
+            continue
+        last = record.last
+        last_key = expiry_key(last)
+        if key < last_key:
+            heapq.heapreplace(heap, (last_key, last.index, rep_index, record))
+            continue
+        if window.in_window(last, latest):
+            break
+        heapq.heappop(heap)
+        remove(record)
 
 
 def invalid_point(

@@ -21,16 +21,18 @@ lands in the accept set with probability 1/R.
 from __future__ import annotations
 
 import heapq
-import itertools
 import random
 from typing import Iterator
 
 from repro.core.base import (
     CandidateRecord,
     CandidateStore,
+    HeapEntry,
     SamplerConfig,
     StreamSampler,
     check_vector,
+    evict_expired,
+    eviction_heap,
     invalid_point,
 )
 from repro.core.reservoir import WindowReservoir
@@ -78,9 +80,7 @@ class FixedRateSlidingSampler(StreamSampler):
         self._window = window
         self._track_members = track_members
         self._store = CandidateStore(config)
-        # Lazy eviction heap over (expiry key, tiebreak, record, last-ref).
-        self._heap: list[tuple[float, int, CandidateRecord, StreamPoint]] = []
-        self._tiebreak = itertools.count()
+        self._heap: list[HeapEntry] = []
         self._reservoirs: dict[int, WindowReservoir] = {}
         self._member_rng = random.Random(member_seed)
 
@@ -130,48 +130,21 @@ class FixedRateSlidingSampler(StreamSampler):
     # streaming
     # ------------------------------------------------------------------ #
 
-    def _push_heap(self, record: CandidateRecord) -> None:
-        # Stamp the record with the entry's tiebreak (see
-        # CandidateStore): eviction then detects stale entries with one
-        # attribute read + int compare.
-        tiebreak = record.tb = next(self._tiebreak)
-        heapq.heappush(
-            self._heap,
-            (
-                self._window.expiry_key(record.last),
-                tiebreak,
-                record,
-                record.last,
-            ),
-        )
-
     def evict(self, latest: StreamPoint) -> None:
         """Drop groups whose last point expired (Lines 1-3 of Algorithm 2).
 
-        Stale heap entries (the record was updated or already removed -
-        detected in O(1) by the entry tiebreak no longer equalling its
-        record's ``tb``) are discarded lazily; amortised
-        O(log n) per tracked update.  The window's
+        One lazy heap entry per record
+        (:func:`~repro.core.base.evict_expired`): the window's
         :meth:`~repro.streams.windows.WindowSpec.eviction_cutoff`
-        pre-filters live entries by their heap key, so the common
-        nothing-expires case costs one comparison past the stale check.
+        pre-filters by heap key, so the common nothing-expires case
+        costs one comparison.
         """
-        heap = self._heap
-        if not heap:
-            return
-        store = self._store
-        window = self._window
-        cutoff = window.eviction_cutoff(latest)
-        while heap:
-            key, tiebreak, record, _ = heap[0]
-            if record.tb != tiebreak:
-                heapq.heappop(heap)
-                continue
-            if key > cutoff or window.in_window(record.last, latest):
-                break
-            heapq.heappop(heap)
-            store.remove(record)
-            self._reservoirs.pop(record.representative.index, None)
+        evict_expired(self._heap, self._window, latest, self._remove)
+
+    def _remove(self, record: CandidateRecord) -> None:
+        """Drop an expired record and its member reservoir."""
+        self._store.remove(record)
+        self._reservoirs.pop(record.representative.index, None)
 
     def insert(self, point: StreamPoint) -> None:
         """Process an arriving point.
@@ -189,7 +162,6 @@ class FixedRateSlidingSampler(StreamSampler):
         if record is not None:
             self._store.relink_last(record, point)
             record.count += 1
-            self._push_heap(record)
             if self._track_members:
                 self._reservoir_for(record).offer(point, self._member_rng)
             return
@@ -212,7 +184,10 @@ class FixedRateSlidingSampler(StreamSampler):
             last=point,
         )
         self._store.add(record)
-        self._push_heap(record)
+        heapq.heappush(
+            self._heap,
+            (self._window.expiry_key(point), point.index, point.index, record),
+        )
         if self._track_members:
             self._reservoir_for(record).offer(point, self._member_rng)
 
@@ -289,12 +264,12 @@ class FixedRateSlidingSampler(StreamSampler):
 
         The state is the level's *replayable window contents*: every
         candidate record (representative + most recent in-window point +
-        per-group reservoir of window members) plus the lazy eviction
-        heap **verbatim** - stale entries, tiebreak counter position and
-        all - so a restored level evicts, updates and samples exactly as
-        the original would on the remainder of the stream.
+        per-group reservoir of window members), so a restored level
+        evicts, updates and samples exactly as the original would on the
+        remainder of the stream.  The lazy eviction heap is derived from
+        the records and not written.
 
-        Records, heap and reservoirs are packed columns
+        Records and reservoirs are packed columns
         (:mod:`repro.core.serialize`).
 
         The shared :class:`~repro.core.base.SamplerConfig` and window are
@@ -303,22 +278,14 @@ class FixedRateSlidingSampler(StreamSampler):
         """
         from repro.core import serialize
 
-        store = self._store
         dim = self._config.dim
         records = sorted(
-            store.records(), key=lambda r: r.representative.index
+            self._store.records(), key=lambda r: r.representative.index
         )
-        # Read the tiebreak position without perturbing the sequence: the
-        # counter object is consumed by one peek and replaced by an equal
-        # continuation (fingerprints never include the object itself).
-        position = next(self._tiebreak)
-        self._tiebreak = itertools.count(position)
         state = {
             "rate_denominator": self._rate,
             "track_members": self._track_members,
-            "next_tiebreak": position,
             "records": serialize.records_to_columns(records, dim),
-            "heap": serialize.heap_to_columns(self._heap, store, dim),
             "reservoirs": serialize.reservoirs_to_columns(
                 [
                     (key, self._reservoirs[key]._entries)
@@ -345,7 +312,10 @@ class FixedRateSlidingSampler(StreamSampler):
 
         ``config`` and ``window`` come from the owning hierarchy (every
         level of one hierarchy must share them - sampling decisions have
-        to nest across rates, expiry must be judged consistently).
+        to nest across rates, expiry must be judged consistently).  The
+        lazy eviction heap is rebuilt from the records
+        (:func:`~repro.core.base.eviction_heap`); a heap saved by an
+        older writer is ignored.
         """
         from repro.core import serialize
 
@@ -357,14 +327,11 @@ class FixedRateSlidingSampler(StreamSampler):
         )
         if "member_rng" in state:
             sampler._member_rng = serialize.rng_from_state(state["member_rng"])
-        sampler._tiebreak = itertools.count(state["next_tiebreak"])
         for record in serialize.records_from_columns(
             state["records"], config.dim
         ):
             sampler._store.add(record)
-        sampler._heap = serialize.heap_from_columns(
-            state["heap"], sampler._store, config.dim
-        )
+        sampler._heap = eviction_heap(sampler._store.records(), window)
         for key, entries in serialize.reservoirs_from_columns(
             state["reservoirs"], config.dim
         ):

@@ -421,6 +421,8 @@ class RobustHeavyHitters(StreamSampler):
         """Restore a heavy-hitter summary from :meth:`to_state` output."""
         from repro.core import serialize
 
+        serialize.check_int_fields(state, 0, "points_seen")
+        serialize.check_int_fields(state, 1, "capacity")
         config = serialize.config_from_state(state["config"])
         summary = cls(
             config.alpha,

@@ -606,19 +606,15 @@ def check_state_fields(state: dict[str, Any]) -> None:
     missing field raises ``KeyError``, which the restore paths report as
     a malformed checkpoint.
     """
+    from repro.core import serialize
+
     rate = state["rate_denominator"]
     if type(rate) is not int or rate < 1 or rate & (rate - 1):
         raise CheckpointError(
             f"sampler state field 'rate_denominator' must be a power of "
             f"two >= 1, got {rate!r}"
         )
-    for field in ("points_seen", "peak_space_words"):
-        value = state[field]
-        if type(value) is not int or value < 0:
-            raise CheckpointError(
-                f"sampler state field {field!r} must be an int >= 0, "
-                f"got {value!r}"
-            )
+    serialize.check_int_fields(state, 0, "points_seen", "peak_space_words")
     if type(state["track_members"]) is not bool:
         raise CheckpointError(
             "sampler state field 'track_members' must be a bool, got "

@@ -4,8 +4,11 @@ Every summary implements ``to_state()`` / ``from_state(state)`` (the
 :class:`repro.api.Summary` protocol); the states are plain
 JSON-compatible trees.  This module holds the codecs the summaries share
 - points, RNG states, grid/hash configurations, candidate records,
-threshold policies and window specifications - so each summary's state
-methods stay a short description of *its own* fields.
+threshold policies and window specifications - and the checks of their
+integer fields, so each summary's state methods stay a short
+description of *its own* fields.  The sliding samplers' lazy eviction
+heaps are derived state: no codec writes them, and a restore rebuilds
+them from the records.
 
 This is a leaf module: it imports only the geometry/hashing/stream
 primitives, never the samplers, so every core class (and
@@ -21,12 +24,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.base import (
-    CandidateRecord,
-    CandidateStore,
-    SamplerConfig,
-    _ThresholdPolicy,
-)
+from repro.core.base import CandidateRecord, SamplerConfig, _ThresholdPolicy
 from repro.errors import CheckpointError
 from repro.geometry.grid import Grid
 from repro.hashing.kwise import KWiseHash
@@ -39,6 +37,25 @@ from repro.streams.windows import (
     TimeWindow,
     WindowSpec,
 )
+
+
+def check_int_fields(state: dict[str, Any], minimum: int, *fields: str) -> None:
+    """Reject a state whose ``fields`` are not ints ``>= minimum``.
+
+    Counters, sizes and levels restore as plain ints: a string or a
+    ``None`` would fail later with a bare ``TypeError``, and a negative
+    arrival count would hand out indices already stored.  Raises
+    :class:`~repro.errors.CheckpointError` naming the first bad field; a
+    missing field raises ``KeyError``, which the restore paths report as
+    a malformed checkpoint.
+    """
+    for field in fields:
+        value = state[field]
+        if type(value) is not int or value < minimum:
+            raise CheckpointError(
+                f"sampler state field {field!r} must be an int >= "
+                f"{minimum}, got {value!r}"
+            )
 
 
 def point_to_state(point: StreamPoint) -> dict[str, Any]:
@@ -111,10 +128,10 @@ def config_from_state(state: dict[str, Any]) -> SamplerConfig:
 
 
 # --------------------------------------------------------------------- #
-# packed columns: candidate records, lazy heaps, window reservoirs
+# packed columns: candidate records, window reservoirs
 # --------------------------------------------------------------------- #
 #
-# A record sequence (or heap, or set of reservoirs) is one ``columns``
+# A record sequence (or set of reservoirs) is one ``columns``
 # object: its row count ``n`` and one packed little-endian column per
 # field, base64-encoded so the state stays a JSON-compatible tree.
 # Points are ``dim`` wide, ``dim`` being the owning sampler's config
@@ -333,9 +350,9 @@ def records_to_columns(
     """Encode candidate records as one packed columns object.
 
     The columns of :func:`records_to_arrays`, each base64-encoded.  A
-    record's ``tb`` and ``words`` fields and its ``adj_tz`` cache are
-    derived state and never encoded: ``CandidateStore.add`` recomputes
-    ``words`` and :func:`heap_from_columns` re-stamps ``tb``.
+    record's ``stored`` and ``words`` fields and its ``adj_tz`` cache are
+    derived state and never encoded: ``CandidateStore.add`` sets
+    ``stored`` and recomputes ``words``.
     """
     arrays = records_to_arrays(records, dim)
     n = arrays.pop("n")
@@ -432,108 +449,6 @@ def _record_from_dict(state: dict[str, Any]) -> CandidateRecord:
         member=member,
         level=state.get("level", 0),
     )
-
-
-HeapEntry = tuple[float, int, CandidateRecord, StreamPoint]
-
-
-def heap_to_columns(
-    heap: Sequence[HeapEntry], store: CandidateStore, dim: int
-) -> dict[str, Any]:
-    """Encode a lazy eviction heap **verbatim** (stale entries and all).
-
-    Entries carry two flags instead of object references: ``linked``
-    (the entry's record is still the store's record for its
-    representative) and ``cur`` (linked, and the entry's last point is
-    the record's current one).  :func:`heap_from_columns` uses them to
-    restore the identities the staleness checks rely on
-    (``store.get(i) is record`` / ``record.last is last_ref``).  A
-    current entry's point is its record's last point, so only the other
-    entries' points are packed.
-    """
-    n = len(heap)
-    linked, cur, stale_points = [], [], []
-    for _, _, record, last in heap:
-        live = store.get(record.representative.index) is record
-        # A restored stand-in for an unlinked entry has last is
-        # last_ref: flagging only linked entries keeps re-serialisation
-        # byte-identical.
-        current = live and record.last is last
-        linked.append(live)
-        cur.append(current)
-        if not current:
-            stale_points.append(last)
-    columns: dict[str, Any] = {"n": n}
-    columns.update(_pack_points("p_", stale_points, dim))
-    columns.update(
-        key=_pack((key for key, _, _, _ in heap), _F8, n),
-        tiebreak=_pack((tiebreak for _, tiebreak, _, _ in heap), _I8, n),
-        rep=_pack(
-            (rec.representative.index for _, _, rec, _ in heap), _I8, n
-        ),
-        linked=_pack(linked, _U1, n),
-        cur=_pack(cur, _U1, n),
-    )
-    return columns
-
-
-def heap_from_columns(
-    value: Any, store: CandidateStore, dim: int
-) -> list[HeapEntry]:
-    """Rebuild a lazy heap against the restored ``store``.
-
-    Reads :func:`heap_to_columns` output or the per-entry list of
-    version-2 envelopes.  The saved order *is* a valid heap arrangement
-    (it was the live heap), so it is restored verbatim - heapifying
-    could legally rearrange it and break fingerprint equality.  Each
-    current entry stamps its record's ``tb``; the largest tiebreak wins,
-    as it does for live pushes.
-    """
-    if isinstance(value, list):
-        entries = [
-            (e["k"], e["t"], e["r"], e["linked"], e["cur"], point_from_state(e["p"]))
-            for e in value
-        ]
-    else:
-        n = _row_count(value)
-        flags = _unpack(value, "cur", _U1, n).tolist()
-        points = iter(_unpack_points(value, "p_", flags.count(0), dim))
-        entries = zip(
-            _unpack(value, "key", _F8, n).tolist(),
-            _unpack(value, "tiebreak", _I8, n).tolist(),
-            _unpack(value, "rep", _I8, n).tolist(),
-            _unpack(value, "linked", _U1, n).tolist(),
-            flags,
-            (None if flag else next(points) for flag in flags),
-        )
-    heap = []
-    for key, tiebreak, rep_index, linked, cur, last in entries:
-        record = store.get(rep_index) if linked else None
-        if record is not None and cur:
-            # Live entry: restore the identity record.last is last_ref
-            # and stamp record.tb so the entry reads as current.
-            last = record.last
-            if tiebreak > record.tb:
-                record.tb = tiebreak
-        elif last is None:
-            raise CheckpointError(
-                f"current heap entry {rep_index} has no record in the store"
-            )
-        elif record is None:
-            # The referenced record left the store: fabricate a
-            # detached stand-in so the staleness check pops the entry
-            # exactly as it would have popped the original (a detached
-            # record keeps tb == -1, which matches no real tiebreak).
-            record = CandidateRecord(
-                representative=StreamPoint(last.vector, rep_index),
-                cell=(),
-                cell_hash=0,
-                adj_hashes=(),
-                accepted=False,
-                last=last,
-            )
-        heap.append((key, tiebreak, record, last))
-    return heap
 
 
 def reservoirs_to_columns(

@@ -83,16 +83,18 @@ import random
 from typing import Iterable, Iterator, Sequence
 
 import heapq
-import itertools
 
 from repro.core.base import (
     DEFAULT_KAPPA0,
     CandidateRecord,
     CandidateStore,
+    HeapEntry,
     SamplerConfig,
     StreamSampler,
     _ThresholdPolicy,
     coerce_point,
+    evict_expired,
+    eviction_heap,
     invalid_point,
 )
 from repro.core.chunk_geometry import ChunkGeometry, is_chunk, prepare_chunk
@@ -225,8 +227,7 @@ class RobustL0SamplerSW(StreamSampler):
         self._max_level = max(1, math.ceil(math.log2(max(window_capacity, 2))))
         levels = self._max_level + 1
         self._store = CandidateStore(self._config)
-        self._heap: list[tuple[float, int, CandidateRecord, StreamPoint]] = []
-        self._tiebreak = itertools.count()
+        self._heap: list[HeapEntry] = []
         self._level_records: list[dict[int, CandidateRecord]] = [
             {} for _ in range(levels)
         ]
@@ -283,21 +284,6 @@ class RobustL0SamplerSW(StreamSampler):
     # ------------------------------------------------------------------ #
     # shared-store bookkeeping
     # ------------------------------------------------------------------ #
-
-    def _push(self, record: CandidateRecord) -> None:
-        # Stamping the record with the entry's tiebreak makes the
-        # eviction staleness check O(1): an entry is current iff its
-        # tiebreak equals record.tb (see CandidateStore).
-        tiebreak = record.tb = next(self._tiebreak)
-        heapq.heappush(
-            self._heap,
-            (
-                self._window.expiry_key(record.last),
-                tiebreak,
-                record,
-                record.last,
-            ),
-        )
 
     def _append(self, level: int, record: CandidateRecord) -> None:
         """Put a record at the end of a level map, noting lost order."""
@@ -376,30 +362,10 @@ class RobustL0SamplerSW(StreamSampler):
     def _evict(self, latest: StreamPoint) -> None:
         """Drop groups whose last point expired (Lines 1-3, all levels).
 
-        One lazy heap covers the whole hierarchy.  The window's
-        ``eviction_cutoff`` pre-filters by heap key first - the common
-        nothing-expires case costs one float comparison - then stale
-        entries (detected in O(1): the entry's tiebreak no longer
-        equals its record's ``tb`` - the record was removed, or a later
-        push superseded the entry) are popped, and the
-        authoritative ``in_window`` test decides the rest.
+        One lazy heap covers the whole hierarchy
+        (:func:`~repro.core.base.evict_expired`).
         """
-        heap = self._heap
-        if not heap:
-            return
-        window = self._window
-        cutoff = window.eviction_cutoff(latest)
-        while heap:
-            key, tiebreak, record, _ = heap[0]
-            if key > cutoff:
-                break
-            if record.tb != tiebreak:
-                heapq.heappop(heap)
-                continue
-            if window.in_window(record.last, latest):
-                break
-            heapq.heappop(heap)
-            self._remove(record)
+        evict_expired(self._heap, self._window, latest, self._remove)
 
     def _note_space(self) -> None:
         """Record the current footprint into the running peak.
@@ -438,7 +404,6 @@ class RobustL0SamplerSW(StreamSampler):
             # the shared store finds its record in one bucket probe.
             self._relink_last(record, p)
             record.count += 1
-            self._push(record)
             if not record.accepted and record.level != 0:
                 # A rejected group with fresh activity belongs to the
                 # newest subwindow: move it to level 0, whose rate 1
@@ -459,7 +424,10 @@ class RobustL0SamplerSW(StreamSampler):
                 level=0,
             )
             self._add(record)
-            self._push(record)
+            heapq.heappush(
+                self._heap,
+                (self._window.expiry_key(p), p.index, p.index, record),
+            )
             if self._level_accepted[0] > self._policy.threshold():
                 self._cascade(0)
 
@@ -484,11 +452,10 @@ class RobustL0SamplerSW(StreamSampler):
         the per-arrival loop keeps only the sequential machinery -
         eviction sweep, the single shared-store bucket probe, the
         distance test - replicating :meth:`insert`
-        operation-for-operation; the resulting state
-        (including the shared lazy heap) is identical to per-point
-        ingestion.  Cascades never invalidate the hoisted locals: the
-        shared store and heap objects are stable across Split/Merge
-        (promotions retag records in place).  A chunk too small to
+        operation-for-operation; the resulting state is identical to
+        per-point ingestion.  Cascades never invalidate the hoisted
+        locals: the shared store and heap objects are stable across
+        Split/Merge (promotions retag records in place).  A chunk too small to
         vectorise goes through :meth:`insert`.  An invalid point anywhere
         in the chunk - window order included, checked against the latest
         arrival - raises :class:`~repro.errors.ParameterError` before
@@ -508,6 +475,7 @@ class RobustL0SamplerSW(StreamSampler):
         heap = self._heap
         heappush = heapq.heappush
         heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         policy = self._policy
         threshold = policy.threshold
         store = self._store
@@ -518,7 +486,6 @@ class RobustL0SamplerSW(StreamSampler):
         level_accepted = self._level_accepted
         level_words = self._level_words
         remove = self._remove
-        tiebreak = self._tiebreak
         alpha_sq = config.alpha * config.alpha
         last_extra = dim + 2
         count = self._count
@@ -560,17 +527,26 @@ class RobustL0SamplerSW(StreamSampler):
                     else:
                         cutoff = eviction_cutoff(p)
                     while heap:
-                        key, entry_tb, record, _ = heap[0]
+                        key, _, rep_index, record = heap[0]
                         if key > cutoff:
                             break
-                        if record.tb != entry_tb:
+                        if not record.stored:
                             heappop(heap)
                             continue
-                        if (
-                            record.last.index > cutoff
+                        last = record.last
+                        last_key = (
+                            float(last.index)
                             if seq_size is not None
-                            else in_window(record.last, p)
-                        ):
+                            else expiry_key(last)
+                        )
+                        if key < last_key:
+                            heapreplace(
+                                heap, (last_key, last.index, rep_index, record)
+                            )
+                            continue
+                        # A sequence entry at its last point's key is
+                        # expired: the key is at most the cutoff.
+                        if seq_size is None and in_window(last, p):
                             break
                         heappop(heap)
                         remove(record)
@@ -604,8 +580,6 @@ class RobustL0SamplerSW(StreamSampler):
                         level_words[found.level] -= last_extra
                     found.last = p
                     found.count += 1
-                    entry_tb = found.tb = next(tiebreak)
-                    heappush(heap, (point_key, entry_tb, found, p))
                     if not found.accepted and found.level:
                         # Rejected group with fresh activity: move it to
                         # level 0 (representative preserved).
@@ -642,8 +616,7 @@ class RobustL0SamplerSW(StreamSampler):
                     level_records0[key] = record
                     level_accepted[0] += 1
                     level_words[0] += record.words
-                    entry_tb = record.tb = next(tiebreak)
-                    heappush(heap, (point_key, entry_tb, record, p))
+                    heappush(heap, (point_key, key, key, record))
                     if level_accepted[0] > threshold():
                         self._cascade(0)
 
@@ -750,8 +723,8 @@ class RobustL0SamplerSW(StreamSampler):
         """Algorithm 5: fold promoted records into the level above.
 
         Promotion is a *move*: the record's level tag flips and it shifts
-        between the per-level maps; its store registration and its live
-        heap entry survive as-is.  Deduplicates representatives of the
+        between the per-level maps; its store registration and its heap
+        entry survive as-is.  Deduplicates representatives of the
         same group: when the target level already tracks a group within
         ``alpha`` of a promoted representative, the existing record
         absorbs the promoted one's last-point and count.
@@ -798,7 +771,6 @@ class RobustL0SamplerSW(StreamSampler):
             if existing is not None:
                 if expiry_key(record.last) > expiry_key(existing.last):
                     self._relink_last(existing, record.last)
-                    self._push(existing)
                 existing.count += record.count
                 self._remove(record)
             else:
@@ -946,28 +918,19 @@ class RobustL0SamplerSW(StreamSampler):
 
         The state is the window's contents in replayable form - every
         candidate record (representative, most recent in-window point,
-        level tag) plus the shared lazy eviction heap **verbatim** (stale
-        entries, tiebreak counter position and all) - plus the shared
-        config, window specification and threshold policy.  A restored
-        hierarchy continues the stream with decisions identical to the
-        original's (``repro.engine.state_fingerprint``-equal).
-
-        Records and heap are packed columns
-        (:func:`repro.core.serialize.records_to_columns` /
-        :func:`~repro.core.serialize.heap_to_columns`).
+        level tag) as packed columns
+        (:func:`repro.core.serialize.records_to_columns`) - plus the
+        shared config, window specification and threshold policy.  The
+        lazy eviction heap is derived from the records and not written.
+        A restored hierarchy continues the stream with decisions
+        identical to the original's
+        (``repro.engine.state_fingerprint``-equal).
         """
         from repro.core import serialize
 
-        store = self._store
-        dim = self._config.dim
         records = sorted(
-            store.records(), key=lambda r: r.representative.index
+            self._store.records(), key=lambda r: r.representative.index
         )
-        # Read the tiebreak position without perturbing the sequence: the
-        # counter object is consumed by one peek and replaced by an equal
-        # continuation (fingerprints never include the object itself).
-        position = next(self._tiebreak)
-        self._tiebreak = itertools.count(position)
         return {
             "config": serialize.config_to_state(self._config),
             "window": serialize.window_to_state(self._window),
@@ -980,26 +943,28 @@ class RobustL0SamplerSW(StreamSampler):
                 if self._latest is not None
                 else None
             ),
-            "records": serialize.records_to_columns(records, dim),
-            "heap": serialize.heap_to_columns(self._heap, store, dim),
-            "next_tiebreak": position,
+            "records": serialize.records_to_columns(
+                records, self._config.dim
+            ),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "RobustL0SamplerSW":
         """Restore a hierarchy from :meth:`to_state` output.
 
-        Also reads the legacy one-store-per-level layout (states written
-        before the shared-store refactor, recognisable by their
-        ``"levels"`` list): records are re-tagged with their level index
-        and the per-level lazy heaps are folded into the shared heap
-        (live entries only - stale entries are semantically inert, they
-        only existed to be popped).
+        The lazy eviction heap is rebuilt from the records
+        (:func:`~repro.core.base.eviction_heap`); a heap saved by an
+        older writer is ignored.  Also reads the legacy
+        one-store-per-level layout (states written before the
+        shared-store refactor, recognisable by their ``"levels"``
+        list): records are re-tagged with their level index.
         """
         from repro.core import serialize
 
         from repro.errors import CheckpointError
 
+        serialize.check_int_fields(state, 0, "points_seen", "peak_space_words")
+        serialize.check_int_fields(state, 1, "max_level")
         config = serialize.config_from_state(state["config"])
         window = serialize.window_from_state(state["window"])
         if window is None:
@@ -1013,7 +978,6 @@ class RobustL0SamplerSW(StreamSampler):
         sampler._max_level = state["max_level"]
         levels = sampler._max_level + 1
         sampler._store = CandidateStore(config)
-        sampler._heap = []
         sampler._level_records = [{} for _ in range(levels)]
         sampler._level_unordered = [False] * levels
         sampler._level_accepted = [0] * levels
@@ -1026,59 +990,23 @@ class RobustL0SamplerSW(StreamSampler):
         sampler._count = state["points_seen"]
         sampler._peak_words = state["peak_space_words"]
         if "levels" in state:
-            sampler._restore_legacy_levels(state["levels"])
-            return sampler
-
-        for record in serialize.records_from_columns(
-            state["records"], config.dim
-        ):
+            records = []
+            for index, level_state in enumerate(state["levels"]):
+                for record in serialize.records_from_columns(
+                    level_state["records"], config.dim
+                ):
+                    record.level = index
+                    records.append(record)
+        else:
+            records = serialize.records_from_columns(
+                state["records"], config.dim
+            )
+        for record in records:
             if record.level >= levels:
                 raise CheckpointError(
                     f"record level {record.level} is beyond the "
                     f"hierarchy's max_level {sampler._max_level}"
                 )
             sampler._add(record)
-        sampler._tiebreak = itertools.count(state["next_tiebreak"])
-        sampler._heap = serialize.heap_from_columns(
-            state["heap"], sampler._store, config.dim
-        )
+        sampler._heap = eviction_heap(sampler._store.records(), window)
         return sampler
-
-    def _restore_legacy_levels(self, level_states: list[dict]) -> None:
-        """Rebuild shared structures from per-level legacy states."""
-        from repro.core import serialize
-
-        live_entries: list[tuple[float, int, int, int]] = []
-        records: dict[int, CandidateRecord] = {}
-        for index, level_state in enumerate(level_states):
-            for record in serialize.records_from_columns(
-                level_state["records"], self._config.dim
-            ):
-                record.level = index
-                records[record.representative.index] = record
-                self._add(record)
-            for entry in level_state["heap"]:
-                if entry["linked"] and entry["cur"]:
-                    live_entries.append(
-                        (entry["k"], index, entry["t"], entry["r"])
-                    )
-        covered = {key for _, _, _, key in live_entries}
-        for key, record in records.items():
-            if key not in covered:
-                live_entries.append(
-                    (
-                        self._window.expiry_key(record.last),
-                        len(level_states),
-                        0,
-                        key,
-                    )
-                )
-        # Pushing in sorted order yields a valid heap with fresh,
-        # collision-free tiebreaks (per-level counters overlapped).
-        self._tiebreak = itertools.count()
-        for heap_key, _, _, record_key in sorted(live_entries):
-            record = records[record_key]
-            # Later pushes overwrite: record.tb tracks the record's
-            # freshest entry, exactly as live stamping does.
-            tiebreak = record.tb = next(self._tiebreak)
-            self._heap.append((heap_key, tiebreak, record, record.last))

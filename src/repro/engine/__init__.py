@@ -15,9 +15,8 @@ obeys one invariant, *state equivalence*:
 
     ``sampler.process_many(batch)`` leaves the sampler in a state
     identical to ``for p in batch: sampler.insert(p)`` - same candidate
-    records, same rates and counters, same lazy-eviction heaps, same RNG
-    states - for every batch size, including singletons, uneven tails
-    and empty batches.
+    records, same rates and counters, same RNG states - for every batch
+    size, including singletons, uneven tails and empty batches.
 
 Batching is therefore an implementation detail of throughput: no caller
 can observe whether a stream arrived in batches or point by point.

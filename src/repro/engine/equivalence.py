@@ -8,10 +8,14 @@ that can influence future decisions or queries:
 * all candidate records (representative, cell, hashes, accept flag, last
   point, counts, reservoir members),
 * rates, arrival counters, threshold-policy observations, peak space,
-* the sliding samplers' lazy eviction heaps *verbatim* - including stale
-  entries and tiebreak counters, because the batch paths replicate the
-  eviction loop operation-for-operation,
 * the member-tracking RNG states (so future random draws coincide too).
+
+The sliding samplers' lazy eviction heaps are left out: they are derived
+from the records (one entry per record, keyed at or below its last
+point's expiry key), a live heap holds lazily stale keys and the entries
+of removed records that a restored heap does not, and no arrangement of
+entries changes which records a sweep evicts.  The test suite checks the
+heap against the records instead.
 
 :func:`state_fingerprint` maps a sampler to a hashable tree of plain
 Python values capturing exactly that; two samplers with equal fingerprints
@@ -112,10 +116,6 @@ def _infinite(sampler: RobustL0SamplerIW) -> tuple:
 
 
 def _fixed_rate(sampler: FixedRateSlidingSampler) -> tuple:
-    heap = tuple(
-        (key, tiebreak, record.representative.index, _point(last))
-        for key, tiebreak, record, last in sampler._heap
-    )
     reservoirs = tuple(
         (key, _window_reservoir(sampler._reservoirs[key]))
         for key in sorted(sampler._reservoirs)
@@ -125,17 +125,12 @@ def _fixed_rate(sampler: FixedRateSlidingSampler) -> tuple:
         sampler.rate_denominator,
         sampler._track_members,
         _store(sampler._store),
-        heap,
         reservoirs,
         sampler._member_rng.getstate() if sampler._track_members else None,
     )
 
 
 def _sliding(sampler: RobustL0SamplerSW) -> tuple:
-    heap = tuple(
-        (key, tiebreak, record.representative.index, _point(last))
-        for key, tiebreak, record, last in sampler._heap
-    )
     return (
         "RobustL0SamplerSW",
         sampler.points_seen,
@@ -145,7 +140,6 @@ def _sliding(sampler: RobustL0SamplerSW) -> tuple:
         _store(sampler._store),
         tuple(sampler._level_accepted),
         tuple(sampler._level_words),
-        heap,
     )
 
 

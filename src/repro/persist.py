@@ -14,26 +14,25 @@ so :func:`summary_from_state` can dispatch the restore through
 exact: the restored summary makes decisions identical to the original on
 the remainder of the stream (``repro.engine.state_fingerprint``-equal
 for every core sampler - including the sliding-window hierarchy, whose
-shared-store state is captured verbatim: the flat level-tagged record
-list, reservoirs, and the one hierarchy-wide lazy eviction heap
-including stale entries and tiebreak counters; legacy one-store-per-level
-checkpoints remain readable).
+state is its flat level-tagged record list and reservoirs; its lazy
+eviction heap is derived from the records and rebuilt on restore;
+legacy one-store-per-level checkpoints remain readable).
 
-Version 3 packs every candidate-record sequence, lazy eviction heap and
-window-reservoir set into one ``columns`` object
-(:mod:`repro.core.serialize`): the row count ``n`` and one
-little-endian column per field, base64-encoded so the state stays a
-JSON tree - ``<f8`` for vectors, times, heap keys and
-priorities, ``<i8`` for indices, cells, counts, tiebreaks and lengths,
-``<u8`` for cell hashes and the flattened adjacency hashes, ``u1`` for
-flags and levels.  Optional per-row points (a record's last point when
-it is not its representative, its tracked member) are packed for the
-flagged rows only.  A column of the wrong length or encoding raises
+Version 3 packs every candidate-record sequence and window-reservoir
+set into one ``columns`` object (:mod:`repro.core.serialize`): the row
+count ``n`` and one little-endian column per field, base64-encoded so
+the state stays a JSON tree - ``<f8`` for vectors, times and
+priorities, ``<i8`` for indices, cells, counts and lengths, ``<u8`` for
+cell hashes and the flattened adjacency hashes, ``u1`` for flags and
+levels.  Optional per-row points (a record's last point when it is not
+its representative, its tracked member) are packed for the flagged rows
+only.  A column of the wrong length or encoding raises
 :class:`~repro.errors.CheckpointError`.
 
 Version 2 (one JSON object per record and heap entry) and version 1
 (the original infinite-window-only format) remain readable; writers
-emit version 3.
+emit version 3.  A heap saved by an older version-2 or version-3 writer
+is ignored on read.
 
 >>> from repro.api import build
 >>> sampler = build("l0-infinite", alpha=1.0, dim=1, seed=3)

@@ -172,6 +172,17 @@ class TestDocsMatchCode:
             for name in stale:
                 assert name not in text, (path.name, name)
 
+    def test_no_serialised_eviction_heap(self):
+        # The sliding samplers' eviction heap is derived state, rebuilt
+        # from the records on restore: its codecs and tiebreak counter
+        # are gone from the library and from every guide.
+        stale = ("heap_to_columns", "heap_from_columns", "next_tiebreak")
+        sources = sorted((REPO_ROOT / "src").rglob("*.py"))
+        for path in [*DOCS, *sources]:
+            text = path.read_text(encoding="utf-8")
+            for name in stale:
+                assert name not in text, (path.name, name)
+
     def test_query_merges_parked_columns(self):
         # A query merges the parked shard states' record columns with
         # one kernel; the pipeline's rebuild-before-query buffer is gone.
@@ -207,7 +218,7 @@ class TestDocsMatchCode:
                 assert stale not in text, (path.name, stale)
 
     def test_architecture_documents_hot_path(self):
-        # The per-record heap stamp and footprint, the adjacency index
+        # The per-record store mark and footprint, the adjacency index
         # and the shared-geometry cache invariant are load-bearing perf
         # architecture: the sections must exist and name machinery that
         # really exists in the code.
@@ -221,7 +232,7 @@ class TestDocsMatchCode:
             REPO_ROOT / "src" / "repro" / "core" / "base.py"
         ).read_text(encoding="utf-8")
         for name in (
-            "record.tb",
+            "record.stored",
             "record.words",
             "check_words_integrity",
             "_buckets",

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from repro.api import available, build, entry
+from repro.core.base import SamplerConfig
+from repro.core.fixed_rate import FixedRateSlidingSampler
 from repro.core.infinite_window import RobustL0SamplerIW
 from repro.engine import state_fingerprint
 from repro.errors import CheckpointError
@@ -25,12 +27,13 @@ from repro.persist import (
     summary_to_state,
 )
 from repro.streams.point import StreamPoint
+from repro.streams.windows import SequenceWindow
 
 
 from stream_generators import line_stream, noisy_grid_stream
 
-#: Committed envelopes written by the version-2 writer (see
-#: :class:`TestVersion2Fixtures`).
+#: Committed envelopes written by older writers (see
+#: :class:`TestVersion2Fixtures` and :class:`TestVersion3HeapFixtures`).
 V2_FIXTURE_DIR = Path(__file__).parent / "data"
 
 
@@ -652,12 +655,6 @@ class TestVersion2Fixtures:
         assert json.loads(data)["version"] == 2
         return loads_summary(data)
 
-    def test_time_window_fixture_holds_unlinked_heap_entries(self):
-        state = json.loads(
-            V2_FIXTURE_DIR.joinpath("v2_l0_sliding_time.json").read_text()
-        )["state"]
-        assert any(not entry["linked"] for entry in state["heap"])
-
     @pytest.mark.parametrize("name", sorted(V2_FIXTURES))
     def test_fixture_matches_replay_and_continues(self, name):
         key, kwargs, make_stream, cut = V2_FIXTURES[name]
@@ -679,6 +676,63 @@ class TestVersion2Fixtures:
                 getattr(summary, "close", lambda: None)()
 
 
+def _equal_time_stream():
+    """1-D stream whose timestamps repeat in fours (time windows)."""
+    return [
+        StreamPoint(vector, index, float(index // 4))
+        for index, vector in enumerate(line_stream(240, 5, 40))
+    ]
+
+
+#: name -> (registry key, build kwargs, stream factory, checkpoint cut).
+V3_HEAP_FIXTURES = {
+    "l0_sliding_time": (
+        "l0-sliding",
+        dict(
+            alpha=1.0, dim=1, seed=9, window_seconds=16.0,
+            window_capacity=64,
+        ),
+        _equal_time_stream,
+        160,
+    ),
+}
+
+
+class TestVersion3HeapFixtures:
+    """Version-3 envelopes that still carry a saved eviction heap restore
+    exactly: the saved heap is ignored and rebuilt from the records.
+
+    ``tests/data/v3_<name>.json`` holds ``dumps_summary`` of
+    ``build(key, **kwargs)`` after ``process_many(stream[:cut])`` (the
+    :data:`V3_HEAP_FIXTURES` entry), as the version-3 writer produced it
+    while it still wrote the heap: stale entries, entries of records a
+    Split/Merge cascade removed, and the tiebreak counter.
+    """
+
+    @pytest.mark.parametrize("name", sorted(V3_HEAP_FIXTURES))
+    def test_fixture_matches_replay_and_continues(self, name):
+        key, kwargs, make_stream, cut = V3_HEAP_FIXTURES[name]
+        data = V2_FIXTURE_DIR.joinpath(f"v3_{name}.json").read_bytes()
+        saved = json.loads(data)
+        assert saved["version"] == 3
+        heap = saved["state"]["heap"]
+        assert heap["n"] > saved["state"]["records"]["n"]
+        assert 0 in _unpack(heap["linked"], "u1")
+        stream = make_stream()
+        restored = loads_summary(data)
+        assert any(r.level for r in restored._store.records())
+        replay = build(key, **kwargs)
+        replay.process_many(stream[:cut])
+        assert state_fingerprint(restored) == state_fingerprint(replay)
+        # Re-serialised, the fixture is the replay's heap-free envelope.
+        assert dumps_summary(restored) == dumps_summary(replay)
+        assert "heap" not in summary_to_state(restored)["state"]
+        restored.process_many(stream[cut:])
+        replay.process_many(stream[cut:])
+        assert state_fingerprint(restored) == state_fingerprint(replay)
+        assert dumps_summary(restored) == dumps_summary(replay)
+
+
 # ------------------------------------------------------------------ #
 # version-3 packed columns
 # ------------------------------------------------------------------ #
@@ -696,18 +750,69 @@ class TestPackedColumns:
         for item in (summary, restored):
             getattr(item, "close", lambda: None)()
 
-    def test_records_and_heap_are_column_objects(self):
+    def test_records_are_column_objects(self):
         summary = build("l0-sliding", **RESUME_SPECS["l0-sliding"])
         summary.process_many(build_stream(200, seed=3, groups=40))
-        state = summary_to_state(summary)["state"]
-        for name in ("records", "heap"):
-            columns = state[name]
-            assert columns["n"] > 0
-            assert all(
-                isinstance(value, str)
-                for field, value in columns.items()
-                if field != "n"
+        columns = summary_to_state(summary)["state"]["records"]
+        assert columns["n"] > 0
+        assert all(
+            isinstance(value, str)
+            for field, value in columns.items()
+            if field != "n"
+        )
+
+
+def _derived_keys(state):
+    """The eviction-heap keys anywhere in a state tree."""
+    if isinstance(state, dict):
+        found = {"heap", "next_tiebreak"} & state.keys()
+        for value in state.values():
+            found |= _derived_keys(value)
+        return found
+    if isinstance(state, list):
+        return set().union(*map(_derived_keys, state))
+    return set()
+
+
+class TestDerivedHeap:
+    """The sliding samplers' eviction heap is derived state: one entry
+    per live record, rebuilt on restore, never written."""
+
+    @pytest.mark.parametrize("key", ["l0-sliding", "f0-sliding", "ksample"])
+    def test_envelope_holds_no_heap(self, key):
+        summary = build(key, **{"window_size": 64, **RESUME_SPECS[key]})
+        summary.process_many(build_stream(300, seed=8, groups=40))
+        assert _derived_keys(summary_to_state(summary)) == set()
+
+    def test_fixed_rate_state_holds_no_heap(self):
+        config = SamplerConfig.create(1.0, 1, seed=4)
+        sampler = FixedRateSlidingSampler(config, 2, SequenceWindow(32))
+        for index, vector in enumerate(build_stream(200, seed=8, groups=40)):
+            sampler.insert(StreamPoint(vector, index))
+        state = sampler.to_state()
+        assert _derived_keys(state) == set()
+        restored = FixedRateSlidingSampler.from_state(
+            json.loads(json.dumps(state)),
+            config=config,
+            window=SequenceWindow(32),
+        )
+        assert state_fingerprint(restored) == state_fingerprint(sampler)
+        assert len(restored._heap) == restored.candidate_count
+
+    def test_envelope_grows_with_records_not_window(self):
+        # 100 groups: once the early cascades' leftover entries age out
+        # of the window, the heap holds one entry per record at either
+        # window size, and the envelope stays the records' size.
+        stream = build_stream(32_000, seed=3, groups=100)
+        sizes = {}
+        for window in (2_000, 20_000):
+            sampler = build(
+                "l0-sliding", alpha=1.0, dim=1, seed=5, window_size=window
             )
+            sampler.process_many(stream)
+            assert len(sampler._heap) == len(sampler._store) == 100
+            sizes[window] = len(dumps_summary(sampler))
+        assert sizes[20_000] < 1.1 * sizes[2_000]
 
 
 def _pack(values, dtype):
@@ -746,10 +851,6 @@ def _level_beyond_hierarchy(columns, field):
     columns["level"] = _pack([255] * columns["n"], "u1")
 
 
-def _unlink_current_entries(columns, field):
-    columns["linked"] = _pack([0] * columns["n"], "u1")
-
-
 def _negative_n(columns, field):
     columns["n"] = -1
 
@@ -761,19 +862,14 @@ class TestHostileColumns:
 
     CORRUPTIONS = {
         "truncated-column": (_truncate, "records", "cell_hash"),
-        "truncated-heap-column": (_truncate, "heap", "key"),
         "n-disagrees": (_grow_n, "records", None),
-        "heap-n-disagrees": (_grow_n, "heap", None),
         "not-base64": (_not_base64, "records", "adj"),
         "negative-adjacency-length": (_negative_adjacency, "records", None),
         "adjacency-overrun": (_overrun_adjacency, "records", None),
         "negative-n": (_negative_n, "records", None),
         "level-beyond-hierarchy": (_level_beyond_hierarchy, "records", None),
-        "current-entry-without-record": (
-            _unlink_current_entries, "heap", None
-        ),
         "missing-column": (
-            lambda columns, field: columns.pop(field), "heap", "linked"
+            lambda columns, field: columns.pop(field), "records", "accepted"
         ),
     }
 
@@ -903,6 +999,30 @@ class TestMalformedStates:
             summary_from_state(envelope)
         envelope["member_rng_state"] = "[1, 2]"
         self.assert_typed(envelope, "l0-infinite", ValueError)
+
+    #: case -> (registry key, state field, hostile value).
+    BAD_COUNTERS = {
+        "sliding-peak-null": ("l0-sliding", "peak_space_words", None),
+        "sliding-points-seen-string": ("l0-sliding", "points_seen", "8"),
+        "sliding-points-seen-negative": ("l0-sliding", "points_seen", -5),
+        "sliding-max-level-zero": ("l0-sliding", "max_level", 0),
+        "heavy-hitters-points-seen-negative": (
+            "heavy-hitters", "points_seen", -5
+        ),
+        "heavy-hitters-capacity-zero": ("heavy-hitters", "capacity", 0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_COUNTERS))
+    def test_bad_counter_fails_typed(self, case):
+        key, field, value = self.BAD_COUNTERS[case]
+        summary = build(key, **RESUME_SPECS[key])
+        summary.process_many(build_stream(200, seed=13, groups=40))
+        envelope = json.loads(dumps_summary(summary))
+        envelope["state"][field] = value
+        with pytest.raises(CheckpointError) as raised:
+            loads_summary(json.dumps(envelope).encode("utf-8"))
+        assert type(raised.value) is CheckpointError
+        assert repr(field) in str(raised.value)
 
     def test_checkpoint_errors_pass_through(self):
         envelope = TestHostileColumns.envelope()

@@ -500,8 +500,8 @@ class TestPeakSpaceRegression:
 
 
 def _assert_no_slot_leak(state) -> None:
-    """Heap stamps, cached footprints and slot indices are derived
-    state: no checkpoint may carry them."""
+    """Eviction heaps, store marks, cached footprints and slot indices
+    are derived state: no checkpoint may carry them."""
     if isinstance(state, dict):
         for key, value in state.items():
             assert key not in {
@@ -510,7 +510,10 @@ def _assert_no_slot_leak(state) -> None:
                 "free",
                 "free_list",
                 "tb",
+                "stored",
                 "words",
+                "heap",
+                "next_tiebreak",
             }, f"derived key {key!r} leaked into a checkpoint"
             _assert_no_slot_leak(value)
     elif isinstance(state, (list, tuple)):
@@ -519,23 +522,34 @@ def _assert_no_slot_leak(state) -> None:
 
 
 def _check_heap_currency(sampler) -> None:
-    """Lazy-heap currency oracle for a sliding sampler's shared heap.
+    """Lazy-heap oracle for a sliding sampler's eviction heap.
 
-    Every live record owns exactly one heap entry whose tiebreak equals
-    ``record.tb``, and no entry that reads current references a record
-    outside the store.
+    Every live record owns exactly one entry, keyed at or below
+    ``expiry_key(record.last)``; every other entry belongs to a removed
+    record.  Entries are unique before the record field and the list
+    is a valid min-heap.  Leftover entries of removed records are
+    allowed: they wait until they reach the top.
     """
     store = sampler._store
+    expiry_key = sampler._window.expiry_key
+    heap = sampler._heap
     owned: dict[int, int] = {}
-    for _, entry_tb, record, _ in sampler._heap:
-        if record.tb == entry_tb:
-            assert record in store, "a current entry outlived its record"
-            key = record.representative.index
-            owned[key] = owned.get(key, 0) + 1
+    for key, _, rep_index, record in heap:
+        assert rep_index == record.representative.index
+        if record in store:
+            assert record.stored, "a live record reads removed"
+            assert key <= expiry_key(record.last), "entry keyed ahead"
+            owned[rep_index] = owned.get(rep_index, 0) + 1
+        else:
+            assert not record.stored, "a removed record reads stored"
     for record in store.records():
         assert owned.get(record.representative.index) == 1, (
-            "live record without exactly one current heap entry"
+            "live record without exactly one heap entry"
         )
+    assert len({entry[:3] for entry in heap}) == len(heap)
+    assert all(
+        heap[(i - 1) // 2][:3] <= heap[i][:3] for i in range(1, len(heap))
+    )
 
 
 def _check_store(sampler) -> None:
@@ -548,8 +562,8 @@ def _check_store(sampler) -> None:
 class TestStoreProperties:
     """Invariants of the candidate store's derived per-record fields.
 
-    * *Checkpoint purity*: ``record.tb`` and ``record.words`` are
-      derived state - a JSON round-trip (every store rebuilt from
+    * *Checkpoint purity*: the eviction heap, ``record.stored`` and
+      ``record.words`` are derived state - a JSON round-trip (every store rebuilt from
       scratch) must reproduce fingerprints and checkpoints exactly.
     * *Footprint integrity*: after **every** ``add``/``remove`` on any
       live store, each record's cached ``words`` must equal
@@ -560,8 +574,9 @@ class TestStoreProperties:
       head plus overflow equals the registration multimap rebuilt from
       the live records, in registration order.
     * *Heap currency*: in the sliding samplers, every live record owns
-      exactly one current heap entry, per point, after queries and
-      after a restore.
+      exactly one heap entry keyed at or below its last point's expiry
+      key, and every other entry belongs to a removed record - per
+      point, per chunk, after queries and after a restore.
     """
 
     #: Registry keys whose summaries are built on CandidateStore.
@@ -687,8 +702,8 @@ class TestStoreProperties:
     ):
         # The heaviest churn: sliding eviction drops and founds records
         # constantly, and kappa0=0.5 (an accept capacity of 4) makes
-        # Split drop and Merge deduplicate records while their current
-        # heap entries stay queued.  Check the store and heap after
+        # Split drop and Merge deduplicate records while their heap
+        # entries stay queued.  Check the store and heap after
         # every point and query, and after a restore.
         points = burst_points(bursts, seed)
         sampler = RobustL0SamplerSW(
@@ -704,6 +719,24 @@ class TestStoreProperties:
         )
         _check_store(restored)
         assert state_fingerprint(restored) == state_fingerprint(sampler)
+
+    @given(
+        bursts=BURSTS,
+        seed=SEEDS,
+        window=st.integers(1, 30),
+        batch_size=BATCH_SIZES,
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_sliding_heap_currency_per_chunk(
+        self, bursts, seed, window, batch_size
+    ):
+        # The batched sweep in process_many re-keys and pops inline.
+        sampler = RobustL0SamplerSW(
+            1.0, 1, SequenceWindow(window), seed=seed, kappa0=0.5
+        )
+        for chunk in chunked(burst_points(bursts, seed), batch_size):
+            sampler.process_many(chunk)
+            _check_store(sampler)
 
     @given(bursts=BURSTS, seed=SEEDS, duration=st.integers(1, 20))
     @settings(max_examples=15, deadline=None)
