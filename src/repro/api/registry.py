@@ -110,27 +110,10 @@ def spec_class(key: str) -> type[SummarySpec]:
     return entry(key).spec_cls
 
 
-#: ``batch-pipeline`` spec fields that older checkpoints still carry
-#: but the spec no longer has (the process executor's chunk transport
-#: and work-stealing switches); dropped on restore.
-_RETIRED_PIPELINE_FIELDS = ("transport", "work_stealing")
-
-
 def spec_from_state(state: dict[str, Any]) -> SummarySpec:
-    """Rebuild a spec from :meth:`SummarySpec.to_state` output.
-
-    ``batch-pipeline`` specs written by older releases are upgraded:
-    the retired fields are dropped and the retired ``"thread"``
-    executor becomes ``"serial"`` (both ingest in the calling process,
-    and executor choice is state-unobservable).
-    """
+    """Rebuild a spec from :meth:`SummarySpec.to_state` output."""
     fields = dict(state)
     key = fields.pop("key")
-    if key == "batch-pipeline":
-        for retired in _RETIRED_PIPELINE_FIELDS:
-            fields.pop(retired, None)
-        if fields.get("executor") == "thread":
-            fields["executor"] = "serial"
     return spec_class(key)(**fields)
 
 

@@ -312,10 +312,10 @@ class FixedRateSlidingSampler(StreamSampler):
 
         ``config`` and ``window`` come from the owning hierarchy (every
         level of one hierarchy must share them - sampling decisions have
-        to nest across rates, expiry must be judged consistently).  The
-        lazy eviction heap is rebuilt from the records
-        (:func:`~repro.core.base.eviction_heap`); a heap saved by an
-        older writer is ignored.
+        to nest across rates, expiry must be judged consistently).
+        Reads the current layout only: packed record and reservoir
+        columns.  The lazy eviction heap is rebuilt from the records
+        (:func:`~repro.core.base.eviction_heap`).
         """
         from repro.core import serialize
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import base64
 import random
 from itertools import chain
+from math import inf
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -39,8 +40,10 @@ from repro.streams.windows import (
 )
 
 
-def check_int_fields(state: dict[str, Any], minimum: int, *fields: str) -> None:
-    """Reject a state whose ``fields`` are not ints ``>= minimum``.
+def check_int_fields(
+    state: dict[str, Any], minimum: int, *fields: str, maximum: float = inf
+) -> None:
+    """Reject a state whose ``fields`` are not ints in ``[minimum, maximum]``.
 
     Counters, sizes and levels restore as plain ints: a string or a
     ``None`` would fail later with a bare ``TypeError``, and a negative
@@ -51,10 +54,10 @@ def check_int_fields(state: dict[str, Any], minimum: int, *fields: str) -> None:
     """
     for field in fields:
         value = state[field]
-        if type(value) is not int or value < minimum:
+        if type(value) is not int or not minimum <= value <= maximum:
             raise CheckpointError(
-                f"sampler state field {field!r} must be an int >= "
-                f"{minimum}, got {value!r}"
+                f"sampler state field {field!r} must be an int in "
+                f"[{minimum}, {maximum}], got {value!r}"
             )
 
 
@@ -393,13 +396,7 @@ def record_arrays_from_columns(value: Any, dim: int) -> dict[str, Any]:
 
 
 def records_from_columns(value: Any, dim: int) -> list[CandidateRecord]:
-    """Decode :func:`records_to_columns` output (points ``dim`` wide).
-
-    Also reads the per-record list of version-1/2 envelopes, so every
-    ``from_state`` restores either layout through this one call.
-    """
-    if isinstance(value, list):
-        return [_record_from_dict(state) for state in value]
+    """Decode :func:`records_to_columns` output (points ``dim`` wide)."""
     arrays = record_arrays_from_columns(value, dim)
     lasts = iter(_points(arrays, "last_", dim))
     members = iter(_points(arrays, "member_", dim))
@@ -431,26 +428,6 @@ def records_from_columns(value: Any, dim: int) -> list[CandidateRecord]:
     ]
 
 
-def _record_from_dict(state: dict[str, Any]) -> CandidateRecord:
-    """Decode one record of the version-1/2 per-record layout."""
-    representative = point_from_state(state["rep"])
-    last = (
-        point_from_state(state["last"]) if "last" in state else representative
-    )
-    member = point_from_state(state["member"]) if "member" in state else None
-    return CandidateRecord(
-        representative=representative,
-        cell=tuple(state["cell"]),
-        cell_hash=state["cell_hash"],
-        adj_hashes=tuple(state["adj_hashes"]),
-        accepted=state["accepted"],
-        last=last,
-        count=state["count"],
-        member=member,
-        level=state.get("level", 0),
-    )
-
-
 def reservoirs_to_columns(
     reservoirs: Sequence[tuple[int, Sequence[tuple[float, StreamPoint]]]],
     dim: int,
@@ -472,16 +449,7 @@ def reservoirs_to_columns(
 def reservoirs_from_columns(
     value: Any, dim: int
 ) -> list[tuple[int, list[tuple[float, StreamPoint]]]]:
-    """Decode :func:`reservoirs_to_columns` output, or the version-2
-    list of ``{"key", "entries"}`` objects."""
-    if isinstance(value, list):
-        return [
-            (
-                state["key"],
-                [(p, point_from_state(point)) for p, point in state["entries"]],
-            )
-            for state in value
-        ]
+    """Decode :func:`reservoirs_to_columns` output."""
     n = _row_count(value)
     priorities = _unpack_ragged(value, "priority", _F8, n)
     points = iter(_unpack_points(value, "p_", sum(map(len, priorities)), dim))
@@ -503,11 +471,12 @@ def policy_to_state(policy: _ThresholdPolicy) -> dict[str, Any]:
 
 
 def policy_from_state(state: dict[str, Any]) -> _ThresholdPolicy:
-    """Decode a threshold policy."""
+    """Decode a threshold policy (``seen`` a non-negative int)."""
+    check_int_fields(state, 0, "seen")
     policy = _ThresholdPolicy(
         kappa0=state["kappa0"],
         expected_stream_length=state["expected_stream_length"],
-        minimum=state.get("minimum", 4),
+        minimum=state["minimum"],
         fixed=state["fixed"],
     )
     policy._seen = state["seen"]

@@ -952,19 +952,18 @@ class RobustL0SamplerSW(StreamSampler):
     def from_state(cls, state: dict) -> "RobustL0SamplerSW":
         """Restore a hierarchy from :meth:`to_state` output.
 
-        The lazy eviction heap is rebuilt from the records
-        (:func:`~repro.core.base.eviction_heap`); a heap saved by an
-        older writer is ignored.  Also reads the legacy
-        one-store-per-level layout (states written before the
-        shared-store refactor, recognisable by their ``"levels"``
-        list): records are re-tagged with their level index.
+        Reads the current layout only (older envelopes are upgraded by
+        :func:`repro.persist.upgrade_envelope`).  ``max_level`` is at
+        most 255, the largest ``u1`` level, and is checked before the
+        per-level tables are allocated.  The lazy eviction heap is
+        rebuilt from the records (:func:`~repro.core.base.eviction_heap`).
         """
         from repro.core import serialize
 
         from repro.errors import CheckpointError
 
         serialize.check_int_fields(state, 0, "points_seen", "peak_space_words")
-        serialize.check_int_fields(state, 1, "max_level")
+        serialize.check_int_fields(state, 1, "max_level", maximum=255)
         config = serialize.config_from_state(state["config"])
         window = serialize.window_from_state(state["window"])
         if window is None:
@@ -989,19 +988,9 @@ class RobustL0SamplerSW(StreamSampler):
         )
         sampler._count = state["points_seen"]
         sampler._peak_words = state["peak_space_words"]
-        if "levels" in state:
-            records = []
-            for index, level_state in enumerate(state["levels"]):
-                for record in serialize.records_from_columns(
-                    level_state["records"], config.dim
-                ):
-                    record.level = index
-                    records.append(record)
-        else:
-            records = serialize.records_from_columns(
-                state["records"], config.dim
-            )
-        for record in records:
+        for record in serialize.records_from_columns(
+            state["records"], config.dim
+        ):
             if record.level >= levels:
                 raise CheckpointError(
                     f"record level {record.level} is beyond the "

@@ -484,15 +484,20 @@ class BatchPipeline:
         resumed run is fingerprint-identical to an uninterrupted one.
         """
         from repro.api.registry import spec_from_state
+        from repro.core import serialize
 
+        serialize.check_int_fields(state, 1, "batch_size")
+        serialize.check_int_fields(state, 0, "points_seen")
         pipeline = cls.__new__(cls)
         pipeline._spec = spec_from_state(state["spec"])
-        pipeline._batch_size = state["batch_size"]
-        pipeline._next_shard = state["next_shard"]
-        pipeline._points_seen = state["points_seen"]
         pipeline._coordinator = DistributedRobustSampler.from_state(
             state["coordinator"]
         )
+        shards = pipeline._coordinator.num_shards
+        serialize.check_int_fields(state, 0, "next_shard", maximum=shards - 1)
+        pipeline._batch_size = state["batch_size"]
+        pipeline._next_shard = state["next_shard"]
+        pipeline._points_seen = state["points_seen"]
         pipeline._executor = None  # restarted lazily on the next submit
         pipeline._dirty = False
         return pipeline

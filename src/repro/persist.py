@@ -15,8 +15,7 @@ exact: the restored summary makes decisions identical to the original on
 the remainder of the stream (``repro.engine.state_fingerprint``-equal
 for every core sampler - including the sliding-window hierarchy, whose
 state is its flat level-tagged record list and reservoirs; its lazy
-eviction heap is derived from the records and rebuilt on restore;
-legacy one-store-per-level checkpoints remain readable).
+eviction heap is derived from the records and rebuilt on restore).
 
 Version 3 packs every candidate-record sequence and window-reservoir
 set into one ``columns`` object (:mod:`repro.core.serialize`): the row
@@ -29,10 +28,10 @@ its representative, its tracked member) are packed for the flagged rows
 only.  A column of the wrong length or encoding raises
 :class:`~repro.errors.CheckpointError`.
 
-Version 2 (one JSON object per record and heap entry) and version 1
-(the original infinite-window-only format) remain readable; writers
-emit version 3.  A heap saved by an older version-2 or version-3 writer
-is ignored on read.
+Writers emit version 3.  :func:`upgrade_envelope` maps a version-1
+envelope (the original infinite-window-only format) or a version-2 one
+(one JSON object per record and heap entry) to it before dispatch, so
+every ``from_state`` reads one layout.  A saved heap is ignored.
 
 >>> from repro.api import build
 >>> sampler = build("l0-infinite", alpha=1.0, dim=1, seed=3)
@@ -53,18 +52,17 @@ is ignored on read.
 
 from __future__ import annotations
 
+import ast
 import json
 from typing import Any
 
 from repro.core import serialize
-from repro.core.infinite_window import RobustL0SamplerIW, check_state_fields
+from repro.core.base import CandidateRecord, _ThresholdPolicy
+from repro.core.infinite_window import RobustL0SamplerIW
 from repro.errors import CheckpointError
 
 #: Current envelope schema version.
 FORMAT_VERSION = 3
-
-#: Versions dispatched through the registry (version 1 has its own path).
-_REGISTRY_VERSIONS = (2, 3)
 
 #: Envelope format tag.
 FORMAT_NAME = "repro/summary"
@@ -79,36 +77,35 @@ def summary_to_state(summary: Any) -> dict[str, Any]:
             f"{type(summary).__name__} does not implement the Summary "
             "checkpoint protocol (summary_key + to_state/from_state)"
         )
+    return _envelope(key, to_state())
+
+
+def _envelope(key: str, state: dict[str, Any]) -> dict[str, Any]:
+    """The current-version envelope of a ``key`` summary's state."""
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "summary": key,
-        "state": to_state(),
+        "state": state,
     }
 
 
 def summary_from_state(envelope: dict[str, Any]) -> Any:
     """Restore any summary from a :func:`summary_to_state` envelope.
 
-    The restore is dispatched through the registry: the envelope's
+    The envelope is upgraded (:func:`upgrade_envelope`), then the
+    restore is dispatched through the registry: the envelope's
     ``summary`` key names the class whose ``from_state`` rebuilds the
-    instance.  Version-2 states restore through the same ``from_state``
-    (the column readers also take the per-record lists); version-1
-    checkpoints (infinite-window sampler only) are recognised and
-    upgraded transparently.
+    instance.
     """
     from repro.api import registry
 
-    version = envelope.get("version")
-    if version == 1:
-        # The flat version-1 layout is its own (infinite-window) state.
-        return _restore(
-            RobustL0SamplerIW.summary_key, _legacy_sampler_from_state, envelope
-        )
-    if version not in _REGISTRY_VERSIONS:
-        raise CheckpointError(
-            f"unsupported checkpoint version {version!r}"
-        )
+    key, state = _key_and_state(upgrade_envelope(envelope))
+    return _restore(key, registry.summary_class(key).from_state, state)
+
+
+def _key_and_state(envelope: dict[str, Any]) -> tuple[str, dict[str, Any]]:
+    """An envelope's registry key and state payload, both checked."""
     key = envelope.get("summary")
     if not isinstance(key, str):
         raise CheckpointError("checkpoint envelope is missing a summary key")
@@ -117,18 +114,20 @@ def summary_from_state(envelope: dict[str, Any]) -> Any:
         raise CheckpointError(
             "checkpoint envelope is missing its state payload"
         )
-    return _restore(key, registry.summary_class(key).from_state, state)
+    return key, state
 
 
-def _restore(key: str, from_state: Any, state: dict[str, Any]) -> Any:
-    """``from_state(state)``, its shape errors raised as a bad checkpoint."""
+def _restore(key: str, read: Any, state: dict[str, Any]) -> Any:
+    """``read(state)`` (a restore or an upgrade), its shape errors raised
+    as a bad checkpoint."""
     try:
-        return from_state(state)
+        return read(state)
     except CheckpointError:
         raise
-    except (KeyError, TypeError, IndexError, ValueError) as error:
-        # A state missing a key or holding a value of the wrong shape
-        # fails inside from_state; report it as a bad checkpoint.
+    except (KeyError, TypeError, IndexError, ValueError, SyntaxError) as error:
+        # A state missing a key or holding a value of the wrong shape (a
+        # version-1 RNG literal that does not parse) fails inside
+        # from_state or the upgrade; report it as a bad checkpoint.
         raise CheckpointError(
             f"{key!r} checkpoint state is malformed: "
             f"{type(error).__name__}: {error}"
@@ -241,44 +240,97 @@ def load_stored_summary(backend: Any, key: str) -> Any | None:
     return loads_summary(data)
 
 
-# --------------------------------------------------------------------- #
-# legacy version-1 surface (infinite-window sampler only)
-# --------------------------------------------------------------------- #
+def upgrade_envelope(envelope: dict[str, Any]) -> dict[str, Any]:
+    """``envelope`` in the current layout: a version-3 envelope is
+    returned as is (no copy, no walk), an older one mapped to a new
+    envelope.  Version 1 becomes an ``l0-infinite`` state; version 2's
+    per-record lists, per-level sliding layout and retired pipeline
+    spec fields become their version-3 form.  A malformed older state
+    raises :class:`~repro.errors.CheckpointError` naming the summary
+    key."""
+    version = envelope.get("version")
+    if version == FORMAT_VERSION:
+        return envelope
+    if version == 1:
+        key = RobustL0SamplerIW.summary_key
+        state = _restore(key, _v1_state, envelope)
+    elif version == 2:
+        key, state = _key_and_state(envelope)
+    else:
+        raise CheckpointError(f"unsupported checkpoint version {version!r}")
+    return _envelope(key, _restore(key, _V2_UPGRADES.get(key, dict), state))
 
 
-def _legacy_sampler_from_state(state: dict[str, Any]) -> RobustL0SamplerIW:
-    """Restore a version-1 checkpoint (flat, infinite-window only)."""
-    import ast
+def _v1_state(envelope: dict[str, Any]) -> dict[str, Any]:
+    """Version 1, the infinite-window sampler's flat state with its
+    member RNG a ``repr`` literal, as a version-2 ``l0-infinite`` state."""
+    state = {k: v for k, v in envelope.items() if k not in ("format", "version")}
+    version, internal, gauss = ast.literal_eval(state.pop("member_rng_state"))
+    state["member_rng"] = [version, list(internal), gauss]
+    return state
 
-    check_state_fields(state)
-    config = serialize.config_from_state(state["config"])
-    policy_state = state["policy"]
-    sampler = RobustL0SamplerIW(
-        config.alpha,
-        config.dim,
-        kappa0=policy_state["kappa0"],
-        expected_stream_length=policy_state["expected_stream_length"],
-        accept_capacity=policy_state["fixed"],
-        track_members=state["track_members"],
-        config=config,
+
+def _v2_sampler(state: dict[str, Any]) -> dict[str, Any]:
+    """A version-2 sampler state: its per-record list (or the sliding
+    hierarchy's per-level lists, whose index is the level) packed into
+    one ``records`` column, its policy given the default ``minimum``."""
+    state = dict(state)
+    records = [
+        {**record, "level": level}
+        for level, level_state in enumerate(state.pop("levels"))
+        for record in level_state["records"]
+    ] if "levels" in state else state["records"]
+    state["records"] = serialize.records_to_columns(
+        list(map(_record_from_dict, records)), state["config"]["dim"]
     )
-    sampler._rate_denominator = state["rate_denominator"]
-    sampler._count = state["points_seen"]
-    sampler._peak_words = state["peak_space_words"]
-    sampler._policy._seen = policy_state["seen"]
-    try:
-        rng_state = ast.literal_eval(state["member_rng_state"])
-    except SyntaxError as error:
-        raise CheckpointError(
-            f"version-1 member RNG state is not a literal: {error}"
-        ) from error
-    sampler._member_rng.setstate(rng_state)
-    # Version 1 used the version-2 per-record layout.
-    for record in serialize.records_from_columns(
-        state["records"], config.dim
-    ):
-        sampler._store.add(record)
-    return sampler
+    state["policy"] = {"minimum": _ThresholdPolicy.minimum, **state["policy"]}
+    return state
+
+
+def _record_from_dict(state: dict[str, Any]) -> CandidateRecord:
+    """Decode one record of the version-1/2 per-record layout."""
+    point = serialize.point_from_state
+    representative = point(state["rep"])
+    return CandidateRecord(
+        representative=representative,
+        cell=tuple(state["cell"]),
+        cell_hash=state["cell_hash"],
+        adj_hashes=tuple(state["adj_hashes"]),
+        accepted=state["accepted"],
+        last=point(state["last"]) if "last" in state else representative,
+        count=state["count"],
+        member=point(state["member"]) if "member" in state else None,
+        level=state.get("level", 0),
+    )
+
+
+def _v2_each(field: str) -> Any:
+    """The upgrade of a state listing sampler states in ``field``."""
+    return lambda state: {**state, field: list(map(_v2_sampler, state[field]))}
+
+
+def _v2_pipeline(state: dict[str, Any]) -> dict[str, Any]:
+    """A version-2 pipeline: its spec loses the retired ``transport``
+    and ``work_stealing`` fields, and the retired ``"thread"`` executor
+    becomes ``"serial"`` (both ingest in the calling process)."""
+    retired = ("transport", "work_stealing")
+    spec = {k: v for k, v in state["spec"].items() if k not in retired}
+    if spec.get("executor") == "thread":
+        spec["executor"] = "serial"
+    coordinator = _v2_each("shards")(state["coordinator"])
+    return {**state, "spec": spec, "coordinator": coordinator}
+
+
+#: Registry key -> the upgrade of its version-2 state (the other keys
+#: kept their layout).
+_V2_UPGRADES = {
+    "l0-infinite": _v2_sampler,
+    "l0-sliding": _v2_sampler,
+    "ksample": _v2_each("samplers"),
+    "f0-infinite": _v2_each("copies"),
+    "f0-sliding": _v2_each("copies"),
+    "batch-pipeline": _v2_pipeline,
+}
 
 
 __all__ = [
@@ -292,4 +344,5 @@ __all__ = [
     "store_summary",
     "summary_from_state",
     "summary_to_state",
+    "upgrade_envelope",
 ]

@@ -183,6 +183,21 @@ class TestDocsMatchCode:
             for name in stale:
                 assert name not in text, (path.name, name)
 
+    def test_one_upgrade_for_older_envelopes(self):
+        # Version-1/2 envelopes are upgraded once, at the envelope
+        # boundary: the per-reader legacy paths are gone from the
+        # library and every guide, and ARCHITECTURE names the upgrade.
+        stale = ("_legacy_sampler_from_state", "_RETIRED_PIPELINE_FIELDS")
+        sources = sorted((REPO_ROOT / "src").rglob("*.py"))
+        for path in [*DOCS, *sources]:
+            text = path.read_text(encoding="utf-8")
+            for name in stale:
+                assert name not in text, (path.name, name)
+        text = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text(
+            encoding="utf-8"
+        )
+        assert "upgrade_envelope" in text
+
     def test_query_merges_parked_columns(self):
         # A query merges the parked shard states' record columns with
         # one kernel; the pipeline's rebuild-before-query buffer is gone.

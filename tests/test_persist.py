@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from repro.api import available, build, entry
+from repro.core import serialize
 from repro.core.base import SamplerConfig
 from repro.core.fixed_rate import FixedRateSlidingSampler
 from repro.core.infinite_window import RobustL0SamplerIW
+from repro.core.sliding_window import RobustL0SamplerSW
 from repro.engine import state_fingerprint
 from repro.errors import CheckpointError
 from repro.persist import (
@@ -25,6 +27,7 @@ from repro.persist import (
     loads_summary,
     summary_from_state,
     summary_to_state,
+    upgrade_envelope,
 )
 from repro.streams.point import StreamPoint
 from repro.streams.windows import SequenceWindow
@@ -733,6 +736,164 @@ class TestVersion3HeapFixtures:
         assert dumps_summary(restored) == dumps_summary(replay)
 
 
+def _v1_envelope():
+    """The version-2 infinite-window fixture in the flat version-1
+    layout (its records already use the per-record layout)."""
+    fixture = V2_FIXTURE_DIR / "v2_l0_infinite_members.json"
+    state = json.loads(fixture.read_text())["state"]
+    version, internal, gauss_next = state.pop("member_rng")
+    return {
+        "version": 1,
+        **state,
+        "member_rng_state": repr((version, tuple(internal), gauss_next)),
+    }
+
+
+def _as_version_2(value):
+    """``value`` with every sampler state's records column, at any
+    depth, written back as the version-2 per-record list."""
+    if isinstance(value, list):
+        return [_as_version_2(item) for item in value]
+    if not isinstance(value, dict):
+        return value
+    upgraded = {field: _as_version_2(item) for field, item in value.items()}
+    if isinstance(value.get("records"), dict) and "config" in value:
+        point = serialize.point_to_state
+        rows = []
+        for record in serialize.records_from_columns(
+            value["records"], value["config"]["dim"]
+        ):
+            row = {
+                "rep": point(record.representative),
+                "cell": list(record.cell),
+                "cell_hash": record.cell_hash,
+                "adj_hashes": list(record.adj_hashes),
+                "accepted": record.accepted,
+                "count": record.count,
+                "level": record.level,
+            }
+            if record.last is not record.representative:
+                row["last"] = point(record.last)
+            if record.member is not None:
+                row["member"] = point(record.member)
+            rows.append(row)
+        upgraded["records"] = rows
+    return upgraded
+
+
+class TestUpgradeBoundary:
+    """Older envelopes are upgraded once, by :func:`upgrade_envelope`;
+    every ``from_state`` reads the current layout only."""
+
+    LEGACY = sorted(
+        path.name
+        for pattern in ("v2_*.json", "legacy_*.json")
+        for path in V2_FIXTURE_DIR.glob(pattern)
+    )
+
+    @pytest.mark.parametrize(
+        "cls, name",
+        [
+            (RobustL0SamplerIW, "l0_infinite_members"),
+            (RobustL0SamplerSW, "l0_sliding_sequence"),
+        ],
+    )
+    def test_readers_reject_a_version_2_state(self, cls, name):
+        envelope = json.loads(
+            V2_FIXTURE_DIR.joinpath(f"v2_{name}.json").read_text()
+        )
+        assert isinstance(envelope["state"]["records"], list)
+        with pytest.raises(CheckpointError):
+            cls.from_state(envelope["state"])
+        upgraded = upgrade_envelope(envelope)["state"]
+        assert state_fingerprint(cls.from_state(upgraded)) == (
+            state_fingerprint(summary_from_state(envelope))
+        )
+
+    @pytest.mark.parametrize("name", LEGACY)
+    def test_restore_leaves_a_legacy_envelope_unchanged(self, name):
+        envelope = json.loads(V2_FIXTURE_DIR.joinpath(name).read_text())
+        before = json.loads(json.dumps(envelope))
+        summary = summary_from_state(envelope)
+        getattr(summary, "close", lambda: None)()
+        assert envelope == before
+
+    def test_restore_leaves_a_version_1_envelope_unchanged(self):
+        envelope = _v1_envelope()
+        before = json.loads(json.dumps(envelope))
+        upgraded = upgrade_envelope(envelope)
+        assert upgraded["version"] == FORMAT_VERSION
+        assert upgraded["summary"] == "l0-infinite"
+        restored = summary_from_state(envelope)
+        assert envelope == before
+        fixture = V2_FIXTURE_DIR / "v2_l0_infinite_members.json"
+        assert state_fingerprint(restored) == state_fingerprint(
+            loads_summary(fixture.read_bytes())
+        )
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "l0-infinite", "l0-sliding", "ksample", "f0-infinite",
+            "f0-sliding", "batch-pipeline", "heavy-hitters", "exact",
+        ],
+    )
+    def test_every_key_upgrades_to_its_own_envelope(self, key):
+        # A current state written back in the version-2 layout upgrades
+        # to the same summary and re-serialises to the same bytes.
+        kwargs = dict(RESUME_SPECS[key])
+        if key == "l0-infinite":
+            kwargs["track_members"] = True
+        summary = build(key, **kwargs)
+        summary.process_many(build_stream(300, seed=23, groups=40))
+        envelope = summary_to_state(summary)
+        older = {**envelope, "version": 2}
+        older["state"] = _as_version_2(envelope["state"])
+        restored = summary_from_state(json.loads(json.dumps(older)))
+        try:
+            assert state_fingerprint(restored) == state_fingerprint(summary)
+            assert dumps_summary(restored) == dumps_summary(summary)
+        finally:
+            for item in (summary, restored):
+                getattr(item, "close", lambda: None)()
+
+    #: case -> (fixture, corruption of its state, original error).
+    NESTED_CORRUPTIONS = {
+        "level-without-records": (
+            "legacy_sliding_checkpoint.json",
+            lambda state: state["levels"][1].pop("records"),
+            KeyError,
+        ),
+        "shard-record-without-fields": (
+            "v2_batch_pipeline.json",
+            lambda state: state["coordinator"]["shards"][2].update(
+                records=[{"rep": 1}]
+            ),
+            TypeError,
+        ),
+        "copy-without-config": (
+            "v2_f0_sliding.json",
+            lambda state: state["copies"][1].pop("config"),
+            KeyError,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NESTED_CORRUPTIONS))
+    def test_malformed_nested_state_fails_typed(self, case):
+        name, corrupt, original = self.NESTED_CORRUPTIONS[case]
+        envelope = json.loads(V2_FIXTURE_DIR.joinpath(name).read_text())
+        corrupt(envelope["state"])
+        TestMalformedStates.assert_typed(
+            envelope, envelope["summary"], original
+        )
+
+    def test_current_envelope_is_returned_as_is(self):
+        summary = build("l0-sliding", **RESUME_SPECS["l0-sliding"])
+        summary.process_many(build_stream(120, seed=2, groups=30))
+        envelope = summary_to_state(summary)
+        assert upgrade_envelope(envelope) is envelope
+
+
 # ------------------------------------------------------------------ #
 # version-3 packed columns
 # ------------------------------------------------------------------ #
@@ -1000,25 +1161,41 @@ class TestMalformedStates:
         envelope["member_rng_state"] = "[1, 2]"
         self.assert_typed(envelope, "l0-infinite", ValueError)
 
-    #: case -> (registry key, state field, hostile value).
+    #: case -> (registry key, state field, hostile value); a dotted
+    #: field names a nested state.
     BAD_COUNTERS = {
         "sliding-peak-null": ("l0-sliding", "peak_space_words", None),
         "sliding-points-seen-string": ("l0-sliding", "points_seen", "8"),
         "sliding-points-seen-negative": ("l0-sliding", "points_seen", -5),
         "sliding-max-level-zero": ("l0-sliding", "max_level", 0),
+        # 255 is the largest level a u1 level column holds; the per-level
+        # tables must not be allocated for more.
+        "sliding-max-level-beyond-u1": ("l0-sliding", "max_level", 256),
         "heavy-hitters-points-seen-negative": (
             "heavy-hitters", "points_seen", -5
         ),
         "heavy-hitters-capacity-zero": ("heavy-hitters", "capacity", 0),
+        "pipeline-next-shard-beyond": ("batch-pipeline", "next_shard", 99),
+        "pipeline-next-shard-negative": ("batch-pipeline", "next_shard", -1),
+        "pipeline-batch-size-zero": ("batch-pipeline", "batch_size", 0),
+        "pipeline-points-seen-string": ("batch-pipeline", "points_seen", "x"),
+        "infinite-policy-seen-string": ("l0-infinite", "policy.seen", "x"),
+        "sliding-policy-seen-null": ("l0-sliding", "policy.seen", None),
+        "sliding-policy-seen-negative": ("l0-sliding", "policy.seen", -5),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_COUNTERS))
     def test_bad_counter_fails_typed(self, case):
-        key, field, value = self.BAD_COUNTERS[case]
+        key, path, value = self.BAD_COUNTERS[case]
         summary = build(key, **RESUME_SPECS[key])
         summary.process_many(build_stream(200, seed=13, groups=40))
         envelope = json.loads(dumps_summary(summary))
-        envelope["state"][field] = value
+        getattr(summary, "close", lambda: None)()
+        *parents, field = path.split(".")
+        state = envelope["state"]
+        for parent in parents:
+            state = state[parent]
+        state[field] = value
         with pytest.raises(CheckpointError) as raised:
             loads_summary(json.dumps(envelope).encode("utf-8"))
         assert type(raised.value) is CheckpointError
