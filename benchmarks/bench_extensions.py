@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.api.specs import L0InfiniteSpec
 from repro.core.heavy_hitters import RobustHeavyHitters
 from repro.core.infinite_window import RobustL0SamplerIW
 from repro.distributed.coordinator import DistributedRobustSampler
@@ -60,7 +61,10 @@ def test_lsh_sampler_pass(benchmark):
 
 def test_distributed_merge(benchmark):
     coordinator = DistributedRobustSampler(
-        1.0, 1, num_shards=4, seed=2, expected_stream_length=4000
+        L0InfiniteSpec(
+            alpha=1.0, dim=1, seed=2, expected_stream_length=4000
+        ),
+        num_shards=4,
     )
     rng = random.Random(2)
     stream = [

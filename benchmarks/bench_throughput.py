@@ -98,6 +98,7 @@ if __package__ in (None, ""):  # running as a script
     if str(_SRC) not in sys.path:
         sys.path.insert(0, str(_SRC))
 
+from repro.api.specs import PipelineSpec
 from repro.core.infinite_window import RobustL0SamplerIW
 from repro.core.sliding_window import RobustL0SamplerSW
 from repro.engine.batching import chunked
@@ -229,11 +230,13 @@ def make_highdim_stream(
 def bench_pipeline(points, batch_size: int, seed: int, shards: int):
     """Sharded batch ingestion throughput (no per-point twin)."""
     pipeline = BatchPipeline(
-        1.0,
-        len(points[0]),
-        num_shards=shards,
-        batch_size=batch_size,
-        seed=seed,
+        PipelineSpec(
+            alpha=1.0,
+            dim=len(points[0]),
+            num_shards=shards,
+            batch_size=batch_size,
+            seed=seed,
+        )
     )
     start = time.perf_counter()
     pipeline.extend(points)
@@ -253,8 +256,6 @@ def bench_pipeline_query(
     shard states the drain shipped home plus one draw.  Returns the
     record kept under ``"query"`` in ``BENCH_pipeline.json``.
     """
-    from repro.api.specs import PipelineSpec
-
     spec = PipelineSpec(
         alpha=1.0,
         dim=dim,
@@ -364,8 +365,6 @@ def bench_pipeline_scaling(
     (:meth:`repro.engine.executors.ShardExecutor.stats`) from that
     configuration's fastest run.
     """
-    from repro.api.specs import PipelineSpec
-
     def spec(executor, workers=None):
         return PipelineSpec(
             alpha=1.0,

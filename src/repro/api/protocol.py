@@ -71,8 +71,9 @@ def check_merge_peers(summary: Any, others: tuple[Any, ...]) -> None:
         When any peer is of a different type than ``summary``.
     """
     for other in others:
-        # Subclass peers are allowed (e.g. ShardSampler merges into
-        # RobustL0SamplerIW.merge); unrelated types are not.
+        # Subclass peers are allowed (e.g. a HighDimSamplerIW merges
+        # through the inherited RobustL0SamplerIW.merge); unrelated
+        # types are not.
         if not isinstance(other, type(summary)):
             raise ParameterError(
                 f"cannot merge {type(summary).__name__} with "

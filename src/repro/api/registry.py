@@ -239,7 +239,7 @@ def _build_heavy_hitters(spec: _specs.HeavyHittersSpec):
 def _build_pipeline(spec: _specs.PipelineSpec):
     from repro.engine.pipeline import BatchPipeline
 
-    return BatchPipeline(spec=spec)
+    return BatchPipeline(spec)
 
 
 def _build_exact(spec: _specs.ExactSpec):

@@ -274,7 +274,7 @@ class PipelineSpec(PointSummarySpec):
         synchronisation, ``"remote"`` enqueues chunks
         into a shared :class:`~repro.backends.base.StateBackend` served
         by lease-holding workers that may live on other machines
-        (``python -m repro.engine.remote_worker``).  Every choice is
+        (``python -m repro.cli worker``).  Every choice is
         ``state_fingerprint``-equivalent; only wall-clock throughput
         differs.
     num_workers:

@@ -13,8 +13,7 @@ library's summaries over it:
   estimate and one distinct sample over the union stream from one
   merge of the synchronised shards;
 * ``worker``   - serve a remote pipeline's work queue from any machine
-  that shares its backend (the CLI twin of
-  ``python -m repro.engine.remote_worker``);
+  that shares its backend (:func:`repro.engine.remote_worker.run_worker`);
 * ``serve``    - the multi-tenant summary service (:mod:`repro.service`):
   one summary per tenant key with LRU/TTL eviction to checkpoint,
   ``/metrics`` and SSE streaming, run under uvicorn (``pip install
@@ -86,7 +85,7 @@ from repro.api import (
 from repro.backends import BACKEND_NAMES
 from repro.core.base import DEFAULT_BATCH_SIZE
 from repro.engine.executors import EXECUTOR_NAMES
-from repro.engine.remote_worker import add_worker_arguments, run_worker
+from repro.engine.remote_worker import run_worker
 from repro.engine.resumable import DEFAULT_CHECKPOINT_EVERY
 from repro.errors import CheckpointError, ReproError
 from repro.persist import dump_summary, load_summary
@@ -287,7 +286,54 @@ def build_parser() -> argparse.ArgumentParser:
         "backend CAS, fold their chunks, commit states through the CAS "
         "fence (runs on any machine sharing the backend)",
     )
-    add_worker_arguments(worker)
+    worker.add_argument(
+        "--backend",
+        required=True,
+        choices=["file", "redis"],
+        help="shared backend flavour the submitting pipeline uses "
+        "(memory is in-process only and has no worker command)",
+    )
+    worker.add_argument(
+        "--backend-path",
+        default=None,
+        help="directory of the file backend (with --backend file)",
+    )
+    worker.add_argument(
+        "--backend-url",
+        default=None,
+        help="redis URL of the redis backend (with --backend redis)",
+    )
+    worker.add_argument(
+        "--queue-key",
+        default="remote-queue",
+        help="work-queue namespace to serve (default remote-queue; "
+        "must match the pipeline's queue key)",
+    )
+    worker.add_argument(
+        "--worker-id",
+        default=None,
+        help="lease identity (default: <hostname>-<pid>)",
+    )
+    worker.add_argument(
+        "--lease-ttl",
+        type=float,
+        default=5.0,
+        help="seconds without a heartbeat before this worker's shards "
+        "are stolen (default 5; match the pipeline's lease ttl)",
+    )
+    worker.add_argument(
+        "--poll-interval",
+        type=float,
+        default=0.05,
+        help="idle polling period in seconds (default 0.05)",
+    )
+    worker.add_argument(
+        "--max-idle",
+        type=float,
+        default=None,
+        help="exit after this many idle seconds (default: serve "
+        "forever, across successive pipeline runs)",
+    )
 
     serve = commands.add_parser(
         "serve",
@@ -519,8 +565,8 @@ def _service_spec_for(args):
 def _run_worker(args, out: TextIO) -> None:
     """Serve a remote work queue until stopped (the ``worker`` command).
 
-    The in-process twin of ``python -m repro.engine.remote_worker``;
-    prints the worker's counters as JSON on exit.
+    Runs :func:`repro.engine.remote_worker.run_worker` on the named
+    backend; prints the worker's counters as JSON on exit.
     """
     from repro.backends import make_backend
 
@@ -712,6 +758,8 @@ def main(argv: list[str] | None = None, out: TextIO | None = None) -> int:
         except ReproError as error:
             print(f"error: {error}", file=sys.stderr)
             return 1
+        except KeyboardInterrupt:  # pragma: no cover - the daemon's stop
+            return 130
         return 0
     handle = _open_input(args.input)
     try:

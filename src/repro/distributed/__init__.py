@@ -12,6 +12,6 @@ representatives differing per shard (each shard sees its own first point
 of a group), which merging reconciles by proximity.
 """
 
-from repro.distributed.coordinator import DistributedRobustSampler, ShardSampler
+from repro.distributed.coordinator import DistributedRobustSampler
 
-__all__ = ["DistributedRobustSampler", "ShardSampler"]
+__all__ = ["DistributedRobustSampler"]

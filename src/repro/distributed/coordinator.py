@@ -1,9 +1,10 @@
 """Coordinator/shard protocol for distributed robust sampling.
 
 Deployment model: ``k`` independent stream shards (e.g. per-datacenter
-feeds of the same logical event stream) each run a
-:class:`ShardSampler`; a coordinator periodically pulls their compact
-states and merges them into a single sampler over the union stream.
+feeds of the same logical event stream) each run Algorithm 1's
+:class:`~repro.core.infinite_window.RobustL0SamplerIW`; a coordinator
+periodically pulls their compact states and merges them into a single
+sampler over the union stream.
 
 Consistency argument: all shards share one ``SamplerConfig`` (same grid
 offset, same sampling hash), so a group's accept/reject status at rate
@@ -27,9 +28,12 @@ the shard object is rebuilt only when something reads it
 
 Shards are **spec-constructed**: the coordinator holds one
 :class:`~repro.api.specs.L0InfiniteSpec` describing every shard, derives
-the shared config from it once, and builds each shard from the spec.
-The whole coordinator checkpoints through the same protocol
-(:meth:`to_state` / :meth:`from_state`), shards mid-stream included.
+the shared config from it once, and builds each shard through the
+registry's ``l0-infinite`` factory with that config; a shard is a plain
+``RobustL0SamplerIW`` whose identity is its index.  The whole
+coordinator checkpoints through the same protocol (:meth:`to_state` /
+:meth:`from_state`), shards mid-stream included, and every shard
+restore is ``RobustL0SamplerIW.from_state(state, config=config)``.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from repro.core.base import DEFAULT_KAPPA0, SamplerConfig
+from repro.core.base import SamplerConfig
 from repro.core.infinite_window import RobustL0SamplerIW, merge_columns
 from repro.errors import EmptySampleError, ParameterError
 from repro.streams.point import StreamPoint
@@ -47,117 +51,24 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.core.chunk_geometry import ChunkGeometry
 
 
-def _shard_spec(
-    alpha: float | None,
-    dim: int | None,
-    spec: "L0InfiniteSpec | None",
-    seed: int | None,
-    kappa0: float,
-    expected_stream_length: int | None,
-) -> "L0InfiniteSpec":
-    """Normalise the legacy ``(alpha, dim, ...)`` surface onto a spec.
-
-    The two surfaces are mutually exclusive: a spec given alongside any
-    legacy argument is an error rather than silently winning over it.
-    """
-    from repro.api.specs import L0InfiniteSpec
-
-    if spec is not None:
-        if (
-            alpha is not None
-            or dim is not None
-            or seed is not None
-            or kappa0 != DEFAULT_KAPPA0
-            or expected_stream_length is not None
-        ):
-            raise ParameterError(
-                "pass alpha/dim/seed/kappa0/expected_stream_length inside "
-                "the spec, not alongside it"
-            )
-        return spec
-    if alpha is None or dim is None:
-        raise ParameterError(
-            "either a spec or (alpha, dim) is required"
-        )
-    return L0InfiniteSpec(
-        alpha=alpha,
-        dim=dim,
-        seed=seed,
-        kappa0=kappa0,
-        expected_stream_length=expected_stream_length,
-    )
-
-
-class ShardSampler(RobustL0SamplerIW):
-    """A shard's local robust sampler.
-
-    Identical to :class:`~repro.core.infinite_window.RobustL0SamplerIW`
-    except that it is built from the coordinator's spec plus the *shared*
-    config (enforced) and carries a shard id for bookkeeping.
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        config: SamplerConfig,
-        *,
-        spec: "L0InfiniteSpec | None" = None,
-        kappa0: float = DEFAULT_KAPPA0,
-        expected_stream_length: int | None = None,
-    ) -> None:
-        if spec is not None:
-            kappa0 = spec.kappa0
-            expected_stream_length = spec.expected_stream_length
-        super().__init__(
-            config.alpha,
-            config.dim,
-            kappa0=kappa0,
-            expected_stream_length=expected_stream_length,
-            config=config,
-        )
-        self._shard_id = shard_id
-
-    @property
-    def shard_id(self) -> int:
-        """This shard's identifier."""
-        return self._shard_id
-
-    def to_state(self) -> dict[str, Any]:
-        """Protocol state plus the shard id."""
-        state = super().to_state()
-        state["shard_id"] = self._shard_id
-        return state
-
-    @classmethod
-    def _construct_for_restore(cls, state, config, policy) -> "ShardSampler":
-        return cls(
-            state["shard_id"],
-            config,
-            kappa0=policy.kappa0,
-            expected_stream_length=policy.expected_stream_length,
-        )
-
-
 class DistributedRobustSampler:
     """Coordinator over ``num_shards`` robust shard samplers.
 
     Parameters
     ----------
-    alpha, dim:
-        Geometry of the noisy data model (legacy surface; equivalently
-        pass ``spec``).
     spec:
         A :class:`~repro.api.specs.L0InfiniteSpec` describing every
         shard; the shared config (grid + hash) is derived from it once.
+        ``track_members=True`` is rejected: every coordinator query is
+        a merge, and member reservoirs cannot be merged.
     num_shards:
         Number of shard samplers to create.
-    seed, kappa0, expected_stream_length:
-        Legacy-surface shorthands folded into the spec.
 
     Examples
     --------
-    >>> import random
-    >>> coordinator = DistributedRobustSampler(0.5, 1, num_shards=2, seed=3)
+    >>> from repro.api.specs import L0InfiniteSpec
+    >>> spec = L0InfiniteSpec(alpha=0.5, dim=1, seed=3)
+    >>> coordinator = DistributedRobustSampler(spec, num_shards=2)
     >>> coordinator.shard(0).insert((0.0,))
     >>> coordinator.shard(1).insert((0.1,))   # same group, other shard
     >>> coordinator.shard(1).insert((9.0,))
@@ -166,32 +77,28 @@ class DistributedRobustSampler:
     2
     """
 
-    def __init__(
-        self,
-        alpha: float | None = None,
-        dim: int | None = None,
-        *,
-        spec: "L0InfiniteSpec | None" = None,
-        num_shards: int,
-        seed: int | None = None,
-        kappa0: float = DEFAULT_KAPPA0,
-        expected_stream_length: int | None = None,
-    ) -> None:
+    def __init__(self, spec: "L0InfiniteSpec", num_shards: int) -> None:
+        from repro.api.registry import build
+
         if num_shards < 1:
             raise ParameterError(f"num_shards must be >= 1, got {num_shards}")
-        self._spec = _shard_spec(
-            alpha, dim, spec, seed, kappa0, expected_stream_length
-        )
+        if spec.track_members:
+            raise ParameterError(
+                "track_members=True is not supported by the coordinator: "
+                "its queries merge the shards, and member reservoirs "
+                "cannot be merged"
+            )
+        self._spec = spec
         self._config = SamplerConfig.create(
-            self._spec.alpha,
-            self._spec.dim,
-            seed=self._spec.seed,
-            grid_side=self._spec.grid_side,
-            kwise=self._spec.kwise,
+            spec.alpha,
+            spec.dim,
+            seed=spec.seed,
+            grid_side=spec.grid_side,
+            kwise=spec.kwise,
         )
         self._shards = [
-            ShardSampler(i, self._config, spec=self._spec)
-            for i in range(num_shards)
+            build("l0-infinite", spec, config=self._config)
+            for _ in range(num_shards)
         ]
         # Parked shards: index -> the shard's current protocol state,
         # which supersedes self._shards[index] (see park_shard).
@@ -212,7 +119,7 @@ class DistributedRobustSampler:
         """The spec every shard was constructed from."""
         return self._spec
 
-    def shard(self, index: int) -> ShardSampler:
+    def shard(self, index: int) -> RobustL0SamplerIW:
         """Access one shard's sampler (rebuilding a parked shard first)."""
         state = self._parked.get(index)
         if state is not None:
@@ -247,7 +154,7 @@ class DistributedRobustSampler:
         ``state_fingerprint``-exact, so a pipeline that ran on process
         workers is indistinguishable from one that ran serially.
         """
-        self._shards[index] = ShardSampler.from_state(
+        self._shards[index] = RobustL0SamplerIW.from_state(
             state, config=self._config
         )
         self._parked.pop(index, None)
@@ -345,7 +252,7 @@ class DistributedRobustSampler:
         coordinator._spec = spec_from_state(state["spec"])
         coordinator._config = serialize.config_from_state(state["config"])
         coordinator._shards = [
-            ShardSampler.from_state(
+            RobustL0SamplerIW.from_state(
                 shard_state, config=coordinator._config
             )
             for shard_state in state["shards"]

@@ -148,10 +148,10 @@ def state_fingerprint(sampler: Any) -> tuple:
 
     Two samplers with equal fingerprints behave identically on every
     future insertion and query.  Supports every sampler of the library
-    (including the distributed shard sampler, which subclasses the
-    infinite-window one) plus the standalone reservoirs.
+    (a distributed shard is a plain infinite-window sampler) plus the
+    standalone reservoirs.
     """
-    if isinstance(sampler, RobustL0SamplerIW):  # incl. ShardSampler
+    if isinstance(sampler, RobustL0SamplerIW):
         return _infinite(sampler)
     if isinstance(sampler, FixedRateSlidingSampler):
         return _fixed_rate(sampler)

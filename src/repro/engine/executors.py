@@ -400,7 +400,7 @@ def _transport_worker(worker_id, task_queue, result_queue, config_state):
     still gets its ``"done"`` so the submitter's pool cannot starve).
     """
     from repro.core import serialize
-    from repro.distributed.coordinator import ShardSampler
+    from repro.core.infinite_window import RobustL0SamplerIW
 
     config = serialize.config_from_state(config_state)
     shards: dict[int, Any] = {}
@@ -458,7 +458,7 @@ def _transport_worker(worker_id, task_queue, result_queue, config_state):
             result_queue.put(("done", worker_id, slot))
         elif kind == "adopt":
             try:
-                shards[message[1]] = ShardSampler.from_state(
+                shards[message[1]] = RobustL0SamplerIW.from_state(
                     message[2], config=config
                 )
                 next_seq[message[1]] = message[3]
@@ -792,7 +792,7 @@ class RemoteShardExecutor(ShardExecutor):
     ``chunk/<shard>/<seq>`` backend entry
     (:meth:`~repro.backends.base.StateBackend.put_many`, amortising the
     file backend's per-put fsync).  Workers - local threads spawned
-    here, or ``python -m repro.engine.remote_worker`` processes on any
+    here, or ``python -m repro.cli worker`` processes on any
     machine sharing the backend - lease shards via CAS, fold chunks in
     sequence order and commit ``(consumed_seq, state)`` entries through
     a per-shard CAS fence (see :mod:`repro.engine.queue`).  ``drain``
@@ -875,7 +875,7 @@ class RemoteShardExecutor(ShardExecutor):
         }
         # Local workers: the zero-configuration mode (and the fast path
         # of the test matrix).  num_workers=0 means every worker is an
-        # external ``remote_worker`` process someone else launches.
+        # external ``repro.cli worker`` process someone else launches.
         if num_workers is None:
             local = 1
         elif num_workers < 0:
@@ -1016,8 +1016,10 @@ def make_executor(
     remote executor (see :class:`RemoteShardExecutor`), which the
     others ignore.
 
+    >>> from repro.api.specs import L0InfiniteSpec
     >>> from repro.distributed.coordinator import DistributedRobustSampler
-    >>> coordinator = DistributedRobustSampler(1.0, 1, num_shards=2, seed=1)
+    >>> spec = L0InfiniteSpec(alpha=1.0, dim=1, seed=1)
+    >>> coordinator = DistributedRobustSampler(spec, num_shards=2)
     >>> make_executor("serial", coordinator).name
     'serial'
     >>> make_executor("warp", coordinator)

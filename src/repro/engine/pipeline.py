@@ -12,9 +12,10 @@ checks the merge output against a single sampler fed the interleaved
 union directly.
 
 The pipeline is registered in :mod:`repro.api.registry` under
-``"batch-pipeline"`` and is built from a
-:class:`~repro.api.specs.PipelineSpec`; shards are spec-constructed by
-the coordinator and the whole pipeline - shards mid-stream, round-robin
+``"batch-pipeline"`` and is built one way, ``BatchPipeline(spec)`` from
+a :class:`~repro.api.specs.PipelineSpec` (the chunk size, executor and
+seed all live in the spec); shards are spec-constructed by the
+coordinator and the whole pipeline - shards mid-stream, round-robin
 cursor and all - checkpoints through the Summary protocol
 (:meth:`to_state` / :meth:`from_state`), so a long ingestion job can be
 stopped and resumed with fingerprint-identical results.
@@ -46,12 +47,12 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from repro.core.base import DEFAULT_KAPPA0, SamplerConfig
+from repro.core.base import SamplerConfig
 from repro.core.chunk_geometry import ChunkGeometry, is_chunk
 from repro.core.infinite_window import RobustL0SamplerIW
-from repro.distributed.coordinator import DistributedRobustSampler, ShardSampler
+from repro.distributed.coordinator import DistributedRobustSampler
 from repro.engine.batching import chunk_geometry_for, chunked
-from repro.errors import EmptySampleError, ExecutorError, ParameterError
+from repro.errors import CheckpointError, EmptySampleError, ExecutorError
 from repro.streams.point import StreamPoint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -64,34 +65,21 @@ class BatchPipeline:
 
     Parameters
     ----------
-    alpha, dim:
-        Geometry of the noisy data model (legacy surface; equivalently
-        pass ``spec``).
     spec:
         A :class:`~repro.api.specs.PipelineSpec` describing the whole
-        pipeline (geometry, shard count, batch size, seed).
-    num_shards:
-        Number of shard samplers fed round-robin.
-    batch_size:
-        Chunk size used by :meth:`extend`.
-    seed:
-        Seed of the shared configuration; also accepts ``rng`` - an
-        explicit generator - for library callers threading one source
-        of randomness through a whole run.
-    executor, num_workers:
-        Where shard ingestion runs: ``"serial"`` (default), or
-        ``"process"``/``"remote"`` with ``num_workers`` workers
-        (default: one per shard; one local worker for ``"remote"``).
-        See :mod:`repro.engine.executors`; parallel pipelines should be
+        pipeline: geometry, seed, shard count, the chunk size
+        :meth:`extend` deals with, and the executor (``"serial"`` by
+        default, or ``"process"``/``"remote"``; see
+        :mod:`repro.engine.executors`).  Parallel pipelines should be
         :meth:`close`\\ d (or used as context managers) to release
         their workers.
-    kappa0, expected_stream_length:
-        Forwarded to every shard.
 
     Examples
     --------
-    >>> pipeline = BatchPipeline(1.0, 1, num_shards=3, seed=11,
-    ...                          batch_size=4)
+    >>> from repro.api.specs import PipelineSpec
+    >>> spec = PipelineSpec(alpha=1.0, dim=1, num_shards=3, seed=11,
+    ...                     batch_size=4)
+    >>> pipeline = BatchPipeline(spec)
     >>> pipeline.extend([(25.0 * (i % 5),) for i in range(40)])
     40
     >>> merged = pipeline.merge()
@@ -102,79 +90,20 @@ class BatchPipeline:
     #: Registry key (see :mod:`repro.api.registry`).
     summary_key = "batch-pipeline"
 
-    def __init__(
-        self,
-        alpha: float | None = None,
-        dim: int | None = None,
-        *,
-        spec: "PipelineSpec | None" = None,
-        num_shards: int | None = None,
-        batch_size: int | None = None,
-        seed: int | None = None,
-        rng: random.Random | None = None,
-        executor: str | None = None,
-        num_workers: int | None = None,
-        kappa0: float = DEFAULT_KAPPA0,
-        expected_stream_length: int | None = None,
-    ) -> None:
-        from repro.api.specs import L0InfiniteSpec, PipelineSpec
+    def __init__(self, spec: "PipelineSpec") -> None:
+        from repro.api.specs import L0InfiniteSpec
 
-        if spec is None:
-            if rng is not None:
-                seed = rng.randrange(2**62)
-            if alpha is None or dim is None:
-                raise ParameterError(
-                    "either a spec or (alpha, dim) is required"
-                )
-            # Only non-None knobs are forwarded, so PipelineSpec's own
-            # defaults stay the single source of truth.
-            knobs = {
-                key: value
-                for key, value in (
-                    ("num_shards", num_shards),
-                    ("batch_size", batch_size),
-                    ("executor", executor),
-                    ("num_workers", num_workers),
-                )
-                if value is not None
-            }
-            spec = PipelineSpec(
-                alpha=alpha,
-                dim=dim,
-                seed=seed,
-                kappa0=kappa0,
-                expected_stream_length=expected_stream_length,
-                **knobs,
-            )
-        elif (
-            alpha is not None
-            or dim is not None
-            or num_shards is not None
-            or batch_size is not None
-            or seed is not None
-            or rng is not None
-            or executor is not None
-            or num_workers is not None
-            or kappa0 != DEFAULT_KAPPA0
-            or expected_stream_length is not None
-        ):
-            raise ParameterError(
-                "pass alpha/dim/num_shards/batch_size/seed/executor/"
-                "num_workers/kappa0/expected_stream_length inside the "
-                "spec, not alongside it"
-            )
         self._spec = spec
         self._coordinator = DistributedRobustSampler(
-            spec=L0InfiniteSpec(
+            L0InfiniteSpec(
                 alpha=spec.alpha,
                 dim=spec.dim,
                 seed=spec.seed,
                 kappa0=spec.kappa0,
                 expected_stream_length=spec.expected_stream_length,
             ),
-            num_shards=spec.num_shards,
+            spec.num_shards,
         )
-        self._batch_size = spec.batch_size
         self._next_shard = 0
         self._points_seen = 0
         self._executor: "ShardExecutor | None" = None
@@ -196,8 +125,8 @@ class BatchPipeline:
 
     @property
     def batch_size(self) -> int:
-        """Chunk size used when slicing streams."""
-        return self._batch_size
+        """Chunk size used when slicing streams (``spec.batch_size``)."""
+        return self._spec.batch_size
 
     @property
     def config(self) -> SamplerConfig:
@@ -224,7 +153,7 @@ class BatchPipeline:
         """Which executor runs shard work (``spec.executor``)."""
         return self._spec.executor
 
-    def shard(self, index: int) -> ShardSampler:
+    def shard(self, index: int) -> RobustL0SamplerIW:
         """Access one shard's sampler (synchronises first)."""
         self.sync()
         return self._coordinator.shard(index)
@@ -371,7 +300,7 @@ class BatchPipeline:
         config = self._coordinator.config
         whole = chunk_geometry_for(config, points)
         items = whole.items
-        size = self._batch_size
+        size = self._spec.batch_size
         total = 0
         for start in range(0, whole.n, size):
             block = slice(start, start + size)
@@ -398,7 +327,7 @@ class BatchPipeline:
         deal with the same chunk size.
         """
         if batch_size is None:
-            batch_size = self._batch_size
+            batch_size = self._spec.batch_size
         total = 0
         for chunk in chunked(points, batch_size):
             total += self.submit(chunk)
@@ -469,7 +398,7 @@ class BatchPipeline:
         self.sync()
         return {
             "spec": self._spec.to_state(),
-            "batch_size": self._batch_size,
+            "batch_size": self._spec.batch_size,
             "next_shard": self._next_shard,
             "points_seen": self._points_seen,
             "coordinator": self._coordinator.to_state(),
@@ -482,6 +411,8 @@ class BatchPipeline:
         The restored pipeline continues dealing exactly where the
         original stopped (same shard cursor, same shard states), so a
         resumed run is fingerprint-identical to an uninterrupted one.
+        The chunk size is the spec's; the envelope's top-level
+        ``batch_size`` must agree with it.
         """
         from repro.api.registry import spec_from_state
         from repro.core import serialize
@@ -490,12 +421,17 @@ class BatchPipeline:
         serialize.check_int_fields(state, 0, "points_seen")
         pipeline = cls.__new__(cls)
         pipeline._spec = spec_from_state(state["spec"])
+        if state["batch_size"] != pipeline._spec.batch_size:
+            raise CheckpointError(
+                f"pipeline state field 'batch_size' is "
+                f"{state['batch_size']}, but its spec's batch_size is "
+                f"{pipeline._spec.batch_size}"
+            )
         pipeline._coordinator = DistributedRobustSampler.from_state(
             state["coordinator"]
         )
         shards = pipeline._coordinator.num_shards
         serialize.check_int_fields(state, 0, "next_shard", maximum=shards - 1)
-        pipeline._batch_size = state["batch_size"]
         pipeline._next_shard = state["next_shard"]
         pipeline._points_seen = state["points_seen"]
         pipeline._executor = None  # restarted lazily on the next submit
@@ -534,7 +470,6 @@ class BatchPipeline:
         as ``cas_version`` so the resumed run keeps exclusive ownership
         of the key.
         """
-        from repro.errors import CheckpointError
         from repro.persist import loads_summary
 
         found = backend.get_versioned(key)

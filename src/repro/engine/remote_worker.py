@@ -1,4 +1,4 @@
-"""Standalone remote pipeline worker: ``python -m repro.engine.remote_worker``.
+"""Remote pipeline worker: the loop behind ``python -m repro.cli worker``.
 
 The worker side of the remote executor (see
 :class:`repro.engine.executors.RemoteShardExecutor`).  A worker holds no
@@ -38,17 +38,14 @@ mid-stream, lease steals, stale-worker resurrection.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import socket
-import sys
 import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.backends.base import StateBackend, make_backend
+from repro.backends.base import StateBackend
 from repro.backends.lease import (
     Lease,
     acquire_lease,
@@ -58,7 +55,7 @@ from repro.backends.lease import (
 from repro.engine.queue import RemoteQueue, decode_chunk
 from repro.errors import CASConflictError
 
-__all__ = ["add_worker_arguments", "main", "run_worker"]
+__all__ = ["run_worker"]
 
 
 @dataclass
@@ -101,7 +98,7 @@ def _try_adopt(
     config: Any,
     stats: dict[str, int],
 ) -> _Owned | None:
-    from repro.distributed.coordinator import ShardSampler
+    from repro.core.infinite_window import RobustL0SamplerIW
 
     lease = acquire_lease(
         queue.backend, queue.lease_key(shard), worker_id, ttl=lease_ttl
@@ -115,7 +112,7 @@ def _try_adopt(
     stats["adoptions"] += 1
     return _Owned(
         shard=shard,
-        replica=ShardSampler.from_state(state, config=config),
+        replica=RobustL0SamplerIW.from_state(state, config=config),
         seq=seq,
         state_version=version,
         lease=lease,
@@ -200,7 +197,7 @@ def run_worker(
 
     Runs in a thread for the executor's built-in local workers
     (``stop_event`` set on close) and as the whole process for
-    ``python -m repro.engine.remote_worker``.  ``max_idle`` bounds how
+    ``python -m repro.cli worker``.  ``max_idle`` bounds how
     long the worker lingers with no queue, no work and no stop request
     (``None``: forever - daemon mode, serving successive epochs).
     """
@@ -291,99 +288,3 @@ def run_worker(
             release_lease(backend, entry.lease)
         owned.clear()
     return stats
-
-
-def add_worker_arguments(parser: argparse.ArgumentParser) -> None:
-    """Add the worker's flags to ``parser``.
-
-    The one definition behind both entry points: this module's
-    ``main`` and the ``repro.cli worker`` subcommand.
-    """
-    parser.add_argument(
-        "--backend",
-        required=True,
-        choices=["file", "redis"],
-        help="shared backend flavour the submitting pipeline uses "
-        "(memory is in-process only and has no worker command)",
-    )
-    parser.add_argument(
-        "--backend-path",
-        default=None,
-        help="directory of the file backend (with --backend file)",
-    )
-    parser.add_argument(
-        "--backend-url",
-        default=None,
-        help="redis URL of the redis backend (with --backend redis)",
-    )
-    parser.add_argument(
-        "--queue-key",
-        default="remote-queue",
-        help="work-queue namespace to serve (default remote-queue; "
-        "must match the pipeline's queue key)",
-    )
-    parser.add_argument(
-        "--worker-id",
-        default=None,
-        help="lease identity (default: <hostname>-<pid>)",
-    )
-    parser.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=5.0,
-        help="seconds without a heartbeat before this worker's shards "
-        "are stolen (default 5; match the pipeline's lease ttl)",
-    )
-    parser.add_argument(
-        "--poll-interval",
-        type=float,
-        default=0.05,
-        help="idle polling period in seconds (default 0.05)",
-    )
-    parser.add_argument(
-        "--max-idle",
-        type=float,
-        default=None,
-        help="exit after this many idle seconds (default: serve "
-        "forever, across successive pipeline runs)",
-    )
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.engine.remote_worker",
-        description=(
-            "Serve a remote pipeline work queue: lease shards through "
-            "backend CAS, fold their chunks, commit states through the "
-            "CAS fence.  Point it at the same backend and --queue-key "
-            "the submitting pipeline uses."
-        ),
-    )
-    add_worker_arguments(parser)
-    args = parser.parse_args(argv)
-    try:
-        backend = make_backend(
-            args.backend, path=args.backend_path, url=args.backend_url
-        )
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        stats = run_worker(
-            backend,
-            args.queue_key,
-            worker_id=args.worker_id,
-            lease_ttl=args.lease_ttl,
-            poll_interval=args.poll_interval,
-            max_idle=args.max_idle,
-        )
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        return 130
-    finally:
-        backend.close()
-    print(json.dumps(stats, sort_keys=True))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    sys.exit(main())

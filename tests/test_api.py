@@ -244,7 +244,10 @@ class TestMergeSemantics:
         # merge() on samplers == the distributed coordinator's merge.
         from repro.distributed.coordinator import DistributedRobustSampler
 
-        coordinator = DistributedRobustSampler(1.0, 1, num_shards=2, seed=3)
+        coordinator = DistributedRobustSampler(
+            L0InfiniteSpec(alpha=1.0, dim=1, seed=3),
+            num_shards=2,
+        )
         stream = group_stream(200, seed=41)
         for i, point in enumerate(stream):
             coordinator.route(point, shard=i % 2)

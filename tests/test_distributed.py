@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from repro.api.specs import L0InfiniteSpec, PipelineSpec
 from repro.core.infinite_window import RobustL0SamplerIW
 from repro.distributed.coordinator import DistributedRobustSampler
 from repro.engine.pipeline import BatchPipeline
@@ -27,22 +28,56 @@ def feed(coordinator, num_groups, copies=3, seed=0):
 class TestConstruction:
     def test_validation(self):
         with pytest.raises(ParameterError):
-            DistributedRobustSampler(1.0, 1, num_shards=0)
+            DistributedRobustSampler(
+                L0InfiniteSpec(alpha=1.0, dim=1),
+                num_shards=0,
+            )
 
     def test_shards_share_config(self):
-        coordinator = DistributedRobustSampler(1.0, 2, num_shards=3, seed=1)
+        coordinator = DistributedRobustSampler(
+            L0InfiniteSpec(alpha=1.0, dim=2, seed=1),
+            num_shards=3,
+        )
         configs = {id(coordinator.shard(i).config) for i in range(3)}
         assert len(configs) == 1
+
+    def test_shards_honour_accept_capacity(self):
+        spec = L0InfiniteSpec(alpha=1.0, dim=1, seed=3, accept_capacity=8)
+        coordinator = DistributedRobustSampler(spec=spec, num_shards=2)
+        feed(coordinator, 200, copies=1, seed=3)
+        for index in range(coordinator.num_shards):
+            shard = coordinator.shard(index)
+            assert shard._policy.fixed == 8
+            assert shard.accept_size <= 8
+        # The checkpoint's spec is the one the shards were built from,
+        # and the restored shards keep the fixed capacity.
+        restored = DistributedRobustSampler.from_state(
+            coordinator.to_state()
+        )
+        assert restored.spec == spec
+        assert restored.shard(0)._policy.fixed == 8
+        assert coordinator.merged_sampler()._policy.fixed == 8
+
+    def test_track_members_is_rejected(self):
+        spec = L0InfiniteSpec(alpha=1.0, dim=1, seed=3, track_members=True)
+        with pytest.raises(ParameterError, match="track_members"):
+            DistributedRobustSampler(spec=spec, num_shards=2)
 
 
 class TestMergeSemantics:
     def test_empty_merge(self):
-        coordinator = DistributedRobustSampler(1.0, 1, num_shards=2, seed=0)
+        coordinator = DistributedRobustSampler(
+            L0InfiniteSpec(alpha=1.0, dim=1, seed=0),
+            num_shards=2,
+        )
         with pytest.raises(EmptySampleError):
             coordinator.sample()
 
     def test_cross_shard_group_deduplicated(self):
-        coordinator = DistributedRobustSampler(1.0, 1, num_shards=2, seed=2)
+        coordinator = DistributedRobustSampler(
+            L0InfiniteSpec(alpha=1.0, dim=1, seed=2),
+            num_shards=2,
+        )
         coordinator.route((0.0,), shard=0)
         coordinator.route((0.2,), shard=1)  # same group, other shard
         coordinator.route((50.0,), shard=1)
@@ -50,7 +85,10 @@ class TestMergeSemantics:
         assert merged.num_candidate_groups == 2
 
     def test_merge_counts_pooled(self):
-        coordinator = DistributedRobustSampler(1.0, 1, num_shards=2, seed=3)
+        coordinator = DistributedRobustSampler(
+            L0InfiniteSpec(alpha=1.0, dim=1, seed=3),
+            num_shards=2,
+        )
         for _ in range(4):
             coordinator.route((0.0,), shard=0)
         for _ in range(5):
@@ -61,7 +99,10 @@ class TestMergeSemantics:
 
     def test_merge_matches_group_count(self):
         coordinator = DistributedRobustSampler(
-            1.0, 1, num_shards=4, seed=4, expected_stream_length=400
+            L0InfiniteSpec(
+                alpha=1.0, dim=1, seed=4, expected_stream_length=400
+            ),
+            num_shards=4,
         )
         feed(coordinator, 80, seed=4)
         merged = coordinator.merged_sampler()
@@ -70,7 +111,10 @@ class TestMergeSemantics:
 
     def test_merge_respects_rate_invariant(self):
         coordinator = DistributedRobustSampler(
-            1.0, 1, num_shards=3, seed=5, expected_stream_length=900
+            L0InfiniteSpec(
+                alpha=1.0, dim=1, seed=5, expected_stream_length=900
+            ),
+            num_shards=3,
         )
         feed(coordinator, 300, seed=5)
         merged = coordinator.merged_sampler()
@@ -80,7 +124,10 @@ class TestMergeSemantics:
 
     def test_merged_accept_capacity(self):
         coordinator = DistributedRobustSampler(
-            1.0, 1, num_shards=3, seed=6, expected_stream_length=900
+            L0InfiniteSpec(
+                alpha=1.0, dim=1, seed=6, expected_stream_length=900
+            ),
+            num_shards=3,
         )
         feed(coordinator, 300, seed=6)
         merged = coordinator.merged_sampler()
@@ -88,7 +135,10 @@ class TestMergeSemantics:
 
     def test_communication_is_sketch_sized(self):
         coordinator = DistributedRobustSampler(
-            1.0, 1, num_shards=3, seed=7, expected_stream_length=5000
+            L0InfiniteSpec(
+                alpha=1.0, dim=1, seed=7, expected_stream_length=5000
+            ),
+            num_shards=3,
         )
         feed(coordinator, 500, copies=10, seed=7)
         # Stream is 5000 points x 3 words; shipping the sketches must cost
@@ -120,7 +170,9 @@ class TestBatchPipelineOracle:
         num_groups = 20
         stream = self.union_stream(num_groups, copies=15, seed=101)
         pipeline = BatchPipeline(
-            1.0, 1, num_shards=3, batch_size=16, seed=103
+            PipelineSpec(
+                alpha=1.0, dim=1, num_shards=3, batch_size=16, seed=103
+            )
         )
         pipeline.extend(stream)
         # The single oracle sampler shares the pipeline's exact config.
@@ -157,7 +209,9 @@ class TestBatchPipelineOracle:
         runs = []
         for _ in range(2):
             pipeline = BatchPipeline(
-                1.0, 1, num_shards=4, batch_size=8, seed=11
+                PipelineSpec(
+                    alpha=1.0, dim=1, num_shards=4, batch_size=8, seed=11
+                )
             )
             pipeline.extend(stream)
             runs.append(
@@ -172,7 +226,9 @@ class TestBatchPipelineOracle:
     def test_pipeline_sample_comes_from_union_group(self):
         stream = self.union_stream(8, copies=10, seed=13)
         pipeline = BatchPipeline(
-            1.0, 1, num_shards=2, batch_size=32, seed=17
+            PipelineSpec(
+                alpha=1.0, dim=1, num_shards=2, batch_size=32, seed=17
+            )
         )
         pipeline.extend(stream)
         sample = pipeline.sample(random.Random(19))
@@ -196,10 +252,10 @@ class TestPipelineCheckpoint:
 
         stream = self.stream()
         kwargs = dict(num_shards=3, batch_size=32, seed=13)
-        uninterrupted = BatchPipeline(1.0, 1, **kwargs)
+        uninterrupted = BatchPipeline(PipelineSpec(alpha=1.0, dim=1, **kwargs))
         uninterrupted.extend(stream)
 
-        interrupted = BatchPipeline(1.0, 1, **kwargs)
+        interrupted = BatchPipeline(PipelineSpec(alpha=1.0, dim=1, **kwargs))
         interrupted.extend(stream[:320])  # chunk-aligned interruption
         envelope = json.loads(json.dumps(summary_to_state(interrupted)))
         assert envelope["summary"] == "batch-pipeline"
@@ -212,10 +268,29 @@ class TestPipelineCheckpoint:
         # The restored pipeline's merge answers match too.
         assert resumed.estimate_f0() == uninterrupted.estimate_f0()
 
+    def test_envelope_batch_size_must_match_spec(self):
+        # The chunk size lives in the spec; an envelope whose top-level
+        # batch_size disagrees with it is corrupt, not a second source.
+        from repro.errors import CheckpointError
+        from repro.persist import summary_from_state, summary_to_state
+
+        pipeline = BatchPipeline(
+            PipelineSpec(alpha=1.0, dim=1, num_shards=2, batch_size=16, seed=5)
+        )
+        pipeline.extend(self.stream(100))
+        envelope = summary_to_state(pipeline)
+        assert envelope["state"]["batch_size"] == 16
+        assert summary_from_state(envelope).batch_size == 16
+        envelope["state"]["batch_size"] = 32
+        with pytest.raises(CheckpointError, match="batch_size"):
+            summary_from_state(envelope)
+
     def test_restored_shards_share_one_config(self):
         from repro.persist import summary_from_state, summary_to_state
 
-        pipeline = BatchPipeline(1.0, 1, num_shards=3, seed=5)
+        pipeline = BatchPipeline(
+            PipelineSpec(alpha=1.0, dim=1, num_shards=3, seed=5)
+        )
         pipeline.extend(self.stream(100))
         restored = summary_from_state(summary_to_state(pipeline))
         configs = {
@@ -240,19 +315,20 @@ class TestPipelineCheckpoint:
         assert state_fingerprint(via_registry) == state_fingerprint(via_ctor)
 
     def test_coordinator_spec_construction(self):
-        from repro.api import L0InfiniteSpec
+        from repro.engine import state_fingerprint
 
         spec = L0InfiniteSpec(alpha=1.0, dim=1, seed=21)
         coordinator = DistributedRobustSampler(spec=spec, num_shards=2)
         assert coordinator.spec is spec
-        legacy = DistributedRobustSampler(1.0, 1, num_shards=2, seed=21)
+        # An equal spec, passed positionally, builds the same shards.
+        twin = DistributedRobustSampler(
+            L0InfiniteSpec(alpha=1.0, dim=1, seed=21), 2
+        )
         feed(coordinator, 20, seed=3)
-        feed(legacy, 20, seed=3)
-        from repro.engine import state_fingerprint
-
+        feed(twin, 20, seed=3)
         assert state_fingerprint(
             coordinator.merged_sampler()
-        ) == state_fingerprint(legacy.merged_sampler())
+        ) == state_fingerprint(twin.merged_sampler())
 
 
 class TestShardExecutors:
@@ -300,7 +376,8 @@ class TestDistributedUniformity:
         runs = 300
         for run in range(runs):
             coordinator = DistributedRobustSampler(
-                1.0, 1, num_shards=3, seed=run
+                L0InfiniteSpec(alpha=1.0, dim=1, seed=run),
+                num_shards=3,
             )
             feed(coordinator, num_groups, seed=run)
             sample = coordinator.sample(random.Random(run ^ 0x123))
@@ -310,7 +387,10 @@ class TestDistributedUniformity:
         assert p_value > 1e-4, dense
 
     def test_single_shard_equivalent_to_local(self):
-        coordinator = DistributedRobustSampler(1.0, 1, num_shards=1, seed=9)
+        coordinator = DistributedRobustSampler(
+            L0InfiniteSpec(alpha=1.0, dim=1, seed=9),
+            num_shards=1,
+        )
         feed(coordinator, 30, seed=9)
         merged = coordinator.merged_sampler()
         local = coordinator.shard(0)

@@ -198,6 +198,24 @@ class TestDocsMatchCode:
         )
         assert "upgrade_envelope" in text
 
+    def test_sharded_pipeline_is_built_one_way(self):
+        # A shard is a plain RobustL0SamplerIW built from the spec, the
+        # pipeline and coordinator constructors take only the spec, and
+        # the worker has one command: the shard subclass, the legacy
+        # constructor surface and the module entry point stay gone.
+        stale = (
+            "ShardSampler",
+            "_shard_spec",
+            "legacy surface",
+            "python -m repro.engine.remote_worker",
+        )
+        sources = sorted((REPO_ROOT / "src").rglob("*.py"))
+        guides = sorted((REPO_ROOT / "docs").rglob("*.md"))
+        for path in [REPO_ROOT / "README.md", *guides, *sources]:
+            text = path.read_text(encoding="utf-8")
+            for name in stale:
+                assert name not in text, (path.name, name)
+
     def test_query_merges_parked_columns(self):
         # A query merges the parked shard states' record columns with
         # one kernel; the pipeline's rebuild-before-query buffer is gone.
@@ -380,14 +398,13 @@ class TestDocsMatchCode:
         assert (REPO_ROOT / pointer).is_file()
         # The documented surface is the real one.
         from repro.backends.lease import acquire_lease, renew_lease  # noqa: F401
-        from repro.engine.remote_worker import main, run_worker  # noqa: F401
+        from repro.engine.remote_worker import run_worker  # noqa: F401
 
     def test_readme_documents_remote_workers(self):
-        # The README quickstart must name the real worker entry points
-        # and the spec knobs it shows.
+        # The README quickstart must name the real worker command and
+        # the spec knobs it shows.
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-        assert "repro.engine.remote_worker" in readme
-        assert "repro.cli worker" in readme
+        assert "python -m repro.cli worker" in readme
         for knob in ("queue_backend", "queue_path", "queue_key"):
             assert knob in readme, (
                 f"remote spec knob {knob!r} missing from the README"

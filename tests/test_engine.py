@@ -16,6 +16,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.api.specs import PipelineSpec
 from repro.core.base import SamplerConfig, StreamSampler
 from repro.core.chunk_geometry import chunk_geometry_for
 from repro.core.f0_infinite import RobustF0EstimatorIW
@@ -590,19 +591,6 @@ class TestExplicitRngThreading:
         third = SamplerConfig.create(1.0, 2, seed=1, rng=random.Random(99))
         assert third.grid.offset == first.grid.offset
 
-    def test_batch_pipeline_accepts_rng(self):
-        stream = noisy_stream(300, 10, seed=5)
-        results = []
-        for _ in range(2):
-            pipeline = BatchPipeline(
-                1.0, 2, num_shards=2, rng=random.Random(55), batch_size=32
-            )
-            pipeline.extend(stream)
-            results.append(
-                state_fingerprint(pipeline.merge())
-            )
-        assert results[0] == results[1]
-
 
 class TestExtendUsesBatchPath:
     def test_extend_equals_insert_loop(self):
@@ -685,7 +673,9 @@ class TestChunkCoercedOnce:
         n, dim = 256, 2
         points = self._stream(n, dim)
         pipeline = BatchPipeline(
-            1.0, dim, num_shards=2, seed=7, batch_size=64
+            PipelineSpec(
+                alpha=1.0, dim=dim, num_shards=2, seed=7, batch_size=64
+            )
         )
         _CountedFloat.calls = 0
         assert pipeline.extend(points) == n
@@ -708,9 +698,17 @@ class TestChunkCoercedOnce:
         plain = [
             tuple(c.value for c in row) for row in counted
         ]
-        first = BatchPipeline(1.0, dim, num_shards=2, seed=3, batch_size=32)
+        first = BatchPipeline(
+            PipelineSpec(
+                alpha=1.0, dim=dim, num_shards=2, seed=3, batch_size=32
+            )
+        )
         first.extend(counted)
-        second = BatchPipeline(1.0, dim, num_shards=2, seed=3, batch_size=32)
+        second = BatchPipeline(
+            PipelineSpec(
+                alpha=1.0, dim=dim, num_shards=2, seed=3, batch_size=32
+            )
+        )
         second.extend(plain)
         assert state_fingerprint(first.merge()) == state_fingerprint(
             second.merge()
@@ -745,20 +743,28 @@ class TestPipelineProcessManyValidatesOnce:
         monkeypatch.setattr(chunk_geometry_module, "coerce_rows", spy)
         rows = self._rows()
         pipeline = BatchPipeline(
-            1.0, 2, num_shards=2, seed=21, batch_size=batch_size
+            PipelineSpec(
+                alpha=1.0, dim=2, num_shards=2, seed=21, batch_size=batch_size
+            )
         )
         assert pipeline.process_many(rows) == len(rows)
         assert coerced == [len(rows)]
         monkeypatch.setattr(chunk_geometry_module, "coerce_rows", original)
         reference = BatchPipeline(
-            1.0, 2, num_shards=2, seed=21, batch_size=batch_size
+            PipelineSpec(
+                alpha=1.0, dim=2, num_shards=2, seed=21, batch_size=batch_size
+            )
         )
         reference.extend(rows)
         assert state_fingerprint(pipeline) == state_fingerprint(reference)
 
     def test_nan_in_last_chunk_submits_nothing(self, monkeypatch):
         rows = self._rows(200) + [(float("nan"), 1.0)]
-        pipeline = BatchPipeline(1.0, 2, num_shards=2, seed=21, batch_size=64)
+        pipeline = BatchPipeline(
+            PipelineSpec(
+                alpha=1.0, dim=2, num_shards=2, seed=21, batch_size=64
+            )
+        )
         submitted = []
         monkeypatch.setattr(pipeline, "submit", submitted.append)
         with pytest.raises(ParameterError, match="point 200"):
@@ -769,8 +775,6 @@ class TestPipelineProcessManyValidatesOnce:
     @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("form", ["tuples", "stream-points", "array"])
     def test_matches_extend(self, executor, form):
-        from repro.api.specs import PipelineSpec
-
         rows = self._rows()
         if form == "stream-points":
             rows = [
@@ -799,7 +803,11 @@ class TestArrayChunkFastPath:
     form)."""
 
     def _pipeline(self):
-        return BatchPipeline(1.0, 2, num_shards=2, seed=21, batch_size=128)
+        return BatchPipeline(
+            PipelineSpec(
+                alpha=1.0, dim=2, num_shards=2, seed=21, batch_size=128
+            )
+        )
 
     @pytest.mark.parametrize(
         "surface", ["process_many", "extend", "pipeline-extend"]

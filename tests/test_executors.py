@@ -22,11 +22,12 @@ import pytest
 
 from stream_generators import poisoned_chunk
 
-from repro.api import PipelineSpec, build
+from repro.api import L0InfiniteSpec, PipelineSpec, build
 from repro.backends import MemoryBackend
 from repro.core.base import SamplerConfig
 from repro.core.chunk_geometry import chunk_geometry_for
-from repro.distributed.coordinator import DistributedRobustSampler, ShardSampler
+from repro.core.infinite_window import RobustL0SamplerIW
+from repro.distributed.coordinator import DistributedRobustSampler
 from repro.engine import state_fingerprint
 from repro.engine import executors as executors_module
 from repro.engine.executors import (
@@ -295,11 +296,17 @@ class TestTransportMatrix:
         ]
         chunks = [points[i : i + 40] for i in range(0, len(points), 40)]
 
-        serial = DistributedRobustSampler(1.0, 1, num_shards=2, seed=5)
+        serial = DistributedRobustSampler(
+            L0InfiniteSpec(alpha=1.0, dim=1, seed=5),
+            num_shards=2,
+        )
         for chunk in chunks:
             serial.route_many(chunk, 0)
 
-        parallel = DistributedRobustSampler(1.0, 1, num_shards=2, seed=5)
+        parallel = DistributedRobustSampler(
+            L0InfiniteSpec(alpha=1.0, dim=1, seed=5),
+            num_shards=2,
+        )
         executor = ProcessShardExecutor(parallel, num_workers=2)
         try:
             for chunk in chunks:
@@ -327,11 +334,17 @@ class TestTransportMatrix:
         views = [rows[i : i + 40] for i in range(0, len(rows), 40)]
         shard_ids = [0] * 10 + [i % 2 for i in range(20)]
 
-        serial = DistributedRobustSampler(1.0, 1, num_shards=2, seed=5)
+        serial = DistributedRobustSampler(
+            L0InfiniteSpec(alpha=1.0, dim=1, seed=5),
+            num_shards=2,
+        )
         for shard_id, view in zip(shard_ids, views):
             serial.route_many(view, shard_id)
 
-        parallel = DistributedRobustSampler(1.0, 1, num_shards=2, seed=5)
+        parallel = DistributedRobustSampler(
+            L0InfiniteSpec(alpha=1.0, dim=1, seed=5),
+            num_shards=2,
+        )
         executor = ProcessShardExecutor(parallel, num_workers=2)
         pool_slots = len(executor._pool._free)
         try:
@@ -375,11 +388,17 @@ class TestDoneMessages:
         chunks = [rows[i : i + 40] for i in range(0, len(rows), 40)]
         shard_ids = [i % 4 for i in range(len(chunks))]
 
-        serial = DistributedRobustSampler(1.0, 1, num_shards=4, seed=9)
+        serial = DistributedRobustSampler(
+            L0InfiniteSpec(alpha=1.0, dim=1, seed=9),
+            num_shards=4,
+        )
         for shard_id, chunk in zip(shard_ids, chunks):
             serial.route_many(chunk, shard_id)
 
-        parallel = DistributedRobustSampler(1.0, 1, num_shards=4, seed=9)
+        parallel = DistributedRobustSampler(
+            L0InfiniteSpec(alpha=1.0, dim=1, seed=9),
+            num_shards=4,
+        )
         executor = ProcessShardExecutor(parallel, num_workers=2)
         pool_slots = len(executor._pool._free)
         limit = 2 * executor._depth
@@ -418,7 +437,10 @@ class TestDoneMessages:
         still answers each one, so a backlog larger than the pool
         flushes and the failure surfaces at the barrier, not as a
         stall."""
-        coordinator = DistributedRobustSampler(1.0, 1, num_shards=1, seed=3)
+        coordinator = DistributedRobustSampler(
+            L0InfiniteSpec(alpha=1.0, dim=1, seed=3),
+            num_shards=1,
+        )
         executor = ProcessShardExecutor(coordinator, num_workers=1)
         pool_slots = len(executor._pool._free)
         rows = np.array(group_stream(40, seed=8), dtype=np.float64)
@@ -446,7 +468,10 @@ class TestDrainStallDetection:
         """A wedged (SIGSTOPped) worker fails the drain within the
         stall budget instead of hanging the submitter forever."""
         monkeypatch.setattr(executors_module, "_DRAIN_STALL_SECONDS", 1.0)
-        coordinator = DistributedRobustSampler(1.0, 1, num_shards=2, seed=3)
+        coordinator = DistributedRobustSampler(
+            L0InfiniteSpec(alpha=1.0, dim=1, seed=3),
+            num_shards=2,
+        )
         executor = ProcessShardExecutor(coordinator, num_workers=1)
         try:
             pid = executor._workers[0].pid
@@ -464,7 +489,10 @@ class TestDrainStallDetection:
             executor.close()
 
     def test_killed_worker_reports_exit_code(self):
-        coordinator = DistributedRobustSampler(1.0, 1, num_shards=2, seed=3)
+        coordinator = DistributedRobustSampler(
+            L0InfiniteSpec(alpha=1.0, dim=1, seed=3),
+            num_shards=2,
+        )
         executor = ProcessShardExecutor(coordinator, num_workers=1)
         try:
             worker = executor._workers[0]
@@ -485,8 +513,14 @@ class TestDrainContract:
 
     @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
     def test_drain_yields_only_shards_that_moved(self, executor):
-        coordinator = DistributedRobustSampler(1.0, 1, num_shards=4, seed=3)
-        reference = DistributedRobustSampler(1.0, 1, num_shards=4, seed=3)
+        coordinator = DistributedRobustSampler(
+            L0InfiniteSpec(alpha=1.0, dim=1, seed=3),
+            num_shards=4,
+        )
+        reference = DistributedRobustSampler(
+            L0InfiniteSpec(alpha=1.0, dim=1, seed=3),
+            num_shards=4,
+        )
         runner = executors_module.make_executor(
             executor, coordinator, num_workers=2
         )
@@ -517,16 +551,23 @@ class TestDrainContract:
         # Queries after a sync merge the shipped states' columns and
         # rebuild no shard object.  Remote workers are threads of this
         # process that rebuild their own replicas, so only the calling
-        # thread's rebuilds count.
+        # thread's rebuilds count; each is named by the index of the
+        # parked shard state it restored.
         rebuilds = []
-        restore = ShardSampler.from_state.__func__
+        parked = {}
+        restore = RobustL0SamplerIW.from_state.__func__
 
         def spy(cls, state, **kwargs):
             if threading.current_thread() is threading.main_thread():
-                rebuilds.append(state["shard_id"])
+                rebuilds.append(
+                    next(
+                        (i for i, shipped in parked.items() if shipped is state),
+                        None,
+                    )
+                )
             return restore(cls, state, **kwargs)
 
-        monkeypatch.setattr(ShardSampler, "from_state", classmethod(spy))
+        monkeypatch.setattr(RobustL0SamplerIW, "from_state", classmethod(spy))
         for executor in ("process", "remote"):
             with make_pipeline(executor, shards=4, workers=2) as dirty:
                 dirty.extend(stream)
@@ -535,6 +576,7 @@ class TestDrainContract:
             with make_pipeline(executor, shards=4, workers=2) as synced:
                 synced.extend(stream)
                 synced.sync()
+                parked = dict(synced._coordinator._parked)
                 rebuilds.clear()
                 assert state_fingerprint(synced.merge()) == expected
                 assert synced.query(random.Random(3)) == serial.query(
@@ -558,6 +600,7 @@ class TestDrainContract:
                 synced.extend(stream)
                 synced.sync()
                 synced.merge()
+                parked = dict(synced._coordinator._parked)
                 rebuilds.clear()
                 backend = MemoryBackend()
                 synced.checkpoint_to(backend, "job")

@@ -10,13 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import available, build, entry
+from repro.api import PipelineSpec, available, build, entry
 from repro.core import serialize
 from repro.core.base import SamplerConfig
 from repro.core.fixed_rate import FixedRateSlidingSampler
 from repro.core.infinite_window import RobustL0SamplerIW
 from repro.core.sliding_window import RobustL0SamplerSW
-from repro.engine import state_fingerprint
+from repro.engine import BatchPipeline, state_fingerprint
 from repro.errors import CheckpointError
 from repro.persist import (
     FORMAT_NAME,
@@ -734,6 +734,47 @@ class TestVersion3HeapFixtures:
         replay.process_many(stream[cut:])
         assert state_fingerprint(restored) == state_fingerprint(replay)
         assert dumps_summary(restored) == dumps_summary(replay)
+
+
+class TestVersion3PipelineFixture:
+    """A version-3 pipeline envelope whose shard states still carry the
+    ``"shard_id"`` key restores exactly: the reader ignores the key.
+
+    ``tests/data/v3_batch_pipeline.json`` holds ``dumps_summary`` of
+    ``BatchPipeline(SPEC)`` after ``process_many(stream()[:CUT])``, as
+    the version-3 writer produced it while shard states still wrote
+    their list index as ``"shard_id"``.
+    """
+
+    SPEC = dict(alpha=1.0, dim=2, seed=7, num_shards=3, batch_size=32)
+    CUT = 200
+
+    @staticmethod
+    def stream():
+        return noisy_grid_stream(300, 30, seed=1, dim=2)
+
+    def test_fixture_matches_replay_and_continues(self):
+        data = V2_FIXTURE_DIR.joinpath("v3_batch_pipeline.json").read_bytes()
+        saved = json.loads(data)
+        assert saved["version"] == 3
+        shards = saved["state"]["coordinator"]["shards"]
+        assert [shard["shard_id"] for shard in shards] == [0, 1, 2]
+        stream = self.stream()
+        restored = loads_summary(data)
+        replay = BatchPipeline(PipelineSpec(**self.SPEC))
+        replay.process_many(stream[: self.CUT])
+        assert state_fingerprint(restored) == state_fingerprint(replay)
+        restored.process_many(stream[self.CUT:])
+        replay.process_many(stream[self.CUT:])
+        assert restored.points_seen == len(stream)
+        assert state_fingerprint(restored) == state_fingerprint(replay)
+        # Re-serialised, the fixture is the replay's envelope, which no
+        # longer names the shards.
+        assert dumps_summary(restored) == dumps_summary(replay)
+        for shard in summary_to_state(restored)["state"]["coordinator"][
+            "shards"
+        ]:
+            assert "shard_id" not in shard
 
 
 def _v1_envelope():

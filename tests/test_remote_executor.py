@@ -1,4 +1,5 @@
-"""Chaos suite of the remote executor (``repro.engine.remote_worker``).
+"""Chaos suite of the remote executor (``repro.engine.remote_worker``,
+served by ``python -m repro.cli worker``).
 
 The remote executor's correctness story has three layers, each pinned
 here:
@@ -375,7 +376,8 @@ class TestWorkerChaos:
         argv = [
             sys.executable,
             "-m",
-            "repro.engine.remote_worker",
+            "repro.cli",
+            "worker",
             "--backend",
             "file",
             "--backend-path",
@@ -574,7 +576,7 @@ class TestWorkerChaos:
 
     def test_worker_cli_requires_backend_flags(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.engine.remote_worker"],
+            [sys.executable, "-m", "repro.cli", "worker"],
             env=_subprocess_env(),
             capture_output=True,
             text=True,

@@ -40,6 +40,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.api.specs import PipelineSpec
 from repro.baselines.naive import NaiveReservoirSampler
 from repro.core.chunk_geometry import MIN_VECTOR_CHUNK
 from repro.core.infinite_window import RobustL0SamplerIW
@@ -107,7 +108,10 @@ def single_sampler(feed):
 def pipeline_merge(points, seed):
     """Three serial shards, merged; odd seeds deal array chunks."""
     pipeline = BatchPipeline(
-        1.0, 2, num_shards=3, seed=seed, batch_size=64, kappa0=0.25
+        PipelineSpec(
+            alpha=1.0, dim=2, num_shards=3, seed=seed, batch_size=64,
+            kappa0=0.25,
+        )
     )
     pipeline.extend(np.array(points) if seed % 2 else points)
     return pipeline.merge()

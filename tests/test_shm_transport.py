@@ -25,7 +25,7 @@ import pytest
 
 from stream_generators import poisoned_chunk
 
-from repro.api import PipelineSpec, build
+from repro.api import L0InfiniteSpec, PipelineSpec, build
 from repro.core.chunk_geometry import chunk_geometry_for
 from repro.distributed.coordinator import DistributedRobustSampler
 from repro.engine import state_fingerprint
@@ -58,7 +58,8 @@ def assert_all_released(names: list[str]) -> None:
 
 def make_executor(num_workers=2, num_shards=3, seed=7):
     coordinator = DistributedRobustSampler(
-        1.0, 1, num_shards=num_shards, seed=seed
+        L0InfiniteSpec(alpha=1.0, dim=1, seed=seed),
+        num_shards=num_shards,
     )
     return coordinator, ProcessShardExecutor(
         coordinator, num_workers=num_workers
@@ -137,8 +138,9 @@ class TestSegmentLifecycle:
             "from repro.engine.executors import ProcessShardExecutor\n"
             "rng = random.Random(1)\n"
             "chunk = [(25.0 * rng.randrange(8),) for _ in range(200)]\n"
-            "coordinator = DistributedRobustSampler(1.0, 1, num_shards=2,"
-            " seed=1)\n"
+            "from repro.api.specs import L0InfiniteSpec\n"
+            "coordinator = DistributedRobustSampler("
+            "L0InfiniteSpec(alpha=1.0, dim=1, seed=1), num_shards=2)\n"
             "executor = ProcessShardExecutor(coordinator, num_workers=1)\n"
             "executor.submit(0, chunk_geometry_for(coordinator.config, chunk))\n"
             "names = []\n"
@@ -203,10 +205,16 @@ class TestSpawnContext:
             lambda: multiprocessing.get_context("spawn"),
         )
         chunks = [group_stream(80, seed=i) for i in range(4)]
-        serial = DistributedRobustSampler(1.0, 1, num_shards=2, seed=5)
+        serial = DistributedRobustSampler(
+            L0InfiniteSpec(alpha=1.0, dim=1, seed=5),
+            num_shards=2,
+        )
         for index, chunk in enumerate(chunks):
             serial.route_many(chunk, index % 2)
-        parallel = DistributedRobustSampler(1.0, 1, num_shards=2, seed=5)
+        parallel = DistributedRobustSampler(
+            L0InfiniteSpec(alpha=1.0, dim=1, seed=5),
+            num_shards=2,
+        )
         executor = ProcessShardExecutor(parallel, num_workers=2)
         try:
             for index, chunk in enumerate(chunks):
