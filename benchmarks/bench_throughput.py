@@ -31,10 +31,11 @@ same way, per worker count:
   the serial executor - the parallel-no-slower-than-serial contract of
   the zero-copy shared-memory chunk transport.  Gated in full mode on
   EVERY machine; the floor is 1.0x with >= 2 CPU cores (a 1-worker
-  pipeline is two processes - submitter plus worker - and with a
-  second core the transport work overlaps worker compute), and a
-  strict transport-overhead bound of 0.92x on a literally 1-core box,
-  where the submitter's asarray/memcpy, the worker's tuple recovery
+  pipeline is two processes - submitter plus worker - and with four
+  shards the submitter ingests two of them itself while the worker
+  ingests the other two, so a second core runs shard work in both),
+  and a strict transport-overhead bound of 0.92x on a literally 1-core
+  box, where the submitter's asarray/memcpy, the worker's tuple recovery
   and the state ship all serialise onto the single core and exact
   parity is physically out of reach (measured ~0.97x; the seed
   regression this gate exists for was 0.91x at 1 worker and 0.40x at
@@ -291,8 +292,10 @@ def bench_pipeline_query(
 def _transport_record(stats) -> dict | None:
     """The transport-counter block kept per worker count in
     ``BENCH_pipeline.json`` - chunk counts per payload kind, bytes
-    through shared memory, and the submit-side per-chunk overhead (the
-    number the zero-copy transport exists to keep small)."""
+    through shared memory, the chunks the submitting process ingested
+    itself (``inline_chunks``: with fewer workers than shards it owns
+    shards too), and the submit-side per-chunk overhead (the number the
+    zero-copy transport exists to keep small)."""
     if not stats:
         return None
     chunks = stats.get("chunks") or 0
@@ -302,6 +305,7 @@ def _transport_record(stats) -> dict | None:
         "shm_chunks": stats.get("shm_chunks", 0),
         "pickle_chunks": stats.get("pickle_chunks", 0),
         "shm_bytes": stats.get("shm_bytes", 0),
+        "inline_chunks": stats.get("inline_chunks", 0),
         "submit_us_per_chunk": (
             round(submit_seconds / chunks * 1e6, 1) if chunks else 0.0
         ),
@@ -714,8 +718,9 @@ def main(argv: list[str] | None = None) -> int:
     if not args.smoke and 1 in process:
         # The parallel-no-slower-than-serial contract: gated on every
         # machine.  A 1-worker pipeline is TWO processes (submitter +
-        # worker); with a second core the transport work overlaps
-        # worker compute and the floor is full parity, while on a
+        # worker), and with more shards than workers the submitter
+        # ingests a share of them itself; with a second core both run
+        # shard work and the floor is full parity, while on a
         # literally 1-core box every transport cost serialises onto
         # the one core and the gate bounds the residual overhead
         # instead of demanding physically impossible exact parity.

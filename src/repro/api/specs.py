@@ -278,8 +278,10 @@ class PipelineSpec(PointSummarySpec):
         ``state_fingerprint``-equivalent; only wall-clock throughput
         differs.
     num_workers:
-        Worker processes for the process executor (capped at
-        ``num_shards``, the unit of parallelism).  ``None`` means one
+        Worker processes for the process executor besides the
+        submitting process (capped at ``num_shards``, the unit of
+        parallelism); with fewer workers than shards the submitter
+        ingests a share of the shards itself.  ``None`` means one
         worker per shard - except under the remote executor, where it
         means one *local* worker thread and ``0`` is allowed (every
         worker is an external process someone launches against the

@@ -224,8 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pipeline.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes for --executor process "
-        "(default: one per shard); for --executor remote the number of "
+        help="worker processes for --executor process besides this "
+        "one, which ingests a share of the shards itself when there "
+        "are fewer workers than shards (default: one per shard); for "
+        "--executor remote the number of "
         "LOCAL worker threads - pass 0 when every worker is an "
         "external 'worker' command",
     )

@@ -486,15 +486,16 @@ class RobustL0SamplerIW(StreamSampler):
 
     def merge_input(self) -> "MergeInput":
         """This sampler as one input of :func:`merge_columns`: its rate,
-        arrival count, policy and the live store's record columns
-        (:func:`~repro.core.serialize.records_to_arrays`, no base64)."""
+        arrival count, policy and the live store's record columns that
+        the kernel reads (:func:`~repro.core.serialize.merge_arrays`,
+        no base64)."""
         from repro.core import serialize
 
         return MergeInput(
             self._rate_denominator,
             self._count,
             self._policy,
-            serialize.records_to_arrays(
+            serialize.merge_arrays(
                 list(self._store.records()), self._config.dim
             ),
         )
@@ -671,8 +672,8 @@ class MergeInput(NamedTuple):
     rate_denominator: int
     points_seen: int
     policy: _ThresholdPolicy
-    #: Record columns: :func:`~repro.core.serialize.records_to_arrays`
-    #: of a live store, or the same arrays read back from a state.
+    #: Record columns: :func:`~repro.core.serialize.merge_arrays` of a
+    #: live store, or the arrays of a state's packed columns.
     records: dict[str, Any]
 
 

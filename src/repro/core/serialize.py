@@ -21,6 +21,7 @@ import base64
 import random
 from itertools import chain
 from math import inf
+from operator import attrgetter
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -215,10 +216,12 @@ def _point_arrays(
     n = len(points)
     return {
         prefix + "v": _array(
-            chain.from_iterable(p.vector for p in points), _F8, n * dim
+            chain.from_iterable(map(attrgetter("vector"), points)),
+            _F8,
+            n * dim,
         ),
-        prefix + "i": _array((p.index for p in points), _I8, n),
-        prefix + "t": _array((p.time for p in points), _F8, n),
+        prefix + "i": _array(map(attrgetter("index"), points), _I8, n),
+        prefix + "t": _array(map(attrgetter("time"), points), _F8, n),
     }
 
 
@@ -267,7 +270,7 @@ def _unpack_points(
 def _ragged_arrays(
     name: str, rows: list[Sequence[Any]], dtype: str
 ) -> dict[str, np.ndarray]:
-    lengths = [len(row) for row in rows]
+    lengths = list(map(len, rows))
     return {
         name + "_len": _array(lengths, _I8, len(rows)),
         name: _array(chain.from_iterable(rows), dtype, sum(lengths)),
@@ -307,6 +310,46 @@ def _unpack_ragged(
     return _ragged(_unpack_ragged_arrays(columns, name, dtype, count), name)
 
 
+#: The packed record layout: the column order of
+#: :func:`records_to_arrays` (and so of every checkpoint's records).
+_RECORD_COLUMNS = (
+    "n", "rep_v", "rep_i", "rep_t", "last_v", "last_i", "last_t",
+    "member_v", "member_i", "member_t", "adj_len", "adj", "cell",
+    "cell_hash", "count", "accepted", "level", "last_is_rep", "has_member",
+)
+
+
+def merge_arrays(
+    records: Sequence[CandidateRecord], dim: int
+) -> dict[str, Any]:
+    """The columns of :func:`records_to_arrays` that the infinite-window
+    merge kernel (:func:`~repro.core.infinite_window.merge_columns`)
+    reads: representative, last point where it is not the
+    representative, adjacency hashes, cell, cell hash and count."""
+    n = len(records)
+    last_is_rep = [r.last is r.representative for r in records]
+    arrays: dict[str, Any] = {"n": n}
+    representatives = list(map(attrgetter("representative"), records))
+    arrays.update(_point_arrays("rep_", representatives, dim))
+    arrays.update(
+        _point_arrays(
+            "last_",
+            [r.last for r, same in zip(records, last_is_rep) if not same],
+            dim,
+        )
+    )
+    adj_hashes = list(map(attrgetter("adj_hashes"), records))
+    arrays.update(_ragged_arrays("adj", adj_hashes, _U8))
+    cells = chain.from_iterable(map(attrgetter("cell"), records))
+    arrays.update(
+        cell=_array(cells, _I8, n * dim),
+        cell_hash=_array(map(attrgetter("cell_hash"), records), _U8, n),
+        count=_array(map(attrgetter("count"), records), _I8, n),
+        last_is_rep=_array(last_is_rep, _U1, n),
+    )
+    return arrays
+
+
 def records_to_arrays(
     records: Sequence[CandidateRecord], dim: int
 ) -> dict[str, Any]:
@@ -319,32 +362,19 @@ def records_to_arrays(
     Points are flat ``<f8``/``<i8``/``<f8`` columns (``dim`` values per
     vector), adjacency hashes one flat ``adj`` column plus ``adj_len``.
     :func:`record_arrays_from_columns` reads the packed form back to
-    the same arrays; the infinite-window merge kernel takes either.
+    the same arrays; the infinite-window merge kernel takes either, or
+    just :func:`merge_arrays`.
     """
-    n = len(records)
-    last_is_rep = [r.last is r.representative for r in records]
+    arrays = merge_arrays(records, dim)
+    n = arrays["n"]
     members = [r.member for r in records if r.member is not None]
-    arrays: dict[str, Any] = {"n": n}
-    arrays.update(_point_arrays("rep_", [r.representative for r in records], dim))
-    arrays.update(
-        _point_arrays(
-            "last_",
-            [r.last for r, same in zip(records, last_is_rep) if not same],
-            dim,
-        )
-    )
     arrays.update(_point_arrays("member_", members, dim))
-    arrays.update(_ragged_arrays("adj", [r.adj_hashes for r in records], _U8))
     arrays.update(
-        cell=_array(chain.from_iterable(r.cell for r in records), _I8, n * dim),
-        cell_hash=_array((r.cell_hash for r in records), _U8, n),
-        count=_array((r.count for r in records), _I8, n),
-        accepted=_array((r.accepted for r in records), _U1, n),
-        level=_array((r.level for r in records), _U1, n),
-        last_is_rep=_array(last_is_rep, _U1, n),
+        accepted=_array(map(attrgetter("accepted"), records), _U1, n),
+        level=_array(map(attrgetter("level"), records), _U1, n),
         has_member=_array((r.member is not None for r in records), _U1, n),
     )
-    return arrays
+    return {name: arrays[name] for name in _RECORD_COLUMNS}
 
 
 def records_to_columns(

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.core.base import SamplerConfig
 from repro.core.infinite_window import RobustL0SamplerIW, merge_columns
-from repro.errors import EmptySampleError, ParameterError
+from repro.errors import CheckpointError, EmptySampleError, ParameterError
 from repro.streams.point import StreamPoint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -244,12 +244,20 @@ class DistributedRobustSampler:
 
     @classmethod
     def from_state(cls, state: dict[str, Any]) -> "DistributedRobustSampler":
-        """Restore a coordinator; all shards re-share one config object."""
+        """Restore a coordinator; all shards re-share one config object.
+
+        The spec must describe every restored shard: a spec field a
+        shard carries (its threshold policy, member tracking) that
+        disagrees with the shard raises
+        :class:`~repro.errors.CheckpointError` naming the field and the
+        shard, and ``track_members=True`` is rejected as the constructor
+        rejects it.
+        """
         from repro.api.registry import spec_from_state
         from repro.core import serialize
 
         coordinator = cls.__new__(cls)
-        coordinator._spec = spec_from_state(state["spec"])
+        spec = coordinator._spec = spec_from_state(state["spec"])
         coordinator._config = serialize.config_from_state(state["config"])
         coordinator._shards = [
             RobustL0SamplerIW.from_state(
@@ -257,5 +265,24 @@ class DistributedRobustSampler:
             )
             for shard_state in state["shards"]
         ]
+        for index, shard in enumerate(coordinator._shards):
+            policy = shard._policy
+            for field, value in (
+                ("kappa0", policy.kappa0),
+                ("expected_stream_length", policy.expected_stream_length),
+                ("accept_capacity", policy.fixed),
+                ("track_members", shard._track_members),
+            ):
+                if getattr(spec, field) != value:
+                    raise CheckpointError(
+                        f"coordinator spec field {field!r} is "
+                        f"{getattr(spec, field)!r}, but shard {index} "
+                        f"was built with {value!r}"
+                    )
+        if spec.track_members:
+            raise CheckpointError(
+                "coordinator spec field 'track_members' is True: member "
+                "reservoirs cannot be merged"
+            )
         coordinator._parked = {}
         return coordinator

@@ -47,13 +47,23 @@ Scheduling
 
 The process executor keeps its backlog at the submitter: each worker has
 at most :data:`_DISPATCH_DEPTH` chunks in flight, the rest queue in
-per-shard FIFOs on the submit side.  Shards are *adopted* lazily - the
-least-loaded worker receives a shard's protocol state with its first
-chunk - and ownership is then fixed for the executor's lifetime.
-Per-shard sequence numbers are carried on every chunk and asserted
-worker-side, so per-shard FIFO order - the executor-equivalence
-invariant - is machine-checked, and executor choice stays
-state-unobservable.
+per-shard FIFOs on the submit side.  Shards are *adopted* lazily, on
+their first chunk, by one of the executor's *lanes*, and ownership is
+then fixed for the executor's lifetime.  The lanes are the worker
+processes plus, when there are fewer workers than shards, the
+submitting process itself.  A shard goes to the lane that owns the
+fewest shards, ties going to the workers (the least loaded one
+receives the shard's protocol state), so with a worker per shard the
+submitter owns nothing.  The submitter lane ingests its shards' chunks
+in-process, as the serial executor does: they wait in one FIFO in
+submission order, at most the dispatch depth of them (a submit beyond
+that ingests the oldest first), and :meth:`~ProcessShardExecutor.drain`
+ingests the rest while the workers run theirs.  Those shards stay
+current in the coordinator, so they are never shipped or parked.
+Per-shard sequence numbers are carried on every worker chunk and
+asserted worker-side, so per-shard FIFO order - the
+executor-equivalence invariant - is machine-checked, and executor
+choice stays state-unobservable.
 
 The executor-equivalence contract
 ---------------------------------
@@ -80,9 +90,9 @@ Hypothesis-generated streams and chunk layouts.
 Worker failures (a poisoned point, a dead process) surface as
 :class:`~repro.errors.ExecutorError` at the next drain, carrying the
 worker-side traceback - or the worker's exit code when it died without
-reporting.  Drains are time-bounded: a worker that stops making
-progress for :data:`_DRAIN_STALL_SECONDS` fails the drain instead of
-hanging it.
+reporting; a submitter-lane failure is reported the same way.  Drains
+are time-bounded: a worker that stops making progress for
+:data:`_DRAIN_STALL_SECONDS` fails the drain instead of hanging it.
 """
 
 from __future__ import annotations
@@ -128,11 +138,21 @@ _DRAIN_STALL_SECONDS = 30.0
 _DISPATCH_DEPTH = 4
 
 #: Dispatch depth used when there is exactly ONE worker.  It still
-#: bounds the pool (``depth + slack`` slots), and a deep pipeline lets
-#: the submitter pre-dispatch its whole backlog: the worker never waits
-#: for the submitter to refill it, which is what keeps the 1-worker
-#: configuration at parity with serial.
+#: bounds the pool (``depth + slack`` slots) and the submitter lane's
+#: backlog.  A deep pipeline lets the submitter pre-dispatch the
+#: worker's whole backlog before its own lane ingests anything, so the
+#: worker never waits for a refill while the submitter is busy with a
+#: chunk.  Measured on 2 vCPUs, 10 alternating pairs each: on
+#: ``bench_throughput``'s 1-worker stream (250k points, dim 2, 4 shards,
+#: 4096-point chunks) depth 64 beat ``_DISPATCH_DEPTH`` in 8/10 pairs,
+#: 1.66x vs 1.56x of serial (medians); on perfbench
+#: ``highdim-pipeline`` (4 chunks per sync) it made no difference
+#: (1.31M vs 1.32M pts/s).
 _SINGLE_WORKER_DEPTH = 64
+
+#: Owner id of the shards the submitting process ingests itself
+#: (workers are ``0 .. num_workers - 1``).
+_SUBMITTER = -1
 
 #: Pool slack beyond the worst-case in-flight slot count.
 _POOL_SLACK_SLOTS = 2
@@ -191,8 +211,9 @@ class ShardExecutor:
         """Transport/scheduling counters (empty for in-process executors).
 
         The process executor reports chunk counts per payload kind,
-        bytes shipped through shared memory and the total submit-side
-        transport time - the numbers
+        bytes shipped through shared memory, the chunks its submitter
+        lane ingested in-process (``inline_chunks``) and the total
+        submit-side transport time - the numbers
         ``benchmarks/bench_throughput.py`` records per run.
         """
         return {}
@@ -502,9 +523,13 @@ def _mp_context():
 class ProcessShardExecutor(ShardExecutor):
     """Worker processes fed through the zero-copy shared-memory transport.
 
+    ``num_workers`` counts the worker processes besides the submitter.
     The coordinator's shard objects become *stale* once a worker adopts
     them; every read must go through :meth:`drain`, which returns the
-    adopted shards' states (one batched message per worker).
+    adopted shards' states (one batched message per worker).  With
+    fewer workers than shards the submitter is one more lane: the
+    shards it adopts stay live in the coordinator (see "Scheduling" in
+    the module docstring).
 
     A chunk's float64 array ships through pooled shared-memory
     segments, written at dispatch; a chunk with StreamPoint items ships
@@ -528,8 +553,11 @@ class ProcessShardExecutor(ShardExecutor):
         self._token = 0
         self._failure: str | None = None
         # Scheduler state: per-shard FIFO backlogs live here, workers
-        # hold at most _DISPATCH_DEPTH chunks each.
+        # hold at most _DISPATCH_DEPTH chunks each.  The submitter
+        # lane's backlog is one FIFO of (shard, chunk) in submission
+        # order.
         self._pending: dict[int, deque] = {}
+        self._inline: deque = deque()
         self._owner: dict[int, int] = {}
         self._seq = [0] * self._num_shards
         self._inflight = [0] * self._num_workers
@@ -545,6 +573,7 @@ class ProcessShardExecutor(ShardExecutor):
             "shm_chunks": 0,
             "pickle_chunks": 0,
             "shm_bytes": 0,
+            "inline_chunks": 0,
             "submit_seconds": 0.0,
         }
         pool_slots = self._num_workers * self._depth + _POOL_SLACK_SLOTS
@@ -574,22 +603,52 @@ class ProcessShardExecutor(ShardExecutor):
         if self._closed:
             raise ExecutorError("executor is closed")
         start = time.perf_counter()
-        # Backlog entries are the chunk's own float64 array (written
-        # into a shared-memory slot at dispatch) or a ready pickle
-        # payload of its StreamPoint items.
-        if chunk.items is None:
-            payload = chunk.array
-        else:
-            payload = ("pickle", chunk.items)
-            self._stats["pickle_chunks"] += 1
         seq = self._seq[shard_id]
         self._seq[shard_id] = seq + 1
-        self._pending.setdefault(shard_id, deque()).append((seq, payload))
         self._poll_results()
+        owner = self._owner.get(shard_id)
+        if owner is None:
+            owner = self._adopt(shard_id, seq)
+        if owner == _SUBMITTER:
+            self._inline.append((shard_id, chunk))
+        else:
+            # Worker backlog entries are the chunk's own float64 array
+            # (written into a shared-memory slot at dispatch) or a
+            # ready pickle payload of its StreamPoint items.
+            if chunk.items is None:
+                payload = chunk.array
+            else:
+                payload = ("pickle", chunk.items)
+                self._stats["pickle_chunks"] += 1
+            self._pending.setdefault(shard_id, deque()).append(
+                (seq, payload)
+            )
         self._pump()
         self._stats["chunks"] += 1
+        # Transport and scheduling time only: the submitter lane's own
+        # ingest is shard work, counted by inline_chunks.
         self._stats["submit_seconds"] += time.perf_counter() - start
+        if len(self._inline) > self._depth:
+            self._ingest_inline()
         return None
+
+    def _ingest_inline(self) -> None:
+        """Ingest the submitter lane's oldest chunk into its live shard.
+
+        A failure is sticky, like a worker's: it is reported at the
+        next drain, and the lane swallows its chunks until then.
+        """
+        shard_id, chunk = self._inline.popleft()
+        if self._failure is not None:
+            return
+        try:
+            self._coordinator.route_many(chunk, shard_id)
+        except Exception:
+            self._failure = (
+                f"submitter lane failed on shard {shard_id}:\n"
+                + traceback.format_exc()
+            )
+        self._stats["inline_chunks"] += 1
 
     def _write_shm(self, array) -> tuple:
         """Copy ``array`` into a pooled slot -> its descriptor."""
@@ -607,23 +666,27 @@ class ProcessShardExecutor(ShardExecutor):
     def _owned_count(self, worker: int) -> int:
         return sum(1 for owner in self._owner.values() if owner == worker)
 
-    def _adopt(self, shard_id: int) -> int:
-        """Assign an unowned shard to the least-loaded worker.
+    def _adopt(self, shard_id: int, seq: int) -> int:
+        """Assign an unowned shard, whose next chunk is ``seq``, to a lane.
 
-        The coordinator's shard state ships with the adoption (current,
-        because a shard's chunks only ever reach workers after
-        adoption, and ownership is fixed from then on).  The adoption
-        message carries the next expected sequence number, arming the
-        worker-side FIFO check.
+        The lane owning the fewest shards wins, ties going to the
+        workers, and among the workers the least loaded one.  A worker
+        receives the coordinator's shard state with the adoption
+        (current, because a shard's chunks only ever reach its owner,
+        and ownership is fixed from then on), plus ``seq``, arming the
+        worker-side FIFO check.  The submitter ingests into the
+        coordinator's shard itself, so nothing ships.
         """
+        owned = [self._owned_count(w) for w in range(self._num_workers)]
+        if self._owned_count(_SUBMITTER) < min(owned):
+            self._owner[shard_id] = _SUBMITTER
+            return _SUBMITTER
         worker = min(
             range(self._num_workers),
-            key=lambda w: (self._inflight[w], self._owned_count(w), w),
+            key=lambda w: (self._inflight[w], owned[w], w),
         )
         state = self._coordinator.shard(shard_id).to_state()
-        self._task_queues[worker].put(
-            ("adopt", shard_id, state, self._pending[shard_id][0][0])
-        )
+        self._task_queues[worker].put(("adopt", shard_id, state, seq))
         self._owner[shard_id] = worker
         return worker
 
@@ -632,9 +695,7 @@ class ProcessShardExecutor(ShardExecutor):
         for shard_id, backlog in self._pending.items():
             if not backlog:
                 continue
-            worker = self._owner.get(shard_id)
-            if worker is None:
-                worker = self._adopt(shard_id)
+            worker = self._owner[shard_id]
             tasks = self._task_queues[worker]
             while backlog and self._inflight[worker] < self._depth:
                 seq, payload = backlog.popleft()
@@ -655,7 +716,7 @@ class ProcessShardExecutor(ShardExecutor):
             if message[2] is not None:
                 self._pool.release(message[2])
         elif kind == "error":
-            self._failure = message[3]
+            self._failure = "shard worker failed:\n" + message[3]
         # A "states" report here is stale (an interrupted drain's): drop it.
 
     def _poll_results(self, timeout: float = 0.0) -> bool:
@@ -689,7 +750,7 @@ class ProcessShardExecutor(ShardExecutor):
             )
 
     def _raise_failure(self) -> None:
-        raise ExecutorError(f"shard worker failed:\n{self._failure}")
+        raise ExecutorError(self._failure)
 
     # ------------------------------------------------------------------ #
     # drain / close
@@ -700,8 +761,18 @@ class ProcessShardExecutor(ShardExecutor):
             raise ExecutorError("executor is closed")
         if self._failure is not None:
             self._raise_failure()
-        # Phase 1: flush the submitter-side backlog.  Dispatch as depth
-        # frees up; progress is bounded - a worker that stops
+        # Phase 0: the submitter lane ingests its backlog, in
+        # submission order, while the workers run theirs; between
+        # chunks it recycles completions and refills the workers.
+        self._pump()
+        while self._inline:
+            self._ingest_inline()
+            self._poll_results()
+            self._pump()
+        if self._failure is not None:
+            self._raise_failure()
+        # Phase 1: flush the workers' submitter-side backlog.  Dispatch
+        # as depth frees up; progress is bounded - a worker that stops
         # acknowledging for _DRAIN_STALL_SECONDS (or dies) fails the
         # drain instead of hanging it.
         last_progress = time.monotonic()
@@ -756,7 +827,7 @@ class ProcessShardExecutor(ShardExecutor):
                 remaining -= 1
                 yield from pickle.loads(message[3])
             else:  # "error"
-                self._failure = message[3]
+                self._failure = "shard worker failed:\n" + message[3]
                 self._raise_failure()
 
     def stats(self) -> dict[str, Any]:

@@ -285,6 +285,45 @@ class TestPipelineCheckpoint:
         with pytest.raises(CheckpointError, match="batch_size"):
             summary_from_state(envelope)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("track_members", True),
+            ("accept_capacity", 8),
+            ("kappa0", 3.0),
+            ("expected_stream_length", 1000),
+        ],
+    )
+    def test_coordinator_spec_must_describe_its_shards(self, field, value):
+        # A spec field the shards never received must not restore as if
+        # it applied: the restore names the field and the shard.
+        import copy
+
+        from repro.errors import CheckpointError
+
+        coordinator = DistributedRobustSampler(
+            L0InfiniteSpec(alpha=1.0, dim=1, seed=5), num_shards=2
+        )
+        feed(coordinator, 12, seed=4)
+        state = coordinator.to_state()
+        DistributedRobustSampler.from_state(copy.deepcopy(state))
+        state["spec"][field] = value
+        with pytest.raises(CheckpointError, match=f"'{field}'.*shard 0"):
+            DistributedRobustSampler.from_state(state)
+
+    def test_coordinator_rejects_tracked_members_on_restore(self):
+        from repro.errors import CheckpointError
+
+        coordinator = DistributedRobustSampler(
+            L0InfiniteSpec(alpha=1.0, dim=1, seed=5), num_shards=2
+        )
+        state = coordinator.to_state()
+        state["spec"]["track_members"] = True
+        for shard in state["shards"]:
+            shard["track_members"] = True
+        with pytest.raises(CheckpointError, match="track_members"):
+            DistributedRobustSampler.from_state(state)
+
     def test_restored_shards_share_one_config(self):
         from repro.persist import summary_from_state, summary_to_state
 

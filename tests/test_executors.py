@@ -31,6 +31,7 @@ from repro.distributed.coordinator import DistributedRobustSampler
 from repro.engine import state_fingerprint
 from repro.engine import executors as executors_module
 from repro.engine.executors import (
+    _SUBMITTER,
     EXECUTOR_NAMES,
     ProcessShardExecutor,
     _resolve_workers,
@@ -97,6 +98,12 @@ class TestExecutorEquivalenceMatrix:
             assert twin.sample(random.Random(7)) == serial.sample(
                 random.Random(7)
             )
+            if executor == "process":
+                # With fewer workers than shards the submitter runs
+                # shards too; with a worker per shard it runs none.
+                inline = twin.executor_stats()["inline_chunks"]
+                lane = workers is not None and workers < shards
+                assert (inline > 0) == lane
 
     @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
     def test_empty_batches_and_empty_stream(self, executor):
@@ -281,7 +288,11 @@ class TestTransportMatrix:
             twin.extend(stream)
             assert state_fingerprint(twin) == state_fingerprint(serial)
             stats = twin.executor_stats()  # after the drain dispatched all
-        assert stats["shm_chunks"] == stats["chunks"] > 0
+        # Three shards on two workers: the submitter ingests the third
+        # shard's chunks itself, and every other chunk ships through
+        # shared memory.
+        assert stats["shm_chunks"] > 0 and stats["inline_chunks"] > 0
+        assert stats["shm_chunks"] + stats["inline_chunks"] == stats["chunks"]
         assert stats["pickle_chunks"] == 0
 
     def test_pickle_fallback_for_streampoint_chunks(self):
@@ -368,7 +379,7 @@ class TestTransportMatrix:
         assert len(views) > pool_slots == 10
         assert set(stats) == {
             "chunks", "shm_chunks", "pickle_chunks", "shm_bytes",
-            "submit_seconds",
+            "inline_chunks", "submit_seconds",
         }
         assert stats["chunks"] == len(views)
         assert stats["shm_chunks"] == len(views)
@@ -429,7 +440,9 @@ class TestDoneMessages:
         finally:
             executor.close()
         assert max(held) == limit < len(chunks)
-        assert stats["shm_chunks"] == len(chunks)
+        # Two workers own three shards; the submitter ingests the fourth.
+        assert stats["inline_chunks"] == len(chunks) // 4
+        assert stats["shm_chunks"] == len(chunks) - stats["inline_chunks"]
         assert state_fingerprint(parallel) == state_fingerprint(serial)
 
     def test_poisoned_worker_returns_every_slot(self):
@@ -534,10 +547,11 @@ class TestDrainContract:
             arrivals = list(runner.drain())
         finally:
             runner.close()
-        if executor == "serial":
-            assert arrivals == []
-        else:
-            assert sorted(shard for shard, _ in arrivals) == [0, 1, 3]
+        # Under the process executor two workers adopt shards 0 and 1,
+        # and the submitter ingests shard 3 into the coordinator itself.
+        moved = {"serial": [], "process": [0, 1], "remote": [0, 1, 3]}
+        assert sorted(shard for shard, _ in arrivals) == moved[executor]
+        if arrivals:
             assert all(state is not None for _, state in arrivals)
             for shard, state in arrivals:
                 coordinator.restore_shard(shard, state)
@@ -568,6 +582,9 @@ class TestDrainContract:
             return restore(cls, state, **kwargs)
 
         monkeypatch.setattr(RobustL0SamplerIW, "from_state", classmethod(spy))
+        # Two workers and four shards: under the process executor the
+        # submitter ingests shard 2 itself, so it is never parked.
+        moved = {"process": [0, 1, 3], "remote": [0, 1, 2, 3]}
         for executor in ("process", "remote"):
             with make_pipeline(executor, shards=4, workers=2) as dirty:
                 dirty.extend(stream)
@@ -577,6 +594,7 @@ class TestDrainContract:
                 synced.extend(stream)
                 synced.sync()
                 parked = dict(synced._coordinator._parked)
+                assert sorted(parked) == moved[executor]
                 rebuilds.clear()
                 assert state_fingerprint(synced.merge()) == expected
                 assert synced.query(random.Random(3)) == serial.query(
@@ -586,15 +604,17 @@ class TestDrainContract:
                     random.Random(4)
                 )
                 assert rebuilds == [], executor
-                # Reads that need shard objects still rebuild them.
+                # Reads that need shard objects still rebuild the parked
+                # ones.
+                probe = max(parked)
                 assert state_fingerprint(
-                    synced.shard(2)
-                ) == state_fingerprint(serial.shard(2))
-                assert rebuilds == [2], executor
+                    synced.shard(probe)
+                ) == state_fingerprint(serial.shard(probe))
+                assert rebuilds == [probe], executor
                 assert json.dumps(synced.to_state()["coordinator"]) == (
                     json.dumps(serial.to_state()["coordinator"])
                 )
-                assert sorted(rebuilds) == [0, 1, 2, 3], executor
+                assert sorted(rebuilds) == sorted(parked), executor
                 assert state_fingerprint(synced.merge()) == expected
             with make_pipeline(executor, shards=4, workers=2) as synced:
                 synced.extend(stream)
@@ -604,7 +624,7 @@ class TestDrainContract:
                 rebuilds.clear()
                 backend = MemoryBackend()
                 synced.checkpoint_to(backend, "job")
-                assert sorted(rebuilds) == [0, 1, 2, 3], executor
+                assert sorted(rebuilds) == sorted(parked), executor
                 restored, _ = type(synced).resume_from(backend, "job")
                 assert state_fingerprint(restored) == state_fingerprint(
                     serial
@@ -664,3 +684,119 @@ class TestWorkerMapping:
         assert _resolve_workers(None, 3) == 3
         assert _resolve_workers(8, 3) == 3
         assert _resolve_workers(2, 3) == 2
+
+
+class TestSubmitterLane:
+    """One worker and four shards: the submitting process owns half the
+    shards and ingests their chunks itself, as the serial executor does."""
+
+    def chunks(self, count, rows=24):
+        return [group_stream(rows, seed=seed) for seed in range(count)]
+
+    def serial_after(self, chunks):
+        serial = make_pipeline("serial", shards=4, workers=None)
+        for chunk in chunks:
+            serial.submit(chunk)
+        return serial
+
+    def test_submitter_shards_are_never_parked(self):
+        chunks = self.chunks(24)
+        with make_pipeline("process", shards=4, workers=1) as lane:
+            for round_start in range(0, len(chunks), 8):
+                for chunk in chunks[round_start : round_start + 8]:
+                    lane.submit(chunk)
+                lane.sync()
+                owner = lane._executor._owner
+                assert owner == {0: 0, 1: _SUBMITTER, 2: 0, 3: _SUBMITTER}
+                # Only the worker's shards came home to be parked.
+                assert sorted(lane._coordinator._parked) == [0, 2]
+            stats = lane.executor_stats()
+            assert state_fingerprint(lane) == state_fingerprint(
+                self.serial_after(chunks)
+            )
+        assert stats["inline_chunks"] == stats["chunks"] // 2 == 12
+        assert stats["shm_chunks"] == 12
+
+    def test_submitter_lane_failure_surfaces_at_sync(self, monkeypatch):
+        chunks = self.chunks(8)
+        pipeline = make_pipeline("process", shards=4, workers=1)
+        pipeline.submit(chunks[0])  # starts the worker
+        calls = []
+
+        def poisoned(batch, shard):
+            calls.append(shard)
+            raise RuntimeError("injected lane failure")
+
+        # The worker was forked already: only the submitter sees this.
+        monkeypatch.setattr(pipeline._coordinator, "route_many", poisoned)
+        for chunk in chunks[1:]:
+            pipeline.submit(chunk)
+        with pytest.raises(
+            ExecutorError, match="submitter lane failed on shard 1"
+        ):
+            pipeline.sync()
+        # The lane stopped at its first failure, and the failure sticks.
+        assert calls == [1]
+        assert pipeline._dirty
+        with pytest.raises(ExecutorError, match="injected lane failure"):
+            pipeline.sync()
+        with pytest.raises(ExecutorError):
+            pipeline.close()
+        assert pipeline._executor is None
+        with pytest.raises(ExecutorError):
+            pipeline.to_state()
+
+    def test_backlog_bounded_by_the_depth_over_a_long_extend(self):
+        stream = group_stream(1200, seed=3)
+        serial = make_pipeline("serial", shards=4, workers=None, batch_size=4)
+        serial.extend(stream)
+        with make_pipeline(
+            "process", shards=4, workers=1, batch_size=4
+        ) as lane:
+            executor = lane._ensure_executor()
+            submit, backlog = executor.submit, []
+
+            def recording_submit(shard_id, chunk):
+                submit(shard_id, chunk)
+                backlog.append(len(executor._inline))
+
+            executor.submit = recording_submit
+            lane.extend(stream)
+            # 300 chunks, half of them the submitter's: its backlog
+            # fills to the depth and stays there.
+            assert len(backlog) == 300
+            assert max(backlog) == executor._depth < 150
+            lane.sync()
+            assert not executor._inline
+            assert state_fingerprint(lane) == state_fingerprint(serial)
+
+    def test_resume_after_parked_shards_continues_identically(self):
+        chunks = self.chunks(20)
+        with make_pipeline("process", shards=4, workers=1) as pipeline:
+            for chunk in chunks[:5]:
+                pipeline.submit(chunk)
+            pipeline.close()  # the worker's shards 0 and 2 come home parked
+            assert sorted(pipeline._coordinator._parked) == [0, 2]
+            # The dealing cursor is at shard 1 now, so the next executor's
+            # worker adopts shards 1 and 3 and the submitter ingests into
+            # the parked shards 2 and 0, restoring them first.
+            for chunk in chunks[5:]:
+                pipeline.submit(chunk)
+            assert pipeline._executor._owner == {
+                1: 0, 2: _SUBMITTER, 3: 0, 0: _SUBMITTER,
+            }
+            pipeline.sync()
+            assert sorted(pipeline._coordinator._parked) == [1, 3]
+            assert state_fingerprint(pipeline) == state_fingerprint(
+                self.serial_after(chunks)
+            )
+
+    def test_worker_per_shard_leaves_the_submitter_idle(self):
+        chunks = self.chunks(8)
+        with make_pipeline("process", shards=4, workers=None) as pipeline:
+            for chunk in chunks:
+                pipeline.submit(chunk)
+            pipeline.sync()
+            assert _SUBMITTER not in pipeline._executor._owner.values()
+            assert pipeline.executor_stats()["inline_chunks"] == 0
+            assert sorted(pipeline._coordinator._parked) == [0, 1, 2, 3]
